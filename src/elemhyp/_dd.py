@@ -15,6 +15,7 @@ available on the oldest supported interpreter.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 _SPLIT = 134217729.0  # 2**27 + 1
 
@@ -194,3 +195,44 @@ def power_integral_dd(shift: int, n: float, one_minus_x: DD, log_1mx: DD) -> DD:
         return dd_div(dd_sub(dd(1.0), pw), dd_from_int(wi))
     arg = dd_mul(w, log_1mx)
     return dd_div(dd_neg(dd_expm1(arg)), w)
+
+
+def _extend(pows: list, base: DD, top: int) -> list:
+    while len(pows) <= top:
+        pows.append(dd_mul(pows[-1], base))
+    return pows
+
+
+class ClosedFormContext:
+    """The pieces the closed forms at one x are built from, each formed once.
+
+    The power tables grow by one dd_mul per power, which rounds differently
+    from binary powering (dd_npow): callers that use dd_npow keep it.
+    """
+
+    def __init__(self, x: float):
+        self.x = x
+        self.omx = dd_sub(dd(1.0), dd(x))  # exact: two_sum of representables
+        self._xpows = [dd(1.0)]
+        self._ompows = [dd(1.0)]
+        self._integrals = {}
+
+    @cached_property
+    def log(self) -> DD:
+        """log(1-x), formed on first read: forms without a log term skip it."""
+        return dd_log(self.omx)
+
+    def xpows(self, top: int) -> list:
+        """x**k for k = 0..top; the list may run longer."""
+        return _extend(self._xpows, dd(self.x), top)
+
+    def ompows(self, top: int) -> list:
+        """(1-x)**k for k = 0..top; the list may run longer."""
+        return _extend(self._ompows, self.omx, top)
+
+    def power_integral(self, shift: int, n: float) -> DD:
+        """power_integral_dd at this x, memoized by (shift, n)."""
+        key = (shift, n)
+        if key not in self._integrals:
+            self._integrals[key] = power_integral_dd(shift, n, self.omx, self.log)
+        return self._integrals[key]

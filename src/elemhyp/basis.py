@@ -29,8 +29,8 @@ from functools import lru_cache
 from typing import Callable, Dict
 
 from ._dd import (
-    dd, dd_add, dd_div, dd_from_fraction, dd_log, dd_mul, dd_npow, dd_sub,
-    dd_to_float,
+    ClosedFormContext, dd, dd_add, dd_div, dd_from_fraction, dd_mul, dd_npow,
+    dd_sub, dd_to_float,
 )
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
@@ -157,17 +157,14 @@ def combo_eval(c: SymbolicCombo, x: float,
     """
     if not 0.0 < x < 1.0:
         raise DomainError("combo evaluation requires 0 < x < 1")
-    omx = dd_sub(dd(1.0), dd(x))
-    max_i = max((b.index for b in c.terms if b.kind == "pow_ratio"), default=0)
-    ompows = [dd(1.0)]
-    for _ in range(max_i):
-        ompows.append(dd_mul(ompows[-1], omx))
+    ctx = ClosedFormContext(x)
     total = dd(0.0)
     for b, coef in c.sorted_terms():
         if b.kind == "pow_ratio":
-            val = dd_div(dd_sub(dd(1.0), ompows[b.index]), ompows[b.index])
+            pw = ctx.ompows(b.index)[b.index]
+            val = dd_div(dd_sub(dd(1.0), pw), pw)
         elif b.kind == "log":
-            val = dd_log(omx)
+            val = ctx.log
         else:
             val = _polylog_dd(b.index, x)
         cd = dd_from_fraction(coef.numerator, coef.denominator)

@@ -16,15 +16,13 @@ import json
 import os
 import sys
 
+from ._dd import dd_to_float
 from .basis import combo_eval, combo_json_dict, fnj_combo, fnj_series
 from .heun import (
     HeunFamilyParams, heun_eval, heun_normalization, heun_ode_residual,
     heun_termination,
 )
-from .hypergeom import (
-    HypergeomParams, hyp2f1_closed_12, hyp2f1_closed_1m, hyp2f1_closed_general,
-    hyp2f1_closed_m1, hyp2f1_eval, hyp2f1_series,
-)
+from .hypergeom import HypergeomParams, _closed_route, hyp2f1_eval, hyp2f1_series
 from .mkz import (
     GmkzParams, Monomial, gmkz_apply, gmkz_e1, gmkz_moment_abel, ln_moment_e2,
     ln_moment_e2_direct, mkz_moment,
@@ -32,7 +30,7 @@ from .mkz import (
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
 )
-from .verify import SUITE_NAMES, run_suites
+from .verify import SUITE_NAMES, _rel_err, run_suites
 
 _ENV_REL_TOL = "ELEMHYP_REL_TOL"
 
@@ -58,31 +56,6 @@ def _emit(doc: dict):
     print(json.dumps(doc))
 
 
-def _rel_err(a: float, b: float) -> float:
-    if b == 0.0:
-        return abs(a - b)
-    return abs(a - b) / abs(b)
-
-
-def _closed_with_variant(params: HypergeomParams, x: float, variant):
-    m, n, p = params.m, params.n, params.p
-    if n == 1.0 and m > 1:
-        m, n = 1, float(m)
-    if m == 1 and n == 2.0 and p >= 3:
-        if variant in (None, "1", "2", "3"):
-            return hyp2f1_closed_12(p - 2, x, int(variant or "1"))
-        raise InvalidParams("this shape takes --variant 1, 2 or 3")
-    if m == 1 and float(n).is_integer() and n >= 1 and p >= int(n) + 1:
-        if variant in (None, "A", "B"):
-            return hyp2f1_closed_1m(int(n), p - int(n) - 1, x, variant or "A")
-        raise InvalidParams("this shape takes --variant A or B")
-    if variant is not None:
-        raise InvalidParams("--variant applies only to the integer-n shapes with m = 1")
-    if m == 1:
-        return hyp2f1_closed_m1(n, p, x)
-    return hyp2f1_closed_general(HypergeomParams(m, n, p), x)
-
-
 def cmd_hyp2f1(args, policy: EvalPolicy) -> int:
     params = HypergeomParams(args.m, args.n, args.p)
     if args.variant is not None and args.method != "closed":
@@ -95,7 +68,10 @@ def cmd_hyp2f1(args, policy: EvalPolicy) -> int:
             raise NotConverged("series did not converge within max_terms")
         value = res.value
     else:
-        value = _closed_with_variant(params, args.x, args.variant)
+        variant = args.variant
+        if variant is not None and variant.isdigit():
+            variant = int(variant)
+        value = dd_to_float(_closed_route(args.m, args.n, args.p, args.x, variant)[0])
     doc = {"value": value}
     if args.compare:
         series = hyp2f1_series(float(args.m), args.n, float(args.p), args.x,

@@ -9,9 +9,12 @@ families, by shape of the parameter triple (m, n; p):
   hyp2f1_closed_1m       (1, m; m+l+1), two log-basis variants A and B
   hyp2f1_closed_12       (1, 2; n+2), three variants
 
-All closed forms assemble in double-double and round once at the end.  The
+All closed forms assemble in double-double and round once at the end.  One
+classifier, _closed_route, picks the family (and variant) for a shape; one
+per-call ClosedFormContext forms 1-x, log(1-x), the x and 1-x power tables
+and the power integrals, each power integral once per distinct shift.  The
 dispatcher hyp2f1_eval routes small x to the series (the x**(1-p) prefactor
-makes closed forms cancel catastrophically near 0), picks the most specific
+makes closed forms cancel catastrophically near 0), takes the classifier's
 closed form otherwise, and falls back to the series whenever a cancellation
 estimate says the closed form could not keep enough digits.
 """
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._dd import (
-    DD, dd, dd_add, dd_div, dd_from_fraction, dd_from_int, dd_log, dd_mul,
-    dd_neg, dd_npow, dd_sub, dd_to_float, power_integral_dd,
+    DD, ClosedFormContext, dd, dd_add, dd_div, dd_from_fraction, dd_from_int,
+    dd_mul, dd_neg, dd_npow, dd_sub, dd_to_float,
 )
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
@@ -96,20 +99,10 @@ class _Acc:
         return self.maxmag / abs(self.total[0])
 
 
-def _xpow_table(x: float, top: int):
-    pows = [dd(1.0)]
-    xd = dd(x)
-    for _ in range(top):
-        pows.append(dd_mul(pows[-1], xd))
-    return pows
-
-
-def _eq_general(m: int, n: float, p: int, x: float):
+def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext):
     """Triple sum over power integrals; returns (dd value, cancel ratio)."""
-    omx = dd_sub(dd(1.0), dd(x))  # exact: two_sum of representables
-    big_l = dd_log(omx)
     q = p - m - 1
-    xpows = _xpow_table(x, q)
+    xpows = ctx.xpows(q)
     acc = _Acc()
     for k in range(m):
         ck = math.comb(m - 1, k) * (-1 if k % 2 else 1)
@@ -119,49 +112,39 @@ def _eq_general(m: int, n: float, p: int, x: float):
             s3 = dd(0.0)
             for i in range(j + 1):
                 ci = math.comb(j, i) * (-1 if i % 2 else 1)
-                integ = power_integral_dd(i + k, n, omx, big_l)
+                integ = ctx.power_integral(i + k, n)
                 s3 = dd_add(s3, dd_mul(dd_from_int(ci), integ))
             inner.add(dd_mul(dd_mul(dd_from_int(cj), xpows[q - j]), s3))
         acc.add(dd_mul(dd_from_int(ck), inner.total))
         acc.maxmag = max(acc.maxmag, inner.maxmag)
     # (m)_(p-m) / (p-m-1)! is the integer C(p-1, m-1)*(p-m)
     pref_int = math.comb(p - 1, m - 1) * (p - m)
-    pref = dd_div(dd_from_int(pref_int), dd_npow(dd(x), p - 1))
+    pref = dd_div(dd_from_int(pref_int), dd_npow(dd(ctx.x), p - 1))
     return dd_mul(pref, acc.total), acc.cancel_ratio()
 
 
-def _eq_m1(n: float, p: int, x: float):
+def _eq_m1(n: float, p: int, ctx: ClosedFormContext):
     """Single-sum form for m = 1; returns (dd value, cancel ratio)."""
-    omx = dd_sub(dd(1.0), dd(x))
-    big_l = dd_log(omx)
-    ompows = [dd(1.0)]
-    for _ in range(p - 2):
-        ompows.append(dd_mul(ompows[-1], omx))
+    ompows = ctx.ompows(p - 2)
     acc = _Acc()
     for i in range(p - 1):
         e = p - 2 - i
         sign = -1 if e % 2 else 1
         coef = dd_from_int(sign * math.comb(p - 2, i))
-        integ = power_integral_dd(i, n, omx, big_l)
+        integ = ctx.power_integral(i, n)
         acc.add(dd_mul(dd_mul(coef, ompows[e]), integ))
-    pref = dd_div(dd_from_int(p - 1), dd_npow(dd(x), p - 1))
+    pref = dd_div(dd_from_int(p - 1), dd_npow(dd(ctx.x), p - 1))
     return dd_mul(pref, acc.total), acc.cancel_ratio()
 
 
-def _eq_1m_a(m: int, l: int, x: float):
+def _eq_1m_a(m: int, l: int, ctx: ClosedFormContext):
     """Variant A for 2F1(1, m; m+l+1; x); returns (dd value, cancel ratio)."""
-    omx = dd_sub(dd(1.0), dd(x))
-    big_l = dd_log(omx)
-    ompows = [dd(1.0)]
-    for _ in range(m + l):
-        ompows.append(dd_mul(ompows[-1], omx))
-    poch = 1
-    for t in range(l + 1):
-        poch *= m + t
+    ompows = ctx.ompows(m + l)
+    poch = math.perm(m + l, l + 1)  # (m)_(l+1)
     acc = _Acc()
     # log part: poch * (-1)^(l+1)/l! * (1-x)^l * log(1-x)
     logcoef = dd_from_fraction(poch * (-1) ** (l + 1), math.factorial(l))
-    acc.add(dd_mul(logcoef, dd_mul(ompows[l], big_l)))
+    acc.add(dd_mul(logcoef, dd_mul(ompows[l], ctx.log)))
     mplusl = dd_from_int(m + l)
     for i in range(m + l):
         if i == m - 1:
@@ -171,22 +154,18 @@ def _eq_1m_a(m: int, l: int, x: float):
         diff = dd_sub(ompows[m + l - 1 - i], ompows[l])
         term = dd_mul(dd_from_fraction(coef.numerator, coef.denominator), diff)
         acc.add(dd_mul(mplusl, term))
-    result = dd_div(acc.total, dd_npow(dd(x), m + l))
+    result = dd_div(acc.total, dd_npow(dd(ctx.x), m + l))
     return result, acc.cancel_ratio()
 
 
-def _eq_1m_b(m: int, l: int, x: float):
+def _eq_1m_b(m: int, l: int, ctx: ClosedFormContext):
     """Variant B: Taylor-remainder form, a power series in x plus log part."""
-    omx = dd_sub(dd(1.0), dd(x))
-    big_l = dd_log(omx)
-    xpows = _xpow_table(x, l + m)
-    poch = 1
-    for t in range(l + 1):
-        poch *= m + t
+    xpows = ctx.xpows(l + m)
+    poch = math.perm(m + l, l + 1)  # (m)_(l+1)
     sgn = Fraction((-1) ** (l + 1), math.factorial(l))
     acc = _Acc()
     acc.add(dd_mul(dd_from_fraction(sgn.numerator, sgn.denominator),
-                   dd_mul(dd_npow(omx, l), big_l)))
+                   dd_mul(dd_npow(ctx.omx, l), ctx.log)))
     for j in range(1, l + 1):
         cj = Fraction(0)
         for i in range(j):
@@ -194,61 +173,49 @@ def _eq_1m_b(m: int, l: int, x: float):
         cj *= sgn
         acc.add(dd_mul(dd_from_fraction(cj.numerator, cj.denominator), xpows[j]))
     for i in range(m - 1):
-        poc = 1
-        for t in range(l + 1):
-            poc *= i + 1 + t
+        poc = math.perm(i + 1 + l, l + 1)  # (i+1)_(l+1)
         acc.add(dd_neg(dd_div(xpows[l + i + 1], dd_from_int(poc))))
-    result = dd_div(dd_mul(dd_from_int(poch), acc.total), dd_npow(dd(x), m + l))
+    result = dd_div(dd_mul(dd_from_int(poch), acc.total), dd_npow(dd(ctx.x), m + l))
     return result, acc.cancel_ratio()
 
 
-def _eq_12_1(n: int, x: float):
+def _eq_12_1(n: int, ctx: ClosedFormContext):
     """First form for 2F1(1, 2; n+2; x)."""
-    omx = dd_sub(dd(1.0), dd(x))
-    big_l = dd_log(omx)
-    xpows = _xpow_table(x, n)
-    ompows = [dd(1.0)]
-    for _ in range(max(n - 1, 0)):
-        ompows.append(dd_mul(ompows[-1], omx))
+    xpows = ctx.xpows(n)
+    ompows = ctx.ompows(n - 1)
     acc = _Acc()
     acc.add(dd_mul(ompows[n - 1],
-                   dd_add(dd(x), dd_mul(dd_from_int(n), big_l))))
+                   dd_add(dd(ctx.x), dd_mul(dd_from_int(n), ctx.log))))
     for j in range(1, n):
         c = Fraction((-1) ** j * (n - j), j)
         term = dd_mul(dd_from_fraction(c.numerator, c.denominator),
                       dd_mul(xpows[j], ompows[n - j - 1]))
         acc.add(dd_neg(term))
     sgn = -(n + 1) if n % 2 else (n + 1)
-    pref = dd_div(dd_from_int(sgn), dd_npow(dd(x), n + 1))
+    pref = dd_div(dd_from_int(sgn), dd_npow(dd(ctx.x), n + 1))
     return dd_mul(pref, acc.total), acc.cancel_ratio()
 
 
-def _eq_12_2(n: int, x: float):
+def _eq_12_2(n: int, ctx: ClosedFormContext):
     """Second form: same log core, binomial difference sum."""
-    omx = dd_sub(dd(1.0), dd(x))
-    big_l = dd_log(omx)
-    ompows = [dd(1.0)]
-    for _ in range(max(n - 1, 0)):
-        ompows.append(dd_mul(ompows[-1], omx))
+    ompows = ctx.ompows(n - 1)
     acc = _Acc()
     acc.add(dd_mul(ompows[n - 1],
-                   dd_add(dd(x), dd_mul(dd_from_int(n), big_l))))
+                   dd_add(dd(ctx.x), dd_mul(dd_from_int(n), ctx.log))))
     for i in range(2, n + 1):
         c = Fraction((-1) ** i * math.comb(n, i), i - 1)
-        diff = dd_sub(dd_npow(omx, n - i), ompows[n - 1])
+        diff = dd_sub(dd_npow(ctx.omx, n - i), ompows[n - 1])
         acc.add(dd_mul(dd_from_fraction(c.numerator, c.denominator), diff))
     sgn = -(n + 1) if n % 2 else (n + 1)
-    pref = dd_div(dd_from_int(sgn), dd_npow(dd(x), n + 1))
+    pref = dd_div(dd_from_int(sgn), dd_npow(dd(ctx.x), n + 1))
     return dd_mul(pref, acc.total), acc.cancel_ratio()
 
 
-def _eq_12_3(n: int, x: float):
+def _eq_12_3(n: int, ctx: ClosedFormContext):
     """Third form: log plus pure power series, minus an (n+1)/x correction."""
-    omx = dd_sub(dd(1.0), dd(x))
-    big_l = dd_log(omx)
-    xpows = _xpow_table(x, max(n - 1, 0))
+    xpows = ctx.xpows(n - 1)
     acc = _Acc()
-    acc.add(dd_mul(dd_npow(omx, n - 1), big_l))
+    acc.add(dd_mul(dd_npow(ctx.omx, n - 1), ctx.log))
     for j in range(1, n):
         cj = Fraction(0)
         for i in range(j):
@@ -256,9 +223,9 @@ def _eq_12_3(n: int, x: float):
         acc.add(dd_mul(dd_from_fraction(cj.numerator, cj.denominator), xpows[j]))
     nn1 = n * (n + 1)
     sgn = -nn1 if n % 2 else nn1
-    pref = dd_div(dd_from_int(sgn), dd_npow(dd(x), n + 1))
+    pref = dd_div(dd_from_int(sgn), dd_npow(dd(ctx.x), n + 1))
     main = dd_mul(pref, acc.total)
-    tail = dd_div(dd_from_int(n + 1), dd(x))
+    tail = dd_div(dd_from_int(n + 1), dd(ctx.x))
     result = dd_sub(main, tail)
     # two cancellation stages: inside the core, then main minus tail
     ratio1 = acc.cancel_ratio()
@@ -269,25 +236,41 @@ def _eq_12_3(n: int, x: float):
     return result, max(ratio1, ratio2)
 
 
+# Arrangements of the shapes that admit several; the first is the default.
+_FORMS_12 = {1: _eq_12_1, 2: _eq_12_2, 3: _eq_12_3}
+_FORMS_1M = {"A": _eq_1m_a, "B": _eq_1m_b}
+
+
+def _variant(forms: dict, variant):
+    if variant not in tuple(forms):
+        if None in forms:
+            raise InvalidParams("this shape takes no variant")
+        *rest, last = forms
+        raise InvalidParams(f"variant must be {', '.join(map(str, rest))} or {last}")
+    return forms[variant]
+
+
 def _check_open_unit(x: float):
     if not 0.0 < x < 1.0:
         raise DomainError("closed forms require 0 < x < 1")
 
 
+def _closed_value(body, x: float, *args) -> float:
+    _check_open_unit(x)
+    val, _ = body(*args, ClosedFormContext(x))
+    return dd_to_float(val)
+
+
 def hyp2f1_closed_general(params: HypergeomParams, x: float) -> float:
     """Closed form for any (m, n; p) with integer m >= 1, p >= m+1."""
-    _check_open_unit(x)
-    val, _ = _eq_general(params.m, params.n, params.p, x)
-    return dd_to_float(val)
+    return _closed_value(_eq_general, x, params.m, params.n, params.p)
 
 
 def hyp2f1_closed_m1(n: float, p: int, x: float) -> float:
     """Closed form for 2F1(1, n; p; x), any real n, integer p >= 2."""
     if p < 2:
         raise InvalidParams("p must be >= 2")
-    _check_open_unit(x)
-    val, _ = _eq_m1(n, p, x)
-    return dd_to_float(val)
+    return _closed_value(_eq_m1, x, n, p)
 
 
 def hyp2f1_closed_1m(m: int, l: int, x: float, variant: str = "A") -> float:
@@ -298,24 +281,14 @@ def hyp2f1_closed_1m(m: int, l: int, x: float, variant: str = "A") -> float:
     """
     if m < 1 or l < 0:
         raise InvalidParams("need m >= 1 and l >= 0")
-    if variant not in ("A", "B"):
-        raise InvalidParams("variant must be 'A' or 'B'")
-    _check_open_unit(x)
-    impl = _eq_1m_a if variant == "A" else _eq_1m_b
-    val, _ = impl(m, l, x)
-    return dd_to_float(val)
+    return _closed_value(_variant(_FORMS_1M, variant), x, m, l)
 
 
 def hyp2f1_closed_12(n: int, x: float, variant: int = 1) -> float:
     """Closed form for 2F1(1, 2; n+2; x), integer n >= 1, three variants."""
     if n < 1:
         raise InvalidParams("n must be >= 1")
-    if variant not in (1, 2, 3):
-        raise InvalidParams("variant must be 1, 2 or 3")
-    _check_open_unit(x)
-    impl = {1: _eq_12_1, 2: _eq_12_2, 3: _eq_12_3}[variant]
-    val, _ = impl(n, x)
-    return dd_to_float(val)
+    return _closed_value(_variant(_FORMS_12, variant), x, n)
 
 
 # Above this estimated digit loss the closed forms cannot certify even float64
@@ -328,17 +301,25 @@ _MAX_DIGIT_LOSS = 22.0
 _GUARD_REL = 1e-13
 
 
-def _closed_route(m: int, n: float, p: int, x: float):
-    """Most specific closed form for the shape; returns (dd value, ratio)."""
+def _closed_route(m: int, n: float, p: int, x: float, variant=None):
+    """The shape classifier: the most specific closed form for (m, n; p).
+
+    variant picks among the family's arrangements (None: its default).
+    Returns (dd value, cancel ratio).
+    """
     if n == 1.0 and m > 1:
         m, n = 1, float(m)  # symmetric in the upper pair
     if m == 1 and n == 2.0 and p >= 3:
-        return _eq_12_1(p - 2, x)
-    if m == 1 and float(n).is_integer() and n >= 1 and p >= int(n) + 1:
-        return _eq_1m_a(int(n), p - int(n) - 1, x)
-    if m == 1:
-        return _eq_m1(n, p, x)
-    return _eq_general(m, n, p, x)
+        forms, args = _FORMS_12, (p - 2,)
+    elif m == 1 and float(n).is_integer() and n >= 1 and p >= int(n) + 1:
+        forms, args = _FORMS_1M, (int(n), p - int(n) - 1)
+    elif m == 1:
+        forms, args = {None: _eq_m1}, (n, p)
+    else:
+        forms, args = {None: _eq_general}, (m, n, p)
+    body = _variant(forms, next(iter(forms)) if variant is None else variant)
+    _check_open_unit(x)
+    return body(*args, ClosedFormContext(x))
 
 
 def hyp2f1_eval(params: HypergeomParams, x: float,

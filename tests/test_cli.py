@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from elemhyp import hyp2f1_closed_12, hyp2f1_closed_1m
+
 CMD = [sys.executable, "-m", "elemhyp"]
 
 
@@ -76,11 +78,31 @@ def test_hyp2f1_variant_requires_closed_method():
     assert r.returncode == 2
 
 
-def test_hyp2f1_variant_must_fit_the_shape():
-    r = run("hyp2f1", "--m", "1", "--n", "2", "--p", "3", "--x", "0.5",
-            "--method", "closed", "--variant", "A")
+@pytest.mark.parametrize("m,n,p,variant,message", [
+    ("1", "2", "3", "A", "1, 2 or 3"),
+    ("1", "3", "6", "1", "A or B"),
+    ("2", "2.5", "6", "A", "no variant"),
+    ("2", "2.5", "6", "3", "no variant"),
+    ("1", "2.5", "5", "B", "no variant"),
+], ids=["12-A", "1m-1", "general-A", "general-3", "m1-B"])
+def test_hyp2f1_variant_must_fit_the_shape(m, n, p, variant, message):
+    r = run("hyp2f1", "--m", m, "--n", n, "--p", p, "--x", "0.5",
+            "--method", "closed", "--variant", variant)
     assert r.returncode == 2
-    assert "1, 2 or 3" in r.stderr
+    assert message in r.stderr
+
+
+@pytest.mark.parametrize("m,n,p,x,variant,closed", [
+    ("1", "3", "6", "0.5", "B", lambda: hyp2f1_closed_1m(3, 2, 0.5, "B")),
+    ("3", "1", "7", "0.4", "B", lambda: hyp2f1_closed_1m(3, 3, 0.4, "B")),
+    ("1", "2", "7", "0.3", "2", lambda: hyp2f1_closed_12(5, 0.3, 2)),
+    ("1", "2", "7", "0.3", "3", lambda: hyp2f1_closed_12(5, 0.3, 3)),
+], ids=["1m-B", "swap-1m-B", "12-2", "12-3"])
+def test_hyp2f1_closed_variant_prints_the_library_value(m, n, p, x, variant, closed):
+    r = run("hyp2f1", "--m", m, "--n", n, "--p", p, "--x", x,
+            "--method", "closed", "--variant", variant)
+    assert r.returncode == 0
+    assert r.stdout == json.dumps({"value": closed()}) + "\n"
 
 
 def test_hyp2f1_closed_rejects_the_origin():

@@ -12,6 +12,8 @@ from elemhyp import (
     hyp2f1_closed_12, hyp2f1_closed_1m, hyp2f1_closed_general,
     hyp2f1_closed_m1, hyp2f1_eval, hyp2f1_series,
 )
+from elemhyp import _dd, hypergeom
+from elemhyp.hypergeom import _closed_route
 
 TIGHT = EvalPolicy(rel_tol=1e-13)
 
@@ -175,8 +177,30 @@ def test_eval_skips_closed_forms_when_digit_loss_is_certain():
     assert math.isclose(got, mp_ref(1, 2.5, 19, x), rel_tol=1e-11)
 
 
-def test_eval_closed_path_is_bit_stable():
-    assert hyp2f1_eval(HypergeomParams(1, 2.0, 3), 0.5) == 1.5451774444795625
+@pytest.mark.parametrize("m,n,p,x,want", [
+    (1, 2.0, 3, 0.5, 1.5451774444795625),
+    (3, 2.5, 8, 0.7, 2.4152172053957432),
+    (1, 2.5, 5, 0.6, 1.4756256176034062),
+    (1, 3.0, 6, 0.5, 1.3553233343868742),
+    (4, 1.0, 7, 0.4, 1.3070003284664935),  # n = 1 swaps into the 1m family
+], ids=["12", "general", "m1", "1m", "swap-1m"])
+def test_eval_closed_path_is_bit_stable(m, n, p, x, want):
+    assert hyp2f1_eval(HypergeomParams(m, n, p), x) == want
+
+
+def test_closed_route_forms_each_power_integral_once(monkeypatch):
+    # the general form at (3, 2.5; 8) sums 45 power integrals over 7 shifts
+    shifts = []
+    original = _dd.power_integral_dd
+
+    def counting(shift, *rest):
+        shifts.append(shift)
+        return original(shift, *rest)
+
+    for module in (_dd, hypergeom):  # wherever the name is bound
+        monkeypatch.setattr(module, "power_integral_dd", counting, raising=False)
+    _closed_route(3, 2.5, 8, 0.7)
+    assert sorted(shifts) == list(range(7))
 
 
 def test_eval_domain_and_convergence():
