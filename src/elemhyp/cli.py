@@ -22,7 +22,9 @@ from .heun import (
     HeunFamilyParams, heun_eval, heun_normalization, heun_ode_residual,
     heun_termination,
 )
-from .hypergeom import HypergeomParams, _closed_route, hyp2f1_eval, hyp2f1_series
+from .hypergeom import (
+    HypergeomParams, _closed_accepted, _closed_route, hyp2f1_eval, hyp2f1_series,
+)
 from .mkz import (
     GmkzParams, Monomial, gmkz_apply, gmkz_e1, gmkz_moment_abel, ln_moment_e2,
     ln_moment_e2_direct, mkz_moment,
@@ -71,7 +73,11 @@ def cmd_hyp2f1(args, policy: EvalPolicy) -> int:
         variant = args.variant
         if variant is not None and variant.isdigit():
             variant = int(variant)
-        value = dd_to_float(_closed_route(args.m, args.n, args.p, args.x, variant)[0])
+        val, ratio = _closed_route(args.m, args.n, args.p, args.x, variant)
+        value = dd_to_float(val)
+        if not _closed_accepted(value, ratio):
+            raise NotConverged(
+                f"closed form cancels too deeply to certify (cancel ratio {ratio:.3g})")
     doc = {"value": value}
     if args.compare:
         series = hyp2f1_series(float(args.m), args.n, float(args.p), args.x,

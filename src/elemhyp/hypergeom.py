@@ -262,12 +262,20 @@ def _closed_value(body, x: float, *args) -> float:
 
 
 def hyp2f1_closed_general(params: HypergeomParams, x: float) -> float:
-    """Closed form for any (m, n; p) with integer m >= 1, p >= m+1."""
+    """Closed form for any (m, n; p) with integer m >= 1, p >= m+1.
+
+    Unguarded: the value is returned whatever cancellation it suffered;
+    hyp2f1_eval is the guarded entry.
+    """
     return _closed_value(_eq_general, x, params.m, params.n, params.p)
 
 
 def hyp2f1_closed_m1(n: float, p: int, x: float) -> float:
-    """Closed form for 2F1(1, n; p; x), any real n, integer p >= 2."""
+    """Closed form for 2F1(1, n; p; x), any real n, integer p >= 2.
+
+    Unguarded: the value is returned whatever cancellation it suffered;
+    hyp2f1_eval is the guarded entry.
+    """
     if p < 2:
         raise InvalidParams("p must be >= 2")
     return _closed_value(_eq_m1, x, n, p)
@@ -277,7 +285,9 @@ def hyp2f1_closed_1m(m: int, l: int, x: float, variant: str = "A") -> float:
     """Closed form for 2F1(1, m; m+l+1; x), integers m >= 1, l >= 0.
 
     Variants A and B are two algebraically equal arrangements; both are kept
-    because their agreement is part of the test surface.
+    because their agreement is part of the test surface.  Unguarded: the
+    value is returned whatever cancellation it suffered; hyp2f1_eval is the
+    guarded entry.
     """
     if m < 1 or l < 0:
         raise InvalidParams("need m >= 1 and l >= 0")
@@ -285,7 +295,11 @@ def hyp2f1_closed_1m(m: int, l: int, x: float, variant: str = "A") -> float:
 
 
 def hyp2f1_closed_12(n: int, x: float, variant: int = 1) -> float:
-    """Closed form for 2F1(1, 2; n+2; x), integer n >= 1, three variants."""
+    """Closed form for 2F1(1, 2; n+2; x), integer n >= 1, three variants.
+
+    Unguarded: the value is returned whatever cancellation it suffered;
+    hyp2f1_eval is the guarded entry.
+    """
     if n < 1:
         raise InvalidParams("n must be >= 1")
     return _closed_value(_variant(_FORMS_12, variant), x, n)
@@ -299,6 +313,15 @@ _MAX_DIGIT_LOSS = 22.0
 # Dispatcher rejects a closed-form value whose cancellation estimate exceeds
 # this relative error.
 _GUARD_REL = 1e-13
+
+
+def _closed_accepted(f: float, ratio: float) -> bool:
+    """The dispatcher's test for keeping a closed value f of cancel ratio ratio.
+
+    The double-double assembly carries ~1e-31 relative; the ratio (largest
+    partial magnitude over the result) may amplify that up to _GUARD_REL.
+    """
+    return math.isfinite(f) and math.isfinite(ratio) and ratio * 1e-31 <= _GUARD_REL
 
 
 def _closed_route(m: int, n: float, p: int, x: float, variant=None):
@@ -347,7 +370,7 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
             and (p - 1) * math.log10(1.0 / x) <= _MAX_DIGIT_LOSS):
         val, ratio = _closed_route(m, n, p, x)
         f = dd_to_float(val)
-        if math.isfinite(f) and math.isfinite(ratio) and ratio * 1e-31 <= _GUARD_REL:
+        if _closed_accepted(f, ratio):
             return f
     res = hyp2f1_series(float(m), n, float(p), x, policy)
     if not res.converged:

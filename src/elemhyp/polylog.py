@@ -4,30 +4,57 @@ Li_1 is closed form (-log(1-x)).  Higher orders sum x**j / j**k.  The
 derivative series realizes (Li_j)^(d) directly with factorial weights, which
 is what the operator-moment formulas consume; symbolic differentiation is
 deliberately avoided.
+
+The double-double Li_k behind the basis evaluator has two branches.  Below
+x = _LOG_SERIES_FROM it sums x**j / j**k, which needs about 76/|log x|
+terms for 1e-33.  From there up to 1 it sums the expansion around mu = log x
+(DLMF Sec. 25.12(ii); Crandall, "Note on fast polylogarithm computation", 2006),
+
+    Li_k(e**mu) = sum_{j != k-1} zeta(k-j) mu**j / j!
+                  + mu**(k-1) / (k-1)! * (H_{k-1} - log(-mu)),   |mu| < 2 pi,
+
+whose terms fall like (|mu| / 2 pi)**j, so a few dozen terms suffice however
+close x is to 1.  The zeta values come from exact rationals rounded once to
+double-double: zeta(-n) = (-1)**n B_{n+1} / (n+1) from Bernoulli numbers,
+and zeta(s), s >= 2, from Borwein's alternating-series algorithm.  Both are
+filled lazily, up to the orders the series reaches.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
-from ._dd import DD, dd, dd_add, dd_div, dd_from_int, dd_mul
+from ._dd import (
+    DD, dd, dd_add, dd_div, dd_from_int, dd_log, dd_mul, dd_neg, dd_sub,
+)
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
     sum_series,
 )
 
 # series domain: strictly inside the unit interval, except the x=1 endpoint
-# for k >= 2 where the tail is integrable
+# for k >= 2 where Li_k(1) = zeta(k)
 _EDGE = 1.0 - 1e-6
+
+# _polylog_dd sums the log series from here up: |log x| <= 0.511, so its
+# terms fall at least 12-fold per order, while the power series would still
+# need ~150 terms at this x and ~76/(1-x) closer to 1.
+_LOG_SERIES_FROM = 0.6
+
+# Borwein, "An efficient algorithm for the Riemann zeta function" (2000),
+# algorithm 2: truncation error below 3 / (3 + sqrt 8)**48 / (1 - 2**(1-s)),
+# about 1e-36, well under the double-double rounding of the result.
+_BORWEIN_N = 48
 
 
 def polylog(k: int, x: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Li_k(x) for integer k >= 1.
 
-    At x = 1 (k >= 2 only) the series is capped at policy.max_terms and the
-    integral tail N**(1-k)/(k-1) is added; good to about 1e-10 for k = 2 at
-    the default cap, which is all the diagnostics need.
+    Inside the unit interval the series is summed under the policy.  At
+    x = 1 (k >= 2 only) the value is zeta(k), rounded once from the exact
+    rational behind _polylog_dd's zeta table.
     """
     if k < 1:
         raise InvalidParams("order k must be >= 1")
@@ -36,6 +63,8 @@ def polylog(k: int, x: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
         raise DomainError("polylog series requires |x| <= 1 - 1e-6, or x = 1 with k >= 2")
     if k == 1:
         return -math.log1p(-x)
+    if at_one:
+        return float(_zeta(k))
     if x == 0.0:
         return 0.0
 
@@ -48,9 +77,6 @@ def polylog(k: int, x: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
             j += 1
 
     res = sum_series(terms(), policy)
-    if at_one:
-        n_last = res.terms_used
-        return res.value + n_last ** (1 - k) / (k - 1)
     if not res.converged:
         raise NotConverged("polylog series did not converge")
     return res.value
@@ -86,7 +112,19 @@ def polylog_derivative_series(j: int, d: int, x: float,
 
 @lru_cache(maxsize=4096)
 def _polylog_dd(k: int, x: float) -> DD:
-    """Li_k(x) in double-double, for the basis evaluator.  0 < x < 1, k >= 2."""
+    """Li_k(x) in double-double, for the basis evaluator.  0 < x < 1, k >= 2.
+
+    Below _LOG_SERIES_FROM: the power series x**j / j**k.  From there on:
+    the series in mu = log x with the double-double zeta table (see the
+    module docstring).  Either meets about 1e-31 relative.
+    """
+    if x >= _LOG_SERIES_FROM:
+        return _polylog_log_series(k, x)
+    return _polylog_power_series(k, x)
+
+
+def _polylog_power_series(k: int, x: float) -> DD:
+    """Li_k(x) from sum x**j / j**k; below _LOG_SERIES_FROM, ~150 terms or fewer."""
     xd = dd(x)
     term = xd
     total = dd(0.0)
@@ -100,3 +138,82 @@ def _polylog_dd(k: int, x: float) -> DD:
         term = dd_div(dd_mul(term, dd_from_int((j - 1) ** k)), dd_from_int(j ** k))
         if j > 2000000:
             raise NotConverged("double-double polylog series stalled")
+
+
+def _polylog_log_series(k: int, x: float) -> DD:
+    """Li_k(x) from the series in mu = log x; any 0 < x < 1 with |log x| < 2 pi."""
+    mu = dd_log(dd(x))
+    log_neg_mu = dd_log(dd_neg(mu))
+    total = dd(0.0)
+    power = dd(1.0)  # mu**j
+    j = 0
+    while True:
+        c = _log_series_coef(k, j)
+        if j == k - 1:
+            c = dd_sub(c, dd_div(log_neg_mu, dd_from_int(math.factorial(j))))
+        if c[0] != 0.0:  # zeta(-n) vanishes for even n >= 2
+            term = dd_mul(c, power)
+            total = dd_add(total, term)
+            # from j = k on, the nonzero terms shrink monotonically
+            if j >= k and abs(term[0]) <= 1e-33 * abs(total[0]):
+                return total
+        power = dd_mul(power, mu)
+        j += 1
+
+
+@lru_cache(maxsize=None)
+def _log_series_coef(k: int, j: int) -> DD:
+    """Rational part of the mu**j coefficient of Li_k(e**mu), rounded once.
+
+    zeta(k-j) / j!, and H_{k-1} / (k-1)! at j = k-1, where the log(-mu) part
+    is added by the caller.
+    """
+    if j == k - 1:
+        q = sum(Fraction(1, i) for i in range(1, k))
+    else:
+        q = _zeta(k - j)
+    return _fraction_dd(q / math.factorial(j))
+
+
+def _fraction_dd(q: Fraction) -> DD:
+    """q rounded once to double-double (float of a Fraction rounds correctly)."""
+    hi = float(q)
+    return (hi, float(q - Fraction(hi)))
+
+
+@lru_cache(maxsize=None)
+def _zeta(s: int) -> Fraction:
+    """zeta(s) for integer s != 1: exact for s <= 0, within ~1e-36 for s >= 2."""
+    if s <= 0:
+        return (-1) ** -s * _bernoulli(1 - s) / (1 - s)
+    d = _borwein_d()
+    alt = sum(Fraction((-1) ** i * (d[i] - d[-1]), (i + 1) ** s)
+              for i in range(_BORWEIN_N))
+    return -alt * 2 ** (s - 1) / (d[-1] * (2 ** (s - 1) - 1))
+
+
+@lru_cache(maxsize=None)
+def _borwein_d() -> tuple:
+    """Borwein's partial sums d_0..d_N, N = _BORWEIN_N (all integers)."""
+    n = _BORWEIN_N
+    d, acc = [], 0
+    for i in range(n + 1):
+        acc += (n * math.factorial(n + i - 1) * 4 ** i
+                // (math.factorial(n - i) * math.factorial(2 * i)))
+        d.append(acc)
+    return tuple(d)
+
+
+@lru_cache(maxsize=None)
+def _bernoulli(n: int) -> Fraction:
+    """B_n (B_1 = -1/2) from sum_{j <= n} C(n+1, j) B_j = 0.
+
+    Odd indices above 1 vanish, so only the even ones are formed and summed;
+    each call reads the ones below it from the cache.
+    """
+    if n == 0:
+        return Fraction(1)
+    if n > 1 and n % 2:
+        return Fraction(0)
+    return -sum(math.comb(n + 1, j) * _bernoulli(j)
+                for j in range(n) if j < 2 or j % 2 == 0) / (n + 1)

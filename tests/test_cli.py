@@ -105,6 +105,16 @@ def test_hyp2f1_closed_variant_prints_the_library_value(m, n, p, x, variant, clo
     assert r.stdout == json.dumps({"value": closed()}) + "\n"
 
 
+def test_hyp2f1_closed_refuses_a_cancelled_value():
+    # the closed form returns -3.3e22 here (true value ~1.0) at cancel ratio
+    # 7.6e31, past the dispatcher's own acceptance test
+    r = run("hyp2f1", "--m", "1", "--n", "2", "--p", "42", "--x", "0.05",
+            "--method", "closed")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert "cancel ratio 7.58e+31" in r.stderr
+
+
 def test_hyp2f1_closed_rejects_the_origin():
     r = run("hyp2f1", "--m", "1", "--n", "2", "--p", "3", "--x", "0",
             "--method", "closed")

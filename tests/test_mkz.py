@@ -153,3 +153,14 @@ def test_abel_route_edges():
         gmkz_moment_abel(2, 1, 0.0, -1, 0.4)
     with pytest.raises(DomainError):
         gmkz_moment_abel(2, 1, 0.0, 1, 0.0)
+
+
+@pytest.mark.parametrize("n,r,x,want", [
+    # (1-x)**(n+1) sum_k C(n+k,k) x**k (k/(n+k))**r rewritten exactly as a
+    # combination of Li_s(x) of integer order s and evaluated by mpmath at
+    # 140 digits (the neg-binomial polylog rewrite of the benchmark oracle)
+    (3, 3, 0.99999, 0.999970000449991138744136),
+    (4, 4, 1.0 - 1e-6, 0.999996000007999870311186),
+])
+def test_higher_moments_next_to_one(n, r, x, want):
+    assert math.isclose(mkz_moment(n, r, x), want, rel_tol=1e-12)

@@ -1,6 +1,7 @@
 """Polylogarithms and the shifted derivative series."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -9,7 +10,10 @@ from elemhyp import (
     DomainError, EvalPolicy, InvalidParams, NotConverged, polylog,
     polylog_derivative_series,
 )
-from elemhyp.polylog import _EDGE, _polylog_dd
+from elemhyp.polylog import (
+    _EDGE, _LOG_SERIES_FROM, _fraction_dd, _polylog_dd, _polylog_log_series,
+    _polylog_power_series, _zeta,
+)
 
 TIGHT = EvalPolicy(rel_tol=1e-14)
 
@@ -33,6 +37,13 @@ def test_polylog_at_the_unit_edge():
         assert math.isclose(polylog(2, 1.0), float(mp.zeta(2)), rel_tol=1e-9)
         assert math.isclose(polylog(3, 1.0), float(mp.zeta(3)), rel_tol=1e-10)
         assert math.isclose(polylog(5, 1.0), float(mp.zeta(5)), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_polylog_at_one_is_zeta_to_an_ulp(k):
+    with mp.workdps(40):
+        want = float(mp.zeta(k))
+    assert abs(polylog(k, 1.0) - want) <= math.ulp(want)
 
 
 def test_polylog_domain():
@@ -90,3 +101,43 @@ def test_internal_dd_polylog_precision():
         hi, lo = _polylog_dd(2, 0.5)
         got = mp.mpf(hi) + mp.mpf(lo)
         assert abs(got - want) / abs(want) < 1e-30
+
+
+def _dd_rel_err(got, want):
+    return abs(mp.mpf(got[0]) + mp.mpf(got[1]) - want) / abs(want)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 11, 13])
+@pytest.mark.parametrize("x", [
+    0.01, 0.3, math.nextafter(_LOG_SERIES_FROM, 0.0), _LOG_SERIES_FROM, 0.75,
+    0.9, 0.99, 0.999, 0.99999, 1.0 - 1e-6,
+], ids=["0.01", "0.3", "below-switch", "switch", "0.75", "0.9", "0.99",
+        "0.999", "0.99999", "1-1e-6"])
+def test_internal_dd_polylog_vs_mpmath(k, x):
+    with mp.workdps(60):
+        assert _dd_rel_err(_polylog_dd(k, x), mp.polylog(k, mp.mpf(x))) < 1e-30
+
+
+@pytest.mark.parametrize("k", [2, 5, 13])
+@pytest.mark.parametrize("x", [0.5, 0.55, 0.59, 0.6, 0.61, 0.65, 0.7])
+def test_dd_polylog_branches_agree_around_the_switch(k, x):
+    power = _polylog_power_series(k, x)
+    with mp.workdps(60):
+        want = mp.mpf(power[0]) + mp.mpf(power[1])
+        assert _dd_rel_err(_polylog_log_series(k, x), want) < 1e-30
+
+
+@pytest.mark.parametrize("s", range(2, 41))
+def test_dd_zeta_vs_mpmath(s):
+    with mp.workdps(60):
+        assert _dd_rel_err(_fraction_dd(_zeta(s)), mp.zeta(s)) < 1e-31
+
+
+@pytest.mark.parametrize("n", range(41))
+def test_zeta_at_nonpositive_integers_is_exact(n):
+    # zeta(-n) = (-1)**n B_{n+1} / (n+1), with mpmath's exact Bernoulli numbers
+    want = (-1) ** n * Fraction(*mp.bernfrac(n + 1)) / (n + 1)
+    assert _zeta(-n) == want
+    with mp.workdps(60):
+        assert abs(mp.zeta(-n) - mp.mpf(want.numerator) / want.denominator) \
+            <= mp.mpf(10) ** -50 * abs(mp.zeta(-n))
