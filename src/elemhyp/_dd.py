@@ -183,12 +183,14 @@ def power_integral_dd(shift: int, n: float, one_minus_x: DD, log_1mx: DD) -> DD:
 
     shift is an integer loop index; n is the real series parameter.  The
     combined exponent w = shift - n + 1 is held as a dd built from exact
-    parts so that a non-dyadic n costs no precision.
+    parts so that a non-dyadic n costs no precision.  Only an exactly
+    integral w takes the polynomial form (the log at w = 0); any other w,
+    however close to an integer, goes through expm1, which keeps full
+    relative accuracy for small w * log(1-x).
     """
     w = dd_add(dd_from_int(shift + 1), dd(-n))
-    wi = round(w[0])
-    if abs(w[0] - wi) < 1e-9 and abs(w[1]) < 1e-9:
-        wi = int(wi)
+    if w[1] == 0.0 and w[0].is_integer():
+        wi = int(w[0])
         if wi == 0:
             return dd_neg(log_1mx)
         pw = dd_npow(one_minus_x, wi)

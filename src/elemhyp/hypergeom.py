@@ -12,17 +12,22 @@ families, by shape of the parameter triple (m, n; p):
 All closed forms assemble in double-double and round once at the end.  One
 classifier, _closed_route, picks the family (and variant) for a shape; one
 per-call ClosedFormContext forms 1-x, log(1-x), the x and 1-x power tables
-and the power integrals, each power integral once per distinct shift.  The
-dispatcher hyp2f1_eval routes small x to the series (the x**(1-p) prefactor
-makes closed forms cancel catastrophically near 0), takes the classifier's
-closed form otherwise, and falls back to the series whenever a cancellation
-estimate says the closed form could not keep enough digits.
+and the power integrals, each power integral once per distinct shift.
+
+The dispatcher hyp2f1_eval sums the defining series to full precision below
+EvalPolicy.x_switch (default 1/2), where it needs few terms and the x**(1-p)
+prefactor makes closed forms cancel; the sum is kept when its rounding
+bound, terms * sum|term| * 2**-53, is within _GUARD_REL of it, whatever the
+policy's rel_tol.  Points that bound rejects, and every point from x_switch
+up, take the classifier's closed form, which in turn falls back to the
+series whenever a cancellation estimate says it could not keep enough
+digits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from ._dd import (
@@ -311,8 +316,13 @@ def hyp2f1_closed_12(n: int, x: float, variant: int = 1) -> float:
 _MAX_DIGIT_LOSS = 22.0
 
 # Dispatcher rejects a closed-form value whose cancellation estimate exceeds
-# this relative error.
+# this relative error, and a series value whose rounding bound does.
 _GUARD_REL = 1e-13
+
+# Below policy.x_switch the series is summed to full float64 precision, to
+# this tolerance or the policy's own if tighter; a loose rel_tol does not
+# loosen it.
+_SERIES_REL_TOL = 1e-17
 
 
 def _closed_accepted(f: float, ratio: float) -> bool:
@@ -349,11 +359,16 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
                 policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Stability-aware dispatcher.
 
-    Series below policy.x_switch, otherwise the most specific closed form.
-    The closed value is rejected in favor of the series when the estimated
-    cancellation (tracked during the double-double assembly) leaves fewer
-    digits than the target tolerance, or when the a-priori digit-loss bound
-    (p-1)*log10(1/x) already rules it out.
+    Below policy.x_switch the defining series is summed to full precision
+    (tolerance min(policy.rel_tol, 1e-17)) and kept when its rounding bound,
+    terms_used * sum|term| * 2**-53, is within _GUARD_REL of the value.
+    A point that bound rejects, and any point from x_switch up, tries the
+    most specific closed form; its value is rejected when the estimated
+    cancellation (tracked during the double-double assembly) exceeds
+    _GUARD_REL, or when the a-priori digit-loss bound (p-1)*log10(1/x)
+    already rules it out.  The series is the fallback, reusing the sum
+    already made below x_switch.  A series that hits policy.max_terms
+    raises NotConverged.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("dispatcher requires 0 <= x < 1")
@@ -362,17 +377,25 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
     m, n, p = params.m, params.n, params.p
     if n == 0.0:
         return 1.0  # zero upper parameter terminates the series at its first term
+    res = None
+    if x < policy.x_switch:
+        full = replace(policy, rel_tol=min(policy.rel_tol, _SERIES_REL_TOL))
+        res = hyp2f1_series(float(m), n, float(p), x, full)
+        if not res.converged:
+            raise NotConverged("series did not converge")
+        if res.terms_used * res.abs_sum * 2.0 ** -53 <= _GUARD_REL * abs(res.value):
+            return res.value
     # A nonpositive integer n makes the series a short exact polynomial; for
     # small degree that beats any closed form (no log, no x**(1-p) prefactor),
     # so only deeper polynomials go through the closed-form machinery.
     short_poly = n < 0.0 and float(n).is_integer() and -n <= 16
-    if (not short_poly and x >= policy.x_switch
-            and (p - 1) * math.log10(1.0 / x) <= _MAX_DIGIT_LOSS):
+    if not short_poly and (p - 1) * math.log10(1.0 / x) <= _MAX_DIGIT_LOSS:
         val, ratio = _closed_route(m, n, p, x)
         f = dd_to_float(val)
         if _closed_accepted(f, ratio):
             return f
-    res = hyp2f1_series(float(m), n, float(p), x, policy)
+    if res is None:
+        res = hyp2f1_series(float(m), n, float(p), x, policy)
     if not res.converged:
         raise NotConverged("series fallback did not converge")
     return res.value

@@ -37,13 +37,16 @@ class EvalPolicy:
     max_terms: hard cap on summed terms.
     consecutive_small: successive negligible terms required to stop; protects
         against transient zero terms (e.g. terminating numerators).
-    x_switch: argument threshold below which closed forms defer to the series.
+    x_switch: argument threshold below which hyp2f1_eval sums the defining
+        series to full precision (rel_tol there is min(rel_tol, 1e-17), so a
+        loose rel_tol does not loosen it) and keeps it when its rounding
+        bound allows; closed forms serve only points the bound rejects.
     """
 
     rel_tol: float = 1e-12
     max_terms: int = 100000
     consecutive_small: int = 3
-    x_switch: float = 0.05
+    x_switch: float = 0.5
 
     def __post_init__(self):
         if not self.rel_tol > 0:
@@ -65,6 +68,7 @@ class SeriesResult:
     terms_used: int
     converged: bool
     trunc_err_est: float
+    abs_sum: float = 0.0  # sum of |term|: bounds the rounding of the sum
 
 
 def pochhammer(r: float, m: int) -> float:
@@ -90,10 +94,13 @@ def sum_series(term_source: Iterable[float], policy: EvalPolicy = DEFAULT_POLICY
     Stops once policy.consecutive_small successive terms each satisfy
     |term| <= rel_tol * |partial sum|, or at max_terms (converged False).
     A source that simply runs out of terms counts as converged (finite
-    support is an exact sum).
+    support is an exact sum).  abs_sum, the sum of the absolute values of
+    the terms, bounds the rounding error of the sum together with
+    terms_used.
     """
     s = 0.0
     c = 0.0
+    abs_sum = 0.0
     small_run = 0
     terms_used = 0
     last = 0.0
@@ -106,6 +113,7 @@ def sum_series(term_source: Iterable[float], policy: EvalPolicy = DEFAULT_POLICY
         t = s + y
         c = (t - s) - y
         s = t
+        abs_sum += abs(term)
         terms_used += 1
         last = term
         if abs(term) <= policy.rel_tol * abs(s):
@@ -120,7 +128,7 @@ def sum_series(term_source: Iterable[float], policy: EvalPolicy = DEFAULT_POLICY
     else:
         converged = True  # exhausted source: exact finite sum
     return SeriesResult(value=s, terms_used=terms_used, converged=converged,
-                        trunc_err_est=abs(last))
+                        trunc_err_est=abs(last), abs_sum=abs_sum)
 
 
 def power_integral(e: float, x: float) -> float:

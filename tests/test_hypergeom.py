@@ -1,6 +1,7 @@
 """Closed 2F1 evaluators against the defining series and mpmath."""
 
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elemhyp import (
-    DomainError, EvalPolicy, HypergeomParams, InvalidParams, NotConverged,
-    hyp2f1_closed_12, hyp2f1_closed_1m, hyp2f1_closed_general,
-    hyp2f1_closed_m1, hyp2f1_eval, hyp2f1_series,
+    DomainError, EvalPolicy, HeunFamilyParams, HypergeomParams, InvalidParams,
+    NotConverged, heun_eval, hyp2f1_closed_12, hyp2f1_closed_1m,
+    hyp2f1_closed_general, hyp2f1_closed_m1, hyp2f1_eval, hyp2f1_series,
 )
 from elemhyp import _dd, hypergeom
 from elemhyp.hypergeom import _closed_route
@@ -18,9 +19,13 @@ from elemhyp.hypergeom import _closed_route
 TIGHT = EvalPolicy(rel_tol=1e-13)
 
 
-def mp_ref(a, b, c, x):
-    with mp.workdps(40):
+def mp_ref(a, b, c, x, dps=40):
+    with mp.workdps(dps):
         return float(mp.hyp2f1(a, b, c, mp.mpf(x)))
+
+
+def rel_err(got, want):
+    return abs(got - want) / abs(want)
 
 
 def test_params_validation():
@@ -223,3 +228,69 @@ def test_eval_agrees_with_tight_series_everywhere(m, n, p, x):
     got = hyp2f1_eval(HypergeomParams(m, n, p), x)
     want = hyp2f1_series(float(m), n, float(p), x, TIGHT).value
     assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
+
+
+def _below_half_points(count, seed):
+    rng = random.Random(seed)
+    for i in range(count):
+        m = rng.randint(1, 6)
+        p = rng.randint(m + 1, 60)
+        n = rng.choice((float(rng.randint(-20, 20)), rng.randint(-20, 19) + 0.5,
+                        rng.uniform(-20.0, 20.0)))
+        # both ends of the range weighted: log-uniform x for every other point
+        x = 0.5 * 10.0 ** rng.uniform(-5.7, 0.0) if i % 2 else rng.uniform(1e-6, 0.5)
+        yield m, n, p, min(max(x, 1e-6), 0.4999999)
+
+
+def test_eval_below_half_sweep_matches_mpmath():
+    worst = max(
+        (rel_err(hyp2f1_eval(HypergeomParams(m, n, p), x), mp_ref(m, n, p, x, 50)),
+         (m, n, p, x))
+        for m, n, p, x in _below_half_points(300, 20241))
+    assert worst[0] <= 1e-12, worst
+
+
+def test_eval_series_guard_covers_cancelling_sums():
+    # negative n makes the first -n terms alternate; summed without the
+    # rounding guard, dozens of these points lose more than 1e-12
+    rng = random.Random(7)
+    worst = 0.0
+    for _ in range(300):
+        m = rng.randint(4, 6)
+        p = rng.randint(m + 1, m + 6)
+        n = rng.uniform(-20.0, -8.0)
+        x = rng.uniform(0.35, 0.5)
+        got = hyp2f1_eval(HypergeomParams(m, n, p), x)
+        worst = max(worst, rel_err(got, mp_ref(m, n, p, x, 50)))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("m,n,p,x", [
+    (2, 0.5, 56, 0.4), (2, 0.5, 40, 0.4), (6, 7.0, 17, 0.05949987530913514),
+])
+def test_eval_baseline_reproducers_below_half(m, n, p, x):
+    got = hyp2f1_eval(HypergeomParams(m, n, p), x)
+    assert rel_err(got, mp_ref(m, n, p, x, 50)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1e-9, 1.0 - 1e-10, 2.0 + 3e-11])
+@pytest.mark.parametrize("x", [0.5, 0.7, 0.9])
+def test_eval_near_integer_n_is_not_snapped(n, x):
+    # the closed forms must not replace an n this close to an integer by it
+    got = hyp2f1_eval(HypergeomParams(2, n, 3), x)
+    assert rel_err(got, mp_ref(2, n, 3, x, 50)) <= 1e-13
+
+
+def test_heun_leaves_below_half_skip_the_closed_forms(monkeypatch):
+    calls = []
+    original = hypergeom._closed_route
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(hypergeom, "_closed_route", counting)
+    for (m, n, p), x in [((2, 0.5, 4), 0.4), ((1, 2.0, 3), 0.3),
+                         ((3, -1.5, 6), 0.45), ((2, 0.5, 30), 0.05)]:
+        heun_eval(HeunFamilyParams(m, n, p), x, 16)
+    assert calls == []
