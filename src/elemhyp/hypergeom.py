@@ -14,14 +14,22 @@ classifier, _closed_route, picks the family (and variant) for a shape; one
 per-call ClosedFormContext forms 1-x, log(1-x), the x and 1-x power tables
 and the power integrals, each power integral once per distinct shift.
 
-The dispatcher hyp2f1_eval sums the defining series to full precision below
-EvalPolicy.x_switch (default 1/2), where it needs few terms and the x**(1-p)
-prefactor makes closed forms cancel; the sum is kept when its rounding
-bound, terms * sum|term| * 2**-53, is within _GUARD_REL of it, whatever the
-policy's rel_tol.  Points that bound rejects, and every point from x_switch
-up, take the classifier's closed form, which in turn falls back to the
-series whenever a cancellation estimate says it could not keep enough
-digits.
+The dispatcher hyp2f1_eval tries four routes in order:
+
+  1. below EvalPolicy.x_switch (default 1/2), the defining series summed to
+     full precision, where it needs few terms and the x**(1-p) prefactor
+     makes closed forms cancel; kept when its rounding bound,
+     terms * sum|term| * 2**-53, is within _GUARD_REL of it, whatever the
+     policy's rel_tol;
+  2. the classifier's closed form for (m, n; p), kept when its cancellation
+     estimate is within _GUARD_REL;
+  3. if that is rejected, the closed form for the Euler-transformed triple
+     (p-m, p-n; p) (DLMF 15.8.1), under the same test, times
+     (1-x)**(p-m-n);
+  4. the defining series at the policy's tolerance.
+
+Short terminating polynomials, and points whose a-priori digit loss
+(p-1)*log10(1/x) exceeds _MAX_DIGIT_LOSS, skip routes 2 and 3.
 """
 
 from __future__ import annotations
@@ -366,9 +374,12 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
     most specific closed form; its value is rejected when the estimated
     cancellation (tracked during the double-double assembly) exceeds
     _GUARD_REL, or when the a-priori digit-loss bound (p-1)*log10(1/x)
-    already rules it out.  The series is the fallback, reusing the sum
-    already made below x_switch.  A series that hits policy.max_terms
-    raises NotConverged.
+    already rules it out.  A rejected closed value retries once on the
+    Euler-transformed triple (p-m, p-n; p), under the same test, and is
+    scaled by (1-x)**(p-m-n).  Short terminating polynomials skip both
+    closed forms.  The series is the fallback, reusing the sum already made
+    below x_switch.  A series that hits policy.max_terms raises
+    NotConverged.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("dispatcher requires 0 <= x < 1")
@@ -394,6 +405,14 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
         f = dd_to_float(val)
         if _closed_accepted(f, ratio):
             return f
+        # Euler (DLMF 15.8.1): 2F1(m, n; p; x) = (1-x)**(p-m-n) 2F1(p-m, p-n; p; x),
+        # again integer m and p; near x = 1 the transformed power integrals
+        # no longer grow like (1-x)**(1-n).
+        nn = p - n
+        val, ratio = _closed_route(p - m, nn, p, x)
+        f = dd_to_float(val)
+        if _closed_accepted(f, ratio):
+            return (1.0 - x) ** (nn - m) * f
     if res is None:
         res = hyp2f1_series(float(m), n, float(p), x, policy)
     if not res.converged:

@@ -281,16 +281,80 @@ def test_eval_near_integer_n_is_not_snapped(n, x):
     assert rel_err(got, mp_ref(2, n, 3, x, 50)) <= 1e-13
 
 
+def _count_calls(monkeypatch, *names):
+    """Wrap each named hypergeom function; returns {name: list of call args}."""
+    calls = {name: [] for name in names}
+    for name in names:
+        original = getattr(hypergeom, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name].append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(hypergeom, name, counting)
+    return calls
+
+
 def test_heun_leaves_below_half_skip_the_closed_forms(monkeypatch):
-    calls = []
-    original = hypergeom._closed_route
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(hypergeom, "_closed_route", counting)
+    calls = _count_calls(monkeypatch, "_closed_route")
     for (m, n, p), x in [((2, 0.5, 4), 0.4), ((1, 2.0, 3), 0.3),
                          ((3, -1.5, 6), 0.45), ((2, 0.5, 30), 0.05)]:
         heun_eval(HeunFamilyParams(m, n, p), x, 16)
-    assert calls == []
+    assert calls["_closed_route"] == []
+
+
+def _near_one_points(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 6)
+        p = rng.randint(m + 1, m + 12)
+        n = rng.choice((float(rng.randint(-20, 20)), rng.randint(-20, 19) + 0.5,
+                        rng.uniform(-20.0, 20.0)))
+        yield m, n, p, 1.0 - 10.0 ** rng.uniform(-6.0, -1.0)
+
+
+def test_eval_euler_retry_sweep_matches_mpmath(monkeypatch):
+    # a point whose direct closed form is rejected retries on the Euler
+    # triple (p-m, p-n; p); a value that retry accepts never touches the series
+    calls = _count_calls(monkeypatch, "_closed_route", "hyp2f1_series")
+    retried = []
+    for m, n, p, x in _near_one_points(300, 15801):
+        for log in calls.values():
+            log.clear()
+        try:
+            got = hyp2f1_eval(HypergeomParams(m, n, p), x)
+        except NotConverged:
+            continue
+        if len(calls["_closed_route"]) == 2 and not calls["hyp2f1_series"]:
+            retried.append((rel_err(got, mp_ref(m, n, p, x, 50)), (m, n, p, x)))
+    assert len(retried) >= 15
+    worst = max(retried)
+    assert worst[0] <= 1e-12, worst
+
+
+@pytest.mark.parametrize("m,n,p,x", [
+    (5, 13.5, 13, 0.9998163565145626),
+    (4, 16.5, 14, 0.9999870266171291),
+    (2, 10.0, 13, 0.999970342018802),
+    (3, 9.0, 14, 0.99999310),  # off by 3.0e-8 through the series fallback
+])
+def test_eval_near_one_points_the_series_could_not_sum(m, n, p, x):
+    got = hyp2f1_eval(HypergeomParams(m, n, p), x)
+    assert rel_err(got, mp_ref(m, n, p, x, 50)) <= 1e-12
+
+
+def test_euler_retry_runs_only_after_a_rejected_direct_form(monkeypatch):
+    calls = _count_calls(monkeypatch, "_closed_route", "hyp2f1_series")
+    # the points of test_eval_closed_path_is_bit_stable; the last one is
+    # below x_switch, where the full-precision series is accepted first
+    for m, n, p, x, routes in [(1, 2.0, 3, 0.5, 1), (3, 2.5, 8, 0.7, 1),
+                               (1, 2.5, 5, 0.6, 1), (1, 3.0, 6, 0.5, 1),
+                               (4, 1.0, 7, 0.4, 0)]:
+        calls["_closed_route"].clear()
+        hyp2f1_eval(HypergeomParams(m, n, p), x)
+        assert len(calls["_closed_route"]) == routes, (m, n, p, x)
+    for log in calls.values():
+        log.clear()
+    hyp2f1_eval(HypergeomParams(5, 13.5, 13), 0.9998163565145626)
+    assert [args[:3] for args in calls["_closed_route"]] == [(5, 13.5, 13), (8, -0.5, 13)]
+    assert calls["hyp2f1_series"] == []
