@@ -1,11 +1,11 @@
 """Gauss 2F1 with integer parameters: series oracle and elementary closed forms.
 
-The series evaluator is the trusted oracle.  The closed forms come in four
-families, by shape of the parameter triple (m, n; p):
+The series evaluator is the trusted oracle.  The closed forms have four
+public entries, by shape of the parameter triple (m, n; p):
 
   hyp2f1_closed_general  any integer m >= 1, real n, integer p >= m+1
-                         (triple binomial sum over power integrals)
-  hyp2f1_closed_m1       m = 1, real n (single sum over power integrals)
+                         (one binomial sum over power integrals)
+  hyp2f1_closed_m1       m = 1, real n (the general sum at m = 1)
   hyp2f1_closed_1m       (1, m; m+l+1), two log-basis variants A and B
   hyp2f1_closed_12       (1, 2; n+2), three variants
 
@@ -14,7 +14,7 @@ classifier, _closed_route, picks the family (and variant) for a shape; one
 per-call ClosedFormContext forms 1-x, log(1-x), the x and 1-x power tables
 and the power integrals, each power integral once per distinct shift.
 
-The dispatcher hyp2f1_eval tries four routes in order:
+The dispatcher hyp2f1_eval tries three routes in order:
 
   1. below EvalPolicy.x_switch (default 1/2), the defining series summed to
      full precision, where it needs few terms and the x**(1-p) prefactor
@@ -23,13 +23,11 @@ The dispatcher hyp2f1_eval tries four routes in order:
      policy's rel_tol;
   2. the classifier's closed form for (m, n; p), kept when its cancellation
      estimate is within _GUARD_REL;
-  3. if that is rejected, the closed form for the Euler-transformed triple
-     (p-m, p-n; p) (DLMF 15.8.1), under the same test, times
-     (1-x)**(p-m-n);
-  4. the defining series at the policy's tolerance.
+  3. the defining series at the policy's tolerance.
 
 Short terminating polynomials, and points whose a-priori digit loss
-(p-1)*log10(1/x) exceeds _MAX_DIGIT_LOSS, skip routes 2 and 3.
+(p-1)*log10(1/x) exceeds _MAX_DIGIT_LOSS, skip route 2.  A closed form whose
+power integrals overflow float range raises NotConverged.
 """
 
 from __future__ import annotations
@@ -113,40 +111,25 @@ class _Acc:
 
 
 def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext):
-    """Triple sum over power integrals; returns (dd value, cancel ratio)."""
+    """One sum over (k, i) of power integrals; returns (dd value, cancel ratio).
+
+    The binomial sum over j of the triple form collapses by
+    sum_j C(q,j)(-1)**j x**(q-j) C(j,i)(-1)**i = C(q,i)(x-1)**(q-i), q = p-m-1,
+    so one accumulator sees every term and its cancel ratio covers all the
+    cancellation.  At m = 1 this is the single-sum form.
+    """
     q = p - m - 1
-    xpows = ctx.xpows(q)
+    ompows = ctx.ompows(q)
     acc = _Acc()
     for k in range(m):
         ck = math.comb(m - 1, k) * (-1 if k % 2 else 1)
-        inner = _Acc()
-        for j in range(q + 1):
-            cj = math.comb(q, j) * (-1 if j % 2 else 1)
-            s3 = dd(0.0)
-            for i in range(j + 1):
-                ci = math.comb(j, i) * (-1 if i % 2 else 1)
-                integ = ctx.power_integral(i + k, n)
-                s3 = dd_add(s3, dd_mul(dd_from_int(ci), integ))
-            inner.add(dd_mul(dd_mul(dd_from_int(cj), xpows[q - j]), s3))
-        acc.add(dd_mul(dd_from_int(ck), inner.total))
-        acc.maxmag = max(acc.maxmag, inner.maxmag)
+        for i in range(q + 1):
+            c = ck * math.comb(q, i) * (-1 if (q - i) % 2 else 1)
+            integ = ctx.power_integral(i + k, n)
+            acc.add(dd_mul(dd_mul(dd_from_int(c), ompows[q - i]), integ))
     # (m)_(p-m) / (p-m-1)! is the integer C(p-1, m-1)*(p-m)
     pref_int = math.comb(p - 1, m - 1) * (p - m)
     pref = dd_div(dd_from_int(pref_int), dd_npow(dd(ctx.x), p - 1))
-    return dd_mul(pref, acc.total), acc.cancel_ratio()
-
-
-def _eq_m1(n: float, p: int, ctx: ClosedFormContext):
-    """Single-sum form for m = 1; returns (dd value, cancel ratio)."""
-    ompows = ctx.ompows(p - 2)
-    acc = _Acc()
-    for i in range(p - 1):
-        e = p - 2 - i
-        sign = -1 if e % 2 else 1
-        coef = dd_from_int(sign * math.comb(p - 2, i))
-        integ = ctx.power_integral(i, n)
-        acc.add(dd_mul(dd_mul(coef, ompows[e]), integ))
-    pref = dd_div(dd_from_int(p - 1), dd_npow(dd(ctx.x), p - 1))
     return dd_mul(pref, acc.total), acc.cancel_ratio()
 
 
@@ -268,10 +251,18 @@ def _check_open_unit(x: float):
         raise DomainError("closed forms require 0 < x < 1")
 
 
-def _closed_value(body, x: float, *args) -> float:
+def _assemble(body, x: float, *args):
+    """body(*args) at x; returns (dd value, cancel ratio)."""
     _check_open_unit(x)
-    val, _ = body(*args, ClosedFormContext(x))
-    return dd_to_float(val)
+    try:
+        return body(*args, ClosedFormContext(x))
+    except OverflowError:
+        # dd_exp of a power integral past float range (large n next to x = 1)
+        raise NotConverged("closed form overflows float range") from None
+
+
+def _closed_value(body, x: float, *args) -> float:
+    return dd_to_float(_assemble(body, x, *args)[0])
 
 
 def hyp2f1_closed_general(params: HypergeomParams, x: float) -> float:
@@ -291,7 +282,7 @@ def hyp2f1_closed_m1(n: float, p: int, x: float) -> float:
     """
     if p < 2:
         raise InvalidParams("p must be >= 2")
-    return _closed_value(_eq_m1, x, n, p)
+    return _closed_value(_eq_general, x, 1, n, p)
 
 
 def hyp2f1_closed_1m(m: int, l: int, x: float, variant: str = "A") -> float:
@@ -354,13 +345,10 @@ def _closed_route(m: int, n: float, p: int, x: float, variant=None):
         forms, args = _FORMS_12, (p - 2,)
     elif m == 1 and float(n).is_integer() and n >= 1 and p >= int(n) + 1:
         forms, args = _FORMS_1M, (int(n), p - int(n) - 1)
-    elif m == 1:
-        forms, args = {None: _eq_m1}, (n, p)
     else:
         forms, args = {None: _eq_general}, (m, n, p)
     body = _variant(forms, next(iter(forms)) if variant is None else variant)
-    _check_open_unit(x)
-    return body(*args, ClosedFormContext(x))
+    return _assemble(body, x, *args)
 
 
 def hyp2f1_eval(params: HypergeomParams, x: float,
@@ -374,12 +362,11 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
     most specific closed form; its value is rejected when the estimated
     cancellation (tracked during the double-double assembly) exceeds
     _GUARD_REL, or when the a-priori digit-loss bound (p-1)*log10(1/x)
-    already rules it out.  A rejected closed value retries once on the
-    Euler-transformed triple (p-m, p-n; p), under the same test, and is
-    scaled by (1-x)**(p-m-n).  Short terminating polynomials skip both
-    closed forms.  The series is the fallback, reusing the sum already made
-    below x_switch.  A series that hits policy.max_terms raises
-    NotConverged.
+    already rules it out.  Short terminating polynomials skip the closed
+    form.  The series is the fallback, reusing the sum already made below
+    x_switch.  A series that hits policy.max_terms raises NotConverged, as
+    does a closed form whose power integrals overflow float range (the
+    series is not tried there: its terms stop short of the true sum).
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("dispatcher requires 0 <= x < 1")
@@ -405,14 +392,6 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
         f = dd_to_float(val)
         if _closed_accepted(f, ratio):
             return f
-        # Euler (DLMF 15.8.1): 2F1(m, n; p; x) = (1-x)**(p-m-n) 2F1(p-m, p-n; p; x),
-        # again integer m and p; near x = 1 the transformed power integrals
-        # no longer grow like (1-x)**(1-n).
-        nn = p - n
-        val, ratio = _closed_route(p - m, nn, p, x)
-        f = dd_to_float(val)
-        if _closed_accepted(f, ratio):
-            return (1.0 - x) ** (nn - m) * f
     if res is None:
         res = hyp2f1_series(float(m), n, float(p), x, policy)
     if not res.converged:

@@ -22,7 +22,7 @@ from .heun import (
 )
 from .hypergeom import (
     HypergeomParams, hyp2f1_closed_12, hyp2f1_closed_1m, hyp2f1_closed_general,
-    hyp2f1_closed_m1, hyp2f1_series,
+    hyp2f1_series,
 )
 from .mkz import (
     GmkzParams, Monomial, gmkz_apply, gmkz_e1, gmkz_moment_abel, mkz_moment,
@@ -99,15 +99,6 @@ def suite_hypergeom() -> list:
             entries.append(_entry(
                 "hyp2f1_12_variants_13",
                 {"n": n, "x": x}, v1, v3, tol))
-    for n in (-2.5, 0.5, 2.0):
-        for p in (2, 5, 8):
-            for x in (0.2, 0.7):
-                general = hyp2f1_closed_general(HypergeomParams(1, n, p), x)
-                single = hyp2f1_closed_m1(n, p, x)
-                entries.append(_entry(
-                    "hyp2f1_general_vs_single_sum",
-                    {"n": n, "p": p, "x": x},
-                    general, single, tol))
     for n in range(1, 7):
         for x in (0.2, 0.7):
             via3 = hyp2f1_closed_1m(2, n - 1, x, "A")

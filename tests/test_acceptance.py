@@ -22,9 +22,8 @@ from elemhyp import (
     EvalPolicy, GmkzParams, HeunFamilyParams, HypergeomParams, Monomial,
     gmkz_apply, gmkz_e1, gmkz_moment_abel, heun_eval, heun_normalization,
     heun_ode_residual, heun_params_from, heun_series_oracle, heun_termination,
-    hyp2f1_closed_12, hyp2f1_closed_1m, hyp2f1_closed_general,
-    hyp2f1_closed_m1, hyp2f1_series, ln_moment_e2, ln_moment_e2_direct,
-    mkz_moment, mkz_moment_e2,
+    hyp2f1_closed_12, hyp2f1_closed_1m, hyp2f1_closed_general, hyp2f1_series,
+    ln_moment_e2, ln_moment_e2_direct, mkz_moment, mkz_moment_e2,
 )
 from elemhyp.basis import LOG_TERM, combo_eval, fnj_combo, fnj_series, poly, pow_ratio
 from elemhyp.verify import _fnj3_direct
@@ -84,12 +83,6 @@ def test_criterion_2_rearranged_forms_agree_pairwise():
             v2 = hyp2f1_closed_12(n, x, 2)
             v3 = hyp2f1_closed_12(n, x, 3)
             worst = max(worst, rel(v1, v2), rel(v1, v3), rel(v2, v3))
-    for n in (-2.5, 0.5, 2.0):
-        for p in (2, 5, 8):
-            for x in (0.2, 0.7):
-                general = hyp2f1_closed_general(HypergeomParams(1, n, p), x)
-                single = hyp2f1_closed_m1(n, p, x)
-                worst = max(worst, rel(general, single))
     for n in range(1, 7):
         for x in (0.2, 0.7):
             worst = max(worst, rel(hyp2f1_closed_1m(2, n - 1, x, "A"),

@@ -115,6 +115,15 @@ def test_hyp2f1_closed_refuses_a_cancelled_value():
     assert "cancel ratio 7.58e+31" in r.stderr
 
 
+@pytest.mark.parametrize("method", ["auto", "closed"])
+def test_hyp2f1_overflowing_closed_form_exits_1(method):
+    r = run("hyp2f1", "--m", "1", "--n", "60.5", "--p", "70", "--x", "0.999999999",
+            "--method", method)
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == "error: closed form overflows float range\n"
+
+
 def test_hyp2f1_closed_rejects_the_origin():
     r = run("hyp2f1", "--m", "1", "--n", "2", "--p", "3", "--x", "0",
             "--method", "closed")
