@@ -148,12 +148,11 @@ def fnj_combo(n: int, j: int) -> SymbolicCombo:
     return SymbolicCombo(n=n, j=j, terms=_apply_t(prev.terms))
 
 
-def combo_eval(c: SymbolicCombo, x: float,
-               policy: EvalPolicy = DEFAULT_POLICY) -> float:
+def combo_eval(c: SymbolicCombo, x: float) -> float:
     """Numerical value of f_{n,j} from its combo.  0 < x < 1.
 
-    Evaluation runs in double-double; the policy parameter is part of the
-    call contract but the internal tolerance is fixed well below float64.
+    Evaluation runs in double-double, rounded once at the end.  The x**(-n)
+    prefactor cancels digits at small x (see mkz._kernel_moment).
     """
     if not 0.0 < x < 1.0:
         raise DomainError("combo evaluation requires 0 < x < 1")

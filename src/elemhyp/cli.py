@@ -141,7 +141,7 @@ def cmd_fnj(args, policy: EvalPolicy) -> int:
     if args.emit_symbolic:
         doc["terms"] = combo_json_dict(combo)["terms"]
     if args.x is not None:
-        got = combo_eval(combo, args.x, policy)
+        got = combo_eval(combo, args.x)
         oracle = fnj_series(args.n, args.j, args.x, policy).value
         doc["combo"] = got
         doc["series"] = oracle

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .hypergeom import HypergeomParams, hyp2f1_eval
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
-    SeriesResult,
+    SeriesResult, sum_series,
 )
 
 
@@ -217,7 +217,8 @@ def heun_series_oracle(spec: HeunSpec, x: float, N: int) -> float:
     sum d_j x**j into the equation multiplied through by x(x-1)(x-a).
     Trusted only inside |x| < min(1, |a|), the distance to the nearest other
     singular point.  gamma at 0 or a negative integer makes the recurrence
-    division singular (the series solution is not unique there).
+    division singular (the series solution is not unique there).  Summed by
+    sum_series at 1e-17, so an inf or nan term raises NonFinite.
     """
     if N < 2:
         raise InvalidParams("N must be >= 2")
@@ -229,28 +230,18 @@ def heun_series_oracle(spec: HeunSpec, x: float, N: int) -> float:
     al, be, de, ep, a, q = spec.alpha, spec.beta, spec.delta, spec.epsilon, spec.a, spec.q
     mid1 = 1.0 + a
     midj = g * (1.0 + a) + de * a + ep
-    d_prev = 0.0
-    d_cur = 1.0
-    total = 1.0
-    comp = 0.0
-    small: int = 0
-    for j in range(N):
-        lhs = a * (j + 1.0) * (j + g)
-        mid = (mid1 * j * (j - 1.0) + midj * j + q) * d_cur
-        d_next = (mid - (j - 1.0 + al) * (j - 1.0 + be) * d_prev) / lhs
-        term = d_next * x ** (j + 1)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) <= 1e-17 * abs(total):
-            small += 1
-            if small >= 3:
-                break
-        else:
-            small = 0
-        d_prev, d_cur = d_cur, d_next
-    return total
+
+    def terms():
+        yield 1.0
+        d_prev, d_cur = 0.0, 1.0
+        for j in range(N):
+            lhs = a * (j + 1.0) * (j + g)
+            mid = (mid1 * j * (j - 1.0) + midj * j + q) * d_cur
+            d_next = (mid - (j - 1.0 + al) * (j - 1.0 + be) * d_prev) / lhs
+            yield d_next * x ** (j + 1)
+            d_prev, d_cur = d_cur, d_next
+
+    return sum_series(terms(), EvalPolicy(rel_tol=1e-17, max_terms=N + 1)).value
 
 
 def heun_ode_residual(fp: HeunFamilyParams, x: float, h: float, K: int,

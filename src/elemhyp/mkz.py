@@ -6,24 +6,28 @@ gmkz_apply is the direct-summation oracle for the generalized operator
 
 with the classical operator at (r, a, b) = (1, 0, 0).  Everything else here
 is a closed or semi-closed moment formula tested against that oracle:
-second-moment formulas through the 2F1 dispatcher, the general r-th moment
-through the symbolic kernel combos, the first moment of the generalized
-operator, and the Abel-summation moment formula built on derivative series
-of polylogarithms.
+second-moment formulas through the 2F1 dispatcher, the first moment of the
+generalized operator, and the higher moments of the classical operator and
+of M_{n,alpha+1}^{alpha,beta} (the Abel-summation formula) as one sum of the
+kernels f_{d,j}(x) = sum_k C(d+k,k) x**k / (d+k)**j (see _kernel_moment).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .basis import combo_eval, fnj_base, fnj_combo
-from .hypergeom import HypergeomParams, hyp2f1_eval
+from .basis import combo_eval, fnj_base, fnj_combo, fnj_series
+from .hypergeom import _SERIES_REL_TOL, HypergeomParams, hyp2f1_eval
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
     SeriesResult, sum_series,
 )
-from .polylog import polylog_derivative_series
+
+# Below this x the moment kernels f_{d,j}, j >= 2, come from their series
+# (term ratio tending to x), from it up from the exact combos, whose x**(-d)
+# prefactor cancels digits at small x (see _kernel_moment).
+_KERNEL_SERIES_BELOW = 0.2
 
 
 @dataclass(frozen=True)
@@ -94,10 +98,10 @@ def mkz_moment_e2(n: int, x: float) -> float:
 
 def mkz_moment(n: int, r: int, x: float,
                policy: EvalPolicy = DEFAULT_POLICY) -> float:
-    """r-th moment of the classical operator via the symbolic kernel combos.
+    """r-th moment of the classical operator as a sum of kernels f_{n,j}.
 
     M_n e_r(x) = 1 + (1-x)**(n+1) * sum_{j=1}^{r} C(r,j) (-n)**j f_{n,j}(x),
-    with f_{n,1} in closed form and higher kernels from their exact combos.
+    assembled by _kernel_moment (see there for where each kernel comes from).
     """
     if n < 1:
         raise InvalidParams("n must be >= 1")
@@ -107,15 +111,7 @@ def mkz_moment(n: int, r: int, x: float,
         raise DomainError("moment requires 0 < x < 1")
     if r == 0:
         return 1.0
-    omx_pow = (1.0 - x) ** (n + 1)
-    total = 1.0
-    for j in range(1, r + 1):
-        if j == 1:
-            fnj = fnj_base(n, 1)(x)
-        else:
-            fnj = combo_eval(fnj_combo(n, j), x, policy)
-        total += omx_pow * math.comb(r, j) * float((-n) ** j) * fnj
-    return total
+    return _kernel_moment(n, n, r, x, policy)
 
 
 def ln_moment_e2(n: int, x: float) -> float:
@@ -185,9 +181,9 @@ def gmkz_moment_abel(n: int, alpha: int, beta: float, m: int, x: float,
                      policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """m-th moment of M_{n,alpha+1}^{alpha,beta} by the Abel-type expansion.
 
-    The j = 0 term is exactly 1: its (n+alpha)! and (1-x)**(n+alpha+1)
-    factors cancel the prefactor symbolically, so only j >= 1 is summed
-    numerically (through the polylog derivative series).
+    With d = n + alpha, expanding ((k+beta)/(k+d))**m in powers of
+    (d-beta)/(k+d) turns the operator sum into mkz_moment's kernel sum,
+    1 + (1-x)**(d+1) * sum_{j=1}^{m} C(m,j) (-(d-beta))**j f_{d,j}(x).
     """
     if n < 1:
         raise InvalidParams("n must be >= 1")
@@ -199,9 +195,26 @@ def gmkz_moment_abel(n: int, alpha: int, beta: float, m: int, x: float,
         raise InvalidParams("moment order must be >= 0")
     if not 0.0 < x < 1.0:
         raise DomainError("moment requires 0 < x < 1")
-    d = n + alpha
-    s = 0.0
-    for j in range(1, m + 1):
-        coef = (-1.0) ** j * math.comb(m, j) * (n + alpha - beta) ** j
-        s += coef * polylog_derivative_series(j, d, x, policy)
-    return 1.0 + (1.0 - x) ** (d + 1) * s / math.factorial(d)
+    return _kernel_moment(n + alpha, n + alpha - beta, m, x, policy)
+
+
+def _kernel_moment(d: int, w: float, r: int, x: float,
+                   policy: EvalPolicy) -> float:
+    """1 + (1-x)**(d+1) * sum_{j=1}^{r} C(r,j) (-w)**j f_{d,j}(x).
+
+    f_{d,1} is closed form; f_{d,j>=2} is summed from its series below
+    _KERNEL_SERIES_BELOW (at hyp2f1_eval's full-precision tolerance) and
+    taken from the exact combos from there up.
+    """
+    omx_pow = (1.0 - x) ** (d + 1)
+    series = replace(policy, rel_tol=min(policy.rel_tol, _SERIES_REL_TOL))
+    total = 1.0
+    for j in range(1, r + 1):
+        if j == 1:
+            fnj = fnj_base(d, 1)(x)
+        elif x < _KERNEL_SERIES_BELOW:
+            fnj = fnj_series(d, j, x, series).value
+        else:
+            fnj = combo_eval(fnj_combo(d, j), x)
+        total += omx_pow * math.comb(r, j) * float((-w) ** j) * fnj
+    return total

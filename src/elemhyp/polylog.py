@@ -1,9 +1,8 @@
 """Polylogarithm Li_k and its termwise-differentiated series.
 
 Li_1 is closed form (-log(1-x)).  Higher orders sum x**j / j**k.  The
-derivative series realizes (Li_j)^(d) directly with factorial weights, which
-is what the operator-moment formulas consume; symbolic differentiation is
-deliberately avoided.
+derivative (Li_j)^(d) is d! times the moment kernel f_{d,j}, summed by
+basis.fnj_series; symbolic differentiation is deliberately avoided.
 
 The double-double Li_k behind the basis evaluator has two branches.  Below
 x = _LOG_SERIES_FROM it sums x**j / j**k, which needs about 76/|log x|
@@ -84,30 +83,22 @@ def polylog(k: int, x: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
 
 def polylog_derivative_series(j: int, d: int, x: float,
                               policy: EvalPolicy = DEFAULT_POLICY) -> float:
-    """d-th derivative of Li_j at x, via the factorial-weighted series.
+    """d-th derivative of Li_j at x: d! * f_{d,j}(x), from basis.fnj_series.
 
-    Li_0(x) := x/(1-x), so j = 0 gives the derivatives of that base case:
-    (Li_0)^(d)(x) = d!/(1-x)**(d+1).
+    Termwise, Li_j^(d)(x) = sum_k d! C(d+k,k) x**k / (d+k)**j, the kernel
+    series times d!.  Li_0(x) := x/(1-x), so j = 0 gives the derivatives of
+    that base case: (Li_0)^(d)(x) = d!/(1-x)**(d+1).  Nothing in the package
+    calls it: the moment formulas assemble f_{d,j} in mkz._kernel_moment.
     """
+    from .basis import fnj_series  # basis imports _polylog_dd from here
+
     if j < 0:
         raise InvalidParams("j must be >= 0")
     if d < 1:
         raise InvalidParams("d must be >= 1")
     if not 0.0 <= x < 1.0:
         raise DomainError("derivative series requires 0 <= x < 1")
-
-    def terms():
-        t = math.factorial(d) / float(d) ** j
-        k = 0
-        while True:
-            yield t
-            t *= x * (k + d + 1) / (k + 1.0) * ((k + d) / (k + d + 1.0)) ** j
-            k += 1
-
-    res = sum_series(terms(), policy)
-    if not res.converged:
-        raise NotConverged("polylog derivative series did not converge")
-    return res.value
+    return math.factorial(d) * fnj_series(d, j, x, policy).value
 
 
 @lru_cache(maxsize=4096)

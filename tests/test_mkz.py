@@ -164,3 +164,64 @@ def test_abel_route_edges():
 ])
 def test_higher_moments_next_to_one(n, r, x, want):
     assert math.isclose(mkz_moment(n, r, x), want, rel_tol=1e-12)
+
+
+# Drawn once with random.Random(20261018): n in 1..10, alpha in 0..3,
+# beta = u * alpha, m in 1..10, x uniform in [0.99, 0.9995].  References:
+# the polylog rewrite of the benchmark oracle at 140 digits, as above.
+_ABEL_NEAR_ONE = [
+    (6, 1, 0.7809474771005647, 8, 0.994772095974885, 0.9635376722852448636848931),
+    (4, 0, 0.0, 10, 0.992590112197645, 0.9290614432743716327269146),
+    (9, 1, 0.5080338338214567, 1, 0.9922760019728067, 0.992668407205825178546216),
+    (2, 1, 0.07598259738564417, 4, 0.9957655644837837, 0.9836427323373559705692994),
+    (9, 1, 0.5013582487619903, 2, 0.9964754849270195, 0.9933168264650069071912276),
+    (1, 3, 2.463836165009767, 9, 0.9909721680249665, 0.9693619627041590019072716),
+    (2, 1, 0.6255272595807096, 1, 0.9953969157808662, 0.9963567006666041908652397),
+    (6, 0, 0.0, 2, 0.9985717016666913, 0.9971458505034338172016135),
+    (10, 0, 0.0, 8, 0.9949211695989169, 0.9601612682676872249072641),
+    (8, 3, 1.5374976361382324, 7, 0.9949317801622839, 0.9699162158316598159817919),
+    (8, 0, 0.0, 4, 0.991876468956194, 0.9679545387636678000903822),
+    (3, 0, 0.0, 5, 0.9938431782164748, 0.9697715580093288613866703),
+    (1, 1, 0.8944787830702114, 6, 0.9935518228090066, 0.9789737501995080085173937),
+    (4, 3, 2.3154494341261618, 10, 0.990723641774868, 0.9398944417172186675533034),
+    (3, 1, 0.18863331903539948, 10, 0.9907591011783049, 0.916377216391065769804584),
+    (10, 2, 1.3745941403168564, 7, 0.9948405218667925, 0.9684943139785764842168169),
+    (10, 1, 0.45544579212209857, 4, 0.9976870547364747, 0.9911636591899082649839988),
+    (7, 2, 0.9389801150274086, 6, 0.9907387309350527, 0.951373128996683230435156),
+    (4, 1, 0.04220697666417461, 10, 0.9952632435563639, 0.9542459745996483642016292),
+    (5, 1, 0.9941081731249508, 1, 0.9947476817095579, 0.9956179104662882197782545),
+]
+
+
+def test_abel_route_next_to_one():
+    # the kernels come from the exact combos here; polylog_derivative_series,
+    # which stops on small terms, is off by up to 1.1e-11 on these points
+    for n, alpha, beta, m, x, want in _ABEL_NEAR_ONE:
+        got = gmkz_moment_abel(n, alpha, beta, m, x)
+        assert math.isclose(got, want, rel_tol=1e-14), (n, alpha, beta, m, x)
+
+
+@pytest.mark.parametrize("n,alpha,beta,m,x,want", [
+    # references: the benchmark oracle's exact fixed-point sum (x < 0.99)
+    (9, 3, 2.905256833410118, 5, 0.0010327091697470347, 0.0008536129963456992282294577),
+    (10, 3, 1.409406125773775, 3, 0.0027129899516081532, 0.001422110950329322242292193),
+])
+def test_abel_route_at_small_x(n, alpha, beta, m, x, want):
+    # the kernels come from their series here; from the combos, whose x**(-d)
+    # prefactor cancels, these are off by 5e10 and 3e7
+    assert math.isclose(gmkz_moment_abel(n, alpha, beta, m, x), want, rel_tol=1e-11)
+
+
+@pytest.mark.parametrize("n,r,x,want", [
+    # the Baseline reproducers, negative (-2.3e-3 and -27.3) from the combos;
+    # references from the benchmark oracle's exact fixed-point sum
+    (12, 10, 0.02, 6.925643100357863059777546e-10),
+    (20, 12, 0.1, 4.971325695101199312732332e-9),
+])
+def test_higher_moments_at_small_x(n, r, x, want):
+    # 1e-4, not 1e-12: the float64 outer sum over j ends near 1e-9 from terms
+    # of up to ~5e2, so about 5 digits survive; 1e-12 waits on a
+    # double-double outer sum (ROADMAP item 3)
+    got = mkz_moment(n, r, x)
+    assert got > 0.0
+    assert math.isclose(got, want, rel_tol=1e-4)
