@@ -205,11 +205,29 @@ def _extend(pows: list, base: DD, top: int) -> list:
     return pows
 
 
+# Below this |w * log(1-x)|, 1 - (1-x)**w cancels enough that the power
+# integral keeps power_integral_dd's expm1 form; from it up, 1 - (1-x)**w
+# loses at most a factor 1/(1 - e**-0.5) ~ 2.5 and the power comes from the
+# per-n base.
+_EXPM1_BELOW = 0.5
+
+# dd_mul's Dekker split overflows for a factor above ~1.3e300, and a power
+# table entry below 2**-916 has a subnormal lo part.  A base above 2**996 or
+# such an entry sends the shift to power_integral_dd, so the per-n base
+# reaches no value, and loses no digit, that the per-shift dd_exp did not.
+_BASE_LOG_MAX = 996 * math.log(2.0)
+_POW_MIN = 2.0 ** -916
+
+
 class ClosedFormContext:
     """The pieces the closed forms at one x are built from, each formed once.
 
     The power tables grow by one dd_mul per power, which rounds differently
-    from binary powering (dd_npow): callers that use dd_npow keep it.
+    from binary powering (dd_npow): callers that use dd_npow keep it.  A
+    power integral with a non-integral exponent w = shift+1-n and
+    |w log(1-x)| >= _EXPM1_BELOW takes (1-x)**w as one dd_exp per n,
+    (1-x)**(1-n), times (1-x)**shift from the power table, so the general
+    form pays one dd_exp per call where it paid one per shift.
     """
 
     def __init__(self, x: float):
@@ -218,6 +236,7 @@ class ClosedFormContext:
         self._xpows = [dd(1.0)]
         self._ompows = [dd(1.0)]
         self._integrals = {}
+        self._bases = {}
 
     @cached_property
     def log(self) -> DD:
@@ -232,9 +251,31 @@ class ClosedFormContext:
         """(1-x)**k for k = 0..top; the list may run longer."""
         return _extend(self._ompows, self.omx, top)
 
+    def _base(self, n: float):
+        """(1-x)**(1-n), memoized by n; None above 2**996."""
+        if n not in self._bases:
+            u = dd_mul(dd_add(dd(1.0), dd(-n)), self.log)
+            self._bases[n] = dd_exp(u) if u[0] <= _BASE_LOG_MAX else None
+        return self._bases[n]
+
     def power_integral(self, shift: int, n: float) -> DD:
-        """power_integral_dd at this x, memoized by (shift, n)."""
+        """power_integral_dd(shift, n) at this x, memoized by (shift, n).
+
+        Where the per-n base is used the value agrees with power_integral_dd
+        to ~1e-28 relative, not bit for bit.
+        """
         key = (shift, n)
         if key not in self._integrals:
-            self._integrals[key] = power_integral_dd(shift, n, self.omx, self.log)
+            self._integrals[key] = self._power_integral(shift, n)
         return self._integrals[key]
+
+    def _power_integral(self, shift: int, n: float) -> DD:
+        w = dd_add(dd_from_int(shift + 1), dd(-n))
+        if not (w[1] == 0.0 and w[0].is_integer()) \
+                and abs(w[0] * self.log[0]) >= _EXPM1_BELOW:
+            base = self._base(n)
+            omp = self.ompows(shift)[shift]
+            if base is not None and omp[0] >= _POW_MIN:
+                pw = dd_mul(base, omp)
+                return dd_div(dd_sub(dd(1.0), pw), w)
+        return power_integral_dd(shift, n, self.omx, self.log)

@@ -12,7 +12,11 @@ public entries, by shape of the parameter triple (m, n; p):
 All closed forms assemble in double-double and round once at the end.  One
 classifier, _closed_route, picks the family (and variant) for a shape; one
 per-call ClosedFormContext forms 1-x, log(1-x), the x and 1-x power tables
-and the power integrals, each power integral once per distinct shift.
+and the power integrals, each power integral once per distinct shift.  A
+power integral whose exponent w = shift+1-n is not an integer and has
+|w log(1-x)| >= 1/2 takes (1-x)**w as (1-x)**(1-n), one dd_exp per n,
+times (1-x)**shift from the power table; the others keep one dd_expm1 (or
+an integer power) each.
 
 The dispatcher hyp2f1_eval tries three routes in order:
 
@@ -26,8 +30,11 @@ The dispatcher hyp2f1_eval tries three routes in order:
   3. the defining series at the policy's tolerance.
 
 Short terminating polynomials, and points whose a-priori digit loss
-(p-1)*log10(1/x) exceeds _MAX_DIGIT_LOSS, skip route 2.  A closed form whose
-power integrals overflow float range raises NotConverged.
+(p-1)*log10(1/x) exceeds _MAX_DIGIT_LOSS, skip route 2.  Where the closed
+form of route 2 overflows float range or comes out non-finite (large n next
+to x = 1), route 3 is not taken: the closed form of the Euler-transformed
+triple (p-m, p-n; p) (DLMF 15.8.1), under the same test, times
+(1-x)**(p-m-n) answers instead, or NotConverged is raised.
 """
 
 from __future__ import annotations
@@ -351,6 +358,26 @@ def _closed_route(m: int, n: float, p: int, x: float, variant=None):
     return _assemble(body, x, *args)
 
 
+def _euler_on_overflow(m: int, n: float, p: int, x: float) -> float:
+    """2F1(m, n; p; x) = (1-x)**(p-m-n) 2F1(p-m, p-n; p; x) (DLMF 15.8.1).
+
+    For a direct closed form that overflowed: with large n next to x = 1 its
+    power integrals grow like (1-x)**(1-n), the transformed ones do not.  The
+    series is no fallback there, since its terms stop short of the sum.
+    """
+    nn = p - n
+    val, ratio = _closed_route(p - m, nn, p, x)
+    f = dd_to_float(val)
+    if _closed_accepted(f, ratio):
+        try:
+            g = (1.0 - x) ** (nn - m) * f
+        except OverflowError:  # the value itself passes float range
+            g = math.inf
+        if math.isfinite(g):
+            return g
+    raise NotConverged("closed form overflows float range")
+
+
 def hyp2f1_eval(params: HypergeomParams, x: float,
                 policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Stability-aware dispatcher.
@@ -364,9 +391,12 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
     _GUARD_REL, or when the a-priori digit-loss bound (p-1)*log10(1/x)
     already rules it out.  Short terminating polynomials skip the closed
     form.  The series is the fallback, reusing the sum already made below
-    x_switch.  A series that hits policy.max_terms raises NotConverged, as
-    does a closed form whose power integrals overflow float range (the
-    series is not tried there: its terms stop short of the true sum).
+    x_switch.  A series that hits policy.max_terms raises NotConverged.
+    Where the closed form overflows float range or comes out non-finite, the
+    series is not tried (its terms stop short of the true sum there): the
+    closed form of the Euler-transformed triple (p-m, p-n; p), under the
+    same test, is scaled by (1-x)**(p-m-n), and NotConverged is raised if
+    it is rejected too.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("dispatcher requires 0 <= x < 1")
@@ -388,10 +418,15 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
     # so only deeper polynomials go through the closed-form machinery.
     short_poly = n < 0.0 and float(n).is_integer() and -n <= 16
     if not short_poly and (p - 1) * math.log10(1.0 / x) <= _MAX_DIGIT_LOSS:
-        val, ratio = _closed_route(m, n, p, x)
+        try:
+            val, ratio = _closed_route(m, n, p, x)
+        except NotConverged:  # its power integrals overflow float range
+            return _euler_on_overflow(m, n, p, x)
         f = dd_to_float(val)
         if _closed_accepted(f, ratio):
             return f
+        if not math.isfinite(f):  # dd products overflowed short of that
+            return _euler_on_overflow(m, n, p, x)
     if res is None:
         res = hyp2f1_series(float(m), n, float(p), x, policy)
     if not res.converged:

@@ -1,8 +1,8 @@
 """Polylogarithm Li_k and its termwise-differentiated series.
 
 Li_1 is closed form (-log(1-x)).  Higher orders sum x**j / j**k.  The
-derivative (Li_j)^(d) is d! times the moment kernel f_{d,j}, summed by
-basis.fnj_series; symbolic differentiation is deliberately avoided.
+derivative (Li_j)^(d) is d! times the moment kernel f_{d,j}, from basis:
+the exact combo from x = 1/2 up (j >= 2), basis.fnj_series otherwise.
 
 The double-double Li_k behind the basis evaluator has two branches.  Below
 x = _LOG_SERIES_FROM it sums x**j / j**k, which needs about 76/|log x|
@@ -22,12 +22,14 @@ filled lazily, up to the orders the series reaches.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
 from ._dd import (
     DD, dd, dd_add, dd_div, dd_from_int, dd_log, dd_mul, dd_neg, dd_sub,
 )
+from .hypergeom import _SERIES_REL_TOL
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
     sum_series,
@@ -36,6 +38,10 @@ from .numcore import (
 # series domain: strictly inside the unit interval, except the x=1 endpoint
 # for k >= 2 where Li_k(1) = zeta(k)
 _EDGE = 1.0 - 1e-6
+
+# polylog_derivative_series takes the kernel combos (j >= 2) from here up; the
+# series there needs ~1/(1-x) terms and stops on small ones.
+_COMBOS_FROM = 0.5
 
 # _polylog_dd sums the log series from here up: |log x| <= 0.511, so its
 # terms fall at least 12-fold per order, while the power series would still
@@ -83,14 +89,18 @@ def polylog(k: int, x: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
 
 def polylog_derivative_series(j: int, d: int, x: float,
                               policy: EvalPolicy = DEFAULT_POLICY) -> float:
-    """d-th derivative of Li_j at x: d! * f_{d,j}(x), from basis.fnj_series.
+    """d-th derivative of Li_j at x: d! * f_{d,j}(x).
 
     Termwise, Li_j^(d)(x) = sum_k d! C(d+k,k) x**k / (d+k)**j, the kernel
-    series times d!.  Li_0(x) := x/(1-x), so j = 0 gives the derivatives of
-    that base case: (Li_0)^(d)(x) = d!/(1-x)**(d+1).  Nothing in the package
-    calls it: the moment formulas assemble f_{d,j} in mkz._kernel_moment.
+    series times d!.  For j >= 2 the kernel is the exact combo from
+    _COMBOS_FROM up, where the series would need ~1/(1-x) terms, and the
+    series at full precision (tolerance min(rel_tol, 1e-17)) below it, where
+    the combo's x**(-d) prefactor cancels.  j <= 1 sums the series under the
+    policy.  Li_0(x) := x/(1-x), so j = 0 gives the derivatives of that base
+    case: (Li_0)^(d)(x) = d!/(1-x)**(d+1).  Nothing in the package calls it:
+    the moment formulas assemble f_{d,j} in mkz._kernel_moment.
     """
-    from .basis import fnj_series  # basis imports _polylog_dd from here
+    from .basis import combo_eval, fnj_combo, fnj_series  # basis imports this module
 
     if j < 0:
         raise InvalidParams("j must be >= 0")
@@ -98,6 +108,10 @@ def polylog_derivative_series(j: int, d: int, x: float,
         raise InvalidParams("d must be >= 1")
     if not 0.0 <= x < 1.0:
         raise DomainError("derivative series requires 0 <= x < 1")
+    if j >= 2:
+        if x >= _COMBOS_FROM:
+            return math.factorial(d) * combo_eval(fnj_combo(d, j), x)
+        policy = replace(policy, rel_tol=min(policy.rel_tol, _SERIES_REL_TOL))
     return math.factorial(d) * fnj_series(d, j, x, policy).value
 
 

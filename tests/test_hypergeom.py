@@ -192,18 +192,26 @@ def test_eval_closed_path_is_bit_stable(m, n, p, x, want):
 
 
 def test_closed_route_forms_each_power_integral_once(monkeypatch):
-    # the general form at (3, 2.5; 8) sums 45 power integrals over 7 shifts
+    # the general form at (3, 2.5; 8) sums 45 power integrals over 7 shifts,
+    # and every exponent there takes (1-x)**(1-n), one dd_exp, as its base
     shifts = []
-    original = _dd.power_integral_dd
+    original = _dd.ClosedFormContext._power_integral
 
-    def counting(shift, *rest):
+    def counting(self, shift, n):
         shifts.append(shift)
-        return original(shift, *rest)
+        return original(self, shift, n)
 
-    for module in (_dd, hypergeom):  # wherever the name is bound
-        monkeypatch.setattr(module, "power_integral_dd", counting, raising=False)
+    monkeypatch.setattr(_dd.ClosedFormContext, "_power_integral", counting)
+    exps = []
+    for name in ("dd_exp", "dd_expm1"):
+        def counting_exp(u, _name=name, _original=getattr(_dd, name)):
+            exps.append(_name)
+            return _original(u)
+
+        monkeypatch.setattr(_dd, name, counting_exp)
     _closed_route(3, 2.5, 8, 0.7)
     assert sorted(shifts) == list(range(7))
+    assert exps == ["dd_exp"]
 
 
 def test_eval_domain_and_convergence():
@@ -387,9 +395,28 @@ def test_closed_route_accepts_only_accurate_general_values():
     assert worst[0] <= 1e-12, worst
 
 
-@pytest.mark.parametrize("m,n,p,x", [(1, 60.5, 70, 1 - 1e-9), (2, 45.25, 60, 1 - 1e-12)])
-def test_eval_overflowing_power_integral_raises(m, n, p, x):
-    # the power integrals pass 1e308; the true value (~8.1 at the first
-    # point) is left to no route: the series there stops short of it
-    with pytest.raises(NotConverged, match="overflow"):
-        hyp2f1_eval(HypergeomParams(m, n, p), x)
+@pytest.mark.parametrize("m,n,p,x", [
+    (1, 60.5, 70, 1 - 1e-9),
+    (2, 45.25, 60, 1 - 1e-12),
+    (1, 34.4, 40, 1 - 1e-9),  # just below the band: the direct form holds
+    (1, 34.8, 40, 1 - 1e-9),
+    (2, 34.9, 45, 1 - 1e-9),
+])
+def test_eval_overflowing_power_integral_takes_euler(m, n, p, x):
+    # the direct form's power integrals overflow float range, or turn the
+    # double-double products non-finite on their way there; the Euler form
+    # (p-m, p-n; p) does not, and the series, which stops short of the sum
+    # there, is never tried
+    got = hyp2f1_eval(HypergeomParams(m, n, p), x)
+    assert rel_err(got, mp_ref(m, n, p, x, 50)) <= 1e-14
+
+
+def test_eval_overflow_band_never_returns_the_series(monkeypatch):
+    # from just below where the direct form turns non-finite (n ~ 34.52)
+    # to past where it overflows (n ~ 35.3), no point falls to the series
+    calls = _count_calls(monkeypatch, "hyp2f1_series")
+    for k in range(30):
+        n = 34.5 + 0.03 * k
+        got = hyp2f1_eval(HypergeomParams(1, n, 40), 1 - 1e-9)
+        assert rel_err(got, mp_ref(1, n, 40, 1 - 1e-9, 50)) <= 1e-14, n
+    assert calls["hyp2f1_series"] == []

@@ -75,6 +75,33 @@ def test_derivative_series_vs_mpmath(j, d, x):
     assert math.isclose(got, want, rel_tol=1e-11)
 
 
+def _stirling1(d):
+    """Signed Stirling numbers of the first kind s(d, i), i = 0..d."""
+    row = [1]
+    for k in range(d):
+        nxt = [0] * (len(row) + 1)
+        for i, v in enumerate(row):
+            nxt[i + 1] += v
+            nxt[i] -= k * v
+        row = nxt
+    return row
+
+
+@pytest.mark.parametrize("j,d,x", [
+    (3, 10, 0.5), (3, 20, 0.99), (6, 20, 0.999), (2, 5, 0.9999),
+])
+def test_derivative_series_next_to_one(j, d, x):
+    # Li_j^(d)(x) = x**(-d) sum_i s(d,i) Li_{j-i}(x) (DLMF 26.8), an
+    # independent reference; the series stopped short at the first three
+    # points and did not converge at the last
+    got = polylog_derivative_series(j, d, x)
+    with mp.workdps(60):
+        X = mp.mpf(x)
+        want = X**(-d) * mp.fsum(s * mp.polylog(j - i, X)
+                                 for i, s in enumerate(_stirling1(d)))
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
 def test_derivative_series_order_zero_closed_form():
     # j = 0 collapses to d! / (1-x)**(d+1)
     for d in (1, 2, 5):
