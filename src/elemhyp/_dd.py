@@ -228,6 +228,10 @@ class ClosedFormContext:
     |w log(1-x)| >= _EXPM1_BELOW takes (1-x)**w as one dd_exp per n,
     (1-x)**(1-n), times (1-x)**shift from the power table, so the general
     form pays one dd_exp per call where it paid one per shift.
+
+    The kernel combos (basis.fnj_eval) read the same context: log(1-x) and
+    the pow ratios (1-(1-x)**i)/(1-x)**i, each memoized, so the combos
+    f_{d,j} of one kernel moment form them once, not once per j.
     """
 
     def __init__(self, x: float):
@@ -237,6 +241,7 @@ class ClosedFormContext:
         self._ompows = [dd(1.0)]
         self._integrals = {}
         self._bases = {}
+        self._pow_ratios = {}
 
     @cached_property
     def log(self) -> DD:
@@ -250,6 +255,13 @@ class ClosedFormContext:
     def ompows(self, top: int) -> list:
         """(1-x)**k for k = 0..top; the list may run longer."""
         return _extend(self._ompows, self.omx, top)
+
+    def pow_ratio(self, i: int) -> DD:
+        """(1 - (1-x)**i) / (1-x)**i from the 1-x power table, memoized by i."""
+        if i not in self._pow_ratios:
+            pw = self.ompows(i)[i]
+            self._pow_ratios[i] = dd_div(dd_sub(dd(1.0), pw), pw)
+        return self._pow_ratios[i]
 
     def _base(self, n: float):
         """(1-x)**(1-n), memoized by n; None above 2**996."""

@@ -14,15 +14,24 @@ integration map T induced by integrating basis elements against dt/t:
     T(log)          = -polylog(2)
     T(polylog(k))   = polylog(k+1)
 
+so pow_ratio(w) of the image takes (1/w) * sum_{i>w} c_i, one running
+suffix sum over the pow_ratio coefficients c_i: O(n) per step.
+
 Coefficients stay exact Fractions throughout; only evaluation is floating
 point (double-double internally).  The combo for every (n, j) has exactly n
 terms, which the tests pin down case by case.
+
+Evaluation reads the basis values from a _dd.ClosedFormContext at x, where
+log(1-x) and each pow ratio are memoized, and Li_k from polylog._polylog_dd,
+whose x-only parts are shared by every k.  fnj_eval evaluates the memoized
+combo f_{n,j} against a caller's context with its coefficients rounded to
+double-double once per (n, j), so the kernels of one moment share one
+context; combo_eval evaluates any combo on a fresh context.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +39,7 @@ from typing import Callable, Dict
 
 from ._dd import (
     ClosedFormContext, dd, dd_add, dd_div, dd_from_fraction, dd_mul, dd_npow,
-    dd_sub, dd_to_float,
+    dd_to_float,
 )
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
@@ -119,16 +128,19 @@ def _seed(n: int) -> Dict[BasisFunction, Fraction]:
 
 
 def _apply_t(terms: Dict[BasisFunction, Fraction]) -> Dict[BasisFunction, Fraction]:
-    out: Dict[BasisFunction, Fraction] = defaultdict(Fraction)
+    ratios = {b.index: c for b, c in terms.items() if b.kind == "pow_ratio"}
+    out: Dict[BasisFunction, Fraction] = {}
+    tail = Fraction(0)
+    for w in range(max(ratios, default=1) - 1, 0, -1):
+        tail += ratios.get(w + 1, 0)
+        out[pow_ratio(w)] = tail / w
+    if ratios:
+        out[LOG_TERM] = -sum(ratios.values())
     for b, c in terms.items():
-        if b.kind == "pow_ratio":
-            for w in range(1, b.index):
-                out[pow_ratio(w)] += c * Fraction(1, w)
-            out[LOG_TERM] -= c
-        elif b.kind == "log":
-            out[poly(2)] -= c
-        else:
-            out[poly(b.index + 1)] += c
+        if b.kind == "log":
+            out[poly(2)] = -c
+        elif b.kind == "polylog":
+            out[poly(b.index + 1)] = c
     return {b: c for b, c in out.items() if c != 0}
 
 
@@ -148,27 +160,54 @@ def fnj_combo(n: int, j: int) -> SymbolicCombo:
     return SymbolicCombo(n=n, j=j, terms=_apply_t(prev.terms))
 
 
-def combo_eval(c: SymbolicCombo, x: float) -> float:
-    """Numerical value of f_{n,j} from its combo.  0 < x < 1.
+def _rounded(c: SymbolicCombo) -> tuple:
+    """c's (basis function, coefficient) pairs in sorted order, each
+    coefficient rounded once to double-double."""
+    return tuple((b, dd_from_fraction(q.numerator, q.denominator))
+                 for b, q in c.sorted_terms())
 
-    Evaluation runs in double-double, rounded once at the end.  The x**(-n)
-    prefactor cancels digits at small x (see mkz._kernel_moment).
-    """
-    if not 0.0 < x < 1.0:
-        raise DomainError("combo evaluation requires 0 < x < 1")
-    ctx = ClosedFormContext(x)
+
+@lru_cache(maxsize=None)
+def _fnj_rounded(n: int, j: int) -> tuple:
+    """_rounded(fnj_combo(n, j)), memoized beside fnj_combo by (n, j)."""
+    return _rounded(fnj_combo(n, j))
+
+
+def _eval_rounded(terms: tuple, n: int, ctx: ClosedFormContext) -> float:
     total = dd(0.0)
-    for b, coef in c.sorted_terms():
+    for b, cd in terms:
         if b.kind == "pow_ratio":
-            pw = ctx.ompows(b.index)[b.index]
-            val = dd_div(dd_sub(dd(1.0), pw), pw)
+            val = ctx.pow_ratio(b.index)
         elif b.kind == "log":
             val = ctx.log
         else:
-            val = _polylog_dd(b.index, x)
-        cd = dd_from_fraction(coef.numerator, coef.denominator)
+            val = _polylog_dd(b.index, ctx.x)
         total = dd_add(total, dd_mul(cd, val))
-    return dd_to_float(dd_div(total, dd_npow(dd(x), c.n)))
+    return dd_to_float(dd_div(total, dd_npow(dd(ctx.x), n)))
+
+
+def fnj_eval(n: int, j: int, ctx: ClosedFormContext) -> float:
+    """f_{n,j}(x) at x = ctx.x from the memoized combo, j >= 2, 0 < x < 1.
+
+    The pow ratios and log(1-x) come from ctx, so evaluating several combos
+    against one context forms each of them once; the dd coefficients are
+    rounded once per (n, j).  Equal, bit for bit, to
+    combo_eval(fnj_combo(n, j), ctx.x).
+    """
+    return _eval_rounded(_fnj_rounded(n, j), n, ctx)
+
+
+def combo_eval(c: SymbolicCombo, x: float) -> float:
+    """Numerical value of f_{n,j} from its combo.  0 < x < 1.
+
+    Evaluation runs in double-double on a fresh ClosedFormContext(x), with
+    c's coefficients rounded to double-double, and is rounded once at the
+    end.  The x**(-n) prefactor cancels digits at small x (see
+    mkz._kernel_moment).
+    """
+    if not 0.0 < x < 1.0:
+        raise DomainError("combo evaluation requires 0 < x < 1")
+    return _eval_rounded(_rounded(c), c.n, ClosedFormContext(x))
 
 
 def fnj_series(n: int, j: int, x: float,

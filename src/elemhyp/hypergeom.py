@@ -259,13 +259,19 @@ def _check_open_unit(x: float):
 
 
 def _assemble(body, x: float, *args):
-    """body(*args) at x; returns (dd value, cancel ratio)."""
+    """body(*args) at x; returns (dd value, cancel ratio).
+
+    Raises NotConverged where the assembly passes float range (large n next
+    to x = 1), so no caller sees a non-finite closed value.
+    """
     _check_open_unit(x)
     try:
-        return body(*args, ClosedFormContext(x))
-    except OverflowError:
-        # dd_exp of a power integral past float range (large n next to x = 1)
+        val, ratio = body(*args, ClosedFormContext(x))
+    except OverflowError:  # dd_exp of a power integral
         raise NotConverged("closed form overflows float range") from None
+    if not math.isfinite(dd_to_float(val)):  # Dekker's split past ~1.3e300
+        raise NotConverged("closed form overflows float range")
+    return val, ratio
 
 
 def _closed_value(body, x: float, *args) -> float:
@@ -369,8 +375,11 @@ def _euler_on_overflow(m: int, n: float, p: int, x: float) -> float:
     val, ratio = _closed_route(p - m, nn, p, x)
     f = dd_to_float(val)
     if _closed_accepted(f, ratio):
+        # the scale as two half powers around f: the scale alone may pass
+        # float range where the value does not
         try:
-            g = (1.0 - x) ** (nn - m) * f
+            h = (1.0 - x) ** ((nn - m) / 2)
+            g = h * f * h
         except OverflowError:  # the value itself passes float range
             g = math.inf
         if math.isfinite(g):
@@ -420,13 +429,11 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
     if not short_poly and (p - 1) * math.log10(1.0 / x) <= _MAX_DIGIT_LOSS:
         try:
             val, ratio = _closed_route(m, n, p, x)
-        except NotConverged:  # its power integrals overflow float range
+        except NotConverged:  # the closed form passes float range
             return _euler_on_overflow(m, n, p, x)
         f = dd_to_float(val)
         if _closed_accepted(f, ratio):
             return f
-        if not math.isfinite(f):  # dd products overflowed short of that
-            return _euler_on_overflow(m, n, p, x)
     if res is None:
         res = hyp2f1_series(float(m), n, float(p), x, policy)
     if not res.converged:

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .basis import combo_eval, fnj_base, fnj_combo, fnj_series
+from ._dd import ClosedFormContext
+from .basis import fnj_base, fnj_eval, fnj_series
 from .hypergeom import _SERIES_REL_TOL, HypergeomParams, hyp2f1_eval
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
@@ -204,10 +205,13 @@ def _kernel_moment(d: int, w: float, r: int, x: float,
 
     f_{d,1} is closed form; f_{d,j>=2} is summed from its series below
     _KERNEL_SERIES_BELOW (at hyp2f1_eval's full-precision tolerance) and
-    taken from the exact combos from there up.
+    taken from the exact combos from there up.  The combos all read one
+    ClosedFormContext(x), so log(1-x) and each pow ratio are formed once
+    per call, not once per j.
     """
     omx_pow = (1.0 - x) ** (d + 1)
     series = replace(policy, rel_tol=min(policy.rel_tol, _SERIES_REL_TOL))
+    ctx = ClosedFormContext(x)
     total = 1.0
     for j in range(1, r + 1):
         if j == 1:
@@ -215,6 +219,6 @@ def _kernel_moment(d: int, w: float, r: int, x: float,
         elif x < _KERNEL_SERIES_BELOW:
             fnj = fnj_series(d, j, x, series).value
         else:
-            fnj = combo_eval(fnj_combo(d, j), x)
+            fnj = fnj_eval(d, j, ctx)
         total += omx_pow * math.comb(r, j) * float((-w) ** j) * fnj
     return total

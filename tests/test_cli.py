@@ -116,9 +116,13 @@ def test_hyp2f1_closed_refuses_a_cancelled_value():
     assert "cancel ratio 7.58e+31" in r.stderr
 
 
-@pytest.mark.parametrize("method", ["closed"])
-def test_hyp2f1_overflowing_closed_form_exits_1(method):
-    r = run("hyp2f1", "--m", "1", "--n", "60.5", "--p", "70", "--x", "0.999999999",
+@pytest.mark.parametrize("method,n,p", [
+    ("closed", "60.5", "70"),
+    # dd products past ~1.3e300 turn the value nan short of an OverflowError
+    ("closed", "34.8", "40"),
+], ids=["closed", "closed-nan-band"])
+def test_hyp2f1_overflowing_closed_form_exits_1(method, n, p):
+    r = run("hyp2f1", "--m", "1", "--n", n, "--p", p, "--x", "0.999999999",
             "--method", method)
     assert r.returncode == 1
     assert r.stdout == ""

@@ -401,6 +401,7 @@ def test_closed_route_accepts_only_accurate_general_values():
     (1, 34.4, 40, 1 - 1e-9),  # just below the band: the direct form holds
     (1, 34.8, 40, 1 - 1e-9),
     (2, 34.9, 45, 1 - 1e-9),
+    (1, 45.5, 12, 1 - 1e-9),  # the Euler scale alone passes float range
 ])
 def test_eval_overflowing_power_integral_takes_euler(m, n, p, x):
     # the direct form's power integrals overflow float range, or turn the
@@ -409,6 +410,15 @@ def test_eval_overflowing_power_integral_takes_euler(m, n, p, x):
     # there, is never tried
     got = hyp2f1_eval(HypergeomParams(m, n, p), x)
     assert rel_err(got, mp_ref(m, n, p, x, 50)) <= 1e-14
+
+
+def test_public_closed_forms_raise_in_the_non_finite_band():
+    # dd products past ~1.3e300 turn these values nan before any
+    # OverflowError; the unguarded public forms raise instead of returning it
+    with pytest.raises(NotConverged, match="overflows float range"):
+        hyp2f1_closed_m1(34.8, 40, 1 - 1e-9)
+    with pytest.raises(NotConverged, match="overflows float range"):
+        hyp2f1_closed_general(HypergeomParams(2, 34.9, 45), 1 - 1e-9)
 
 
 def test_eval_overflow_band_never_returns_the_series(monkeypatch):

@@ -1,10 +1,12 @@
 """Operator moments: closed formulas against direct kernel summation."""
 
+import importlib
 import math
 
 import mpmath as mp
 import pytest
 
+from elemhyp import _dd
 from elemhyp import (
     DomainError, EvalPolicy, GmkzParams, InvalidParams, Monomial, gmkz_apply,
     gmkz_e1, gmkz_moment_abel, ln_moment_e2, ln_moment_e2_direct, mkz_moment,
@@ -225,3 +227,57 @@ def test_higher_moments_at_small_x(n, r, x, want):
     got = mkz_moment(n, r, x)
     assert got > 0.0
     assert math.isclose(got, want, rel_tol=1e-4)
+
+
+# Floats of the parent implementation (one combo evaluation per j, each on
+# its own context), pinned bit for bit: the shared context and the per-x
+# polylog parts change which pieces are formed when, not any value.  The x
+# cover both polylog branches (power series below 0.6, log series from it).
+_KERNEL_PINS = [
+    ("mkz", (3, 5, 0.3), 0.017766660775230536),
+    ("mkz", (9, 12, 0.3), 4.809601555759435e-05),
+    ("mkz", (16, 8, 0.3), 0.00035908379897822695),
+    ("abel", (4, 2, 1.25, 10, 0.3), 0.002062218591679519),
+    ("abel", (7, 0, 0.0, 12, 0.3), 8.311976693897716e-05),
+    ("mkz", (3, 5, 0.55), 0.10119303082684289),
+    ("mkz", (9, 12, 0.55), 0.0035058203542808544),
+    ("mkz", (16, 8, 0.55), 0.01377031687633403),
+    ("abel", (4, 2, 1.25, 10, 0.55), 0.027393353718359038),
+    ("abel", (7, 0, 0.0, 12, 0.55), 0.004480325985232588),
+    ("mkz", (3, 5, 0.7), 0.22924553639588213),
+    ("mkz", (9, 12, 0.7), 0.026574451150264928),
+    ("mkz", (16, 8, 0.7), 0.07004072272672077),
+    ("abel", (4, 2, 1.25, 10, 0.7), 0.09693143453082229),
+    ("abel", (7, 0, 0.0, 12, 0.7), 0.030116457903024627),
+    ("mkz", (3, 5, 0.995), 0.9753679946533529),
+    ("mkz", (9, 12, 0.995), 0.9418159064146024),
+    ("mkz", (16, 8, 0.995), 0.9607379418327975),
+    ("abel", (4, 2, 1.25, 10, 0.995), 0.9612485565963287),
+    ("abel", (7, 0, 0.0, 12, 0.995), 0.9418791903188898),
+]
+
+
+@pytest.mark.parametrize("kind,args,want", _KERNEL_PINS)
+def test_kernel_moment_is_bit_stable(kind, args, want):
+    moment = mkz_moment if kind == "mkz" else gmkz_moment_abel
+    assert moment(*args) == want
+
+
+def test_kernel_moment_forms_each_log_once(monkeypatch):
+    # log(1-x) once from the shared context, log x and log(-log x) once from
+    # the per-x polylog parts: 3 dd_log calls where one context per combo
+    # f_{10,j} made 19.  The x is one no other test uses; the caches are
+    # cleared so the count does not depend on test order.
+    polylog_module = importlib.import_module("elemhyp.polylog")
+    calls = []
+
+    def counting(y, _original=_dd.dd_log):
+        calls.append(y)
+        return _original(y)
+
+    for module in (_dd, polylog_module):
+        monkeypatch.setattr(module, "dd_log", counting)
+    polylog_module._polylog_dd.cache_clear()
+    polylog_module._x_parts.cache_clear()
+    mkz_moment(10, 8, 0.7123456789)
+    assert len(calls) == 3

@@ -1,6 +1,8 @@
 """Polylogarithms and the shifted derivative series."""
 
 import math
+import threading
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,9 +12,10 @@ from elemhyp import (
     DomainError, EvalPolicy, InvalidParams, NotConverged, polylog,
     polylog_derivative_series,
 )
+from elemhyp import _dd
 from elemhyp.polylog import (
     _EDGE, _LOG_SERIES_FROM, _fraction_dd, _polylog_dd, _polylog_log_series,
-    _polylog_power_series, _zeta,
+    _polylog_power_series, _x_parts, _zeta,
 )
 
 TIGHT = EvalPolicy(rel_tol=1e-14)
@@ -152,6 +155,58 @@ def test_dd_polylog_branches_agree_around_the_switch(k, x):
     with mp.workdps(60):
         want = mp.mpf(power[0]) + mp.mpf(power[1])
         assert _dd_rel_err(_polylog_log_series(k, x), want) < 1e-30
+
+
+@pytest.mark.parametrize("x", [0.4234567891, 0.8234567891])
+def test_dd_polylog_is_independent_of_the_order_of_orders(x):
+    # every order k at one x reads the same per-x parts (log x, log(-log x),
+    # the power tables), however far an earlier order grew them
+    values = []
+    for orders in (range(2, 13), range(12, 1, -1)):
+        _polylog_dd.cache_clear()
+        _x_parts.cache_clear()
+        values.append({k: _polylog_dd(k, x) for k in orders})
+    assert values[0] == values[1]
+
+
+def test_dd_polylog_threads_share_the_x_parts_safely(monkeypatch):
+    # four threads (more than the cores) ask for the orders at one fresh x
+    # at once, half ascending, half descending.  Every dd_mul of the
+    # double-double core first yields to the other threads, so table
+    # growths interleave: a growth lost to a race appends a power twice and
+    # shifts every later one, which the single-thread values expose.
+    original = _dd.dd_mul
+
+    def yielding(a, b):
+        time.sleep(0)
+        return original(a, b)
+
+    reference, results = {}, []
+    for x in (0.4134, 0.8134):
+        _polylog_dd.cache_clear()
+        _x_parts.cache_clear()
+        reference[x] = {k: _polylog_dd(k, x) for k in range(2, 13)}
+    monkeypatch.setattr(_dd, "dd_mul", yielding)
+    for x in reference:
+        _polylog_dd.cache_clear()
+        _x_parts.cache_clear()
+        barrier = threading.Barrier(4)
+
+        def work(orders, x=x, barrier=barrier):
+            barrier.wait()
+            results.append((x, {k: _polylog_dd.__wrapped__(k, x) for k in orders}))
+
+        threads = [threading.Thread(target=work, args=(orders,))
+                   for orders in [range(2, 13), range(12, 1, -1)] * 2]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    _polylog_dd.cache_clear()
+    _x_parts.cache_clear()
+    assert len(results) == 8
+    assert all(values == reference[x] for x, values in results)
 
 
 @pytest.mark.parametrize("s", range(2, 41))
