@@ -20,9 +20,9 @@ an integer power) each.
 
 The dispatcher hyp2f1_eval tries three routes in order:
 
-  1. below EvalPolicy.x_switch (default 1/2), the defining series summed to
-     full precision, where it needs few terms and the x**(1-p) prefactor
-     makes closed forms cancel; kept when its rounding bound,
+  1. below _X_SWITCH = 1/2, the defining series summed to full precision,
+     where it needs few terms and the x**(1-p) prefactor makes closed
+     forms cancel; kept when its rounding bound,
      terms * sum|term| * 2**-53, is within _GUARD_REL of it, whatever the
      policy's rel_tol;
   2. the classifier's closed form for (m, n; p), kept when its cancellation
@@ -331,9 +331,10 @@ _MAX_DIGIT_LOSS = 22.0
 # this relative error, and a series value whose rounding bound does.
 _GUARD_REL = 1e-13
 
-# Below policy.x_switch the series is summed to full float64 precision, to
-# this tolerance or the policy's own if tighter; a loose rel_tol does not
-# loosen it.
+# Below _X_SWITCH the series is summed to full float64 precision, to
+# _SERIES_REL_TOL or the policy's own tolerance if tighter; a loose rel_tol
+# does not loosen it.
+_X_SWITCH = 0.5
 _SERIES_REL_TOL = 1e-17
 
 
@@ -391,16 +392,16 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
                 policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Stability-aware dispatcher.
 
-    Below policy.x_switch the defining series is summed to full precision
+    Below _X_SWITCH = 1/2 the defining series is summed to full precision
     (tolerance min(policy.rel_tol, 1e-17)) and kept when its rounding bound,
     terms_used * sum|term| * 2**-53, is within _GUARD_REL of the value.
-    A point that bound rejects, and any point from x_switch up, tries the
+    A point that bound rejects, and any point from _X_SWITCH up, tries the
     most specific closed form; its value is rejected when the estimated
     cancellation (tracked during the double-double assembly) exceeds
     _GUARD_REL, or when the a-priori digit-loss bound (p-1)*log10(1/x)
     already rules it out.  Short terminating polynomials skip the closed
     form.  The series is the fallback, reusing the sum already made below
-    x_switch.  A series that hits policy.max_terms raises NotConverged.
+    _X_SWITCH.  A series that hits policy.max_terms raises NotConverged.
     Where the closed form overflows float range or comes out non-finite, the
     series is not tried (its terms stop short of the true sum there): the
     closed form of the Euler-transformed triple (p-m, p-n; p), under the
@@ -415,7 +416,7 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
     if n == 0.0:
         return 1.0  # zero upper parameter terminates the series at its first term
     res = None
-    if x < policy.x_switch:
+    if x < _X_SWITCH:
         full = replace(policy, rel_tol=min(policy.rel_tol, _SERIES_REL_TOL))
         res = hyp2f1_series(float(m), n, float(p), x, full)
         if not res.converged:

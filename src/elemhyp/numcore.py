@@ -1,14 +1,15 @@
 """Shared numerical kernel.
 
 Pochhammer symbols, generalized binomials, a convergence-controlled series
-summation engine, and the log-branch power integral that the closed-form
-hypergeometric evaluators are built on.  Everything here is pure float64;
-the double-double internals live in _dd and are not part of this surface.
+summation engine, and a float64 power integral (the closed forms use
+_dd.power_integral_dd).  Everything here is pure float64; the double-double
+internals live in _dd and are not part of this surface.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -37,16 +38,11 @@ class EvalPolicy:
     max_terms: hard cap on summed terms.
     consecutive_small: successive negligible terms required to stop; protects
         against transient zero terms (e.g. terminating numerators).
-    x_switch: argument threshold below which hyp2f1_eval sums the defining
-        series to full precision (rel_tol there is min(rel_tol, 1e-17), so a
-        loose rel_tol does not loosen it) and keeps it when its rounding
-        bound allows; closed forms serve only points the bound rejects.
     """
 
     rel_tol: float = 1e-12
     max_terms: int = 100000
     consecutive_small: int = 3
-    x_switch: float = 0.5
 
     def __post_init__(self):
         if not self.rel_tol > 0:
@@ -55,8 +51,6 @@ class EvalPolicy:
             raise InvalidParams("max_terms must be >= 1")
         if self.consecutive_small < 1:
             raise InvalidParams("consecutive_small must be >= 1")
-        if not 0 <= self.x_switch < 1:
-            raise InvalidParams("x_switch must be in [0, 1)")
 
 
 DEFAULT_POLICY = EvalPolicy()
@@ -135,13 +129,14 @@ def power_integral(e: float, x: float) -> float:
     """Integral of s**e over [1-x, 1] for x in (0, 1).
 
     Equals (1 - (1-x)**(e+1))/(e+1) away from e = -1 and -log(1-x) at the
-    branch.  The expm1 form keeps the two branches continuous; |e+1| < 1e-9
-    takes the log form outright since the quotient form has no digits left
-    there.
+    branch.  -expm1(t)/w, w = e+1 and t = w log(1-x), is accurate for every
+    normal t, however close to the branch; the log form serves the rest
+    (w == 0, or a subnormal t at tiny x, where it is within |t|).
     """
     if not 0.0 < x < 1.0:
         raise DomainError("power_integral requires 0 < x < 1")
-    w = e + 1.0
-    if abs(w) < 1e-9:
-        return -math.log1p(-x)
-    return -math.expm1(w * math.log1p(-x)) / w
+    log1mx = math.log1p(-x)
+    t = (e + 1.0) * log1mx
+    if abs(t) < sys.float_info.min:
+        return -log1mx
+    return -math.expm1(t) / (e + 1.0)

@@ -1,13 +1,15 @@
 """Polylogarithm Li_k and its termwise-differentiated series.
 
-Li_1 is closed form (-log(1-x)).  Higher orders sum x**j / j**k.  The
-derivative (Li_j)^(d) is d! times the moment kernel f_{d,j}, from basis:
-the exact combo from x = 1/2 up (j >= 2), basis.fnj_series otherwise.
+There is one Li_k: the double-double core _polylog_dd, which the public
+polylog rounds once (Li_1 = -log(1-x) is closed form).  The derivative
+(Li_j)^(d) is d! times the moment kernel f_{d,j}, from basis: the closed
+base kernels for j <= 1, and for j >= 2 the exact combo from x = 1/2 up,
+basis.fnj_series below.
 
-The double-double Li_k behind the basis evaluator has two branches.  Below
-x = _LOG_SERIES_FROM it sums x**j / j**k, which needs about 76/|log x|
-terms for 1e-33.  From there up to 1 it sums the expansion around mu = log x
-(DLMF Sec. 25.12(ii); Crandall, "Note on fast polylogarithm computation", 2006),
+The double-double core has two branches.  Below x = _LOG_SERIES_FROM it
+sums x**j / j**k, which needs about 76/|log x| terms for 1e-33.  From there
+up to 1 it sums the expansion around mu = log x (DLMF Sec. 25.12(ii);
+Crandall, "Note on fast polylogarithm computation", 2006),
 
     Li_k(e**mu) = sum_{j != k-1} zeta(k-j) mu**j / j!
                   + mu**(k-1) / (k-1)! * (H_{k-1} - log(-mu)),   |mu| < 2 pi,
@@ -34,18 +36,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from ._dd import (
-    DD, _extend, dd, dd_add, dd_div, dd_from_int, dd_log, dd_mul, dd_neg,
-    dd_sub,
+    DD, _extend, _two_prod, dd, dd_add, dd_div, dd_from_int, dd_log, dd_mul,
+    dd_neg, dd_sub, dd_to_float,
 )
 from .hypergeom import _SERIES_REL_TOL
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
-    sum_series,
 )
-
-# series domain: strictly inside the unit interval, except the x=1 endpoint
-# for k >= 2 where Li_k(1) = zeta(k)
-_EDGE = 1.0 - 1e-6
 
 # polylog_derivative_series takes the kernel combos (j >= 2) from here up; the
 # series there needs ~1/(1-x) terms and stops on small ones.
@@ -62,37 +59,33 @@ _LOG_SERIES_FROM = 0.6
 _BORWEIN_N = 48
 
 
-def polylog(k: int, x: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
-    """Li_k(x) for integer k >= 1.
+def polylog(k: int, x: float) -> float:
+    """Li_k(x) for integer k >= 1 and -1 <= x <= 1 (x < 1 for k = 1).
 
-    Inside the unit interval the series is summed under the policy.  At
-    x = 1 (k >= 2 only) the value is zeta(k), rounded once from the exact
-    rational behind _polylog_dd's zeta table.
+    Li_1 is -log(1-x).  For k >= 2 it is the double-double core rounded
+    once: zeta(k) at x = 1 from the exact rational behind the core's zeta
+    table, _polylog_dd on [0, 1), and below 0 the duplication formula
+    Li_k(x) = 2**(1-k) Li_k(x**2) - Li_k(-x) on the same core.
     """
     if k < 1:
         raise InvalidParams("order k must be >= 1")
-    at_one = k >= 2 and x == 1.0
-    if not (abs(x) <= _EDGE or at_one):
-        raise DomainError("polylog series requires |x| <= 1 - 1e-6, or x = 1 with k >= 2")
+    if not -1.0 <= x <= 1.0 or (k == 1 and x == 1.0):
+        raise DomainError("polylog requires -1 <= x <= 1, and x < 1 for k = 1")
     if k == 1:
         return -math.log1p(-x)
-    if at_one:
-        return float(_zeta(k))
-    if x == 0.0:
-        return 0.0
+    if x >= 0.0:
+        return dd_to_float(_unit_polylog_dd(k, x))
+    y, e = _two_prod(x, x)
+    square = _unit_polylog_dd(k, y)
+    if e:  # x**2 = y + e exactly: Li_k(x**2) to first order in e
+        square = dd_add(square, dd(e * polylog(k - 1, y) / y))
+    return dd_to_float(dd_sub(dd_mul(dd(2.0 ** (1 - k)), square),
+                              _unit_polylog_dd(k, -x)))
 
-    def terms():
-        t = x
-        j = 1
-        while True:
-            yield t
-            t *= x * (j / (j + 1.0)) ** k
-            j += 1
 
-    res = sum_series(terms(), policy)
-    if not res.converged:
-        raise NotConverged("polylog series did not converge")
-    return res.value
+def _unit_polylog_dd(k: int, x: float) -> DD:
+    """Li_k(x) in double-double for 0 <= x <= 1, k >= 2: zeta(k) at 1."""
+    return _fraction_dd(_zeta(k)) if x == 1.0 else _polylog_dd(k, x)
 
 
 def polylog_derivative_series(j: int, d: int, x: float,
@@ -100,15 +93,16 @@ def polylog_derivative_series(j: int, d: int, x: float,
     """d-th derivative of Li_j at x: d! * f_{d,j}(x).
 
     Termwise, Li_j^(d)(x) = sum_k d! C(d+k,k) x**k / (d+k)**j, the kernel
-    series times d!.  For j >= 2 the kernel is the exact combo from
-    _COMBOS_FROM up, where the series would need ~1/(1-x) terms, and the
-    series at full precision (tolerance min(rel_tol, 1e-17)) below it, where
-    the combo's x**(-d) prefactor cancels.  j <= 1 sums the series under the
-    policy.  Li_0(x) := x/(1-x), so j = 0 gives the derivatives of that base
-    case: (Li_0)^(d)(x) = d!/(1-x)**(d+1).  Nothing in the package calls it:
-    the moment formulas assemble f_{d,j} in mkz._kernel_moment.
+    series times d!.  j <= 1 takes the closed base kernels of
+    basis.fnj_base (Li_0(x) := x/(1-x), so j = 0 gives d!/(1-x)**(d+1), and
+    j = 1 gives (d-1)!/(1-x)**d), raising NotConverged where they pass float
+    range.  For j >= 2 the kernel is the exact combo from _COMBOS_FROM up,
+    where the series would need ~1/(1-x) terms, and the series at full
+    precision (tolerance min(rel_tol, 1e-17)) below it, where the combo's
+    x**(-d) prefactor cancels.  Nothing in the package calls it: the moment
+    formulas assemble f_{d,j} in mkz._kernel_moment.
     """
-    from .basis import combo_eval, fnj_combo, fnj_series  # basis imports this module
+    from .basis import combo_eval, fnj_base, fnj_combo, fnj_series  # basis imports this module
 
     if j < 0:
         raise InvalidParams("j must be >= 0")
@@ -116,16 +110,23 @@ def polylog_derivative_series(j: int, d: int, x: float,
         raise InvalidParams("d must be >= 1")
     if not 0.0 <= x < 1.0:
         raise DomainError("derivative series requires 0 <= x < 1")
-    if j >= 2:
-        if x >= _COMBOS_FROM:
-            return math.factorial(d) * combo_eval(fnj_combo(d, j), x)
-        policy = replace(policy, rel_tol=min(policy.rel_tol, _SERIES_REL_TOL))
-    return math.factorial(d) * fnj_series(d, j, x, policy).value
+    if j <= 1:
+        try:
+            value = math.factorial(d) * fnj_base(d, j)(x)
+            if value != math.inf:
+                return value
+        except (OverflowError, ZeroDivisionError):  # (1-x)**d leaves float range
+            pass
+        raise NotConverged("derivative overflows float range")
+    if x >= _COMBOS_FROM:
+        return math.factorial(d) * combo_eval(fnj_combo(d, j), x)
+    series = replace(policy, rel_tol=min(policy.rel_tol, _SERIES_REL_TOL))
+    return math.factorial(d) * fnj_series(d, j, x, series).value
 
 
 @lru_cache(maxsize=4096)
 def _polylog_dd(k: int, x: float) -> DD:
-    """Li_k(x) in double-double, for the basis evaluator.  0 < x < 1, k >= 2.
+    """Li_k(x) in double-double, the package's one Li_k.  0 <= x < 1, k >= 2.
 
     Below _LOG_SERIES_FROM: the power series x**j / j**k.  From there on:
     the series in mu = log x with the double-double zeta table (see the

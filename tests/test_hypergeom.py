@@ -165,7 +165,7 @@ def test_eval_routes_short_polynomials_through_the_series():
 
 
 def test_eval_small_arguments_use_the_series_path():
-    x = 0.01  # below the x_switch threshold
+    x = 0.01  # below the _X_SWITCH threshold
     got = hyp2f1_eval(HypergeomParams(1, 2.0, 3), x)
     assert got == hyp2f1_series(1.0, 2.0, 3.0, x).value
 
@@ -352,7 +352,7 @@ def test_eval_near_one_points_the_series_could_not_sum(m, n, p, x):
 def test_eval_makes_at_most_one_closed_route_call(monkeypatch):
     calls = _count_calls(monkeypatch, "_closed_route", "hyp2f1_series")
     # the points of test_eval_closed_path_is_bit_stable; the last one is
-    # below x_switch, where the full-precision series is accepted first
+    # below _X_SWITCH, where the full-precision series is accepted first
     for m, n, p, x, routes in [(1, 2.0, 3, 0.5, 1), (3, 2.5, 8, 0.7, 1),
                                (1, 2.5, 5, 0.6, 1), (1, 3.0, 6, 0.5, 1),
                                (4, 1.0, 7, 0.4, 0)]:

@@ -18,8 +18,6 @@ from elemhyp import (
     {"rel_tol": -1e-9},
     {"max_terms": 0},
     {"consecutive_small": 0},
-    {"x_switch": 1.0},
-    {"x_switch": -0.1},
 ])
 def test_policy_rejects_bad_fields(kwargs):
     with pytest.raises(InvalidParams):
@@ -127,10 +125,23 @@ def test_power_integral_vs_quadrature(e, x):
 def test_power_integral_log_branch():
     x = 0.5
     assert power_integral(-1.0, x) == -math.log1p(-x)
-    # just off the branch the quotient form has no digits left; the log form
-    # is taken and its error is O(|e+1| * log(1-x)**2 / 2)
+    # just off the branch the expm1 form keeps its digits, and differs from
+    # the log form by about |e+1| * log(1-x)**2 / 2
     assert math.isclose(power_integral(-1.0 + 1e-10, x), -math.log1p(-x),
                         rel_tol=1e-9)
+
+
+@pytest.mark.parametrize("e,x", [
+    (-1.0000000008875018, 0.9999999979197085),
+    (-1.0 + 2.0 ** -52, 1e-300),
+])
+def test_power_integral_next_to_the_branch(e, x):
+    # a |e+1| < 1e-9 shortcut to the log form was off by 8.9e-9 at the
+    # first point; at the second e+1 times log(1-x) is subnormal
+    with mp.workdps(60):
+        w = mp.mpf(e) + 1
+        want = -mp.expm1(w * mp.log1p(-mp.mpf(x))) / w
+        assert abs(power_integral(e, x) - want) <= 1e-15 * want
 
 
 @pytest.mark.parametrize("x", [0.0, 1.0, -0.1, 1.5])

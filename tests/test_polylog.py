@@ -14,7 +14,7 @@ from elemhyp import (
 )
 from elemhyp import _dd
 from elemhyp.polylog import (
-    _EDGE, _LOG_SERIES_FROM, _fraction_dd, _polylog_dd, _polylog_log_series,
+    _LOG_SERIES_FROM, _fraction_dd, _polylog_dd, _polylog_log_series,
     _polylog_power_series, _x_parts, _zeta,
 )
 
@@ -31,11 +31,32 @@ def test_order_one_is_the_logarithm():
 def test_polylog_vs_mpmath(k, x):
     with mp.workdps(40):
         want = float(mp.polylog(k, mp.mpf(x)))
-    assert math.isclose(polylog(k, x, TIGHT), want, rel_tol=1e-11)
+    assert math.isclose(polylog(k, x), want, rel_tol=1e-11)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 13])
+@pytest.mark.parametrize("x", [
+    -1.0, -0.999999, -0.9999, -0.6, -0.3,
+    0.999, 0.9999, 0.99999, 1.0 - 1e-6, 1.0 - 1e-9,
+])
+def test_polylog_edge_grid_vs_mpmath(k, x):
+    # the double-double core rounded once, also next to +-1, where a float
+    # series stopping on small terms loses digits or does not converge
+    with mp.workdps(50):
+        want = mp.polylog(k, mp.mpf(x))
+        assert abs(polylog(k, x) - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("x", [-0.9999999925485519, -0.9999999925497657])
+def test_polylog_below_zero_carries_the_rounding_of_the_square(x):
+    # x*x rounds by about half an ulp here, which Li_2's slope next to 1
+    # would amplify to ~6e-16 if the duplication formula ignored it
+    with mp.workdps(50):
+        want = mp.polylog(2, mp.mpf(x))
+        assert abs(polylog(2, x) - want) <= 1e-16 * abs(want)
 
 
 def test_polylog_at_the_unit_edge():
-    # the tail estimate recovers the zeta value to the estimate's own order
     with mp.workdps(40):
         assert math.isclose(polylog(2, 1.0), float(mp.zeta(2)), rel_tol=1e-9)
         assert math.isclose(polylog(3, 1.0), float(mp.zeta(3)), rel_tol=1e-10)
@@ -58,12 +79,8 @@ def test_polylog_domain():
         polylog(2, 1.0000001)
     with pytest.raises(DomainError):
         polylog(2, -1.01)
-    polylog(2, _EDGE, EvalPolicy(max_terms=100000, rel_tol=1e-6))
-
-
-def test_polylog_not_converged_near_the_edge():
-    with pytest.raises(NotConverged):
-        polylog(2, _EDGE, EvalPolicy(max_terms=500))
+    polylog(2, 1.0 - 1e-9)
+    polylog(2, -1.0)
 
 
 @pytest.mark.parametrize("j,d,x", [
@@ -105,6 +122,27 @@ def test_derivative_series_next_to_one(j, d, x):
         assert abs(got - want) <= 1e-14 * abs(want)
 
 
+@pytest.mark.parametrize("j,d,x", [(1, 5, 0.999), (0, 3, 0.999), (1, 2, 0.9999)])
+def test_derivative_series_low_orders_are_closed(j, d, x):
+    # (Li_1)^(d) = (d-1)!/(1-x)**d and (Li_0)^(d) = d!/(1-x)**(d+1), against
+    # the Stirling form; a series stopping on small terms was off by 1.1e-9
+    # at the first two points and did not converge at the last
+    got = polylog_derivative_series(j, d, x)
+    with mp.workdps(60):
+        X = mp.mpf(x)
+        want = X**(-d) * mp.fsum(s * mp.polylog(j - i, X)
+                                 for i, s in enumerate(_stirling1(d)))
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("j,d,x", [(0, 60, 1 - 1e-6), (1, 60, 1 - 1e-6), (0, 100, 0.99)])
+def test_derivative_series_low_orders_raise_past_float_range(j, d, x):
+    # (1-x)**d over- or underflows, or d! times the kernel overflows: a
+    # typed error, not OverflowError, ZeroDivisionError or inf
+    with pytest.raises(NotConverged):
+        polylog_derivative_series(j, d, x)
+
+
 def test_derivative_series_order_zero_closed_form():
     # j = 0 collapses to d! / (1-x)**(d+1)
     for d in (1, 2, 5):
@@ -122,7 +160,7 @@ def test_derivative_series_validation():
     with pytest.raises(DomainError):
         polylog_derivative_series(2, 2, 1.0)
     with pytest.raises(NotConverged):
-        polylog_derivative_series(1, 1, 0.9, EvalPolicy(max_terms=4))
+        polylog_derivative_series(2, 1, 0.3, EvalPolicy(max_terms=4))
 
 
 def test_internal_dd_polylog_precision():
