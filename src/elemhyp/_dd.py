@@ -62,6 +62,17 @@ def dd_from_fraction(num: int, den: int) -> DD:
     return dd_div(dd_from_int(num), dd_from_int(den))
 
 
+def dd_from_ratio(num: int, den: int) -> DD:
+    """num/den rounded once, for integers of any size (dd_from_fraction
+    rounds its operands and the quotient instead); OverflowError past float
+    range.  Integer true division rounds correctly, so hi is the nearest
+    float and lo the nearest float to the exact remainder num/den - hi.
+    """
+    hi = num / den
+    hn, hd = hi.as_integer_ratio()
+    return (hi, (num * hd - hn * den) / (den * hd))
+
+
 def dd_to_float(x: DD) -> float:
     return x[0] + x[1]
 

@@ -26,7 +26,7 @@ from .hypergeom import (
     HypergeomParams, _closed_accepted, _closed_route, hyp2f1_eval, hyp2f1_series,
 )
 from .mkz import (
-    GmkzParams, Monomial, gmkz_apply, gmkz_e1, gmkz_moment_abel, ln_moment_e2,
+    GmkzParams, Monomial, _gmkz_series, gmkz_e1, gmkz_moment_abel, ln_moment_e2,
     ln_moment_e2_direct, mkz_moment,
 )
 from .numcore import (
@@ -116,7 +116,7 @@ def cmd_moment(args, policy: EvalPolicy) -> int:
     def series():
         if args.operator == "ln":
             return ln_moment_e2_direct(n, x, policy)
-        return gmkz_apply(params, Monomial(r), x, policy).value
+        return _gmkz_series(params, Monomial(r), x, policy).value
 
     if args.route == "closed":
         doc = {"value": closed()}

@@ -1,34 +1,64 @@
 """Meyer-Konig-Zeller type operators and their moments.
 
-gmkz_apply is the direct-summation oracle for the generalized operator
+gmkz_apply applies the generalized operator
 
     (M_{n,r}^{a,b} f)(x) = (1-x)**(n+r) * sum_k C(n+r+k-1, k) x**k f((k+b)/(n+k+a))
 
-with the classical operator at (r, a, b) = (1, 0, 0).  Everything else here
-is a closed or semi-closed moment formula tested against that oracle:
-second-moment formulas through the 2F1 dispatcher, the first moment of the
-generalized operator, and the higher moments of the classical operator and
-of M_{n,alpha+1}^{alpha,beta} (the Abel-summation formula) as one sum of the
-kernels f_{d,j}(x) = sum_k C(d+k,k) x**k / (d+k)**j (see _kernel_moment).
+with the classical operator at (r, a, b) = (1, 0, 0).  Two routes:
+
+  1. the series, summed term by term until a bound on its tail meets the
+     tolerance (_gmkz_series, also the direct-summation oracle of the
+     tests and of verify);
+  2. from x = _APPLY_CLOSED_FROM up, for a Monomial(m) with integer a, the
+     exact combination of elementary functions and Li_s(x), s = 1..m, of
+     _gmkz_closed: N + m + c - 1 double-double terms (N = n + r,
+     c = n + a) where the series needs ~(N+50)/(1-x).  A closed value that
+     fails its rounding bound goes to the series.
+
+Everything else here is a closed or semi-closed moment formula tested
+against the series: second-moment formulas through the 2F1 dispatcher, the
+first moment of the generalized operator, and the higher moments of the
+classical operator and of M_{n,alpha+1}^{alpha,beta} (the Abel-summation
+formula) as one sum of the kernels f_{d,j}(x) = sum_k C(d+k,k) x**k / (d+k)**j
+(see _kernel_moment).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
-from ._dd import ClosedFormContext
+from ._dd import (
+    ClosedFormContext, dd, dd_add, dd_div, dd_from_ratio, dd_mul, dd_neg,
+    dd_sub, dd_to_float,
+)
 from .basis import fnj_base, fnj_eval, fnj_series
 from .hypergeom import _SERIES_REL_TOL, HypergeomParams, hyp2f1_eval
 from .numcore import (
-    DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
-    SeriesResult, sum_series,
+    DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NonFinite,
+    NotConverged, SeriesResult, sum_series,
 )
+from .polylog import _polylog_dd
 
 # Below this x the moment kernels f_{d,j}, j >= 2, come from their series
 # (term ratio tending to x), from it up from the exact combos, whose x**(-d)
 # prefactor cancels digits at small x (see _kernel_moment).
 _KERNEL_SERIES_BELOW = 0.2
+
+# From this x up, gmkz_apply takes a Monomial with integer alpha through the
+# closed form of _gmkz_closed, whose cost does not grow with 1/(1-x).  Below
+# it the full-precision series, ~(N+50)/(1-x) terms at ~0.9 us each, costs
+# less than the closed form's ~0.6 ms with the polylogs at a new x (0.25 ms
+# with them cached): the two cold costs cross at about 0.9.
+_APPLY_CLOSED_FROM = 0.9
+
+# The closed form's rounding bound: each double-double term carries about
+# _CLOSED_TERM_ERR relative, and the sum of the terms' magnitudes times that
+# must stay within _CLOSED_REL of the value.
+_CLOSED_TERM_ERR = 2.0 ** -104
+_CLOSED_REL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -66,23 +96,172 @@ class Monomial:
 
 def gmkz_apply(params: GmkzParams, f, x: float,
                policy: EvalPolicy = DEFAULT_POLICY) -> SeriesResult:
-    """Apply the generalized operator to f at x by direct summation."""
+    """Apply the generalized operator to f at x.
+
+    A Monomial(m) with integer alpha, from x = _APPLY_CLOSED_FROM up, takes
+    the closed form of _gmkz_closed: N + m + c - 1 double-double terms
+    (N = n + r, c = n + alpha) in place of the ~(N+50)/(1-x) terms of the
+    series.  Its SeriesResult has terms_used = that term count,
+    converged True, trunc_err_est 0.0 (the form is exact) and abs_sum the
+    sum of the terms' magnitudes, Li_s and the sum it is cut by counted
+    apart.  The closed form is kept where abs_sum * _CLOSED_TERM_ERR stays
+    within _CLOSED_REL of the value and every coefficient within float
+    range, and where its ~N**2 + c*(m+1) steps stay within
+    policy.max_terms.  Every other case, and a closed value that fails
+    that bound, is summed by _gmkz_series to full precision (tolerance
+    min(rel_tol, 1e-17), as hyp2f1_eval's series).
+    """
+    if not 0.0 <= x < 1.0:
+        raise DomainError("operator series requires 0 <= x < 1")
+    a = params.alpha
+    if x >= _APPLY_CLOSED_FROM and isinstance(f, Monomial) \
+            and float(a).is_integer():
+        N, c, m = params.n + params.r, params.n + int(a), f.r
+        if N * N + c * (m + 1) <= policy.max_terms:
+            res = _gmkz_closed(N, c, params.beta, m, x)
+            if res is not None:
+                return res
+    full = replace(policy, rel_tol=min(policy.rel_tol, _SERIES_REL_TOL))
+    return _gmkz_series(params, f, x, full)
+
+
+def _gmkz_series(params: GmkzParams, f, x: float,
+                 policy: EvalPolicy = DEFAULT_POLICY) -> SeriesResult:
+    """The operator series summed term by term, with a bounded tail.
+
+    The weights w_k = (1-x)**N C(N+k-1, k) x**k, N = n + r, step by
+    x (N+k)/(k+1), which falls with k; so once rho = x (N+k+1)/(k+2) < 1
+    everything after term k is at most F w_{k+1} / (1 - rho), F a bound on
+    |f| at the later nodes (k+b)/(n+k+a) in [0, 1).  The sum stops once
+    that bound is at most rel_tol times the partial sum, which it returns
+    as trunc_err_est.  F = 1 for a Monomial.  For any other f, F is the
+    largest |f| met so far: a bound only where |f| at the later nodes,
+    which tend to 1, stays below it.  Raises NotConverged at
+    policy.max_terms, or where (1-x)**N leaves the normal float range.
+    """
     if not 0.0 <= x < 1.0:
         raise DomainError("operator series requires 0 <= x < 1")
     n, r, a, b = params.n, params.r, params.alpha, params.beta
+    N = n + r
+    monomial = isinstance(f, Monomial)
+    bound = 1.0 if monomial else 0.0
+    w = (1.0 - x) ** N
+    if w < sys.float_info.min:
+        raise NotConverged("operator weights underflow float range")
+    s = comp = abs_sum = 0.0
+    for k in range(policy.max_terms):
+        fk = f((k + b) / (n + k + a))
+        term = w * fk
+        if not math.isfinite(term):
+            raise NonFinite(f"non-finite term at index {k}")
+        if not monomial:
+            bound = max(bound, abs(fk))
+        y = term - comp  # Kahan-compensated sum
+        t = s + y
+        comp = (t - s) - y
+        s = t
+        abs_sum += abs(term)
+        w *= (N + k) / (k + 1.0) * x
+        rho = x * (N + k + 1) / (k + 2.0)
+        if rho < 1.0:
+            tail = bound * w / (1.0 - rho)
+            if tail <= policy.rel_tol * abs(s):
+                return SeriesResult(value=s, terms_used=k + 1, converged=True,
+                                    trunc_err_est=tail, abs_sum=abs_sum)
+    raise NotConverged("operator series did not converge")
 
-    def terms():
-        w = (1.0 - x) ** (n + r)
-        k = 0
-        while True:
-            yield w * f((k + b) / (n + k + a))
-            w *= (n + r + k) / (k + 1.0) * x
-            k += 1
 
-    res = sum_series(terms(), policy)
-    if not res.converged:
-        raise NotConverged("operator series did not converge")
-    return res
+def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):
+    """(1-x)**N sum_k C(N+k-1,k) x**k ((k+beta)/(k+c))**m in closed form.
+
+    With u = k + c, C(N+k-1,k) (k+beta)**m / (k+c)**m is the Laurent
+    polynomial Q(u) = prod_{t=1}^{N-1} (u-c+t) (u+beta-c)**m / (u**m (N-1)!),
+    with exact rational coefficients (_closed_coefficients).  Its polynomial
+    part sums in Bernstein form, (1-x)**N sum_k x**k p(k) =
+    sum_i Delta**i p(0) x**i (1-x)**(N-1-i) (Newton's forward differences of
+    p(k) = Q_+(k+c) and sum_k C(k,i) x**k = x**i / (1-x)**(i+1)), with no
+    division by 1-x.  Its part in u**(-s), s = 1..m, sums to
+    x**(-c) (Li_s(x) - sum_{u<c} x**u / u**s): Li_1 = -log(1-x) from the
+    context, Li_s from _polylog_dd.  Everything is assembled in
+    double-double and rounded once.
+
+    Returns the SeriesResult gmkz_apply describes, or None where a
+    coefficient passes float range or the rounding bound fails.
+    """
+    try:
+        bern, neg, head = _closed_coefficients(N, c, m, beta)
+    except OverflowError:
+        return None
+    ctx = ClosedFormContext(x)
+    xp = ctx.xpows(max(N, c))
+    op = ctx.ompows(N)
+    total, mag = dd(0.0), 0.0
+    for i, g in enumerate(bern):
+        term = dd_mul(g, dd_mul(xp[i], op[N - 1 - i]))
+        total = dd_add(total, term)
+        mag += abs(term[0])
+    if m:
+        tail, tail_mag = dd(0.0), 0.0
+        for s, a in enumerate(neg, 1):
+            term = dd_mul(a, dd_neg(ctx.log) if s == 1 else _polylog_dd(s, x))
+            tail = dd_add(tail, term)
+            tail_mag += abs(term[0])
+        for u, h in enumerate(head, 1):
+            term = dd_mul(h, xp[u])
+            tail = dd_sub(tail, term)
+            tail_mag += abs(term[0])
+        scale = dd_div(op[N], xp[c])  # (1-x)**N x**(-c)
+        total = dd_add(total, dd_mul(tail, scale))
+        mag += tail_mag * scale[0]
+    value = dd_to_float(total)
+    if not (math.isfinite(value) and math.isfinite(mag)) \
+            or mag * _CLOSED_TERM_ERR > _CLOSED_REL * abs(value):
+        return None
+    return SeriesResult(value=value, terms_used=len(bern) + len(neg) + len(head),
+                        converged=True, trunc_err_est=0.0, abs_sum=mag)
+
+
+@lru_cache(maxsize=1024)
+def _closed_coefficients(N: int, c: int, m: int, beta: float):
+    """The coefficients of _gmkz_closed, exact rationals each rounded once.
+
+    beta - c = dn / bd exactly (bd a power of two), and D = bd**m (N-1)!.
+    A[e+m] = D a_e, e = -m..N-1, are the integer Laurent coefficients of
+    prod_{t=1}^{N-1} (u-c+t) * (bd u + dn)**m.  Returns, each over D:
+    the Bernstein coefficients Delta**i p(0), i = 0..N-1, of
+    p(k) = sum_{e>=0} A[e+m] (k+c)**e; a_{-s}, s = 1..m; and the cut-off
+    weights sum_s a_{-s} / u**s, u = 1..c-1 (none for m = 0).  Raises
+    OverflowError where a coefficient passes float range.
+    """
+    poly = [1]
+    for t in range(1, N):
+        poly = [up + (t - c) * same for up, same in zip([0] + poly, poly + [0])]
+    bn, bd = float(beta).as_integer_ratio()
+    dn = bn - c * bd
+    binom = [math.comb(m, l) * dn ** (m - l) * bd ** l for l in range(m + 1)]
+    A = [0] * (N + m)
+    for i, p in enumerate(poly):
+        for l, q in enumerate(binom):
+            A[i + l] += p * q
+    den = bd ** m * math.factorial(N - 1)
+    values = [_horner(A[m:], c + k) for k in range(N)]
+    bern = []
+    for _ in range(N):
+        bern.append(dd_from_ratio(values[0], den))
+        values = [v1 - v0 for v0, v1 in zip(values, values[1:])]
+    neg = [dd_from_ratio(A[m - s], den) for s in range(1, m + 1)]
+    # sum_s A[m-s] / u**s = sum_{j<m} A[j] u**j / u**m
+    head = [dd_from_ratio(_horner(A[:m], u), den * u ** m)
+            for u in range(1, c)] if m else []
+    return tuple(bern), tuple(neg), tuple(head)
+
+
+def _horner(coefs: list, u: int) -> int:
+    """sum_j coefs[j] u**j in integers."""
+    v = 0
+    for a in reversed(coefs):
+        v = v * u + a
+    return v
 
 
 def mkz_moment_e2(n: int, x: float) -> float:

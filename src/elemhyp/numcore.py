@@ -131,7 +131,8 @@ def power_integral(e: float, x: float) -> float:
     Equals (1 - (1-x)**(e+1))/(e+1) away from e = -1 and -log(1-x) at the
     branch.  -expm1(t)/w, w = e+1 and t = w log(1-x), is accurate for every
     normal t, however close to the branch; the log form serves the rest
-    (w == 0, or a subnormal t at tiny x, where it is within |t|).
+    (w == 0, or a subnormal t at tiny x, where it is within |t|).  Where
+    (1-x)**(e+1) passes float range it raises NotConverged.
     """
     if not 0.0 < x < 1.0:
         raise DomainError("power_integral requires 0 < x < 1")
@@ -139,4 +140,9 @@ def power_integral(e: float, x: float) -> float:
     t = (e + 1.0) * log1mx
     if abs(t) < sys.float_info.min:
         return -log1mx
-    return -math.expm1(t) / (e + 1.0)
+    # expm1 overflows only for |e+1| > 19 (|log(1-x)| < 37 for a float x), so
+    # the quotient of a finite expm1 stays finite
+    try:
+        return -math.expm1(t) / (e + 1.0)
+    except OverflowError:
+        raise NotConverged("power integral overflows float range") from None

@@ -36,8 +36,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from ._dd import (
-    DD, _extend, _two_prod, dd, dd_add, dd_div, dd_from_int, dd_log, dd_mul,
-    dd_neg, dd_sub, dd_to_float,
+    DD, _extend, _two_prod, dd, dd_add, dd_div, dd_from_int, dd_from_ratio,
+    dd_log, dd_mul, dd_neg, dd_sub, dd_to_float,
 )
 from .hypergeom import _SERIES_REL_TOL
 from .numcore import (
@@ -229,9 +229,8 @@ def _log_series_coef(k: int, j: int) -> DD:
 
 
 def _fraction_dd(q: Fraction) -> DD:
-    """q rounded once to double-double (float of a Fraction rounds correctly)."""
-    hi = float(q)
-    return (hi, float(q - Fraction(hi)))
+    """q rounded once to double-double."""
+    return dd_from_ratio(q.numerator, q.denominator)
 
 
 @lru_cache(maxsize=None)

@@ -25,8 +25,8 @@ from .hypergeom import (
     hyp2f1_series,
 )
 from .mkz import (
-    GmkzParams, Monomial, gmkz_apply, gmkz_e1, gmkz_moment_abel, mkz_moment,
-    mkz_moment_e2, ln_moment_e2, ln_moment_e2_direct,
+    GmkzParams, Monomial, _gmkz_series, gmkz_apply, gmkz_e1, gmkz_moment_abel,
+    mkz_moment, mkz_moment_e2, ln_moment_e2, ln_moment_e2_direct,
 )
 from .numcore import EvalPolicy
 from .polylog import _polylog_dd
@@ -186,7 +186,7 @@ def suite_mkz() -> list:
         for x in _XGRID:
             closed = mkz_moment_e2(n, x)
             kernel = mkz_moment(n, 2, x)
-            direct = gmkz_apply(classical, e2, x, _ORACLE_POLICY).value
+            direct = _gmkz_series(classical, e2, x, _ORACLE_POLICY).value
             entries.append(_entry(
                 "mkz_e2_closed_vs_kernel",
                 {"n": n, "x": x}, closed, kernel, tol))
@@ -205,7 +205,7 @@ def suite_mkz() -> list:
             classical = GmkzParams(n, 1, 0.0, 0.0)
             for x in (0.1, 0.4, 0.8):
                 closed = mkz_moment(n, r, x)
-                direct = gmkz_apply(classical, Monomial(r), x, _ORACLE_POLICY).value
+                direct = _gmkz_series(classical, Monomial(r), x, _ORACLE_POLICY).value
                 entries.append(_entry(
                     "mkz_moment_vs_direct",
                     {"n": n, "r": r, "x": x}, closed, direct, tol))
@@ -229,7 +229,7 @@ def suite_mkz() -> list:
         for m in range(5):
             for x in (0.2, 0.5):
                 abel = gmkz_moment_abel(n, alpha, beta, m, x, _ORACLE_POLICY)
-                direct = gmkz_apply(
+                direct = _gmkz_series(
                     GmkzParams(n, alpha + 1, float(alpha), beta),
                     Monomial(m), x, _ORACLE_POLICY).value
                 entries.append(_entry(

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from elemhyp._dd import (
     ClosedFormContext, _two_prod, _two_sum, dd, dd_add, dd_div, dd_exp, dd_expm1,
-    dd_from_fraction, dd_from_int, dd_log, dd_mul, dd_neg, dd_npow, dd_sqrt,
-    dd_sub, dd_to_float, power_integral_dd,
+    dd_from_fraction, dd_from_int, dd_from_ratio, dd_log, dd_mul, dd_neg,
+    dd_npow, dd_sqrt, dd_sub, dd_to_float, power_integral_dd,
 )
 
 
@@ -80,6 +80,20 @@ def test_dd_npow_matches_fraction(k):
     got = to_frac(dd_npow(dd_from_fraction(3, 7), k))
     want = base**k
     assert abs(got - want) <= abs(want) * Fraction(1, 2**96)
+
+
+@given(st.integers(min_value=-10**200, max_value=10**200),
+       st.integers(min_value=1, max_value=10**200))
+def test_dd_from_ratio_rounds_once(num, den):
+    q = Fraction(num, den)
+    assume(q == 0 or 1e-290 < abs(q) < 1e290)
+    hi, lo = dd_from_ratio(num, den)
+    assert hi == float(q) and lo == float(q - Fraction(hi))
+
+
+def test_dd_from_ratio_overflow():
+    with pytest.raises(OverflowError):
+        dd_from_ratio(10**400, 3)
 
 
 def test_dd_sqrt():

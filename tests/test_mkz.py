@@ -1,7 +1,9 @@
 """Operator moments: closed formulas against direct kernel summation."""
 
+import functools
 import importlib
 import math
+import random
 
 import mpmath as mp
 import pytest
@@ -12,6 +14,8 @@ from elemhyp import (
     gmkz_e1, gmkz_moment_abel, ln_moment_e2, ln_moment_e2_direct, mkz_moment,
     mkz_moment_e2,
 )
+import elemhyp.mkz as mkz
+from elemhyp.mkz import _gmkz_series
 
 TIGHT = EvalPolicy(rel_tol=1e-14)
 
@@ -74,7 +78,7 @@ def test_second_moment_closed_value():
 def test_second_moment_three_routes_agree(n, x):
     closed = mkz_moment_e2(n, x)
     kernel = mkz_moment(n, 2, x)
-    direct = gmkz_apply(classical(n), Monomial(2), x, TIGHT).value
+    direct = _gmkz_series(classical(n), Monomial(2), x, TIGHT).value
     assert math.isclose(closed, kernel, rel_tol=1e-11)
     assert math.isclose(closed, direct, rel_tol=1e-11)
 
@@ -106,7 +110,7 @@ def test_moment_edge_orders():
 def test_higher_moments_vs_direct(r, n):
     for x in (0.1, 0.4, 0.8):
         closed = mkz_moment(n, r, x)
-        direct = gmkz_apply(classical(n), Monomial(r), x, TIGHT).value
+        direct = _gmkz_series(classical(n), Monomial(r), x, TIGHT).value
         assert math.isclose(closed, direct, rel_tol=1e-9)
 
 
@@ -143,7 +147,7 @@ def test_abel_route_vs_direct(n, alpha, beta):
     for m in range(5):
         for x in (0.2, 0.5):
             got = gmkz_moment_abel(n, alpha, beta, m, x, TIGHT)
-            want = gmkz_apply(params, Monomial(m), x, TIGHT).value
+            want = _gmkz_series(params, Monomial(m), x, TIGHT).value
             assert math.isclose(got, want, rel_tol=1e-10)
 
 
@@ -281,3 +285,117 @@ def test_kernel_moment_forms_each_log_once(monkeypatch):
     polylog_module._x_parts.cache_clear()
     mkz_moment(10, 8, 0.7123456789)
     assert len(calls) == 3
+
+
+# gmkz_apply's closed route (a Monomial with integer alpha, from
+# mkz._APPLY_CLOSED_FROM up).  The pins are benchmark oracle values (its
+# polylog rewrite at 140 digits); the series was off by 1.2e-9 and 1.1e-9
+# at the first two and raised NotConverged at the third.
+@pytest.mark.parametrize("n,r,alpha,beta,m,x,want", [
+    (11, 3, 0.0, 0.0, 7, 0.9988417162831607, 0.993159889587186),
+    (6, -1, 3.0, 0.6121395091438062, 8, 0.9989819822355902, 0.9831186825602073),
+    (4, 2, 2.0, 1.5, 5, 1 - 1e-6, 0.9999955000112498),
+])
+def test_apply_closed_route_pins(n, r, alpha, beta, m, x, want):
+    got = gmkz_apply(GmkzParams(n, r, alpha, beta), Monomial(m), x)
+    assert got.trunc_err_est == 0.0 and got.converged
+    assert abs(got.value - want) <= 1e-14 * want
+
+
+@functools.lru_cache(maxsize=None)
+def _polylog_mp(s, x):
+    return mp.polylog(s, mp.mpf(x))
+
+
+def _moment_mp(N, c, beta, m, x):
+    """(1-x)**N sum_k C(N+k-1,k) x**k ((k+beta)/(k+c))**m at 80 digits.
+
+    With u = k + c the summand is a Laurent polynomial sum_e a_e u**e,
+    formed here in mpmath, and sum_k x**k (k+c)**e is
+    x**(-c) (Li_{-e}(x) - sum_{0<u<c} u**e x**u), mpmath's polylog of
+    integer order (a rational function for e >= 0).
+    """
+    with mp.workdps(80):
+        xm = mp.mpf(x)
+        d = mp.mpf(beta) - c
+        poly = [mp.mpf(1)]  # prod_{t=1}^{N-1} (u - c + t), ascending powers
+        for t in range(1, N):
+            poly = [up + (t - c) * same for up, same in zip([0] + poly, poly + [0])]
+        coefs = {}
+        for i, p in enumerate(poly):
+            for l in range(m + 1):
+                e = i + l - m
+                coefs[e] = coefs.get(e, 0) + p * mp.binomial(m, l) * d ** (m - l)
+        total = mp.fsum(
+            a * (_polylog_mp(-e, x) - mp.fsum(mp.mpf(u) ** e * xm ** u for u in range(1, c)))
+            for e, a in coefs.items())
+        return (1 - xm) ** N * total / xm ** c / mp.factorial(N - 1)
+
+
+@pytest.mark.parametrize("x", [mkz._APPLY_CLOSED_FROM, 0.99, 0.999, 1 - 1e-6])
+@pytest.mark.parametrize("m", [0, 1, 4, 8])
+def test_apply_closed_route_vs_mpmath(x, m):
+    n, alpha = 3, 2
+    c = n + alpha
+    for N in (1, c - 1, c + 1, c + 3):
+        for beta in (0.0, alpha / 2, float(alpha)):
+            got = gmkz_apply(GmkzParams(n, N - n, float(alpha), beta), Monomial(m), x)
+            assert got.trunc_err_est == 0.0, (N, beta)  # the closed route
+            if m == 0:
+                assert abs(got.value - 1.0) <= 1e-16
+            want = _moment_mp(N, c, beta, m, x)
+            assert abs(got.value - want) <= 1e-14 * want, (N, beta)
+
+
+def test_apply_closed_route_vs_series():
+    rng = random.Random(20261018)
+    full = EvalPolicy(rel_tol=1e-17)
+    for _ in range(30):
+        n, alpha = rng.randint(1, 12), rng.randint(0, 3)
+        params = GmkzParams(n, 1 - n + rng.randint(0, n + 2), float(alpha),
+                            rng.random() * alpha)
+        f = Monomial(rng.randint(0, 8))
+        x = rng.uniform(mkz._APPLY_CLOSED_FROM, 0.98)
+        closed = gmkz_apply(params, f, x)
+        assert closed.trunc_err_est == 0.0
+        series = _gmkz_series(params, f, x, full)
+        assert math.isclose(closed.value, series.value, rel_tol=1e-12), (params, f, x)
+
+
+def test_apply_closed_route_rounding_bound():
+    # far below the switch the Bernstein and polylog parts cancel: at
+    # (N, c, beta, m) = (12, 14, 1.5, 8), x = 0.05, sum |term| / |value| is
+    # 9e32 and the unguarded value is off by a factor ~10; the bound rejects
+    # it, and keeps (8, 5, 2.0, 8) at x = 0.1 (ratio 8e8)
+    assert mkz._gmkz_closed(12, 14, 1.5, 8, 0.05) is None
+    kept = mkz._gmkz_closed(8, 5, 2.0, 8, 0.1)
+    want = _moment_mp(8, 5, 2.0, 8, 0.1)
+    assert abs(kept.value - want) <= 1e-15 * want
+
+
+def test_apply_route_guard(monkeypatch):
+    # a routing slip would turn a sub-millisecond closed call into a series
+    # of ~(N+50)/(1-x) terms; at x = 0.999 only a monomial with integer
+    # alpha may skip the series
+    def boom(*args):
+        raise AssertionError("series reached")
+
+    monkeypatch.setattr(mkz, "_gmkz_series", boom)
+    x = 0.999
+    gmkz_apply(GmkzParams(5, 2, 3.0, 1.5), Monomial(6), x)
+    with pytest.raises(AssertionError, match="series reached"):
+        gmkz_apply(GmkzParams(5, 2, 1.5, 1.5), Monomial(6), x)
+    with pytest.raises(AssertionError, match="series reached"):
+        gmkz_apply(GmkzParams(5, 2, 3.0, 1.5), lambda t: t ** 6, x)
+
+
+def test_series_tail_bound_meets_its_tolerance():
+    # the small-term stop missed 1e-12 by 1.2e-9 with these parameters at
+    # x = 0.99884, and by up to 4e-11 on the benchmark's [0.5, 0.99) band;
+    # the bounded tail stops within rel_tol
+    params, f = GmkzParams(11, 3, 0.0, 0.0), Monomial(7)
+    for x in (0.6, 0.9, 0.97):
+        res = _gmkz_series(params, f, x)
+        assert res.trunc_err_est <= 1e-12 * abs(res.value)
+        want = _moment_mp(14, 11, 0.0, 7, x)
+        assert abs(res.value - want) <= 1e-12 * want

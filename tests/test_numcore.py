@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from elemhyp import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NonFinite,
-    gen_binomial, pochhammer, power_integral, sum_series,
+    NotConverged, gen_binomial, pochhammer, power_integral, sum_series,
 )
 
 
@@ -142,6 +142,13 @@ def test_power_integral_next_to_the_branch(e, x):
         w = mp.mpf(e) + 1
         want = -mp.expm1(w * mp.log1p(-mp.mpf(x))) / w
         assert abs(power_integral(e, x) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("e,x", [(-40.0, 1 - 1e-12), (-25.0, 1 - 2.0 ** -53)])
+def test_power_integral_overflow_is_typed(e, x):
+    # (1-x)**(e+1) passes float range: a typed error, not math's OverflowError
+    with pytest.raises(NotConverged, match="overflows float range"):
+        power_integral(e, x)
 
 
 @pytest.mark.parametrize("x", [0.0, 1.0, -0.1, 1.5])
