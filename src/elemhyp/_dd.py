@@ -59,14 +59,19 @@ def dd_from_int(i: int) -> DD:
 
 
 def dd_from_fraction(num: int, den: int) -> DD:
+    """num/den from its rounded operands: relative error ~1e-32, beyond
+    dd_from_ratio's single rounding.  Kept only where the closed forms'
+    values are pinned bit for bit (hypergeom, basis, verify); new code
+    takes dd_from_ratio.
+    """
     return dd_div(dd_from_int(num), dd_from_int(den))
 
 
 def dd_from_ratio(num: int, den: int) -> DD:
-    """num/den rounded once, for integers of any size (dd_from_fraction
-    rounds its operands and the quotient instead); OverflowError past float
-    range.  Integer true division rounds correctly, so hi is the nearest
-    float and lo the nearest float to the exact remainder num/den - hi.
+    """num/den rounded once, for integers of any size: the converter for new
+    code.  OverflowError past float range.  Integer true division rounds
+    correctly, so hi is the nearest float and lo the nearest float to the
+    exact remainder num/den - hi.
     """
     hi = num / den
     hn, hd = hi.as_integer_ratio()

@@ -6,14 +6,14 @@ gmkz_apply applies the generalized operator
 
 with the classical operator at (r, a, b) = (1, 0, 0).  Two routes:
 
-  1. the series, summed term by term until a bound on its tail meets the
+  1. the series, summed by sum_series until a bound on its tail meets the
      tolerance (_gmkz_series, also the direct-summation oracle of the
      tests and of verify);
   2. from x = _APPLY_CLOSED_FROM up, for a Monomial(m) with integer a, the
      exact combination of elementary functions and Li_s(x), s = 1..m, of
      _gmkz_closed: N + m + c - 1 double-double terms (N = n + r,
-     c = n + a) where the series needs ~(N+50)/(1-x).  A closed value that
-     fails its rounding bound goes to the series.
+     c = n + a) where the series needs ~(N+50)/(1-x).  A closed value
+     that fails its rounding bound goes to the series.
 
 Everything else here is a closed or semi-closed moment formula tested
 against the series: second-moment formulas through the 2F1 dispatcher, the
@@ -37,8 +37,8 @@ from ._dd import (
 from .basis import fnj_base, fnj_eval, fnj_series
 from .hypergeom import _SERIES_REL_TOL, HypergeomParams, hyp2f1_eval
 from .numcore import (
-    DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NonFinite,
-    NotConverged, SeriesResult, sum_series,
+    DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
+    SeriesResult, sum_series,
 )
 from .polylog import _polylog_dd
 
@@ -53,6 +53,12 @@ _KERNEL_SERIES_BELOW = 0.2
 # less than the closed form's ~0.6 ms with the polylogs at a new x (0.25 ms
 # with them cached): the two cold costs cross at about 0.9.
 _APPLY_CLOSED_FROM = 0.9
+
+# The closed form's coefficients take ~N**2 + c*(m+1) Python-int steps
+# (~0.15 s cold at N = c = 310); past this many it is not tried.  The
+# series cannot stand in there: its weights (1-x)**N underflow from
+# N = 310 at x = 0.9.
+_CLOSED_MAX_STEPS = 100000
 
 # The closed form's rounding bound: each double-double term carries about
 # _CLOSED_TERM_ERR relative, and the sum of the terms' magnitudes times that
@@ -106,10 +112,10 @@ def gmkz_apply(params: GmkzParams, f, x: float,
     sum of the terms' magnitudes, Li_s and the sum it is cut by counted
     apart.  The closed form is kept where abs_sum * _CLOSED_TERM_ERR stays
     within _CLOSED_REL of the value and every coefficient within float
-    range, and where its ~N**2 + c*(m+1) steps stay within
-    policy.max_terms.  Every other case, and a closed value that fails
-    that bound, is summed by _gmkz_series to full precision (tolerance
-    min(rel_tol, 1e-17), as hyp2f1_eval's series).
+    range, and is tried only where its coefficients take at most
+    _CLOSED_MAX_STEPS steps (~N**2 + c*(m+1)).  Every other case, and a
+    closed value that fails that bound, is summed by _gmkz_series to full
+    precision (tolerance min(rel_tol, 1e-17), as hyp2f1_eval's series).
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("operator series requires 0 <= x < 1")
@@ -117,7 +123,7 @@ def gmkz_apply(params: GmkzParams, f, x: float,
     if x >= _APPLY_CLOSED_FROM and isinstance(f, Monomial) \
             and float(a).is_integer():
         N, c, m = params.n + params.r, params.n + int(a), f.r
-        if N * N + c * (m + 1) <= policy.max_terms:
+        if N * N + c * (m + 1) <= _CLOSED_MAX_STEPS:
             res = _gmkz_closed(N, c, params.beta, m, x)
             if res is not None:
                 return res
@@ -132,43 +138,46 @@ def _gmkz_series(params: GmkzParams, f, x: float,
     The weights w_k = (1-x)**N C(N+k-1, k) x**k, N = n + r, step by
     x (N+k)/(k+1), which falls with k; so once rho = x (N+k+1)/(k+2) < 1
     everything after term k is at most F w_{k+1} / (1 - rho), F a bound on
-    |f| at the later nodes (k+b)/(n+k+a) in [0, 1).  The sum stops once
-    that bound is at most rel_tol times the partial sum, which it returns
-    as trunc_err_est.  F = 1 for a Monomial.  For any other f, F is the
+    |f| at the later nodes (k+b)/(n+k+a) in [0, 1).  sum_series stops once
+    that bound is at most rel_tol times the partial sum, and returns it as
+    trunc_err_est.  F = 1 for a Monomial.  For any other f, F is the
     largest |f| met so far: a bound only where |f| at the later nodes,
-    which tend to 1, stays below it.  Raises NotConverged at
-    policy.max_terms, or where (1-x)**N leaves the normal float range.
+    which tend to 1, stays below it; until some f is nonzero there is no
+    bound, so an f that is 0 at every node raises NotConverged.  Raises
+    NotConverged at policy.max_terms, or where (1-x)**N leaves the normal
+    float range.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("operator series requires 0 <= x < 1")
     n, r, a, b = params.n, params.r, params.alpha, params.beta
     N = n + r
     monomial = isinstance(f, Monomial)
-    bound = 1.0 if monomial else 0.0
     w = (1.0 - x) ** N
     if w < sys.float_info.min:
         raise NotConverged("operator weights underflow float range")
-    s = comp = abs_sum = 0.0
-    for k in range(policy.max_terms):
-        fk = f((k + b) / (n + k + a))
-        term = w * fk
-        if not math.isfinite(term):
-            raise NonFinite(f"non-finite term at index {k}")
-        if not monomial:
-            bound = max(bound, abs(fk))
-        y = term - comp  # Kahan-compensated sum
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        abs_sum += abs(term)
-        w *= (N + k) / (k + 1.0) * x
-        rho = x * (N + k + 1) / (k + 2.0)
-        if rho < 1.0:
-            tail = bound * w / (1.0 - rho)
-            if tail <= policy.rel_tol * abs(s):
-                return SeriesResult(value=s, terms_used=k + 1, converged=True,
-                                    trunc_err_est=tail, abs_sum=abs_sum)
-    raise NotConverged("operator series did not converge")
+
+    def terms():
+        w_k, bound, k = w, 1.0 if monomial else 0.0, 0
+        while True:
+            fk = f((k + b) / (n + k + a))
+            term = w_k * fk
+            if not monomial:
+                bound = max(bound, abs(fk))
+            w_k *= (N + k) / (k + 1.0) * x
+            rho = x * (N + k + 1) / (k + 2.0)
+            if w_k == 0.0:
+                tail = 0.0
+            elif rho < 1.0 and bound > 0.0:
+                tail = bound * w_k / (1.0 - rho)
+            else:
+                tail = math.inf
+            yield term, tail
+            k += 1
+
+    res = sum_series(terms(), policy, bounded=True)
+    if not res.converged:
+        raise NotConverged("operator series did not converge")
+    return res
 
 
 def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):

@@ -82,7 +82,8 @@ def gen_binomial(a: float, k: int) -> float:
     return pochhammer(a - k + 1, k) / math.factorial(k)
 
 
-def sum_series(term_source: Iterable[float], policy: EvalPolicy = DEFAULT_POLICY) -> SeriesResult:
+def sum_series(term_source: Iterable, policy: EvalPolicy = DEFAULT_POLICY,
+               bounded: bool = False) -> SeriesResult:
     """Kahan-compensated accumulation with small-term stopping.
 
     Stops once policy.consecutive_small successive terms each satisfy
@@ -91,15 +92,22 @@ def sum_series(term_source: Iterable[float], policy: EvalPolicy = DEFAULT_POLICY
     support is an exact sum).  abs_sum, the sum of the absolute values of
     the terms, bounds the rounding error of the sum together with
     terms_used.
+
+    A bounded source yields (term, tail) pairs instead, tail a bound on the
+    sum of all later terms (math.inf while none is known).  The sum then
+    stops once tail <= rel_tol * |partial sum|, and trunc_err_est is that
+    tail.
     """
     s = 0.0
     c = 0.0
     abs_sum = 0.0
     small_run = 0
     terms_used = 0
-    last = 0.0
+    last = tail = 0.0
     converged = False
     for term in term_source:
+        if bounded:
+            term, tail = term
         term = float(term)
         if not math.isfinite(term):
             raise NonFinite(f"non-finite term at index {terms_used}")
@@ -110,7 +118,11 @@ def sum_series(term_source: Iterable[float], policy: EvalPolicy = DEFAULT_POLICY
         abs_sum += abs(term)
         terms_used += 1
         last = term
-        if abs(term) <= policy.rel_tol * abs(s):
+        if bounded:
+            if tail <= policy.rel_tol * abs(s):
+                converged = True
+                break
+        elif abs(term) <= policy.rel_tol * abs(s):
             small_run += 1
             if small_run >= policy.consecutive_small:
                 converged = True
@@ -122,7 +134,8 @@ def sum_series(term_source: Iterable[float], policy: EvalPolicy = DEFAULT_POLICY
     else:
         converged = True  # exhausted source: exact finite sum
     return SeriesResult(value=s, terms_used=terms_used, converged=converged,
-                        trunc_err_est=abs(last), abs_sum=abs_sum)
+                        trunc_err_est=tail if bounded else abs(last),
+                        abs_sum=abs_sum)
 
 
 def power_integral(e: float, x: float) -> float:

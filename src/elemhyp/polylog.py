@@ -85,7 +85,10 @@ def polylog(k: int, x: float) -> float:
 
 def _unit_polylog_dd(k: int, x: float) -> DD:
     """Li_k(x) in double-double for 0 <= x <= 1, k >= 2: zeta(k) at 1."""
-    return _fraction_dd(_zeta(k)) if x == 1.0 else _polylog_dd(k, x)
+    if x == 1.0:
+        z = _zeta(k)
+        return dd_from_ratio(z.numerator, z.denominator)
+    return _polylog_dd(k, x)
 
 
 def polylog_derivative_series(j: int, d: int, x: float,
@@ -225,11 +228,7 @@ def _log_series_coef(k: int, j: int) -> DD:
         q = sum(Fraction(1, i) for i in range(1, k))
     else:
         q = _zeta(k - j)
-    return _fraction_dd(q / math.factorial(j))
-
-
-def _fraction_dd(q: Fraction) -> DD:
-    """q rounded once to double-double."""
+    q /= math.factorial(j)
     return dd_from_ratio(q.numerator, q.denominator)
 
 

@@ -10,9 +10,9 @@ import pytest
 
 from elemhyp import _dd
 from elemhyp import (
-    DomainError, EvalPolicy, GmkzParams, InvalidParams, Monomial, gmkz_apply,
-    gmkz_e1, gmkz_moment_abel, ln_moment_e2, ln_moment_e2_direct, mkz_moment,
-    mkz_moment_e2,
+    DomainError, EvalPolicy, GmkzParams, InvalidParams, Monomial, NotConverged,
+    gmkz_apply, gmkz_e1, gmkz_moment_abel, ln_moment_e2, ln_moment_e2_direct,
+    mkz_moment, mkz_moment_e2,
 )
 import elemhyp.mkz as mkz
 from elemhyp.mkz import _gmkz_series
@@ -387,6 +387,34 @@ def test_apply_route_guard(monkeypatch):
         gmkz_apply(GmkzParams(5, 2, 1.5, 1.5), Monomial(6), x)
     with pytest.raises(AssertionError, match="series reached"):
         gmkz_apply(GmkzParams(5, 2, 3.0, 1.5), lambda t: t ** 6, x)
+
+
+def test_apply_route_ignores_max_terms():
+    # the route is chosen from the inputs alone: a small series cap neither
+    # turns the closed form away nor changes its value
+    params, f, x = GmkzParams(5, 2, 3.0, 1.5), Monomial(6), 0.999
+    capped = gmkz_apply(params, f, x, EvalPolicy(max_terms=10))
+    assert capped == gmkz_apply(params, f, x)
+    assert capped.trunc_err_est == 0.0
+
+
+@pytest.mark.parametrize("x", [0.05, 0.1, 0.5])
+def test_series_function_zero_at_first_node(x):
+    # t**2 is 0 at the first node (beta = 0), so the largest |f| met there
+    # bounds nothing: the tail test waits for a nonzero f and the sum
+    # matches Monomial(2)'s, whose bound is F = 1
+    params = GmkzParams(3, 0, 0.0, 0.0)
+    got = gmkz_apply(params, lambda t: t * t, x).value
+    want = gmkz_apply(params, Monomial(2), x).value
+    assert got > 0.0
+    assert math.isclose(got, want, rel_tol=1e-15)
+    assert abs(got - _moment_mp(3, 3, 0.0, 2, x)) <= 1e-15 * want
+
+
+def test_series_zero_function_raises():
+    with pytest.raises(NotConverged):
+        _gmkz_series(GmkzParams(3, 0, 0.0, 0.0), lambda t: 0.0, 0.5,
+                     EvalPolicy(max_terms=1000))
 
 
 def test_series_tail_bound_meets_its_tolerance():

@@ -78,6 +78,26 @@ def test_sum_series_cap_reports_not_converged():
     assert res.terms_used == 10
 
 
+def test_sum_series_bounded_stops_on_its_tail():
+    # 1/2**k with the exact tail 1/2**k after term k: the small-term rule
+    # would stop at the first term below rel_tol, the bounded one only once
+    # the tail is, and reports it; an unknown tail (inf) never stops
+    def terms():
+        k = 0
+        while True:
+            yield 0.5 ** k, 0.5 ** k
+            k += 1
+
+    res = sum_series(terms(), bounded=True)
+    assert res.converged
+    assert res.trunc_err_est <= 1e-12 * res.value
+    assert abs(res.value - 2.0) <= res.trunc_err_est + 1e-15
+    res = sum_series(((1.0, math.inf) for _ in range(10**9)),
+                     EvalPolicy(max_terms=10), bounded=True)
+    assert not res.converged
+    assert res.terms_used == 10
+
+
 def test_sum_series_survives_transient_zero_terms():
     res = sum_series(iter([1.0, 0.0, 0.5, 0.0, 0.0, 0.0]))
     assert res.converged

@@ -14,7 +14,7 @@ from elemhyp import (
 )
 from elemhyp import _dd
 from elemhyp.polylog import (
-    _LOG_SERIES_FROM, _fraction_dd, _polylog_dd, _polylog_log_series,
+    _LOG_SERIES_FROM, _polylog_dd, _polylog_log_series,
     _polylog_power_series, _x_parts, _zeta,
 )
 
@@ -250,7 +250,8 @@ def test_dd_polylog_threads_share_the_x_parts_safely(monkeypatch):
 @pytest.mark.parametrize("s", range(2, 41))
 def test_dd_zeta_vs_mpmath(s):
     with mp.workdps(60):
-        assert _dd_rel_err(_fraction_dd(_zeta(s)), mp.zeta(s)) < 1e-31
+        z = _zeta(s)
+        assert _dd_rel_err(_dd.dd_from_ratio(z.numerator, z.denominator), mp.zeta(s)) < 1e-31
 
 
 @pytest.mark.parametrize("n", range(41))
