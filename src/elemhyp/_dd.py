@@ -245,9 +245,8 @@ class ClosedFormContext:
     (1-x)**(1-n), times (1-x)**shift from the power table, so the general
     form pays one dd_exp per call where it paid one per shift.
 
-    The kernel combos (basis.fnj_eval) read the same context: log(1-x) and
-    the pow ratios (1-(1-x)**i)/(1-x)**i, each memoized, so the combos
-    f_{d,j} of one kernel moment form them once, not once per j.
+    basis.combo_eval reads log(1-x) and the pow ratios
+    (1-(1-x)**i)/(1-x)**i from a context of its own.
     """
 
     def __init__(self, x: float):
@@ -257,7 +256,6 @@ class ClosedFormContext:
         self._ompows = [dd(1.0)]
         self._integrals = {}
         self._bases = {}
-        self._pow_ratios = {}
 
     @cached_property
     def log(self) -> DD:
@@ -273,11 +271,9 @@ class ClosedFormContext:
         return _extend(self._ompows, self.omx, top)
 
     def pow_ratio(self, i: int) -> DD:
-        """(1 - (1-x)**i) / (1-x)**i from the 1-x power table, memoized by i."""
-        if i not in self._pow_ratios:
-            pw = self.ompows(i)[i]
-            self._pow_ratios[i] = dd_div(dd_sub(dd(1.0), pw), pw)
-        return self._pow_ratios[i]
+        """(1 - (1-x)**i) / (1-x)**i from the 1-x power table."""
+        pw = self.ompows(i)[i]
+        return dd_div(dd_sub(dd(1.0), pw), pw)
 
     def _base(self, n: float):
         """(1-x)**(1-n), memoized by n; None above 2**996."""

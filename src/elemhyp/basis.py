@@ -21,12 +21,9 @@ Coefficients stay exact Fractions throughout; only evaluation is floating
 point (double-double internally).  The combo for every (n, j) has exactly n
 terms, which the tests pin down case by case.
 
-Evaluation reads the basis values from a _dd.ClosedFormContext at x, where
-log(1-x) and each pow ratio are memoized, and Li_k from polylog._polylog_dd,
-whose x-only parts are shared by every k.  fnj_eval evaluates the memoized
-combo f_{n,j} against a caller's context with its coefficients rounded to
-double-double once per (n, j), so the kernels of one moment share one
-context; combo_eval evaluates any combo on a fresh context.
+combo_eval reads the basis values from a fresh _dd.ClosedFormContext at x
+and Li_k from polylog._polylog_dd, whose x-only parts are shared by every
+k.
 """
 
 from __future__ import annotations
@@ -160,54 +157,28 @@ def fnj_combo(n: int, j: int) -> SymbolicCombo:
     return SymbolicCombo(n=n, j=j, terms=_apply_t(prev.terms))
 
 
-def _rounded(c: SymbolicCombo) -> tuple:
-    """c's (basis function, coefficient) pairs in sorted order, each
-    coefficient rounded once to double-double."""
-    return tuple((b, dd_from_fraction(q.numerator, q.denominator))
-                 for b, q in c.sorted_terms())
-
-
-@lru_cache(maxsize=None)
-def _fnj_rounded(n: int, j: int) -> tuple:
-    """_rounded(fnj_combo(n, j)), memoized beside fnj_combo by (n, j)."""
-    return _rounded(fnj_combo(n, j))
-
-
-def _eval_rounded(terms: tuple, n: int, ctx: ClosedFormContext) -> float:
-    total = dd(0.0)
-    for b, cd in terms:
-        if b.kind == "pow_ratio":
-            val = ctx.pow_ratio(b.index)
-        elif b.kind == "log":
-            val = ctx.log
-        else:
-            val = _polylog_dd(b.index, ctx.x)
-        total = dd_add(total, dd_mul(cd, val))
-    return dd_to_float(dd_div(total, dd_npow(dd(ctx.x), n)))
-
-
-def fnj_eval(n: int, j: int, ctx: ClosedFormContext) -> float:
-    """f_{n,j}(x) at x = ctx.x from the memoized combo, j >= 2, 0 < x < 1.
-
-    The pow ratios and log(1-x) come from ctx, so evaluating several combos
-    against one context forms each of them once; the dd coefficients are
-    rounded once per (n, j).  Equal, bit for bit, to
-    combo_eval(fnj_combo(n, j), ctx.x).
-    """
-    return _eval_rounded(_fnj_rounded(n, j), n, ctx)
-
-
 def combo_eval(c: SymbolicCombo, x: float) -> float:
     """Numerical value of f_{n,j} from its combo.  0 < x < 1.
 
     Evaluation runs in double-double on a fresh ClosedFormContext(x), with
     c's coefficients rounded to double-double, and is rounded once at the
-    end.  The x**(-n) prefactor cancels digits at small x (see
-    mkz._kernel_moment).
+    end.  The x**(-n) prefactor cancels digits at small x (4.1e-5 relative
+    at (n, j, x) = (20, 12, 0.2)), where fnj_series is the accurate route.
     """
     if not 0.0 < x < 1.0:
         raise DomainError("combo evaluation requires 0 < x < 1")
-    return _eval_rounded(_rounded(c), c.n, ClosedFormContext(x))
+    ctx = ClosedFormContext(x)
+    total = dd(0.0)
+    for b, q in c.sorted_terms():
+        if b.kind == "pow_ratio":
+            val = ctx.pow_ratio(b.index)
+        elif b.kind == "log":
+            val = ctx.log
+        else:
+            val = _polylog_dd(b.index, x)
+        cd = dd_from_fraction(q.numerator, q.denominator)
+        total = dd_add(total, dd_mul(cd, val))
+    return dd_to_float(dd_div(total, dd_npow(dd(x), c.n)))
 
 
 def fnj_series(n: int, j: int, x: float,

@@ -29,12 +29,14 @@ The dispatcher hyp2f1_eval tries three routes in order:
      estimate is within _GUARD_REL;
   3. the defining series at the policy's tolerance.
 
-Short terminating polynomials, and points whose a-priori digit loss
-(p-1)*log10(1/x) exceeds _MAX_DIGIT_LOSS, skip route 2.  Where the closed
-form of route 2 overflows float range or comes out non-finite (large n next
-to x = 1), route 3 is not taken: the closed form of the Euler-transformed
-triple (p-m, p-n; p) (DLMF 15.8.1), under the same test, times
-(1-x)**(p-m-n) answers instead, or NotConverged is raised.
+A short terminating polynomial (n a nonpositive integer >= -16) that route
+1 does not keep is summed exactly in integers and rounded once instead of
+routes 2 and 3.  Points whose a-priori digit loss (p-1)*log10(1/x) exceeds
+_MAX_DIGIT_LOSS skip route 2.  Where the closed form of route 2 overflows
+float range or comes out non-finite (large n next to x = 1), route 3 is not
+taken: the closed form of the Euler-transformed triple (p-m, p-n; p)
+(DLMF 15.8.1), under the same test, times (1-x)**(p-m-n) answers instead,
+or NotConverged is raised.
 """
 
 from __future__ import annotations
@@ -388,6 +390,26 @@ def _euler_on_overflow(m: int, n: float, p: int, x: float) -> float:
     raise NotConverged("closed form overflows float range")
 
 
+def _short_poly_exact(m: int, K: int, p: int, x: float) -> float:
+    """2F1(m, -K; p; x) for integer K >= 1, summed exactly, rounded once.
+
+    The coefficients (m)_k (-K)_k / ((p)_k k!) share the integer denominator
+    prod_{i<K} (p+i)(i+1); with x = a/b, b a power of two, the sum is one
+    integer over that denominator times b**K, built by Horner's rule in
+    Python ints, and CPython rounds an int / int true division correctly.
+    """
+    a, b = x.as_integer_ratio()
+    rising = [1]  # (m)_k (-K)_k
+    for k in range(K):
+        rising.append(rising[-1] * (m + k) * (k - K))
+    num, scale = 0, 1  # scale = b**(K-k) prod_{k<=i<K} (p+i)(i+1)
+    for k in range(K, -1, -1):
+        num = num * a + rising[k] * scale
+        if k:
+            scale *= (p + k - 1) * k * b
+    return num / scale
+
+
 def hyp2f1_eval(params: HypergeomParams, x: float,
                 policy: EvalPolicy = DEFAULT_POLICY) -> float:
     """Stability-aware dispatcher.
@@ -399,8 +421,9 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
     most specific closed form; its value is rejected when the estimated
     cancellation (tracked during the double-double assembly) exceeds
     _GUARD_REL, or when the a-priori digit-loss bound (p-1)*log10(1/x)
-    already rules it out.  Short terminating polynomials skip the closed
-    form.  The series is the fallback, reusing the sum already made below
+    already rules it out.  A short terminating polynomial (n a nonpositive
+    integer >= -16) takes neither: it is summed exactly and rounded once.
+    The series is the fallback, reusing the sum already made below
     _X_SWITCH.  A series that hits policy.max_terms raises NotConverged.
     Where the closed form overflows float range or comes out non-finite, the
     series is not tried (its terms stop short of the true sum there): the
@@ -423,11 +446,12 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
             raise NotConverged("series did not converge")
         if res.terms_used * res.abs_sum * 2.0 ** -53 <= _GUARD_REL * abs(res.value):
             return res.value
-    # A nonpositive integer n makes the series a short exact polynomial; for
-    # small degree that beats any closed form (no log, no x**(1-p) prefactor),
-    # so only deeper polynomials go through the closed-form machinery.
-    short_poly = n < 0.0 and float(n).is_integer() and -n <= 16
-    if not short_poly and (p - 1) * math.log10(1.0 / x) <= _MAX_DIGIT_LOSS:
+    # A nonpositive integer n makes the series a short polynomial; for small
+    # degree its exact sum beats any closed form (no log, no x**(1-p)
+    # prefactor), so only deeper polynomials go through the closed forms.
+    if n < 0.0 and float(n).is_integer() and -n <= 16:
+        return _short_poly_exact(m, -int(n), p, x)
+    if (p - 1) * math.log10(1.0 / x) <= _MAX_DIGIT_LOSS:
         try:
             val, ratio = _closed_route(m, n, p, x)
         except NotConverged:  # the closed form passes float range

@@ -15,12 +15,12 @@ with the classical operator at (r, a, b) = (1, 0, 0).  Two routes:
      c = n + a) where the series needs ~(N+50)/(1-x).  A closed value
      that fails its rounding bound goes to the series.
 
-Everything else here is a closed or semi-closed moment formula tested
-against the series: second-moment formulas through the 2F1 dispatcher, the
-first moment of the generalized operator, and the higher moments of the
-classical operator and of M_{n,alpha+1}^{alpha,beta} (the Abel-summation
-formula) as one sum of the kernels f_{d,j}(x) = sum_k C(d+k,k) x**k / (d+k)**j
-(see _kernel_moment).
+The higher moments of the classical operator (mkz_moment) and of
+M_{n,alpha+1}^{alpha,beta} (gmkz_moment_abel) are gmkz_apply on a
+Monomial, so they take the same two routes.  The other moment formulas here
+are closed or semi-closed and tested against the series: second moments
+through the 2F1 dispatcher and the first moment of the generalized
+operator.
 """
 
 from __future__ import annotations
@@ -34,18 +34,12 @@ from ._dd import (
     ClosedFormContext, dd, dd_add, dd_div, dd_from_ratio, dd_mul, dd_neg,
     dd_sub, dd_to_float,
 )
-from .basis import fnj_base, fnj_eval, fnj_series
 from .hypergeom import _SERIES_REL_TOL, HypergeomParams, hyp2f1_eval
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
     SeriesResult, sum_series,
 )
 from .polylog import _polylog_dd
-
-# Below this x the moment kernels f_{d,j}, j >= 2, come from their series
-# (term ratio tending to x), from it up from the exact combos, whose x**(-d)
-# prefactor cancels digits at small x (see _kernel_moment).
-_KERNEL_SERIES_BELOW = 0.2
 
 # From this x up, gmkz_apply takes a Monomial with integer alpha through the
 # closed form of _gmkz_closed, whose cost does not grow with 1/(1-x).  Below
@@ -287,10 +281,12 @@ def mkz_moment_e2(n: int, x: float) -> float:
 
 def mkz_moment(n: int, r: int, x: float,
                policy: EvalPolicy = DEFAULT_POLICY) -> float:
-    """r-th moment of the classical operator as a sum of kernels f_{n,j}.
+    """r-th moment M_n e_r(x) of the classical operator, 0 < x < 1.
 
-    M_n e_r(x) = 1 + (1-x)**(n+1) * sum_{j=1}^{r} C(r,j) (-n)**j f_{n,j}(x),
-    assembled by _kernel_moment (see there for where each kernel comes from).
+    The operator at (r, alpha, beta) = (1, 0, 0), so this is
+    gmkz_apply(GmkzParams(n, 1, 0.0, 0.0), Monomial(r), x, policy).value:
+    the closed form from x = _APPLY_CLOSED_FROM up, the full-precision
+    series below it.  Order 0 is exactly 1.0.
     """
     if n < 1:
         raise InvalidParams("n must be >= 1")
@@ -300,7 +296,7 @@ def mkz_moment(n: int, r: int, x: float,
         raise DomainError("moment requires 0 < x < 1")
     if r == 0:
         return 1.0
-    return _kernel_moment(n, n, r, x, policy)
+    return gmkz_apply(GmkzParams(n, 1, 0.0, 0.0), Monomial(r), x, policy).value
 
 
 def ln_moment_e2(n: int, x: float) -> float:
@@ -368,11 +364,11 @@ def gmkz_e1(params: GmkzParams, x: float) -> float:
 
 def gmkz_moment_abel(n: int, alpha: int, beta: float, m: int, x: float,
                      policy: EvalPolicy = DEFAULT_POLICY) -> float:
-    """m-th moment of M_{n,alpha+1}^{alpha,beta} by the Abel-type expansion.
+    """m-th moment of M_{n,alpha+1}^{alpha,beta}, integer alpha, 0 < x < 1.
 
-    With d = n + alpha, expanding ((k+beta)/(k+d))**m in powers of
-    (d-beta)/(k+d) turns the operator sum into mkz_moment's kernel sum,
-    1 + (1-x)**(d+1) * sum_{j=1}^{m} C(m,j) (-(d-beta))**j f_{d,j}(x).
+    gmkz_apply(GmkzParams(n, alpha+1, alpha, beta), Monomial(m), x,
+    policy).value, so the same routes as mkz_moment.  Order 0 is exactly
+    1.0.
     """
     if n < 1:
         raise InvalidParams("n must be >= 1")
@@ -384,29 +380,7 @@ def gmkz_moment_abel(n: int, alpha: int, beta: float, m: int, x: float,
         raise InvalidParams("moment order must be >= 0")
     if not 0.0 < x < 1.0:
         raise DomainError("moment requires 0 < x < 1")
-    return _kernel_moment(n + alpha, n + alpha - beta, m, x, policy)
-
-
-def _kernel_moment(d: int, w: float, r: int, x: float,
-                   policy: EvalPolicy) -> float:
-    """1 + (1-x)**(d+1) * sum_{j=1}^{r} C(r,j) (-w)**j f_{d,j}(x).
-
-    f_{d,1} is closed form; f_{d,j>=2} is summed from its series below
-    _KERNEL_SERIES_BELOW (at hyp2f1_eval's full-precision tolerance) and
-    taken from the exact combos from there up.  The combos all read one
-    ClosedFormContext(x), so log(1-x) and each pow ratio are formed once
-    per call, not once per j.
-    """
-    omx_pow = (1.0 - x) ** (d + 1)
-    series = replace(policy, rel_tol=min(policy.rel_tol, _SERIES_REL_TOL))
-    ctx = ClosedFormContext(x)
-    total = 1.0
-    for j in range(1, r + 1):
-        if j == 1:
-            fnj = fnj_base(d, 1)(x)
-        elif x < _KERNEL_SERIES_BELOW:
-            fnj = fnj_series(d, j, x, series).value
-        else:
-            fnj = fnj_eval(d, j, ctx)
-        total += omx_pow * math.comb(r, j) * float((-w) ** j) * fnj
-    return total
+    if m == 0:
+        return 1.0
+    params = GmkzParams(n, alpha + 1, float(alpha), beta)
+    return gmkz_apply(params, Monomial(m), x, policy).value

@@ -102,8 +102,8 @@ def polylog_derivative_series(j: int, d: int, x: float,
     range.  For j >= 2 the kernel is the exact combo from _COMBOS_FROM up,
     where the series would need ~1/(1-x) terms, and the series at full
     precision (tolerance min(rel_tol, 1e-17)) below it, where the combo's
-    x**(-d) prefactor cancels.  Nothing in the package calls it: the moment
-    formulas assemble f_{d,j} in mkz._kernel_moment.
+    x**(-d) prefactor cancels.  Nothing in the package calls it: the moments
+    are mkz.gmkz_apply on a Monomial, which needs no kernel f_{d,j}.
     """
     from .basis import combo_eval, fnj_base, fnj_combo, fnj_series  # basis imports this module
 

@@ -10,8 +10,7 @@ from elemhyp import (
     BasisFunction, DomainError, EvalPolicy, InvalidParams, SymbolicCombo,
     combo_eval, combo_json_dict, fnj_base, fnj_combo, fnj_series,
 )
-from elemhyp._dd import ClosedFormContext
-from elemhyp.basis import LOG_TERM, fnj_eval, poly, pow_ratio
+from elemhyp.basis import LOG_TERM, poly, pow_ratio
 
 TIGHT = EvalPolicy(rel_tol=1e-13)
 
@@ -107,16 +106,6 @@ def test_combo_eval_matches_series(n, j):
         got = combo_eval(c, x)
         want = fnj_series(n, j, x, TIGHT).value
         assert math.isclose(got, want, rel_tol=1e-10)
-
-
-@pytest.mark.parametrize("x", [0.3, 0.75])
-def test_fnj_eval_on_a_shared_context_equals_combo_eval(x):
-    # the kernels of one moment read one context and the memoized dd
-    # coefficients; each value is the fresh-context combo_eval, bit for bit
-    for n in (1, 5, 12):
-        ctx = ClosedFormContext(x)
-        for j in range(2, 10):
-            assert fnj_eval(n, j, ctx) == combo_eval(fnj_combo(n, j), x), (n, j)
 
 
 def test_combo_eval_rounds_a_hand_built_combo_itself():

@@ -155,13 +155,23 @@ def test_eval_trivial_points():
     assert hyp2f1_eval(HypergeomParams(3, 0.0, 5), 0.7) == 1.0
 
 
-def test_eval_routes_short_polynomials_through_the_series():
-    # a degree-1 polynomial case that lands exactly on a rounding tie: the
-    # plain series reproduces conventional float arithmetic, 1 - 0.3 = 0.7
+def test_eval_sums_short_polynomials_exactly():
+    # a degree-1 polynomial case that lands exactly on a rounding tie, which
+    # the exact sum rounds to even: 1 - 0.3 = 0.7 as in float arithmetic
     assert hyp2f1_eval(HypergeomParams(2, -1.0, 4), 0.6) == 0.7
     got = hyp2f1_eval(HypergeomParams(3, -4.0, 6), 0.55)
-    assert got == hyp2f1_series(3.0, -4.0, 6.0, 0.55).value
-    assert math.isclose(got, mp_ref(3, -4, 6, 0.55), rel_tol=1e-13)
+    assert math.isclose(got, mp_ref(3, -4, 6, 0.55), rel_tol=1e-15)
+    # the float64 series was off by 3.8e-9, 5.9e-10, 1.1e-12 and, below
+    # _X_SWITCH where its rounding bound turns it away, 2.0e-12
+    for m, n, p, x, want in [
+        (6, -16.0, 7, 0.8805719072144087, "2.874726557960010705047293e-5"),
+        (4, -15.0, 5, 0.9966777000129244, "2.614551894779879077606124e-4"),
+        (6, -15.0, 14, 0.9953351182457846, "4.642742523925244500893505e-3"),
+        (6, -15.0, 7, 0.47610766497553914, "1.546217083137754185634574e-3"),
+    ]:
+        got = hyp2f1_eval(HypergeomParams(m, n, p), x)
+        with mp.workdps(30):
+            assert abs(got - mp.mpf(want)) <= 1e-15 * mp.mpf(want), (m, n, p, x)
 
 
 def test_eval_small_arguments_use_the_series_path():
@@ -319,22 +329,15 @@ def _near_one_points(count, seed):
         yield m, n, p, 1.0 - 10.0 ** rng.uniform(-6.0, -1.0)
 
 
-def _short_poly(n):
-    return n < 0.0 and float(n).is_integer() and -n <= 16
-
-
 def test_eval_near_one_sweep_matches_mpmath(monkeypatch):
-    # each point makes at most one closed-form call and none raises;
-    # short terminating polynomials are summed in float64 and not held to
-    # the bound here
+    # each point makes at most one closed-form call and none raises
     calls = _count_calls(monkeypatch, "_closed_route")
     worst = (0.0, ())
     for m, n, p, x in _near_one_points(300, 15801):
         calls["_closed_route"].clear()
         got = hyp2f1_eval(HypergeomParams(m, n, p), x)
         assert len(calls["_closed_route"]) <= 1, (m, n, p, x)
-        if not _short_poly(n):
-            worst = max(worst, (rel_err(got, mp_ref(m, n, p, x, 50)), (m, n, p, x)))
+        worst = max(worst, (rel_err(got, mp_ref(m, n, p, x, 50)), (m, n, p, x)))
     assert worst[0] <= 1e-12, worst
 
 

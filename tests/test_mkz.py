@@ -1,20 +1,20 @@
-"""Operator moments: closed formulas against direct kernel summation."""
+"""Operator moments: closed formulas against direct summation and mpmath."""
 
 import functools
-import importlib
 import math
 import random
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from elemhyp import _dd
 from elemhyp import (
     DomainError, EvalPolicy, GmkzParams, InvalidParams, Monomial, NotConverged,
     gmkz_apply, gmkz_e1, gmkz_moment_abel, ln_moment_e2, ln_moment_e2_direct,
     mkz_moment, mkz_moment_e2,
 )
 import elemhyp.mkz as mkz
+import elemhyp.verify as verify
 from elemhyp.mkz import _gmkz_series
 
 TIGHT = EvalPolicy(rel_tol=1e-14)
@@ -108,7 +108,8 @@ def test_moment_edge_orders():
 @pytest.mark.parametrize("r", [3, 4, 5])
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_higher_moments_vs_direct(r, n):
-    for x in (0.1, 0.4, 0.8):
+    # from mkz._APPLY_CLOSED_FROM up, where the moment is not the series
+    for x in (0.9, 0.95, 0.99):
         closed = mkz_moment(n, r, x)
         direct = _gmkz_series(classical(n), Monomial(r), x, TIGHT).value
         assert math.isclose(closed, direct, rel_tol=1e-9)
@@ -145,7 +146,7 @@ def test_first_moment_at_zero_and_validation():
 def test_abel_route_vs_direct(n, alpha, beta):
     params = GmkzParams(n, alpha + 1, float(alpha), beta)
     for m in range(5):
-        for x in (0.2, 0.5):
+        for x in (0.9, 0.95):
             got = gmkz_moment_abel(n, alpha, beta, m, x, TIGHT)
             want = _gmkz_series(params, Monomial(m), x, TIGHT).value
             assert math.isclose(got, want, rel_tol=1e-10)
@@ -200,8 +201,8 @@ _ABEL_NEAR_ONE = [
 
 
 def test_abel_route_next_to_one():
-    # the kernels come from the exact combos here; polylog_derivative_series,
-    # which stops on small terms, is off by up to 1.1e-11 on these points
+    # the closed route of gmkz_apply; polylog_derivative_series, which stopped
+    # on small terms, was off by up to 1.1e-11 on these points
     for n, alpha, beta, m, x, want in _ABEL_NEAR_ONE:
         got = gmkz_moment_abel(n, alpha, beta, m, x)
         assert math.isclose(got, want, rel_tol=1e-14), (n, alpha, beta, m, x)
@@ -213,9 +214,9 @@ def test_abel_route_next_to_one():
     (10, 3, 1.409406125773775, 3, 0.0027129899516081532, 0.001422110950329322242292193),
 ])
 def test_abel_route_at_small_x(n, alpha, beta, m, x, want):
-    # the kernels come from their series here; from the combos, whose x**(-d)
-    # prefactor cancels, these are off by 5e10 and 3e7
-    assert math.isclose(gmkz_moment_abel(n, alpha, beta, m, x), want, rel_tol=1e-11)
+    # the operator series; the kernel combos, whose x**(-d) prefactor
+    # cancels, put these off by 5e10 and 3e7
+    assert math.isclose(gmkz_moment_abel(n, alpha, beta, m, x), want, rel_tol=1e-14)
 
 
 @pytest.mark.parametrize("n,r,x,want", [
@@ -225,66 +226,75 @@ def test_abel_route_at_small_x(n, alpha, beta, m, x, want):
     (20, 12, 0.1, 4.971325695101199312732332e-9),
 ])
 def test_higher_moments_at_small_x(n, r, x, want):
-    # 1e-4, not 1e-12: the float64 outer sum over j ends near 1e-9 from terms
-    # of up to ~5e2, so about 5 digits survive; 1e-12 waits on a
-    # double-double outer sum (ROADMAP item 3)
+    # the operator series; the float64 kernel sum over j ended near 1e-9
+    # from terms of up to ~5e2 and kept about 5 digits
     got = mkz_moment(n, r, x)
-    assert got > 0.0
-    assert math.isclose(got, want, rel_tol=1e-4)
+    assert math.isclose(got, want, rel_tol=1e-14)
 
 
-# Floats of the parent implementation (one combo evaluation per j, each on
-# its own context), pinned bit for bit: the shared context and the per-x
-# polylog parts change which pieces are formed when, not any value.  The x
-# cover both polylog branches (power series below 0.6, log series from it).
+# Moments against references of 25 digits: the exact fixed-point sum below
+# 0.99 and the polylog rewrite at 0.995 (_moment_direct, _moment_mp).  The x
+# cover both routes of gmkz_apply.  The third column is the float of the
+# deleted kernel-sum assembly (off by up to 1.4e-10), which this test pinned
+# bit for bit before; it keeps the case ids and bounds the error from above.
 _KERNEL_PINS = [
-    ("mkz", (3, 5, 0.3), 0.017766660775230536),
-    ("mkz", (9, 12, 0.3), 4.809601555759435e-05),
-    ("mkz", (16, 8, 0.3), 0.00035908379897822695),
-    ("abel", (4, 2, 1.25, 10, 0.3), 0.002062218591679519),
-    ("abel", (7, 0, 0.0, 12, 0.3), 8.311976693897716e-05),
-    ("mkz", (3, 5, 0.55), 0.10119303082684289),
-    ("mkz", (9, 12, 0.55), 0.0035058203542808544),
-    ("mkz", (16, 8, 0.55), 0.01377031687633403),
-    ("abel", (4, 2, 1.25, 10, 0.55), 0.027393353718359038),
-    ("abel", (7, 0, 0.0, 12, 0.55), 0.004480325985232588),
-    ("mkz", (3, 5, 0.7), 0.22924553639588213),
-    ("mkz", (9, 12, 0.7), 0.026574451150264928),
-    ("mkz", (16, 8, 0.7), 0.07004072272672077),
-    ("abel", (4, 2, 1.25, 10, 0.7), 0.09693143453082229),
-    ("abel", (7, 0, 0.0, 12, 0.7), 0.030116457903024627),
-    ("mkz", (3, 5, 0.995), 0.9753679946533529),
-    ("mkz", (9, 12, 0.995), 0.9418159064146024),
-    ("mkz", (16, 8, 0.995), 0.9607379418327975),
-    ("abel", (4, 2, 1.25, 10, 0.995), 0.9612485565963287),
-    ("abel", (7, 0, 0.0, 12, 0.995), 0.9418791903188898),
+    ("mkz", (3, 5, 0.3), 0.017766660775230536,
+     "0.01776666077523207886036239"),
+    ("mkz", (9, 12, 0.3), 4.809601555759435e-05,
+     "0.00004809601555064358345019317"),
+    ("mkz", (16, 8, 0.3), 0.00035908379897822695,
+     "0.0003590837989837531420837758"),
+    ("abel", (4, 2, 1.25, 10, 0.3), 0.002062218591679519,
+     "0.002062218591682392898379228"),
+    ("abel", (7, 0, 0.0, 12, 0.3), 8.311976693897716e-05,
+     "0.00008311976694088293698991329"),
+    ("mkz", (3, 5, 0.55), 0.10119303082684289,
+     "0.1011930308268428723078873"),
+    ("mkz", (9, 12, 0.55), 0.0035058203542808544,
+     "0.003505820354284401105770925"),
+    ("mkz", (16, 8, 0.55), 0.01377031687633403,
+     "0.01377031687633463130709439"),
+    ("abel", (4, 2, 1.25, 10, 0.55), 0.027393353718359038,
+     "0.02739335371835825141778458"),
+    ("abel", (7, 0, 0.0, 12, 0.55), 0.004480325985232588,
+     "0.004480325985243381109220958"),
+    ("mkz", (3, 5, 0.7), 0.22924553639588213,
+     "0.2292455363958818732556839"),
+    ("mkz", (9, 12, 0.7), 0.026574451150264928,
+     "0.0265744511502662520854428"),
+    ("mkz", (16, 8, 0.7), 0.07004072272672077,
+     "0.07004072272672064247045564"),
+    ("abel", (4, 2, 1.25, 10, 0.7), 0.09693143453082229,
+     "0.09693143453082251662985073"),
+    ("abel", (7, 0, 0.0, 12, 0.7), 0.030116457903024627,
+     "0.03011645790302655884755552"),
+    ("mkz", (3, 5, 0.995), 0.9753679946533529,
+     "0.9753679946533528184651568"),
+    ("mkz", (9, 12, 0.995), 0.9418159064146024,
+     "0.9418159064146024608374645"),
+    ("mkz", (16, 8, 0.995), 0.9607379418327975,
+     "0.9607379418327975785138284"),
+    ("abel", (4, 2, 1.25, 10, 0.995), 0.9612485565963287,
+     "0.9612485565963286868789825"),
+    ("abel", (7, 0, 0.0, 12, 0.995), 0.9418791903188898,
+     "0.9418791903188898083211503"),
 ]
 
 
-@pytest.mark.parametrize("kind,args,want", _KERNEL_PINS)
-def test_kernel_moment_is_bit_stable(kind, args, want):
+@pytest.mark.parametrize(
+    "kind,args,kernel_sum,ref", _KERNEL_PINS,
+    ids=[f"{kind}-args{i}-{kernel_sum!r}"
+         for i, (kind, _, kernel_sum, _) in enumerate(_KERNEL_PINS)])
+def test_kernel_moment_is_bit_stable(kind, args, kernel_sum, ref):
+    # an accuracy pin: within 2e-15 of the reference, and never farther from
+    # it than the kernel sum
     moment = mkz_moment if kind == "mkz" else gmkz_moment_abel
-    assert moment(*args) == want
-
-
-def test_kernel_moment_forms_each_log_once(monkeypatch):
-    # log(1-x) once from the shared context, log x and log(-log x) once from
-    # the per-x polylog parts: 3 dd_log calls where one context per combo
-    # f_{10,j} made 19.  The x is one no other test uses; the caches are
-    # cleared so the count does not depend on test order.
-    polylog_module = importlib.import_module("elemhyp.polylog")
-    calls = []
-
-    def counting(y, _original=_dd.dd_log):
-        calls.append(y)
-        return _original(y)
-
-    for module in (_dd, polylog_module):
-        monkeypatch.setattr(module, "dd_log", counting)
-    polylog_module._polylog_dd.cache_clear()
-    polylog_module._x_parts.cache_clear()
-    mkz_moment(10, 8, 0.7123456789)
-    assert len(calls) == 3
+    got = moment(*args)
+    with mp.workdps(30):
+        want = mp.mpf(ref)
+        err = abs(got - want)
+        assert err <= 2e-15 * want, (kind, args)
+        assert err <= abs(kernel_sum - want), (kind, args)
 
 
 # gmkz_apply's closed route (a Monomial with integer alpha, from
@@ -330,6 +340,36 @@ def _moment_mp(N, c, beta, m, x):
             a * (_polylog_mp(-e, x) - mp.fsum(mp.mpf(u) ** e * xm ** u for u in range(1, c)))
             for e, a in coefs.items())
         return (1 - xm) ** N * total / xm ** c / mp.factorial(N - 1)
+
+
+def _moment_direct(N, c, beta, m, x):
+    """The sum of _moment_mp summed term by term in 400-bit integer fixed
+    point, for x < 0.99: each step truncates by less than 2**-400, and it
+    stops once the weight falls below 2**-160 of the partial sum."""
+    bn, bd = Fraction(beta).as_integer_ratio()
+    xn, xd = x.as_integer_ratio()
+    bits = 400
+    w = ((xd - xn) ** N << bits) // xd ** N
+    total, k = 0, 0
+    while not (k > N and w << 160 < total):
+        total += w * (k * bd + bn) ** m // ((k + c) * bd) ** m
+        w = w * (N + k) * xn // ((k + 1) * xd)
+        k += 1
+    with mp.workdps(50):
+        return mp.mpf(total) / mp.mpf(2) ** bits
+
+
+def _moment_ref(kind, args):
+    """mkz_moment or gmkz_moment_abel's value, to ~40 digits."""
+    if kind == "mkz":
+        n, r, x = args
+        N, c, beta, m = n + 1, n, 0.0, r
+    else:
+        n, alpha, beta, m, x = args
+        N, c = n + alpha + 1, n + alpha
+    if x < 0.99:
+        return _moment_direct(N, c, beta, m, x)
+    return _moment_mp(N, c, beta, m, x)
 
 
 @pytest.mark.parametrize("x", [mkz._APPLY_CLOSED_FROM, 0.99, 0.999, 1 - 1e-6])
@@ -427,3 +467,83 @@ def test_series_tail_bound_meets_its_tolerance():
         assert res.trunc_err_est <= 1e-12 * abs(res.value)
         want = _moment_mp(14, 11, 0.0, 7, x)
         assert abs(res.value - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("x", [0.3, 0.89, mkz._APPLY_CLOSED_FROM, 0.95, 0.999])
+def test_moments_are_gmkz_apply_on_a_monomial(x):
+    # one engine: the classical operator is (r, alpha, beta) = (1, 0, 0),
+    # the Abel one (alpha+1, alpha, beta); equal bit for bit on both routes
+    for policy in (EvalPolicy(), TIGHT):
+        for n in (1, 7, 20):
+            for r in (1, 5, 12):
+                want = gmkz_apply(classical(n), Monomial(r), x, policy).value
+                assert mkz_moment(n, r, x, policy) == want, (n, r)
+                for alpha, beta in ((0, 0.0), (2, 1.25), (3, 3.0)):
+                    params = GmkzParams(n, alpha + 1, float(alpha), beta)
+                    want = gmkz_apply(params, Monomial(r), x, policy).value
+                    got = gmkz_moment_abel(n, alpha, beta, r, x, policy)
+                    assert got == want, (n, alpha, beta, r)
+
+
+def test_moment_vs_direct_checks_take_the_closed_route(monkeypatch):
+    # their oracle is the operator series, so the moment must come from the
+    # closed form, or the check compares the series with itself; the grids of
+    # test_higher_moments_vs_direct, test_abel_route_vs_direct and acceptance
+    # criteria 5 and 6 are subsets of these
+    entries = [e for e in verify.suite_mkz() if e["operation"] in
+               ("mkz_moment_vs_direct", "gmkz_abel_vs_direct")]
+    assert len(entries) == 63 + 30
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("operator series route")
+
+    monkeypatch.setattr(mkz, "_gmkz_series", no_series)
+    for e in entries:
+        p = e["inputs"]
+        if "r" in p:
+            got = mkz_moment(p["n"], p["r"], p["x"])
+        else:
+            got = gmkz_moment_abel(p["n"], p["alpha"], p["beta"], p["m"], p["x"])
+        assert got == e["result"], p
+
+
+def _sweep_points():
+    """300 moments: mkz with n <= 20, r <= 12 and Abel with n <= 20,
+    alpha <= 3, m <= 10, x log-spread over [1e-3, 1/2] and 1 - 10**u over
+    [1/2, 1 - 1e-6], in equal shares."""
+    rng = random.Random(20261019)
+    points = []
+    for i in range(300):
+        if i % 2 == 0:
+            x = 10 ** rng.uniform(-3, math.log10(0.5))
+        else:
+            x = 1 - 10 ** rng.uniform(math.log10(0.5), -6)
+        if i % 4 < 2:
+            points.append(("mkz", (rng.randint(1, 20), rng.randint(1, 12), x)))
+        else:
+            alpha = rng.randint(0, 3)
+            points.append(("abel", (rng.randint(1, 20), alpha, rng.random() * alpha,
+                                    rng.randint(1, 10), x)))
+    return points
+
+
+# The Baseline reproducers, then points where the kernel-sum assembly
+# returned 990, 20.7, 1.9e-2 and 7.3e-7 relative off.
+_MOMENT_REPRODUCERS = [
+    ("mkz", (12, 10, 0.02)),
+    ("mkz", (20, 12, 0.1)),
+    ("abel", (10, 0, 0.0, 10, 0.05)),
+    ("mkz", (19, 12, 0.0012311740691808512)),
+    ("mkz", (20, 12, 0.2)),
+    ("mkz", (20, 12, 0.25)),
+    ("mkz", (16, 10, 0.2)),
+]
+
+
+def test_moments_sweep_vs_mpmath():
+    # the kernel-sum assembly was off by up to 1.4e2 on these points
+    for kind, args in _sweep_points() + _MOMENT_REPRODUCERS:
+        moment = mkz_moment if kind == "mkz" else gmkz_moment_abel
+        got = moment(*args)
+        want = _moment_ref(kind, args)
+        assert abs(got - want) <= 1e-14 * want, (kind, args)
