@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from typing import Callable, Dict
 
 from ._dd import (
@@ -183,7 +184,12 @@ def combo_eval(c: SymbolicCombo, x: float) -> float:
 
 def fnj_series(n: int, j: int, x: float,
                policy: EvalPolicy = DEFAULT_POLICY) -> SeriesResult:
-    """Direct summation oracle: f_{n,j}(x) = sum C(n+k,k) x**k / (n+k)**j."""
+    """Direct summation oracle: f_{n,j}(x) = sum C(n+k,k) x**k / (n+k)**j.
+
+    The term ratios x (n+i+1)/(i+1) ((n+i)/(n+i+1))**j are at most
+    x (n+i+1)/(i+1), which falls with i, so past term k+1 they stay below
+    rho = x (n+k+2)/(k+2) and t_(k+1) / (1 - rho) bounds the tail.
+    """
     if n < 1:
         raise InvalidParams("n must be >= 1")
     if j < 0:
@@ -191,15 +197,20 @@ def fnj_series(n: int, j: int, x: float,
     if not 0.0 <= x < 1.0:
         raise DomainError("series requires 0 <= x < 1")
 
+    def ratio(k):
+        return x * (n + k + 1) / (k + 1.0) * ((n + k) / (n + k + 1.0)) ** j
+
     def terms():
         t = 1.0 / float(n) ** j
-        k = 0
-        while True:
+        for k in count():
             yield t
-            t *= x * (n + k + 1) / (k + 1.0) * ((n + k) / (n + k + 1.0)) ** j
-            k += 1
+            t *= ratio(k)
 
-    res = sum_series(terms(), policy)
+    def tail(k, t):
+        rho = x * (n + k + 2) / (k + 2.0)
+        return t * ratio(k) / (1.0 - rho) if rho < 1.0 else math.inf
+
+    res = sum_series(terms(), tail, policy)
     if not res.converged:
         raise NotConverged("kernel series did not converge")
     return res

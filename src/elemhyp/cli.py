@@ -2,9 +2,9 @@
 
 Every subcommand prints one JSON document to standard output (verify can
 switch to CSV); diagnostics go to standard error.  Exit codes: 0 on
-success, 1 on non-convergence, 2 on invalid parameters or flags.  Floats
-are printed in shortest round-trip form, so identical invocations are
-bit-identical.
+success, 1 on non-convergence or a non-finite series term, 2 on invalid
+parameters or flags.  Floats are printed in shortest round-trip form, so
+identical invocations are bit-identical.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .mkz import (
     ln_moment_e2_direct, mkz_moment,
 )
 from .numcore import (
-    DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
+    DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NonFinite,
+    NotConverged,
 )
 from .verify import SUITE_NAMES, _rel_err, run_suites
 
@@ -39,7 +40,6 @@ _ENV_REL_TOL = "ELEMHYP_REL_TOL"
 
 def _resolve_policy(args) -> EvalPolicy:
     rel_tol = DEFAULT_POLICY.rel_tol
-    max_terms = DEFAULT_POLICY.max_terms
     env = os.environ.get(_ENV_REL_TOL)
     if env is not None:
         try:
@@ -49,8 +49,7 @@ def _resolve_policy(args) -> EvalPolicy:
                   file=sys.stderr)
     if args.rel_tol is not None:
         rel_tol = args.rel_tol
-    if args.max_terms is not None:
-        max_terms = args.max_terms
+    max_terms = DEFAULT_POLICY.max_terms if args.max_terms is None else args.max_terms
     return EvalPolicy(rel_tol=rel_tol, max_terms=max_terms)
 
 
@@ -143,9 +142,7 @@ def cmd_fnj(args, policy: EvalPolicy) -> int:
     if args.x is not None:
         got = combo_eval(combo, args.x)
         oracle = fnj_series(args.n, args.j, args.x, policy).value
-        doc["combo"] = got
-        doc["series"] = oracle
-        doc["rel_err"] = _rel_err(got, oracle)
+        doc.update(combo=got, series=oracle, rel_err=_rel_err(got, oracle))
     _emit(doc)
     return 0
 
@@ -155,13 +152,8 @@ def cmd_heun(args, policy: EvalPolicy) -> int:
     res = heun_eval(fp, args.x, args.terms, policy)
     norm = heun_normalization(fp, policy)
     value = res.value / norm if args.normalized else res.value
-    doc = {
-        "value": value,
-        "termination": heun_termination(fp),
-        "normalization": norm,
-        "terms_used": res.terms_used,
-        "converged": res.converged,
-    }
+    doc = {"value": value, "termination": heun_termination(fp), "normalization": norm,
+           "terms_used": res.terms_used, "converged": res.converged}
     if args.check_ode:
         doc["ode_residual"] = heun_ode_residual(fp, args.x, 1e-3, args.terms, policy)
     _emit(doc)
@@ -173,14 +165,9 @@ def _report_csv(report: dict) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["operation", "inputs", "result", "oracle", "rel_err", "pass"])
     for e in report["entries"]:
-        writer.writerow([
-            e["operation"],
-            json.dumps(e["inputs"], sort_keys=True),
-            repr(e["result"]),
-            repr(e["oracle"]),
-            repr(e["rel_err"]),
-            "true" if e["pass"] else "false",
-        ])
+        writer.writerow([e["operation"], json.dumps(e["inputs"], sort_keys=True),
+                         repr(e["result"]), repr(e["oracle"]), repr(e["rel_err"]),
+                         "true" if e["pass"] else "false"])
     return buf.getvalue()
 
 
@@ -205,8 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "2F1-expanded Heun family.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rel-tol", type=float, default=None,
-                        help="series stopping tolerance (default 1e-12; "
-                             "env ELEMHYP_REL_TOL)")
+                        help="series tolerance: a series stops once a bound "
+                             "on its tail is within it of the partial sum "
+                             "(default 1e-12; env ELEMHYP_REL_TOL)")
     common.add_argument("--max-terms", type=int, default=None,
                         help="series term cap (default 100000)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -277,7 +265,7 @@ def main(argv=None) -> int:
     except (InvalidParams, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NotConverged as exc:
+    except (NotConverged, NonFinite) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

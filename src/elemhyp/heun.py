@@ -128,7 +128,8 @@ def heun_eval(fp: HeunFamilyParams, x: float, K: int,
     Terminating parameters give the exact finite sum and converged=True for
     any K >= r.  Otherwise convergence is reported only if the last term is
     already below policy.rel_tol relative to the sum; the series decays like
-    k**-2, so large K buys accuracy slowly.
+    k**-2, so large K buys accuracy slowly.  The terms c_k * leaf are summed
+    by sum_series, so an inf or nan term raises NonFinite.
     """
     if K < 1:
         raise InvalidParams("K must be >= 1")
@@ -136,29 +137,22 @@ def heun_eval(fp: HeunFamilyParams, x: float, K: int,
         raise DomainError("expansion requires 0 <= x < 1")
     r = heun_termination(fp)
     kmax = min(K, r) if r is not None else K
-    total = 0.0
-    comp = 0.0
-    last = 0.0
+    terms = []
     c = 1.0
     for k in range(kmax):
         if c == 0.0:
-            last = 0.0
             break
         leaf = hyp2f1_eval(HypergeomParams(fp.m, float(fp.n), fp.p + 2 * k), x, policy)
-        last = c * leaf
-        y = last - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        terms.append(c * leaf)
         c *= _coeff_ratio(fp, k)
+    # no tail bound: the partial sum is the value by definition
+    total = sum_series(terms, lambda k, t: math.inf,
+                       EvalPolicy(max_terms=kmax)).value
+    last = terms[-1] if len(terms) == kmax else 0.0
     terminated = r is not None and r <= K
     converged = terminated or abs(last) <= policy.rel_tol * abs(total)
-    return SeriesResult(
-        value=total,
-        terms_used=kmax,
-        converged=converged,
-        trunc_err_est=0.0 if terminated else abs(last),
-    )
+    return SeriesResult(value=total, terms_used=kmax, converged=converged,
+                        trunc_err_est=0.0 if terminated else abs(last))
 
 
 def _tail_s2(k: float) -> float:
@@ -217,8 +211,9 @@ def heun_series_oracle(spec: HeunSpec, x: float, N: int) -> float:
     sum d_j x**j into the equation multiplied through by x(x-1)(x-a).
     Trusted only inside |x| < min(1, |a|), the distance to the nearest other
     singular point.  gamma at 0 or a negative integer makes the recurrence
-    division singular (the series solution is not unique there).  Summed by
-    sum_series at 1e-17, so an inf or nan term raises NonFinite.
+    division singular (the series solution is not unique there).  All N+1
+    terms are summed by sum_series with no tail bound (the value is the
+    partial sum by definition), so an inf or nan term raises NonFinite.
     """
     if N < 2:
         raise InvalidParams("N must be >= 2")
@@ -241,7 +236,8 @@ def heun_series_oracle(spec: HeunSpec, x: float, N: int) -> float:
             yield d_next * x ** (j + 1)
             d_prev, d_cur = d_cur, d_next
 
-    return sum_series(terms(), EvalPolicy(rel_tol=1e-17, max_terms=N + 1)).value
+    return sum_series(terms(), lambda k, t: math.inf,
+                      EvalPolicy(max_terms=N + 1)).value
 
 
 def heun_ode_residual(fp: HeunFamilyParams, x: float, h: float, K: int,

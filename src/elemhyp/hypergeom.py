@@ -27,7 +27,7 @@ The dispatcher hyp2f1_eval tries three routes in order:
      policy's rel_tol;
   2. the classifier's closed form for (m, n; p), kept when its cancellation
      estimate is within _GUARD_REL;
-  3. the defining series at the policy's tolerance.
+  3. the defining series, stopped once its tail bound meets policy.rel_tol.
 
 A short terminating polynomial (n a nonpositive integer >= -16) that route
 1 does not keep is summed exactly in integers and rounded once instead of
@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count
 
 from ._dd import (
     DD, ClosedFormContext, dd, dd_add, dd_div, dd_from_fraction, dd_from_int,
@@ -74,9 +75,12 @@ def hyp2f1_series(a: float, b: float, c: float, x: float,
                   policy: EvalPolicy = DEFAULT_POLICY) -> SeriesResult:
     """Defining series, summed by the term ratio recurrence.
 
-    This is the oracle every closed form is tested against.  Terminating
-    series (a or b a nonpositive integer) stop naturally once the terms hit
-    exact zero.
+    This is the oracle every closed form is tested against.  Past term k,
+    while c+k+1 > 0, the factors |(a+i)/(i+1)| and |(b+i)/(c+i)| of the
+    later term ratios are monotone in i and tend to 1, so
+    rho = |x| max(1, |(a+k+1)/(k+2)|) max(1, |(b+k+1)/(c+k+1)|) bounds every
+    one of them and |t_(k+1)| / (1 - rho) the tail.  A terminating series
+    (a or b a nonpositive integer) has tail 0 once its terms hit exact zero.
     """
     if abs(x) >= 1.0:
         raise DomainError("series requires |x| < 1")
@@ -85,13 +89,21 @@ def hyp2f1_series(a: float, b: float, c: float, x: float,
 
     def terms():
         t = 1.0
-        j = 0
-        while True:
+        for j in count():
             yield t
             t *= (a + j) * (b + j) / ((c + j) * (j + 1)) * x
-            j += 1
 
-    return sum_series(terms(), policy)
+    def tail(k, t):
+        nxt = t * (a + k) * (b + k) / ((c + k) * (k + 1)) * x
+        if nxt == 0.0:
+            return 0.0
+        if c + k + 1 <= 0:
+            return math.inf
+        rho = abs(x) * max(1.0, abs((a + k + 1) / (k + 2))) \
+            * max(1.0, abs((b + k + 1) / (c + k + 1)))
+        return abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
+
+    return sum_series(terms(), tail, policy)
 
 
 class _Acc:
@@ -269,7 +281,7 @@ def _assemble(body, x: float, *args):
     _check_open_unit(x)
     try:
         val, ratio = body(*args, ClosedFormContext(x))
-    except OverflowError:  # dd_exp of a power integral
+    except (OverflowError, ZeroDivisionError):  # dd_exp, or 1 / a power that is 0
         raise NotConverged("closed form overflows float range") from None
     if not math.isfinite(dd_to_float(val)):  # Dekker's split past ~1.3e300
         raise NotConverged("closed form overflows float range")

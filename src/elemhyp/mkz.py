@@ -29,6 +29,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import count
 
 from ._dd import (
     ClosedFormContext, dd, dd_add, dd_div, dd_from_ratio, dd_mul, dd_neg,
@@ -127,7 +128,7 @@ def gmkz_apply(params: GmkzParams, f, x: float,
 
 def _gmkz_series(params: GmkzParams, f, x: float,
                  policy: EvalPolicy = DEFAULT_POLICY) -> SeriesResult:
-    """The operator series summed term by term, with a bounded tail.
+    """The operator series summed term by term, stopped by a tail bound.
 
     The weights w_k = (1-x)**N C(N+k-1, k) x**k, N = n + r, step by
     x (N+k)/(k+1), which falls with k; so once rho = x (N+k+1)/(k+2) < 1
@@ -150,25 +151,25 @@ def _gmkz_series(params: GmkzParams, f, x: float,
     if w < sys.float_info.min:
         raise NotConverged("operator weights underflow float range")
 
+    w_k, bound = w, 1.0 if monomial else 0.0
+
     def terms():
-        w_k, bound, k = w, 1.0 if monomial else 0.0, 0
-        while True:
+        nonlocal w_k, bound
+        for k in count():
             fk = f((k + b) / (n + k + a))
-            term = w_k * fk
             if not monomial:
                 bound = max(bound, abs(fk))
-            w_k *= (N + k) / (k + 1.0) * x
-            rho = x * (N + k + 1) / (k + 2.0)
-            if w_k == 0.0:
-                tail = 0.0
-            elif rho < 1.0 and bound > 0.0:
-                tail = bound * w_k / (1.0 - rho)
-            else:
-                tail = math.inf
-            yield term, tail
-            k += 1
+            term = w_k * fk
+            w_k *= (N + k) / (k + 1.0) * x  # w_(k+1), which tail reads
+            yield term
 
-    res = sum_series(terms(), policy, bounded=True)
+    def tail(k, term):
+        rho = x * (N + k + 1) / (k + 2.0)
+        if w_k == 0.0:
+            return 0.0
+        return bound * w_k / (1.0 - rho) if rho < 1.0 and bound > 0.0 else math.inf
+
+    res = sum_series(terms(), tail, policy)
     if not res.converged:
         raise NotConverged("operator series did not converge")
     return res
@@ -318,7 +319,9 @@ def ln_moment_e2_direct(n: int, x: float,
     The Beta-integral moments of the basis weights reduce to
     k(k+1)/((n+k)(n+k+1)) at order 2, so the oracle sums
     sum_{k>=1} C(n+k,k) x**k (1-x)**(n+1) * k(k+1)/((n+k)(n+k+1))
-    with no quadrature involved.
+    with no quadrature involved.  Its last factor is at most 1, so past term
+    k the weights' bound (1-x)**(n+1) w_(k+1) / (1 - rho),
+    rho = x (n+k+2)/(k+2), bounds the tail.
     """
     if n < 1:
         raise InvalidParams("n must be >= 1")
@@ -327,16 +330,20 @@ def ln_moment_e2_direct(n: int, x: float,
     if x == 0.0:
         return 0.0
     pref = (1.0 - x) ** (n + 1)
+    w = (n + 1) * x  # C(n+k, k) x**k at k = 1
 
     def terms():
-        w = (n + 1) * x  # C(n+1, 1) * x**1
-        k = 1
-        while True:
-            yield pref * w * (k * (k + 1.0)) / ((n + k) * (n + k + 1.0))
-            w *= (n + k + 1) / (k + 1.0) * x
-            k += 1
+        nonlocal w
+        for k in count(1):
+            term = pref * w * (k * (k + 1.0)) / ((n + k) * (n + k + 1.0))
+            w *= (n + k + 1) / (k + 1.0) * x  # the weight of the next term
+            yield term
 
-    res = sum_series(terms(), policy)
+    def tail(i, term):  # term i of the source is k = i + 1
+        rho = x * (n + i + 3) / (i + 3.0)
+        return pref * w / (1.0 - rho) if rho < 1.0 else math.inf
+
+    res = sum_series(terms(), tail, policy)
     if not res.converged:
         raise NotConverged("moment series did not converge")
     return res.value

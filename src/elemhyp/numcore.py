@@ -1,9 +1,10 @@
 """Shared numerical kernel.
 
-Pochhammer symbols, generalized binomials, a convergence-controlled series
-summation engine, and a float64 power integral (the closed forms use
-_dd.power_integral_dd).  Everything here is pure float64; the double-double
-internals live in _dd and are not part of this surface.
+Pochhammer symbols, generalized binomials, the series summation engine
+(every series stops on a bound on its tail), and a float64 power integral
+(the closed forms use _dd.power_integral_dd).  Everything here is pure
+float64; the double-double internals live in _dd and are not part of this
+surface.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 class DomainError(ValueError):
@@ -34,23 +35,19 @@ class NotConverged(RuntimeError):
 class EvalPolicy:
     """Knobs for every series evaluation in the package.
 
-    rel_tol: relative tolerance for convergence detection.
+    rel_tol: a series stops once a bound on its tail is within rel_tol of
+        its partial sum.
     max_terms: hard cap on summed terms.
-    consecutive_small: successive negligible terms required to stop; protects
-        against transient zero terms (e.g. terminating numerators).
     """
 
     rel_tol: float = 1e-12
     max_terms: int = 100000
-    consecutive_small: int = 3
 
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise InvalidParams("rel_tol must be positive")
         if self.max_terms < 1:
             raise InvalidParams("max_terms must be >= 1")
-        if self.consecutive_small < 1:
-            raise InvalidParams("consecutive_small must be >= 1")
 
 
 DEFAULT_POLICY = EvalPolicy()
@@ -82,32 +79,30 @@ def gen_binomial(a: float, k: int) -> float:
     return pochhammer(a - k + 1, k) / math.factorial(k)
 
 
-def sum_series(term_source: Iterable, policy: EvalPolicy = DEFAULT_POLICY,
-               bounded: bool = False) -> SeriesResult:
-    """Kahan-compensated accumulation with small-term stopping.
+def sum_series(term_source: Iterable, tail: Callable[[int, float], float],
+               policy: EvalPolicy = DEFAULT_POLICY) -> SeriesResult:
+    """Kahan-compensated accumulation that stops on a bound on its tail.
 
-    Stops once policy.consecutive_small successive terms each satisfy
-    |term| <= rel_tol * |partial sum|, or at max_terms (converged False).
-    A source that simply runs out of terms counts as converged (finite
-    support is an exact sum).  abs_sum, the sum of the absolute values of
-    the terms, bounds the rounding error of the sum together with
-    terms_used.
-
-    A bounded source yields (term, tail) pairs instead, tail a bound on the
-    sum of all later terms (math.inf while none is known).  The sum then
-    stops once tail <= rel_tol * |partial sum|, and trunc_err_est is that
-    tail.
+    tail(k, term_k) returns a bound on |sum of the terms after term k|
+    (k counts from 0), or math.inf where none is known.  It is asked only
+    once |term_k| <= rel_tol * |partial sum|, and the sum stops once the
+    bound is within rel_tol * |partial sum|; trunc_err_est is that bound.
+    A source that runs out of terms, within max_terms, is an exact finite
+    sum (converged, trunc_err_est 0); one with a term left after max_terms
+    is not converged, and its trunc_err_est is math.inf.  abs_sum, the sum
+    of the absolute values of the terms, bounds the rounding error of the
+    sum together with terms_used.
     """
     s = 0.0
     c = 0.0
     abs_sum = 0.0
-    small_run = 0
     terms_used = 0
-    last = tail = 0.0
     converged = False
+    rel_tol = policy.rel_tol
     for term in term_source:
-        if bounded:
-            term, tail = term
+        if terms_used >= policy.max_terms:  # still going at the cap
+            bound = math.inf
+            break
         term = float(term)
         if not math.isfinite(term):
             raise NonFinite(f"non-finite term at index {terms_used}")
@@ -117,25 +112,16 @@ def sum_series(term_source: Iterable, policy: EvalPolicy = DEFAULT_POLICY,
         s = t
         abs_sum += abs(term)
         terms_used += 1
-        last = term
-        if bounded:
-            if tail <= policy.rel_tol * abs(s):
+        if abs(term) <= rel_tol * abs(s):
+            bound = tail(terms_used - 1, term)
+            if bound <= rel_tol * abs(s):
                 converged = True
                 break
-        elif abs(term) <= policy.rel_tol * abs(s):
-            small_run += 1
-            if small_run >= policy.consecutive_small:
-                converged = True
-                break
-        else:
-            small_run = 0
-        if terms_used >= policy.max_terms:
-            break
     else:
         converged = True  # exhausted source: exact finite sum
+        bound = 0.0
     return SeriesResult(value=s, terms_used=terms_used, converged=converged,
-                        trunc_err_est=tail if bounded else abs(last),
-                        abs_sum=abs_sum)
+                        trunc_err_est=bound, abs_sum=abs_sum)
 
 
 def power_integral(e: float, x: float) -> float:

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -13,6 +15,14 @@ import pytest
 from elemhyp import hyp2f1_closed_12, hyp2f1_closed_1m
 
 CMD = [sys.executable, "-m", "elemhyp"]
+
+
+def readme_examples():
+    """(command, stdout) for each README `elemhyp ...` line whose next line
+    is a `# {...}` comment: the output the README shows for it."""
+    lines = (pathlib.Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    return [(cmd, out[2:] + "\n") for cmd, out in zip(lines, lines[1:])
+            if cmd.startswith("elemhyp ") and out.startswith("# {")]
 
 
 def run(*args, env=None):
@@ -44,6 +54,18 @@ def test_pinned_heun_output():
     assert r.stdout == ('{"value": 0.7, "termination": 1, '
                         '"normalization": 1.0, "terms_used": 1, '
                         '"converged": true}\n')
+
+
+@pytest.mark.parametrize("cmd,stdout", readme_examples(),
+                         ids=[cmd for cmd, _ in readme_examples()])
+def test_readme_example_output(cmd, stdout):
+    r = run(*shlex.split(cmd)[1:])
+    assert r.returncode == 0
+    assert r.stdout == stdout
+
+
+def test_readme_has_examples_with_output():
+    assert len(readme_examples()) >= 4
 
 
 def test_runs_are_bit_reproducible():
@@ -147,6 +169,15 @@ def test_hyp2f1_series_cap_exits_1():
             "--method", "series", "--max-terms", "3")
     assert r.returncode == 1
     assert "converge" in r.stderr
+
+
+def test_hyp2f1_non_finite_series_term_exits_1():
+    # the terms of 2F1(1, 900; 2; 0.99) pass float range before they fall
+    r = run("hyp2f1", "--m", "1", "--n", "900", "--p", "2", "--x", "0.99",
+            "--method", "series")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == "error: non-finite term at index 336\n"
 
 
 def test_env_tolerance_is_honored():

@@ -460,7 +460,7 @@ def test_series_zero_function_raises():
 def test_series_tail_bound_meets_its_tolerance():
     # the small-term stop missed 1e-12 by 1.2e-9 with these parameters at
     # x = 0.99884, and by up to 4e-11 on the benchmark's [0.5, 0.99) band;
-    # the bounded tail stops within rel_tol
+    # the tail bound stops it within rel_tol
     params, f = GmkzParams(11, 3, 0.0, 0.0), Monomial(7)
     for x in (0.6, 0.9, 0.97):
         res = _gmkz_series(params, f, x)

@@ -1,5 +1,6 @@
 """Shared kernel: policies, factorial helpers, summation engine, power integral."""
 
+import dataclasses
 import math
 
 import mpmath as mp
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from elemhyp import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NonFinite,
-    NotConverged, gen_binomial, pochhammer, power_integral, sum_series,
+    NotConverged, fnj_series, gen_binomial, hyp2f1_series, ln_moment_e2_direct,
+    pochhammer, power_integral, sum_series,
 )
 
 
@@ -17,7 +19,6 @@ from elemhyp import (
     {"rel_tol": 0.0},
     {"rel_tol": -1e-9},
     {"max_terms": 0},
-    {"consecutive_small": 0},
 ])
 def test_policy_rejects_bad_fields(kwargs):
     with pytest.raises(InvalidParams):
@@ -27,7 +28,7 @@ def test_policy_rejects_bad_fields(kwargs):
 def test_policy_defaults():
     assert DEFAULT_POLICY.rel_tol == 1e-12
     assert DEFAULT_POLICY.max_terms == 100000
-    assert DEFAULT_POLICY.consecutive_small == 3
+    assert [f.name for f in dataclasses.fields(EvalPolicy)] == ["rel_tol", "max_terms"]
 
 
 def test_pochhammer_values():
@@ -51,86 +52,99 @@ def test_gen_binomial_values():
         gen_binomial(1.0, -2)
 
 
-def test_sum_series_geometric():
-    def terms():
-        t = 1.0
-        while True:
-            yield t
-            t *= 0.5
+def no_bound(k, term):
+    return math.inf
 
-    res = sum_series(terms())
+
+def test_sum_series_geometric():
+    # 1/2**k with its exact tail 1/2**k after term k: the sum stops at the
+    # first k whose tail is within rel_tol of the partial sum (2**-39 <=
+    # 1e-12 * 2), reports that tail, and asks for it only at terms already
+    # that small, each with its own index
+    asked = []
+
+    def tail(k, term):
+        asked.append((k, term))
+        return 0.5 ** k
+
+    res = sum_series((0.5 ** k for k in range(10**9)), tail)
     assert res.converged
-    assert math.isclose(res.value, 2.0, rel_tol=1e-12)
-    assert res.trunc_err_est <= 1e-12 * res.value
+    assert res.terms_used == 40
+    assert res.trunc_err_est == 0.5 ** 39 <= 1e-12 * res.value
+    assert abs(res.value - 2.0) <= res.trunc_err_est + 1e-15
+    assert asked and all(term == 0.5 ** k <= 1e-12 * 2.0 for k, term in asked)
 
 
 def test_sum_series_exhausted_source_counts_as_exact():
-    res = sum_series(iter([1.0, 1e-300]))
-    assert res.converged
-    assert res.terms_used == 2
-    assert res.value == 1.0
+    # also when its last term is the max_terms-th: no term is left over
+    for policy in (DEFAULT_POLICY, EvalPolicy(max_terms=2)):
+        res = sum_series(iter([1.0, 1e-300]), no_bound, policy)
+        assert res.converged
+        assert res.terms_used == 2
+        assert res.value == 1.0
+        assert res.trunc_err_est == 0.0
 
 
 def test_sum_series_cap_reports_not_converged():
     res = sum_series((1.0 / (k + 1) for k in range(10**9)),
-                     EvalPolicy(max_terms=10))
+                     lambda k, term: 1.0, EvalPolicy(max_terms=10))
     assert not res.converged
     assert res.terms_used == 10
+    assert res.trunc_err_est == math.inf
 
 
-def test_sum_series_bounded_stops_on_its_tail():
-    # 1/2**k with the exact tail 1/2**k after term k: the small-term rule
-    # would stop at the first term below rel_tol, the bounded one only once
-    # the tail is, and reports it; an unknown tail (inf) never stops
-    def terms():
-        k = 0
-        while True:
-            yield 0.5 ** k, 0.5 ** k
-            k += 1
-
-    res = sum_series(terms(), bounded=True)
-    assert res.converged
-    assert res.trunc_err_est <= 1e-12 * res.value
-    assert abs(res.value - 2.0) <= res.trunc_err_est + 1e-15
-    res = sum_series(((1.0, math.inf) for _ in range(10**9)),
-                     EvalPolicy(max_terms=10), bounded=True)
+def test_sum_series_unknown_tail_never_stops():
+    # terms far below rel_tol, but no bound on what follows: only the cap
+    # ends the sum
+    res = sum_series((0.5 ** k for k in range(10**9)), no_bound,
+                     EvalPolicy(max_terms=200))
     assert not res.converged
-    assert res.terms_used == 10
+    assert res.terms_used == 200
+    assert res.value == 2.0
 
 
 def test_sum_series_survives_transient_zero_terms():
-    res = sum_series(iter([1.0, 0.0, 0.5, 0.0, 0.0, 0.0]))
+    # a zero term is small, but it stops nothing without a bound on the rest
+    res = sum_series(iter([1.0, 0.0, 0.5, 0.0, 0.0, 0.0]), no_bound)
     assert res.converged
     assert res.value == 1.5
 
 
-def test_sum_series_single_small_run_would_stop_early():
-    res = sum_series(iter([1.0, 0.0, 0.5]), EvalPolicy(consecutive_small=1))
-    assert res.value == 1.0
-    assert res.terms_used == 2
-
-
 def test_sum_series_rejects_non_finite_terms():
     with pytest.raises(NonFinite):
-        sum_series(iter([1.0, math.inf]))
+        sum_series(iter([1.0, math.inf]), no_bound)
     with pytest.raises(NonFinite):
-        sum_series(iter([math.nan]))
+        sum_series(iter([math.nan]), no_bound)
 
 
 def test_sum_series_compensation_recovers_the_exact_rounding():
     # naive left-to-right summation of ten 0.1 gives 0.9999999999999999
-    res = sum_series(iter([0.1] * 10), EvalPolicy(rel_tol=1e-30))
+    res = sum_series(iter([0.1] * 10), no_bound)
     assert res.value == math.fsum([0.1] * 10) == 1.0
 
 
 @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=60))
 @settings(max_examples=150)
 def test_sum_series_tracks_fsum(xs):
-    # consecutive_small above the list length disables early stopping, so the
-    # whole list is accumulated no matter how it is ordered
-    res = sum_series(iter(xs), EvalPolicy(rel_tol=1e-300, consecutive_small=61))
+    # no tail bound: the whole list is accumulated however it is ordered
+    res = sum_series(iter(xs), no_bound)
     want = math.fsum(xs)
+    assert res.converged and res.terms_used == len(xs)
     assert abs(res.value - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("oracle,args,want", [
+    (lambda *a: hyp2f1_series(*a).value, (10.0, -2 - 2**-40, 1.5, 0.99),
+     "16.5360925308878780761791111059"),
+    (lambda *a: fnj_series(*a).value, (3, 4, 0.999),
+     "0.735122859134734935303872232511"),
+    (ln_moment_e2_direct, (5, 0.999), "0.998001499001494137945032883997"),
+], ids=["hyp2f1_series", "fnj_series", "ln_moment_e2_direct"])
+def test_series_oracles_near_one_meet_rel_tol(oracle, args, want):
+    # default rel_tol 1e-12; the small-term stop left these 1.2e-10, 9.4e-10
+    # and 1.2e-9 off.  want: 30-digit direct sums of 8e4 terms
+    got = oracle(*args)
+    assert abs(got - float(want)) <= 2e-12 * abs(float(want))
 
 
 @pytest.mark.parametrize("e", [-3.5, -1.0, 0.0, 2.0, 4.7])
