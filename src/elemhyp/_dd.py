@@ -10,12 +10,17 @@ Representation: a pair (hi, lo) of floats with hi = fl(hi + lo) and
 |lo| <= ulp(hi)/2.  Algorithms are the classic error-free transformations
 (Dekker, Knuth); products use Dekker splitting because math.fma is not
 available on the oldest supported interpreter.
+
+All per-x state lives here: context(x), a small memo, hands out the one
+ClosedFormContext for x, which forms log(1-x), log x, the power tables and
+the power integrals once and shares them between every caller at that x.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+import threading
+from functools import cached_property, lru_cache
 
 _SPLIT = 134217729.0  # 2**27 + 1
 
@@ -58,20 +63,11 @@ def dd_from_int(i: int) -> DD:
     return (hi, lo)
 
 
-def dd_from_fraction(num: int, den: int) -> DD:
-    """num/den from its rounded operands: relative error ~1e-32, beyond
-    dd_from_ratio's single rounding.  Kept only where the closed forms'
-    values are pinned bit for bit (hypergeom, basis, verify); new code
-    takes dd_from_ratio.
-    """
-    return dd_div(dd_from_int(num), dd_from_int(den))
-
-
 def dd_from_ratio(num: int, den: int) -> DD:
-    """num/den rounded once, for integers of any size: the converter for new
-    code.  OverflowError past float range.  Integer true division rounds
-    correctly, so hi is the nearest float and lo the nearest float to the
-    exact remainder num/den - hi.
+    """num/den rounded once, for integers of any size: the package's one
+    converter of exact rationals.  OverflowError past float range.  Integer
+    true division rounds correctly, so hi is the nearest float and lo the
+    nearest float to the exact remainder num/den - hi.
     """
     hi = num / den
     hn, hd = hi.as_integer_ratio()
@@ -215,12 +211,6 @@ def power_integral_dd(shift: int, n: float, one_minus_x: DD, log_1mx: DD) -> DD:
     return dd_div(dd_neg(dd_expm1(arg)), w)
 
 
-def _extend(pows: list, base: DD, top: int) -> list:
-    while len(pows) <= top:
-        pows.append(dd_mul(pows[-1], base))
-    return pows
-
-
 # Below this |w * log(1-x)|, 1 - (1-x)**w cancels enough that the power
 # integral keeps power_integral_dd's expm1 form; from it up, 1 - (1-x)**w
 # loses at most a factor 1/(1 - e**-0.5) ~ 2.5 and the power comes from the
@@ -236,17 +226,24 @@ _POW_MIN = 2.0 ** -916
 
 
 class ClosedFormContext:
-    """The pieces the closed forms at one x are built from, each formed once.
+    """The pieces the closed forms and Li_k at one x are built from, each
+    formed once per x: 1-x, log(1-x), mu = log x and log(-mu), the tables
+    of x**k, (1-x)**k and mu**k, and the power integrals.  context(x) hands
+    out one instance per x, shared by hypergeom's closed forms, mkz's closed
+    moments, basis.combo_eval and polylog's double-double series.
 
     The power tables grow by one dd_mul per power, which rounds differently
     from binary powering (dd_npow): callers that use dd_npow keep it.  A
     power integral with a non-integral exponent w = shift+1-n and
     |w log(1-x)| >= _EXPM1_BELOW takes (1-x)**w as one dd_exp per n,
     (1-x)**(1-n), times (1-x)**shift from the power table, so the general
-    form pays one dd_exp per call where it paid one per shift.
+    form pays one dd_exp per (x, n) where it paid one per shift.
 
-    basis.combo_eval reads log(1-x) and the pow ratios
-    (1-(1-x)**i)/(1-x)**i from a context of its own.
+    Threads share an instance, so a table grows under a lock: two unlocked
+    growths could both append the same power.  An entry never changes once
+    appended, so reading one takes no lock; a race on a memoized value
+    forms the same value twice.  No value depends on what was asked for
+    before it.
     """
 
     def __init__(self, x: float):
@@ -254,21 +251,43 @@ class ClosedFormContext:
         self.omx = dd_sub(dd(1.0), dd(x))  # exact: two_sum of representables
         self._xpows = [dd(1.0)]
         self._ompows = [dd(1.0)]
+        self._mupows = [dd(1.0)]
         self._integrals = {}
         self._bases = {}
+        self._lock = threading.Lock()
 
     @cached_property
     def log(self) -> DD:
         """log(1-x), formed on first read: forms without a log term skip it."""
         return dd_log(self.omx)
 
+    @cached_property
+    def mu(self) -> DD:
+        """log x, for the Li_k series around x = 1."""
+        return dd_log(dd(self.x))
+
+    @cached_property
+    def log_neg_mu(self) -> DD:
+        return dd_log(dd_neg(self.mu))
+
     def xpows(self, top: int) -> list:
         """x**k for k = 0..top; the list may run longer."""
-        return _extend(self._xpows, dd(self.x), top)
+        return self._grow(self._xpows, dd(self.x), top)
 
     def ompows(self, top: int) -> list:
         """(1-x)**k for k = 0..top; the list may run longer."""
-        return _extend(self._ompows, self.omx, top)
+        return self._grow(self._ompows, self.omx, top)
+
+    def mupows(self, top: int) -> list:
+        """mu**k for k = 0..top; the list may run longer."""
+        return self._grow(self._mupows, self.mu, top)
+
+    def _grow(self, pows: list, base: DD, top: int) -> list:
+        if top >= len(pows):
+            with self._lock:
+                while len(pows) <= top:
+                    pows.append(dd_mul(pows[-1], base))
+        return pows
 
     def pow_ratio(self, i: int) -> DD:
         """(1 - (1-x)**i) / (1-x)**i from the 1-x power table."""
@@ -303,3 +322,11 @@ class ClosedFormContext:
                 pw = dd_mul(base, omp)
                 return dd_div(dd_sub(dd(1.0), pw), w)
         return power_integral_dd(shift, n, self.omx, self.log)
+
+
+@lru_cache(maxsize=32)
+def context(x: float) -> ClosedFormContext:
+    """The one ClosedFormContext for x.  The calls at one x arrive together
+    (the orders of one kernel combo or moment, the leaves of one Heun sum),
+    so a few x suffice."""
+    return ClosedFormContext(x)

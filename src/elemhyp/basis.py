@@ -21,9 +21,9 @@ Coefficients stay exact Fractions throughout; only evaluation is floating
 point (double-double internally).  The combo for every (n, j) has exactly n
 terms, which the tests pin down case by case.
 
-combo_eval reads the basis values from a fresh _dd.ClosedFormContext at x
-and Li_k from polylog._polylog_dd, whose x-only parts are shared by every
-k.
+combo_eval reads log(1-x) and the pow ratios from the per-x _dd.context(x)
+and Li_k from polylog._polylog_dd, whose x-only parts come from the same
+context, so every basis value at one x shares one set of tables.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from itertools import count
 from typing import Callable, Dict
 
 from ._dd import (
-    ClosedFormContext, dd, dd_add, dd_div, dd_from_fraction, dd_mul, dd_npow,
-    dd_to_float,
+    context, dd, dd_add, dd_div, dd_from_ratio, dd_mul, dd_npow, dd_to_float,
 )
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
@@ -161,14 +160,15 @@ def fnj_combo(n: int, j: int) -> SymbolicCombo:
 def combo_eval(c: SymbolicCombo, x: float) -> float:
     """Numerical value of f_{n,j} from its combo.  0 < x < 1.
 
-    Evaluation runs in double-double on a fresh ClosedFormContext(x), with
-    c's coefficients rounded to double-double, and is rounded once at the
-    end.  The x**(-n) prefactor cancels digits at small x (4.1e-5 relative
-    at (n, j, x) = (20, 12, 0.2)), where fnj_series is the accurate route.
+    Evaluation runs in double-double on the per-x context(x), with c's
+    coefficients rounded to double-double, and is rounded once at the end.
+    The x**(-n) prefactor cancels digits at small x (4.1e-5 relative at
+    (n, j, x) = (20, 12, 0.2)), where fnj_series is the accurate route;
+    where x**n leaves float range NotConverged is raised.
     """
     if not 0.0 < x < 1.0:
         raise DomainError("combo evaluation requires 0 < x < 1")
-    ctx = ClosedFormContext(x)
+    ctx = context(x)
     total = dd(0.0)
     for b, q in c.sorted_terms():
         if b.kind == "pow_ratio":
@@ -177,9 +177,12 @@ def combo_eval(c: SymbolicCombo, x: float) -> float:
             val = ctx.log
         else:
             val = _polylog_dd(b.index, x)
-        cd = dd_from_fraction(q.numerator, q.denominator)
+        cd = dd_from_ratio(q.numerator, q.denominator)
         total = dd_add(total, dd_mul(cd, val))
-    return dd_to_float(dd_div(total, dd_npow(dd(x), c.n)))
+    try:
+        return dd_to_float(dd_div(total, dd_npow(dd(x), c.n)))
+    except ZeroDivisionError:  # x**n underflows to 0
+        raise NotConverged("combo evaluation: x**n underflows float range") from None
 
 
 def fnj_series(n: int, j: int, x: float,

@@ -10,9 +10,9 @@ public entries, by shape of the parameter triple (m, n; p):
   hyp2f1_closed_12       (1, 2; n+2), three variants
 
 All closed forms assemble in double-double and round once at the end.  One
-classifier, _closed_route, picks the family (and variant) for a shape; one
-per-call ClosedFormContext forms 1-x, log(1-x), the x and 1-x power tables
-and the power integrals, each power integral once per distinct shift.  A
+classifier, _closed_route, picks the family (and variant) for a shape; the
+per-x _dd.context(x) forms 1-x, log(1-x), the x and 1-x power tables and
+the power integrals once per x, each power integral once per (shift, n).  A
 power integral whose exponent w = shift+1-n is not an integer and has
 |w log(1-x)| >= 1/2 takes (1-x)**w as (1-x)**(1-n), one dd_exp per n,
 times (1-x)**shift from the power table; the others keep one dd_expm1 (or
@@ -47,8 +47,8 @@ from fractions import Fraction
 from itertools import count
 
 from ._dd import (
-    DD, ClosedFormContext, dd, dd_add, dd_div, dd_from_fraction, dd_from_int,
-    dd_mul, dd_neg, dd_npow, dd_sub, dd_to_float,
+    DD, ClosedFormContext, context, dd, dd_add, dd_div, dd_from_int,
+    dd_from_ratio, dd_mul, dd_neg, dd_npow, dd_sub, dd_to_float,
 )
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
@@ -160,7 +160,7 @@ def _eq_1m_a(m: int, l: int, ctx: ClosedFormContext):
     poch = math.perm(m + l, l + 1)  # (m)_(l+1)
     acc = _Acc()
     # log part: poch * (-1)^(l+1)/l! * (1-x)^l * log(1-x)
-    logcoef = dd_from_fraction(poch * (-1) ** (l + 1), math.factorial(l))
+    logcoef = dd_from_ratio(poch * (-1) ** (l + 1), math.factorial(l))
     acc.add(dd_mul(logcoef, dd_mul(ompows[l], ctx.log)))
     mplusl = dd_from_int(m + l)
     for i in range(m + l):
@@ -169,7 +169,7 @@ def _eq_1m_a(m: int, l: int, ctx: ClosedFormContext):
         c = math.comb(m + l - 1, i) * (-1 if (m + l - 1 - i) % 2 else 1)
         coef = Fraction(c, i - m + 1)
         diff = dd_sub(ompows[m + l - 1 - i], ompows[l])
-        term = dd_mul(dd_from_fraction(coef.numerator, coef.denominator), diff)
+        term = dd_mul(dd_from_ratio(coef.numerator, coef.denominator), diff)
         acc.add(dd_mul(mplusl, term))
     result = dd_div(acc.total, dd_npow(dd(ctx.x), m + l))
     return result, acc.cancel_ratio()
@@ -181,14 +181,14 @@ def _eq_1m_b(m: int, l: int, ctx: ClosedFormContext):
     poch = math.perm(m + l, l + 1)  # (m)_(l+1)
     sgn = Fraction((-1) ** (l + 1), math.factorial(l))
     acc = _Acc()
-    acc.add(dd_mul(dd_from_fraction(sgn.numerator, sgn.denominator),
+    acc.add(dd_mul(dd_from_ratio(sgn.numerator, sgn.denominator),
                    dd_mul(dd_npow(ctx.omx, l), ctx.log)))
     for j in range(1, l + 1):
         cj = Fraction(0)
         for i in range(j):
             cj += Fraction((-1) ** i * math.comb(l, i), j - i)
         cj *= sgn
-        acc.add(dd_mul(dd_from_fraction(cj.numerator, cj.denominator), xpows[j]))
+        acc.add(dd_mul(dd_from_ratio(cj.numerator, cj.denominator), xpows[j]))
     for i in range(m - 1):
         poc = math.perm(i + 1 + l, l + 1)  # (i+1)_(l+1)
         acc.add(dd_neg(dd_div(xpows[l + i + 1], dd_from_int(poc))))
@@ -205,7 +205,7 @@ def _eq_12_1(n: int, ctx: ClosedFormContext):
                    dd_add(dd(ctx.x), dd_mul(dd_from_int(n), ctx.log))))
     for j in range(1, n):
         c = Fraction((-1) ** j * (n - j), j)
-        term = dd_mul(dd_from_fraction(c.numerator, c.denominator),
+        term = dd_mul(dd_from_ratio(c.numerator, c.denominator),
                       dd_mul(xpows[j], ompows[n - j - 1]))
         acc.add(dd_neg(term))
     sgn = -(n + 1) if n % 2 else (n + 1)
@@ -222,7 +222,7 @@ def _eq_12_2(n: int, ctx: ClosedFormContext):
     for i in range(2, n + 1):
         c = Fraction((-1) ** i * math.comb(n, i), i - 1)
         diff = dd_sub(dd_npow(ctx.omx, n - i), ompows[n - 1])
-        acc.add(dd_mul(dd_from_fraction(c.numerator, c.denominator), diff))
+        acc.add(dd_mul(dd_from_ratio(c.numerator, c.denominator), diff))
     sgn = -(n + 1) if n % 2 else (n + 1)
     pref = dd_div(dd_from_int(sgn), dd_npow(dd(ctx.x), n + 1))
     return dd_mul(pref, acc.total), acc.cancel_ratio()
@@ -237,7 +237,7 @@ def _eq_12_3(n: int, ctx: ClosedFormContext):
         cj = Fraction(0)
         for i in range(j):
             cj += Fraction((-1) ** i * math.comb(n - 1, i), j - i)
-        acc.add(dd_mul(dd_from_fraction(cj.numerator, cj.denominator), xpows[j]))
+        acc.add(dd_mul(dd_from_ratio(cj.numerator, cj.denominator), xpows[j]))
     nn1 = n * (n + 1)
     sgn = -nn1 if n % 2 else nn1
     pref = dd_div(dd_from_int(sgn), dd_npow(dd(ctx.x), n + 1))
@@ -280,7 +280,7 @@ def _assemble(body, x: float, *args):
     """
     _check_open_unit(x)
     try:
-        val, ratio = body(*args, ClosedFormContext(x))
+        val, ratio = body(*args, context(x))
     except (OverflowError, ZeroDivisionError):  # dd_exp, or 1 / a power that is 0
         raise NotConverged("closed form overflows float range") from None
     if not math.isfinite(dd_to_float(val)):  # Dekker's split past ~1.3e300

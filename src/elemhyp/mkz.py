@@ -32,8 +32,8 @@ from functools import lru_cache
 from itertools import count
 
 from ._dd import (
-    ClosedFormContext, dd, dd_add, dd_div, dd_from_ratio, dd_mul, dd_neg,
-    dd_sub, dd_to_float,
+    context, dd, dd_add, dd_div, dd_from_ratio, dd_mul, dd_neg, dd_sub,
+    dd_to_float,
 )
 from .hypergeom import _SERIES_REL_TOL, HypergeomParams, hyp2f1_eval
 from .numcore import (
@@ -186,8 +186,8 @@ def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):
     p(k) = Q_+(k+c) and sum_k C(k,i) x**k = x**i / (1-x)**(i+1)), with no
     division by 1-x.  Its part in u**(-s), s = 1..m, sums to
     x**(-c) (Li_s(x) - sum_{u<c} x**u / u**s): Li_1 = -log(1-x) from the
-    context, Li_s from _polylog_dd.  Everything is assembled in
-    double-double and rounded once.
+    per-x _dd.context(x), Li_s from _polylog_dd.  Everything is assembled
+    in double-double and rounded once.
 
     Returns the SeriesResult gmkz_apply describes, or None where a
     coefficient passes float range or the rounding bound fails.
@@ -196,7 +196,7 @@ def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):
         bern, neg, head = _closed_coefficients(N, c, m, beta)
     except OverflowError:
         return None
-    ctx = ClosedFormContext(x)
+    ctx = context(x)
     xp = ctx.xpows(max(N, c))
     op = ctx.ompows(N)
     total, mag = dd(0.0), 0.0

@@ -21,23 +21,22 @@ and zeta(s), s >= 2, from Borwein's alternating-series algorithm.  Both are
 filled lazily, up to the orders the series reaches.
 
 The parts that depend on x alone (mu = log x, log(-mu), and the tables of
-x**j and mu**j, grown one dd_mul at a time) sit in a small per-x memo
-beside _polylog_dd's cache, so the orders k at one x form them once; a
-power-series term is x**j from the table divided by j**k.  A value does not
-depend on which orders were asked for before it.
+x**j and mu**j, grown one dd_mul at a time) come from _dd.context(x), the
+per-x context the closed forms at that x share, so the orders k at one x
+form them once; a power-series term is x**j from the table divided by
+j**k.  A value does not depend on which orders were asked for before it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from ._dd import (
-    DD, _extend, _two_prod, dd, dd_add, dd_div, dd_from_int, dd_from_ratio,
-    dd_log, dd_mul, dd_neg, dd_sub, dd_to_float,
+    DD, _two_prod, context, dd, dd_add, dd_div, dd_from_int, dd_from_ratio,
+    dd_mul, dd_sub, dd_to_float,
 )
 from .hypergeom import _SERIES_REL_TOL
 from .numcore import (
@@ -140,57 +139,13 @@ def _polylog_dd(k: int, x: float) -> DD:
     return _polylog_power_series(k, x)
 
 
-class _XParts:
-    """The parts of Li_k(x) that depend on x alone, each formed once and
-    shared by every order k: log x, log(-log x), and the x**j and mu**j
-    tables, each grown by one dd_mul per power.
-
-    The memo shares one instance between threads, so a table grows under a
-    lock: two unlocked growths could both append the same power.  An entry
-    never changes once appended, so reading one takes no lock.
-    """
-
-    def __init__(self, x: float):
-        self.x = x
-        self._xpows = [dd(1.0)]
-        self._mupows = [dd(1.0)]
-        self._lock = threading.Lock()
-
-    @cached_property
-    def mu(self) -> DD:
-        return dd_log(dd(self.x))
-
-    @cached_property
-    def log_neg_mu(self) -> DD:
-        return dd_log(dd_neg(self.mu))
-
-    def xpow(self, j: int) -> DD:
-        return self._power(self._xpows, dd(self.x), j)
-
-    def mupow(self, j: int) -> DD:
-        return self._power(self._mupows, self.mu, j)
-
-    def _power(self, pows: list, base: DD, j: int) -> DD:
-        if j >= len(pows):
-            with self._lock:
-                _extend(pows, base, j)
-        return pows[j]
-
-
-@lru_cache(maxsize=32)
-def _x_parts(x: float) -> _XParts:
-    """The per-x memo beside _polylog_dd's cache; the orders at one x
-    arrive together (one kernel combo, one moment), so a few x suffice."""
-    return _XParts(x)
-
-
 def _polylog_power_series(k: int, x: float) -> DD:
     """Li_k(x) from sum x**j / j**k; below _LOG_SERIES_FROM, ~150 terms or fewer."""
-    parts = _x_parts(x)
+    ctx = context(x)
     total = dd(0.0)
     j = 1
     while True:
-        term = dd_div(parts.xpow(j), dd_from_int(j ** k))
+        term = dd_div(ctx.xpows(j)[j], dd_from_int(j ** k))
         total = dd_add(total, term)
         if abs(term[0]) <= 1e-33 * abs(total[0]):
             return total
@@ -201,15 +156,15 @@ def _polylog_power_series(k: int, x: float) -> DD:
 
 def _polylog_log_series(k: int, x: float) -> DD:
     """Li_k(x) from the series in mu = log x; any 0 < x < 1 with |log x| < 2 pi."""
-    parts = _x_parts(x)
+    ctx = context(x)
     total = dd(0.0)
     j = 0
     while True:
         c = _log_series_coef(k, j)
         if j == k - 1:
-            c = dd_sub(c, dd_div(parts.log_neg_mu, dd_from_int(math.factorial(j))))
+            c = dd_sub(c, dd_div(ctx.log_neg_mu, dd_from_int(math.factorial(j))))
         if c[0] != 0.0:  # zeta(-n) vanishes for even n >= 2
-            term = dd_mul(c, parts.mupow(j))
+            term = dd_mul(c, ctx.mupows(j)[j])
             total = dd_add(total, term)
             # from j = k on, the nonzero terms shrink monotonically
             if j >= k and abs(term[0]) <= 1e-33 * abs(total[0]):

@@ -12,7 +12,7 @@ import json
 import math
 
 from ._dd import (
-    dd, dd_add, dd_div, dd_from_fraction, dd_from_int, dd_log, dd_mul,
+    dd, dd_add, dd_div, dd_from_int, dd_from_ratio, dd_log, dd_mul,
     dd_npow, dd_sub, dd_to_float,
 )
 from .basis import combo_eval, fnj_combo, fnj_series, pow_ratio, poly, LOG_TERM
@@ -142,10 +142,10 @@ def _fnj3_direct(n: int, x: float) -> float:
             pr = dd_div(dd_sub(dd(1.0), ompows[w]), ompows[w])
             inner = dd_add(inner, dd_div(pr, dd_from_int(w)))
         inner = dd_sub(inner, big_l)
-        coef = dd_from_fraction(math.comb(n - 1, i) * (-1) ** i, i)
+        coef = dd_from_ratio(math.comb(n - 1, i) * (-1) ** i, i)
         acc = dd_add(acc, dd_mul(coef, inner))
     acc = dd_add(acc, _polylog_dd(2, x))
-    pref = dd_from_fraction((-1) ** (n - 1), n)
+    pref = dd_from_ratio((-1) ** (n - 1), n)
     return dd_to_float(dd_mul(pref, dd_div(acc, dd_npow(dd(x), n))))
 
 

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from elemhyp import (
-    BasisFunction, DomainError, EvalPolicy, InvalidParams, SymbolicCombo,
-    combo_eval, combo_json_dict, fnj_base, fnj_combo, fnj_series,
+    BasisFunction, DomainError, EvalPolicy, InvalidParams, NotConverged,
+    SymbolicCombo, combo_eval, combo_json_dict, fnj_base, fnj_combo, fnj_series,
 )
 from elemhyp.basis import LOG_TERM, poly, pow_ratio
 
@@ -138,6 +138,11 @@ def test_combo_eval_domain():
     for x in (0.0, 1.0, -0.2):
         with pytest.raises(DomainError):
             combo_eval(c, x)
+
+
+def test_combo_eval_raises_where_x_to_the_n_underflows():
+    with pytest.raises(NotConverged):
+        combo_eval(fnj_combo(5, 3), 1e-100)
 
 
 def test_series_validation():

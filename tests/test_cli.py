@@ -225,6 +225,13 @@ def test_moment_both_routes():
     doc = json.loads(r.stdout)
     assert set(doc) == {"closed", "series", "rel_err"}
     assert doc["rel_err"] < 1e-10
+    # the series side is summed to full precision whatever --rel-tol says,
+    # so next to x = 1 the error printed is the closed form's, not the
+    # series' truncation (9.8e-13 at the default tolerance)
+    r = run("moment", "--operator", "mkz", "--n", "3", "--r", "4",
+            "--x", "0.95", "--route", "both")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["rel_err"] < 1e-14
 
 
 def test_moment_log_operator_supports_order_two_only():
@@ -256,6 +263,13 @@ def test_fnj_numeric_route():
     doc = json.loads(r.stdout)
     assert doc["n"] == 2 and doc["j"] == 2
     assert doc["rel_err"] < 1e-10
+
+
+def test_fnj_underflowing_power_exits_1():
+    r = run("fnj", "--n", "5", "--j", "3", "--x", "1e-100")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ")
 
 
 def test_fnj_validation():

@@ -9,13 +9,14 @@ import mpmath as mp
 import pytest
 
 from elemhyp import (
-    DomainError, EvalPolicy, InvalidParams, NotConverged, polylog,
-    polylog_derivative_series,
+    DomainError, EvalPolicy, HypergeomParams, InvalidParams, NotConverged,
+    combo_eval, fnj_combo, hyp2f1_eval, polylog, polylog_derivative_series,
 )
 from elemhyp import _dd
+from elemhyp.mkz import _gmkz_closed
 from elemhyp.polylog import (
     _LOG_SERIES_FROM, _polylog_dd, _polylog_log_series,
-    _polylog_power_series, _x_parts, _zeta,
+    _polylog_power_series, _zeta,
 )
 
 TIGHT = EvalPolicy(rel_tol=1e-14)
@@ -195,24 +196,41 @@ def test_dd_polylog_branches_agree_around_the_switch(k, x):
         assert _dd_rel_err(_polylog_log_series(k, x), want) < 1e-30
 
 
+def _fresh_x():
+    _polylog_dd.cache_clear()
+    _dd.context.cache_clear()
+
+
 @pytest.mark.parametrize("x", [0.4234567891, 0.8234567891])
 def test_dd_polylog_is_independent_of_the_order_of_orders(x):
     # every order k at one x reads the same per-x parts (log x, log(-log x),
     # the power tables), however far an earlier order grew them
     values = []
     for orders in (range(2, 13), range(12, 1, -1)):
-        _polylog_dd.cache_clear()
-        _x_parts.cache_clear()
+        _fresh_x()
         values.append({k: _polylog_dd(k, x) for k in orders})
     assert values[0] == values[1]
 
 
+def _at_one_x(x, orders):
+    """The orders of Li_k at x and, from x = 0.9 up, first a closed moment
+    and a closed 2F1: everything that reads the shared context(x)."""
+    values = {}
+    if x >= 0.9:
+        values["moment"] = _gmkz_closed(7, 5, 0.5, 4, x).value
+        values["2f1"] = hyp2f1_eval(HypergeomParams(3, 2.5, 8), x)
+    values.update((k, _polylog_dd.__wrapped__(k, x)) for k in orders)
+    return values
+
+
 def test_dd_polylog_threads_share_the_x_parts_safely(monkeypatch):
-    # four threads (more than the cores) ask for the orders at one fresh x
-    # at once, half ascending, half descending.  Every dd_mul of the
-    # double-double core first yields to the other threads, so table
-    # growths interleave: a growth lost to a race appends a power twice and
-    # shifts every later one, which the single-thread values expose.
+    # four threads (more than the cores) evaluate at one fresh x at once,
+    # half with the orders ascending, half descending; at x = 0.9134 each
+    # first takes a closed moment and a closed 2F1, which grow the x and 1-x
+    # tables of the same context.  Every dd_mul of _dd first yields to the
+    # other threads, so table growths interleave: a growth lost to a race
+    # appends a power twice and shifts every later one, which the
+    # single-thread values expose.
     original = _dd.dd_mul
 
     def yielding(a, b):
@@ -220,19 +238,17 @@ def test_dd_polylog_threads_share_the_x_parts_safely(monkeypatch):
         return original(a, b)
 
     reference, results = {}, []
-    for x in (0.4134, 0.8134):
-        _polylog_dd.cache_clear()
-        _x_parts.cache_clear()
-        reference[x] = {k: _polylog_dd(k, x) for k in range(2, 13)}
+    for x in (0.4134, 0.8134, 0.9134):
+        _fresh_x()
+        reference[x] = _at_one_x(x, range(2, 13))
     monkeypatch.setattr(_dd, "dd_mul", yielding)
     for x in reference:
-        _polylog_dd.cache_clear()
-        _x_parts.cache_clear()
+        _fresh_x()
         barrier = threading.Barrier(4)
 
         def work(orders, x=x, barrier=barrier):
             barrier.wait()
-            results.append((x, {k: _polylog_dd.__wrapped__(k, x) for k in orders}))
+            results.append((x, _at_one_x(x, orders)))
 
         threads = [threading.Thread(target=work, args=(orders,))
                    for orders in [range(2, 13), range(12, 1, -1)] * 2]
@@ -241,10 +257,34 @@ def test_dd_polylog_threads_share_the_x_parts_safely(monkeypatch):
         for t in threads:
             t.join(timeout=60)
             assert not t.is_alive()
-    _polylog_dd.cache_clear()
-    _x_parts.cache_clear()
-    assert len(results) == 8
+    _fresh_x()
+    assert len(results) == 12
     assert all(values == reference[x] for x, values in results)
+
+
+def test_closed_evaluations_at_one_x_form_the_logs_once(monkeypatch):
+    # log(1-x), log x and log(-log x) belong to the per-x context: after one
+    # closed evaluation at x, others at that x (other shapes, orders or
+    # kernels) make no dd_log call
+    calls = []
+
+    def counting(y):
+        calls.append(y)
+        return original(y)
+
+    original = _dd.dd_log
+    monkeypatch.setattr(_dd, "dd_log", counting)
+    _fresh_x()
+    x = 0.9273
+    _at_one_x(x, range(2, 6))
+    assert calls
+    calls.clear()
+    hyp2f1_eval(HypergeomParams(4, 1.5, 9), x)
+    _gmkz_closed(6, 4, 0.0, 3, x)
+    combo_eval(fnj_combo(5, 4), x)
+    _polylog_dd.__wrapped__(5, x)
+    _fresh_x()
+    assert calls == []
 
 
 @pytest.mark.parametrize("s", range(2, 41))
