@@ -14,6 +14,10 @@ available on the oldest supported interpreter.
 All per-x state lives here: context(x), a small memo, hands out the one
 ClosedFormContext for x, which forms log(1-x), log x, the power tables and
 the power integrals once and shares them between every caller at that x.
+So does the one test of a computed value: a BoundedSum keeps a dd total and
+the running bound sum |t_i| e_i on its error (Higham, "Accuracy and
+Stability of Numerical Algorithms", ch. 3-4), and certified(value, bound)
+keeps the value only where that bound is within 1e-13 of it.
 """
 
 from __future__ import annotations
@@ -72,6 +76,25 @@ def dd_from_ratio(num: int, den: int) -> DD:
     hi = num / den
     hn, hd = hi.as_integer_ratio()
     return (hi, (num * hd - hn * den) / (den * hd))
+
+
+# Errors count in units U, one per dd_add, dd_mul or dd_div (dd_add rounds by
+# at most 3/4 of one; the largest dd_mul and dd_div errors seen on random
+# operands are 0.71 and 0.59), which also covers a coefficient rounded to dd
+# (1/4), and one per value of dd_log, dd_expm1 or polylog._polylog_dd, or of
+# dd_exp(u) with |u| more: their largest errors seen are 3.9, 0.9, 1.8 and
+# 1 + |u| units, which the full unit counted for every operation absorbs, as
+# the tests' sweeps against mpmath check.  A value is kept only where its
+# error bound is within _GUARD_REL of it; a series meant to be exact to
+# float64 is summed to _SERIES_REL_TOL or tighter.
+U = 2.0 ** -104
+_GUARD_REL = 1e-13
+_SERIES_REL_TOL = 1e-17
+
+
+def certified(value: float, bound: float) -> bool:
+    """The one test for keeping a value: finite, its error bound within 1e-13."""
+    return math.isfinite(value) and bound <= _GUARD_REL * abs(value)
 
 
 def dd_to_float(x: DD) -> float:
@@ -190,6 +213,34 @@ def dd_expm1(u: DD) -> DD:
     return dd_sub(dd_exp(u), dd(1.0))
 
 
+class BoundedSum:
+    """A dd total, started from (term, err) pairs, and a running bound on its
+    error: each call adds err, in units U of its term or factor, and its rounding."""
+
+    __slots__ = ("total", "bound")
+
+    def __init__(self, *terms):
+        self.total, self.bound = dd(0.0), 0.0
+        for term, err in terms:
+            self.add(term, err)
+
+    def add(self, term: DD, err: float = 0.0):
+        self.bound += (err + 1.0) * abs(term[0]) * U
+        self.total = dd_add(self.total, term)
+
+    def add_sum(self, other: "BoundedSum"):
+        self.add(other.total)
+        self.bound += other.bound
+
+    def mul(self, factor: DD, err: float = 0.0):
+        self.total = dd_mul(factor, self.total)
+        self.bound = abs(factor[0]) * self.bound + (err + 1.0) * abs(self.total[0]) * U
+
+    def div(self, divisor: DD, err: float = 0.0):
+        self.total = dd_div(self.total, divisor)
+        self.bound = self.bound / abs(divisor[0]) + (err + 1.0) * abs(self.total[0]) * U
+
+
 def power_integral_dd(shift: int, n: float, one_minus_x: DD, log_1mx: DD) -> DD:
     """Integral of s**(shift - n) over [1-x, 1] in dd.
 
@@ -237,7 +288,9 @@ class ClosedFormContext:
     power integral with a non-integral exponent w = shift+1-n and
     |w log(1-x)| >= _EXPM1_BELOW takes (1-x)**w as one dd_exp per n,
     (1-x)**(1-n), times (1-x)**shift from the power table, so the general
-    form pays one dd_exp per (x, n) where it paid one per shift.
+    form pays one dd_exp per (x, n) where it paid one per shift.  A table
+    entry k is off by at most k units U, log and mu by one, and
+    power_integral returns its own error.
 
     Threads share an instance, so a table grows under a lock: two unlocked
     growths could both append the same power.  An entry never changes once
@@ -289,11 +342,6 @@ class ClosedFormContext:
                     pows.append(dd_mul(pows[-1], base))
         return pows
 
-    def pow_ratio(self, i: int) -> DD:
-        """(1 - (1-x)**i) / (1-x)**i from the 1-x power table."""
-        pw = self.ompows(i)[i]
-        return dd_div(dd_sub(dd(1.0), pw), pw)
-
     def _base(self, n: float):
         """(1-x)**(1-n), memoized by n; None above 2**996."""
         if n not in self._bases:
@@ -301,27 +349,39 @@ class ClosedFormContext:
             self._bases[n] = dd_exp(u) if u[0] <= _BASE_LOG_MAX else None
         return self._bases[n]
 
-    def power_integral(self, shift: int, n: float) -> DD:
-        """power_integral_dd(shift, n) at this x, memoized by (shift, n).
-
-        Where the per-n base is used the value agrees with power_integral_dd
-        to ~1e-28 relative, not bit for bit.
-        """
+    def power_integral(self, shift: int, n: float):
+        """power_integral_dd(shift, n) at this x and its relative error in
+        units U, memoized by (shift, n).  Where the per-n base is used the
+        value agrees with power_integral_dd to ~1e-28, not bit for bit."""
         key = (shift, n)
         if key not in self._integrals:
             self._integrals[key] = self._power_integral(shift, n)
         return self._integrals[key]
 
-    def _power_integral(self, shift: int, n: float) -> DD:
+    def _power_integral(self, shift: int, n: float):
+        """Each form is (1 - P) / w: P = (1-x)**w is an integer power, or an
+        exp (1 + |u| units) whose argument u carries two more (log(1-x), the
+        product), so 1 + 3|u|.  1 - P scales P's error by |P| / |1 - P| and
+        rounds by U (1 + |P|); the division by the exact w adds one unit."""
         w = dd_add(dd_from_int(shift + 1), dd(-n))
-        if not (w[1] == 0.0 and w[0].is_integer()) \
-                and abs(w[0] * self.log[0]) >= _EXPM1_BELOW:
+        a = abs(w[0] * self.log[0])
+        integral = w[1] == 0.0 and w[0].is_integer()
+        value = None
+        if not integral and a >= _EXPM1_BELOW:
             base = self._base(n)
             omp = self.ompows(shift)[shift]
             if base is not None and omp[0] >= _POW_MIN:
                 pw = dd_mul(base, omp)
-                return dd_div(dd_sub(dd(1.0), pw), w)
-        return power_integral_dd(shift, n, self.omx, self.log)
+                value = dd_div(dd_sub(dd(1.0), pw), w)
+                p_err = 3.0 * abs((1.0 - n) * self.log[0]) + shift + 2.0  # base times table
+        if value is None:
+            value = power_integral_dd(shift, n, self.omx, self.log)
+            if integral and w[0] == 0.0:
+                return value, 1.0
+            # binary powering: a unit per unit of exponent, one to invert
+            p_err = abs(w[0]) + (w[0] < 0.0) if integral else 1.0 + 3.0 * a
+        d = w[0] * value[0]  # 1 - P, 0 where P rounds to 1: no relative bound
+        return value, ((p_err + 1.0) * abs(1.0 - d) + 1.0) / abs(d) + 1.0 if d else math.inf
 
 
 @lru_cache(maxsize=32)

@@ -21,7 +21,7 @@ Coefficients stay exact Fractions throughout; only evaluation is floating
 point (double-double internally).  The combo for every (n, j) has exactly n
 terms, which the tests pin down case by case.
 
-combo_eval reads log(1-x) and the pow ratios from the per-x _dd.context(x)
+combo_eval reads log(1-x) and 1-x powers from the per-x _dd.context(x)
 and Li_k from polylog._polylog_dd, whose x-only parts come from the same
 context, so every basis value at one x shares one set of tables.
 """
@@ -36,7 +36,8 @@ from itertools import count
 from typing import Callable, Dict
 
 from ._dd import (
-    context, dd, dd_add, dd_div, dd_from_ratio, dd_mul, dd_npow, dd_to_float,
+    _GUARD_REL, BoundedSum, certified, context, dd, dd_from_ratio, dd_mul,
+    dd_neg, dd_npow, dd_to_float,
 )
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
@@ -160,29 +161,37 @@ def fnj_combo(n: int, j: int) -> SymbolicCombo:
 def combo_eval(c: SymbolicCombo, x: float) -> float:
     """Numerical value of f_{n,j} from its combo.  0 < x < 1.
 
-    Evaluation runs in double-double on the per-x context(x), with c's
-    coefficients rounded to double-double, and is rounded once at the end.
-    The x**(-n) prefactor cancels digits at small x (4.1e-5 relative at
-    (n, j, x) = (20, 12, 0.2)), where fnj_series is the accurate route;
-    where x**n leaves float range NotConverged is raised.
+    Evaluation runs in a _dd.BoundedSum on the per-x context(x), with c's
+    coefficients rounded to double-double, and is rounded once.  The x**(-n)
+    prefactor cancels digits at small x (3e113 relative at (19, 8, 4.7e-8)),
+    where fnj_series is the accurate route: NotConverged is raised where
+    _dd.certified rejects the rounding bound, which counts the cancellation
+    inside each pow_ratio, and where x**n leaves float range.
     """
     if not 0.0 < x < 1.0:
         raise DomainError("combo evaluation requires 0 < x < 1")
     ctx = context(x)
-    total = dd(0.0)
+    acc = BoundedSum()
     for b, q in c.sorted_terms():
-        if b.kind == "pow_ratio":
-            val = ctx.pow_ratio(b.index)
-        elif b.kind == "log":
-            val = ctx.log
-        else:
-            val = _polylog_dd(b.index, x)
         cd = dd_from_ratio(q.numerator, q.denominator)
-        total = dd_add(total, dd_mul(cd, val))
+        if b.kind == "pow_ratio":  # (1 - (1-x)**i) / (1-x)**i
+            pw = ctx.ompows(b.index)[b.index]
+            term = BoundedSum((dd(1.0), 0.0), (dd_neg(pw), b.index))
+            term.div(pw, b.index)
+            term.mul(cd)
+            acc.add_sum(term)
+        else:
+            val = ctx.log if b.kind == "log" else _polylog_dd(b.index, x)
+            acc.add(dd_mul(cd, val), 2)
     try:
-        return dd_to_float(dd_div(total, dd_npow(dd(x), c.n)))
+        acc.div(dd_npow(dd(x), c.n), c.n)
     except ZeroDivisionError:  # x**n underflows to 0
         raise NotConverged("combo evaluation: x**n underflows float range") from None
+    value = dd_to_float(acc.total)
+    if not certified(value, acc.bound):
+        raise NotConverged(f"combo evaluation: rounding bound {acc.bound:.3g} "
+                           f"exceeds {_GUARD_REL:g} of its value")
+    return value
 
 
 def fnj_series(n: int, j: int, x: float,

@@ -17,16 +17,13 @@ import os
 import sys
 from dataclasses import replace
 
-from ._dd import dd_to_float
+from ._dd import _GUARD_REL, _SERIES_REL_TOL, certified
 from .basis import combo_eval, combo_json_dict, fnj_combo, fnj_series
 from .heun import (
     HeunFamilyParams, heun_eval, heun_normalization, heun_ode_residual,
     heun_termination,
 )
-from .hypergeom import (
-    _SERIES_REL_TOL, HypergeomParams, _closed_accepted, _closed_route,
-    hyp2f1_eval, hyp2f1_series,
-)
+from .hypergeom import HypergeomParams, _closed_route, hyp2f1_eval, hyp2f1_series
 from .mkz import (
     GmkzParams, Monomial, _gmkz_series, gmkz_e1, gmkz_moment_abel, ln_moment_e2,
     ln_moment_e2_direct, mkz_moment,
@@ -74,11 +71,10 @@ def cmd_hyp2f1(args, policy: EvalPolicy) -> int:
         variant = args.variant
         if variant is not None and variant.isdigit():
             variant = int(variant)
-        val, ratio = _closed_route(args.m, args.n, args.p, args.x, variant)
-        value = dd_to_float(val)
-        if not _closed_accepted(value, ratio):
-            raise NotConverged(
-                f"closed form cancels too deeply to certify (cancel ratio {ratio:.3g})")
+        value, bound = _closed_route(args.m, args.n, args.p, args.x, variant)
+        if not certified(value, bound):
+            raise NotConverged(f"closed form's rounding bound {bound:.3g} "
+                               f"exceeds {_GUARD_REL:g} of its value")
     doc = {"value": value}
     if args.compare:
         series = hyp2f1_series(float(args.m), args.n, float(args.p), args.x,

@@ -16,17 +16,16 @@ the power integrals once per x, each power integral once per (shift, n).  A
 power integral whose exponent w = shift+1-n is not an integer and has
 |w log(1-x)| >= 1/2 takes (1-x)**w as (1-x)**(1-n), one dd_exp per n,
 times (1-x)**shift from the power table; the others keep one dd_expm1 (or
-an integer power) each.
+an integer power) each.  Each form sums in a _dd.BoundedSum, whose bound
+counts term roundings, table depth and power-integral errors.
 
-The dispatcher hyp2f1_eval tries three routes in order:
+The dispatcher hyp2f1_eval tries three routes in order; the first two are
+kept only where _dd.certified finds their rounding bound within 1e-13:
 
   1. below _X_SWITCH = 1/2, the defining series summed to full precision,
      where it needs few terms and the x**(1-p) prefactor makes closed
-     forms cancel; kept when its rounding bound,
-     terms * sum|term| * 2**-53, is within _GUARD_REL of it, whatever the
-     policy's rel_tol;
-  2. the classifier's closed form for (m, n; p), kept when its cancellation
-     estimate is within _GUARD_REL;
+     forms cancel; its bound is terms * sum|term| * 2**-53;
+  2. the classifier's closed form for (m, n; p), with its BoundedSum bound;
   3. the defining series, stopped once its tail bound meets policy.rel_tol.
 
 A short terminating polynomial (n a nonpositive integer >= -16) that route
@@ -35,8 +34,8 @@ routes 2 and 3.  Points whose a-priori digit loss (p-1)*log10(1/x) exceeds
 _MAX_DIGIT_LOSS skip route 2.  Where the closed form of route 2 overflows
 float range or comes out non-finite (large n next to x = 1), route 3 is not
 taken: the closed form of the Euler-transformed triple (p-m, p-n; p)
-(DLMF 15.8.1), under the same test, times (1-x)**(p-m-n) answers instead,
-or NotConverged is raised.
+(DLMF 15.8.1), if certified, times (1-x)**(p-m-n) answers instead, or
+NotConverged is raised.
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ from fractions import Fraction
 from itertools import count
 
 from ._dd import (
-    DD, ClosedFormContext, context, dd, dd_add, dd_div, dd_from_int,
-    dd_from_ratio, dd_mul, dd_neg, dd_npow, dd_sub, dd_to_float,
+    _SERIES_REL_TOL, DD, BoundedSum, ClosedFormContext, certified, context,
+    dd, dd_div, dd_from_int, dd_from_ratio, dd_mul, dd_neg, dd_npow, dd_to_float,
 )
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
@@ -106,151 +105,126 @@ def hyp2f1_series(a: float, b: float, c: float, x: float,
     return sum_series(terms(), tail, policy)
 
 
-class _Acc:
-    """Double-double accumulator that remembers the largest magnitude seen.
-
-    The ratio max_magnitude / |total| estimates how many digits the final
-    cancellation burned; the dispatcher uses it to decide whether the closed
-    form can be trusted.
-    """
-
-    __slots__ = ("total", "maxmag")
-
-    def __init__(self):
-        self.total = dd(0.0)
-        self.maxmag = 0.0
-
-    def add(self, term: DD):
-        self.maxmag = max(self.maxmag, abs(term[0]))
-        self.total = dd_add(self.total, term)
-        self.maxmag = max(self.maxmag, abs(self.total[0]))
-
-    def cancel_ratio(self) -> float:
-        if self.total[0] == 0.0:
-            return math.inf
-        return self.maxmag / abs(self.total[0])
-
-
-def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext):
-    """One sum over (k, i) of power integrals; returns (dd value, cancel ratio).
+def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum:
+    """One sum over (k, i) of power integrals.
 
     The binomial sum over j of the triple form collapses by
     sum_j C(q,j)(-1)**j x**(q-j) C(j,i)(-1)**i = C(q,i)(x-1)**(q-i), q = p-m-1,
-    so one accumulator sees every term and its cancel ratio covers all the
+    so one BoundedSum sees every term and its bound covers all the
     cancellation.  At m = 1 this is the single-sum form.
     """
     q = p - m - 1
     ompows = ctx.ompows(q)
-    acc = _Acc()
+    acc = BoundedSum()
     for k in range(m):
         ck = math.comb(m - 1, k) * (-1 if k % 2 else 1)
         for i in range(q + 1):
             c = ck * math.comb(q, i) * (-1 if (q - i) % 2 else 1)
-            integ = ctx.power_integral(i + k, n)
-            acc.add(dd_mul(dd_mul(dd_from_int(c), ompows[q - i]), integ))
+            integ, err = ctx.power_integral(i + k, n)
+            acc.add(dd_mul(dd_mul(dd_from_int(c), ompows[q - i]), integ), q - i + 2 + err)
     # (m)_(p-m) / (p-m-1)! is the integer C(p-1, m-1)*(p-m)
     pref_int = math.comb(p - 1, m - 1) * (p - m)
-    pref = dd_div(dd_from_int(pref_int), dd_npow(dd(ctx.x), p - 1))
-    return dd_mul(pref, acc.total), acc.cancel_ratio()
+    acc.mul(dd_div(dd_from_int(pref_int), dd_npow(dd(ctx.x), p - 1)), p)
+    return acc
 
 
-def _eq_1m_a(m: int, l: int, ctx: ClosedFormContext):
-    """Variant A for 2F1(1, m; m+l+1; x); returns (dd value, cancel ratio)."""
+def _eq_1m_a(m: int, l: int, ctx: ClosedFormContext) -> BoundedSum:
+    """Variant A for 2F1(1, m; m+l+1; x)."""
     ompows = ctx.ompows(m + l)
     poch = math.perm(m + l, l + 1)  # (m)_(l+1)
-    acc = _Acc()
+    acc = BoundedSum()
     # log part: poch * (-1)^(l+1)/l! * (1-x)^l * log(1-x)
     logcoef = dd_from_ratio(poch * (-1) ** (l + 1), math.factorial(l))
-    acc.add(dd_mul(logcoef, dd_mul(ompows[l], ctx.log)))
+    acc.add(dd_mul(logcoef, dd_mul(ompows[l], ctx.log)), l + 3)
     mplusl = dd_from_int(m + l)
     for i in range(m + l):
         if i == m - 1:
             continue  # the i - m + 1 denominator is exactly zero here
-        c = math.comb(m + l - 1, i) * (-1 if (m + l - 1 - i) % 2 else 1)
-        coef = Fraction(c, i - m + 1)
-        diff = dd_sub(ompows[m + l - 1 - i], ompows[l])
-        term = dd_mul(dd_from_ratio(coef.numerator, coef.denominator), diff)
-        acc.add(dd_mul(mplusl, term))
-    result = dd_div(acc.total, dd_npow(dd(ctx.x), m + l))
-    return result, acc.cancel_ratio()
+        j = m + l - 1 - i
+        coef = Fraction(math.comb(m + l - 1, i) * (-1 if j % 2 else 1), i - m + 1)
+        term = BoundedSum((ompows[j], j), (dd_neg(ompows[l]), l))
+        term.mul(dd_from_ratio(coef.numerator, coef.denominator))
+        term.mul(mplusl)
+        acc.add_sum(term)
+    acc.div(dd_npow(dd(ctx.x), m + l), m + l)
+    return acc
 
 
-def _eq_1m_b(m: int, l: int, ctx: ClosedFormContext):
+def _eq_1m_b(m: int, l: int, ctx: ClosedFormContext) -> BoundedSum:
     """Variant B: Taylor-remainder form, a power series in x plus log part."""
     xpows = ctx.xpows(l + m)
     poch = math.perm(m + l, l + 1)  # (m)_(l+1)
     sgn = Fraction((-1) ** (l + 1), math.factorial(l))
-    acc = _Acc()
+    acc = BoundedSum()
     acc.add(dd_mul(dd_from_ratio(sgn.numerator, sgn.denominator),
-                   dd_mul(dd_npow(ctx.omx, l), ctx.log)))
+                   dd_mul(dd_npow(ctx.omx, l), ctx.log)), l + 3)
     for j in range(1, l + 1):
         cj = Fraction(0)
         for i in range(j):
             cj += Fraction((-1) ** i * math.comb(l, i), j - i)
         cj *= sgn
-        acc.add(dd_mul(dd_from_ratio(cj.numerator, cj.denominator), xpows[j]))
+        acc.add(dd_mul(dd_from_ratio(cj.numerator, cj.denominator), xpows[j]), j + 1)
     for i in range(m - 1):
         poc = math.perm(i + 1 + l, l + 1)  # (i+1)_(l+1)
-        acc.add(dd_neg(dd_div(xpows[l + i + 1], dd_from_int(poc))))
-    result = dd_div(dd_mul(dd_from_int(poch), acc.total), dd_npow(dd(ctx.x), m + l))
-    return result, acc.cancel_ratio()
+        acc.add(dd_neg(dd_div(xpows[l + i + 1], dd_from_int(poc))), l + i + 2)
+    acc.mul(dd_from_int(poch))
+    acc.div(dd_npow(dd(ctx.x), m + l), m + l)
+    return acc
 
 
-def _eq_12_1(n: int, ctx: ClosedFormContext):
+def _log_core(n: int, ctx: ClosedFormContext) -> BoundedSum:
+    """(1-x)**(n-1) (x + n log(1-x)), the log core of the (1, 2; n+2) forms."""
+    core = BoundedSum((dd(ctx.x), 0.0), (dd_mul(dd_from_int(n), ctx.log), 2))
+    core.mul(ctx.ompows(n - 1)[n - 1], n - 1)
+    return core
+
+
+def _eq_12_1(n: int, ctx: ClosedFormContext) -> BoundedSum:
     """First form for 2F1(1, 2; n+2; x)."""
     xpows = ctx.xpows(n)
     ompows = ctx.ompows(n - 1)
-    acc = _Acc()
-    acc.add(dd_mul(ompows[n - 1],
-                   dd_add(dd(ctx.x), dd_mul(dd_from_int(n), ctx.log))))
+    acc = _log_core(n, ctx)
     for j in range(1, n):
         c = Fraction((-1) ** j * (n - j), j)
         term = dd_mul(dd_from_ratio(c.numerator, c.denominator),
                       dd_mul(xpows[j], ompows[n - j - 1]))
-        acc.add(dd_neg(term))
-    sgn = -(n + 1) if n % 2 else (n + 1)
-    pref = dd_div(dd_from_int(sgn), dd_npow(dd(ctx.x), n + 1))
-    return dd_mul(pref, acc.total), acc.cancel_ratio()
+        acc.add(dd_neg(term), n + 1)
+    acc.mul(_pref_12(n, n + 1, ctx), n + 2)
+    return acc
 
 
-def _eq_12_2(n: int, ctx: ClosedFormContext):
+def _pref_12(n: int, scale: int, ctx: ClosedFormContext) -> DD:
+    """(-1)**n scale / x**(n+1), off by n + 2 units."""
+    return dd_div(dd_from_int(-scale if n % 2 else scale), dd_npow(dd(ctx.x), n + 1))
+
+
+def _eq_12_2(n: int, ctx: ClosedFormContext) -> BoundedSum:
     """Second form: same log core, binomial difference sum."""
     ompows = ctx.ompows(n - 1)
-    acc = _Acc()
-    acc.add(dd_mul(ompows[n - 1],
-                   dd_add(dd(ctx.x), dd_mul(dd_from_int(n), ctx.log))))
+    acc = _log_core(n, ctx)
     for i in range(2, n + 1):
         c = Fraction((-1) ** i * math.comb(n, i), i - 1)
-        diff = dd_sub(dd_npow(ctx.omx, n - i), ompows[n - 1])
-        acc.add(dd_mul(dd_from_ratio(c.numerator, c.denominator), diff))
-    sgn = -(n + 1) if n % 2 else (n + 1)
-    pref = dd_div(dd_from_int(sgn), dd_npow(dd(ctx.x), n + 1))
-    return dd_mul(pref, acc.total), acc.cancel_ratio()
+        diff = BoundedSum((dd_npow(ctx.omx, n - i), n - i), (dd_neg(ompows[n - 1]), n - 1))
+        diff.mul(dd_from_ratio(c.numerator, c.denominator))
+        acc.add_sum(diff)
+    acc.mul(_pref_12(n, n + 1, ctx), n + 2)
+    return acc
 
 
-def _eq_12_3(n: int, ctx: ClosedFormContext):
+def _eq_12_3(n: int, ctx: ClosedFormContext) -> BoundedSum:
     """Third form: log plus pure power series, minus an (n+1)/x correction."""
     xpows = ctx.xpows(n - 1)
-    acc = _Acc()
-    acc.add(dd_mul(dd_npow(ctx.omx, n - 1), ctx.log))
+    acc = BoundedSum()
+    acc.add(dd_mul(dd_npow(ctx.omx, n - 1), ctx.log), n + 1)
     for j in range(1, n):
         cj = Fraction(0)
         for i in range(j):
             cj += Fraction((-1) ** i * math.comb(n - 1, i), j - i)
-        acc.add(dd_mul(dd_from_ratio(cj.numerator, cj.denominator), xpows[j]))
-    nn1 = n * (n + 1)
-    sgn = -nn1 if n % 2 else nn1
-    pref = dd_div(dd_from_int(sgn), dd_npow(dd(ctx.x), n + 1))
-    main = dd_mul(pref, acc.total)
-    tail = dd_div(dd_from_int(n + 1), dd(ctx.x))
-    result = dd_sub(main, tail)
-    # two cancellation stages: inside the core, then main minus tail
-    ratio1 = acc.cancel_ratio()
-    if result[0] == 0.0:
-        ratio2 = math.inf
-    else:
-        ratio2 = (abs(main[0]) + abs(tail[0])) / abs(result[0])
-    return result, max(ratio1, ratio2)
+        acc.add(dd_mul(dd_from_ratio(cj.numerator, cj.denominator), xpows[j]), j + 1)
+    acc.mul(_pref_12(n, n * (n + 1), ctx), n + 2)
+    # the (n+1)/x correction is one more term of the same sum
+    acc.add(dd_neg(dd_div(dd_from_int(n + 1), dd(ctx.x))), 1)
+    return acc
 
 
 # Arrangements of the shapes that admit several; the first is the default.
@@ -267,29 +241,22 @@ def _variant(forms: dict, variant):
     return forms[variant]
 
 
-def _check_open_unit(x: float):
-    if not 0.0 < x < 1.0:
-        raise DomainError("closed forms require 0 < x < 1")
-
-
 def _assemble(body, x: float, *args):
-    """body(*args) at x; returns (dd value, cancel ratio).
+    """body(*args) at x, rounded once; returns (value, rounding bound).
 
     Raises NotConverged where the assembly passes float range (large n next
     to x = 1), so no caller sees a non-finite closed value.
     """
-    _check_open_unit(x)
+    if not 0.0 < x < 1.0:
+        raise DomainError("closed forms require 0 < x < 1")
     try:
-        val, ratio = body(*args, context(x))
+        acc = body(*args, context(x))
     except (OverflowError, ZeroDivisionError):  # dd_exp, or 1 / a power that is 0
         raise NotConverged("closed form overflows float range") from None
-    if not math.isfinite(dd_to_float(val)):  # Dekker's split past ~1.3e300
+    value = dd_to_float(acc.total)
+    if not math.isfinite(value):  # Dekker's split past ~1.3e300
         raise NotConverged("closed form overflows float range")
-    return val, ratio
-
-
-def _closed_value(body, x: float, *args) -> float:
-    return dd_to_float(_assemble(body, x, *args)[0])
+    return value, acc.bound
 
 
 def hyp2f1_closed_general(params: HypergeomParams, x: float) -> float:
@@ -298,7 +265,7 @@ def hyp2f1_closed_general(params: HypergeomParams, x: float) -> float:
     Unguarded: the value is returned whatever cancellation it suffered;
     hyp2f1_eval is the guarded entry.
     """
-    return _closed_value(_eq_general, x, params.m, params.n, params.p)
+    return _assemble(_eq_general, x, params.m, params.n, params.p)[0]
 
 
 def hyp2f1_closed_m1(n: float, p: int, x: float) -> float:
@@ -309,7 +276,7 @@ def hyp2f1_closed_m1(n: float, p: int, x: float) -> float:
     """
     if p < 2:
         raise InvalidParams("p must be >= 2")
-    return _closed_value(_eq_general, x, 1, n, p)
+    return _assemble(_eq_general, x, 1, n, p)[0]
 
 
 def hyp2f1_closed_1m(m: int, l: int, x: float, variant: str = "A") -> float:
@@ -322,7 +289,7 @@ def hyp2f1_closed_1m(m: int, l: int, x: float, variant: str = "A") -> float:
     """
     if m < 1 or l < 0:
         raise InvalidParams("need m >= 1 and l >= 0")
-    return _closed_value(_variant(_FORMS_1M, variant), x, m, l)
+    return _assemble(_variant(_FORMS_1M, variant), x, m, l)[0]
 
 
 def hyp2f1_closed_12(n: int, x: float, variant: int = 1) -> float:
@@ -333,7 +300,7 @@ def hyp2f1_closed_12(n: int, x: float, variant: int = 1) -> float:
     """
     if n < 1:
         raise InvalidParams("n must be >= 1")
-    return _closed_value(_variant(_FORMS_12, variant), x, n)
+    return _assemble(_variant(_FORMS_12, variant), x, n)[0]
 
 
 # Above this estimated digit loss the closed forms cannot certify even float64
@@ -341,31 +308,17 @@ def hyp2f1_closed_12(n: int, x: float, variant: int = 1) -> float:
 # to the series.  (p-1)*log10(1/x) is the loss driven by the x**(1-p) prefactor.
 _MAX_DIGIT_LOSS = 22.0
 
-# Dispatcher rejects a closed-form value whose cancellation estimate exceeds
-# this relative error, and a series value whose rounding bound does.
-_GUARD_REL = 1e-13
-
 # Below _X_SWITCH the series is summed to full float64 precision, to
 # _SERIES_REL_TOL or the policy's own tolerance if tighter; a loose rel_tol
 # does not loosen it.
 _X_SWITCH = 0.5
-_SERIES_REL_TOL = 1e-17
-
-
-def _closed_accepted(f: float, ratio: float) -> bool:
-    """The dispatcher's test for keeping a closed value f of cancel ratio ratio.
-
-    The double-double assembly carries ~1e-31 relative; the ratio (largest
-    partial magnitude over the result) may amplify that up to _GUARD_REL.
-    """
-    return math.isfinite(f) and math.isfinite(ratio) and ratio * 1e-31 <= _GUARD_REL
 
 
 def _closed_route(m: int, n: float, p: int, x: float, variant=None):
     """The shape classifier: the most specific closed form for (m, n; p).
 
     variant picks among the family's arrangements (None: its default).
-    Returns (dd value, cancel ratio).
+    Returns the value, rounded once, and its double-double sum's bound.
     """
     if n == 1.0 and m > 1:
         m, n = 1, float(m)  # symmetric in the upper pair
@@ -387,9 +340,8 @@ def _euler_on_overflow(m: int, n: float, p: int, x: float) -> float:
     series is no fallback there, since its terms stop short of the sum.
     """
     nn = p - n
-    val, ratio = _closed_route(p - m, nn, p, x)
-    f = dd_to_float(val)
-    if _closed_accepted(f, ratio):
+    f, bound = _closed_route(p - m, nn, p, x)
+    if certified(f, bound):
         # the scale as two half powers around f: the scale alone may pass
         # float range where the value does not
         try:
@@ -427,21 +379,17 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
     """Stability-aware dispatcher.
 
     Below _X_SWITCH = 1/2 the defining series is summed to full precision
-    (tolerance min(policy.rel_tol, 1e-17)) and kept when its rounding bound,
-    terms_used * sum|term| * 2**-53, is within _GUARD_REL of the value.
-    A point that bound rejects, and any point from _X_SWITCH up, tries the
-    most specific closed form; its value is rejected when the estimated
-    cancellation (tracked during the double-double assembly) exceeds
-    _GUARD_REL, or when the a-priori digit-loss bound (p-1)*log10(1/x)
-    already rules it out.  A short terminating polynomial (n a nonpositive
-    integer >= -16) takes neither: it is summed exactly and rounded once.
-    The series is the fallback, reusing the sum already made below
-    _X_SWITCH.  A series that hits policy.max_terms raises NotConverged.
-    Where the closed form overflows float range or comes out non-finite, the
-    series is not tried (its terms stop short of the true sum there): the
-    closed form of the Euler-transformed triple (p-m, p-n; p), under the
-    same test, is scaled by (1-x)**(p-m-n), and NotConverged is raised if
-    it is rejected too.
+    (tolerance min(policy.rel_tol, 1e-17)) and kept if _dd.certified finds
+    its rounding bound, terms_used * sum|term| * 2**-53, within 1e-13.  Any
+    other point tries the most specific closed form, kept by the same test
+    on the running bound of its double-double sum, unless the digit-loss
+    bound (p-1)*log10(1/x) rules it out.  A short terminating polynomial (n
+    a nonpositive integer >= -16) is summed exactly and rounded once
+    instead.  The fallback is the series, reusing the sum made below
+    _X_SWITCH, with no rounding check; at policy.max_terms it raises
+    NotConverged.  A closed form that passes float range is replaced by that
+    of the Euler-transformed triple (p-m, p-n; p) times (1-x)**(p-m-n), if
+    certified, else NotConverged is raised: the series stops short there.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("dispatcher requires 0 <= x < 1")
@@ -456,7 +404,7 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
         res = hyp2f1_series(float(m), n, float(p), x, full)
         if not res.converged:
             raise NotConverged("series did not converge")
-        if res.terms_used * res.abs_sum * 2.0 ** -53 <= _GUARD_REL * abs(res.value):
+        if certified(res.value, res.terms_used * res.abs_sum * 2.0 ** -53):
             return res.value
     # A nonpositive integer n makes the series a short polynomial; for small
     # degree its exact sum beats any closed form (no log, no x**(1-p)
@@ -465,11 +413,10 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
         return _short_poly_exact(m, -int(n), p, x)
     if (p - 1) * math.log10(1.0 / x) <= _MAX_DIGIT_LOSS:
         try:
-            val, ratio = _closed_route(m, n, p, x)
+            f, bound = _closed_route(m, n, p, x)
         except NotConverged:  # the closed form passes float range
             return _euler_on_overflow(m, n, p, x)
-        f = dd_to_float(val)
-        if _closed_accepted(f, ratio):
+        if certified(f, bound):
             return f
     if res is None:
         res = hyp2f1_series(float(m), n, float(p), x, policy)

@@ -13,7 +13,7 @@ with the classical operator at (r, a, b) = (1, 0, 0).  Two routes:
      exact combination of elementary functions and Li_s(x), s = 1..m, of
      _gmkz_closed: N + m + c - 1 double-double terms (N = n + r,
      c = n + a) where the series needs ~(N+50)/(1-x).  A closed value
-     that fails its rounding bound goes to the series.
+     whose rounding bound _dd.certified rejects goes to the series.
 
 The higher moments of the classical operator (mkz_moment) and of
 M_{n,alpha+1}^{alpha,beta} (gmkz_moment_abel) are gmkz_apply on a
@@ -32,10 +32,10 @@ from functools import lru_cache
 from itertools import count
 
 from ._dd import (
-    context, dd, dd_add, dd_div, dd_from_ratio, dd_mul, dd_neg, dd_sub,
-    dd_to_float,
+    _SERIES_REL_TOL, BoundedSum, certified, context, dd_div, dd_from_ratio,
+    dd_mul, dd_neg, dd_to_float,
 )
-from .hypergeom import _SERIES_REL_TOL, HypergeomParams, hyp2f1_eval
+from .hypergeom import HypergeomParams, hyp2f1_eval
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
     SeriesResult, sum_series,
@@ -54,12 +54,6 @@ _APPLY_CLOSED_FROM = 0.9
 # series cannot stand in there: its weights (1-x)**N underflow from
 # N = 310 at x = 0.9.
 _CLOSED_MAX_STEPS = 100000
-
-# The closed form's rounding bound: each double-double term carries about
-# _CLOSED_TERM_ERR relative, and the sum of the terms' magnitudes times that
-# must stay within _CLOSED_REL of the value.
-_CLOSED_TERM_ERR = 2.0 ** -104
-_CLOSED_REL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -103,13 +97,12 @@ def gmkz_apply(params: GmkzParams, f, x: float,
     the closed form of _gmkz_closed: N + m + c - 1 double-double terms
     (N = n + r, c = n + alpha) in place of the ~(N+50)/(1-x) terms of the
     series.  Its SeriesResult has terms_used = that term count,
-    converged True, trunc_err_est 0.0 (the form is exact) and abs_sum the
-    sum of the terms' magnitudes, Li_s and the sum it is cut by counted
-    apart.  The closed form is kept where abs_sum * _CLOSED_TERM_ERR stays
-    within _CLOSED_REL of the value and every coefficient within float
-    range, and is tried only where its coefficients take at most
-    _CLOSED_MAX_STEPS steps (~N**2 + c*(m+1)).  Every other case, and a
-    closed value that fails that bound, is summed by _gmkz_series to full
+    converged True, trunc_err_est 0.0 (the form is exact), and abs_sum such
+    that terms_used * abs_sum * 2**-53, a series result's rounding bound, is
+    the closed form's running bound.  It is kept where _dd.certified accepts
+    that bound and every coefficient is within float range, and is tried only
+    where its coefficients take at most _CLOSED_MAX_STEPS steps
+    (~N**2 + c*(m+1)).  Every other case is summed by _gmkz_series to full
     precision (tolerance min(rel_tol, 1e-17), as hyp2f1_eval's series).
     """
     if not 0.0 <= x < 1.0:
@@ -187,10 +180,11 @@ def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):
     division by 1-x.  Its part in u**(-s), s = 1..m, sums to
     x**(-c) (Li_s(x) - sum_{u<c} x**u / u**s): Li_1 = -log(1-x) from the
     per-x _dd.context(x), Li_s from _polylog_dd.  Everything is assembled
-    in double-double and rounded once.
+    in a _dd.BoundedSum, whose bound counts table depth and Li_s, and
+    rounded once.
 
     Returns the SeriesResult gmkz_apply describes, or None where a
-    coefficient passes float range or the rounding bound fails.
+    coefficient passes float range or the rounding bound is not certified.
     """
     try:
         bern, neg, head = _closed_coefficients(N, c, m, beta)
@@ -199,30 +193,23 @@ def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):
     ctx = context(x)
     xp = ctx.xpows(max(N, c))
     op = ctx.ompows(N)
-    total, mag = dd(0.0), 0.0
+    acc = BoundedSum()
     for i, g in enumerate(bern):
-        term = dd_mul(g, dd_mul(xp[i], op[N - 1 - i]))
-        total = dd_add(total, term)
-        mag += abs(term[0])
+        acc.add(dd_mul(g, dd_mul(xp[i], op[N - 1 - i])), N + 1)
     if m:
-        tail, tail_mag = dd(0.0), 0.0
+        tail = BoundedSum()
         for s, a in enumerate(neg, 1):
-            term = dd_mul(a, dd_neg(ctx.log) if s == 1 else _polylog_dd(s, x))
-            tail = dd_add(tail, term)
-            tail_mag += abs(term[0])
+            tail.add(dd_mul(a, dd_neg(ctx.log) if s == 1 else _polylog_dd(s, x)), 2)
         for u, h in enumerate(head, 1):
-            term = dd_mul(h, xp[u])
-            tail = dd_sub(tail, term)
-            tail_mag += abs(term[0])
-        scale = dd_div(op[N], xp[c])  # (1-x)**N x**(-c)
-        total = dd_add(total, dd_mul(tail, scale))
-        mag += tail_mag * scale[0]
-    value = dd_to_float(total)
-    if not (math.isfinite(value) and math.isfinite(mag)) \
-            or mag * _CLOSED_TERM_ERR > _CLOSED_REL * abs(value):
+            tail.add(dd_neg(dd_mul(h, xp[u])), u + 1)
+        tail.mul(dd_div(op[N], xp[c]), N + c + 1)  # (1-x)**N x**(-c)
+        acc.add_sum(tail)
+    value = dd_to_float(acc.total)
+    if not certified(value, acc.bound):
         return None
-    return SeriesResult(value=value, terms_used=len(bern) + len(neg) + len(head),
-                        converged=True, trunc_err_est=0.0, abs_sum=mag)
+    terms = len(bern) + len(neg) + len(head)
+    return SeriesResult(value=value, terms_used=terms, converged=True,
+                        trunc_err_est=0.0, abs_sum=acc.bound * 2.0 ** 53 / terms)
 
 
 @lru_cache(maxsize=1024)

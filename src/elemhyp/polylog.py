@@ -35,16 +35,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._dd import (
-    DD, _two_prod, context, dd, dd_add, dd_div, dd_from_int, dd_from_ratio,
-    dd_mul, dd_sub, dd_to_float,
+    _SERIES_REL_TOL, DD, _two_prod, context, dd, dd_add, dd_div, dd_from_int,
+    dd_from_ratio, dd_mul, dd_sub, dd_to_float,
 )
-from .hypergeom import _SERIES_REL_TOL
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
 )
 
-# polylog_derivative_series takes the kernel combos (j >= 2) from here up; the
-# series there needs ~1/(1-x) terms and stops on small ones.
+# polylog_derivative_series takes the kernel combos (j >= 2) from here up,
+# where the series needs ~1/(1-x) terms to meet its tail bound.
 _COMBOS_FROM = 0.5
 
 # _polylog_dd sums the log series from here up: |log x| <= 0.511, so its

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from elemhyp import (
 from elemhyp.basis import LOG_TERM, poly, pow_ratio
 
 TIGHT = EvalPolicy(rel_tol=1e-13)
+FULL = EvalPolicy(rel_tol=1e-17)
 
 XGRID = [round(0.1 * i, 1) for i in range(1, 10)]
 
@@ -117,20 +119,63 @@ def test_combo_eval_rounds_a_hand_built_combo_itself():
 
 def test_combo_small_argument_behavior():
     # near zero the kernel deviates from its limit 1/n**j by the exact
-    # first-order amount (n+1) * x * (n/(n+1))**j; combo and series agree on
-    # it far more tightly than the deviation itself
+    # first-order amount (n+1) * x * (n/(n+1))**j; the combo, whose x**(-n)
+    # prefactor cancels there, is within 1e-12 of the series or raises
     x = 1e-3
     for n in range(2, 9):
         for j in range(2, 13):
-            c = fnj_combo(n, j)
-            got = combo_eval(c, x)
-            if n <= 6 or j <= 8:
-                ser = fnj_series(n, j, x, TIGHT).value
-                assert math.isclose(got, ser, rel_tol=1e-4)
-            if n <= 6:
-                dev = got * n**j - 1.0
-                model = (n + 1) * x * (n / (n + 1)) ** j
-                assert 0.9 * model < dev < 1.1 * model
+            ser = fnj_series(n, j, x, FULL).value
+            dev = ser * n**j - 1.0
+            model = (n + 1) * x * (n / (n + 1)) ** j
+            assert 0.9 * model < dev < 1.1 * model
+            try:
+                got = combo_eval(fnj_combo(n, j), x)
+            except NotConverged:
+                continue
+            assert math.isclose(got, ser, rel_tol=1e-12), (n, j)
+
+
+def test_combo_eval_raises_where_its_rounding_bound_fails():
+    # x**(-19) cancels ~1e139 here; the value was 3.1e113 off, unraised
+    with pytest.raises(NotConverged, match="rounding bound"):
+        combo_eval(fnj_combo(19, 8), 4.7e-8)
+
+
+def _combo_sweep(count, seed):
+    """(typed errors, worst (rel err, point)) of combo_eval against the
+    full-precision series: n <= 20, 2 <= j <= 12, a fifth of the x
+    log-uniform in [1e-8, 0.1], the rest uniform in [0.01, 0.99]."""
+    rng = random.Random(seed)
+    typed, worst = 0, (0.0, None)
+    for _ in range(count):
+        n, j = rng.randint(1, 20), rng.randint(2, 12)
+        if rng.random() < 0.2:
+            x = 10.0 ** rng.uniform(-8.0, -1.0)
+        else:
+            x = rng.uniform(0.01, 0.99)
+        want = fnj_series(n, j, x, FULL).value
+        try:
+            got = combo_eval(fnj_combo(n, j), x)
+        except NotConverged:
+            typed += 1
+            continue
+        worst = max(worst, (abs(got - want) / want, (n, j, x)))
+    return typed, worst
+
+
+def test_combo_eval_sweep_has_no_silent_error():
+    # every value returned is within 1e-12; the points whose x**(-n)
+    # prefactor cancels too deeply raise, and their count is pinned
+    typed, worst = _combo_sweep(300, 5221)
+    assert worst[0] <= 1e-12, worst
+    assert typed == 87, typed
+
+
+@pytest.mark.sweep
+def test_combo_eval_large_sweep_has_no_silent_error():
+    typed, worst = _combo_sweep(1000, 5222)
+    assert worst[0] <= 1e-12, worst
+    assert typed < 1000
 
 
 def test_combo_eval_domain():

@@ -129,13 +129,13 @@ def test_hyp2f1_closed_variant_prints_the_library_value(m, n, p, x, variant, clo
 
 
 def test_hyp2f1_closed_refuses_a_cancelled_value():
-    # the closed form returns -3.3e22 here (true value ~1.0) at cancel ratio
-    # 7.6e31, past the dispatcher's own acceptance test
+    # the closed form returns -3.3e22 here (true value ~1.0), with a rounding
+    # bound far past the dispatcher's own acceptance test
     r = run("hyp2f1", "--m", "1", "--n", "2", "--p", "42", "--x", "0.05",
             "--method", "closed")
     assert r.returncode == 1
     assert r.stdout == ""
-    assert "cancel ratio 7.58e+31" in r.stderr
+    assert "closed form's rounding bound 1.05e+25 exceeds 1e-13 of its value" in r.stderr
 
 
 @pytest.mark.parametrize("method,n,p", [
@@ -270,6 +270,14 @@ def test_fnj_underflowing_power_exits_1():
     assert r.returncode == 1
     assert r.stdout == ""
     assert r.stderr.startswith("error: ")
+
+
+def test_fnj_uncertified_combo_exits_1():
+    # the combo cancels by ~1e139 at this x, and was 3.1e113 off
+    r = run("fnj", "--n", "19", "--j", "8", "--x", "4.7e-8")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: combo evaluation: rounding bound ")
 
 
 def test_fnj_validation():

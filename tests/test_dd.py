@@ -157,7 +157,7 @@ def _power_integral_pairs(x, n, shifts):
             with pytest.raises(OverflowError):
                 ctx.power_integral(shift, n)
             continue
-        yield shift, ctx.power_integral(shift, n), want
+        yield shift, ctx.power_integral(shift, n)[0], want
 
 
 def test_context_power_integral_matches_power_integral_dd():

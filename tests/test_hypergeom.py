@@ -413,13 +413,70 @@ def test_closed_route_accepts_only_accurate_general_values():
         n = rng.choice((float(rng.randint(-20, 20)), rng.randint(-20, 19) + 0.5,
                         rng.uniform(-20.0, 20.0)))
         x = 1.0 - 10.0 ** rng.uniform(-6.0, math.log10(0.5))
-        val, ratio = _closed_route(m, n, p, x)
-        f = _dd.dd_to_float(val)
-        if hypergeom._closed_accepted(f, ratio):
+        f, bound = _closed_route(m, n, p, x)
+        if _dd.certified(f, bound):
             accepted.append((rel_err(f, mp_ref(m, n, p, x, 50)), (m, n, p, x)))
     assert len(accepted) >= 200
     worst = max(accepted)
     assert worst[0] <= 1e-12, worst
+
+
+def _closed_points(count, seed):
+    """Every family and variant of _closed_route: m <= 6, p <= m+40, a third
+    of x in each of [1e-3, 1/2], [1/2, 0.99] and 1 - [1e-9, 1e-2]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        u = rng.random()
+        if u < 1 / 3:
+            x = rng.uniform(1e-3, 0.5)
+        elif u < 2 / 3:
+            x = rng.uniform(0.5, 0.99)
+        else:
+            x = 1 - 10 ** rng.uniform(-9, -2)
+        family = rng.randrange(3)
+        if family == 0:
+            m = rng.randint(1, 6)
+            n = rng.choice((float(rng.randint(-20, 40)), rng.randint(-20, 39) + 0.5,
+                            rng.uniform(-20.0, 40.0)))
+            yield m, n, rng.randint(m + 1, m + 40), x, None
+        elif family == 1:  # (1, k; k+l+1), k != 2
+            k = rng.choice((1, 3, 4, 5, 6))
+            yield 1, float(k), rng.randint(k + 1, k + 41), x, rng.choice("AB")
+        else:
+            yield 1, 2.0, rng.randint(3, 42), x, rng.choice((1, 2, 3))
+
+
+def _bound_misses(points):
+    """(variants seen, misses): a miss is a closed value off mpmath by more
+    than its rounding bound plus half an ulp."""
+    variants, misses = set(), []
+    for m, n, p, x, variant in points:
+        try:
+            f, bound = _closed_route(m, n, p, x, variant)
+        except NotConverged:  # the value passes float range
+            continue
+        variants.add(variant)
+        with mp.workdps(50):
+            err = abs(mp.mpf(f) - mp.hyp2f1(m, n, p, mp.mpf(x)))
+        if err > bound + math.ulp(f) / 2:
+            misses.append((m, n, p, x, variant, float(err), bound))
+    return variants, misses
+
+
+def test_closed_route_rounding_bound_is_a_bound():
+    # the last point's power integrals carry ~16 units of 2**-104 from their
+    # exp argument; a bound that leaves them out predicts 5.2e-16 for its
+    # 1.0e-15 error
+    points = list(_closed_points(200, 1601))
+    points.append((4, 19.04119012493857, 35, 0.596122670041623, None))
+    variants, misses = _bound_misses(points)
+    assert variants == {None, "A", "B", 1, 2, 3}
+    assert misses == []
+
+
+@pytest.mark.sweep
+def test_closed_route_rounding_bound_is_a_bound_on_a_large_sweep():
+    assert _bound_misses(_closed_points(2000, 1602))[1] == []
 
 
 @pytest.mark.parametrize("m,n,p,x", [

@@ -413,6 +413,34 @@ def test_apply_closed_route_rounding_bound():
     assert abs(kept.value - want) <= 1e-15 * want
 
 
+def test_apply_closed_rounding_bound_is_a_bound():
+    # every kept closed value is within its rounding bound,
+    # terms_used * abs_sum * 2**-53, plus half an ulp of the exact sum
+    rng = random.Random(7301)
+    kept, misses = 0, []
+    for _ in range(50):
+        N, c, m = rng.randint(1, 16), rng.randint(1, 16), rng.randint(0, 10)
+        beta = rng.choice((0.0, float(rng.randint(0, c - 1)), rng.uniform(0, c - 1)))
+        u = rng.random()
+        if u < 0.3:
+            x = rng.uniform(0.05, 0.9)
+        elif u < 0.6:
+            x = rng.uniform(0.9, 0.98)
+        else:
+            x = 1 - 10 ** rng.uniform(-6, -2)
+        res = mkz._gmkz_closed(N, c, beta, m, x)
+        if res is None:
+            continue
+        kept += 1
+        bound = res.terms_used * res.abs_sum * 2.0 ** -53
+        ref = _moment_direct if x < 0.98 else _moment_mp
+        with mp.workdps(50):
+            err = abs(mp.mpf(res.value) - ref(N, c, beta, m, x))
+        if err > bound + math.ulp(res.value) / 2:
+            misses.append((N, c, beta, m, x, float(err), bound))
+    assert kept >= 45 and misses == []
+
+
 def test_apply_route_guard(monkeypatch):
     # a routing slip would turn a sub-millisecond closed call into a series
     # of ~(N+50)/(1-x) terms; at x = 0.999 only a monomial with integer
