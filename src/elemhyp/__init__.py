@@ -20,8 +20,7 @@ from .mkz import (
 )
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NonFinite,
-    NotConverged, SeriesResult, gen_binomial, pochhammer, power_integral,
-    sum_series,
+    NotConverged, SeriesResult, gen_binomial, pochhammer, sum_series,
 )
 from .polylog import polylog, polylog_derivative_series
 
@@ -40,7 +39,7 @@ __all__ = [
     "ln_moment_e2", "ln_moment_e2_direct", "mkz_moment", "mkz_moment_e2",
     "DEFAULT_POLICY", "DomainError", "EvalPolicy", "InvalidParams",
     "NonFinite", "NotConverged", "SeriesResult", "gen_binomial",
-    "pochhammer", "power_integral", "sum_series",
+    "pochhammer", "sum_series",
     "polylog", "polylog_derivative_series",
     "__version__",
 ]

@@ -166,27 +166,27 @@ def combo_eval(c: SymbolicCombo, x: float) -> float:
     prefactor cancels digits at small x (3e113 relative at (19, 8, 4.7e-8)),
     where fnj_series is the accurate route: NotConverged is raised where
     _dd.certified rejects the rounding bound, which counts the cancellation
-    inside each pow_ratio, and where x**n leaves float range.
+    inside each pow_ratio, and where (1-x)**i or x**n leaves float range.
     """
     if not 0.0 < x < 1.0:
         raise DomainError("combo evaluation requires 0 < x < 1")
     ctx = context(x)
     acc = BoundedSum()
-    for b, q in c.sorted_terms():
-        cd = dd_from_ratio(q.numerator, q.denominator)
-        if b.kind == "pow_ratio":  # (1 - (1-x)**i) / (1-x)**i
-            pw = ctx.ompows(b.index)[b.index]
-            term = BoundedSum((dd(1.0), 0.0), (dd_neg(pw), b.index))
-            term.div(pw, b.index)
-            term.mul(cd)
-            acc.add_sum(term)
-        else:
-            val = ctx.log if b.kind == "log" else _polylog_dd(b.index, x)
-            acc.add(dd_mul(cd, val), 2)
     try:
+        for b, q in c.sorted_terms():
+            cd = dd_from_ratio(q.numerator, q.denominator)
+            if b.kind == "pow_ratio":  # (1 - (1-x)**i) / (1-x)**i
+                pw = ctx.ompows(b.index)[b.index]
+                term = BoundedSum((dd(1.0), 0.0), (dd_neg(pw), b.index))
+                term.div(pw, b.index)
+                term.mul(cd)
+                acc.add_sum(term)
+            else:
+                val = ctx.log if b.kind == "log" else _polylog_dd(b.index, x)
+                acc.add(dd_mul(cd, val), 2)
         acc.div(dd_npow(dd(x), c.n), c.n)
-    except ZeroDivisionError:  # x**n underflows to 0
-        raise NotConverged("combo evaluation: x**n underflows float range") from None
+    except ZeroDivisionError:  # (1-x)**i or x**n underflows to 0
+        raise NotConverged("combo evaluation: a power underflows float range") from None
     value = dd_to_float(acc.total)
     if not certified(value, acc.bound):
         raise NotConverged(f"combo evaluation: rounding bound {acc.bound:.3g} "

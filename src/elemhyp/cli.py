@@ -15,9 +15,8 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
 
-from ._dd import _GUARD_REL, _SERIES_REL_TOL, certified
+from ._dd import _GUARD_REL, certified
 from .basis import combo_eval, combo_json_dict, fnj_combo, fnj_series
 from .heun import (
     HeunFamilyParams, heun_eval, heun_normalization, heun_ode_residual,
@@ -29,8 +28,8 @@ from .mkz import (
     ln_moment_e2_direct, mkz_moment,
 )
 from .numcore import (
-    DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NonFinite,
-    NotConverged,
+    DEFAULT_POLICY, FULL_PRECISION, DomainError, EvalPolicy, InvalidParams,
+    NonFinite, NotConverged,
 )
 from .verify import SUITE_NAMES, _rel_err, run_suites
 
@@ -61,7 +60,7 @@ def cmd_hyp2f1(args, policy: EvalPolicy) -> int:
     if args.variant is not None and args.method != "closed":
         raise InvalidParams("--variant requires --method closed")
     if args.method == "auto":
-        value = hyp2f1_eval(params, args.x, policy)
+        value = hyp2f1_eval(params, args.x)
     elif args.method == "series":
         res = hyp2f1_series(float(args.m), args.n, float(args.p), args.x, policy)
         if not res.converged:
@@ -91,7 +90,7 @@ def cmd_moment(args, policy: EvalPolicy) -> int:
         params = GmkzParams(n, 1, 0.0, 0.0)
 
         def closed():
-            return mkz_moment(n, r, x, policy)
+            return mkz_moment(n, r, x)
     elif args.operator == "ln":
         if r != 2:
             raise InvalidParams("the ln operator has a closed moment for r = 2 only")
@@ -106,7 +105,7 @@ def cmd_moment(args, policy: EvalPolicy) -> int:
             if r == 1:
                 return gmkz_e1(params, x)
             if args.alpha == int(args.alpha) and args.rop == int(args.alpha) + 1:
-                return gmkz_moment_abel(n, int(args.alpha), args.beta, r, x, policy)
+                return gmkz_moment_abel(n, int(args.alpha), args.beta, r, x)
             raise InvalidParams(
                 "gmkz closed moments need r = 1, or rop = alpha+1 with integer alpha")
 
@@ -123,7 +122,7 @@ def cmd_moment(args, policy: EvalPolicy) -> int:
         # the closed side is exact to rounding, so the series it is checked
         # against is summed to full precision, as gmkz_apply sums it
         c = closed()
-        s = series(replace(policy, rel_tol=min(policy.rel_tol, _SERIES_REL_TOL)))
+        s = series(FULL_PRECISION)
         doc = {"closed": c, "series": s, "rel_err": _rel_err(c, s)}
     _emit(doc)
     return 0
@@ -193,11 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "2F1-expanded Heun family.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--rel-tol", type=float, default=None,
-                        help="series tolerance: a series stops once a bound "
-                             "on its tail is within it of the partial sum "
-                             "(default 1e-12; env ELEMHYP_REL_TOL)")
+                        help="tolerance of the series oracles (--method "
+                             "series, --compare, --route series, fnj's "
+                             "series) and of the Heun truncation: a series "
+                             "stops once a bound on its tail is within it of "
+                             "the partial sum (default 1e-12; env "
+                             "ELEMHYP_REL_TOL); the evaluators always sum to "
+                             "full precision")
     common.add_argument("--max-terms", type=int, default=None,
-                        help="series term cap (default 100000)")
+                        help="term cap of the same series (default 100000)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("hyp2f1", parents=[common],

@@ -54,13 +54,16 @@ class HeunSpec:
 
 @dataclass(frozen=True)
 class HeunFamilyParams:
-    """The (m, n, p) triple: integer m >= 1, real n != 0, integer p >= m+1."""
+    """The (m, n, p) triple: integer m >= 1, finite real n != 0, integer
+    p >= m+1."""
 
     m: int
     n: float
     p: int
 
     def __post_init__(self):
+        if not math.isfinite(self.n):
+            raise InvalidParams("n must be finite")
         if self.m < 1:
             raise InvalidParams("m must be a positive integer")
         if self.p < self.m + 1:
@@ -125,9 +128,10 @@ def heun_eval(fp: HeunFamilyParams, x: float, K: int,
               policy: EvalPolicy = DEFAULT_POLICY) -> SeriesResult:
     """Partial sum of the 2F1 expansion, K terms (fewer if it terminates).
 
-    Terminating parameters give the exact finite sum and converged=True for
-    any K >= r.  Otherwise convergence is reported only if the last term is
-    already below policy.rel_tol relative to the sum; the series decays like
+    Each leaf is hyp2f1_eval, at full precision.  Terminating parameters
+    give the exact finite sum and converged=True for any K >= r.  Otherwise
+    convergence is reported only if the last term is already below
+    policy.rel_tol relative to the sum; the series decays like
     k**-2, so large K buys accuracy slowly.  The terms c_k * leaf are summed
     by sum_series, so an inf or nan term raises NonFinite.
     """
@@ -142,7 +146,7 @@ def heun_eval(fp: HeunFamilyParams, x: float, K: int,
     for k in range(kmax):
         if c == 0.0:
             break
-        leaf = hyp2f1_eval(HypergeomParams(fp.m, float(fp.n), fp.p + 2 * k), x, policy)
+        leaf = hyp2f1_eval(HypergeomParams(fp.m, float(fp.n), fp.p + 2 * k), x)
         terms.append(c * leaf)
         c *= _coeff_ratio(fp, k)
     # no tail bound: the partial sum is the value by definition

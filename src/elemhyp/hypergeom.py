@@ -22,11 +22,13 @@ counts term roundings, table depth and power-integral errors.
 The dispatcher hyp2f1_eval tries three routes in order; the first two are
 kept only where _dd.certified finds their rounding bound within 1e-13:
 
-  1. below _X_SWITCH = 1/2, the defining series summed to full precision,
-     where it needs few terms and the x**(1-p) prefactor makes closed
-     forms cancel; its bound is terms * sum|term| * 2**-53;
+  1. below _X_SWITCH = 1/2, the defining series, where it needs few terms
+     and the x**(1-p) prefactor makes closed forms cancel; its bound is
+     terms * sum|term| * 2**-53;
   2. the classifier's closed form for (m, n; p), with its BoundedSum bound;
-  3. the defining series, stopped once its tail bound meets policy.rel_tol.
+  3. the defining series, with no rounding check.
+
+Both series routes sum one series per call, at numcore.FULL_PRECISION.
 
 A short terminating polynomial (n a nonpositive integer >= -16) that route
 1 does not keep is summed exactly in integers and rounded once instead of
@@ -41,29 +43,32 @@ NotConverged is raised.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
 from ._dd import (
-    _SERIES_REL_TOL, DD, BoundedSum, ClosedFormContext, certified, context,
+    DD, BoundedSum, ClosedFormContext, certified, context,
     dd, dd_div, dd_from_int, dd_from_ratio, dd_mul, dd_neg, dd_npow, dd_to_float,
 )
 from .numcore import (
-    DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
-    SeriesResult, sum_series,
+    DEFAULT_POLICY, FULL_PRECISION, DomainError, EvalPolicy, InvalidParams,
+    NotConverged, SeriesResult, sum_series,
 )
 
 
 @dataclass(frozen=True)
 class HypergeomParams:
-    """Parameter triple for 2F1(m, n; p; x): integer m, real n, integer p."""
+    """Parameter triple for 2F1(m, n; p; x): integer m, finite real n,
+    integer p."""
 
     m: int
     n: float
     p: int
 
     def __post_init__(self):
+        if not math.isfinite(self.n):
+            raise InvalidParams("n must be finite")
         if self.m < 1:
             raise InvalidParams("m must be a positive integer")
         if self.p < self.m + 1:
@@ -308,9 +313,7 @@ def hyp2f1_closed_12(n: int, x: float, variant: int = 1) -> float:
 # to the series.  (p-1)*log10(1/x) is the loss driven by the x**(1-p) prefactor.
 _MAX_DIGIT_LOSS = 22.0
 
-# Below _X_SWITCH the series is summed to full float64 precision, to
-# _SERIES_REL_TOL or the policy's own tolerance if tighter; a loose rel_tol
-# does not loosen it.
+# Below _X_SWITCH the dispatcher tries the series before any closed form.
 _X_SWITCH = 0.5
 
 
@@ -374,19 +377,19 @@ def _short_poly_exact(m: int, K: int, p: int, x: float) -> float:
     return num / scale
 
 
-def hyp2f1_eval(params: HypergeomParams, x: float,
-                policy: EvalPolicy = DEFAULT_POLICY) -> float:
+def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
     """Stability-aware dispatcher.
 
-    Below _X_SWITCH = 1/2 the defining series is summed to full precision
-    (tolerance min(policy.rel_tol, 1e-17)) and kept if _dd.certified finds
-    its rounding bound, terms_used * sum|term| * 2**-53, within 1e-13.  Any
-    other point tries the most specific closed form, kept by the same test
-    on the running bound of its double-double sum, unless the digit-loss
-    bound (p-1)*log10(1/x) rules it out.  A short terminating polynomial (n
-    a nonpositive integer >= -16) is summed exactly and rounded once
-    instead.  The fallback is the series, reusing the sum made below
-    _X_SWITCH, with no rounding check; at policy.max_terms it raises
+    Every series it sums runs at numcore.FULL_PRECISION (tail bound within
+    1e-17 of the sum, at most 100000 terms); there is one such sum per
+    call.  Below _X_SWITCH = 1/2 the defining series is kept if
+    _dd.certified finds its rounding bound, terms_used * sum|term| * 2**-53,
+    within 1e-13.  Any other point tries the most specific closed form, kept
+    by the same test on the running bound of its double-double sum, unless
+    the digit-loss bound (p-1)*log10(1/x) rules it out.  A short terminating
+    polynomial (n a nonpositive integer >= -16) is summed exactly and
+    rounded once instead.  The fallback is the series, reusing the sum made
+    below _X_SWITCH, with no rounding check; at the term cap it raises
     NotConverged.  A closed form that passes float range is replaced by that
     of the Euler-transformed triple (p-m, p-n; p) times (1-x)**(p-m-n), if
     certified, else NotConverged is raised: the series stops short there.
@@ -400,8 +403,7 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
         return 1.0  # zero upper parameter terminates the series at its first term
     res = None
     if x < _X_SWITCH:
-        full = replace(policy, rel_tol=min(policy.rel_tol, _SERIES_REL_TOL))
-        res = hyp2f1_series(float(m), n, float(p), x, full)
+        res = hyp2f1_series(float(m), n, float(p), x, FULL_PRECISION)
         if not res.converged:
             raise NotConverged("series did not converge")
         if certified(res.value, res.terms_used * res.abs_sum * 2.0 ** -53):
@@ -419,7 +421,7 @@ def hyp2f1_eval(params: HypergeomParams, x: float,
         if certified(f, bound):
             return f
     if res is None:
-        res = hyp2f1_series(float(m), n, float(p), x, policy)
+        res = hyp2f1_series(float(m), n, float(p), x, FULL_PRECISION)
     if not res.converged:
         raise NotConverged("series fallback did not converge")
     return res.value

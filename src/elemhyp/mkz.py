@@ -6,9 +6,10 @@ gmkz_apply applies the generalized operator
 
 with the classical operator at (r, a, b) = (1, 0, 0).  Two routes:
 
-  1. the series, summed by sum_series until a bound on its tail meets the
-     tolerance (_gmkz_series, also the direct-summation oracle of the
-     tests and of verify);
+  1. the series, summed by sum_series at numcore.FULL_PRECISION, until a
+     bound on its tail is within 1e-17 of the sum (_gmkz_series, which at
+     a looser policy is the direct-summation oracle of the tests and of
+     verify);
   2. from x = _APPLY_CLOSED_FROM up, for a Monomial(m) with integer a, the
      exact combination of elementary functions and Li_s(x), s = 1..m, of
      _gmkz_closed: N + m + c - 1 double-double terms (N = n + r,
@@ -27,18 +28,18 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 
 from ._dd import (
-    _SERIES_REL_TOL, BoundedSum, certified, context, dd_div, dd_from_ratio,
+    BoundedSum, certified, context, dd_div, dd_from_ratio,
     dd_mul, dd_neg, dd_to_float,
 )
 from .hypergeom import HypergeomParams, hyp2f1_eval
 from .numcore import (
-    DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
-    SeriesResult, sum_series,
+    DEFAULT_POLICY, FULL_PRECISION, DomainError, EvalPolicy, InvalidParams,
+    NotConverged, SeriesResult, sum_series,
 )
 from .polylog import _polylog_dd
 
@@ -59,7 +60,7 @@ _CLOSED_MAX_STEPS = 100000
 @dataclass(frozen=True)
 class GmkzParams:
     """Generalized operator parameters: integer n >= 1, integer r with
-    n + r >= 1, reals alpha >= beta >= 0."""
+    n + r >= 1, finite reals alpha >= beta >= 0."""
 
     n: int
     r: int
@@ -71,8 +72,8 @@ class GmkzParams:
             raise InvalidParams("n must be >= 1")
         if self.n + self.r < 1:
             raise InvalidParams("n + r must be >= 1")
-        if not (self.alpha >= self.beta >= 0):
-            raise InvalidParams("need alpha >= beta >= 0")
+        if not (self.alpha >= self.beta >= 0 and math.isfinite(self.alpha)):
+            raise InvalidParams("need finite alpha >= beta >= 0")
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,7 @@ class Monomial:
         return t ** self.r
 
 
-def gmkz_apply(params: GmkzParams, f, x: float,
-               policy: EvalPolicy = DEFAULT_POLICY) -> SeriesResult:
+def gmkz_apply(params: GmkzParams, f, x: float) -> SeriesResult:
     """Apply the generalized operator to f at x.
 
     A Monomial(m) with integer alpha, from x = _APPLY_CLOSED_FROM up, takes
@@ -102,8 +102,8 @@ def gmkz_apply(params: GmkzParams, f, x: float,
     the closed form's running bound.  It is kept where _dd.certified accepts
     that bound and every coefficient is within float range, and is tried only
     where its coefficients take at most _CLOSED_MAX_STEPS steps
-    (~N**2 + c*(m+1)).  Every other case is summed by _gmkz_series to full
-    precision (tolerance min(rel_tol, 1e-17), as hyp2f1_eval's series).
+    (~N**2 + c*(m+1)).  Every other case is summed by _gmkz_series at
+    numcore.FULL_PRECISION, as hyp2f1_eval's series.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("operator series requires 0 <= x < 1")
@@ -115,8 +115,7 @@ def gmkz_apply(params: GmkzParams, f, x: float,
             res = _gmkz_closed(N, c, params.beta, m, x)
             if res is not None:
                 return res
-    full = replace(policy, rel_tol=min(policy.rel_tol, _SERIES_REL_TOL))
-    return _gmkz_series(params, f, x, full)
+    return _gmkz_series(params, f, x, FULL_PRECISION)
 
 
 def _gmkz_series(params: GmkzParams, f, x: float,
@@ -267,12 +266,11 @@ def mkz_moment_e2(n: int, x: float) -> float:
     return x * x + x * (1.0 - x) ** 2 / (n + 1) * f
 
 
-def mkz_moment(n: int, r: int, x: float,
-               policy: EvalPolicy = DEFAULT_POLICY) -> float:
+def mkz_moment(n: int, r: int, x: float) -> float:
     """r-th moment M_n e_r(x) of the classical operator, 0 < x < 1.
 
     The operator at (r, alpha, beta) = (1, 0, 0), so this is
-    gmkz_apply(GmkzParams(n, 1, 0.0, 0.0), Monomial(r), x, policy).value:
+    gmkz_apply(GmkzParams(n, 1, 0.0, 0.0), Monomial(r), x).value:
     the closed form from x = _APPLY_CLOSED_FROM up, the full-precision
     series below it.  Order 0 is exactly 1.0.
     """
@@ -284,7 +282,7 @@ def mkz_moment(n: int, r: int, x: float,
         raise DomainError("moment requires 0 < x < 1")
     if r == 0:
         return 1.0
-    return gmkz_apply(GmkzParams(n, 1, 0.0, 0.0), Monomial(r), x, policy).value
+    return gmkz_apply(GmkzParams(n, 1, 0.0, 0.0), Monomial(r), x).value
 
 
 def ln_moment_e2(n: int, x: float) -> float:
@@ -356,13 +354,11 @@ def gmkz_e1(params: GmkzParams, x: float) -> float:
     return b / (n + a) * f1 + (n + r - b) / (n + 1 + a) * x * f2
 
 
-def gmkz_moment_abel(n: int, alpha: int, beta: float, m: int, x: float,
-                     policy: EvalPolicy = DEFAULT_POLICY) -> float:
+def gmkz_moment_abel(n: int, alpha: int, beta: float, m: int, x: float) -> float:
     """m-th moment of M_{n,alpha+1}^{alpha,beta}, integer alpha, 0 < x < 1.
 
-    gmkz_apply(GmkzParams(n, alpha+1, alpha, beta), Monomial(m), x,
-    policy).value, so the same routes as mkz_moment.  Order 0 is exactly
-    1.0.
+    gmkz_apply(GmkzParams(n, alpha+1, alpha, beta), Monomial(m), x).value,
+    so the same routes as mkz_moment.  Order 0 is exactly 1.0.
     """
     if n < 1:
         raise InvalidParams("n must be >= 1")
@@ -377,4 +373,4 @@ def gmkz_moment_abel(n: int, alpha: int, beta: float, m: int, x: float,
     if m == 0:
         return 1.0
     params = GmkzParams(n, alpha + 1, float(alpha), beta)
-    return gmkz_apply(params, Monomial(m), x, policy).value
+    return gmkz_apply(params, Monomial(m), x).value

@@ -1,8 +1,7 @@
 """Shared numerical kernel.
 
-Pochhammer symbols, generalized binomials, the series summation engine
-(every series stops on a bound on its tail), and a float64 power integral
-(the closed forms use _dd.power_integral_dd).  Everything here is pure
+Pochhammer symbols, generalized binomials and the series summation engine
+(every series stops on a bound on its tail).  Everything here is pure
 float64; the double-double internals live in _dd and are not part of this
 surface.
 """
@@ -10,9 +9,10 @@ surface.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable
+
+from ._dd import _SERIES_REL_TOL
 
 
 class DomainError(ValueError):
@@ -33,7 +33,11 @@ class NotConverged(RuntimeError):
 
 @dataclass(frozen=True)
 class EvalPolicy:
-    """Knobs for every series evaluation in the package.
+    """Knobs for the series oracles and the Heun truncation.
+
+    The evaluators (hyp2f1_eval, gmkz_apply, the moments built on it and
+    polylog_derivative_series) take none: every series they sum runs at
+    FULL_PRECISION.
 
     rel_tol: a series stops once a bound on its tail is within rel_tol of
         its partial sum.
@@ -51,6 +55,8 @@ class EvalPolicy:
 
 
 DEFAULT_POLICY = EvalPolicy()
+# the one policy of the evaluators' own series: float64 accuracy, default cap
+FULL_PRECISION = EvalPolicy(rel_tol=_SERIES_REL_TOL)
 
 
 @dataclass
@@ -123,25 +129,3 @@ def sum_series(term_source: Iterable, tail: Callable[[int, float], float],
     return SeriesResult(value=s, terms_used=terms_used, converged=converged,
                         trunc_err_est=bound, abs_sum=abs_sum)
 
-
-def power_integral(e: float, x: float) -> float:
-    """Integral of s**e over [1-x, 1] for x in (0, 1).
-
-    Equals (1 - (1-x)**(e+1))/(e+1) away from e = -1 and -log(1-x) at the
-    branch.  -expm1(t)/w, w = e+1 and t = w log(1-x), is accurate for every
-    normal t, however close to the branch; the log form serves the rest
-    (w == 0, or a subnormal t at tiny x, where it is within |t|).  Where
-    (1-x)**(e+1) passes float range it raises NotConverged.
-    """
-    if not 0.0 < x < 1.0:
-        raise DomainError("power_integral requires 0 < x < 1")
-    log1mx = math.log1p(-x)
-    t = (e + 1.0) * log1mx
-    if abs(t) < sys.float_info.min:
-        return -log1mx
-    # expm1 overflows only for |e+1| > 19 (|log(1-x)| < 37 for a float x), so
-    # the quotient of a finite expm1 stays finite
-    try:
-        return -math.expm1(t) / (e + 1.0)
-    except OverflowError:
-        raise NotConverged("power integral overflows float range") from None

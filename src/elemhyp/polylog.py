@@ -30,17 +30,14 @@ j**k.  A value does not depend on which orders were asked for before it.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
 from ._dd import (
-    _SERIES_REL_TOL, DD, _two_prod, context, dd, dd_add, dd_div, dd_from_int,
+    DD, _two_prod, context, dd, dd_add, dd_div, dd_from_int,
     dd_from_ratio, dd_mul, dd_sub, dd_to_float,
 )
-from .numcore import (
-    DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
-)
+from .numcore import FULL_PRECISION, DomainError, InvalidParams, NotConverged
 
 # polylog_derivative_series takes the kernel combos (j >= 2) from here up,
 # where the series needs ~1/(1-x) terms to meet its tail bound.
@@ -89,8 +86,7 @@ def _unit_polylog_dd(k: int, x: float) -> DD:
     return _polylog_dd(k, x)
 
 
-def polylog_derivative_series(j: int, d: int, x: float,
-                              policy: EvalPolicy = DEFAULT_POLICY) -> float:
+def polylog_derivative_series(j: int, d: int, x: float) -> float:
     """d-th derivative of Li_j at x: d! * f_{d,j}(x).
 
     Termwise, Li_j^(d)(x) = sum_k d! C(d+k,k) x**k / (d+k)**j, the kernel
@@ -98,9 +94,9 @@ def polylog_derivative_series(j: int, d: int, x: float,
     basis.fnj_base (Li_0(x) := x/(1-x), so j = 0 gives d!/(1-x)**(d+1), and
     j = 1 gives (d-1)!/(1-x)**d), raising NotConverged where they pass float
     range.  For j >= 2 the kernel is the exact combo from _COMBOS_FROM up,
-    where the series would need ~1/(1-x) terms, and the series at full
-    precision (tolerance min(rel_tol, 1e-17)) below it, where the combo's
-    x**(-d) prefactor cancels.  Nothing in the package calls it: the moments
+    where the series would need ~1/(1-x) terms, and the series at
+    numcore.FULL_PRECISION below it, where the combo's x**(-d) prefactor
+    cancels.  Nothing in the package calls it: the moments
     are mkz.gmkz_apply on a Monomial, which needs no kernel f_{d,j}.
     """
     from .basis import combo_eval, fnj_base, fnj_combo, fnj_series  # basis imports this module
@@ -121,8 +117,7 @@ def polylog_derivative_series(j: int, d: int, x: float,
         raise NotConverged("derivative overflows float range")
     if x >= _COMBOS_FROM:
         return math.factorial(d) * combo_eval(fnj_combo(d, j), x)
-    series = replace(policy, rel_tol=min(policy.rel_tol, _SERIES_REL_TOL))
-    return math.factorial(d) * fnj_series(d, j, x, series).value
+    return math.factorial(d) * fnj_series(d, j, x, FULL_PRECISION).value
 
 
 @lru_cache(maxsize=4096)

@@ -185,6 +185,12 @@ def test_combo_eval_domain():
             combo_eval(c, x)
 
 
+def test_combo_eval_raises_where_a_power_of_one_minus_x_underflows():
+    # (1-x)**30 is 0 in float64 at 1-x = 1e-12: f_{30,2} is ~1e360 there
+    with pytest.raises(NotConverged):
+        combo_eval(fnj_combo(30, 2), 1 - 1e-12)
+
+
 def test_combo_eval_raises_where_x_to_the_n_underflows():
     with pytest.raises(NotConverged):
         combo_eval(fnj_combo(5, 3), 1e-100)

@@ -95,6 +95,29 @@ def test_hyp2f1_parameter_error_exits_2():
     assert "error:" in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("hyp2f1", "--m", "1", "--n", "nan", "--p", "3", "--x", "0.5"),
+    ("heun", "--m", "1", "--n", "nan", "--p", "3", "--x", "0.2"),
+    ("moment", "--operator", "gmkz", "--n", "3", "--r", "1", "--x", "0.5",
+     "--alpha", "inf"),
+])
+def test_non_finite_parameter_exits_2(argv):
+    r = run(*argv)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags", [(), ("--rel-tol", "1e-6"), ("--max-terms", "20")])
+def test_hyp2f1_auto_ignores_the_series_flags(flags):
+    # the closed form is rejected here, and the series fallback sums to full
+    # precision whatever the flags say (20.924269313215092 at --rel-tol 1e-6)
+    r = run("hyp2f1", "--m", "6", "--n", "18.5", "--p", "24",
+            "--x", "0.5033840330246482", *flags)
+    assert r.returncode == 0
+    assert r.stdout == '{"value": 20.924279990680514}\n'
+
+
 def test_hyp2f1_variant_requires_closed_method():
     r = run("hyp2f1", "--m", "1", "--n", "2", "--p", "3", "--x", "0.5",
             "--variant", "1")
@@ -270,6 +293,13 @@ def test_fnj_underflowing_power_exits_1():
     assert r.returncode == 1
     assert r.stdout == ""
     assert r.stderr.startswith("error: ")
+
+
+def test_fnj_underflowing_power_of_one_minus_x_exits_1():
+    r = run("fnj", "--n", "30", "--j", "2", "--x", "0.999999999999")
+    assert r.returncode == 1
+    assert r.stdout == ""
+    assert r.stderr == "error: combo evaluation: a power underflows float range\n"
 
 
 def test_fnj_uncertified_combo_exits_1():

@@ -54,6 +54,9 @@ def test_family_params_validation():
         HeunFamilyParams(1, 0.0, 2)
     with pytest.raises(InvalidParams):
         HeunFamilyParams(2, 1.0, 2)
+    for n in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParams):
+            HeunFamilyParams(1, n, 3)
 
 
 def test_parameter_map_on_the_reference_member():

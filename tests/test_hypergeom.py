@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from elemhyp import (
     DomainError, EvalPolicy, HeunFamilyParams, HypergeomParams, InvalidParams,
-    NotConverged, heun_eval, hyp2f1_closed_12, hyp2f1_closed_1m,
+    NonFinite, NotConverged, heun_eval, hyp2f1_closed_12, hyp2f1_closed_1m,
     hyp2f1_closed_general, hyp2f1_closed_m1, hyp2f1_eval, hyp2f1_series,
 )
 from elemhyp import _dd, hypergeom
@@ -35,6 +35,11 @@ def test_params_validation():
         HypergeomParams(0, 1.0, 2)
     with pytest.raises(InvalidParams):
         HypergeomParams(2, 1.0, 2)  # needs p >= m+1
+    # a nan n reached hyp2f1_eval's series below x = 1/2 (NonFinite) and its
+    # closed forms above it (a bare ValueError)
+    for n in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParams):
+            HypergeomParams(1, n, 3)
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -253,8 +258,10 @@ def test_eval_domain_and_convergence():
         hyp2f1_eval(HypergeomParams(1, 2.0, 3), -0.1)
     with pytest.raises(DomainError):
         hyp2f1_eval(HypergeomParams(1, 2.0, 3), 1.0)
+    # the closed form's rounding bound is rejected, and the series fallback
+    # is still going at the 100000-term cap
     with pytest.raises(NotConverged):
-        hyp2f1_eval(HypergeomParams(1, 0.5, 3), 0.01, EvalPolicy(max_terms=3))
+        hyp2f1_eval(HypergeomParams(4, 37.5, 32), 0.9999981349596648)
 
 
 @given(st.integers(min_value=1, max_value=4),
@@ -311,6 +318,20 @@ def test_eval_series_guard_covers_cancelling_sums():
 def test_eval_baseline_reproducers_below_half(m, n, p, x):
     got = hyp2f1_eval(HypergeomParams(m, n, p), x)
     assert rel_err(got, mp_ref(m, n, p, x, 50)) <= 1e-12
+
+
+@pytest.mark.parametrize("m,n,p,x", [
+    (6, 18.5, 24, 0.5033840330246482),  # 4.9e-13 off at tolerance 1e-12
+    (4, 19.04119012493857, 35, 0.596122670041623),  # 4.4e-13
+    (2, 2.5, 50, 0.6183776528207239),  # 1.5e-13
+])
+def test_eval_series_fallback_sums_to_full_precision(m, n, p, x):
+    # the closed form's rounding bound is rejected at these points, so the
+    # value is the fallback series'
+    f, bound = _closed_route(m, n, p, x)
+    assert not _dd.certified(f, bound)
+    got = hyp2f1_eval(HypergeomParams(m, n, p), x)
+    assert rel_err(got, mp_ref(m, n, p, x, 50)) <= 2e-16
 
 
 @pytest.mark.parametrize("n", [1e-9, 1.0 - 1e-10, 2.0 + 3e-11])
@@ -524,3 +545,49 @@ def test_eval_overflow_band_never_returns_the_series(monkeypatch):
         got = hyp2f1_eval(HypergeomParams(1, n, 40), 1 - 1e-9)
         assert rel_err(got, mp_ref(1, n, 40, 1 - 1e-9, 50)) <= 1e-14, n
     assert calls["hyp2f1_series"] == []
+
+
+def _dispatcher_points(count, seed):
+    """The dispatcher's whole domain: m <= 10, p <= m+60, n an integer, a
+    half-integer or real with |n| <= 40; 30 % of x with 1-x log-uniform in
+    [1e-12, 0.1], 20 % log-uniform in [1e-8, 0.1], the rest uniform in
+    [0.01, 0.99]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 10)
+        n = rng.choice((float(rng.randint(-40, 40)), rng.randint(-40, 39) + 0.5,
+                        rng.uniform(-40.0, 40.0)))
+        p = rng.randint(m + 1, m + 60)
+        u = rng.random()
+        if u < 0.3:
+            x = 1.0 - 10.0 ** rng.uniform(-12.0, -1.0)
+        elif u < 0.5:
+            x = 10.0 ** rng.uniform(-8.0, -1.0)
+        else:
+            x = rng.uniform(0.01, 0.99)
+        yield m, n, p, x
+
+
+def _dispatcher_sweep(count, seed):
+    """(typed errors, points off mpmath by more than 1e-12)."""
+    typed, off = 0, []
+    for m, n, p, x in _dispatcher_points(count, seed):
+        try:
+            got = hyp2f1_eval(HypergeomParams(m, n, p), x)
+        except (NotConverged, NonFinite):
+            typed += 1
+            continue
+        err = rel_err(got, mp_ref(m, n, p, x, 50))
+        if err > 1e-12:
+            off.append((m, n, p, x, err))
+    return typed, off
+
+
+@pytest.mark.sweep
+def test_eval_dispatcher_sweep():
+    # the typed errors are pinned; the misses left, 1.1e-12 to 7.9e-11, all
+    # have m >= 8 and n <= -29.5, where the closed form's bound is rejected
+    # and the fallback series cancels in float64 with no rounding check
+    typed, off = _dispatcher_sweep(12000, 1712)
+    assert typed == 34
+    assert len(off) <= 10, off

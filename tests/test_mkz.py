@@ -36,6 +36,10 @@ def test_params_validation():
         GmkzParams(2, 1, 1.0, 2.0)  # beta above alpha
     with pytest.raises(InvalidParams):
         GmkzParams(2, 1, 1.0, -0.5)
+    for alpha, beta in ((math.inf, 0.0), (math.inf, math.inf), (math.nan, 0.0),
+                        (1.0, math.nan)):
+        with pytest.raises(InvalidParams):
+            GmkzParams(2, 1, alpha, beta)
 
 
 def test_monomial():
@@ -48,17 +52,17 @@ def test_monomial():
 @pytest.mark.parametrize("n", [1, 4, 10])
 @pytest.mark.parametrize("x", [0.2, 0.8])
 def test_operator_reproduces_constants_and_identity(n, x):
-    e0 = gmkz_apply(classical(n), Monomial(0), x, TIGHT)
+    e0 = gmkz_apply(classical(n), Monomial(0), x)
     assert e0.converged
     assert math.isclose(e0.value, 1.0, rel_tol=1e-12)
-    e1 = gmkz_apply(classical(n), Monomial(1), x, TIGHT)
+    e1 = gmkz_apply(classical(n), Monomial(1), x)
     assert math.isclose(e1.value, x, rel_tol=1e-12)
 
 
 def test_operator_kernel_vs_mpmath():
     # non-classical parameters, summed independently at high precision
     n, rop, a, b, x = 2, 3, 2.0, 1.0, 0.4
-    got = gmkz_apply(GmkzParams(n, rop, a, b), Monomial(1), x, TIGHT).value
+    got = gmkz_apply(GmkzParams(n, rop, a, b), Monomial(1), x).value
     with mp.workdps(30):
         want = float(mp.nsum(
             lambda k: mp.binomial(n + rop - 1 + k, k) * mp.mpf(1 - x)**(n + rop)
@@ -147,7 +151,7 @@ def test_abel_route_vs_direct(n, alpha, beta):
     params = GmkzParams(n, alpha + 1, float(alpha), beta)
     for m in range(5):
         for x in (0.9, 0.95):
-            got = gmkz_moment_abel(n, alpha, beta, m, x, TIGHT)
+            got = gmkz_moment_abel(n, alpha, beta, m, x)
             want = _gmkz_series(params, Monomial(m), x, TIGHT).value
             assert math.isclose(got, want, rel_tol=1e-10)
 
@@ -457,15 +461,6 @@ def test_apply_route_guard(monkeypatch):
         gmkz_apply(GmkzParams(5, 2, 3.0, 1.5), lambda t: t ** 6, x)
 
 
-def test_apply_route_ignores_max_terms():
-    # the route is chosen from the inputs alone: a small series cap neither
-    # turns the closed form away nor changes its value
-    params, f, x = GmkzParams(5, 2, 3.0, 1.5), Monomial(6), 0.999
-    capped = gmkz_apply(params, f, x, EvalPolicy(max_terms=10))
-    assert capped == gmkz_apply(params, f, x)
-    assert capped.trunc_err_est == 0.0
-
-
 @pytest.mark.parametrize("x", [0.05, 0.1, 0.5])
 def test_series_function_zero_at_first_node(x):
     # t**2 is 0 at the first node (beta = 0), so the largest |f| met there
@@ -501,16 +496,15 @@ def test_series_tail_bound_meets_its_tolerance():
 def test_moments_are_gmkz_apply_on_a_monomial(x):
     # one engine: the classical operator is (r, alpha, beta) = (1, 0, 0),
     # the Abel one (alpha+1, alpha, beta); equal bit for bit on both routes
-    for policy in (EvalPolicy(), TIGHT):
-        for n in (1, 7, 20):
-            for r in (1, 5, 12):
-                want = gmkz_apply(classical(n), Monomial(r), x, policy).value
-                assert mkz_moment(n, r, x, policy) == want, (n, r)
-                for alpha, beta in ((0, 0.0), (2, 1.25), (3, 3.0)):
-                    params = GmkzParams(n, alpha + 1, float(alpha), beta)
-                    want = gmkz_apply(params, Monomial(r), x, policy).value
-                    got = gmkz_moment_abel(n, alpha, beta, r, x, policy)
-                    assert got == want, (n, alpha, beta, r)
+    for n in (1, 7, 20):
+        for r in (1, 5, 12):
+            want = gmkz_apply(classical(n), Monomial(r), x).value
+            assert mkz_moment(n, r, x) == want, (n, r)
+            for alpha, beta in ((0, 0.0), (2, 1.25), (3, 3.0)):
+                params = GmkzParams(n, alpha + 1, float(alpha), beta)
+                want = gmkz_apply(params, Monomial(r), x).value
+                got = gmkz_moment_abel(n, alpha, beta, r, x)
+                assert got == want, (n, alpha, beta, r)
 
 
 def test_moment_vs_direct_checks_take_the_closed_route(monkeypatch):

@@ -1,17 +1,15 @@
-"""Shared kernel: policies, factorial helpers, summation engine, power integral."""
+"""Shared kernel: policies, factorial helpers, summation engine."""
 
 import dataclasses
 import math
 
-import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elemhyp import (
-    DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NonFinite,
-    NotConverged, fnj_series, gen_binomial, hyp2f1_series, ln_moment_e2_direct,
-    pochhammer, power_integral, sum_series,
+    DEFAULT_POLICY, EvalPolicy, InvalidParams, NonFinite, fnj_series,
+    gen_binomial, hyp2f1_series, ln_moment_e2_direct, pochhammer, sum_series,
 )
 
 
@@ -145,47 +143,3 @@ def test_series_oracles_near_one_meet_rel_tol(oracle, args, want):
     # and 1.2e-9 off.  want: 30-digit direct sums of 8e4 terms
     got = oracle(*args)
     assert abs(got - float(want)) <= 2e-12 * abs(float(want))
-
-
-@pytest.mark.parametrize("e", [-3.5, -1.0, 0.0, 2.0, 4.7])
-@pytest.mark.parametrize("x", [0.2, 0.8])
-def test_power_integral_vs_quadrature(e, x):
-    got = power_integral(e, x)
-    with mp.workdps(40):
-        want = float(mp.quad(lambda s: mp.mpf(s)**e, [1 - x, 1]))
-    assert math.isclose(got, want, rel_tol=1e-13)
-
-
-def test_power_integral_log_branch():
-    x = 0.5
-    assert power_integral(-1.0, x) == -math.log1p(-x)
-    # just off the branch the expm1 form keeps its digits, and differs from
-    # the log form by about |e+1| * log(1-x)**2 / 2
-    assert math.isclose(power_integral(-1.0 + 1e-10, x), -math.log1p(-x),
-                        rel_tol=1e-9)
-
-
-@pytest.mark.parametrize("e,x", [
-    (-1.0000000008875018, 0.9999999979197085),
-    (-1.0 + 2.0 ** -52, 1e-300),
-])
-def test_power_integral_next_to_the_branch(e, x):
-    # a |e+1| < 1e-9 shortcut to the log form was off by 8.9e-9 at the
-    # first point; at the second e+1 times log(1-x) is subnormal
-    with mp.workdps(60):
-        w = mp.mpf(e) + 1
-        want = -mp.expm1(w * mp.log1p(-mp.mpf(x))) / w
-        assert abs(power_integral(e, x) - want) <= 1e-15 * want
-
-
-@pytest.mark.parametrize("e,x", [(-40.0, 1 - 1e-12), (-25.0, 1 - 2.0 ** -53)])
-def test_power_integral_overflow_is_typed(e, x):
-    # (1-x)**(e+1) passes float range: a typed error, not math's OverflowError
-    with pytest.raises(NotConverged, match="overflows float range"):
-        power_integral(e, x)
-
-
-@pytest.mark.parametrize("x", [0.0, 1.0, -0.1, 1.5])
-def test_power_integral_domain(x):
-    with pytest.raises(DomainError):
-        power_integral(2.0, x)

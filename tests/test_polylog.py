@@ -9,7 +9,7 @@ import mpmath as mp
 import pytest
 
 from elemhyp import (
-    DomainError, EvalPolicy, HypergeomParams, InvalidParams, NotConverged,
+    DomainError, HypergeomParams, InvalidParams, NotConverged,
     combo_eval, fnj_combo, hyp2f1_eval, polylog, polylog_derivative_series,
 )
 from elemhyp import _dd
@@ -19,7 +19,6 @@ from elemhyp.polylog import (
     _polylog_power_series, _zeta,
 )
 
-TIGHT = EvalPolicy(rel_tol=1e-14)
 
 
 def test_order_one_is_the_logarithm():
@@ -88,7 +87,7 @@ def test_polylog_domain():
     (0, 2, 0.3), (1, 1, 0.2), (2, 3, 0.6), (3, 2, 0.5), (4, 4, 0.4),
 ])
 def test_derivative_series_vs_mpmath(j, d, x):
-    got = polylog_derivative_series(j, d, x, TIGHT)
+    got = polylog_derivative_series(j, d, x)
     with mp.workdps(40):
         want = float(mp.nsum(
             lambda k: mp.factorial(d) * mp.binomial(k + d, d)
@@ -148,7 +147,7 @@ def test_derivative_series_order_zero_closed_form():
     # j = 0 collapses to d! / (1-x)**(d+1)
     for d in (1, 2, 5):
         x = 0.35
-        got = polylog_derivative_series(0, d, x, TIGHT)
+        got = polylog_derivative_series(0, d, x)
         want = math.factorial(d) / (1.0 - x) ** (d + 1)
         assert math.isclose(got, want, rel_tol=1e-12)
 
@@ -160,8 +159,9 @@ def test_derivative_series_validation():
         polylog_derivative_series(2, 0, 0.5)
     with pytest.raises(DomainError):
         polylog_derivative_series(2, 2, 1.0)
+    # the combo's (1-x)**30 underflows; the derivative is ~1e392
     with pytest.raises(NotConverged):
-        polylog_derivative_series(2, 1, 0.3, EvalPolicy(max_terms=4))
+        polylog_derivative_series(2, 30, 1 - 1e-12)
 
 
 def test_internal_dd_polylog_precision():
