@@ -41,7 +41,7 @@ from ._dd import (
 )
 from .numcore import (
     DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
-    SeriesResult, sum_series,
+    SeriesResult, require_ints, sum_series,
 )
 from .polylog import _polylog_dd
 
@@ -105,6 +105,7 @@ class SymbolicCombo:
 
 def fnj_base(n: int, j: int) -> Callable[[float], float]:
     """Closed-form evaluators for the two pre-recurrence kernels j = 0, 1."""
+    require_ints(n=n, j=j)
     if n < 1:
         raise InvalidParams("n must be >= 1")
     if j == 0:
@@ -142,12 +143,13 @@ def _apply_t(terms: Dict[BasisFunction, Fraction]) -> Dict[BasisFunction, Fracti
     return {b: c for b, c in out.items() if c != 0}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: a float n or j misses, and is rejected
 def fnj_combo(n: int, j: int) -> SymbolicCombo:
     """Exact combo for f_{n,j}, n >= 2, j >= 2 (n = 1 degenerates gracefully).
 
     Built once per (n, j) and memoized; moments walk all j up to their order.
     """
+    require_ints(n=n, j=j)
     if n < 1:
         raise InvalidParams("n must be >= 1")
     if j < 2:
@@ -202,6 +204,7 @@ def fnj_series(n: int, j: int, x: float,
     x (n+i+1)/(i+1), which falls with i, so past term k+1 they stay below
     rho = x (n+k+2)/(k+2) and t_(k+1) / (1 - rho) bounds the tail.
     """
+    require_ints(n=n, j=j)
     if n < 1:
         raise InvalidParams("n must be >= 1")
     if j < 0:

@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from ._dd import _GUARD_REL, certified
@@ -32,24 +31,6 @@ from .numcore import (
     NonFinite, NotConverged,
 )
 from .verify import SUITE_NAMES, _rel_err, run_suites
-
-_ENV_REL_TOL = "ELEMHYP_REL_TOL"
-
-
-def _resolve_policy(args) -> EvalPolicy:
-    rel_tol = DEFAULT_POLICY.rel_tol
-    env = os.environ.get(_ENV_REL_TOL)
-    if env is not None:
-        try:
-            rel_tol = float(env)
-        except ValueError:
-            print(f"warning: ignoring malformed {_ENV_REL_TOL}={env!r}",
-                  file=sys.stderr)
-    if args.rel_tol is not None:
-        rel_tol = args.rel_tol
-    max_terms = DEFAULT_POLICY.max_terms if args.max_terms is None else args.max_terms
-    return EvalPolicy(rel_tol=rel_tol, max_terms=max_terms)
-
 
 def _emit(doc: dict):
     print(json.dumps(doc))
@@ -149,13 +130,16 @@ def cmd_fnj(args, policy: EvalPolicy) -> int:
 
 def cmd_heun(args, policy: EvalPolicy) -> int:
     fp = HeunFamilyParams(args.m, args.n, args.p)
-    res = heun_eval(fp, args.x, args.terms, policy)
-    norm = heun_normalization(fp, policy)
+    res = heun_eval(fp, args.x, args.terms)
+    termination = heun_termination(fp)
+    # only a terminating member has a value at 0; asked for one, any other raises
+    norm = (heun_normalization(fp) if termination is not None or args.normalized
+            else None)
     value = res.value / norm if args.normalized else res.value
-    doc = {"value": value, "termination": heun_termination(fp), "normalization": norm,
+    doc = {"value": value, "termination": termination, "normalization": norm,
            "terms_used": res.terms_used, "converged": res.converged}
     if args.check_ode:
-        doc["ode_residual"] = heun_ode_residual(fp, args.x, 1e-3, args.terms, policy)
+        doc["ode_residual"] = heun_ode_residual(fp, args.x, 1e-3, args.terms)
     _emit(doc)
     return 0 if res.converged else 1
 
@@ -191,15 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "operator moments, symbolic moment kernels, and a "
                     "2F1-expanded Heun family.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rel-tol", type=float, default=None,
+    common.add_argument("--rel-tol", type=float, default=DEFAULT_POLICY.rel_tol,
                         help="tolerance of the series oracles (--method "
                              "series, --compare, --route series, fnj's "
-                             "series) and of the Heun truncation: a series "
-                             "stops once a bound on its tail is within it of "
-                             "the partial sum (default 1e-12; env "
-                             "ELEMHYP_REL_TOL); the evaluators always sum to "
-                             "full precision")
-    common.add_argument("--max-terms", type=int, default=None,
+                             "series): a series stops once a bound on its "
+                             "tail is within it of the partial sum (default "
+                             "1e-12); the evaluators and the Heun expansion "
+                             "take no tolerance")
+    common.add_argument("--max-terms", type=int, default=DEFAULT_POLICY.max_terms,
                         help="term cap of the same series (default 100000)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -268,7 +251,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        policy = _resolve_policy(args)
+        policy = EvalPolicy(rel_tol=args.rel_tol, max_terms=args.max_terms)
         return args.func(args, policy)
     except (InvalidParams, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,15 +5,16 @@ parameters to a triple (m, n, p).  The expansion
 
     u(x) = sum_k c_k * 2F1(m, n; p+2k; x)
 
-has Pochhammer-ratio coefficients c_k decaying like k**-2.  For special n
-the coefficients vanish identically from some index r on and the sum is a
-finite, exact representation; heun_termination detects that index.  The
-independent cross-check is a power-series oracle built from the three-term
-recurrence of the equation itself, trusted on |x| < 1/2.
-
-The expansion is kept exactly as stated, including for non-terminating
-parameter choices; the test suite records where its values separate from
-the oracle rather than patching either side.
+has Pochhammer-ratio coefficients c_k.  For special n the coefficients
+vanish identically from some index r on (heun_termination finds it), and
+only then is the sum the Heun solution: a finite, exact representation.  For
+every other member the two-term recurrence of c_k does not fit the equation
+(true 2F1 expansions of Heun functions, DLMF 31.11, need three-term
+recurrences), so the infinite sum is a different function.  heun_eval still
+returns its partial sums there, never claiming convergence, and
+heun_normalization raises.  The independent cross-check is a power-series
+oracle built from the three-term recurrence of the equation itself, trusted
+on |x| < 1/2.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 from .hypergeom import HypergeomParams, hyp2f1_eval
 from .numcore import (
-    DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
-    SeriesResult, sum_series,
+    DomainError, EvalPolicy, InvalidParams, SeriesResult, require_ints,
+    sum_series,
 )
 
 
@@ -62,6 +63,7 @@ class HeunFamilyParams:
     p: int
 
     def __post_init__(self):
+        require_ints(m=self.m, p=self.p)
         if not math.isfinite(self.n):
             raise InvalidParams("n must be finite")
         if self.m < 1:
@@ -99,6 +101,7 @@ def heun_coeff(fp: HeunFamilyParams, k: int) -> float:
     A zero Pochhammer base makes every later coefficient exactly zero, and
     the float iteration preserves that exactly.
     """
+    require_ints(k=k)
     if k < 0:
         raise InvalidParams("k must be >= 0")
     c = 1.0
@@ -124,17 +127,18 @@ def heun_termination(fp: HeunFamilyParams):
     return min(candidates) if candidates else None
 
 
-def heun_eval(fp: HeunFamilyParams, x: float, K: int,
-              policy: EvalPolicy = DEFAULT_POLICY) -> SeriesResult:
+def heun_eval(fp: HeunFamilyParams, x: float, K: int) -> SeriesResult:
     """Partial sum of the 2F1 expansion, K terms (fewer if it terminates).
 
-    Each leaf is hyp2f1_eval, at full precision.  Terminating parameters
-    give the exact finite sum and converged=True for any K >= r.  Otherwise
-    convergence is reported only if the last term is already below
-    policy.rel_tol relative to the sum; the series decays like
-    k**-2, so large K buys accuracy slowly.  The terms c_k * leaf are summed
-    by sum_series, so an inf or nan term raises NonFinite.
+    Each leaf is hyp2f1_eval, at full precision.  A member that terminates
+    at r gives the exact finite sum for any K >= r, with converged True and
+    trunc_err_est 0.0.  Any other partial sum, K < r or a member that never
+    terminates, is returned as it is, with converged False and
+    trunc_err_est math.inf (no bound on the rest is known, as sum_series
+    reports it).  The terms c_k * leaf are summed by sum_series, so an inf
+    or nan term raises NonFinite.
     """
+    require_ints(K=K)
     if K < 1:
         raise InvalidParams("K must be >= 1")
     if not 0.0 <= x < 1.0:
@@ -152,60 +156,21 @@ def heun_eval(fp: HeunFamilyParams, x: float, K: int,
     # no tail bound: the partial sum is the value by definition
     total = sum_series(terms, lambda k, t: math.inf,
                        EvalPolicy(max_terms=kmax)).value
-    last = terms[-1] if len(terms) == kmax else 0.0
     terminated = r is not None and r <= K
-    converged = terminated or abs(last) <= policy.rel_tol * abs(total)
-    return SeriesResult(value=total, terms_used=kmax, converged=converged,
-                        trunc_err_est=0.0 if terminated else abs(last))
+    return SeriesResult(value=total, terms_used=kmax, converged=terminated,
+                        trunc_err_est=0.0 if terminated else math.inf)
 
 
-def _tail_s2(k: float) -> float:
-    # sum_{i >= k} i**-2, Euler-Maclaurin
-    return 1.0 / k + 1.0 / (2.0 * k ** 2) + 1.0 / (6.0 * k ** 3) - 1.0 / (30.0 * k ** 5)
+def heun_normalization(fp: HeunFamilyParams) -> float:
+    """u(0) = sum_{k<r} c_k, the value the oracle comparisons normalize by.
 
-
-def _tail_s3(k: float) -> float:
-    # sum_{i >= k} i**-3
-    return 1.0 / (2.0 * k ** 2) + 1.0 / (2.0 * k ** 3) + 1.0 / (4.0 * k ** 4) - 1.0 / (12.0 * k ** 6)
-
-
-def heun_normalization(fp: HeunFamilyParams,
-                       policy: EvalPolicy = DEFAULT_POLICY) -> float:
-    """u(0) = sum_k c_k, the value the oracle comparisons normalize by.
-
-    Terminating parameters sum exactly.  Otherwise the coefficients behave
-    like (A + B/k + ...)/k**2 for large k; the sum takes 20000 terms and
-    closes with a fitted two-term tail, with the fit's own residual driving
-    a NotConverged check.
+    Defined only for a member that terminates at r: any other member raises
+    DomainError, since its expansion is not the Heun solution.
     """
     r = heun_termination(fp)
-    if r is not None:
-        c = 1.0
-        vals = []
-        for k in range(r):
-            vals.append(c)
-            c *= _coeff_ratio(fp, k)
-        return math.fsum(vals)
-    K = min(policy.max_terms, 20000)
-    cs = [1.0]
-    for k in range(K - 1):
-        cs.append(cs[-1] * _coeff_ratio(fp, k))
-    total = math.fsum(cs)
-    if cs[-1] * cs[-2] <= 0.0:
-        # tail model assumes settled sign; without it there is no bound
-        raise NotConverged("normalization tail did not settle")
-    y1 = cs[K - 2] * (K - 2) ** 2
-    y2 = cs[K - 1] * (K - 1) ** 2
-    b = (y1 - y2) * (K - 2) * (K - 1)
-    a = y2 - b / (K - 1)
-    tail = a * _tail_s2(float(K)) + b * _tail_s3(float(K))
-    y3 = cs[K - 3] * (K - 3) ** 2
-    c_est = (y3 - (a + b / (K - 3))) * (K - 3) ** 2
-    total += tail
-    err_est = abs(c_est) / (3.0 * K ** 3) + 1e-16 * abs(total)
-    if err_est > policy.rel_tol * abs(total):
-        raise NotConverged("normalization tail estimate above tolerance")
-    return total
+    if r is None:
+        raise DomainError("the expansion does not terminate: no value at 0")
+    return math.fsum(heun_coeff(fp, k) for k in range(r))
 
 
 def heun_series_oracle(spec: HeunSpec, x: float, N: int) -> float:
@@ -219,6 +184,7 @@ def heun_series_oracle(spec: HeunSpec, x: float, N: int) -> float:
     terms are summed by sum_series with no tail bound (the value is the
     partial sum by definition), so an inf or nan term raises NonFinite.
     """
+    require_ints(N=N)
     if N < 2:
         raise InvalidParams("N must be >= 2")
     if abs(x) >= min(1.0, abs(spec.a)):
@@ -244,8 +210,7 @@ def heun_series_oracle(spec: HeunSpec, x: float, N: int) -> float:
                       EvalPolicy(max_terms=N + 1)).value
 
 
-def heun_ode_residual(fp: HeunFamilyParams, x: float, h: float, K: int,
-                      policy: EvalPolicy = DEFAULT_POLICY) -> float:
+def heun_ode_residual(fp: HeunFamilyParams, x: float, h: float, K: int) -> float:
     """Relative residual of the expansion in the equation, by 5-point stencils.
 
     The residual is |u'' + c1 u' + c0 u| scaled by the sum of the three
@@ -256,7 +221,7 @@ def heun_ode_residual(fp: HeunFamilyParams, x: float, h: float, K: int,
         raise InvalidParams("step must lie in [1e-5, 1e-3]")
     if not 2.0 * h < x < 0.5 - 2.0 * h:
         raise DomainError("x must keep clear of the singular points 0 and 1/2")
-    u = [heun_eval(fp, x + i * h, K, policy).value for i in (-2, -1, 0, 1, 2)]
+    u = [heun_eval(fp, x + i * h, K).value for i in (-2, -1, 0, 1, 2)]
     d1 = (u[0] - 8.0 * u[1] + 8.0 * u[3] - u[4]) / (12.0 * h)
     d2 = (-u[0] + 16.0 * u[1] - 30.0 * u[2] + 16.0 * u[3] - u[4]) / (12.0 * h * h)
     s = heun_params_from(fp)

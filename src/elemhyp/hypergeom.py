@@ -53,7 +53,7 @@ from ._dd import (
 )
 from .numcore import (
     DEFAULT_POLICY, FULL_PRECISION, DomainError, EvalPolicy, InvalidParams,
-    NotConverged, SeriesResult, sum_series,
+    NotConverged, SeriesResult, require_ints, sum_series,
 )
 
 
@@ -67,6 +67,7 @@ class HypergeomParams:
     p: int
 
     def __post_init__(self):
+        require_ints(m=self.m, p=self.p)
         if not math.isfinite(self.n):
             raise InvalidParams("n must be finite")
         if self.m < 1:
@@ -279,6 +280,7 @@ def hyp2f1_closed_m1(n: float, p: int, x: float) -> float:
     Unguarded: the value is returned whatever cancellation it suffered;
     hyp2f1_eval is the guarded entry.
     """
+    require_ints(p=p)
     if p < 2:
         raise InvalidParams("p must be >= 2")
     return _assemble(_eq_general, x, 1, n, p)[0]
@@ -292,6 +294,7 @@ def hyp2f1_closed_1m(m: int, l: int, x: float, variant: str = "A") -> float:
     value is returned whatever cancellation it suffered; hyp2f1_eval is the
     guarded entry.
     """
+    require_ints(m=m, l=l)
     if m < 1 or l < 0:
         raise InvalidParams("need m >= 1 and l >= 0")
     return _assemble(_variant(_FORMS_1M, variant), x, m, l)[0]
@@ -303,6 +306,7 @@ def hyp2f1_closed_12(n: int, x: float, variant: int = 1) -> float:
     Unguarded: the value is returned whatever cancellation it suffered;
     hyp2f1_eval is the guarded entry.
     """
+    require_ints(n=n)
     if n < 1:
         raise InvalidParams("n must be >= 1")
     return _assemble(_variant(_FORMS_12, variant), x, n)[0]

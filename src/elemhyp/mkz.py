@@ -39,7 +39,7 @@ from ._dd import (
 from .hypergeom import HypergeomParams, hyp2f1_eval
 from .numcore import (
     DEFAULT_POLICY, FULL_PRECISION, DomainError, EvalPolicy, InvalidParams,
-    NotConverged, SeriesResult, sum_series,
+    NotConverged, SeriesResult, require_ints, sum_series,
 )
 from .polylog import _polylog_dd
 
@@ -68,6 +68,7 @@ class GmkzParams:
     beta: float
 
     def __post_init__(self):
+        require_ints(n=self.n, r=self.r)
         if self.n < 1:
             raise InvalidParams("n must be >= 1")
         if self.n + self.r < 1:
@@ -83,6 +84,7 @@ class Monomial:
     r: int
 
     def __post_init__(self):
+        require_ints(r=self.r)
         if self.r < 0:
             raise InvalidParams("exponent must be >= 0")
 
@@ -274,6 +276,7 @@ def mkz_moment(n: int, r: int, x: float) -> float:
     the closed form from x = _APPLY_CLOSED_FROM up, the full-precision
     series below it.  Order 0 is exactly 1.0.
     """
+    require_ints(n=n, r=r)
     if n < 1:
         raise InvalidParams("n must be >= 1")
     if r < 0:
@@ -308,6 +311,7 @@ def ln_moment_e2_direct(n: int, x: float,
     k the weights' bound (1-x)**(n+1) w_(k+1) / (1 - rho),
     rho = x (n+k+2)/(k+2), bounds the tail.
     """
+    require_ints(n=n)
     if n < 1:
         raise InvalidParams("n must be >= 1")
     if not 0.0 <= x < 1.0:
@@ -360,6 +364,7 @@ def gmkz_moment_abel(n: int, alpha: int, beta: float, m: int, x: float) -> float
     gmkz_apply(GmkzParams(n, alpha+1, alpha, beta), Monomial(m), x).value,
     so the same routes as mkz_moment.  Order 0 is exactly 1.0.
     """
+    require_ints(n=n, alpha=alpha, m=m)
     if n < 1:
         raise InvalidParams("n must be >= 1")
     if alpha < 0:

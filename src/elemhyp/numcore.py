@@ -9,6 +9,7 @@ surface.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -31,13 +32,25 @@ class NotConverged(RuntimeError):
     """A series hit its term cap before meeting tolerance."""
 
 
+def require_ints(**values) -> None:
+    """Raise InvalidParams unless every value is an integer, by what
+    operator.index accepts: int, bool or an integer type such as numpy's,
+    but no float, even an integral one."""
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise InvalidParams(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class EvalPolicy:
-    """Knobs for the series oracles and the Heun truncation.
+    """Knobs for the series oracles.
 
     The evaluators (hyp2f1_eval, gmkz_apply, the moments built on it and
     polylog_derivative_series) take none: every series they sum runs at
-    FULL_PRECISION.
+    FULL_PRECISION.  Nor does the Heun expansion, whose partial sums are
+    converged only where the expansion terminates.
 
     rel_tol: a series stops once a bound on its tail is within rel_tol of
         its partial sum.
@@ -70,6 +83,7 @@ class SeriesResult:
 
 def pochhammer(r: float, m: int) -> float:
     """Rising factorial r(r+1)...(r+m-1); 1 for m == 0."""
+    require_ints(m=m)
     if m < 0:
         raise InvalidParams("pochhammer order must be >= 0")
     out = 1.0
@@ -80,6 +94,7 @@ def pochhammer(r: float, m: int) -> float:
 
 def gen_binomial(a: float, k: int) -> float:
     """Generalized binomial a(a-1)...(a-k+1)/k!, any real a."""
+    require_ints(k=k)
     if k < 0:
         raise InvalidParams("gen_binomial order must be >= 0")
     return pochhammer(a - k + 1, k) / math.factorial(k)

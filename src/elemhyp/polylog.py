@@ -37,7 +37,9 @@ from ._dd import (
     DD, _two_prod, context, dd, dd_add, dd_div, dd_from_int,
     dd_from_ratio, dd_mul, dd_sub, dd_to_float,
 )
-from .numcore import FULL_PRECISION, DomainError, InvalidParams, NotConverged
+from .numcore import (
+    FULL_PRECISION, DomainError, InvalidParams, NotConverged, require_ints,
+)
 
 # polylog_derivative_series takes the kernel combos (j >= 2) from here up,
 # where the series needs ~1/(1-x) terms to meet its tail bound.
@@ -62,6 +64,7 @@ def polylog(k: int, x: float) -> float:
     table, _polylog_dd on [0, 1), and below 0 the duplication formula
     Li_k(x) = 2**(1-k) Li_k(x**2) - Li_k(-x) on the same core.
     """
+    require_ints(k=k)
     if k < 1:
         raise InvalidParams("order k must be >= 1")
     if not -1.0 <= x <= 1.0 or (k == 1 and x == 1.0):
@@ -101,6 +104,7 @@ def polylog_derivative_series(j: int, d: int, x: float) -> float:
     """
     from .basis import combo_eval, fnj_base, fnj_combo, fnj_series  # basis imports this module
 
+    require_ints(j=j, d=d)
     if j < 0:
         raise InvalidParams("j must be >= 0")
     if d < 1:

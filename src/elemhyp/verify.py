@@ -304,13 +304,6 @@ def suite_heun() -> list:
             entries.append(_entry(
                 "heun_vs_series_oracle",
                 {"m": m, "n": n, "p": p, "x": x}, got, want, tol))
-    for m, n, p in ((1, 2.0, 3), (2, 0.5, 4)):
-        fp = HeunFamilyParams(m, n, p)
-        norm = heun_normalization(fp)
-        partial = heun_eval(fp, 0.0, 20000).value
-        entries.append(_entry(
-            "heun_normalization_consistency",
-            {"m": m, "n": n, "p": p}, norm, partial, tol))
     return entries
 
 

@@ -4,7 +4,6 @@ import csv
 import io
 import json
 import math
-import os
 import pathlib
 import shlex
 import subprocess
@@ -25,13 +24,8 @@ def readme_examples():
             if cmd.startswith("elemhyp ") and out.startswith("# {")]
 
 
-def run(*args, env=None):
-    merged = dict(os.environ)
-    merged.pop("ELEMHYP_REL_TOL", None)
-    if env:
-        merged.update(env)
-    return subprocess.run(CMD + list(args), capture_output=True, text=True,
-                          env=merged)
+def run(*args):
+    return subprocess.run(CMD + list(args), capture_output=True, text=True)
 
 
 def test_pinned_closed_form_output():
@@ -203,31 +197,6 @@ def test_hyp2f1_non_finite_series_term_exits_1():
     assert r.stderr == "error: non-finite term at index 336\n"
 
 
-def test_env_tolerance_is_honored():
-    args = ("hyp2f1", "--m", "1", "--n", "3.75", "--p", "3", "--x", "0.9",
-            "--method", "series")
-    loose = run(*args, env={"ELEMHYP_REL_TOL": "1e-3"})
-    tight = run(*args)
-    assert loose.returncode == tight.returncode == 0
-    assert loose.stdout != tight.stdout
-
-
-def test_flag_overrides_env_tolerance():
-    args = ("hyp2f1", "--m", "1", "--n", "3.75", "--p", "3", "--x", "0.9",
-            "--method", "series")
-    forced = run(*args, "--rel-tol", "1e-12", env={"ELEMHYP_REL_TOL": "1e-3"})
-    default = run(*args)
-    assert forced.stdout == default.stdout
-
-
-def test_malformed_env_tolerance_warns_and_proceeds():
-    r = run("hyp2f1", "--m", "1", "--n", "2", "--p", "3", "--x", "0.5",
-            env={"ELEMHYP_REL_TOL": "abc"})
-    assert r.returncode == 0
-    assert r.stdout == '{"value": 1.5451774444795625}\n'
-    assert "ELEMHYP_REL_TOL" in r.stderr
-
-
 def test_bad_tolerance_flag_exits_2():
     r = run("hyp2f1", "--m", "1", "--n", "2", "--p", "3", "--x", "0.5",
             "--rel-tol", "-1")
@@ -323,6 +292,16 @@ def test_heun_unconverged_truncation_exits_1():
     assert doc["termination"] is None
     assert doc["converged"] is False
     assert doc["terms_used"] == 40
+
+
+def test_heun_without_termination_has_no_normalization():
+    args = ("heun", "--m", "1", "--n", "2", "--p", "3", "--x", "0.2")
+    r = run(*args)
+    assert r.returncode == 1
+    assert json.loads(r.stdout)["normalization"] is None
+    r = run(*args, "--normalized")
+    assert r.returncode == 2
+    assert r.stdout == ""
 
 
 def test_heun_normalized_and_residual_routes():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from elemhyp import (
-    DomainError, EvalPolicy, HeunFamilyParams, HeunSpec, InvalidParams,
+    DomainError, HeunFamilyParams, HeunSpec, InvalidParams,
     heun_coeff, heun_eval, heun_normalization, heun_ode_residual,
     heun_params_from, heun_series_oracle, heun_termination,
 )
@@ -122,17 +122,11 @@ def test_normalization_exact_values(mnp):
     assert abs(heun_normalization(fp) - float(NORMS[mnp])) < 1e-15
 
 
-def test_normalization_of_the_reference_member():
-    # non-terminating: the value at 0 is recovered by tail extrapolation
-    got = heun_normalization(HeunFamilyParams(1, 2.0, 3))
-    assert math.isclose(got, 2.0 * math.log(2.0), rel_tol=1e-12)
-
-
-def test_normalization_consistency_without_termination():
-    fp = HeunFamilyParams(2, 0.5, 4)
-    norm = heun_normalization(fp)
-    partial = heun_eval(fp, 0.0, 20000).value
-    assert math.isclose(norm, partial, rel_tol=1e-3)
+@pytest.mark.parametrize("mnp", NON_TERMINATING)
+def test_normalization_needs_termination(mnp):
+    # the expansion is the Heun solution only where it ends: no u(0) else
+    with pytest.raises(DomainError):
+        heun_normalization(HeunFamilyParams(*mnp))
 
 
 def test_series_oracle_closed_form_on_the_reference_member():
@@ -200,4 +194,16 @@ def test_eval_reports_honest_convergence_when_truncated():
     res = heun_eval(HeunFamilyParams(1, 2.0, 3), 0.2, 40)
     assert not res.converged
     assert res.terms_used == 40
-    assert res.trunc_err_est > 0.0
+    assert res.trunc_err_est == math.inf
+
+
+@pytest.mark.parametrize("mnp,K,converged", [
+    ((1, -6.0, 3), 2, False),  # terminates at r = 4: a partial sum
+    ((1, -6.0, 3), 4, True),
+    ((1, -6.0, 3), 9, True),
+    ((1, 2.0, 3), 2000, False),  # never terminates, however deep
+])
+def test_eval_converges_only_where_the_expansion_ends(mnp, K, converged):
+    res = heun_eval(HeunFamilyParams(*mnp), 0.1, K)
+    assert res.converged is converged
+    assert res.trunc_err_est == (0.0 if converged else math.inf)

@@ -8,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elemhyp import (
-    DEFAULT_POLICY, EvalPolicy, InvalidParams, NonFinite, fnj_series,
-    gen_binomial, hyp2f1_series, ln_moment_e2_direct, pochhammer, sum_series,
+    DEFAULT_POLICY, EvalPolicy, GmkzParams, HeunFamilyParams, HypergeomParams,
+    InvalidParams, Monomial, NonFinite, fnj_base, fnj_combo, fnj_series,
+    gen_binomial, gmkz_moment_abel, heun_coeff, heun_eval, heun_params_from,
+    heun_series_oracle, hyp2f1_closed_12, hyp2f1_closed_1m, hyp2f1_closed_m1,
+    hyp2f1_eval, hyp2f1_series, ln_moment_e2_direct, mkz_moment, pochhammer,
+    polylog, polylog_derivative_series, sum_series,
 )
 
 
@@ -27,6 +31,42 @@ def test_policy_defaults():
     assert DEFAULT_POLICY.rel_tol == 1e-12
     assert DEFAULT_POLICY.max_terms == 100000
     assert [f.name for f in dataclasses.fields(EvalPolicy)] == ["rel_tol", "max_terms"]
+
+
+@pytest.mark.parametrize("call", [
+    # unchecked, each returned a value or raised a bare TypeError at some x
+    lambda: hyp2f1_eval(HypergeomParams(1, 2.0, 4.5), 0.2),
+    lambda: hyp2f1_eval(HypergeomParams(1.5, 2.0, 4), 0.7),
+    lambda: mkz_moment(3, 2.5, 0.5),
+    lambda: mkz_moment(3, 2.5, 0.95),
+    lambda: mkz_moment(3.0, 2, 0.5),
+    lambda: polylog(2.5, 0.3),
+    lambda: polylog(2.5, 0.7),
+    lambda: polylog(2.0, 0.3),
+    lambda: gmkz_moment_abel(2, 1.5, 0.5, 2, 0.5),
+    lambda: gmkz_moment_abel(2, 1, 0.5, 2.0, 0.5),
+    lambda: HeunFamilyParams(1, 2.0, 3.0),
+    lambda: GmkzParams(2, 1.0, 0.0, 0.0),
+    lambda: GmkzParams(2.0, 1, 0.0, 0.0),
+    lambda: Monomial(2.0),
+    lambda: fnj_combo(2, 2) and fnj_combo(2, 2.0),  # past the memo of (2, 2)
+    lambda: fnj_combo(2.5, 3),
+    lambda: hyp2f1_closed_m1(2.0, 3.0, 0.5),
+    lambda: hyp2f1_closed_1m(1, 2.0, 0.5),
+    lambda: hyp2f1_closed_12(2.0, 0.5),
+    lambda: fnj_base(2.5, 0),
+    lambda: fnj_series(2.5, 2, 0.3),
+    lambda: polylog_derivative_series(2.0, 2, 0.3),
+    lambda: ln_moment_e2_direct(2.5, 0.3),
+    lambda: heun_eval(HeunFamilyParams(1, 2.0, 3), 0.3, 4.0),
+    lambda: heun_coeff(HeunFamilyParams(1, 2.0, 3), 2.0),
+    lambda: heun_series_oracle(heun_params_from(HeunFamilyParams(1, 2.0, 3)), 0.3, 40.0),
+    lambda: pochhammer(1.5, 2.0),
+    lambda: gen_binomial(1.5, 2.0),
+])
+def test_integer_arguments_reject_non_integers(call):
+    with pytest.raises(InvalidParams, match="must be an integer"):
+        call()
 
 
 def test_pochhammer_values():
