@@ -8,8 +8,19 @@ significant digits) and rounds once at the very end.
 
 Representation: a pair (hi, lo) of floats with hi = fl(hi + lo) and
 |lo| <= ulp(hi)/2.  Algorithms are the classic error-free transformations
-(Dekker, Knuth); products use Dekker splitting because math.fma is not
-available on the oldest supported interpreter.
+(Dekker, Knuth); products use Dekker splitting because math.fma arrived only
+in Python 3.13 and 3.10 is supported.
+
+The primitives are flat: dd_add, dd_sub, dd_mul and dd_div each write out
+the two-sum, the split two-product and the quick-two-sum renormalization in
+one function body, and dd_div its three quotient digits, because in pure
+Python a call costs more than the float arithmetic it wraps.  They do the
+float operations of the composed forms (Dekker, "A floating-point technique
+for extending the available precision", 1971), in the same order, so every
+value, and the sign of every zero, is the composed form's; the tests keep
+the composed forms as the reference.  The series of dd_log, dd_exp and
+dd_expm1, dd_sqrt and BoundedSum.add write their hot operations out the
+same way.
 
 All per-x state lives here: context(x), a small memo, hands out the one
 ClosedFormContext for x, which forms log(1-x), log x, the power tables and
@@ -31,19 +42,8 @@ _SPLIT = 134217729.0  # 2**27 + 1
 DD = tuple  # (hi, lo)
 
 
-def _two_sum(a: float, b: float):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _quick_two_sum(a: float, b: float):
-    # requires |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
-
-
 def _two_prod(a: float, b: float):
+    """a*b as p + err exactly (Dekker), for |a|, |b| below ~1.3e300."""
     p = a * b
     ta = _SPLIT * a
     ahi = ta - (ta - a)
@@ -102,9 +102,15 @@ def dd_to_float(x: DD) -> float:
 
 
 def dd_add(x: DD, y: DD) -> DD:
-    s, e = _two_sum(x[0], y[0])
-    e += x[1] + y[1]
-    return _quick_two_sum(s, e)
+    # Knuth's two-sum of the high parts, the low parts added to its error,
+    # then the quick-two-sum renormalization
+    a = x[0]
+    b = y[0]
+    s = a + b
+    bb = s - a
+    e = (a - (s - bb)) + (b - bb) + (x[1] + y[1])
+    hi = s + e
+    return (hi, e - (hi - s))
 
 
 def dd_neg(x: DD) -> DD:
@@ -112,23 +118,82 @@ def dd_neg(x: DD) -> DD:
 
 
 def dd_sub(x: DD, y: DD) -> DD:
-    return dd_add(x, dd_neg(y))
+    # dd_add(x, dd_neg(y)), as a - b is a + (-b) in IEEE arithmetic
+    a = x[0]
+    b = -y[0]
+    s = a + b
+    bb = s - a
+    e = (a - (s - bb)) + (b - bb) + (x[1] - y[1])
+    hi = s + e
+    return (hi, e - (hi - s))
 
 
 def dd_mul(x: DD, y: DD) -> DD:
-    p, e = _two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    return _quick_two_sum(p, e)
+    # Dekker's split two-product of the high parts, the cross terms added to
+    # its error, then the quick-two-sum renormalization
+    a = x[0]
+    b = y[0]
+    p = a * b
+    t = _SPLIT * a
+    ahi = t - (t - a)
+    alo = a - ahi
+    t = _SPLIT * b
+    bhi = t - (t - b)
+    blo = b - bhi
+    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo + (a * y[1] + x[1] * b)
+    hi = p + e
+    return (hi, e - (hi - p))
 
 
 def dd_div(x: DD, y: DD) -> DD:
-    q1 = x[0] / y[0]
-    r = dd_sub(x, dd_mul(y, dd(q1)))
-    q2 = r[0] / y[0]
-    r = dd_sub(r, dd_mul(y, dd(q2)))
-    q3 = r[0] / y[0]
-    s, e = _quick_two_sum(q1, q2)
-    return dd_add((s, e), dd(q3))
+    """Three quotient digits, each the high part of the remainder over y[0]:
+    q1 = x/y, then r = x - y*q1 and q2 = r/y, then r = r - y*q2 and q3 = r/y,
+    each product and difference in dd, summed as (q1 + q2) + q3.  y is split
+    once; the terms with the digits' zero low parts (y[0] * 0.0, lo + 0.0)
+    are kept as the composed form has them.  ZeroDivisionError where y[0]
+    is 0."""
+    y0 = y[0]
+    y1 = y[1]
+    r0 = x[0]
+    q1 = r0 / y0
+    t = _SPLIT * y0
+    yhi = t - (t - y0)
+    ylo = y0 - yhi
+    # r = x - y*q1
+    p = y0 * q1
+    t = _SPLIT * q1
+    qhi = t - (t - q1)
+    qlo = q1 - qhi
+    e = ((yhi * qhi - p) + yhi * qlo + ylo * qhi) + ylo * qlo + (y0 * 0.0 + y1 * q1)
+    mhi = p + e
+    mlo = e - (mhi - p)
+    b = -mhi
+    s = r0 + b
+    bb = s - r0
+    e = (r0 - (s - bb)) + (b - bb) + (x[1] - mlo)
+    r0 = s + e
+    r1 = e - (r0 - s)
+    q2 = r0 / y0
+    # r = r - y*q2, of which q3 needs only the high part
+    p = y0 * q2
+    t = _SPLIT * q2
+    qhi = t - (t - q2)
+    qlo = q2 - qhi
+    e = ((yhi * qhi - p) + yhi * qlo + ylo * qhi) + ylo * qlo + (y0 * 0.0 + y1 * q2)
+    mhi = p + e
+    mlo = e - (mhi - p)
+    b = -mhi
+    s = r0 + b
+    bb = s - r0
+    q3 = (s + ((r0 - (s - bb)) + (b - bb) + (r1 - mlo))) / y0
+    # (q1 + q2) by quick-two-sum, then q3 added by dd_add
+    s = q1 + q2
+    lo = q2 - (s - q1)
+    a = s + q3
+    bb = a - s
+    e = (s - (a - bb)) + (q3 - bb) + (lo + 0.0)
+    hi = a + e
+    return (hi, e - (hi - a))
 
 
 def dd_npow(x: DD, k: int) -> DD:
@@ -146,11 +211,26 @@ def dd_npow(x: DD, k: int) -> DD:
 
 
 def dd_sqrt(x: DD) -> DD:
+    # one Newton step lifts the float64 root s to full dd precision:
+    # s + (x - s*s)[0] / 2s, its dd_mul, dd_sub and dd_add written out.  The
+    # terms with s's zero low part are +0.0 for every finite s.
     s = math.sqrt(x[0])
-    sd = dd(s)
-    # one Newton step lifts the float64 root to full dd precision
-    r = dd_sub(x, dd_mul(sd, sd))
-    return dd_add(sd, dd(r[0] / (2.0 * s)))
+    p = s * s
+    t = _SPLIT * s
+    shi = t - (t - s)
+    slo = s - shi
+    e = ((shi * shi - p) + shi * slo + slo * shi) + slo * slo + 0.0
+    sq = p + e
+    a = x[0]
+    b = -sq
+    r = a + b
+    bb = r - a
+    q = (r + ((a - (r - bb)) + (b - bb) + (x[1] - (e - (sq - p))))) / (2.0 * s)
+    a = s + q
+    bb = a - s
+    e = (s - (a - bb)) + (q - bb) + 0.0
+    hi = a + e
+    return (hi, e - (hi - a))
 
 
 def dd_log(y: DD) -> DD:
@@ -163,53 +243,82 @@ def dd_log(y: DD) -> DD:
         halvings += 1
     # atanh series: log y = 2*sum z^(2m+1)/(2m+1), z = (y-1)/(y+1), |z| <= 0.086
     z = dd_div(dd_sub(y, dd(1.0)), dd_add(y, dd(1.0)))
-    z2 = dd_mul(z, z)
-    term = z
-    total = z
+    z0, z1 = dd_mul(z, z)
+    t = _SPLIT * z0
+    zhi = t - (t - z0)
+    zlo = z0 - zhi
+    a, a1 = z  # the power z^m
+    s0, s1 = z  # the total
     m = 1
     while True:
-        term = dd_mul(term, z2)
+        # dd_mul of the power by z*z (split once) and dd_add of the
+        # increment, written out
+        p = a * z0
+        t = _SPLIT * a
+        ahi = t - (t - a)
+        alo = a - ahi
+        e = ((ahi * zhi - p) + ahi * zlo + alo * zhi) + alo * zlo + (a * z1 + a1 * z0)
+        a = p + e
+        a1 = e - (a - p)
         m += 2
-        inc = dd_div(term, dd(float(m)))
-        total = dd_add(total, inc)
-        if abs(inc[0]) <= 1e-35 * abs(total[0]) or m > 200:
+        i0, i1 = dd_div((a, a1), dd(float(m)))
+        s = s0 + i0
+        bb = s - s0
+        e = (s0 - (s - bb)) + (i0 - bb) + (s1 + i1)
+        s0 = s + e
+        s1 = e - (s0 - s)
+        if abs(i0) <= 1e-35 * abs(s0) or m > 200:
             break
-    total = dd_add(total, total)
+    total = dd_add((s0, s1), (s0, s1))
     return (math.ldexp(total[0], halvings), math.ldexp(total[1], halvings))
 
 
 _LN2 = (0.6931471805599453, 2.3190468138462996e-17)
 
 
-def dd_exp(u: DD) -> DD:
-    m = round(u[0] / 0.6931471805599453)
-    r = dd_sub(u, dd_mul(_LN2, dd(float(m))))
-    term = dd(1.0)
-    total = dd(1.0)
+def _exp_series(r: DD, total: DD) -> DD:
+    """total + sum_{k>=1} r**k / k!, each term the last times r over k, up
+    to the first term within 1e-35 of the total (1e-320 absolute, so r = 0
+    stops) or k = 61.  The dd_mul by r (split once) and the dd_add are
+    written out."""
+    r0, r1 = r
+    t = _SPLIT * r0
+    rhi = t - (t - r0)
+    rlo = r0 - rhi
+    a, a1 = 1.0, 0.0  # the term
+    s0, s1 = total
     k = 0
     while True:
         k += 1
-        term = dd_div(dd_mul(term, r), dd(float(k)))
-        total = dd_add(total, term)
-        if abs(term[0]) <= 1e-35 * abs(total[0]) or k > 60:
+        p = a * r0
+        t = _SPLIT * a
+        ahi = t - (t - a)
+        alo = a - ahi
+        e = ((ahi * rhi - p) + ahi * rlo + alo * rhi) + alo * rlo + (a * r1 + a1 * r0)
+        a = p + e
+        a, a1 = dd_div((a, e - (a - p)), dd(float(k)))
+        s = s0 + a
+        bb = s - s0
+        e = (s0 - (s - bb)) + (a - bb) + (s1 + a1)
+        s0 = s + e
+        s1 = e - (s0 - s)
+        if abs(a) <= 1e-35 * abs(s0) + 1e-320 or k > 60:
             break
+    return (s0, s1)
+
+
+def dd_exp(u: DD) -> DD:
+    # e**u = 2**m e**r, |r| <= log(2)/2; the floor of _exp_series's stop
+    # test is far below 1e-35 of its total, which stays above 0.6 here
+    m = round(u[0] / 0.6931471805599453)
+    total = _exp_series(dd_sub(u, dd_mul(_LN2, dd(float(m)))), dd(1.0))
     return (math.ldexp(total[0], m), math.ldexp(total[1], m))
 
 
 def dd_expm1(u: DD) -> DD:
     if abs(u[0]) < 0.2:
         # direct Taylor keeps full relative accuracy through the cancellation
-        term = dd(1.0)
-        total = dd(0.0)
-        k = 0
-        while True:
-            k += 1
-            term = dd_div(dd_mul(term, u), dd(float(k)))
-            total = dd_add(total, term)
-            # the absolute floor lets u == 0 terminate
-            if abs(term[0]) <= 1e-35 * abs(total[0]) + 1e-320 or k > 60:
-                break
-        return total
+        return _exp_series(u, dd(0.0))
     return dd_sub(dd_exp(u), dd(1.0))
 
 
@@ -225,8 +334,15 @@ class BoundedSum:
             self.add(term, err)
 
     def add(self, term: DD, err: float = 0.0):
-        self.bound += (err + 1.0) * abs(term[0]) * U
-        self.total = dd_add(self.total, term)
+        b = term[0]
+        self.bound += (err + 1.0) * abs(b) * U
+        # dd_add(self.total, term), written out
+        a, a1 = self.total
+        s = a + b
+        bb = s - a
+        e = (a - (s - bb)) + (b - bb) + (a1 + term[1])
+        hi = s + e
+        self.total = (hi, e - (hi - s))
 
     def add_sum(self, other: "BoundedSum"):
         self.add(other.total)

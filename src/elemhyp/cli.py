@@ -128,7 +128,7 @@ def cmd_fnj(args, policy: EvalPolicy) -> int:
     return 0
 
 
-def cmd_heun(args, policy: EvalPolicy) -> int:
+def cmd_heun(args) -> int:
     fp = HeunFamilyParams(args.m, args.n, args.p)
     res = heun_eval(fp, args.x, args.terms)
     termination = heun_termination(fp)
@@ -155,7 +155,7 @@ def _report_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def cmd_verify(args, policy: EvalPolicy) -> int:
+def cmd_verify(args) -> int:
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     report = run_suites(names)
     text = _report_csv(report) if args.format == "csv" else json.dumps(report) + "\n"
@@ -180,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "series, --compare, --route series, fnj's "
                              "series): a series stops once a bound on its "
                              "tail is within it of the partial sum (default "
-                             "1e-12); the evaluators and the Heun expansion "
-                             "take no tolerance")
+                             "1e-12); the evaluators take no tolerance, and "
+                             "heun and verify reject the flag")
     common.add_argument("--max-terms", type=int, default=DEFAULT_POLICY.max_terms,
                         help="term cap of the same series (default 100000)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the exact-rational combo")
     p.set_defaults(func=cmd_fnj)
 
-    p = sub.add_parser("heun", parents=[common],
+    p = sub.add_parser("heun",
                        help="evaluate the 2F1 expansion of the Heun family")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=float, required=True)
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append a finite-difference residual of the equation")
     p.set_defaults(func=cmd_heun)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify",
                        help="run a verification sweep and emit a report")
     p.add_argument("--suite", choices=list(SUITE_NAMES) + ["all"], required=True)
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -251,8 +251,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        policy = EvalPolicy(rel_tol=args.rel_tol, max_terms=args.max_terms)
-        return args.func(args, policy)
+        if "rel_tol" not in vars(args):  # heun and verify take no tolerance
+            return args.func(args)
+        return args.func(args, EvalPolicy(rel_tol=args.rel_tol, max_terms=args.max_terms))
     except (InvalidParams, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

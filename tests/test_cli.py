@@ -67,6 +67,18 @@ def test_runs_are_bit_reproducible():
     assert run(*args).stdout == run(*args).stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ("heun", "--m", "2", "--n", "-1", "--p", "4", "--x", "0.6", "--rel-tol", "1e-3"),
+    ("heun", "--m", "2", "--n", "-1", "--p", "4", "--x", "0.6", "--max-terms", "20"),
+    ("verify", "--suite", "heun", "--rel-tol", "1e-3"),
+])
+def test_commands_without_a_tolerance_reject_the_flags(argv):
+    r = run(*argv)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "unrecognized arguments" in r.stderr
+
+
 def test_hyp2f1_trivial_argument():
     r = run("hyp2f1", "--m", "1", "--n", "2", "--p", "2", "--x", "0")
     assert r.returncode == 0
