@@ -160,9 +160,7 @@ def ref_power_integral(shift, n, one_minus_x, log_1mx):
 
 
 def bits(v):
-    """A dd, or an exception type, as a value that tells -0.0 from 0.0."""
-    if isinstance(v, type):
-        return v
+    """A dd as a value that tells -0.0 from 0.0 and equals itself at NaN."""
     return tuple("nan" if u != u else (u, math.copysign(1.0, u)) for u in v)
 
 
