@@ -19,8 +19,8 @@ from .mkz import (
     ln_moment_e2_direct, mkz_moment, mkz_moment_e2,
 )
 from .numcore import (
-    DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NonFinite,
-    NotConverged, SeriesResult, gen_binomial, pochhammer, sum_series,
+    DomainError, InvalidParams, NonFinite, NotConverged, SeriesResult,
+    gen_binomial, pochhammer, sum_series,
 )
 from .polylog import polylog, polylog_derivative_series
 
@@ -37,9 +37,8 @@ __all__ = [
     "hyp2f1_series",
     "GmkzParams", "Monomial", "gmkz_apply", "gmkz_e1", "gmkz_moment_abel",
     "ln_moment_e2", "ln_moment_e2_direct", "mkz_moment", "mkz_moment_e2",
-    "DEFAULT_POLICY", "DomainError", "EvalPolicy", "InvalidParams",
-    "NonFinite", "NotConverged", "SeriesResult", "gen_binomial",
-    "pochhammer", "sum_series",
+    "DomainError", "InvalidParams", "NonFinite", "NotConverged",
+    "SeriesResult", "gen_binomial", "pochhammer", "sum_series",
     "polylog", "polylog_derivative_series",
     "__version__",
 ]

@@ -149,9 +149,11 @@ def dd_div(x: DD, y: DD) -> DD:
     """Three quotient digits, each the high part of the remainder over y[0]:
     q1 = x/y, then r = x - y*q1 and q2 = r/y, then r = r - y*q2 and q3 = r/y,
     each product and difference in dd, summed as (q1 + q2) + q3.  y is split
-    once; the terms with the digits' zero low parts (y[0] * 0.0, lo + 0.0)
-    are kept as the composed form has them.  ZeroDivisionError where y[0]
-    is 0."""
+    once.  The composed form also adds y[0] * 0.0 (the digit's zero low part
+    times y's high part) and lo + 0.0 (q3's zero low part): both are zeros
+    added to a two-product or two-sum error term, and in round-to-nearest no
+    such error term is -0.0, so a zero of either sign leaves it bit for bit
+    as it is.  ZeroDivisionError where y[0] is 0."""
     y0 = y[0]
     y1 = y[1]
     r0 = x[0]
@@ -164,7 +166,7 @@ def dd_div(x: DD, y: DD) -> DD:
     t = _SPLIT * q1
     qhi = t - (t - q1)
     qlo = q1 - qhi
-    e = ((yhi * qhi - p) + yhi * qlo + ylo * qhi) + ylo * qlo + (y0 * 0.0 + y1 * q1)
+    e = ((yhi * qhi - p) + yhi * qlo + ylo * qhi) + ylo * qlo + y1 * q1
     mhi = p + e
     mlo = e - (mhi - p)
     b = -mhi
@@ -179,7 +181,7 @@ def dd_div(x: DD, y: DD) -> DD:
     t = _SPLIT * q2
     qhi = t - (t - q2)
     qlo = q2 - qhi
-    e = ((yhi * qhi - p) + yhi * qlo + ylo * qhi) + ylo * qlo + (y0 * 0.0 + y1 * q2)
+    e = ((yhi * qhi - p) + yhi * qlo + ylo * qhi) + ylo * qlo + y1 * q2
     mhi = p + e
     mlo = e - (mhi - p)
     b = -mhi
@@ -191,7 +193,7 @@ def dd_div(x: DD, y: DD) -> DD:
     lo = q2 - (s - q1)
     a = s + q3
     bb = a - s
-    e = (s - (a - bb)) + (q3 - bb) + (lo + 0.0)
+    e = (s - (a - bb)) + (q3 - bb) + lo
     hi = a + e
     return (hi, e - (hi - a))
 

@@ -40,8 +40,8 @@ from ._dd import (
     dd_neg, dd_npow, dd_to_float,
 )
 from .numcore import (
-    DEFAULT_POLICY, DomainError, EvalPolicy, InvalidParams, NotConverged,
-    SeriesResult, require_ints, sum_series,
+    DomainError, InvalidParams, NotConverged, SeriesResult, require_ints,
+    sum_series,
 )
 from .polylog import _polylog_dd
 
@@ -196,8 +196,7 @@ def combo_eval(c: SymbolicCombo, x: float) -> float:
     return value
 
 
-def fnj_series(n: int, j: int, x: float,
-               policy: EvalPolicy = DEFAULT_POLICY) -> SeriesResult:
+def fnj_series(n: int, j: int, x: float) -> SeriesResult:
     """Direct summation oracle: f_{n,j}(x) = sum C(n+k,k) x**k / (n+k)**j.
 
     The term ratios x (n+i+1)/(i+1) ((n+i)/(n+i+1))**j are at most
@@ -225,7 +224,7 @@ def fnj_series(n: int, j: int, x: float,
         rho = x * (n + k + 2) / (k + 2.0)
         return t * ratio(k) / (1.0 - rho) if rho < 1.0 else math.inf
 
-    res = sum_series(terms(), tail, policy)
+    res = sum_series(terms(), tail)
     if not res.converged:
         raise NotConverged("kernel series did not converge")
     return res

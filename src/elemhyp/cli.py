@@ -26,26 +26,23 @@ from .mkz import (
     GmkzParams, Monomial, _gmkz_series, gmkz_e1, gmkz_moment_abel, ln_moment_e2,
     ln_moment_e2_direct, mkz_moment,
 )
-from .numcore import (
-    DEFAULT_POLICY, FULL_PRECISION, DomainError, EvalPolicy, InvalidParams,
-    NonFinite, NotConverged,
-)
+from .numcore import DomainError, InvalidParams, NonFinite, NotConverged
 from .verify import SUITE_NAMES, _rel_err, run_suites
 
 def _emit(doc: dict):
     print(json.dumps(doc))
 
 
-def cmd_hyp2f1(args, policy: EvalPolicy) -> int:
+def cmd_hyp2f1(args) -> int:
     params = HypergeomParams(args.m, args.n, args.p)
     if args.variant is not None and args.method != "closed":
         raise InvalidParams("--variant requires --method closed")
     if args.method == "auto":
         value = hyp2f1_eval(params, args.x)
     elif args.method == "series":
-        res = hyp2f1_series(float(args.m), args.n, float(args.p), args.x, policy)
+        res = hyp2f1_series(float(args.m), args.n, float(args.p), args.x)
         if not res.converged:
-            raise NotConverged("series did not converge within max_terms")
+            raise NotConverged("series did not converge within its term cap")
         value = res.value
     else:
         variant = args.variant
@@ -57,15 +54,14 @@ def cmd_hyp2f1(args, policy: EvalPolicy) -> int:
                                f"exceeds {_GUARD_REL:g} of its value")
     doc = {"value": value}
     if args.compare:
-        series = hyp2f1_series(float(args.m), args.n, float(args.p), args.x,
-                               policy).value
+        series = hyp2f1_series(float(args.m), args.n, float(args.p), args.x).value
         doc["series"] = series
         doc["rel_err"] = _rel_err(value, series)
     _emit(doc)
     return 0
 
 
-def cmd_moment(args, policy: EvalPolicy) -> int:
+def cmd_moment(args) -> int:
     n, r, x = args.n, args.r, args.x
     if args.operator == "mkz":
         params = GmkzParams(n, 1, 0.0, 0.0)
@@ -90,26 +86,24 @@ def cmd_moment(args, policy: EvalPolicy) -> int:
             raise InvalidParams(
                 "gmkz closed moments need r = 1, or rop = alpha+1 with integer alpha")
 
-    def series(policy):
+    def series():
         if args.operator == "ln":
-            return ln_moment_e2_direct(n, x, policy)
-        return _gmkz_series(params, Monomial(r), x, policy).value
+            return ln_moment_e2_direct(n, x)
+        return _gmkz_series(params, Monomial(r), x).value
 
     if args.route == "closed":
         doc = {"value": closed()}
     elif args.route == "series":
-        doc = {"value": series(policy)}
+        doc = {"value": series()}
     else:
-        # the closed side is exact to rounding, so the series it is checked
-        # against is summed to full precision, as gmkz_apply sums it
         c = closed()
-        s = series(FULL_PRECISION)
+        s = series()
         doc = {"closed": c, "series": s, "rel_err": _rel_err(c, s)}
     _emit(doc)
     return 0
 
 
-def cmd_fnj(args, policy: EvalPolicy) -> int:
+def cmd_fnj(args) -> int:
     if args.n < 2:
         raise InvalidParams("symbolic combos are defined for n >= 2")
     if args.j < 2:
@@ -122,7 +116,7 @@ def cmd_fnj(args, policy: EvalPolicy) -> int:
         doc["terms"] = combo_json_dict(combo)["terms"]
     if args.x is not None:
         got = combo_eval(combo, args.x)
-        oracle = fnj_series(args.n, args.j, args.x, policy).value
+        oracle = fnj_series(args.n, args.j, args.x).value
         doc.update(combo=got, series=oracle, rel_err=_rel_err(got, oracle))
     _emit(doc)
     return 0
@@ -174,20 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Elementary closed forms for integer-parameter 2F1, "
                     "operator moments, symbolic moment kernels, and a "
                     "2F1-expanded Heun family.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--rel-tol", type=float, default=DEFAULT_POLICY.rel_tol,
-                        help="tolerance of the series oracles (--method "
-                             "series, --compare, --route series, fnj's "
-                             "series): a series stops once a bound on its "
-                             "tail is within it of the partial sum (default "
-                             "1e-12); the evaluators take no tolerance, and "
-                             "heun and verify reject the flag")
-    common.add_argument("--max-terms", type=int, default=DEFAULT_POLICY.max_terms,
-                        help="term cap of the same series (default 100000)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("hyp2f1", parents=[common],
-                       help="evaluate 2F1(m, n; p; x)")
+    p = sub.add_parser("hyp2f1", help="evaluate 2F1(m, n; p; x)")
     p.add_argument("--m", type=int, required=True, help="first upper parameter (integer >= 1)")
     p.add_argument("--n", type=float, required=True, help="second upper parameter (real)")
     p.add_argument("--p", type=int, required=True, help="lower parameter (integer >= m+1)")
@@ -199,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print the series value and relative error")
     p.set_defaults(func=cmd_hyp2f1)
 
-    p = sub.add_parser("moment", parents=[common],
+    p = sub.add_parser("moment",
                        help="operator moments, closed formulas vs direct summation")
     p.add_argument("--operator", choices=["mkz", "ln", "gmkz"], required=True)
     p.add_argument("--n", type=int, required=True, help="operator index (integer >= 1)")
@@ -216,8 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "itself the operator series")
     p.set_defaults(func=cmd_moment)
 
-    p = sub.add_parser("fnj", parents=[common],
-                       help="moment kernels: exact combos and series values")
+    p = sub.add_parser("fnj", help="moment kernels: exact combos and series values")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--x", type=float, default=None)
@@ -251,9 +233,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if "rel_tol" not in vars(args):  # heun and verify take no tolerance
-            return args.func(args)
-        return args.func(args, EvalPolicy(rel_tol=args.rel_tol, max_terms=args.max_terms))
+        return args.func(args)
     except (InvalidParams, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

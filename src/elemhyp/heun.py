@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 from .hypergeom import HypergeomParams, hyp2f1_eval
 from .numcore import (
-    DomainError, EvalPolicy, InvalidParams, SeriesResult, require_ints,
-    sum_series,
+    DomainError, InvalidParams, NonFinite, SeriesResult, require_ints,
 )
 
 
@@ -135,8 +134,8 @@ def heun_eval(fp: HeunFamilyParams, x: float, K: int) -> SeriesResult:
     trunc_err_est 0.0.  Any other partial sum, K < r or a member that never
     terminates, is returned as it is, with converged False and
     trunc_err_est math.inf (no bound on the rest is known, as sum_series
-    reports it).  The terms c_k * leaf are summed by sum_series, so an inf
-    or nan term raises NonFinite.
+    reports it).  The terms c_k * leaf are summed by _finite_sum: rounded
+    once, and an inf or nan term raises NonFinite.
     """
     require_ints(K=K)
     if K < 1:
@@ -153,9 +152,7 @@ def heun_eval(fp: HeunFamilyParams, x: float, K: int) -> SeriesResult:
         leaf = hyp2f1_eval(HypergeomParams(fp.m, float(fp.n), fp.p + 2 * k), x)
         terms.append(c * leaf)
         c *= _coeff_ratio(fp, k)
-    # no tail bound: the partial sum is the value by definition
-    total = sum_series(terms, lambda k, t: math.inf,
-                       EvalPolicy(max_terms=kmax)).value
+    total = _finite_sum(terms)
     terminated = r is not None and r <= K
     return SeriesResult(value=total, terms_used=kmax, converged=terminated,
                         trunc_err_est=0.0 if terminated else math.inf)
@@ -180,9 +177,9 @@ def heun_series_oracle(spec: HeunSpec, x: float, N: int) -> float:
     sum d_j x**j into the equation multiplied through by x(x-1)(x-a).
     Trusted only inside |x| < min(1, |a|), the distance to the nearest other
     singular point.  gamma at 0 or a negative integer makes the recurrence
-    division singular (the series solution is not unique there).  All N+1
-    terms are summed by sum_series with no tail bound (the value is the
-    partial sum by definition), so an inf or nan term raises NonFinite.
+    division singular (the series solution is not unique there).  The
+    value is the partial sum of all N+1 terms by definition, summed by
+    _finite_sum: rounded once, and an inf or nan term raises NonFinite.
     """
     require_ints(N=N)
     if N < 2:
@@ -196,18 +193,24 @@ def heun_series_oracle(spec: HeunSpec, x: float, N: int) -> float:
     mid1 = 1.0 + a
     midj = g * (1.0 + a) + de * a + ep
 
-    def terms():
-        yield 1.0
-        d_prev, d_cur = 0.0, 1.0
-        for j in range(N):
-            lhs = a * (j + 1.0) * (j + g)
-            mid = (mid1 * j * (j - 1.0) + midj * j + q) * d_cur
-            d_next = (mid - (j - 1.0 + al) * (j - 1.0 + be) * d_prev) / lhs
-            yield d_next * x ** (j + 1)
-            d_prev, d_cur = d_cur, d_next
+    terms = [1.0]
+    d_prev, d_cur = 0.0, 1.0
+    for j in range(N):
+        lhs = a * (j + 1.0) * (j + g)
+        mid = (mid1 * j * (j - 1.0) + midj * j + q) * d_cur
+        d_next = (mid - (j - 1.0 + al) * (j - 1.0 + be) * d_prev) / lhs
+        terms.append(d_next * x ** (j + 1))
+        d_prev, d_cur = d_cur, d_next
+    return _finite_sum(terms)
 
-    return sum_series(terms(), lambda k, t: math.inf,
-                      EvalPolicy(max_terms=N + 1)).value
+
+def _finite_sum(terms: list) -> float:
+    """math.fsum of a finite list of terms, correctly rounded; an inf or
+    nan term raises NonFinite (fsum would return inf, nan or raise)."""
+    for i, t in enumerate(terms):
+        if not math.isfinite(t):
+            raise NonFinite(f"non-finite term at index {i}")
+    return math.fsum(terms)
 
 
 def heun_ode_residual(fp: HeunFamilyParams, x: float, h: float, K: int) -> float:

@@ -28,7 +28,7 @@ kept only where _dd.certified finds their rounding bound within 1e-13:
   2. the classifier's closed form for (m, n; p), with its BoundedSum bound;
   3. the defining series, with no rounding check.
 
-Both series routes sum one series per call, at numcore.FULL_PRECISION.
+Both series routes sum one series per call, to numcore's one precision.
 
 A short terminating polynomial (n a nonpositive integer >= -16) that route
 1 does not keep is summed exactly in integers and rounded once instead of
@@ -52,8 +52,8 @@ from ._dd import (
     dd, dd_div, dd_from_int, dd_from_ratio, dd_mul, dd_neg, dd_npow, dd_to_float,
 )
 from .numcore import (
-    DEFAULT_POLICY, FULL_PRECISION, DomainError, EvalPolicy, InvalidParams,
-    NotConverged, SeriesResult, require_ints, sum_series,
+    DomainError, InvalidParams, NotConverged, SeriesResult, require_ints,
+    sum_series,
 )
 
 
@@ -76,8 +76,7 @@ class HypergeomParams:
             raise InvalidParams("p must be >= m+1")
 
 
-def hyp2f1_series(a: float, b: float, c: float, x: float,
-                  policy: EvalPolicy = DEFAULT_POLICY) -> SeriesResult:
+def hyp2f1_series(a: float, b: float, c: float, x: float) -> SeriesResult:
     """Defining series, summed by the term ratio recurrence.
 
     This is the oracle every closed form is tested against.  Past term k,
@@ -108,7 +107,7 @@ def hyp2f1_series(a: float, b: float, c: float, x: float,
             * max(1.0, abs((b + k + 1) / (c + k + 1)))
         return abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
 
-    return sum_series(terms(), tail, policy)
+    return sum_series(terms(), tail)
 
 
 def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum:
@@ -384,9 +383,9 @@ def _short_poly_exact(m: int, K: int, p: int, x: float) -> float:
 def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
     """Stability-aware dispatcher.
 
-    Every series it sums runs at numcore.FULL_PRECISION (tail bound within
-    1e-17 of the sum, at most 100000 terms); there is one such sum per
-    call.  Below _X_SWITCH = 1/2 the defining series is kept if
+    Every series it sums stops as numcore.sum_series does (tail bound
+    within 1e-17 of the sum, at most 100000 terms); there is one such sum
+    per call.  Below _X_SWITCH = 1/2 the defining series is kept if
     _dd.certified finds its rounding bound, terms_used * sum|term| * 2**-53,
     within 1e-13.  Any other point tries the most specific closed form, kept
     by the same test on the running bound of its double-double sum, unless
@@ -407,7 +406,7 @@ def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
         return 1.0  # zero upper parameter terminates the series at its first term
     res = None
     if x < _X_SWITCH:
-        res = hyp2f1_series(float(m), n, float(p), x, FULL_PRECISION)
+        res = hyp2f1_series(float(m), n, float(p), x)
         if not res.converged:
             raise NotConverged("series did not converge")
         if certified(res.value, res.terms_used * res.abs_sum * 2.0 ** -53):
@@ -425,7 +424,7 @@ def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
         if certified(f, bound):
             return f
     if res is None:
-        res = hyp2f1_series(float(m), n, float(p), x, FULL_PRECISION)
+        res = hyp2f1_series(float(m), n, float(p), x)
     if not res.converged:
         raise NotConverged("series fallback did not converge")
     return res.value

@@ -6,10 +6,9 @@ gmkz_apply applies the generalized operator
 
 with the classical operator at (r, a, b) = (1, 0, 0).  Two routes:
 
-  1. the series, summed by sum_series at numcore.FULL_PRECISION, until a
-     bound on its tail is within 1e-17 of the sum (_gmkz_series, which at
-     a looser policy is the direct-summation oracle of the tests and of
-     verify);
+  1. the series, summed by sum_series until a bound on its tail is within
+     1e-17 of the sum (_gmkz_series, also the direct-summation oracle of
+     the tests and of verify);
   2. from x = _APPLY_CLOSED_FROM up, for a Monomial(m) with integer a, the
      exact combination of elementary functions and Li_s(x), s = 1..m, of
      _gmkz_closed: N + m + c - 1 double-double terms (N = n + r,
@@ -38,8 +37,8 @@ from ._dd import (
 )
 from .hypergeom import HypergeomParams, hyp2f1_eval
 from .numcore import (
-    DEFAULT_POLICY, FULL_PRECISION, DomainError, EvalPolicy, InvalidParams,
-    NotConverged, SeriesResult, require_ints, sum_series,
+    DomainError, InvalidParams, NotConverged, SeriesResult, require_ints,
+    sum_series,
 )
 from .polylog import _polylog_dd
 
@@ -104,8 +103,7 @@ def gmkz_apply(params: GmkzParams, f, x: float) -> SeriesResult:
     the closed form's running bound.  It is kept where _dd.certified accepts
     that bound and every coefficient is within float range, and is tried only
     where its coefficients take at most _CLOSED_MAX_STEPS steps
-    (~N**2 + c*(m+1)).  Every other case is summed by _gmkz_series at
-    numcore.FULL_PRECISION, as hyp2f1_eval's series.
+    (~N**2 + c*(m+1)).  Every other case is summed by _gmkz_series.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("operator series requires 0 <= x < 1")
@@ -117,24 +115,23 @@ def gmkz_apply(params: GmkzParams, f, x: float) -> SeriesResult:
             res = _gmkz_closed(N, c, params.beta, m, x)
             if res is not None:
                 return res
-    return _gmkz_series(params, f, x, FULL_PRECISION)
+    return _gmkz_series(params, f, x)
 
 
-def _gmkz_series(params: GmkzParams, f, x: float,
-                 policy: EvalPolicy = DEFAULT_POLICY) -> SeriesResult:
+def _gmkz_series(params: GmkzParams, f, x: float) -> SeriesResult:
     """The operator series summed term by term, stopped by a tail bound.
 
     The weights w_k = (1-x)**N C(N+k-1, k) x**k, N = n + r, step by
     x (N+k)/(k+1), which falls with k; so once rho = x (N+k+1)/(k+2) < 1
     everything after term k is at most F w_{k+1} / (1 - rho), F a bound on
     |f| at the later nodes (k+b)/(n+k+a) in [0, 1).  sum_series stops once
-    that bound is at most rel_tol times the partial sum, and returns it as
+    that bound is at most 1e-17 times the partial sum, and returns it as
     trunc_err_est.  F = 1 for a Monomial.  For any other f, F is the
     largest |f| met so far: a bound only where |f| at the later nodes,
     which tend to 1, stays below it; until some f is nonzero there is no
-    bound, so an f that is 0 at every node raises NotConverged.  Raises
-    NotConverged at policy.max_terms, or where (1-x)**N leaves the normal
-    float range.
+    bound, so an f that is 0 at every node sums until the weights underflow
+    to 0.  Raises NotConverged at sum_series' term cap, or where (1-x)**N
+    leaves the normal float range.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("operator series requires 0 <= x < 1")
@@ -163,7 +160,7 @@ def _gmkz_series(params: GmkzParams, f, x: float,
             return 0.0
         return bound * w_k / (1.0 - rho) if rho < 1.0 and bound > 0.0 else math.inf
 
-    res = sum_series(terms(), tail, policy)
+    res = sum_series(terms(), tail)
     if not res.converged:
         raise NotConverged("operator series did not converge")
     return res
@@ -258,6 +255,7 @@ def _horner(coefs: list, u: int) -> int:
 
 def mkz_moment_e2(n: int, x: float) -> float:
     """Second moment of the classical operator: x**2 plus a 2F1 correction."""
+    require_ints(n=n)
     if n < 1:
         raise InvalidParams("n must be >= 1")
     if not 0.0 <= x < 1.0:
@@ -290,6 +288,7 @@ def mkz_moment(n: int, r: int, x: float) -> float:
 
 def ln_moment_e2(n: int, x: float) -> float:
     """Second moment of the integral-type variant L_n, closed form."""
+    require_ints(n=n)
     if n < 1:
         raise InvalidParams("n must be >= 1")
     if not 0.0 <= x < 1.0:
@@ -300,8 +299,7 @@ def ln_moment_e2(n: int, x: float) -> float:
     return x * x + 2.0 * x * (1.0 - x) ** 2 / (n + 2) * f
 
 
-def ln_moment_e2_direct(n: int, x: float,
-                        policy: EvalPolicy = DEFAULT_POLICY) -> float:
+def ln_moment_e2_direct(n: int, x: float) -> float:
     """Direct-summation oracle for the L_n second moment.
 
     The Beta-integral moments of the basis weights reduce to
@@ -332,7 +330,7 @@ def ln_moment_e2_direct(n: int, x: float,
         rho = x * (n + i + 3) / (i + 3.0)
         return pref * w / (1.0 - rho) if rho < 1.0 else math.inf
 
-    res = sum_series(terms(), tail, policy)
+    res = sum_series(terms(), tail)
     if not res.converged:
         raise NotConverged("moment series did not converge")
     return res.value

@@ -1,9 +1,11 @@
 """Shared numerical kernel.
 
-Pochhammer symbols, generalized binomials and the series summation engine
-(every series stops on a bound on its tail).  Everything here is pure
-float64; the double-double internals live in _dd and are not part of this
-surface.
+Pochhammer symbols, generalized binomials and the series summation engine.
+Every series in the package is summed to one precision: it stops once a
+bound on its tail is within _dd._SERIES_REL_TOL (1e-17, float64 accuracy) of
+its partial sum, and is cut, not converged, after _MAX_TERMS terms.
+Everything here is pure float64; the double-double internals live in _dd
+and are not part of this surface.
 """
 
 from __future__ import annotations
@@ -43,33 +45,7 @@ def require_ints(**values) -> None:
             raise InvalidParams(f"{name} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True)
-class EvalPolicy:
-    """Knobs for the series oracles.
-
-    The evaluators (hyp2f1_eval, gmkz_apply, the moments built on it and
-    polylog_derivative_series) take none: every series they sum runs at
-    FULL_PRECISION.  Nor does the Heun expansion, whose partial sums are
-    converged only where the expansion terminates.
-
-    rel_tol: a series stops once a bound on its tail is within rel_tol of
-        its partial sum.
-    max_terms: hard cap on summed terms.
-    """
-
-    rel_tol: float = 1e-12
-    max_terms: int = 100000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise InvalidParams("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise InvalidParams("max_terms must be >= 1")
-
-
-DEFAULT_POLICY = EvalPolicy()
-# the one policy of the evaluators' own series: float64 accuracy, default cap
-FULL_PRECISION = EvalPolicy(rel_tol=_SERIES_REL_TOL)
+_MAX_TERMS = 100000
 
 
 @dataclass
@@ -100,17 +76,18 @@ def gen_binomial(a: float, k: int) -> float:
     return pochhammer(a - k + 1, k) / math.factorial(k)
 
 
-def sum_series(term_source: Iterable, tail: Callable[[int, float], float],
-               policy: EvalPolicy = DEFAULT_POLICY) -> SeriesResult:
+def sum_series(term_source: Iterable,
+               tail: Callable[[int, float], float]) -> SeriesResult:
     """Kahan-compensated accumulation that stops on a bound on its tail.
 
     tail(k, term_k) returns a bound on |sum of the terms after term k|
     (k counts from 0), or math.inf where none is known.  It is asked only
-    once |term_k| <= rel_tol * |partial sum|, and the sum stops once the
-    bound is within rel_tol * |partial sum|; trunc_err_est is that bound.
-    A source that runs out of terms, within max_terms, is an exact finite
-    sum (converged, trunc_err_est 0); one with a term left after max_terms
-    is not converged, and its trunc_err_est is math.inf.  abs_sum, the sum
+    once |term_k| <= tol * |partial sum|, tol = _dd._SERIES_REL_TOL
+    (1e-17, float64 accuracy), and the sum stops once the bound is within
+    tol * |partial sum|; trunc_err_est is that bound.  A source that runs
+    out of terms, within _MAX_TERMS, is an exact finite sum (converged,
+    trunc_err_est 0); one with a term left after _MAX_TERMS is not
+    converged, and its trunc_err_est is math.inf.  abs_sum, the sum
     of the absolute values of the terms, bounds the rounding error of the
     sum together with terms_used.
     """
@@ -119,9 +96,8 @@ def sum_series(term_source: Iterable, tail: Callable[[int, float], float],
     abs_sum = 0.0
     terms_used = 0
     converged = False
-    rel_tol = policy.rel_tol
     for term in term_source:
-        if terms_used >= policy.max_terms:  # still going at the cap
+        if terms_used >= _MAX_TERMS:  # still going at the cap
             bound = math.inf
             break
         term = float(term)
@@ -133,9 +109,9 @@ def sum_series(term_source: Iterable, tail: Callable[[int, float], float],
         s = t
         abs_sum += abs(term)
         terms_used += 1
-        if abs(term) <= rel_tol * abs(s):
+        if abs(term) <= _SERIES_REL_TOL * abs(s):
             bound = tail(terms_used - 1, term)
-            if bound <= rel_tol * abs(s):
+            if bound <= _SERIES_REL_TOL * abs(s):
                 converged = True
                 break
     else:

@@ -37,9 +37,7 @@ from ._dd import (
     DD, _two_prod, context, dd, dd_add, dd_div, dd_from_int,
     dd_from_ratio, dd_mul, dd_sub, dd_to_float,
 )
-from .numcore import (
-    FULL_PRECISION, DomainError, InvalidParams, NotConverged, require_ints,
-)
+from .numcore import DomainError, InvalidParams, NotConverged, require_ints
 
 # polylog_derivative_series takes the kernel combos (j >= 2) from here up,
 # where the series needs ~1/(1-x) terms to meet its tail bound.
@@ -97,10 +95,10 @@ def polylog_derivative_series(j: int, d: int, x: float) -> float:
     basis.fnj_base (Li_0(x) := x/(1-x), so j = 0 gives d!/(1-x)**(d+1), and
     j = 1 gives (d-1)!/(1-x)**d), raising NotConverged where they pass float
     range.  For j >= 2 the kernel is the exact combo from _COMBOS_FROM up,
-    where the series would need ~1/(1-x) terms, and the series at
-    numcore.FULL_PRECISION below it, where the combo's x**(-d) prefactor
-    cancels.  Nothing in the package calls it: the moments
-    are mkz.gmkz_apply on a Monomial, which needs no kernel f_{d,j}.
+    where the series would need ~1/(1-x) terms, and the series below it,
+    where the combo's x**(-d) prefactor cancels.  Nothing in the package
+    calls it: the moments are mkz.gmkz_apply on a Monomial, which needs no
+    kernel f_{d,j}.
     """
     from .basis import combo_eval, fnj_base, fnj_combo, fnj_series  # basis imports this module
 
@@ -121,7 +119,7 @@ def polylog_derivative_series(j: int, d: int, x: float) -> float:
         raise NotConverged("derivative overflows float range")
     if x >= _COMBOS_FROM:
         return math.factorial(d) * combo_eval(fnj_combo(d, j), x)
-    return math.factorial(d) * fnj_series(d, j, x, FULL_PRECISION).value
+    return math.factorial(d) * fnj_series(d, j, x).value
 
 
 @lru_cache(maxsize=4096)

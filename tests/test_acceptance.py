@@ -18,7 +18,7 @@ import time
 import pytest
 
 from elemhyp import (
-    EvalPolicy, GmkzParams, HeunFamilyParams, HypergeomParams, Monomial,
+    GmkzParams, HeunFamilyParams, HypergeomParams, Monomial,
     gmkz_apply, gmkz_e1, gmkz_moment_abel, heun_eval, heun_normalization,
     heun_ode_residual, heun_params_from, heun_series_oracle, heun_termination,
     hyp2f1_closed_12, hyp2f1_closed_1m, hyp2f1_closed_general, hyp2f1_series,
@@ -27,8 +27,6 @@ from elemhyp import (
 from elemhyp.basis import LOG_TERM, combo_eval, fnj_combo, fnj_series, poly, pow_ratio
 from elemhyp.mkz import _gmkz_series
 from elemhyp.verify import _fnj3_direct
-
-ORACLE = EvalPolicy(rel_tol=1e-13)
 
 XGRID = [round(0.1 * i, 1) for i in range(1, 10)]
 NGRID = [-2.5, -1.0, 0.5, 1.0, 2.0, 3.75]
@@ -59,7 +57,7 @@ def test_criterion_1_closed_forms_match_the_series_oracle():
             for n in NGRID:
                 for x in XGRID:
                     closed = hyp2f1_closed_general(HypergeomParams(m, n, p), x)
-                    oracle = hyp2f1_series(float(m), n, float(p), x, ORACLE).value
+                    oracle = hyp2f1_series(float(m), n, float(p), x).value
                     worst = max(worst, rel(closed, oracle))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-8 and elapsed < 10.0
@@ -101,7 +99,7 @@ def test_criterion_3_second_moment_routes_agree():
         for x in XGRID:
             closed = mkz_moment_e2(n, x)
             kernel = mkz_moment(n, 2, x)
-            direct = _gmkz_series(classical, Monomial(2), x, ORACLE).value
+            direct = _gmkz_series(classical, Monomial(2), x).value
             worst = max(worst, rel(closed, kernel), rel(closed, direct),
                         rel(kernel, direct))
             e0 = gmkz_apply(classical, Monomial(0), x).value
@@ -139,7 +137,7 @@ def test_criterion_4_symbolic_combos_are_exact_and_evaluate_correctly():
             c = fnj_combo(n, j)
             for x in XGRID:
                 got = combo_eval(c, x)
-                want = fnj_series(n, j, x, ORACLE).value
+                want = fnj_series(n, j, x).value
                 worst = max(worst, rel(got, want))
     worst_j3 = 0.0
     for n in range(2, 9):
@@ -164,7 +162,7 @@ def test_criterion_5_higher_moments_match_direct_summation():
             # operator series itself
             for x in (0.9, 0.95, 0.99):
                 closed = mkz_moment(n, r, x)
-                direct = _gmkz_series(classical, Monomial(r), x, ORACLE).value
+                direct = _gmkz_series(classical, Monomial(r), x).value
                 worst = max(worst, rel(closed, direct))
     ok = worst <= 1e-7
     report("higher moments vs direct summation", ok, f"worst rel {worst:.3e}")
@@ -176,7 +174,7 @@ def test_criterion_6_log_weighted_and_parametric_moments():
     for n in range(1, 9):
         for x in (0.1, 0.4, 0.8):
             worst_ln = max(worst_ln, rel(ln_moment_e2(n, x),
-                                         ln_moment_e2_direct(n, x, ORACLE)))
+                                         ln_moment_e2_direct(n, x)))
     worst_affine = 0.0
     for alpha in range(5):
         for beta in (0.0, alpha / 2.0, float(alpha)):
@@ -191,7 +189,7 @@ def test_criterion_6_log_weighted_and_parametric_moments():
         for m in range(5):
             for x in (0.9, 0.95):
                 got = gmkz_moment_abel(n, alpha, beta, m, x)
-                want = _gmkz_series(params, Monomial(m), x, ORACLE).value
+                want = _gmkz_series(params, Monomial(m), x).value
                 worst_abel = max(worst_abel, rel(got, want))
     ok = worst_ln <= 1e-8 and worst_affine <= 1e-10 and worst_abel <= 1e-8
     report("log-weighted and parametric moments", ok,
@@ -297,6 +295,12 @@ def test_criterion_8_cli_verification_and_pinned_outputs(tmp_path):
         assert set(entry) == {"operation", "inputs", "result", "oracle",
                               "rel_err", "pass"}
         assert entry["pass"] is True
+        # the series and direct sums stop within 1e-17 of their value, so
+        # what is left is the certified side's rounding; heun_eval's float
+        # sum of c_k * leaf cancels, to 7.8e-13 against its oracle
+        op = entry["operation"]
+        if op.endswith(("_vs_series", "_vs_direct")) and op != "heun_vs_series_oracle":
+            assert entry["rel_err"] <= 1e-14, entry
 
     pinned = [
         (["hyp2f1", "--m", "1", "--n", "2", "--p", "3", "--x", "0.5",

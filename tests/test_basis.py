@@ -8,13 +8,11 @@ from fractions import Fraction
 import pytest
 
 from elemhyp import (
-    BasisFunction, DomainError, EvalPolicy, InvalidParams, NotConverged,
+    BasisFunction, DomainError, InvalidParams, NotConverged,
     SymbolicCombo, combo_eval, combo_json_dict, fnj_base, fnj_combo, fnj_series,
 )
 from elemhyp.basis import LOG_TERM, poly, pow_ratio
 
-TIGHT = EvalPolicy(rel_tol=1e-13)
-FULL = EvalPolicy(rel_tol=1e-17)
 
 XGRID = [round(0.1 * i, 1) for i in range(1, 10)]
 
@@ -106,7 +104,7 @@ def test_combo_eval_matches_series(n, j):
     c = fnj_combo(n, j)
     for x in (0.1, 0.5, 0.9):
         got = combo_eval(c, x)
-        want = fnj_series(n, j, x, TIGHT).value
+        want = fnj_series(n, j, x).value
         assert math.isclose(got, want, rel_tol=1e-10)
 
 
@@ -124,7 +122,7 @@ def test_combo_small_argument_behavior():
     x = 1e-3
     for n in range(2, 9):
         for j in range(2, 13):
-            ser = fnj_series(n, j, x, FULL).value
+            ser = fnj_series(n, j, x).value
             dev = ser * n**j - 1.0
             model = (n + 1) * x * (n / (n + 1)) ** j
             assert 0.9 * model < dev < 1.1 * model
@@ -153,7 +151,7 @@ def _combo_sweep(count, seed):
             x = 10.0 ** rng.uniform(-8.0, -1.0)
         else:
             x = rng.uniform(0.01, 0.99)
-        want = fnj_series(n, j, x, FULL).value
+        want = fnj_series(n, j, x).value
         try:
             got = combo_eval(fnj_combo(n, j), x)
         except NotConverged:
@@ -205,9 +203,9 @@ def test_series_validation():
 
 def test_series_low_orders_have_closed_forms():
     x = 0.45
-    got = fnj_series(1, 0, x, TIGHT).value
+    got = fnj_series(1, 0, x).value
     assert math.isclose(got, (1.0 - x) ** -2, rel_tol=1e-12)
-    got = fnj_series(3, 1, x, TIGHT).value
+    got = fnj_series(3, 1, x).value
     assert math.isclose(got, fnj_base(3, 1)(x), rel_tol=1e-12)
 
 

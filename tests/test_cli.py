@@ -1,4 +1,4 @@
-"""Command line surface: exact output, exit codes, policy resolution."""
+"""Command line surface: exact output, exit codes, rejected flags."""
 
 import csv
 import io
@@ -71,6 +71,11 @@ def test_runs_are_bit_reproducible():
     ("heun", "--m", "2", "--n", "-1", "--p", "4", "--x", "0.6", "--rel-tol", "1e-3"),
     ("heun", "--m", "2", "--n", "-1", "--p", "4", "--x", "0.6", "--max-terms", "20"),
     ("verify", "--suite", "heun", "--rel-tol", "1e-3"),
+    ("hyp2f1", "--m", "6", "--n", "18.5", "--p", "24", "--x", "0.5", "--rel-tol", "1e-6"),
+    ("hyp2f1", "--m", "6", "--n", "18.5", "--p", "24", "--x", "0.5", "--max-terms", "20"),
+    ("moment", "--operator", "mkz", "--n", "3", "--r", "2", "--x", "0.5",
+     "--route", "series", "--rel-tol", "1e-3"),
+    ("fnj", "--n", "2", "--j", "2", "--x", "0.5", "--max-terms", "20"),
 ])
 def test_commands_without_a_tolerance_reject_the_flags(argv):
     r = run(*argv)
@@ -114,12 +119,11 @@ def test_non_finite_parameter_exits_2(argv):
     assert r.stderr.startswith("error: ")
 
 
-@pytest.mark.parametrize("flags", [(), ("--rel-tol", "1e-6"), ("--max-terms", "20")])
-def test_hyp2f1_auto_ignores_the_series_flags(flags):
-    # the closed form is rejected here, and the series fallback sums to full
-    # precision whatever the flags say (20.924269313215092 at --rel-tol 1e-6)
+def test_hyp2f1_auto_fallback_sums_to_full_precision():
+    # the closed form is rejected here, and the series fallback sums to
+    # 1e-17 (a 1e-6 tolerance gave 20.924269313215092)
     r = run("hyp2f1", "--m", "6", "--n", "18.5", "--p", "24",
-            "--x", "0.5033840330246482", *flags)
+            "--x", "0.5033840330246482")
     assert r.returncode == 0
     assert r.stdout == '{"value": 20.924279990680514}\n'
 
@@ -194,8 +198,9 @@ def test_hyp2f1_closed_rejects_the_origin():
 
 
 def test_hyp2f1_series_cap_exits_1():
-    r = run("hyp2f1", "--m", "1", "--n", "2", "--p", "6", "--x", "0.02",
-            "--method", "series", "--max-terms", "3")
+    # the tail bound |t_(k+1)| / (1 - x) is still ~1e-12 at the cap
+    r = run("hyp2f1", "--m", "1", "--n", "2", "--p", "6", "--x", "0.999999",
+            "--method", "series")
     assert r.returncode == 1
     assert "converge" in r.stderr
 
@@ -229,9 +234,9 @@ def test_moment_both_routes():
     doc = json.loads(r.stdout)
     assert set(doc) == {"closed", "series", "rel_err"}
     assert doc["rel_err"] < 1e-10
-    # the series side is summed to full precision whatever --rel-tol says,
-    # so next to x = 1 the error printed is the closed form's, not the
-    # series' truncation (9.8e-13 at the default tolerance)
+    # the series side is summed to 1e-17, so next to x = 1 the error
+    # printed is the closed form's, not the series' truncation (9.8e-13 at
+    # a 1e-12 tolerance)
     r = run("moment", "--operator", "mkz", "--n", "3", "--r", "4",
             "--x", "0.95", "--route", "both")
     assert r.returncode == 0

@@ -1,6 +1,5 @@
-"""Shared kernel: policies, factorial helpers, summation engine."""
+"""Shared kernel: integer checks, factorial helpers, summation engine."""
 
-import dataclasses
 import math
 
 import pytest
@@ -8,29 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elemhyp import (
-    DEFAULT_POLICY, EvalPolicy, GmkzParams, HeunFamilyParams, HypergeomParams,
-    InvalidParams, Monomial, NonFinite, fnj_base, fnj_combo, fnj_series,
-    gen_binomial, gmkz_moment_abel, heun_coeff, heun_eval, heun_params_from,
-    heun_series_oracle, hyp2f1_closed_12, hyp2f1_closed_1m, hyp2f1_closed_m1,
-    hyp2f1_eval, hyp2f1_series, ln_moment_e2_direct, mkz_moment, pochhammer,
-    polylog, polylog_derivative_series, sum_series,
+    GmkzParams, HeunFamilyParams, HypergeomParams, InvalidParams, Monomial,
+    NonFinite, fnj_base, fnj_combo, fnj_series, gen_binomial, gmkz_moment_abel,
+    heun_coeff, heun_eval, heun_params_from, heun_series_oracle,
+    hyp2f1_closed_12, hyp2f1_closed_1m, hyp2f1_closed_m1, hyp2f1_eval,
+    hyp2f1_series, ln_moment_e2, ln_moment_e2_direct, mkz_moment,
+    mkz_moment_e2, pochhammer, polylog, polylog_derivative_series, sum_series,
 )
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"rel_tol": 0.0},
-    {"rel_tol": -1e-9},
-    {"max_terms": 0},
-])
-def test_policy_rejects_bad_fields(kwargs):
-    with pytest.raises(InvalidParams):
-        EvalPolicy(**kwargs)
-
-
-def test_policy_defaults():
-    assert DEFAULT_POLICY.rel_tol == 1e-12
-    assert DEFAULT_POLICY.max_terms == 100000
-    assert [f.name for f in dataclasses.fields(EvalPolicy)] == ["rel_tol", "max_terms"]
+from elemhyp.numcore import _MAX_TERMS
 
 
 @pytest.mark.parametrize("call", [
@@ -63,6 +47,11 @@ def test_policy_defaults():
     lambda: heun_series_oracle(heun_params_from(HeunFamilyParams(1, 2.0, 3)), 0.3, 40.0),
     lambda: pochhammer(1.5, 2.0),
     lambda: gen_binomial(1.5, 2.0),
+    # at 0 these returned 0.0; elsewhere they named an internal p
+    lambda: mkz_moment_e2(2.5, 0.0),
+    lambda: mkz_moment_e2(2.5, 0.3),
+    lambda: ln_moment_e2(1.5, 0.0),
+    lambda: ln_moment_e2(1.5, 0.3),
 ])
 def test_integer_arguments_reject_non_integers(call):
     with pytest.raises(InvalidParams, match="must be an integer"):
@@ -96,8 +85,8 @@ def no_bound(k, term):
 
 def test_sum_series_geometric():
     # 1/2**k with its exact tail 1/2**k after term k: the sum stops at the
-    # first k whose tail is within rel_tol of the partial sum (2**-39 <=
-    # 1e-12 * 2), reports that tail, and asks for it only at terms already
+    # first k whose tail is within 1e-17 of the partial sum (2**-56 <=
+    # 1e-17 * 2), reports that tail, and asks for it only at terms already
     # that small, each with its own index
     asked = []
 
@@ -107,37 +96,36 @@ def test_sum_series_geometric():
 
     res = sum_series((0.5 ** k for k in range(10**9)), tail)
     assert res.converged
-    assert res.terms_used == 40
-    assert res.trunc_err_est == 0.5 ** 39 <= 1e-12 * res.value
+    assert res.terms_used == 57
+    assert res.trunc_err_est == 0.5 ** 56 <= 1e-17 * res.value
     assert abs(res.value - 2.0) <= res.trunc_err_est + 1e-15
-    assert asked and all(term == 0.5 ** k <= 1e-12 * 2.0 for k, term in asked)
+    assert asked and all(term == 0.5 ** k <= 1e-17 * 2.0 for k, term in asked)
 
 
 def test_sum_series_exhausted_source_counts_as_exact():
-    # also when its last term is the max_terms-th: no term is left over
-    for policy in (DEFAULT_POLICY, EvalPolicy(max_terms=2)):
-        res = sum_series(iter([1.0, 1e-300]), no_bound, policy)
+    # also when its last term is the cap's: no term is left over
+    for count in (2, _MAX_TERMS):
+        res = sum_series(iter([1.0] + [1e-300] * (count - 1)), no_bound)
         assert res.converged
-        assert res.terms_used == 2
+        assert res.terms_used == count
         assert res.value == 1.0
         assert res.trunc_err_est == 0.0
 
 
 def test_sum_series_cap_reports_not_converged():
-    res = sum_series((1.0 / (k + 1) for k in range(10**9)),
-                     lambda k, term: 1.0, EvalPolicy(max_terms=10))
+    # the harmonic series: no term gets small enough to ask for the tail
+    res = sum_series((1.0 / (k + 1) for k in range(10**9)), lambda k, term: 1.0)
     assert not res.converged
-    assert res.terms_used == 10
+    assert res.terms_used == _MAX_TERMS
     assert res.trunc_err_est == math.inf
 
 
 def test_sum_series_unknown_tail_never_stops():
-    # terms far below rel_tol, but no bound on what follows: only the cap
-    # ends the sum
-    res = sum_series((0.5 ** k for k in range(10**9)), no_bound,
-                     EvalPolicy(max_terms=200))
+    # terms far below 1e-17 of the sum, but no bound on what follows: only
+    # the cap ends the sum
+    res = sum_series((0.5 ** k for k in range(10**9)), no_bound)
     assert not res.converged
-    assert res.terms_used == 200
+    assert res.terms_used == _MAX_TERMS
     assert res.value == 2.0
 
 
@@ -179,7 +167,8 @@ def test_sum_series_tracks_fsum(xs):
     (ln_moment_e2_direct, (5, 0.999), "0.998001499001494137945032883997"),
 ], ids=["hyp2f1_series", "fnj_series", "ln_moment_e2_direct"])
 def test_series_oracles_near_one_meet_rel_tol(oracle, args, want):
-    # default rel_tol 1e-12; the small-term stop left these 1.2e-10, 9.4e-10
-    # and 1.2e-9 off.  want: 30-digit direct sums of 8e4 terms
+    # the small-term stop left these 1.2e-10, 9.4e-10 and 1.2e-9 off; the
+    # tail bound stops within 1e-17, so what is left is float rounding (up
+    # to 1.2e-14).  want: 30-digit direct sums of 8e4 terms
     got = oracle(*args)
-    assert abs(got - float(want)) <= 2e-12 * abs(float(want))
+    assert abs(got - float(want)) <= 2e-14 * abs(float(want))
