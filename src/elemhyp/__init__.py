@@ -11,8 +11,7 @@ from .heun import (
     heun_ode_residual, heun_params_from, heun_series_oracle, heun_termination,
 )
 from .hypergeom import (
-    HypergeomParams, hyp2f1_closed_12, hyp2f1_closed_1m, hyp2f1_closed_general,
-    hyp2f1_closed_m1, hyp2f1_eval, hyp2f1_series,
+    HypergeomParams, hyp2f1_closed, hyp2f1_eval, hyp2f1_series,
 )
 from .mkz import (
     GmkzParams, Monomial, gmkz_apply, gmkz_e1, gmkz_moment_abel, ln_moment_e2,
@@ -32,9 +31,7 @@ __all__ = [
     "HeunFamilyParams", "HeunSpec", "heun_coeff", "heun_eval",
     "heun_normalization", "heun_ode_residual", "heun_params_from",
     "heun_series_oracle", "heun_termination",
-    "HypergeomParams", "hyp2f1_closed_12", "hyp2f1_closed_1m",
-    "hyp2f1_closed_general", "hyp2f1_closed_m1", "hyp2f1_eval",
-    "hyp2f1_series",
+    "HypergeomParams", "hyp2f1_closed", "hyp2f1_eval", "hyp2f1_series",
     "GmkzParams", "Monomial", "gmkz_apply", "gmkz_e1", "gmkz_moment_abel",
     "ln_moment_e2", "ln_moment_e2_direct", "mkz_moment", "mkz_moment_e2",
     "DomainError", "InvalidParams", "NonFinite", "NotConverged",

@@ -15,13 +15,12 @@ import io
 import json
 import sys
 
-from ._dd import _GUARD_REL, certified
 from .basis import combo_eval, combo_json_dict, fnj_combo, fnj_series
 from .heun import (
     HeunFamilyParams, heun_eval, heun_normalization, heun_ode_residual,
     heun_termination,
 )
-from .hypergeom import HypergeomParams, _closed_route, hyp2f1_eval, hyp2f1_series
+from .hypergeom import HypergeomParams, hyp2f1_closed, hyp2f1_eval, hyp2f1_series
 from .mkz import (
     GmkzParams, Monomial, _gmkz_series, gmkz_e1, gmkz_moment_abel, ln_moment_e2,
     ln_moment_e2_direct, mkz_moment,
@@ -37,6 +36,7 @@ def cmd_hyp2f1(args) -> int:
     params = HypergeomParams(args.m, args.n, args.p)
     if args.variant is not None and args.method != "closed":
         raise InvalidParams("--variant requires --method closed")
+    res = None
     if args.method == "auto":
         value = hyp2f1_eval(params, args.x)
     elif args.method == "series":
@@ -48,15 +48,13 @@ def cmd_hyp2f1(args) -> int:
         variant = args.variant
         if variant is not None and variant.isdigit():
             variant = int(variant)
-        value, bound = _closed_route(args.m, args.n, args.p, args.x, variant)
-        if not certified(value, bound):
-            raise NotConverged(f"closed form's rounding bound {bound:.3g} "
-                               f"exceeds {_GUARD_REL:g} of its value")
+        value = hyp2f1_closed(params, args.x, variant)
     doc = {"value": value}
     if args.compare:
-        series = hyp2f1_series(float(args.m), args.n, float(args.p), args.x).value
-        doc["series"] = series
-        doc["rel_err"] = _rel_err(value, series)
+        if res is None:
+            res = hyp2f1_series(float(args.m), args.n, float(args.p), args.x)
+        doc["series"] = res.value
+        doc["rel_err"] = _rel_err(value, res.value)
     _emit(doc)
     return 0
 

@@ -1,16 +1,16 @@
 """Gauss 2F1 with integer parameters: series oracle and elementary closed forms.
 
-The series evaluator is the trusted oracle.  The closed forms have four
-public entries, by shape of the parameter triple (m, n; p):
+The series evaluator is the trusted oracle.  The closed forms have one
+public entry, hyp2f1_closed, which returns a value only where its rounding
+bound certifies it.  Its classifier, _closed_route, picks the family by
+shape of the parameter triple (m, n; p):
 
-  hyp2f1_closed_general  any integer m >= 1, real n, integer p >= m+1
-                         (one binomial sum over power integrals)
-  hyp2f1_closed_m1       m = 1, real n (the general sum at m = 1)
-  hyp2f1_closed_1m       (1, m; m+l+1), two log-basis variants A and B
-  hyp2f1_closed_12       (1, 2; n+2), three variants
+  (1, 2; n+2)     three variants 1, 2, 3
+  (1, m; m+l+1)   two log-basis variants A and B
+  anything else   one binomial sum over power integrals (any integer
+                  m >= 1, real n, integer p >= m+1; at m = 1 a single sum)
 
-All closed forms assemble in double-double and round once at the end.  One
-classifier, _closed_route, picks the family (and variant) for a shape; the
+All closed forms assemble in double-double and round once at the end; the
 per-x _dd.context(x) forms 1-x, log(1-x), the x and 1-x power tables and
 the power integrals once per x, each power integral once per (shift, n).  A
 power integral whose exponent w = shift+1-n is not an integer and has
@@ -48,7 +48,7 @@ from fractions import Fraction
 from itertools import count
 
 from ._dd import (
-    DD, BoundedSum, ClosedFormContext, certified, context,
+    _GUARD_REL, DD, BoundedSum, ClosedFormContext, certified, context,
     dd, dd_div, dd_from_int, dd_from_ratio, dd_mul, dd_neg, dd_npow, dd_to_float,
 )
 from .numcore import (
@@ -264,53 +264,6 @@ def _assemble(body, x: float, *args):
     return value, acc.bound
 
 
-def hyp2f1_closed_general(params: HypergeomParams, x: float) -> float:
-    """Closed form for any (m, n; p) with integer m >= 1, p >= m+1.
-
-    Unguarded: the value is returned whatever cancellation it suffered;
-    hyp2f1_eval is the guarded entry.
-    """
-    return _assemble(_eq_general, x, params.m, params.n, params.p)[0]
-
-
-def hyp2f1_closed_m1(n: float, p: int, x: float) -> float:
-    """Closed form for 2F1(1, n; p; x), any real n, integer p >= 2.
-
-    Unguarded: the value is returned whatever cancellation it suffered;
-    hyp2f1_eval is the guarded entry.
-    """
-    require_ints(p=p)
-    if p < 2:
-        raise InvalidParams("p must be >= 2")
-    return _assemble(_eq_general, x, 1, n, p)[0]
-
-
-def hyp2f1_closed_1m(m: int, l: int, x: float, variant: str = "A") -> float:
-    """Closed form for 2F1(1, m; m+l+1; x), integers m >= 1, l >= 0.
-
-    Variants A and B are two algebraically equal arrangements; both are kept
-    because their agreement is part of the test surface.  Unguarded: the
-    value is returned whatever cancellation it suffered; hyp2f1_eval is the
-    guarded entry.
-    """
-    require_ints(m=m, l=l)
-    if m < 1 or l < 0:
-        raise InvalidParams("need m >= 1 and l >= 0")
-    return _assemble(_variant(_FORMS_1M, variant), x, m, l)[0]
-
-
-def hyp2f1_closed_12(n: int, x: float, variant: int = 1) -> float:
-    """Closed form for 2F1(1, 2; n+2; x), integer n >= 1, three variants.
-
-    Unguarded: the value is returned whatever cancellation it suffered;
-    hyp2f1_eval is the guarded entry.
-    """
-    require_ints(n=n)
-    if n < 1:
-        raise InvalidParams("n must be >= 1")
-    return _assemble(_variant(_FORMS_12, variant), x, n)[0]
-
-
 # Above this estimated digit loss the closed forms cannot certify even float64
 # accuracy out of the double-double assembly, so the dispatcher goes straight
 # to the series.  (p-1)*log10(1/x) is the loss driven by the x**(1-p) prefactor.
@@ -336,6 +289,23 @@ def _closed_route(m: int, n: float, p: int, x: float, variant=None):
         forms, args = {None: _eq_general}, (m, n, p)
     body = _variant(forms, next(iter(forms)) if variant is None else variant)
     return _assemble(body, x, *args)
+
+
+def hyp2f1_closed(params: HypergeomParams, x: float, variant=None) -> float:
+    """The elementary closed form of 2F1(m, n; p; x), 0 < x < 1, certified.
+
+    The classifier picks the most specific family: (1, 2; p) takes variant
+    1, 2 or 3, (1, k; p) with integer k >= 1 takes "A" or "B", any other
+    shape the general sum and no variant (None: the family's default).  The
+    value is returned only where _dd.certified finds its rounding bound
+    within 1e-13 of it; otherwise, or where it passes float range, this
+    raises NotConverged.
+    """
+    f, bound = _closed_route(params.m, params.n, params.p, x, variant)
+    if not certified(f, bound):
+        raise NotConverged(f"closed form's rounding bound {bound:.3g} "
+                           f"exceeds {_GUARD_REL:g} of its value")
+    return f
 
 
 def _euler_on_overflow(m: int, n: float, p: int, x: float) -> float:

@@ -31,7 +31,9 @@ class NonFinite(ArithmeticError):
 
 
 class NotConverged(RuntimeError):
-    """A series hit its term cap before meeting tolerance."""
+    """No value can be vouched for: a series hit its term cap before meeting
+    tolerance, a rounding bound failed _dd.certified (combo_eval,
+    hyp2f1_closed), or a closed form passed float range."""
 
 
 def require_ints(**values) -> None:
@@ -69,11 +71,18 @@ def pochhammer(r: float, m: int) -> float:
 
 
 def gen_binomial(a: float, k: int) -> float:
-    """Generalized binomial a(a-1)...(a-k+1)/k!, any real a."""
+    """Generalized binomial a(a-1)...(a-k+1)/k!, any real a.
+
+    Each factor a - i is rounded once from a: the rising product from
+    a - k + 1 would cancel in forming its base (0.0 for a = 1e-17, k = 1).
+    """
     require_ints(k=k)
     if k < 0:
         raise InvalidParams("gen_binomial order must be >= 0")
-    return pochhammer(a - k + 1, k) / math.factorial(k)
+    out = 1.0
+    for i in range(k):
+        out *= a - i
+    return out / math.factorial(k)
 
 
 def sum_series(term_source: Iterable,

@@ -20,10 +20,7 @@ from .heun import (
     HeunFamilyParams, heun_eval, heun_normalization, heun_ode_residual,
     heun_params_from, heun_series_oracle, heun_termination,
 )
-from .hypergeom import (
-    HypergeomParams, hyp2f1_closed_12, hyp2f1_closed_1m, hyp2f1_closed_general,
-    hyp2f1_series,
-)
+from .hypergeom import _FORMS_1M, _FORMS_12, _assemble, _eq_general, hyp2f1_series
 from .mkz import (
     _APPLY_CLOSED_FROM, GmkzParams, Monomial, _gmkz_series, gmkz_apply, gmkz_e1,
     gmkz_moment_abel, mkz_moment, mkz_moment_e2, ln_moment_e2, ln_moment_e2_direct,
@@ -68,13 +65,16 @@ def _entry(operation: str, inputs: dict, result: float, oracle: float,
 
 
 def suite_hypergeom() -> list:
+    # Each closed-form entry names its arrangement, so it calls that body
+    # directly: the classifier would send the general entries at (1, 2; p)
+    # and the family chain to another one.
     tol = SUITE_TOLERANCES["hypergeom"]
     entries = []
     for m in range(1, 5):
         for p in range(m + 1, 9):
             for n in _NGRID:
                 for x in _XGRID:
-                    closed = hyp2f1_closed_general(HypergeomParams(m, n, p), x)
+                    closed = _assemble(_eq_general, x, m, n, p)[0]
                     oracle = hyp2f1_series(float(m), n, float(p), x).value
                     entries.append(_entry(
                         "hyp2f1_closed_vs_series",
@@ -83,17 +83,17 @@ def suite_hypergeom() -> list:
     for m in range(1, 7):
         for l in range(0, 7):
             for x in (0.1, 0.5, 0.9):
-                va = hyp2f1_closed_1m(m, l, x, "A")
-                vb = hyp2f1_closed_1m(m, l, x, "B")
+                va = _assemble(_FORMS_1M["A"], x, m, l)[0]
+                vb = _assemble(_FORMS_1M["B"], x, m, l)[0]
                 entries.append(_entry(
                     "hyp2f1_log_variants_ab",
                     {"m": m, "l": l, "x": x},
                     va, vb, tol))
     for n in range(1, 13):
         for x in (0.1, 0.5, 0.9):
-            v1 = hyp2f1_closed_12(n, x, 1)
-            v2 = hyp2f1_closed_12(n, x, 2)
-            v3 = hyp2f1_closed_12(n, x, 3)
+            v1 = _assemble(_FORMS_12[1], x, n)[0]
+            v2 = _assemble(_FORMS_12[2], x, n)[0]
+            v3 = _assemble(_FORMS_12[3], x, n)[0]
             entries.append(_entry(
                 "hyp2f1_12_variants_12",
                 {"n": n, "x": x}, v1, v2, tol))
@@ -102,8 +102,8 @@ def suite_hypergeom() -> list:
                 {"n": n, "x": x}, v1, v3, tol))
     for n in range(1, 7):
         for x in (0.2, 0.7):
-            via3 = hyp2f1_closed_1m(2, n - 1, x, "A")
-            via4 = hyp2f1_closed_12(n, x, 1)
+            via3 = _assemble(_FORMS_1M["A"], x, 2, n - 1)[0]
+            via4 = _assemble(_FORMS_12[1], x, n)[0]
             entries.append(_entry(
                 "hyp2f1_family_chain",
                 {"n": n, "x": x}, via3, via4, tol))

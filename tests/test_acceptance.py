@@ -18,13 +18,14 @@ import time
 import pytest
 
 from elemhyp import (
-    GmkzParams, HeunFamilyParams, HypergeomParams, Monomial,
+    GmkzParams, HeunFamilyParams, Monomial,
     gmkz_apply, gmkz_e1, gmkz_moment_abel, heun_eval, heun_normalization,
     heun_ode_residual, heun_params_from, heun_series_oracle, heun_termination,
-    hyp2f1_closed_12, hyp2f1_closed_1m, hyp2f1_closed_general, hyp2f1_series,
+    hyp2f1_series,
     ln_moment_e2, ln_moment_e2_direct, mkz_moment, mkz_moment_e2,
 )
 from elemhyp.basis import LOG_TERM, combo_eval, fnj_combo, fnj_series, poly, pow_ratio
+from elemhyp.hypergeom import _FORMS_1M, _FORMS_12, _assemble, _eq_general
 from elemhyp.mkz import _gmkz_series
 from elemhyp.verify import _fnj3_direct
 
@@ -56,7 +57,7 @@ def test_criterion_1_closed_forms_match_the_series_oracle():
         for p in range(m + 1, 9):
             for n in NGRID:
                 for x in XGRID:
-                    closed = hyp2f1_closed_general(HypergeomParams(m, n, p), x)
+                    closed = _assemble(_eq_general, x, m, n, p)[0]
                     oracle = hyp2f1_series(float(m), n, float(p), x).value
                     worst = max(worst, rel(closed, oracle))
     elapsed = time.monotonic() - t0
@@ -72,19 +73,19 @@ def test_criterion_2_rearranged_forms_agree_pairwise():
     for m in range(1, 7):
         for l in range(0, 7):
             for x in (0.1, 0.5, 0.9):
-                va = hyp2f1_closed_1m(m, l, x, "A")
-                vb = hyp2f1_closed_1m(m, l, x, "B")
+                va = _assemble(_FORMS_1M["A"], x, m, l)[0]
+                vb = _assemble(_FORMS_1M["B"], x, m, l)[0]
                 worst = max(worst, rel(va, vb))
     for n in range(1, 13):
         for x in (0.1, 0.5, 0.9):
-            v1 = hyp2f1_closed_12(n, x, 1)
-            v2 = hyp2f1_closed_12(n, x, 2)
-            v3 = hyp2f1_closed_12(n, x, 3)
+            v1 = _assemble(_FORMS_12[1], x, n)[0]
+            v2 = _assemble(_FORMS_12[2], x, n)[0]
+            v3 = _assemble(_FORMS_12[3], x, n)[0]
             worst = max(worst, rel(v1, v2), rel(v1, v3), rel(v2, v3))
     for n in range(1, 7):
         for x in (0.2, 0.7):
-            worst = max(worst, rel(hyp2f1_closed_1m(2, n - 1, x, "A"),
-                                   hyp2f1_closed_12(n, x, 1)))
+            worst = max(worst, rel(_assemble(_FORMS_1M["A"], x, 2, n - 1)[0],
+                                   _assemble(_FORMS_12[1], x, n)[0]))
     ok = worst <= 1e-10
     report("rearranged closed forms pairwise", ok, f"worst rel {worst:.3e}")
     assert worst <= 1e-10

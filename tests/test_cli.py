@@ -1,17 +1,21 @@
-"""Command line surface: exact output, exit codes, rejected flags."""
+"""Command line surface: exact output, exit codes, rejected flags.
 
+The cases run in-process through cli.main; three run `python -m elemhyp`
+as a child process, for the entry point, an exit-1 and an exit-2 case.
+"""
+
+import contextlib
 import csv
 import io
 import json
 import math
 import pathlib
-import shlex
 import subprocess
 import sys
 
 import pytest
 
-from elemhyp import hyp2f1_closed_12, hyp2f1_closed_1m
+from elemhyp import HypergeomParams, cli, hyp2f1_closed
 
 CMD = [sys.executable, "-m", "elemhyp"]
 
@@ -25,6 +29,18 @@ def readme_examples():
 
 
 def run(*args):
+    """cli.main(args) in-process: its return code (argparse's exit code
+    where it rejects the command line), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_process(*args):
     return subprocess.run(CMD + list(args), capture_output=True, text=True)
 
 
@@ -50,21 +66,16 @@ def test_pinned_heun_output():
                         '"converged": true}\n')
 
 
-@pytest.mark.parametrize("cmd,stdout", readme_examples(),
-                         ids=[cmd for cmd, _ in readme_examples()])
-def test_readme_example_output(cmd, stdout):
-    r = run(*shlex.split(cmd)[1:])
-    assert r.returncode == 0
-    assert r.stdout == stdout
-
-
 def test_readme_has_examples_with_output():
     assert len(readme_examples()) >= 4
 
 
 def test_runs_are_bit_reproducible():
+    # a fresh process, through the module entry point, and a warm one agree
     args = ("verify", "--suite", "heun")
-    assert run(*args).stdout == run(*args).stdout
+    child = run_process(*args)
+    assert child.returncode == 0
+    assert child.stdout == run(*args).stdout
 
 
 @pytest.mark.parametrize("argv", [
@@ -149,23 +160,25 @@ def test_hyp2f1_variant_must_fit_the_shape(m, n, p, variant, message):
 
 
 @pytest.mark.parametrize("m,n,p,x,variant,closed", [
-    ("1", "3", "6", "0.5", "B", lambda: hyp2f1_closed_1m(3, 2, 0.5, "B")),
-    ("3", "1", "7", "0.4", "B", lambda: hyp2f1_closed_1m(3, 3, 0.4, "B")),
-    ("1", "2", "7", "0.3", "2", lambda: hyp2f1_closed_12(5, 0.3, 2)),
-    ("1", "2", "7", "0.3", "3", lambda: hyp2f1_closed_12(5, 0.3, 3)),
+    ("1", "3", "6", "0.5", "B", ((1, 3.0, 6), 0.5, "B")),
+    ("3", "1", "7", "0.4", "B", ((3, 1.0, 7), 0.4, "B")),
+    ("1", "2", "7", "0.3", "2", ((1, 2.0, 7), 0.3, 2)),
+    ("1", "2", "7", "0.3", "3", ((1, 2.0, 7), 0.3, 3)),
 ], ids=["1m-B", "swap-1m-B", "12-2", "12-3"])
 def test_hyp2f1_closed_variant_prints_the_library_value(m, n, p, x, variant, closed):
     r = run("hyp2f1", "--m", m, "--n", n, "--p", p, "--x", x,
             "--method", "closed", "--variant", variant)
     assert r.returncode == 0
-    assert r.stdout == json.dumps({"value": closed()}) + "\n"
+    triple, at, arrangement = closed
+    value = hyp2f1_closed(HypergeomParams(*triple), at, arrangement)
+    assert r.stdout == json.dumps({"value": value}) + "\n"
 
 
 def test_hyp2f1_closed_refuses_a_cancelled_value():
     # the closed form returns -3.3e22 here (true value ~1.0), with a rounding
     # bound far past the dispatcher's own acceptance test
-    r = run("hyp2f1", "--m", "1", "--n", "2", "--p", "42", "--x", "0.05",
-            "--method", "closed")
+    r = run_process("hyp2f1", "--m", "1", "--n", "2", "--p", "42", "--x", "0.05",
+                    "--method", "closed")
     assert r.returncode == 1
     assert r.stdout == ""
     assert "closed form's rounding bound 1.05e+25 exceeds 1e-13 of its value" in r.stderr
@@ -356,4 +369,7 @@ def test_verify_out_file_keeps_stdout_clean(tmp_path):
 
 
 def test_unknown_subcommand_exits_2():
-    assert run("frobnicate").returncode == 2
+    r = run_process("frobnicate")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "invalid choice: 'frobnicate'" in r.stderr

@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from elemhyp import (
     DomainError, HeunFamilyParams, HypergeomParams, InvalidParams,
-    NonFinite, NotConverged, heun_eval, hyp2f1_closed_12, hyp2f1_closed_1m,
-    hyp2f1_closed_general, hyp2f1_closed_m1, hyp2f1_eval, hyp2f1_series,
+    NonFinite, NotConverged, heun_eval, hyp2f1_closed, hyp2f1_eval,
+    hyp2f1_series,
 )
 from elemhyp import _dd, hypergeom, numcore
-from elemhyp.hypergeom import _closed_route
+from elemhyp.hypergeom import (
+    _FORMS_1M, _FORMS_12, _assemble, _closed_route, _eq_general,
+)
 
 
 def mp_ref(a, b, c, x, dps=40):
@@ -107,33 +109,33 @@ def test_series_reports_cap_without_raising():
 ])
 @pytest.mark.parametrize("x", [0.1, 0.5, 0.9])
 def test_closed_general_vs_mpmath(m, n, p, x):
-    got = hyp2f1_closed_general(HypergeomParams(m, n, p), x)
+    got = hyp2f1_closed(HypergeomParams(m, n, p), x)
     assert math.isclose(got, mp_ref(m, n, p, x), rel_tol=1e-10)
 
 
 def test_closed_general_known_value():
-    got = hyp2f1_closed_general(HypergeomParams(1, 2.0, 3), 0.5)
+    got = hyp2f1_closed(HypergeomParams(1, 2.0, 3), 0.5)
     assert math.isclose(got, 1.5451774444795625, rel_tol=1e-14)
 
 
 @pytest.mark.parametrize("n,p", [(-2.5, 2), (0.5, 5), (2.0, 8)])
 @pytest.mark.parametrize("x", [0.2, 0.7])
 def test_closed_single_sum_form(n, p, x):
-    got = hyp2f1_closed_m1(n, p, x)
+    got = _assemble(_eq_general, x, 1, n, p)[0]
     assert math.isclose(got, mp_ref(1, n, p, x), rel_tol=1e-11)
 
 
 def test_closed_single_sum_validation():
     with pytest.raises(InvalidParams):
-        hyp2f1_closed_m1(2.5, 1, 0.5)
+        hyp2f1_closed(HypergeomParams(1, 2.5, 1), 0.5)
 
 
 @pytest.mark.parametrize("m,l", [(1, 0), (2, 1), (3, 0), (4, 3), (6, 6)])
 @pytest.mark.parametrize("x", [0.15, 0.6, 0.9])
 def test_closed_log_family_both_variants(m, l, x):
     ref = mp_ref(1, m, m + l + 1, x)
-    va = hyp2f1_closed_1m(m, l, x, "A")
-    vb = hyp2f1_closed_1m(m, l, x, "B")
+    va = _assemble(_FORMS_1M["A"], x, m, l)[0]
+    vb = _assemble(_FORMS_1M["B"], x, m, l)[0]
     assert math.isclose(va, ref, rel_tol=1e-11)
     assert math.isclose(va, vb, rel_tol=1e-12)
 
@@ -142,7 +144,7 @@ def test_closed_log_family_both_variants(m, l, x):
 @pytest.mark.parametrize("x", [0.1, 0.5, 0.9])
 def test_closed_12_family_all_variants(n, x):
     ref = mp_ref(1, 2, n + 2, x)
-    vals = [hyp2f1_closed_12(n, x, v) for v in (1, 2, 3)]
+    vals = [_assemble(_FORMS_12[v], x, n)[0] for v in (1, 2, 3)]
     for v in vals:
         assert math.isclose(v, ref, rel_tol=1e-11)
     assert math.isclose(vals[0], vals[1], rel_tol=1e-12)
@@ -154,28 +156,60 @@ def test_closed_families_chain_together():
     # which at its own lowest order reduces to the 12 family
     for n in range(1, 7):
         for x in (0.2, 0.7):
-            via_log = hyp2f1_closed_1m(2, n - 1, x, "A")
-            via_12 = hyp2f1_closed_12(n, x, 1)
+            via_log = _assemble(_FORMS_1M["A"], x, 2, n - 1)[0]
+            via_12 = _assemble(_FORMS_12[1], x, n)[0]
             assert math.isclose(via_log, via_12, rel_tol=1e-12)
 
 
 def test_closed_variant_validation():
     with pytest.raises(InvalidParams):
-        hyp2f1_closed_1m(2, 1, 0.5, "C")
+        hyp2f1_closed(HypergeomParams(1, 3.0, 5), 0.5, "C")
     with pytest.raises(InvalidParams):
-        hyp2f1_closed_12(3, 0.5, 4)
+        hyp2f1_closed(HypergeomParams(1, 2.0, 5), 0.5, 4)
+    with pytest.raises(InvalidParams):
+        hyp2f1_closed(HypergeomParams(2, 0.5, 4), 0.5, 1)
 
 
 @pytest.mark.parametrize("x", [0.0, 1.0, -0.3])
 def test_closed_forms_require_open_unit_interval(x):
-    with pytest.raises(DomainError):
-        hyp2f1_closed_general(HypergeomParams(2, 0.5, 4), x)
-    with pytest.raises(DomainError):
-        hyp2f1_closed_m1(0.5, 3, x)
-    with pytest.raises(DomainError):
-        hyp2f1_closed_1m(2, 1, x)
-    with pytest.raises(DomainError):
-        hyp2f1_closed_12(2, x)
+    # one triple of each family: general, general at m = 1, (1, k; p), (1, 2; p)
+    for params in (HypergeomParams(2, 0.5, 4), HypergeomParams(1, 0.5, 3),
+                   HypergeomParams(1, 3.0, 5), HypergeomParams(1, 2.0, 4)):
+        with pytest.raises(DomainError):
+            hyp2f1_closed(params, x)
+
+
+def test_closed_raises_on_a_cancelled_value():
+    # the (1, 2; 42) form rounds to -3.3e22 here (true value ~1.0024); its
+    # bound rejects it, so no value comes out
+    with pytest.raises(NotConverged, match="rounding bound 1.05e\\+25 exceeds 1e-13"):
+        hyp2f1_closed(HypergeomParams(1, 2.0, 42), 0.05)
+
+
+def _closed_guard_points(count, seed):
+    """m <= 8, p <= m+30, |n| <= 20 (integer, half-integer or real, so every
+    family is reached), x in [0.01, 0.99]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 8)
+        n = rng.choice((float(rng.randint(-20, 20)), rng.randint(-20, 19) + 0.5,
+                        rng.uniform(-20.0, 20.0)))
+        yield m, n, rng.randint(m + 1, m + 30), rng.uniform(0.01, 0.99)
+
+
+def test_closed_returns_only_accurate_values():
+    # the unguarded closed form is off mpmath by more than 1e-12 at 54 of
+    # these points; the bound must reject every one of them
+    returned, raised = [], []
+    for m, n, p, x in _closed_guard_points(240, 2101):
+        try:
+            got = hyp2f1_closed(HypergeomParams(m, n, p), x)
+        except NotConverged:
+            raised.append((m, n, p, x))
+            continue
+        returned.append((rel_err(got, mp_ref(m, n, p, x, 50)), (m, n, p, x)))
+    assert raised
+    assert max(returned)[0] <= 1e-12, max(returned)
 
 
 def test_eval_trivial_points():
@@ -519,11 +553,11 @@ def test_eval_overflowing_power_integral_takes_euler(m, n, p, x):
 
 def test_public_closed_forms_raise_in_the_non_finite_band():
     # dd products past ~1.3e300 turn these values nan before any
-    # OverflowError; the unguarded public forms raise instead of returning it
+    # OverflowError; the closed form raises instead of returning it
     with pytest.raises(NotConverged, match="overflows float range"):
-        hyp2f1_closed_m1(34.8, 40, 1 - 1e-9)
+        hyp2f1_closed(HypergeomParams(1, 34.8, 40), 1 - 1e-9)
     with pytest.raises(NotConverged, match="overflows float range"):
-        hyp2f1_closed_general(HypergeomParams(2, 34.9, 45), 1 - 1e-9)
+        hyp2f1_closed(HypergeomParams(2, 34.9, 45), 1 - 1e-9)
 
 
 def test_closed_forms_raise_where_an_integer_power_underflows():
@@ -533,7 +567,7 @@ def test_closed_forms_raise_where_an_integer_power_underflows():
     with pytest.raises(NotConverged, match="overflows float range"):
         hyp2f1_eval(HypergeomParams(5, 900.0, 6), 0.999)
     with pytest.raises(NotConverged, match="overflows float range"):
-        hyp2f1_closed_general(HypergeomParams(2, 1.5, 4), 1e-300)
+        hyp2f1_closed(HypergeomParams(2, 1.5, 4), 1e-300)
 
 
 def test_eval_overflow_band_never_returns_the_series(monkeypatch):

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from elemhyp import (
     GmkzParams, HeunFamilyParams, HypergeomParams, InvalidParams, Monomial,
     NonFinite, fnj_base, fnj_combo, fnj_series, gen_binomial, gmkz_moment_abel,
-    heun_coeff, heun_eval, heun_params_from, heun_series_oracle,
-    hyp2f1_closed_12, hyp2f1_closed_1m, hyp2f1_closed_m1, hyp2f1_eval,
-    hyp2f1_series, ln_moment_e2, ln_moment_e2_direct, mkz_moment,
+    heun_coeff, heun_eval, heun_params_from, heun_series_oracle, hyp2f1_closed,
+    hyp2f1_eval, hyp2f1_series, ln_moment_e2, ln_moment_e2_direct, mkz_moment,
     mkz_moment_e2, pochhammer, polylog, polylog_derivative_series, sum_series,
 )
 from elemhyp.numcore import _MAX_TERMS
@@ -35,9 +34,10 @@ from elemhyp.numcore import _MAX_TERMS
     lambda: Monomial(2.0),
     lambda: fnj_combo(2, 2) and fnj_combo(2, 2.0),  # past the memo of (2, 2)
     lambda: fnj_combo(2.5, 3),
-    lambda: hyp2f1_closed_m1(2.0, 3.0, 0.5),
-    lambda: hyp2f1_closed_1m(1, 2.0, 0.5),
-    lambda: hyp2f1_closed_12(2.0, 0.5),
+    # one shape of each closed family: general at m = 1, (1, k; p), (1, 2; p)
+    lambda: hyp2f1_closed(HypergeomParams(1, 2.5, 3.0), 0.5),
+    lambda: hyp2f1_closed(HypergeomParams(1.0, 3.0, 6), 0.5, "A"),
+    lambda: hyp2f1_closed(HypergeomParams(1, 2.0, 4.0), 0.5, 1),
     lambda: fnj_base(2.5, 0),
     lambda: fnj_series(2.5, 2, 0.3),
     lambda: polylog_derivative_series(2.0, 2, 0.3),
@@ -75,6 +75,9 @@ def test_gen_binomial_values():
     assert gen_binomial(5.0, 2) == 10.0
     assert gen_binomial(-1.5, 3) == -2.1875
     assert gen_binomial(3.0, 5) == 0.0  # integer upper index below the order
+    # the rising product from a - k + 1 cancelled in its factors: both were 0.0
+    assert gen_binomial(1e-17, 1) == 1e-17
+    assert math.isclose(gen_binomial(1e-17, 3), 1e-17 / 3, rel_tol=1e-15)
     with pytest.raises(InvalidParams):
         gen_binomial(1.0, -2)
 
