@@ -30,6 +30,17 @@ kept only where _dd.certified finds their rounding bound within 1e-13:
 
 Both series routes sum one series per call, to numcore's one precision.
 
+From _X_NEAR = 0.65 up, a point whose s = p-m-n is not an integer first
+tries the connection formula about x = 1 (DLMF 15.8.4, A&S 15.3.6,
+_near_one): two short series in 1-x, whose Gamma-ratio coefficients are
+Pochhammer products, since m and p are integers, formed exactly and rounded
+once.  It is kept by the same test on its BoundedSum bound.  It declines
+where s is an integer (the log case, DLMF 15.8.10, is not taken), where its
+bound is rejected (s near an integer, where its two parts cancel) and where
+(1-x)**s alone passes float range; then routes 2 and 3 follow as above.
+Where the part with (1-x)**s passes float range, the value does too, and
+NotConverged is raised.
+
 A short terminating polynomial (n a nonpositive integer >= -16) that route
 1 does not keep is summed exactly in integers and rounded once instead of
 routes 2 and 3.  Points whose a-priori digit loss (p-1)*log10(1/x) exceeds
@@ -43,17 +54,19 @@ NotConverged is raised.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 
 from ._dd import (
-    _GUARD_REL, DD, BoundedSum, ClosedFormContext, certified, context,
-    dd, dd_div, dd_from_int, dd_from_ratio, dd_mul, dd_neg, dd_npow, dd_to_float,
+    _GUARD_REL, _SERIES_REL_TOL, DD, U, BoundedSum, ClosedFormContext,
+    certified, context, dd, dd_add, dd_div, dd_from_int, dd_from_ratio, dd_mul,
+    dd_neg, dd_npow, dd_to_float,
 )
 from .numcore import (
-    DomainError, InvalidParams, NotConverged, SeriesResult, require_ints,
-    sum_series,
+    _MAX_TERMS, DomainError, InvalidParams, NotConverged, SeriesResult,
+    require_ints, sum_series,
 )
 
 
@@ -99,15 +112,22 @@ def hyp2f1_series(a: float, b: float, c: float, x: float) -> SeriesResult:
 
     def tail(k, t):
         nxt = t * (a + k) * (b + k) / ((c + k) * (k + 1)) * x
-        if nxt == 0.0:
-            return 0.0
-        if c + k + 1 <= 0:
-            return math.inf
-        rho = abs(x) * max(1.0, abs((a + k + 1) / (k + 2))) \
-            * max(1.0, abs((b + k + 1) / (c + k + 1)))
-        return abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
+        return _rho_tail(nxt, x, a + k + 1, b + k + 1, c + k + 1, k)
 
     return sum_series(terms(), tail)
+
+
+def _rho_tail(nxt: float, x: float, a1: float, b1: float, c1: float, k: int) -> float:
+    """hyp2f1_series's bound on the terms after term k, nxt = t_(k+1) the
+    first of them and a1, b1, c1 the parameters plus k+1: |nxt| / (1 - rho),
+    rho = |x| max(1, |a1/(k+2)|) max(1, |b1/c1|); math.inf while c1 <= 0 or
+    rho >= 1, 0 once the terms are exact zeros."""
+    if nxt == 0.0:
+        return 0.0
+    if c1 <= 0:
+        return math.inf
+    rho = abs(x) * max(1.0, abs(a1 / (k + 2))) * max(1.0, abs(b1 / c1))
+    return abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
 
 
 def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum:
@@ -272,6 +292,13 @@ _MAX_DIGIT_LOSS = 22.0
 # Below _X_SWITCH the dispatcher tries the series before any closed form.
 _X_SWITCH = 0.5
 
+# From _X_NEAR up, a non-integer s = p-m-n tries the connection formula about
+# x = 1 before any closed form.  Its float 1-x series lose more digits the
+# longer they run, so the start is the lowest, in steps of 0.05 from 0.6,
+# that kept the 10th-percentile digits of the hyp2f1-grid benchmark mix at
+# 16 or more on seeds 1-8 (0.6 gave 15.99 on seed 3).
+_X_NEAR = 0.65
+
 
 def _closed_route(m: int, n: float, p: int, x: float, variant=None):
     """The shape classifier: the most specific closed form for (m, n; p).
@@ -313,7 +340,11 @@ def _euler_on_overflow(m: int, n: float, p: int, x: float) -> float:
 
     For a direct closed form that overflowed: with large n next to x = 1 its
     power integrals grow like (1-x)**(1-n), the transformed ones do not.  The
-    series is no fallback there, since its terms stop short of the sum.
+    series is no fallback there, since its terms stop short of the sum.  The
+    near-1 route answers most such points first; this serves integer s =
+    p-m-n, and non-integer s where that route declines (say, where
+    (1-x)**s alone passes float range).  It can go once integer s has a
+    near-1 form (the log case, DLMF 15.8.10).
     """
     nn = p - n
     f, bound = _closed_route(p - m, nn, p, x)
@@ -328,6 +359,103 @@ def _euler_on_overflow(m: int, n: float, p: int, x: float) -> float:
         if math.isfinite(g):
             return g
     raise NotConverged("closed form overflows float range")
+
+
+def _near_one_tail(a: int, nb: float, ib: int, ic: int, z: float):
+    """The terms k >= 1 of the series with term ratios
+    (a+j)(nb+(ib+j)) / ((nb+(ic+j))(j+1)) z, 0 < z < 1/2, summed in float.
+
+    Each factor nb+i is one rounding of nb plus an exact integer, and a
+    ratio rounds 7 times, so term k is within 7k units 2**-53 of its exact
+    value; Kahan's sum adds at most 3 units of sum |t_k|.  The sum stops as
+    hyp2f1_series's does, once _rho_tail is within 1e-17 of 1 plus the sum.
+    Returns (sum, bound on its error), or None where a term leaves float
+    range or the terms run to numcore's cap.
+    """
+    t, s, c = 1.0, 0.0, 0.0
+    abs_sum = weighted = 0.0
+    for j in range(_MAX_TERMS):
+        t *= (a + j) * (nb + (ib + j)) / ((nb + (ic + j)) * (j + 1)) * z
+        y = t - c
+        u = s + y
+        c = (u - s) - y
+        s = u
+        at = abs(t)
+        abs_sum += at
+        weighted += (j + 1) * at
+        if at <= _SERIES_REL_TOL * abs(1.0 + s):
+            k = j + 1
+            nxt = t * (a + k) * (nb + (ib + k)) / ((nb + (ic + k)) * (k + 1)) * z
+            tail = _rho_tail(nxt, z, a + k + 1, nb + (ib + k + 1), nb + (ic + k + 1), k)
+            if tail <= _SERIES_REL_TOL * abs(1.0 + s):
+                if not math.isfinite(s):
+                    return None
+                return s, (7.0 * weighted + 3.0 * abs_sum) * 2.0 ** -53 + tail
+        elif at == math.inf:
+            return None
+    return None
+
+
+# log of the largest float: a value whose log passes it passes float range
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def _near_one(m: int, n: float, p: int, x: float):
+    """2F1(m, n; p; x) about x = 1 (DLMF 15.8.4, A&S 15.3.6), s = p-m-n:
+
+        A 2F1(m, n; 1-s; 1-x) + B (1-x)**s 2F1(p-m, p-n; 1+s; 1-x),
+        A = (p-m)_m / (s)_m,  B = (m)_(p-m) / (-s)_(p-m).
+
+    With n = a/2**e, s = S/2**e, A and B are exact integer ratios, each
+    rounded once to double-double.  The two 1-x series are summed from
+    k = 1 in float (_near_one_tail); their factors are -n or n plus an
+    integer, never a rounded s.  1 plus each sum times its coefficient is
+    added in a BoundedSum, whose bound also counts both tail bounds and the
+    one float (1-x)**s: 1 ulp, the error of s rounded to float times
+    |log(1-x)|, and 2**-1074 of a subnormal power.  Returns (value, bound),
+    or None where s is an integer (the log case, DLMF 15.8.10) or a
+    coefficient, term or power leaves float range.  Raises NotConverged
+    where (1-x)**s passes float range and the B part with it.
+    """
+    num, den = n.as_integer_ratio()
+    q = p - m
+    big_s = q * den - num  # s = big_s / den
+    if big_s % den == 0:
+        return None
+    z = 1.0 - x  # exact for x >= 1/2
+    first = _near_one_tail(m, n, 0, 1 - q, z)  # 2F1(m, n; 1-s; z)
+    second = _near_one_tail(q, -n, p, q + 1, z)  # 2F1(p-m, p-n; 1+s; z)
+    if first is None or second is None:
+        return None
+    (t1, e1), (t2, e2) = first, second
+    try:
+        coef_a = dd_from_ratio(math.perm(p - 1, m) * den ** m,
+                               math.prod(big_s + i * den for i in range(m)))
+        coef_b = dd_from_ratio(math.perm(p - 1, q) * den ** q,
+                               math.prod(i * den - big_s for i in range(q)))
+    except OverflowError:
+        return None
+    s = q - n
+    try:
+        pw = z ** s
+    except OverflowError:
+        scaled = abs(coef_b[0] * (1.0 + t2))
+        if scaled and math.log(scaled) + s * math.log(z) > _LOG_MAX:
+            raise NotConverged("near-1 connection: (1-x)**s passes float range, "
+                               "and so does the value") from None
+        return None
+    sn, sd = s.as_integer_ratio()  # both denominators are powers of two
+    ds = (big_s * sd - sn * den) / (den * sd)  # s - float(s), exactly rounded
+    pw_err = 2.0 ** -52 + (abs(ds * math.log(z)) if ds else 0.0)
+    acc = BoundedSum()
+    acc.add(dd_mul(coef_a, dd_add(dd(1.0), dd(t1))), 2.0)  # 1 + t1 is exact in dd
+    acc.bound += abs(coef_a[0]) * e1
+    one_t2 = dd_add(dd(1.0), dd(t2))
+    acc.add(dd_mul(dd_mul(coef_b, one_t2), dd(pw)), 3.0 + pw_err / U)
+    # a subnormal power, and the dd products it takes part in, are off by a
+    # few units of 2**-1074 each
+    acc.bound += abs(coef_b[0]) * (pw * e2 + 16.0 * abs(one_t2[0]) * 2.0 ** -1074)
+    return dd_to_float(acc.total), acc.bound
 
 
 def _short_poly_exact(m: int, K: int, p: int, x: float) -> float:
@@ -353,19 +481,23 @@ def _short_poly_exact(m: int, K: int, p: int, x: float) -> float:
 def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
     """Stability-aware dispatcher.
 
-    Every series it sums stops as numcore.sum_series does (tail bound
-    within 1e-17 of the sum, at most 100000 terms); there is one such sum
-    per call.  Below _X_SWITCH = 1/2 the defining series is kept if
-    _dd.certified finds its rounding bound, terms_used * sum|term| * 2**-53,
-    within 1e-13.  Any other point tries the most specific closed form, kept
-    by the same test on the running bound of its double-double sum, unless
-    the digit-loss bound (p-1)*log10(1/x) rules it out.  A short terminating
-    polynomial (n a nonpositive integer >= -16) is summed exactly and
-    rounded once instead.  The fallback is the series, reusing the sum made
-    below _X_SWITCH, with no rounding check; at the term cap it raises
-    NotConverged.  A closed form that passes float range is replaced by that
-    of the Euler-transformed triple (p-m, p-n; p) times (1-x)**(p-m-n), if
-    certified, else NotConverged is raised: the series stops short there.
+    Every series it sums stops on a bound on its tail within 1e-17 of its
+    sum (of 1 plus its sum for the near-1 route), at most 100000 terms.
+    Below _X_SWITCH = 1/2 the defining series is kept if _dd.certified finds
+    its rounding bound, terms_used * sum|term| * 2**-53, within 1e-13.  A
+    short terminating polynomial (n a nonpositive integer >= -16) is then
+    summed exactly and rounded once.  From _X_NEAR = 0.65 up, a non-integer
+    s = p-m-n tries the connection formula about x = 1 (_near_one), kept by
+    the same test on its BoundedSum bound; it raises NotConverged where its
+    (1-x)**s part passes float range.  Any other point, or one where it
+    declines, tries the most specific closed form, kept by the same test on
+    the running bound of its double-double sum, unless the digit-loss bound
+    (p-1)*log10(1/x) rules it out.  The fallback is the series, reusing the
+    sum made below _X_SWITCH, with no rounding check; at the term cap it
+    raises NotConverged.  A closed form that passes float range is replaced
+    by that of the Euler-transformed triple (p-m, p-n; p) times
+    (1-x)**(p-m-n), if certified, else NotConverged is raised: the series
+    stops short there.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("dispatcher requires 0 <= x < 1")
@@ -386,6 +518,10 @@ def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
     # prefactor), so only deeper polynomials go through the closed forms.
     if n < 0.0 and float(n).is_integer() and -n <= 16:
         return _short_poly_exact(m, -int(n), p, x)
+    if x >= _X_NEAR:
+        near = _near_one(m, n, p, x)
+        if near is not None and certified(*near):
+            return near[0]
     if (p - 1) * math.log10(1.0 / x) <= _MAX_DIGIT_LOSS:
         try:
             f, bound = _closed_route(m, n, p, x)

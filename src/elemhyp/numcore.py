@@ -33,7 +33,7 @@ class NonFinite(ArithmeticError):
 class NotConverged(RuntimeError):
     """No value can be vouched for: a series hit its term cap before meeting
     tolerance, a rounding bound failed _dd.certified (combo_eval,
-    hyp2f1_closed), or a closed form passed float range."""
+    hyp2f1_closed), or a closed form or product passed float range."""
 
 
 def require_ints(**values) -> None:
@@ -60,13 +60,22 @@ class SeriesResult:
 
 
 def pochhammer(r: float, m: int) -> float:
-    """Rising factorial r(r+1)...(r+m-1); 1 for m == 0."""
+    """Rising factorial r(r+1)...(r+m-1); 1 for m == 0.
+
+    Raises NotConverged where the running product passes float range,
+    unless a factor is exactly zero (r a nonpositive integer above -m), where
+    the product is 0.
+    """
     require_ints(m=m)
     if m < 0:
         raise InvalidParams("pochhammer order must be >= 0")
     out = 1.0
     for i in range(m):
         out *= r + i
+    if not math.isfinite(out):
+        if float(r).is_integer() and -m < r <= 0:
+            return 0.0
+        raise NotConverged("pochhammer overflows float range")
     return out
 
 

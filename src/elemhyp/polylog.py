@@ -30,6 +30,7 @@ j**k.  A value does not depend on which orders were asked for before it.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -110,13 +111,10 @@ def polylog_derivative_series(j: int, d: int, x: float) -> float:
     if not 0.0 <= x < 1.0:
         raise DomainError("derivative series requires 0 <= x < 1")
     if j <= 1:
-        try:
-            value = math.factorial(d) * fnj_base(d, j)(x)
-            if value != math.inf:
-                return value
-        except (OverflowError, ZeroDivisionError):  # (1-x)**d leaves float range
-            pass
-        raise NotConverged("derivative overflows float range")
+        scale, value = math.factorial(d), fnj_base(d, j)(x)  # NotConverged past float range
+        if scale > sys.float_info.max or scale * value == math.inf:
+            raise NotConverged("derivative overflows float range")
+        return scale * value
     if x >= _COMBOS_FROM:
         return math.factorial(d) * combo_eval(fnj_combo(d, j), x)
     return math.factorial(d) * fnj_series(d, j, x).value

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from elemhyp import (
@@ -56,6 +57,26 @@ def test_base_kernels():
         fnj_base(3, 2)
     with pytest.raises(InvalidParams):
         fnj_base(0, 1)
+
+
+@pytest.mark.parametrize("j", [0, 1])
+def test_base_kernels_raise_past_float_range(j):
+    # these raised a bare OverflowError (j = 0) and ZeroDivisionError (j = 1)
+    with pytest.raises(NotConverged, match="overflows float range"):
+        fnj_base(200, j)(0.999)
+    with pytest.raises(DomainError):
+        fnj_base(3, j)(1.0)
+
+
+def test_base_kernel_next_to_the_smallest_normal_power():
+    # (1-x)**100 = 1e-300 is normal: 1/(100 (1-x)**100) keeps its digits;
+    # (1-x)**103 = 1e-309 is subnormal, and its reciprocal is refused
+    with mp.workdps(40):
+        want = 1 / (100 * (1 - mp.mpf(0.999)) ** 100)
+    got = fnj_base(100, 1)(0.999)
+    assert abs(got - want) <= 1e-15 * want
+    with pytest.raises(NotConverged):
+        fnj_base(103, 1)(0.999)
 
 
 def test_combo_seed_coefficients():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import mpmath as mp
 import pytest
@@ -292,10 +293,11 @@ def test_eval_domain_and_convergence():
         hyp2f1_eval(HypergeomParams(1, 2.0, 3), -0.1)
     with pytest.raises(DomainError):
         hyp2f1_eval(HypergeomParams(1, 2.0, 3), 1.0)
-    # the closed form's rounding bound is rejected, and the series fallback
-    # is still going at the 100000-term cap
-    with pytest.raises(NotConverged):
-        hyp2f1_eval(HypergeomParams(4, 37.5, 32), 0.9999981349596648)
+    # s = p-m-n = -11 is an integer, so the near-1 route does not apply; the
+    # closed form's rounding bound is rejected, and the series fallback is
+    # still going at the 100000-term cap
+    with pytest.raises(NotConverged, match="series fallback did not converge"):
+        hyp2f1_eval(HypergeomParams(4, 40.0, 33), 0.9999994406533778)
 
 
 @given(st.integers(min_value=1, max_value=4),
@@ -425,10 +427,122 @@ def test_eval_near_one_sweep_matches_mpmath(monkeypatch):
     (4, 16.5, 14, 0.9999870266171291),
     (2, 10.0, 13, 0.999970342018802),
     (3, 9.0, 14, 0.99999310),  # off by 3.0e-8 through the series fallback
+    (4, 37.5, 32, 0.9999981349596648),  # raised NotConverged before the near-1 route
 ])
 def test_eval_near_one_points_the_series_could_not_sum(m, n, p, x):
     got = hyp2f1_eval(HypergeomParams(m, n, p), x)
     assert rel_err(got, mp_ref(m, n, p, x, 50)) <= 1e-12
+
+
+def _connection_points(count, seed, min_offset=1, x_from=0.5):
+    """m <= 10, p in [m+min_offset, m+60], n a half-integer or real with
+    |n| <= 40 (so s = p-m-n is not an integer), 1-x log-uniform in
+    [1e-12, 1-x_from]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 10)
+        p = rng.randint(m + min_offset, m + 60)
+        n = rng.choice((rng.randint(-40, 39) + 0.5, rng.uniform(-40.0, 40.0)))
+        yield m, n, p, 1.0 - 10.0 ** rng.uniform(-12.0, math.log10(1.0 - x_from))
+
+
+def _connection_check(points):
+    """(route values certified, their worst error, misses): a miss is a
+    route value off mpmath by more than its bound plus half an ulp, or a
+    NotConverged where mpmath's value lies inside float range."""
+    certified, worst, misses = 0, 0.0, []
+    for m, n, p, x in points:
+        with mp.workdps(50):
+            want = mp.hyp2f1(m, n, p, mp.mpf(x))
+        try:
+            near = hypergeom._near_one(m, n, p, x)
+        except NotConverged:
+            if abs(want) <= sys.float_info.max:
+                misses.append((m, n, p, x, "raised"))
+            continue
+        if near is None:
+            continue
+        f, bound = near
+        with mp.workdps(50):
+            err = abs(mp.mpf(f) - want)
+        if err > bound + math.ulp(f) / 2:
+            misses.append((m, n, p, x, float(err), bound))
+        if _dd.certified(f, bound):
+            certified += 1
+            worst = max(worst, float(err / abs(want)))
+    return certified, worst, misses
+
+
+@pytest.mark.parametrize("m,n,p,x", [
+    (3, 4.000000001, 12, 0.9),
+    (3, 3.999999999, 12, 0.7),
+    (2, 24.000000001, 30, 0.999),
+])
+def test_near_one_route_declines_where_s_is_nearly_an_integer(m, n, p, x):
+    # s = p-m-n is within 1e-9 of an integer, where the two parts of the
+    # connection formula cancel: the route's bound rejects its value, which
+    # is off by 3e-14 to 2e-4 here, and the next route answers
+    want = mp_ref(m, n, p, x, 50)
+    f, bound = hypergeom._near_one(m, n, p, x)
+    assert not _dd.certified(f, bound)
+    assert rel_err(f, want) > 1e-14
+    assert rel_err(hyp2f1_eval(HypergeomParams(m, n, p), x), want) <= 1e-14
+
+
+def test_near_one_route_raises_where_the_value_passes_float_range():
+    # s = -38.5: (1-x)**s is 1e462, and B (1-x)**s, B = 2/(38.5*39.5), is
+    # past float range too
+    x = 1 - 1e-12
+    with mp.workdps(50):
+        assert mp.hyp2f1(1, 40.5, 3, mp.mpf(x)) > sys.float_info.max
+    with pytest.raises(NotConverged, match="passes float range"):
+        hyp2f1_eval(HypergeomParams(1, 40.5, 3), x)
+    # s = -34.5: (1-x)**s passes float range but the value, 3.5e300, does
+    # not; the route declines and the Euler form answers
+    x = 1 - 1e-9
+    assert hypergeom._near_one(1, 45.5, 12, x) is None
+    assert rel_err(hyp2f1_eval(HypergeomParams(1, 45.5, 12), x), mp_ref(1, 45.5, 12, x, 50)) <= 1e-14
+
+
+@pytest.mark.parametrize("m,n,p", [
+    (1, 0.5, 2), (5, 13.5, 13), (4, 37.5, 32), (10, -39.25, 70),
+    (3, 19.04119012493857, 60),
+])
+def test_near_one_route_next_to_one(m, n, p):
+    x = 1 - 1e-12
+    f, bound = hypergeom._near_one(m, n, p, x)
+    assert _dd.certified(f, bound)
+    assert rel_err(f, mp_ref(m, n, p, x, 50)) <= 1e-14
+    assert hyp2f1_eval(HypergeomParams(m, n, p), x) == f
+
+
+def test_near_one_route_on_the_large_p_slice():
+    # p in [m+40, m+60], x from the route's start up to 1 - 1e-12
+    points = list(_connection_points(150, 2202, 40, hypergeom._X_NEAR))
+    certified, worst, misses = _connection_check(points)
+    assert misses == []
+    assert certified >= 140
+    assert worst <= 1e-14
+
+
+@pytest.mark.sweep
+def test_near_one_route_sweep():
+    # every route value is within its bound of mpmath, and the dispatcher
+    # answers every point within 1e-12 or raises where the value is past
+    # float range
+    points = list(_connection_points(1500, 2201))
+    certified, worst, misses = _connection_check(points)
+    assert misses == []
+    assert certified >= 1400
+    assert worst <= 1e-14
+    for m, n, p, x in points:
+        want = mp_ref(m, n, p, x, 50)
+        try:
+            got = hyp2f1_eval(HypergeomParams(m, n, p), x)
+        except NotConverged:
+            assert abs(want) > sys.float_info.max, (m, n, p, x)
+            continue
+        assert rel_err(got, want) <= 1e-12, (m, n, p, x)
 
 
 def test_eval_makes_at_most_one_closed_route_call(monkeypatch):
@@ -443,8 +557,9 @@ def test_eval_makes_at_most_one_closed_route_call(monkeypatch):
         assert len(calls["_closed_route"]) == routes, (m, n, p, x)
     for log in calls.values():
         log.clear()
+    # s = -5.5: the near-1 route answers before any closed form
     hyp2f1_eval(HypergeomParams(5, 13.5, 13), 0.9998163565145626)
-    assert [args[:3] for args in calls["_closed_route"]] == [(5, 13.5, 13)]
+    assert calls["_closed_route"] == []
     assert calls["hyp2f1_series"] == []
 
 
@@ -542,13 +657,16 @@ def test_closed_route_rounding_bound_is_a_bound_on_a_large_sweep():
     (2, 34.9, 45, 1 - 1e-9),
     (1, 45.5, 12, 1 - 1e-9),  # the Euler scale alone passes float range
 ])
-def test_eval_overflowing_power_integral_takes_euler(m, n, p, x):
+def test_eval_overflowing_power_integral_takes_euler(m, n, p, x, monkeypatch):
     # the direct form's power integrals overflow float range, or turn the
     # double-double products non-finite on their way there; the Euler form
     # (p-m, p-n; p) does not, and the series, which stops short of the sum
-    # there, is never tried
-    got = hyp2f1_eval(HypergeomParams(m, n, p), x)
-    assert rel_err(got, mp_ref(m, n, p, x, 50)) <= 1e-14
+    # there, is never tried.  s = p-m-n is not an integer at these points,
+    # so the near-1 route answers first; with it off, the Euler form does.
+    want = mp_ref(m, n, p, x, 50)
+    assert rel_err(hyp2f1_eval(HypergeomParams(m, n, p), x), want) <= 1e-14
+    monkeypatch.setattr(hypergeom, "_X_NEAR", 2.0)
+    assert rel_err(hyp2f1_eval(HypergeomParams(m, n, p), x), want) <= 1e-14
 
 
 def test_public_closed_forms_raise_in_the_non_finite_band():
@@ -572,12 +690,15 @@ def test_closed_forms_raise_where_an_integer_power_underflows():
 
 def test_eval_overflow_band_never_returns_the_series(monkeypatch):
     # from just below where the direct form turns non-finite (n ~ 34.52)
-    # to past where it overflows (n ~ 35.3), no point falls to the series
+    # to past where it overflows (n ~ 35.3), no point falls to the series,
+    # with the near-1 route on or off (the Euler form answers)
     calls = _count_calls(monkeypatch, "hyp2f1_series")
-    for k in range(30):
-        n = 34.5 + 0.03 * k
-        got = hyp2f1_eval(HypergeomParams(1, n, 40), 1 - 1e-9)
-        assert rel_err(got, mp_ref(1, n, 40, 1 - 1e-9, 50)) <= 1e-14, n
+    for x_near in (hypergeom._X_NEAR, 2.0):
+        monkeypatch.setattr(hypergeom, "_X_NEAR", x_near)
+        for k in range(30):
+            n = 34.5 + 0.03 * k
+            got = hyp2f1_eval(HypergeomParams(1, n, 40), 1 - 1e-9)
+            assert rel_err(got, mp_ref(1, n, 40, 1 - 1e-9, 50)) <= 1e-14, (n, x_near)
     assert calls["hyp2f1_series"] == []
 
 
@@ -619,9 +740,12 @@ def _dispatcher_sweep(count, seed):
 
 @pytest.mark.sweep
 def test_eval_dispatcher_sweep():
-    # the typed errors are pinned; the misses left, 1.1e-12 to 7.9e-11, all
-    # have m >= 8 and n <= -29.5, where the closed form's bound is rejected
-    # and the fallback series cancels in float64 with no rounding check
+    # the typed errors are pinned: 5 values lie beyond float range, and the
+    # other 5 have an integer n (so an integer s, which the near-1 route does
+    # not take) within 3e-6 of x = 1.  The misses left, 1.3e-12 to 7.9e-11,
+    # all have m >= 8 and n <= -29.5, where the closed form's bound is
+    # rejected and the fallback series cancels in float64 with no rounding
+    # check
     typed, off = _dispatcher_sweep(12000, 1712)
-    assert typed == 34
-    assert len(off) <= 10, off
+    assert typed == 10
+    assert len(off) <= 8, off

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from elemhyp import (
     GmkzParams, HeunFamilyParams, HypergeomParams, InvalidParams, Monomial,
-    NonFinite, fnj_base, fnj_combo, fnj_series, gen_binomial, gmkz_moment_abel,
+    NonFinite, NotConverged, fnj_base, fnj_combo, fnj_series, gen_binomial, gmkz_moment_abel,
     heun_coeff, heun_eval, heun_params_from, heun_series_oracle, hyp2f1_closed,
     hyp2f1_eval, hyp2f1_series, ln_moment_e2, ln_moment_e2_direct, mkz_moment,
     mkz_moment_e2, pochhammer, polylog, polylog_derivative_series, sum_series,
@@ -64,6 +64,15 @@ def test_pochhammer_values():
     assert pochhammer(7.25, 0) == 1.0
     with pytest.raises(InvalidParams):
         pochhammer(1.0, -1)
+
+
+def test_pochhammer_raises_past_float_range():
+    # this returned inf
+    with pytest.raises(NotConverged, match="overflows float range"):
+        pochhammer(100.0, 200)
+    # a zero factor: the product is exactly 0, though 300! passed float
+    # range on the way (this returned nan)
+    assert pochhammer(-300.0, 400) == 0.0
 
 
 @given(st.floats(min_value=-50, max_value=50), st.integers(min_value=0, max_value=20))
