@@ -30,7 +30,7 @@ kept only where _dd.certified finds their rounding bound within 1e-13:
 
 Both series routes sum one series per call, to numcore's one precision.
 
-From _X_NEAR = 0.65 up, a point whose s = p-m-n is not an integer first
+From _X_NEAR = 0.8 up, a point whose s = p-m-n is not an integer first
 tries the connection formula about x = 1 (DLMF 15.8.4, A&S 15.3.6,
 _near_one): two short series in 1-x, whose Gamma-ratio coefficients are
 Pochhammer products, since m and p are integers, formed exactly and rounded
@@ -296,8 +296,9 @@ _X_SWITCH = 0.5
 # x = 1 before any closed form.  Its float 1-x series lose more digits the
 # longer they run, so the start is the lowest, in steps of 0.05 from 0.6,
 # that kept the 10th-percentile digits of the hyp2f1-grid benchmark mix at
-# 16 or more on seeds 1-8 (0.6 gave 15.99 on seed 3).
-_X_NEAR = 0.65
+# 16 or more on each of seeds 1-30 (0.75 gave 15.999 on seed 29, 0.65
+# fell below 16 on six of them).
+_X_NEAR = 0.8
 
 
 def _closed_route(m: int, n: float, p: int, x: float, variant=None):
@@ -486,7 +487,7 @@ def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
     Below _X_SWITCH = 1/2 the defining series is kept if _dd.certified finds
     its rounding bound, terms_used * sum|term| * 2**-53, within 1e-13.  A
     short terminating polynomial (n a nonpositive integer >= -16) is then
-    summed exactly and rounded once.  From _X_NEAR = 0.65 up, a non-integer
+    summed exactly and rounded once.  From _X_NEAR = 0.8 up, a non-integer
     s = p-m-n tries the connection formula about x = 1 (_near_one), kept by
     the same test on its BoundedSum bound; it raises NotConverged where its
     (1-x)**s part passes float range.  Any other point, or one where it
