@@ -364,7 +364,7 @@ def _euler_on_overflow(m: int, n: float, p: int, x: float) -> float:
 
 def _near_one_tail(a: int, nb: float, ib: int, ic: int, z: float):
     """The terms k >= 1 of the series with term ratios
-    (a+j)(nb+(ib+j)) / ((nb+(ic+j))(j+1)) z, 0 < z < 1/2, summed in float.
+    (a+j)(nb+(ib+j)) / ((nb+(ic+j))(j+1)) z, 0 < z <= 1/2, summed in float.
 
     Each factor nb+i is one rounding of nb plus an exact integer, and a
     ratio rounds 7 times, so term k is within 7k units 2**-53 of its exact

@@ -501,7 +501,8 @@ def test_near_one_route_raises_where_the_value_passes_float_range():
     # not; the route declines and the Euler form answers
     x = 1 - 1e-9
     assert hypergeom._near_one(1, 45.5, 12, x) is None
-    assert rel_err(hyp2f1_eval(HypergeomParams(1, 45.5, 12), x), mp_ref(1, 45.5, 12, x, 50)) <= 1e-14
+    got = hyp2f1_eval(HypergeomParams(1, 45.5, 12), x)
+    assert rel_err(got, mp_ref(1, 45.5, 12, x, 50)) <= 1e-14
 
 
 @pytest.mark.parametrize("m,n,p", [
@@ -514,6 +515,16 @@ def test_near_one_route_next_to_one(m, n, p):
     assert _dd.certified(f, bound)
     assert rel_err(f, mp_ref(m, n, p, x, 50)) <= 1e-14
     assert hyp2f1_eval(HypergeomParams(m, n, p), x) == f
+
+
+def test_near_one_route_bound_covers_each_error_source():
+    # a bound without the term-ratio roundings misses the first two points,
+    # one without the error of the float (1-x)**s the last two
+    points = [(6, 5.935933601020437, 56, 0.6979113105317206),
+              (1, 17.5, 39, 0.7024521668777575),
+              (5, 28.5, 28, 0.9999999999854942),
+              (7, 11.479461183347638, 18, 0.9999867333361375)]
+    assert _connection_check(points)[2] == []
 
 
 def test_near_one_route_on_the_large_p_slice():
