@@ -34,8 +34,6 @@ def _emit(doc: dict):
 
 def cmd_hyp2f1(args) -> int:
     params = HypergeomParams(args.m, args.n, args.p)
-    if args.variant is not None and args.method != "closed":
-        raise InvalidParams("--variant requires --method closed")
     res = None
     if args.method == "auto":
         value = hyp2f1_eval(params, args.x)
@@ -45,10 +43,7 @@ def cmd_hyp2f1(args) -> int:
             raise NotConverged("series did not converge within its term cap")
         value = res.value
     else:
-        variant = args.variant
-        if variant is not None and variant.isdigit():
-            variant = int(variant)
-        value = hyp2f1_closed(params, args.x, variant)
+        value = hyp2f1_closed(params, args.x)
     doc = {"value": value}
     if args.compare:
         if res is None:
@@ -131,7 +126,7 @@ def cmd_heun(args) -> int:
     doc = {"value": value, "termination": termination, "normalization": norm,
            "terms_used": res.terms_used, "converged": res.converged}
     if args.check_ode:
-        doc["ode_residual"] = heun_ode_residual(fp, args.x, 1e-3, args.terms)
+        doc["ode_residual"] = heun_ode_residual(fp, args.x, args.terms)
     _emit(doc)
     return 0 if res.converged else 1
 
@@ -174,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True, help="lower parameter (integer >= m+1)")
     p.add_argument("--x", type=float, required=True, help="argument in [0, 1)")
     p.add_argument("--method", choices=["series", "closed", "auto"], default="auto")
-    p.add_argument("--variant", choices=["A", "B", "1", "2", "3"], default=None,
-                   help="closed-form arrangement, where the shape admits several")
     p.add_argument("--compare", action="store_true",
                    help="also print the series value and relative error")
     p.set_defaults(func=cmd_hyp2f1)

@@ -5,8 +5,10 @@ public entry, hyp2f1_closed, which returns a value only where its rounding
 bound certifies it.  Its classifier, _closed_route, picks the family by
 shape of the parameter triple (m, n; p):
 
-  (1, 2; n+2)     three variants 1, 2, 3
-  (1, m; m+l+1)   two log-basis variants A and B
+  (1, 2; n+2)     a log core less a sum of x**j (1-x)**(n-j-1)
+  (1, m; m+l+1)   form A in the log basis (form B, a Taylor remainder in
+                  x, is kept as verify's independent check of A; at m = 2
+                  the two are the other (1, 2; n+2) arrangements)
   anything else   one binomial sum over power integrals (any integer
                   m >= 1, real n, integer p >= m+1; at m = 1 a single sum)
 
@@ -60,7 +62,7 @@ from fractions import Fraction
 from itertools import count
 
 from ._dd import (
-    _GUARD_REL, _SERIES_REL_TOL, DD, U, BoundedSum, ClosedFormContext,
+    _GUARD_REL, _SERIES_REL_TOL, U, BoundedSum, ClosedFormContext,
     certified, context, dd, dd_add, dd_div, dd_from_int, dd_from_ratio, dd_mul,
     dd_neg, dd_npow, dd_to_float,
 )
@@ -154,7 +156,8 @@ def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum:
 
 
 def _eq_1m_a(m: int, l: int, ctx: ClosedFormContext) -> BoundedSum:
-    """Variant A for 2F1(1, m; m+l+1; x)."""
+    """Form A for 2F1(1, m; m+l+1; x): a log part and differences of powers
+    of 1-x."""
     ompows = ctx.ompows(m + l)
     poch = math.perm(m + l, l + 1)  # (m)_(l+1)
     acc = BoundedSum()
@@ -176,7 +179,9 @@ def _eq_1m_a(m: int, l: int, ctx: ClosedFormContext) -> BoundedSum:
 
 
 def _eq_1m_b(m: int, l: int, ctx: ClosedFormContext) -> BoundedSum:
-    """Variant B: Taylor-remainder form, a power series in x plus log part."""
+    """Form B for 2F1(1, m; m+l+1; x): a Taylor-remainder form, a power
+    series in x plus the log part.  The classifier takes form A; B is
+    verify's independent check of it."""
     xpows = ctx.xpows(l + m)
     poch = math.perm(m + l, l + 1)  # (m)_(l+1)
     sgn = Fraction((-1) ** (l + 1), math.factorial(l))
@@ -197,73 +202,21 @@ def _eq_1m_b(m: int, l: int, ctx: ClosedFormContext) -> BoundedSum:
     return acc
 
 
-def _log_core(n: int, ctx: ClosedFormContext) -> BoundedSum:
-    """(1-x)**(n-1) (x + n log(1-x)), the log core of the (1, 2; n+2) forms."""
-    core = BoundedSum((dd(ctx.x), 0.0), (dd_mul(dd_from_int(n), ctx.log), 2))
-    core.mul(ctx.ompows(n - 1)[n - 1], n - 1)
-    return core
-
-
 def _eq_12_1(n: int, ctx: ClosedFormContext) -> BoundedSum:
-    """First form for 2F1(1, 2; n+2; x)."""
+    """2F1(1, 2; n+2; x): the log core (1-x)**(n-1) (x + n log(1-x)) less a
+    sum of x**j (1-x)**(n-j-1), times (-1)**n (n+1) / x**(n+1)."""
     xpows = ctx.xpows(n)
     ompows = ctx.ompows(n - 1)
-    acc = _log_core(n, ctx)
+    acc = BoundedSum((dd(ctx.x), 0.0), (dd_mul(dd_from_int(n), ctx.log), 2))
+    acc.mul(ompows[n - 1], n - 1)
     for j in range(1, n):
         c = Fraction((-1) ** j * (n - j), j)
         term = dd_mul(dd_from_ratio(c.numerator, c.denominator),
                       dd_mul(xpows[j], ompows[n - j - 1]))
         acc.add(dd_neg(term), n + 1)
-    acc.mul(_pref_12(n, n + 1, ctx), n + 2)
+    scale = -(n + 1) if n % 2 else n + 1
+    acc.mul(dd_div(dd_from_int(scale), dd_npow(dd(ctx.x), n + 1)), n + 2)
     return acc
-
-
-def _pref_12(n: int, scale: int, ctx: ClosedFormContext) -> DD:
-    """(-1)**n scale / x**(n+1), off by n + 2 units."""
-    return dd_div(dd_from_int(-scale if n % 2 else scale), dd_npow(dd(ctx.x), n + 1))
-
-
-def _eq_12_2(n: int, ctx: ClosedFormContext) -> BoundedSum:
-    """Second form: same log core, binomial difference sum."""
-    ompows = ctx.ompows(n - 1)
-    acc = _log_core(n, ctx)
-    for i in range(2, n + 1):
-        c = Fraction((-1) ** i * math.comb(n, i), i - 1)
-        diff = BoundedSum((dd_npow(ctx.omx, n - i), n - i), (dd_neg(ompows[n - 1]), n - 1))
-        diff.mul(dd_from_ratio(c.numerator, c.denominator))
-        acc.add_sum(diff)
-    acc.mul(_pref_12(n, n + 1, ctx), n + 2)
-    return acc
-
-
-def _eq_12_3(n: int, ctx: ClosedFormContext) -> BoundedSum:
-    """Third form: log plus pure power series, minus an (n+1)/x correction."""
-    xpows = ctx.xpows(n - 1)
-    acc = BoundedSum()
-    acc.add(dd_mul(dd_npow(ctx.omx, n - 1), ctx.log), n + 1)
-    for j in range(1, n):
-        cj = Fraction(0)
-        for i in range(j):
-            cj += Fraction((-1) ** i * math.comb(n - 1, i), j - i)
-        acc.add(dd_mul(dd_from_ratio(cj.numerator, cj.denominator), xpows[j]), j + 1)
-    acc.mul(_pref_12(n, n * (n + 1), ctx), n + 2)
-    # the (n+1)/x correction is one more term of the same sum
-    acc.add(dd_neg(dd_div(dd_from_int(n + 1), dd(ctx.x))), 1)
-    return acc
-
-
-# Arrangements of the shapes that admit several; the first is the default.
-_FORMS_12 = {1: _eq_12_1, 2: _eq_12_2, 3: _eq_12_3}
-_FORMS_1M = {"A": _eq_1m_a, "B": _eq_1m_b}
-
-
-def _variant(forms: dict, variant):
-    if variant not in tuple(forms):
-        if None in forms:
-            raise InvalidParams("this shape takes no variant")
-        *rest, last = forms
-        raise InvalidParams(f"variant must be {', '.join(map(str, rest))} or {last}")
-    return forms[variant]
 
 
 def _assemble(body, x: float, *args):
@@ -301,35 +254,30 @@ _X_SWITCH = 0.5
 _X_NEAR = 0.8
 
 
-def _closed_route(m: int, n: float, p: int, x: float, variant=None):
+def _closed_route(m: int, n: float, p: int, x: float):
     """The shape classifier: the most specific closed form for (m, n; p).
 
-    variant picks among the family's arrangements (None: its default).
     Returns the value, rounded once, and its double-double sum's bound.
     """
     if n == 1.0 and m > 1:
         m, n = 1, float(m)  # symmetric in the upper pair
     if m == 1 and n == 2.0 and p >= 3:
-        forms, args = _FORMS_12, (p - 2,)
-    elif m == 1 and float(n).is_integer() and n >= 1 and p >= int(n) + 1:
-        forms, args = _FORMS_1M, (int(n), p - int(n) - 1)
-    else:
-        forms, args = {None: _eq_general}, (m, n, p)
-    body = _variant(forms, next(iter(forms)) if variant is None else variant)
-    return _assemble(body, x, *args)
+        return _assemble(_eq_12_1, x, p - 2)
+    if m == 1 and float(n).is_integer() and n >= 1 and p >= int(n) + 1:
+        return _assemble(_eq_1m_a, x, int(n), p - int(n) - 1)
+    return _assemble(_eq_general, x, m, n, p)
 
 
-def hyp2f1_closed(params: HypergeomParams, x: float, variant=None) -> float:
+def hyp2f1_closed(params: HypergeomParams, x: float) -> float:
     """The elementary closed form of 2F1(m, n; p; x), 0 < x < 1, certified.
 
-    The classifier picks the most specific family: (1, 2; p) takes variant
-    1, 2 or 3, (1, k; p) with integer k >= 1 takes "A" or "B", any other
-    shape the general sum and no variant (None: the family's default).  The
-    value is returned only where _dd.certified finds its rounding bound
-    within 1e-13 of it; otherwise, or where it passes float range, this
-    raises NotConverged.
+    The classifier picks the most specific form: (1, 2; p) its own form,
+    (1, k; p) with integer k >= 1 the log-basis form A, any other shape the
+    general sum.  The value is returned only where _dd.certified finds its
+    rounding bound within 1e-13 of it; otherwise, or where it passes float
+    range, this raises NotConverged.
     """
-    f, bound = _closed_route(params.m, params.n, params.p, x, variant)
+    f, bound = _closed_route(params.m, params.n, params.p, x)
     if not certified(f, bound):
         raise NotConverged(f"closed form's rounding bound {bound:.3g} "
                            f"exceeds {_GUARD_REL:g} of its value")

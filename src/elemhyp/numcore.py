@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable
 
 from ._dd import _SERIES_REL_TOL
@@ -84,6 +85,10 @@ def gen_binomial(a: float, k: int) -> float:
 
     Each factor a - i is rounded once from a: the rising product from
     a - k + 1 would cancel in forming its base (0.0 for a = 1e-17, k = 1).
+    Where the float product or k! passes float range on the way, the
+    product is carried as a fraction and a power of two, divided by k!
+    exactly and rounded once.  Raises NotConverged where the value passes
+    float range.
     """
     require_ints(k=k)
     if k < 0:
@@ -91,7 +96,16 @@ def gen_binomial(a: float, k: int) -> float:
     out = 1.0
     for i in range(k):
         out *= a - i
-    return out / math.factorial(k)
+    if k <= 170 and not math.isinf(out):  # 170! is the last within float range
+        return out / math.factorial(k)
+    frac, exp = 1.0, 0
+    for i in range(k):
+        frac, e = math.frexp(frac * (a - i))
+        exp += e
+    try:
+        return float(Fraction(frac) * Fraction(2) ** exp / math.factorial(k))
+    except OverflowError:
+        raise NotConverged("gen_binomial overflows float range") from None
 
 
 def sum_series(term_source: Iterable,

@@ -20,7 +20,9 @@ from .heun import (
     HeunFamilyParams, heun_eval, heun_normalization, heun_ode_residual,
     heun_params_from, heun_series_oracle, heun_termination,
 )
-from .hypergeom import _FORMS_1M, _FORMS_12, _assemble, _eq_general, hyp2f1_series
+from .hypergeom import (
+    _assemble, _eq_12_1, _eq_1m_a, _eq_1m_b, _eq_general, hyp2f1_series,
+)
 from .mkz import (
     _APPLY_CLOSED_FROM, GmkzParams, Monomial, _gmkz_series, gmkz_apply, gmkz_e1,
     gmkz_moment_abel, mkz_moment, mkz_moment_e2, ln_moment_e2, ln_moment_e2_direct,
@@ -65,9 +67,10 @@ def _entry(operation: str, inputs: dict, result: float, oracle: float,
 
 
 def suite_hypergeom() -> list:
-    # Each closed-form entry names its arrangement, so it calls that body
-    # directly: the classifier would send the general entries at (1, 2; p)
-    # and the family chain to another one.
+    # Each closed-form entry names its form, so it calls that body directly:
+    # the classifier would send the general entries at (1, 2; p) and the
+    # family chain to another one.  The (1, 2; n+2) entries check its one
+    # form against forms A and B of (1, m; m+l+1) at m = 2, l = n-1.
     tol = SUITE_TOLERANCES["hypergeom"]
     entries = []
     for m in range(1, 5):
@@ -83,17 +86,17 @@ def suite_hypergeom() -> list:
     for m in range(1, 7):
         for l in range(0, 7):
             for x in (0.1, 0.5, 0.9):
-                va = _assemble(_FORMS_1M["A"], x, m, l)[0]
-                vb = _assemble(_FORMS_1M["B"], x, m, l)[0]
+                va = _assemble(_eq_1m_a, x, m, l)[0]
+                vb = _assemble(_eq_1m_b, x, m, l)[0]
                 entries.append(_entry(
                     "hyp2f1_log_variants_ab",
                     {"m": m, "l": l, "x": x},
                     va, vb, tol))
     for n in range(1, 13):
         for x in (0.1, 0.5, 0.9):
-            v1 = _assemble(_FORMS_12[1], x, n)[0]
-            v2 = _assemble(_FORMS_12[2], x, n)[0]
-            v3 = _assemble(_FORMS_12[3], x, n)[0]
+            v1 = _assemble(_eq_12_1, x, n)[0]
+            v2 = _assemble(_eq_1m_a, x, 2, n - 1)[0]
+            v3 = _assemble(_eq_1m_b, x, 2, n - 1)[0]
             entries.append(_entry(
                 "hyp2f1_12_variants_12",
                 {"n": n, "x": x}, v1, v2, tol))
@@ -102,8 +105,8 @@ def suite_hypergeom() -> list:
                 {"n": n, "x": x}, v1, v3, tol))
     for n in range(1, 7):
         for x in (0.2, 0.7):
-            via3 = _assemble(_FORMS_1M["A"], x, 2, n - 1)[0]
-            via4 = _assemble(_FORMS_12[1], x, n)[0]
+            via3 = _assemble(_eq_1m_a, x, 2, n - 1)[0]
+            via4 = _assemble(_eq_12_1, x, n)[0]
             entries.append(_entry(
                 "hyp2f1_family_chain",
                 {"n": n, "x": x}, via3, via4, tol))
@@ -283,7 +286,7 @@ def suite_heun() -> list:
             entries.append(_entry(
                 "heun_ode_residual",
                 {"m": m, "n": n, "p": p, "x": x},
-                heun_ode_residual(fp, x, 1e-3, r + 2), 0.0, tol))
+                heun_ode_residual(fp, x, r + 2), 0.0, tol))
         norm = heun_normalization(fp)
         entries.append(_entry(
             "heun_normalization_consistency",
@@ -296,7 +299,7 @@ def suite_heun() -> list:
         spec = heun_params_from(fp)
         for x in (0.1, 0.3, 0.45):
             got = heun_eval(fp, x, r).value / norm
-            want = heun_series_oracle(spec, x, 400)
+            want = heun_series_oracle(spec, x)
             entries.append(_entry(
                 "heun_vs_series_oracle",
                 {"m": m, "n": n, "p": p, "x": x}, got, want, tol))

@@ -25,7 +25,7 @@ from elemhyp import (
     ln_moment_e2, ln_moment_e2_direct, mkz_moment, mkz_moment_e2,
 )
 from elemhyp.basis import LOG_TERM, combo_eval, fnj_combo, fnj_series, poly, pow_ratio
-from elemhyp.hypergeom import _FORMS_1M, _FORMS_12, _assemble, _eq_general
+from elemhyp.hypergeom import _assemble, _eq_12_1, _eq_1m_a, _eq_1m_b, _eq_general
 from elemhyp.mkz import _gmkz_series
 from elemhyp.verify import _fnj3_direct
 
@@ -73,19 +73,20 @@ def test_criterion_2_rearranged_forms_agree_pairwise():
     for m in range(1, 7):
         for l in range(0, 7):
             for x in (0.1, 0.5, 0.9):
-                va = _assemble(_FORMS_1M["A"], x, m, l)[0]
-                vb = _assemble(_FORMS_1M["B"], x, m, l)[0]
+                va = _assemble(_eq_1m_a, x, m, l)[0]
+                vb = _assemble(_eq_1m_b, x, m, l)[0]
                 worst = max(worst, rel(va, vb))
     for n in range(1, 13):
         for x in (0.1, 0.5, 0.9):
-            v1 = _assemble(_FORMS_12[1], x, n)[0]
-            v2 = _assemble(_FORMS_12[2], x, n)[0]
-            v3 = _assemble(_FORMS_12[3], x, n)[0]
+            # the (1, 2; n+2) form against forms A and B at m = 2, l = n-1
+            v1 = _assemble(_eq_12_1, x, n)[0]
+            v2 = _assemble(_eq_1m_a, x, 2, n - 1)[0]
+            v3 = _assemble(_eq_1m_b, x, 2, n - 1)[0]
             worst = max(worst, rel(v1, v2), rel(v1, v3), rel(v2, v3))
     for n in range(1, 7):
         for x in (0.2, 0.7):
-            worst = max(worst, rel(_assemble(_FORMS_1M["A"], x, 2, n - 1)[0],
-                                   _assemble(_FORMS_12[1], x, n)[0]))
+            worst = max(worst, rel(_assemble(_eq_1m_a, x, 2, n - 1)[0],
+                                   _assemble(_eq_12_1, x, n)[0]))
     ok = worst <= 1e-10
     report("rearranged closed forms pairwise", ok, f"worst rel {worst:.3e}")
     assert worst <= 1e-10
@@ -220,7 +221,7 @@ def test_criterion_7_terminating_expansions_are_consistent():
             deep = heun_eval(fp, x, r + 7).value
             worst_drift = max(worst_drift, rel(deep, base))
         for x in (0.15, 0.3):
-            worst_resid = max(worst_resid, heun_ode_residual(fp, x, 1e-3, r + 2))
+            worst_resid = max(worst_resid, heun_ode_residual(fp, x, r + 2))
     worst_oracle = 0.0
     for m, n, p in ORACLE_OK:
         fp = HeunFamilyParams(m, n, p)
@@ -229,7 +230,7 @@ def test_criterion_7_terminating_expansions_are_consistent():
         spec = heun_params_from(fp)
         for x in (0.1, 0.3, 0.45):
             got = heun_eval(fp, x, r).value / norm
-            want = heun_series_oracle(spec, x, 400)
+            want = heun_series_oracle(spec, x)
             worst_oracle = max(worst_oracle, rel(got, want))
     elapsed = time.monotonic() - t0
     ok = (identities_exact and worst_drift <= 1e-14 and worst_oracle <= 1e-8
@@ -259,7 +260,7 @@ def test_criterion_7_nonterminating_expansion_matches_oracle():
         spec = heun_params_from(fp)
         for x in (0.05, 0.15, 0.25, 0.35, 0.45):
             got = heun_eval(fp, x, 2000).value / norm
-            want = heun_series_oracle(spec, x, 400)
+            want = heun_series_oracle(spec, x)
             worst = max(worst, rel(got, want))
     report("non-terminating expansion vs oracle", worst <= 1e-6,
            f"worst rel {worst:.3e}")
@@ -276,7 +277,7 @@ def test_criterion_7_nonterminating_expansion_solves_the_equation():
     for m, n, p in NON_TERMINATING:
         fp = HeunFamilyParams(m, n, p)
         for x in (0.1, 0.2, 0.3, 0.4):
-            worst = max(worst, heun_ode_residual(fp, x, 1e-3, 400))
+            worst = max(worst, heun_ode_residual(fp, x, 400))
     report("non-terminating expansion equation residual", worst <= 1e-3,
            f"worst residual {worst:.3e}")
     assert worst <= 1e-3

@@ -16,7 +16,7 @@ from elemhyp import (
 )
 from elemhyp import _dd, hypergeom, numcore
 from elemhyp.hypergeom import (
-    _FORMS_1M, _FORMS_12, _assemble, _closed_route, _eq_general,
+    _assemble, _closed_route, _eq_12_1, _eq_1m_a, _eq_1m_b, _eq_general,
 )
 
 
@@ -135,8 +135,8 @@ def test_closed_single_sum_validation():
 @pytest.mark.parametrize("x", [0.15, 0.6, 0.9])
 def test_closed_log_family_both_variants(m, l, x):
     ref = mp_ref(1, m, m + l + 1, x)
-    va = _assemble(_FORMS_1M["A"], x, m, l)[0]
-    vb = _assemble(_FORMS_1M["B"], x, m, l)[0]
+    va = _assemble(_eq_1m_a, x, m, l)[0]
+    vb = _assemble(_eq_1m_b, x, m, l)[0]
     assert math.isclose(va, ref, rel_tol=1e-11)
     assert math.isclose(va, vb, rel_tol=1e-12)
 
@@ -144,8 +144,10 @@ def test_closed_log_family_both_variants(m, l, x):
 @pytest.mark.parametrize("n", [1, 4, 9, 12])
 @pytest.mark.parametrize("x", [0.1, 0.5, 0.9])
 def test_closed_12_family_all_variants(n, x):
+    # the (1, 2; n+2) form and forms A and B of (1, m; m+l+1) at m = 2
     ref = mp_ref(1, 2, n + 2, x)
-    vals = [_assemble(_FORMS_12[v], x, n)[0] for v in (1, 2, 3)]
+    vals = [_assemble(_eq_12_1, x, n)[0], _assemble(_eq_1m_a, x, 2, n - 1)[0],
+            _assemble(_eq_1m_b, x, 2, n - 1)[0]]
     for v in vals:
         assert math.isclose(v, ref, rel_tol=1e-11)
     assert math.isclose(vals[0], vals[1], rel_tol=1e-12)
@@ -157,18 +159,9 @@ def test_closed_families_chain_together():
     # which at its own lowest order reduces to the 12 family
     for n in range(1, 7):
         for x in (0.2, 0.7):
-            via_log = _assemble(_FORMS_1M["A"], x, 2, n - 1)[0]
-            via_12 = _assemble(_FORMS_12[1], x, n)[0]
+            via_log = _assemble(_eq_1m_a, x, 2, n - 1)[0]
+            via_12 = _assemble(_eq_12_1, x, n)[0]
             assert math.isclose(via_log, via_12, rel_tol=1e-12)
-
-
-def test_closed_variant_validation():
-    with pytest.raises(InvalidParams):
-        hyp2f1_closed(HypergeomParams(1, 3.0, 5), 0.5, "C")
-    with pytest.raises(InvalidParams):
-        hyp2f1_closed(HypergeomParams(1, 2.0, 5), 0.5, 4)
-    with pytest.raises(InvalidParams):
-        hyp2f1_closed(HypergeomParams(2, 0.5, 4), 0.5, 1)
 
 
 @pytest.mark.parametrize("x", [0.0, 1.0, -0.3])
@@ -606,8 +599,11 @@ def test_closed_route_accepts_only_accurate_general_values():
 
 
 def _closed_points(count, seed):
-    """Every family and variant of _closed_route: m <= 6, p <= m+40, a third
-    of x in each of [1e-3, 1/2], [1/2, 0.99] and 1 - [1e-9, 1e-2]."""
+    """Every closed form: the classifier's pick for m <= 6, p <= m+40, forms
+    A and B of (1, k; k+l+1) and, for (1, 2; p), its own form and A and B at
+    k = 2; a third of x in each of [1e-3, 1/2], [1/2, 0.99] and
+    1 - [1e-9, 1e-2].  Each point is (m, n, p, x, form): form None takes
+    _closed_route, else it is the body and its arguments."""
     rng = random.Random(seed)
     for _ in range(count):
         u = rng.random()
@@ -625,26 +621,33 @@ def _closed_points(count, seed):
             yield m, n, rng.randint(m + 1, m + 40), x, None
         elif family == 1:  # (1, k; k+l+1), k != 2
             k = rng.choice((1, 3, 4, 5, 6))
-            yield 1, float(k), rng.randint(k + 1, k + 41), x, rng.choice("AB")
+            p = rng.randint(k + 1, k + 41)
+            body = rng.choice((_eq_1m_a, _eq_1m_b))
+            yield 1, float(k), p, x, (body, k, p - k - 1)
         else:
-            yield 1, 2.0, rng.randint(3, 42), x, rng.choice((1, 2, 3))
+            p = rng.randint(3, 42)
+            body = rng.choice((_eq_12_1, _eq_1m_a, _eq_1m_b))
+            yield 1, 2.0, p, x, (body, p - 2) if body is _eq_12_1 else (body, 2, p - 3)
 
 
 def _bound_misses(points):
-    """(variants seen, misses): a miss is a closed value off mpmath by more
+    """(bodies seen, misses): a miss is a closed value off mpmath by more
     than its rounding bound plus half an ulp."""
-    variants, misses = set(), []
-    for m, n, p, x, variant in points:
+    bodies, misses = set(), []
+    for m, n, p, x, form in points:
         try:
-            f, bound = _closed_route(m, n, p, x, variant)
+            if form is None:
+                f, bound = _closed_route(m, n, p, x)
+            else:
+                f, bound = _assemble(form[0], x, *form[1:])
         except NotConverged:  # the value passes float range
             continue
-        variants.add(variant)
+        bodies.add(None if form is None else form[0])
         with mp.workdps(50):
             err = abs(mp.mpf(f) - mp.hyp2f1(m, n, p, mp.mpf(x)))
         if err > bound + math.ulp(f) / 2:
-            misses.append((m, n, p, x, variant, float(err), bound))
-    return variants, misses
+            misses.append((m, n, p, x, form, float(err), bound))
+    return bodies, misses
 
 
 def test_closed_route_rounding_bound_is_a_bound():
@@ -653,8 +656,8 @@ def test_closed_route_rounding_bound_is_a_bound():
     # 1.0e-15 error
     points = list(_closed_points(200, 1601))
     points.append((4, 19.04119012493857, 35, 0.596122670041623, None))
-    variants, misses = _bound_misses(points)
-    assert variants == {None, "A", "B", 1, 2, 3}
+    bodies, misses = _bound_misses(points)
+    assert bodies == {None, _eq_1m_a, _eq_1m_b, _eq_12_1}
     assert misses == []
 
 

@@ -1,6 +1,7 @@
 """Shared kernel: integer checks, factorial helpers, summation engine."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from elemhyp import (
     GmkzParams, HeunFamilyParams, HypergeomParams, InvalidParams, Monomial,
     NonFinite, NotConverged, fnj_base, fnj_combo, fnj_series, gen_binomial, gmkz_moment_abel,
-    heun_coeff, heun_eval, heun_params_from, heun_series_oracle, hyp2f1_closed,
+    heun_coeff, heun_eval, heun_ode_residual, hyp2f1_closed,
     hyp2f1_eval, hyp2f1_series, ln_moment_e2, ln_moment_e2_direct, mkz_moment,
     mkz_moment_e2, pochhammer, polylog, polylog_derivative_series, sum_series,
 )
@@ -36,15 +37,15 @@ from elemhyp.numcore import _MAX_TERMS
     lambda: fnj_combo(2.5, 3),
     # one shape of each closed family: general at m = 1, (1, k; p), (1, 2; p)
     lambda: hyp2f1_closed(HypergeomParams(1, 2.5, 3.0), 0.5),
-    lambda: hyp2f1_closed(HypergeomParams(1.0, 3.0, 6), 0.5, "A"),
-    lambda: hyp2f1_closed(HypergeomParams(1, 2.0, 4.0), 0.5, 1),
+    lambda: hyp2f1_closed(HypergeomParams(1.0, 3.0, 6), 0.5),
+    lambda: hyp2f1_closed(HypergeomParams(1, 2.0, 4.0), 0.5),
     lambda: fnj_base(2.5, 0),
     lambda: fnj_series(2.5, 2, 0.3),
     lambda: polylog_derivative_series(2.0, 2, 0.3),
     lambda: ln_moment_e2_direct(2.5, 0.3),
     lambda: heun_eval(HeunFamilyParams(1, 2.0, 3), 0.3, 4.0),
     lambda: heun_coeff(HeunFamilyParams(1, 2.0, 3), 2.0),
-    lambda: heun_series_oracle(heun_params_from(HeunFamilyParams(1, 2.0, 3)), 0.3, 40.0),
+    lambda: heun_ode_residual(HeunFamilyParams(1, 2.0, 3), 0.3, 4.0),
     lambda: pochhammer(1.5, 2.0),
     lambda: gen_binomial(1.5, 2.0),
     # at 0 these returned 0.0; elsewhere they named an internal p
@@ -89,6 +90,33 @@ def test_gen_binomial_values():
     assert math.isclose(gen_binomial(1e-17, 3), 1e-17 / 3, rel_tol=1e-15)
     with pytest.raises(InvalidParams):
         gen_binomial(1.0, -2)
+
+
+@pytest.mark.parametrize("a,k,value", [
+    # the float product divided by the float k!, as before
+    (0.5, 170, -0.0001275503254427896),
+    (1e102, 3, 1.6666666666666667e305),
+    (37.25, 60, 4.765260410790402e-19),
+    # k! past float range: these raised OverflowError
+    (0.5, 171, 1.2643146293890545e-4),
+    (-2.5, 200, 2147.666268418277),
+    (-1.0, 1000, 0.9999999999999989),  # 1000 exact factors, the product rounds
+    # the product past float range: this returned inf
+    (1e103, 3, 1.6666666666666668e308),
+])
+def test_gen_binomial_against_the_exact_product(a, k, value):
+    assert gen_binomial(a, k) == value
+    exact = Fraction(1)
+    for i in range(k):
+        exact *= Fraction(a) - i
+    exact /= math.factorial(k)
+    assert abs(Fraction(value) - exact) <= 2 * (k + 1) * Fraction(2) ** -53 * abs(exact)
+
+
+def test_gen_binomial_raises_past_float_range():
+    for a, k in ((1e200, 2), (1e103, 4), (-1e300, 5), (3000.5, 1500)):
+        with pytest.raises(NotConverged, match="overflows float range"):
+            gen_binomial(a, k)
 
 
 def no_bound(k, term):

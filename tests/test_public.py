@@ -1,5 +1,6 @@
 """The public surface: its names, and the README's account of each evaluator."""
 
+import inspect
 import pathlib
 import re
 
@@ -33,6 +34,58 @@ def test_public_names_are_pinned():
     ]
     for name in elemhyp.__all__:
         getattr(elemhyp, name)
+
+
+# The parameters of every public callable but the error types, annotations
+# left out: an added, removed or renamed parameter is a deliberate edit here.
+SIGNATURES = {
+    "BasisFunction": "(kind, index)",
+    "GmkzParams": "(n, r, alpha, beta)",
+    "HeunFamilyParams": "(m, n, p)",
+    "HeunSpec": "(alpha, beta, gamma, delta, epsilon, a, q)",
+    "HypergeomParams": "(m, n, p)",
+    "Monomial": "(r)",
+    "SeriesResult": "(value, terms_used, converged, trunc_err_est, abs_sum=0.0)",
+    "SymbolicCombo": "(n, j, terms)",
+    "combo_eval": "(c, x)",
+    "combo_json_dict": "(c)",
+    "fnj_base": "(n, j)",
+    "fnj_combo": "(n, j)",
+    "fnj_series": "(n, j, x)",
+    "gen_binomial": "(a, k)",
+    "gmkz_apply": "(params, f, x)",
+    "gmkz_e1": "(params, x)",
+    "gmkz_moment_abel": "(n, alpha, beta, m, x)",
+    "heun_coeff": "(fp, k)",
+    "heun_eval": "(fp, x, K)",
+    "heun_normalization": "(fp)",
+    "heun_ode_residual": "(fp, x, K)",
+    "heun_params_from": "(fp)",
+    "heun_series_oracle": "(spec, x)",
+    "heun_termination": "(fp)",
+    "hyp2f1_closed": "(params, x)",
+    "hyp2f1_eval": "(params, x)",
+    "hyp2f1_series": "(a, b, c, x)",
+    "ln_moment_e2": "(n, x)",
+    "ln_moment_e2_direct": "(n, x)",
+    "mkz_moment": "(n, r, x)",
+    "mkz_moment_e2": "(n, x)",
+    "pochhammer": "(r, m)",
+    "polylog": "(k, x)",
+    "polylog_derivative_series": "(j, d, x)",
+    "sum_series": "(term_source, tail)",
+}
+
+
+def test_public_signatures_are_pinned():
+    got = {}
+    for name in elemhyp.__all__:
+        obj = getattr(elemhyp, name)
+        if not callable(obj) or isinstance(obj, type) and issubclass(obj, Exception):
+            continue
+        params = inspect.signature(obj).parameters.values()
+        got[name] = f"({', '.join(str(p.replace(annotation=p.empty)) for p in params)})"
+    assert got == SIGNATURES
 
 
 def test_readme_table_classifies_every_evaluator_once():
