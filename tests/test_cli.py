@@ -142,8 +142,8 @@ def test_hyp2f1_auto_fallback_sums_to_full_precision():
 
 @pytest.mark.parametrize("m,n,p,x", [
     ("1", "3", "6", "0.5"), ("3", "1", "7", "0.4"), ("1", "2", "7", "0.3"),
-    ("2", "2.5", "6", "0.6"),
-], ids=["1m", "swap-1m", "12", "general"])
+    ("1", "2", "12", "0.8"), ("2", "2.5", "6", "0.6"),
+], ids=["1m", "swap-1m", "12", "12-high-x", "general"])
 def test_hyp2f1_closed_prints_the_library_value(m, n, p, x):
     r = run("hyp2f1", "--m", m, "--n", n, "--p", p, "--x", x, "--method", "closed")
     assert r.returncode == 0
