@@ -33,7 +33,6 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from typing import Callable, Dict
 
 from ._dd import (
@@ -41,8 +40,8 @@ from ._dd import (
     dd_neg, dd_npow, dd_to_float,
 )
 from .numcore import (
-    DomainError, InvalidParams, NotConverged, SeriesResult, require_ints,
-    sum_series,
+    _weight_series, DomainError, InvalidParams, NotConverged, SeriesResult,
+    require_ints,
 )
 from .polylog import _polylog_dd
 
@@ -219,9 +218,8 @@ def combo_eval(c: SymbolicCombo, x: float) -> float:
 def fnj_series(n: int, j: int, x: float) -> SeriesResult:
     """Direct summation oracle: f_{n,j}(x) = sum C(n+k,k) x**k / (n+k)**j.
 
-    The term ratios x (n+i+1)/(i+1) ((n+i)/(n+i+1))**j are at most
-    x (n+i+1)/(i+1), which falls with i, so past term k+1 they stay below
-    rho = x (n+k+2)/(k+2) and t_(k+1) / (1 - rho) bounds the tail.
+    numcore._weight_series with N = n + 1, w0 = 1 and g(k) = (n+k)**-j,
+    which falls with k, so G = g(k+1) bounds it past term k.
     """
     require_ints(n=n, j=j)
     if n < 1:
@@ -230,24 +228,8 @@ def fnj_series(n: int, j: int, x: float) -> SeriesResult:
         raise InvalidParams("j must be >= 0")
     if not 0.0 <= x < 1.0:
         raise DomainError("series requires 0 <= x < 1")
-
-    def ratio(k):
-        return x * (n + k + 1) / (k + 1.0) * ((n + k) / (n + k + 1.0)) ** j
-
-    def terms():
-        t = 1.0 / float(n) ** j
-        for k in count():
-            yield t
-            t *= ratio(k)
-
-    def tail(k, t):
-        rho = x * (n + k + 2) / (k + 2.0)
-        return t * ratio(k) / (1.0 - rho) if rho < 1.0 else math.inf
-
-    res = sum_series(terms(), tail)
-    if not res.converged:
-        raise NotConverged("kernel series did not converge")
-    return res
+    return _weight_series(n + 1, x, 1.0, lambda k: float(n + k) ** -j,
+                          lambda k: float(n + k + 1) ** -j)
 
 
 def combo_json_dict(c: SymbolicCombo) -> dict:

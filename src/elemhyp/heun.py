@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .hypergeom import HypergeomParams, hyp2f1_eval
 from .numcore import (
@@ -81,11 +82,19 @@ def heun_params_from(fp: HeunFamilyParams) -> HeunSpec:
     )
 
 
-def _coeff_ratio(fp: HeunFamilyParams, k: int) -> float:
+def _coeffs(fp: HeunFamilyParams):
+    """c_0 = 1, c_1, ..., each the last times the ratio
+    ((m+n-1)/2+k) ((p-m)/2+k) ((p-n)/2+k) / ((k+1) (p/2+k) ((p+1)/2+k));
+    it stops before the first zero, since every later coefficient is zero
+    too."""
     m, n, p = fp.m, fp.n, fp.p
-    num = ((m + n - 1.0) / 2.0 + k) * ((p - m) / 2.0 + k) * ((p - n) / 2.0 + k)
-    den = (k + 1.0) * (p / 2.0 + k) * ((p + 1.0) / 2.0 + k)
-    return num / den
+    c = 1.0
+    for k in count():
+        yield c
+        num = ((m + n - 1.0) / 2.0 + k) * ((p - m) / 2.0 + k) * ((p - n) / 2.0 + k)
+        c *= num / ((k + 1.0) * (p / 2.0 + k) * ((p + 1.0) / 2.0 + k))
+        if c == 0.0:
+            return
 
 
 def heun_coeff(fp: HeunFamilyParams, k: int) -> float:
@@ -97,27 +106,18 @@ def heun_coeff(fp: HeunFamilyParams, k: int) -> float:
     require_ints(k=k)
     if k < 0:
         raise InvalidParams("k must be >= 0")
-    c = 1.0
-    for i in range(k):
-        c *= _coeff_ratio(fp, i)
-        if c == 0.0:
-            return 0.0
-    return c
+    return next(islice(_coeffs(fp), k, None), 0.0)
 
 
 def heun_termination(fp: HeunFamilyParams):
     """Smallest r >= 1 with c_k = 0 for all k >= r, or None.
 
-    The two vanishing conditions are m+n = 3-2r and n-p = 2r-2; n is a float
-    input, so integer intent is recovered within 1e-12 (5e-13 after the
-    factor of two).
+    The two vanishing conditions are m+n = 3-2r and n-p = 2r-2, taken
+    exactly: an n that misses them by any amount does not terminate.
     """
-    candidates = []
-    for raw in ((3.0 - fp.m - fp.n) / 2.0, (fp.n - fp.p + 2.0) / 2.0):
-        r = round(raw)
-        if r >= 1 and abs(raw - r) <= 5e-13:
-            candidates.append(r)
-    return min(candidates) if candidates else None
+    candidates = [int(raw) for raw in ((3.0 - fp.m - fp.n) / 2.0, (fp.n - fp.p + 2.0) / 2.0)
+                  if raw >= 1 and raw.is_integer()]
+    return min(candidates, default=None)
 
 
 def heun_eval(fp: HeunFamilyParams, x: float, K: int) -> SeriesResult:
@@ -138,15 +138,8 @@ def heun_eval(fp: HeunFamilyParams, x: float, K: int) -> SeriesResult:
         raise DomainError("expansion requires 0 <= x < 1")
     r = heun_termination(fp)
     kmax = min(K, r) if r is not None else K
-    terms = []
-    c = 1.0
-    for k in range(kmax):
-        if c == 0.0:
-            break
-        leaf = hyp2f1_eval(HypergeomParams(fp.m, float(fp.n), fp.p + 2 * k), x)
-        terms.append(c * leaf)
-        c *= _coeff_ratio(fp, k)
-    total = _finite_sum(terms)
+    total = _finite_sum([c * hyp2f1_eval(HypergeomParams(fp.m, float(fp.n), fp.p + 2 * k), x)
+                         for k, c in zip(range(kmax), _coeffs(fp))])
     terminated = r is not None and r <= K
     return SeriesResult(value=total, terms_used=kmax, converged=terminated,
                         trunc_err_est=0.0 if terminated else math.inf)
@@ -161,7 +154,7 @@ def heun_normalization(fp: HeunFamilyParams) -> float:
     r = heun_termination(fp)
     if r is None:
         raise DomainError("the expansion does not terminate: no value at 0")
-    return math.fsum(heun_coeff(fp, k) for k in range(r))
+    return math.fsum(islice(_coeffs(fp), r))
 
 
 def heun_series_oracle(spec: HeunSpec, x: float) -> float:

@@ -30,7 +30,9 @@ kept only where _dd.certified finds their rounding bound within 1e-13:
   2. the classifier's closed form for (m, n; p), with its BoundedSum bound;
   3. the defining series, with no rounding check.
 
-Both series routes sum one series per call, to numcore's one precision.
+Both series routes sum one series per call, to numcore's one precision;
+the series and the two tails of the near-1 route below share one term
+source and tail bound (_terms) and are summed by numcore.sum_series.
 
 From _X_NEAR = 0.8 up, a point whose s = p-m-n is not an integer first
 tries the connection formula about x = 1 (DLMF 15.8.4, A&S 15.3.6,
@@ -38,12 +40,13 @@ _near_one): two short series in 1-x, whose Gamma-ratio coefficients are
 Pochhammer products, since m and p are integers, formed exactly and rounded
 once.  It is kept by the same test on its BoundedSum bound.  It declines
 where s is an integer (the log case, DLMF 15.8.10, is not taken), where its
-bound is rejected (s near an integer, where its two parts cancel) and where
-(1-x)**s alone passes float range; then routes 2 and 3 follow as above.
+bound is rejected (s near an integer, where its two parts cancel), where
+(1-x)**s alone passes float range and where a 1-x series passes it or its
+term cap; then routes 2 and 3 follow as above.
 Where the part with (1-x)**s passes float range, the value does too, and
 NotConverged is raised.
 
-A short terminating polynomial (n a nonpositive integer >= -16) that route
+A short terminating polynomial (n a nonpositive integer >= -40) that route
 1 does not keep is summed exactly in integers and rounded once instead of
 routes 2 and 3.  Points whose a-priori digit loss (p-1)*log10(1/x) exceeds
 _MAX_DIGIT_LOSS skip route 2.  Where the closed form of route 2 overflows
@@ -59,15 +62,15 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 
 from ._dd import (
-    _GUARD_REL, _SERIES_REL_TOL, U, BoundedSum, ClosedFormContext,
+    _GUARD_REL, U, BoundedSum, ClosedFormContext,
     certified, context, dd, dd_add, dd_div, dd_from_int, dd_from_ratio, dd_mul,
     dd_neg, dd_npow, dd_to_float,
 )
 from .numcore import (
-    _MAX_TERMS, DomainError, InvalidParams, NotConverged, SeriesResult,
+    DomainError, InvalidParams, NonFinite, NotConverged, SeriesResult,
     require_ints, sum_series,
 )
 
@@ -92,44 +95,61 @@ class HypergeomParams:
 
 
 def hyp2f1_series(a: float, b: float, c: float, x: float) -> SeriesResult:
-    """Defining series, summed by the term ratio recurrence.
+    """Defining series, summed by the term ratio recurrence (_terms).
 
-    This is the oracle every closed form is tested against.  Past term k,
-    while c+k+1 > 0, the factors |(a+i)/(i+1)| and |(b+i)/(c+i)| of the
-    later term ratios are monotone in i and tend to 1, so
-    rho = |x| max(1, |(a+k+1)/(k+2)|) max(1, |(b+k+1)/(c+k+1)|) bounds every
-    one of them and |t_(k+1)| / (1 - rho) the tail.  A terminating series
-    (a or b a nonpositive integer) has tail 0 once its terms hit exact zero.
+    This is the oracle every closed form is tested against.  A terminating
+    series (a or b a nonpositive integer) has tail 0 once its terms hit
+    exact zero.
     """
     if abs(x) >= 1.0:
         raise DomainError("series requires |x| < 1")
     if c <= 0 and float(c).is_integer():
         raise DomainError("lower parameter must not be zero or a negative integer")
+    terms, tail, _ = _terms(a, b, 0, c, 0, x, 0)
+    return sum_series(terms, tail)
+
+
+def _terms(a: float, b: float, ib: int, c: float, ic: int, z: float, start: int):
+    """sum_series' term source and tail bound for the terms k >= start,
+    start 0 or 1, of the series with t_0 = 1 and term ratios
+    (a+j)(b+(ib+j)) / ((c+(ic+j))(j+1)) z.  From start 1 the source also
+    adds up sum k |t_k|, which the third value returned reads.
+
+    The source forms t_(k+1) before it yields t_k, and the tail reads it.
+    Past term k, while c1 = c+(ic+k+1) > 0, the factors |(a+i)/(i+1)| and
+    |(b+(ib+i))/(c+(ic+i))| of the later term ratios are monotone in i and
+    tend to 1, so rho = |z| max(1, |(a+k+1)/(k+2)|) max(1, |(b+(ib+k+1))/c1|)
+    bounds every one of them and |t_(k+1)| / (1 - rho) the tail: math.inf
+    while c1 <= 0 or rho >= 1, 0 once the terms are exact zeros.
+    """
+    nxt = weighted = 0.0
 
     def terms():
+        nonlocal nxt
         t = 1.0
         for j in count():
+            nxt = t * ((a + j) * (b + (ib + j)) / ((c + (ic + j)) * (j + 1)) * z)
             yield t
-            t *= (a + j) * (b + j) / ((c + j) * (j + 1)) * x
+            t = nxt
 
-    def tail(k, t):
-        nxt = t * (a + k) * (b + k) / ((c + k) * (k + 1)) * x
-        return _rho_tail(nxt, x, a + k + 1, b + k + 1, c + k + 1, k)
+    def weighed():  # apart from terms, so that start 0 costs nothing per term
+        nonlocal weighted
+        for k, t in enumerate(islice(terms(), start, None), start):
+            weighted += k * abs(t)
+            yield t
 
-    return sum_series(terms(), tail)
+    def tail(i, t):
+        if nxt == 0.0:
+            return 0.0
+        k = i + start
+        c1 = c + (ic + k + 1)
+        if c1 <= 0:
+            return math.inf
+        rho = abs(z) * max(1.0, abs((a + k + 1) / (k + 2))) \
+            * max(1.0, abs((b + (ib + k + 1)) / c1))
+        return abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
 
-
-def _rho_tail(nxt: float, x: float, a1: float, b1: float, c1: float, k: int) -> float:
-    """hyp2f1_series's bound on the terms after term k, nxt = t_(k+1) the
-    first of them and a1, b1, c1 the parameters plus k+1: |nxt| / (1 - rho),
-    rho = |x| max(1, |a1/(k+2)|) max(1, |b1/c1|); math.inf while c1 <= 0 or
-    rho >= 1, 0 once the terms are exact zeros."""
-    if nxt == 0.0:
-        return 0.0
-    if c1 <= 0:
-        return math.inf
-    rho = abs(x) * max(1.0, abs(a1 / (k + 2))) * max(1.0, abs(b1 / c1))
-    return abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
+    return weighed() if start else terms(), tail, lambda: weighted
 
 
 def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum:
@@ -312,37 +332,24 @@ def _euler_on_overflow(m: int, n: float, p: int, x: float) -> float:
 
 def _near_one_tail(a: int, nb: float, ib: int, ic: int, z: float):
     """The terms k >= 1 of the series with term ratios
-    (a+j)(nb+(ib+j)) / ((nb+(ic+j))(j+1)) z, 0 < z <= 1/2, summed in float.
+    (a+j)(nb+(ib+j)) / ((nb+(ic+j))(j+1)) z, 0 < z <= 1/2, summed by
+    sum_series (_terms).
 
     Each factor nb+i is one rounding of nb plus an exact integer, and a
     ratio rounds 7 times, so term k is within 7k units 2**-53 of its exact
-    value; Kahan's sum adds at most 3 units of sum |t_k|.  The sum stops as
-    hyp2f1_series's does, once _rho_tail is within 1e-17 of 1 plus the sum.
-    Returns (sum, bound on its error), or None where a term leaves float
-    range or the terms run to numcore's cap.
+    value; Kahan's sum adds at most 3 units of sum |t_k|.  Returns (sum,
+    bound on its error and tail), or None where a term or the sum leaves
+    float range or the terms run to numcore's cap.
     """
-    t, s, c = 1.0, 0.0, 0.0
-    abs_sum = weighted = 0.0
-    for j in range(_MAX_TERMS):
-        t *= (a + j) * (nb + (ib + j)) / ((nb + (ic + j)) * (j + 1)) * z
-        y = t - c
-        u = s + y
-        c = (u - s) - y
-        s = u
-        at = abs(t)
-        abs_sum += at
-        weighted += (j + 1) * at
-        if at <= _SERIES_REL_TOL * abs(1.0 + s):
-            k = j + 1
-            nxt = t * (a + k) * (nb + (ib + k)) / ((nb + (ic + k)) * (k + 1)) * z
-            tail = _rho_tail(nxt, z, a + k + 1, nb + (ib + k + 1), nb + (ic + k + 1), k)
-            if tail <= _SERIES_REL_TOL * abs(1.0 + s):
-                if not math.isfinite(s):
-                    return None
-                return s, (7.0 * weighted + 3.0 * abs_sum) * 2.0 ** -53 + tail
-        elif at == math.inf:
-            return None
-    return None
+    terms, tail, weighted = _terms(a, nb, ib, nb, ic, z, 1)
+    try:
+        res = sum_series(terms, tail)
+    except NonFinite:
+        return None
+    if not res.converged or not math.isfinite(res.value):
+        return None
+    return res.value, ((7.0 * weighted() + 3.0 * res.abs_sum) * 2.0 ** -53
+                       + res.trunc_err_est)
 
 
 # log of the largest float: a value whose log passes it passes float range
@@ -430,11 +437,11 @@ def _short_poly_exact(m: int, K: int, p: int, x: float) -> float:
 def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
     """Stability-aware dispatcher.
 
-    Every series it sums stops on a bound on its tail within 1e-17 of its
-    sum (of 1 plus its sum for the near-1 route), at most 100000 terms.
+    Every series it sums, by numcore.sum_series, stops on a bound on its
+    tail within 1e-17 of its sum, at most 100000 terms.
     Below _X_SWITCH = 1/2 the defining series is kept if _dd.certified finds
     its rounding bound, terms_used * sum|term| * 2**-53, within 1e-13.  A
-    short terminating polynomial (n a nonpositive integer >= -16) is then
+    short terminating polynomial (n a nonpositive integer >= -40) is then
     summed exactly and rounded once.  From _X_NEAR = 0.8 up, a non-integer
     s = p-m-n tries the connection formula about x = 1 (_near_one), kept by
     the same test on its BoundedSum bound; it raises NotConverged where its
@@ -465,7 +472,7 @@ def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
     # A nonpositive integer n makes the series a short polynomial; for small
     # degree its exact sum beats any closed form (no log, no x**(1-p)
     # prefactor), so only deeper polynomials go through the closed forms.
-    if n < 0.0 and float(n).is_integer() and -n <= 16:
+    if n < 0.0 and float(n).is_integer() and -n <= 40:
         return _short_poly_exact(m, -int(n), p, x)
     if x >= _X_NEAR:
         near = _near_one(m, n, p, x)

@@ -26,10 +26,8 @@ operator.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
 
 from ._dd import (
     BoundedSum, certified, context, dd_div, dd_from_ratio,
@@ -37,8 +35,7 @@ from ._dd import (
 )
 from .hypergeom import HypergeomParams, hyp2f1_eval
 from .numcore import (
-    DomainError, InvalidParams, NotConverged, SeriesResult, require_ints,
-    sum_series,
+    _weight_series, DomainError, InvalidParams, SeriesResult, require_ints,
 )
 from .polylog import _polylog_dd
 
@@ -119,51 +116,34 @@ def gmkz_apply(params: GmkzParams, f, x: float) -> SeriesResult:
 
 
 def _gmkz_series(params: GmkzParams, f, x: float) -> SeriesResult:
-    """The operator series summed term by term, stopped by a tail bound.
+    """The operator series, numcore._weight_series with w0 = (1-x)**N,
+    N = n + r, and g(k) = f at the node (k+b)/(n+k+a) in [0, 1).
 
-    The weights w_k = (1-x)**N C(N+k-1, k) x**k, N = n + r, step by
-    x (N+k)/(k+1), which falls with k; so once rho = x (N+k+1)/(k+2) < 1
-    everything after term k is at most F w_{k+1} / (1 - rho), F a bound on
-    |f| at the later nodes (k+b)/(n+k+a) in [0, 1).  sum_series stops once
-    that bound is at most 1e-17 times the partial sum, and returns it as
-    trunc_err_est.  F = 1 for a Monomial.  For any other f, F is the
-    largest |f| met so far: a bound only where |f| at the later nodes,
-    which tend to 1, stays below it; until some f is nonzero there is no
-    bound, so an f that is 0 at every node sums until the weights underflow
-    to 0.  Raises NotConverged at sum_series' term cap, or where (1-x)**N
-    leaves the normal float range.
+    Past term k the tail is at most F w_(k+1) / (1 - rho), F a bound on |f|
+    at the later nodes; sum_series stops once that is at most 1e-17 times
+    the partial sum, and returns it as trunc_err_est.  F = 1 for a
+    Monomial.  For any other f, F is the largest |f| met so far: a bound
+    only where |f| at the later nodes, which tend to 1, stays below it;
+    until some f is nonzero there is no bound, so an f that is 0 at every
+    node sums until the weights underflow to 0.  Raises NotConverged at
+    sum_series' term cap, or where (1-x)**N leaves the normal float range.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("operator series requires 0 <= x < 1")
     n, r, a, b = params.n, params.r, params.alpha, params.beta
-    N = n + r
-    monomial = isinstance(f, Monomial)
-    w = (1.0 - x) ** N
-    if w < sys.float_info.min:
-        raise NotConverged("operator weights underflow float range")
+    if isinstance(f, Monomial):
+        m = f.r
+        return _weight_series(n + r, x, (1.0 - x) ** (n + r),
+                              lambda k: ((k + b) / (n + k + a)) ** m, lambda k: 1.0)
+    largest = 0.0
 
-    w_k, bound = w, 1.0 if monomial else 0.0
+    def g(k):
+        nonlocal largest
+        fk = f((k + b) / (n + k + a))
+        largest = max(largest, abs(fk))
+        return fk
 
-    def terms():
-        nonlocal w_k, bound
-        for k in count():
-            fk = f((k + b) / (n + k + a))
-            if not monomial:
-                bound = max(bound, abs(fk))
-            term = w_k * fk
-            w_k *= (N + k) / (k + 1.0) * x  # w_(k+1), which tail reads
-            yield term
-
-    def tail(k, term):
-        rho = x * (N + k + 1) / (k + 2.0)
-        if w_k == 0.0:
-            return 0.0
-        return bound * w_k / (1.0 - rho) if rho < 1.0 and bound > 0.0 else math.inf
-
-    res = sum_series(terms(), tail)
-    if not res.converged:
-        raise NotConverged("operator series did not converge")
-    return res
+    return _weight_series(n + r, x, (1.0 - x) ** (n + r), g, lambda k: largest)
 
 
 def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):
@@ -304,10 +284,10 @@ def ln_moment_e2_direct(n: int, x: float) -> float:
 
     The Beta-integral moments of the basis weights reduce to
     k(k+1)/((n+k)(n+k+1)) at order 2, so the oracle sums
-    sum_{k>=1} C(n+k,k) x**k (1-x)**(n+1) * k(k+1)/((n+k)(n+k+1))
-    with no quadrature involved.  Its last factor is at most 1, so past term
-    k the weights' bound (1-x)**(n+1) w_(k+1) / (1 - rho),
-    rho = x (n+k+2)/(k+2), bounds the tail.
+    sum_k C(n+k,k) x**k (1-x)**(n+1) * k(k+1)/((n+k)(n+k+1))
+    with no quadrature involved: numcore._weight_series with N = n + 1,
+    whose bound G = 1 holds since the last factor is at most 1.  Raises
+    NotConverged where (1-x)**(n+1) leaves the normal float range.
     """
     require_ints(n=n)
     if n < 1:
@@ -316,24 +296,9 @@ def ln_moment_e2_direct(n: int, x: float) -> float:
         raise DomainError("moment requires 0 <= x < 1")
     if x == 0.0:
         return 0.0
-    pref = (1.0 - x) ** (n + 1)
-    w = (n + 1) * x  # C(n+k, k) x**k at k = 1
-
-    def terms():
-        nonlocal w
-        for k in count(1):
-            term = pref * w * (k * (k + 1.0)) / ((n + k) * (n + k + 1.0))
-            w *= (n + k + 1) / (k + 1.0) * x  # the weight of the next term
-            yield term
-
-    def tail(i, term):  # term i of the source is k = i + 1
-        rho = x * (n + i + 3) / (i + 3.0)
-        return pref * w / (1.0 - rho) if rho < 1.0 else math.inf
-
-    res = sum_series(terms(), tail)
-    if not res.converged:
-        raise NotConverged("moment series did not converge")
-    return res.value
+    return _weight_series(n + 1, x, (1.0 - x) ** (n + 1),
+                          lambda k: k * (k + 1.0) / ((n + k) * (n + k + 1.0)),
+                          lambda k: 1.0).value
 
 
 def gmkz_e1(params: GmkzParams, x: float) -> float:

@@ -1,6 +1,7 @@
 """Shared numerical kernel.
 
-Pochhammer symbols, generalized binomials and the series summation engine.
+Pochhammer symbols, generalized binomials, the series summation engine
+and the one weight series of the operators and kernels (_weight_series).
 Every series in the package is summed to one precision: it stops once a
 bound on its tail is within _dd._SERIES_REL_TOL (1e-17, float64 accuracy) of
 its partial sum, and is cut, not converged, after _MAX_TERMS terms.
@@ -12,8 +13,10 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Iterable
 
 from ._dd import _SERIES_REL_TOL
@@ -151,4 +154,39 @@ def sum_series(term_source: Iterable,
         bound = 0.0
     return SeriesResult(value=s, terms_used=terms_used, converged=converged,
                         trunc_err_est=bound, abs_sum=abs_sum)
+
+
+def _weight_series(N: int, x: float, w0: float, g: Callable[[int], float],
+                   G: Callable[[int], float]) -> SeriesResult:
+    """sum_k w_k g(k), w_k = w0 C(N+k-1, k) x**k, 0 <= x < 1, by sum_series.
+
+    The weights of the MKZ operators and of the f_{n,j} kernels.  They step
+    by w_(k+1) = w_k (N+k)/(k+1) x, whose factor falls with k; so once
+    rho = x (N+k+1)/(k+2) < 1, everything after term k is at most
+    G(k) w_(k+1) / (1 - rho), G(k) > 0 a bound on |g| past k (no bound
+    where G(k) <= 0), and 0 once the weights underflow to 0.  Raises
+    NotConverged where w0 is below the normal float range or at the term cap.
+    """
+    if w0 < sys.float_info.min:
+        raise NotConverged("series weights underflow float range")
+    w = w0
+
+    def terms():
+        nonlocal w
+        for k in count():
+            term = w * g(k)
+            w *= (N + k) / (k + 1.0) * x  # w_(k+1), which tail reads
+            yield term
+
+    def tail(k, term):
+        if w == 0.0:
+            return 0.0
+        rho = x * (N + k + 1) / (k + 2.0)
+        bound = G(k)
+        return bound * w / (1.0 - rho) if rho < 1.0 and bound > 0.0 else math.inf
+
+    res = sum_series(terms(), tail)
+    if not res.converged:
+        raise NotConverged("series did not converge")
+    return res
 

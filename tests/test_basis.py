@@ -165,7 +165,7 @@ def _combo_sweep(count, seed):
     full-precision series: n <= 20, 2 <= j <= 12, a fifth of the x
     log-uniform in [1e-8, 0.1], the rest uniform in [0.01, 0.99]."""
     rng = random.Random(seed)
-    typed, worst = 0, (0.0, None)
+    typed, worst = 0, (0.0, ())
     for _ in range(count):
         n, j = rng.randint(1, 20), rng.randint(2, 12)
         if rng.random() < 0.2:

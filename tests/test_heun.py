@@ -95,6 +95,19 @@ def test_non_terminating_members_report_none(mnp):
     assert heun_termination(HeunFamilyParams(*mnp)) is None
 
 
+def test_termination_is_exact():
+    # n misses m+n = 3-2r (r = 1) by 9e-13: c_1 = 2.25e-13 is not 0, so the
+    # expansion does not terminate and claims no convergence
+    fp = HeunFamilyParams(2, -1 + 9e-13, 4)
+    assert heun_termination(fp) is None
+    assert heun_coeff(fp, 1) != 0.0
+    res = heun_eval(fp, 0.3, 6)
+    assert not res.converged
+    assert res.trunc_err_est == math.inf
+    with pytest.raises(DomainError):
+        heun_normalization(fp)
+
+
 @pytest.mark.parametrize("mnp,r", sorted(TERMINATING.items()))
 def test_terminating_coefficients_vanish_beyond_the_index(mnp, r):
     # the index counts the surviving terms: c_0 .. c_{r-1} are nonzero

@@ -218,12 +218,16 @@ def test_eval_sums_short_polynomials_exactly():
     got = hyp2f1_eval(HypergeomParams(3, -4.0, 6), 0.55)
     assert math.isclose(got, mp_ref(3, -4, 6, 0.55), rel_tol=1e-15)
     # the float64 series was off by 3.8e-9, 5.9e-10, 1.1e-12 and, below
-    # _X_SWITCH where its rounding bound turns it away, 2.0e-12
+    # _X_SWITCH where its rounding bound turns it away, 2.0e-12; at the last
+    # three, degrees 31 to 39, by 1.3e-12, 9.0e-12 and 7.9e-11
     for m, n, p, x, want in [
         (6, -16.0, 7, 0.8805719072144087, "2.874726557960010705047293e-5"),
         (4, -15.0, 5, 0.9966777000129244, "2.614551894779879077606124e-4"),
         (6, -15.0, 14, 0.9953351182457846, "4.642742523925244500893505e-3"),
         (6, -15.0, 7, 0.47610766497553914, "1.546217083137754185634574e-3"),
+        (10, -31.0, 26, 0.4648299101804634, "6.656213790417873449824448e-3"),
+        (9, -39.0, 42, 0.7577345517911536, "5.394663248502387062421683e-3"),
+        (10, -36.0, 30, 0.629108971972999, "1.707099155822366068156425e-3"),
     ]:
         got = hyp2f1_eval(HypergeomParams(m, n, p), x)
         with mp.workdps(30):
@@ -498,6 +502,20 @@ def test_near_one_route_raises_where_the_value_passes_float_range():
     assert rel_err(got, mp_ref(1, 45.5, 12, x, 50)) <= 1e-14
 
 
+def test_near_one_route_declines_where_a_tail_term_passes_float_range():
+    # at (1, 0.5; 5000; 0.8) the terms of the second 1-x series, with
+    # p-m = 4999, pass float range, so the route declines; the series
+    # fallback answers within 1e-16
+    x = 0.8
+    z = 1.0 - x
+    assert hypergeom._near_one_tail(1, 0.5, 0, -4998, z) is not None
+    assert hypergeom._near_one_tail(4999, -0.5, 5000, 5000, z) is None
+    assert hypergeom._near_one(1, 0.5, 5000, x) is None
+    got = hyp2f1_eval(HypergeomParams(1, 0.5, 5000), x)
+    assert got == 1.0000800192038404
+    assert rel_err(got, mp_ref(1, 0.5, 5000, x, 50)) <= 1e-16
+
+
 @pytest.mark.parametrize("m,n,p", [
     (1, 0.5, 2), (5, 13.5, 13), (4, 37.5, 32), (10, -39.25, 70),
     (3, 19.04119012493857, 60),
@@ -759,10 +777,10 @@ def _dispatcher_sweep(count, seed):
 def test_eval_dispatcher_sweep():
     # the typed errors are pinned: 5 values lie beyond float range, and the
     # other 5 have an integer n (so an integer s, which the near-1 route does
-    # not take) within 3e-6 of x = 1.  The misses left, 1.3e-12 to 7.9e-11,
-    # all have m >= 8 and n <= -29.5, where the closed form's bound is
-    # rejected and the fallback series cancels in float64 with no rounding
-    # check
+    # not take) within 3e-6 of x = 1.  The misses left, 2.2e-12 to 4.8e-11,
+    # all have m >= 8, n <= -29.5 and n not an integer (an integer n down
+    # to -40 is summed exactly), where the closed form's bound is rejected
+    # and the fallback series cancels in float64 with no rounding check
     typed, off = _dispatcher_sweep(12000, 1712)
     assert typed == 10
-    assert len(off) <= 9, off
+    assert len(off) <= 6, off

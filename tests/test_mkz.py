@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -163,6 +164,31 @@ def test_abel_route_edges():
         gmkz_moment_abel(2, 1, 0.0, -1, 0.4)
     with pytest.raises(DomainError):
         gmkz_moment_abel(2, 1, 0.0, 1, 0.0)
+
+
+_MOMENT_X = "moment requires 0 <= x < 1"
+_SERIES_X = "operator series requires 0 <= x < 1"
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: mkz_moment_e2(0, 0.5), InvalidParams, "n must be >= 1"),
+    (lambda: mkz_moment_e2(3, 1.0), DomainError, _MOMENT_X),
+    (lambda: mkz_moment_e2(3, -0.1), DomainError, _MOMENT_X),
+    (lambda: ln_moment_e2(0, 0.5), InvalidParams, "n must be >= 1"),
+    (lambda: ln_moment_e2(3, 1.0), DomainError, _MOMENT_X),
+    (lambda: ln_moment_e2_direct(0, 0.5), InvalidParams, "n must be >= 1"),
+    (lambda: ln_moment_e2_direct(3, 1.0), DomainError, _MOMENT_X),
+    (lambda: gmkz_e1(GmkzParams(2, 3, 2.0, 1.0), 1.0), DomainError, _MOMENT_X),
+    (lambda: gmkz_moment_abel(0, 1, 0.0, 2, 0.5), InvalidParams, "n must be >= 1"),
+    (lambda: gmkz_moment_abel(2, -1, 0.0, 2, 0.5), InvalidParams, "alpha must be >= 0"),
+    (lambda: gmkz_apply(classical(3), Monomial(2), 1.0), DomainError, _SERIES_X),
+    (lambda: gmkz_apply(classical(3), Monomial(2), -0.5), DomainError, _SERIES_X),
+    (lambda: _gmkz_series(classical(3), Monomial(2), 1.0), DomainError, _SERIES_X),
+], ids=["e2-n", "e2-x1", "e2-xneg", "ln-n", "ln-x", "ln-direct-n", "ln-direct-x",
+        "e1-x", "abel-n", "abel-alpha", "apply-x1", "apply-xneg", "series-x"])
+def test_moment_argument_checks(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 @pytest.mark.parametrize("n,r,x,want", [
