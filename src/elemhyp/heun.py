@@ -84,9 +84,8 @@ def heun_params_from(fp: HeunFamilyParams) -> HeunSpec:
 
 def _coeffs(fp: HeunFamilyParams):
     """c_0 = 1, c_1, ..., each the last times the ratio
-    ((m+n-1)/2+k) ((p-m)/2+k) ((p-n)/2+k) / ((k+1) (p/2+k) ((p+1)/2+k));
-    it stops before the first zero, since every later coefficient is zero
-    too."""
+    ((m+n-1)/2+k) ((p-m)/2+k) ((p-n)/2+k) / ((k+1) (p/2+k) ((p+1)/2+k)),
+    up to the last nonzero one: every later coefficient is zero too."""
     m, n, p = fp.m, fp.n, fp.p
     c = 1.0
     for k in count():

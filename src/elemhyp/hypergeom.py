@@ -132,24 +132,25 @@ def _terms(a: float, b: float, ib: int, c: float, ic: int, z: float, start: int)
             yield t
             t = nxt
 
-    def weighed():  # apart from terms, so that start 0 costs nothing per term
-        nonlocal weighted
-        for k, t in enumerate(islice(terms(), start, None), start):
-            weighted += k * abs(t)
-            yield t
-
     def tail(i, t):
         if nxt == 0.0:
             return 0.0
         k = i + start
         c1 = c + (ic + k + 1)
-        if c1 <= 0:
-            return math.inf
         rho = abs(z) * max(1.0, abs((a + k + 1) / (k + 2))) \
-            * max(1.0, abs((b + (ib + k + 1)) / c1))
+            * max(1.0, abs((b + (ib + k + 1)) / c1)) if c1 > 0 else math.inf
         return abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
 
-    return weighed() if start else terms(), tail, lambda: weighted
+    if not start:  # the defining series: no weighing, a cost on every call
+        return terms(), tail, None
+
+    def weighed():
+        nonlocal weighted
+        for k, t in enumerate(islice(terms(), start, None), start):
+            weighted += k * abs(t)
+            yield t
+
+    return weighed(), tail, lambda: weighted
 
 
 def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum:
