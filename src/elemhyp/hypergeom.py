@@ -141,7 +141,7 @@ def _terms(a: float, b: float, ib: int, c: float, ic: int, z: float, start: int)
             * max(1.0, abs((b + (ib + k + 1)) / c1)) if c1 > 0 else math.inf
         return abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
 
-    if not start:  # the defining series: no weighing, a cost on every call
+    if not start:  # the defining series skips the weighing and its per-call cost
         return terms(), tail, None
 
     def weighed():
