@@ -105,15 +105,13 @@ def hyp2f1_series(a: float, b: float, c: float, x: float) -> SeriesResult:
         raise DomainError("series requires |x| < 1")
     if c <= 0 and float(c).is_integer():
         raise DomainError("lower parameter must not be zero or a negative integer")
-    terms, tail, _ = _terms(a, b, 0, c, 0, x, 0)
+    terms, tail = _terms(a, b, 0, c, 0, x)
     return sum_series(terms, tail)
 
 
-def _terms(a: float, b: float, ib: int, c: float, ic: int, z: float, start: int):
-    """sum_series' term source and tail bound for the terms k >= start,
-    start 0 or 1, of the series with t_0 = 1 and term ratios
-    (a+j)(b+(ib+j)) / ((c+(ic+j))(j+1)) z.  From start 1 the source also
-    adds up sum k |t_k|, which the third value returned reads.
+def _terms(a: float, b: float, ib: int, c: float, ic: int, z: float):
+    """sum_series' term source and tail bound for the series with t_0 = 1
+    and term ratios (a+j)(b+(ib+j)) / ((c+(ic+j))(j+1)) z.
 
     The source forms t_(k+1) before it yields t_k, and the tail reads it.
     Past term k, while c1 = c+(ic+k+1) > 0, the factors |(a+i)/(i+1)| and
@@ -122,7 +120,7 @@ def _terms(a: float, b: float, ib: int, c: float, ic: int, z: float, start: int)
     bounds every one of them and |t_(k+1)| / (1 - rho) the tail: math.inf
     while c1 <= 0 or rho >= 1, 0 once the terms are exact zeros.
     """
-    nxt = weighted = 0.0
+    nxt = 0.0
 
     def terms():
         nonlocal nxt
@@ -132,25 +130,15 @@ def _terms(a: float, b: float, ib: int, c: float, ic: int, z: float, start: int)
             yield t
             t = nxt
 
-    def tail(i, t):
+    def tail(k, t):
         if nxt == 0.0:
             return 0.0
-        k = i + start
         c1 = c + (ic + k + 1)
         rho = abs(z) * max(1.0, abs((a + k + 1) / (k + 2))) \
             * max(1.0, abs((b + (ib + k + 1)) / c1)) if c1 > 0 else math.inf
         return abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
 
-    if not start:  # the defining series skips the weighing and its per-call cost
-        return terms(), tail, None
-
-    def weighed():
-        nonlocal weighted
-        for k, t in enumerate(islice(terms(), start, None), start):
-            weighted += k * abs(t)
-            yield t
-
-    return weighed(), tail, lambda: weighted
+    return terms(), tail
 
 
 def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum:
@@ -342,14 +330,22 @@ def _near_one_tail(a: int, nb: float, ib: int, ic: int, z: float):
     bound on its error and tail), or None where a term or the sum leaves
     float range or the terms run to numcore's cap.
     """
-    terms, tail, weighted = _terms(a, nb, ib, nb, ic, z, 1)
+    terms, tail = _terms(a, nb, ib, nb, ic, z)
+    weighted = 0.0
+
+    def weighed():  # t_1, t_2, ..., adding up sum k |t_k|
+        nonlocal weighted
+        for k, t in enumerate(islice(terms, 1, None), 1):
+            weighted += k * abs(t)
+            yield t
+
     try:
-        res = sum_series(terms, tail)
+        res = sum_series(weighed(), lambda i, t: tail(i + 1, t))
     except NonFinite:
         return None
     if not res.converged or not math.isfinite(res.value):
         return None
-    return res.value, ((7.0 * weighted() + 3.0 * res.abs_sum) * 2.0 ** -53
+    return res.value, ((7.0 * weighted + 3.0 * res.abs_sum) * 2.0 ** -53
                        + res.trunc_err_est)
 
 

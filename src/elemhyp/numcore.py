@@ -163,8 +163,8 @@ def _weight_series(N: int, x: float, w0: float, g: Callable[[int], float],
     The weights of the MKZ operators and of the f_{n,j} kernels.  They step
     by w_(k+1) = w_k (N+k)/(k+1) x, whose factor falls with k; so once
     rho = x (N+k+1)/(k+2) < 1, everything after term k is at most
-    G(k) w_(k+1) / (1 - rho), G(k) > 0 a bound on |g| past k (no bound
-    where G(k) <= 0), and 0 once the weights underflow to 0.  Raises
+    G(k) w_(k+1) / (1 - rho), G(k) a bound on |g| past k (math.inf where
+    none is known), and 0 once the weights underflow to 0.  Raises
     NotConverged where w0 is below the normal float range or at the term cap.
     """
     if w0 < sys.float_info.min:
@@ -182,8 +182,7 @@ def _weight_series(N: int, x: float, w0: float, g: Callable[[int], float],
         if w == 0.0:
             return 0.0
         rho = x * (N + k + 1) / (k + 2.0)
-        bound = G(k)
-        return bound * w / (1.0 - rho) if rho < 1.0 and bound > 0.0 else math.inf
+        return G(k) * w / (1.0 - rho) if rho < 1.0 else math.inf
 
     res = sum_series(terms(), tail)
     if not res.converged:

@@ -230,6 +230,19 @@ def test_series_low_orders_have_closed_forms():
     assert math.isclose(got, fnj_base(3, 1)(x), rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("n,j,x,want,terms", [
+    (2, 200, 0.99, 2.0 ** -200, 198),  # the terms past k = 0 add ~1e-35 of it
+    (10, 400, 0.5, 0.0, 10),  # 10**-400 is 0 in float
+])
+def test_series_stops_where_the_kernel_underflows(n, j, x, want, terms):
+    # (n+k)**-j underflows to 0 (from k = 39 at n = 2, j = 200), which
+    # bounds the later terms by 0; the sum stops once the weights' ratio
+    # x (n+k+2)/(k+2) falls below 1
+    res = fnj_series(n, j, x)
+    assert res.converged and res.trunc_err_est == 0.0
+    assert res.value == want and res.terms_used == terms
+
+
 def test_json_document_shape():
     doc = combo_json_dict(fnj_combo(2, 3))
     assert doc == {
