@@ -167,16 +167,23 @@ def fnj_combo(n: int, j: int) -> SymbolicCombo:
     """Exact combo for f_{n,j}, n >= 2, j >= 2 (n = 1 degenerates gracefully).
 
     Built once per (n, j) and memoized; moments walk all j up to their order.
+    The orders are built upward in a loop, each once, so no call recurses.
     """
     require_ints(n=n, j=j)
     if n < 1:
         raise InvalidParams("n must be >= 1")
     if j < 2:
         raise InvalidParams("j must be >= 2")
-    if j == 2:
-        return SymbolicCombo(n=n, j=2, terms=_seed(n))
-    prev = fnj_combo(n, j - 1)
-    return SymbolicCombo(n=n, j=j, terms=_apply_t(prev.terms))
+    for i in range(2, j + 1):
+        combo = _combo_step(n, i)
+    return combo
+
+
+@lru_cache(maxsize=None)
+def _combo_step(n: int, j: int) -> SymbolicCombo:
+    """f_{n,j}'s combo: the seed at j = 2, else T of the memoized order j - 1."""
+    terms = _seed(n) if j == 2 else _apply_t(_combo_step(n, j - 1).terms)
+    return SymbolicCombo(n=n, j=j, terms=terms)
 
 
 def combo_eval(c: SymbolicCombo, x: float) -> float:

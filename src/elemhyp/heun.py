@@ -112,11 +112,15 @@ def heun_termination(fp: HeunFamilyParams):
     """Smallest r >= 1 with c_k = 0 for all k >= r, or None.
 
     The two vanishing conditions are m+n = 3-2r and n-p = 2r-2, taken
-    exactly: an n that misses them by any amount does not terminate.
+    exactly: an n that misses them by any amount does not terminate.  Both
+    need an integer n, so they are checked in integers, where a float sum
+    such as 2 + 2**52 - 0.5 would round to one.
     """
-    candidates = [int(raw) for raw in ((3.0 - fp.m - fp.n) / 2.0, (fp.n - fp.p + 2.0) / 2.0)
-                  if raw >= 1 and raw.is_integer()]
-    return min(candidates, default=None)
+    if not float(fp.n).is_integer():
+        return None
+    n = int(fp.n)
+    return min((twice // 2 for twice in (3 - fp.m - n, n - fp.p + 2)
+                if twice >= 2 and twice % 2 == 0), default=None)
 
 
 def heun_eval(fp: HeunFamilyParams, x: float, K: int) -> SeriesResult:

@@ -113,24 +113,21 @@ def _terms(a: float, b: float, ib: int, c: float, ic: int, z: float):
     """sum_series' term source and tail bound for the series with t_0 = 1
     and term ratios (a+j)(b+(ib+j)) / ((c+(ic+j))(j+1)) z.
 
-    The source forms t_(k+1) before it yields t_k, and the tail reads it.
+    The tail forms t_(k+1) from t_k with the source's float operations.
     Past term k, while c1 = c+(ic+k+1) > 0, the factors |(a+i)/(i+1)| and
     |(b+(ib+i))/(c+(ic+i))| of the later term ratios are monotone in i and
     tend to 1, so rho = |z| max(1, |(a+k+1)/(k+2)|) max(1, |(b+(ib+k+1))/c1|)
     bounds every one of them and |t_(k+1)| / (1 - rho) the tail: math.inf
     while c1 <= 0 or rho >= 1, 0 once the terms are exact zeros.
     """
-    nxt = 0.0
-
     def terms():
-        nonlocal nxt
         t = 1.0
         for j in count():
-            nxt = t * ((a + j) * (b + (ib + j)) / ((c + (ic + j)) * (j + 1)) * z)
             yield t
-            t = nxt
+            t *= (a + j) * (b + (ib + j)) / ((c + (ic + j)) * (j + 1)) * z
 
     def tail(k, t):
+        nxt = t * ((a + k) * (b + (ib + k)) / ((c + (ic + k)) * (k + 1)) * z)
         if nxt == 0.0:
             return 0.0
         c1 = c + (ic + k + 1)

@@ -46,10 +46,12 @@ from .polylog import _polylog_dd
 # with them cached): the two cold costs cross at about 0.9.
 _APPLY_CLOSED_FROM = 0.9
 
-# The closed form's coefficients take ~N**2 + c*(m+1) Python-int steps
-# (~0.15 s cold at N = c = 310); past this many it is not tried.  The
-# series cannot stand in there: its weights (1-x)**N underflow from
-# N = 310 at x = 0.9.
+# The closed form is tried only where N**2 + c*(m+1), the step count of an
+# earlier coefficient build, is at most this (N <= 313 at c = N-1, m = 4).
+# _closed_coefficients takes (N+m) m steps: cold, 4-5 ms at (N, c, m) =
+# (300, 299, 4), 65-90 ms at N = 1000; a closed moment at N = 310 takes
+# 7-10 ms.  The series cannot stand in past the gate: its weights
+# (1-x)**N underflow from N = 310 at x = 0.9.
 _CLOSED_MAX_STEPS = 100000
 
 
@@ -99,8 +101,9 @@ def gmkz_apply(params: GmkzParams, f, x: float) -> SeriesResult:
     that terms_used * abs_sum * 2**-53, a series result's rounding bound, is
     the closed form's running bound.  It is kept where _dd.certified accepts
     that bound and every coefficient is within float range, and is tried only
-    where its coefficients take at most _CLOSED_MAX_STEPS steps
-    (~N**2 + c*(m+1)).  Every other case is summed by _gmkz_series.
+    where N**2 + c*(m+1) <= _CLOSED_MAX_STEPS; its exact coefficients take
+    (N+m) m integer steps, ~7-10 ms cold with the rest of the form at the
+    gate's N = 310, m = 4.  Every other case is summed by _gmkz_series.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("operator series requires 0 <= x < 1")
@@ -153,11 +156,12 @@ def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):
 
     With u = k + c, C(N+k-1,k) (k+beta)**m / (k+c)**m is the Laurent
     polynomial Q(u) = prod_{t=1}^{N-1} (u-c+t) (u+beta-c)**m / (u**m (N-1)!),
-    with exact rational coefficients (_closed_coefficients).  Its polynomial
-    part sums in Bernstein form, (1-x)**N sum_k x**k p(k) =
-    sum_i Delta**i p(0) x**i (1-x)**(N-1-i) (Newton's forward differences of
-    p(k) = Q_+(k+c) and sum_k C(k,i) x**k = x**i / (1-x)**(i+1)), with no
-    division by 1-x.  Its part in u**(-s), s = 1..m, sums to
+    with exact rational coefficients (_closed_coefficients, (N+m) m integer
+    steps).  Its polynomial part sums in Bernstein form,
+    (1-x)**N sum_k x**k p(k) = sum_i Delta**i p(0) x**i (1-x)**(N-1-i)
+    (p(k) = Q_+(k+c) = sum_i Delta**i p(0) C(k, i) and
+    sum_k C(k,i) x**k = x**i / (1-x)**(i+1)), with no division by 1-x.
+    Its part in u**(-s), s = 1..m, sums to
     x**(-c) (Li_s(x) - sum_{u<c} x**u / u**s): Li_1 = -log(1-x) from the
     per-x _dd.context(x), Li_s from _polylog_dd.  Everything is assembled
     in a _dd.BoundedSum, whose bound counts table depth and Li_s, and
@@ -196,43 +200,35 @@ def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):
 def _closed_coefficients(N: int, c: int, m: int, beta: float):
     """The coefficients of _gmkz_closed, exact rationals each rounded once.
 
-    beta - c = dn / bd exactly (bd a power of two), and D = bd**m (N-1)!.
-    A[e+m] = D a_e, e = -m..N-1, are the integer Laurent coefficients of
-    prod_{t=1}^{N-1} (u-c+t) * (bd u + dn)**m.  Returns, each over D:
-    the Bernstein coefficients Delta**i p(0), i = 0..N-1, of
-    p(k) = sum_{e>=0} A[e+m] (k+c)**e; a_{-s}, s = 1..m; and the cut-off
+    beta = bn / bd exactly (bd a power of two), and D = bd**m (N-1)!.  In the
+    basis C(k, i), (N-1)! C(N+k-1, k) = (N-1)! sum_i C(N-1, i) C(k, i) is
+    multiplied m times by bd k + bn, then divided m times by k + c, reading
+    (k+c) C(k, i) = (i+1) C(k, i+1) + (i+c) C(k, i) from the top: each
+    remainder is the next D a_{-s}, s = m down to 1, and the quotient's
+    coefficients are D Delta**i p(0).  (N+m) m exact integer steps.  Returns,
+    each over D: Delta**i p(0), i = 0..N-1; a_{-s}, s = 1..m; and the cut-off
     weights sum_s a_{-s} / u**s, u = 1..c-1 (none for m = 0).  Raises
     OverflowError where a coefficient passes float range.
     """
-    poly = [1]
-    for t in range(1, N):
-        poly = [up + (t - c) * same for up, same in zip([0] + poly, poly + [0])]
     bn, bd = float(beta).as_integer_ratio()
-    dn = bn - c * bd
-    binom = [math.comb(m, l) * dn ** (m - l) * bd ** l for l in range(m + 1)]
-    A = [0] * (N + m)
-    for i, p in enumerate(poly):
-        for l, q in enumerate(binom):
-            A[i + l] += p * q
-    den = bd ** m * math.factorial(N - 1)
-    values = [_horner(A[m:], c + k) for k in range(N)]
-    bern = []
-    for _ in range(N):
-        bern.append(dd_from_ratio(values[0], den))
-        values = [v1 - v0 for v0, v1 in zip(values, values[1:])]
-    neg = [dd_from_ratio(A[m - s], den) for s in range(1, m + 1)]
-    # sum_s A[m-s] / u**s = sum_{j<m} A[j] u**j / u**m
-    head = [dd_from_ratio(_horner(A[:m], u), den * u ** m)
-            for u in range(1, c)] if m else []
-    return tuple(bern), tuple(neg), tuple(head)
-
-
-def _horner(coefs: list, u: int) -> int:
-    """sum_j coefs[j] u**j in integers."""
-    v = 0
-    for a in reversed(coefs):
-        v = v * u + a
-    return v
+    f = math.factorial(N - 1)
+    b = [f * math.comb(N - 1, i) for i in range(N)]
+    for _ in range(m):  # times bd k + bn
+        b = [bd * i * lo + (bd * i + bn) * hi
+             for i, (lo, hi) in enumerate(zip([0] + b, b + [0]))]
+    rem = []
+    for _ in range(m):  # divided by k + c: quotient in b[1:], remainder
+        q = 0
+        for i in range(len(b) - 1, 0, -1):
+            q = b[i] = (b[i] - (i + c) * q) // i
+        rem.append(b.pop(0) - c * q)
+    den = bd ** m * f
+    bern = tuple(dd_from_ratio(v, den) for v in b)
+    neg = tuple(dd_from_ratio(a, den) for a in reversed(rem))
+    # rem[j] = D a_{j-m}: sum_s a_{-s} / u**s = sum_{j<m} rem[j] u**j / u**m
+    head = tuple(dd_from_ratio(sum(a * u ** j for j, a in enumerate(rem)),
+                               den * u ** m) for u in range(1, c)) if m else ()
+    return bern, neg, head
 
 
 def mkz_moment_e2(n: int, x: float) -> float:

@@ -15,10 +15,12 @@ Crandall, "Note on fast polylogarithm computation", 2006),
                   + mu**(k-1) / (k-1)! * (H_{k-1} - log(-mu)),   |mu| < 2 pi,
 
 whose terms fall like (|mu| / 2 pi)**j, so a few dozen terms suffice however
-close x is to 1.  The zeta values come from exact rationals rounded once to
-double-double: zeta(-n) = (-1)**n B_{n+1} / (n+1) from Bernoulli numbers,
-and zeta(s), s >= 2, from Borwein's alternating-series algorithm.  Both are
-filled lazily, up to the orders the series reaches.
+close x is to 1.  It runs to j >= k, so from k = 168 on the power series,
+whose second term x**2 / 2**k is already negligible, takes every x.  The
+zeta values come from exact rationals rounded once to double-double:
+zeta(-n) = (-1)**n B_{n+1} / (n+1) from Bernoulli numbers, and zeta(s),
+s >= 2, from Borwein's alternating-series algorithm.  Both are filled
+lazily, up to the orders the series reaches.
 
 The parts that depend on x alone (mu = log x, log(-mu), and the tables of
 x**j and mu**j, grown one dd_mul at a time) come from _dd.context(x), the
@@ -126,20 +128,30 @@ def _polylog_dd(k: int, x: float) -> DD:
 
     Below _LOG_SERIES_FROM: the power series x**j / j**k.  From there on:
     the series in mu = log x with the double-double zeta table (see the
-    module docstring).  Either meets about 1e-31 relative.
+    module docstring), for k <= 167: from k = 168 its j = k-1 term divides
+    by (k-1)!, past Dekker's split, while the power series stops after its
+    second term x**2 / 2**k < 1e-50 x at any x.  Either meets about 1e-31
+    relative.
     """
-    if x >= _LOG_SERIES_FROM:
+    if x >= _LOG_SERIES_FROM and k < 168:
         return _polylog_log_series(k, x)
     return _polylog_power_series(k, x)
 
 
 def _polylog_power_series(k: int, x: float) -> DD:
-    """Li_k(x) from sum x**j / j**k; below _LOG_SERIES_FROM, ~150 terms or fewer."""
+    """Li_k(x) from sum x**j / j**k; below _LOG_SERIES_FROM, ~150 terms or fewer.
+
+    A j**k past 2**996, which Dekker's split cannot take, ends the sum: that
+    term and every later one is below 2**-996 x, far under the stop rule.
+    """
     ctx = context(x)
     total = dd(0.0)
     j = 1
     while True:
-        term = dd_div(ctx.xpows(j)[j], dd_from_int(j ** k))
+        d = j ** k
+        if d > 2 ** 996:
+            return total
+        term = dd_div(ctx.xpows(j)[j], dd_from_int(d))
         total = dd_add(total, term)
         if abs(term[0]) <= 1e-33 * abs(total[0]):
             return total

@@ -93,6 +93,14 @@ def test_combo_recurrence_step():
     assert c.terms == {LOG_TERM: Fraction(-1, 2), poly(2): Fraction(-1, 2)}
 
 
+def test_combo_at_a_high_order():
+    # past j = n+1 the combo is n polylogs with fixed coefficients; the
+    # orders are built in a loop, where each once took one stack frame
+    assert fnj_combo(3, 1100).terms == {poly(1097): Fraction(1, 6),
+                                        poly(1098): Fraction(-1, 2),
+                                        poly(1099): Fraction(1, 3)}
+
+
 def test_combo_validation():
     with pytest.raises(InvalidParams):
         fnj_combo(2, 1)

@@ -256,6 +256,12 @@ def test_fnj_symbolic_document():
                         '"num": "1", "den": "2"}]}\n')
 
 
+def test_fnj_symbolic_document_at_a_high_order():
+    r = run("fnj", "--n", "3", "--j", "1100", "--emit-symbolic")
+    assert r.returncode == 0
+    assert [t["k"] for t in json.loads(r.stdout)["terms"]] == [1097, 1098, 1099]
+
+
 def test_fnj_numeric_route():
     r = run("fnj", "--n", "2", "--j", "2", "--x", "0.5")
     assert r.returncode == 0

@@ -106,6 +106,11 @@ def test_termination_is_exact():
     assert res.trunc_err_est == math.inf
     with pytest.raises(DomainError):
         heun_normalization(fp)
+    # 2 + 2**52 - 0.5 rounds to the even 2**52 + 2 in float, but n is not an
+    # integer, so no factor (m+n-1)/2 + k is ever zero: c_1 = -1.7e30
+    fp = HeunFamilyParams(1, -(2**52 - 0.5), 3)
+    assert heun_termination(fp) is None
+    assert heun_coeff(fp, 1) < -1e30
 
 
 @pytest.mark.parametrize("mnp,r", sorted(TERMINATING.items()))

@@ -4,6 +4,7 @@ import functools
 import math
 import random
 import re
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -14,6 +15,7 @@ from elemhyp import (
     gmkz_apply, gmkz_e1, gmkz_moment_abel, ln_moment_e2, ln_moment_e2_direct,
     mkz_moment, mkz_moment_e2,
 )
+from elemhyp import _dd
 import elemhyp.mkz as mkz
 import elemhyp.verify as verify
 from elemhyp.mkz import _gmkz_series
@@ -200,6 +202,14 @@ def test_moment_argument_checks(call, error, message):
 ])
 def test_higher_moments_next_to_one(n, r, x, want):
     assert math.isclose(mkz_moment(n, r, x), want, rel_tol=1e-12)
+
+
+def test_higher_moment_past_the_log_series_orders():
+    # the closed form asks for Li_s(0.95), s = 1..172; from s = 168 the log
+    # series' (s-1)! passed Dekker's split and the sum never stopped
+    got = mkz_moment(5, 172, 0.95)
+    want = _gmkz_series(classical(5), Monomial(172), 0.95).value
+    assert abs(got - want) <= 1e-12 * want
 
 
 # Drawn once with random.Random(20261018): n in 1..10, alpha in 0..3,
@@ -467,6 +477,75 @@ def test_apply_closed_rounding_bound_is_a_bound():
         if err > bound + math.ulp(res.value) / 2:
             misses.append((N, c, beta, m, x, float(err), bound))
     assert kept >= 45 and misses == []
+
+
+def _coefficients_by_differences(N, c, m, beta):
+    """Reference for _closed_coefficients by another route: the integer
+    Laurent coefficients of prod_{t<N} (u-c+t) (bd u + dn)**m in powers of
+    u = k + c, the polynomial part evaluated at k = 0..N-1 by Horner and
+    forward-differenced, the cut-off weights by Horner on the u**(-s) part."""
+    def horner(coefs, u):
+        v = 0
+        for a in reversed(coefs):
+            v = v * u + a
+        return v
+
+    poly = [1]
+    for t in range(1, N):
+        poly = [up + (t - c) * same for up, same in zip([0] + poly, poly + [0])]
+    bn, bd = float(beta).as_integer_ratio()
+    dn = bn - c * bd
+    binom = [math.comb(m, l) * dn ** (m - l) * bd ** l for l in range(m + 1)]
+    A = [0] * (N + m)
+    for i, p in enumerate(poly):
+        for l, q in enumerate(binom):
+            A[i + l] += p * q
+    den = bd ** m * math.factorial(N - 1)
+    values = [horner(A[m:], c + k) for k in range(N)]
+    bern = []
+    for _ in range(N):
+        bern.append(_dd.dd_from_ratio(values[0], den))
+        values = [v1 - v0 for v0, v1 in zip(values, values[1:])]
+    neg = [_dd.dd_from_ratio(A[m - s], den) for s in range(1, m + 1)]
+    head = [_dd.dd_from_ratio(horner(A[:m], u), den * u ** m)
+            for u in range(1, c)] if m else []
+    return tuple(bern), tuple(neg), tuple(head)
+
+
+def test_closed_coefficients_match_the_differenced_laurent_form():
+    # the binomial-basis recurrence gives the same exact rationals, each
+    # rounded once, as the Laurent-Horner-difference construction
+    rng = random.Random(2025)
+    grid = [(1, 1, 0, 0.0), (1, 1, 3, 0.5), (1, 7, 2, 2.0), (2, 5, 0, 1.25),
+            (3, 9, 4, 0.1), (5, 1, 6, 3.0), (40, 3, 5, 2.5), (60, 61, 12, 0.7),
+            (1, 1, 2, 1e200), (3, 2, 2, 1e160)]  # the last two pass float range
+    for _ in range(300):
+        N, c = rng.choice((1, rng.randint(1, 30))), rng.randint(1, 40)
+        m = rng.randint(0, 10)
+        beta = rng.choice((0.0, float(rng.randint(0, 12)), rng.randint(0, 96) / 16,
+                           rng.uniform(0, 12)))
+        grid.append((N, c, m, beta))
+    assert any(c > N for N, c, _, _ in grid)
+    overflows = 0
+    for args in grid:
+        try:
+            want = _coefficients_by_differences(*args)
+        except OverflowError:
+            overflows += 1
+            with pytest.raises(OverflowError):
+                mkz._closed_coefficients.__wrapped__(*args)
+            continue
+        assert mkz._closed_coefficients.__wrapped__(*args) == want, args
+    assert overflows >= 2
+
+
+def test_closed_coefficients_at_large_n():
+    # (N+m) m exact integer steps: a cold build at N = 1000 takes well under
+    # a second (~0.06 s; the differenced Laurent form takes ~1 s)
+    start = time.perf_counter()
+    bern, neg, head = mkz._closed_coefficients.__wrapped__(1000, 999, 4, 0.0)
+    assert time.perf_counter() - start < 0.5
+    assert (len(bern), len(neg), len(head)) == (1000, 4, 998)
 
 
 def test_apply_route_guard(monkeypatch):

@@ -70,6 +70,30 @@ def test_polylog_at_one_is_zeta_to_an_ulp(k):
     assert abs(polylog(k, 1.0) - want) <= math.ulp(want)
 
 
+@pytest.mark.parametrize("k", [168, 171, 172, 996, 997, 1100])
+@pytest.mark.parametrize("x", [0.5, 0.7, 0.95, 1.0 - 1e-9, -0.5])
+def test_polylog_at_large_orders(k, x):
+    # Li_k(x) ~ x here.  The log series' (k-1)! passes Dekker's split from
+    # k = 168 and the power series' 2**k from k = 997: the sum hung, or
+    # raised a bare OverflowError from k = 172 and at k = 997
+    start = time.perf_counter()
+    got = polylog(k, x)
+    assert time.perf_counter() - start < 1.0
+    with mp.workdps(60):
+        want = mp.polylog(k, mp.mpf(x))
+    assert abs(got - want) <= math.ulp(float(want))
+
+
+def test_dd_polylog_on_both_sides_of_the_log_series_orders():
+    # k = 167 is the last order the log series takes from x = 0.6 up
+    for k in (167, 168):
+        for x in (0.6, 0.95, 1.0 - 1e-9):
+            with mp.workdps(60):
+                want = mp.polylog(k, mp.mpf(x))
+                got = _polylog_dd(k, x)
+                assert abs(mp.mpf(got[0]) + mp.mpf(got[1]) - want) <= 1e-31 * want
+
+
 def test_polylog_domain():
     with pytest.raises(InvalidParams):
         polylog(0, 0.5)
