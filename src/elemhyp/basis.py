@@ -7,15 +7,15 @@ of the basis functions
     log          = log(1-x)
     polylog(k)   = Li_k(x)                        (k >= 2)
 
-The j = 2 combo is seeded directly; each step j -> j+1 applies the linear
-integration map T induced by integrating basis elements against dt/t:
-
-    T(pow_ratio(i)) = sum_{w=1}^{i-1} pow_ratio(w)/w - log
-    T(log)          = -polylog(2)
-    T(polylog(k))   = polylog(k+1)
-
-so pow_ratio(w) of the image takes (1/w) * sum_{i>w} c_i, one running
-suffix sum over the pow_ratio coefficients c_i: O(n) per step.
+The coefficients come from _exact_coefficients, the exact build that also
+gives the closed moments of mkz.  In u = n + k, f_{n,j} is
+x**(-n) sum_{u>=1} C(u, n) x**u / u**j (its terms u < n vanish): the
+polynomial part of C(u, n) / u**j sums to pow_ratio terms, since
+sum_{u>=1} C(u+i-1, i-1) x**u = pow_ratio(i), and its u**(-s) parts to
+Li_s(x), Li_1 = -log(1-x).  By upper negation, k = -u-1 turns C(u+i, i)
+into (-1)**i C(k, i), the basis of the build, which then runs at
+(N, c) = (n+1, 1) with no multiplication and j divisions: O(n j) exact
+integer steps.
 
 Coefficients stay exact Fractions throughout; only evaluation is floating
 point (double-double internally).  The combo for every (n, j) has exactly n
@@ -134,56 +134,59 @@ def fnj_base(n: int, j: int) -> Callable[[float], float]:
     return base
 
 
-def _seed(n: int) -> Dict[BasisFunction, Fraction]:
-    # j = 2 coefficients read off the closed form of f_{n,2}
-    terms: Dict[BasisFunction, Fraction] = {}
-    for i in range(1, n):
-        c = Fraction((-1) ** (n - 1 + i) * math.comb(n - 1, i), n * i)
-        if c != 0:
-            terms[pow_ratio(i)] = c
-    terms[LOG_TERM] = Fraction(-((-1) ** (n - 1)), n)
-    return terms
+def _exact_coefficients(N: int, c: int, a: int, b: int, beta: float):
+    """Exact coefficients of C(N+k-1, k) (k+beta)**a / (k+c)**b in k.
 
-
-def _apply_t(terms: Dict[BasisFunction, Fraction]) -> Dict[BasisFunction, Fraction]:
-    ratios = {b.index: c for b, c in terms.items() if b.kind == "pow_ratio"}
-    out: Dict[BasisFunction, Fraction] = {}
-    tail = Fraction(0)
-    for w in range(max(ratios, default=1) - 1, 0, -1):
-        tail += ratios.get(w + 1, 0)
-        out[pow_ratio(w)] = tail / w
-    if ratios:
-        out[LOG_TERM] = -sum(ratios.values())
-    for b, c in terms.items():
-        if b.kind == "log":
-            out[poly(2)] = -c
-        elif b.kind == "polylog":
-            out[poly(b.index + 1)] = c
-    return {b: c for b, c in out.items() if c != 0}
+    beta = bn / bd exactly (bd a power of two), and D = bd**a (N-1)!.  In the
+    basis C(k, i), (N-1)! C(N+k-1, k) = (N-1)! sum_i C(N-1, i) C(k, i) is
+    multiplied a times by bd k + bn, then divided b times by k + c, both by
+    (k+c) C(k, i) = (i+1) C(k, i+1) + (i+c) C(k, i), the division reading it
+    from the top: each remainder is the next D a_{-s}, s = b down to 1 (0 once
+    the quotient is spent), and the quotient's coefficients are D Delta**i p(0)
+    of the polynomial part p.  (N+a) (a+b) exact integer steps.  Every //
+    is exact: in powers of k the numerator has integer coefficients, and so
+    has each quotient by the monic k + c, and an integer polynomial has
+    integer differences at 0.  Returns the integers Delta**i p(0),
+    i = 0..N+a-b-1, and a_{-s}, s = 1..b, and D.
+    """
+    bn, bd = float(beta).as_integer_ratio()
+    f = math.factorial(N - 1)
+    p = [f * math.comb(N - 1, i) for i in range(N)]
+    for _ in range(a):  # times bd k + bn
+        p = [bd * i * lo + (bd * i + bn) * hi
+             for i, (lo, hi) in enumerate(zip([0] + p, p + [0]))]
+    rem = []
+    for _ in range(b):  # divided by k + c: quotient in p[1:], remainder
+        q = 0
+        for i in range(len(p) - 1, 0, -1):
+            q = p[i] = (p[i] - (i + c) * q) // i
+        rem.append(p.pop(0) - c * q if p else 0)
+    return p, rem[::-1], bd ** a * f
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: a float n or j misses, and is rejected
 def fnj_combo(n: int, j: int) -> SymbolicCombo:
     """Exact combo for f_{n,j}, n >= 2, j >= 2 (n = 1 degenerates gracefully).
 
-    Built once per (n, j) and memoized; moments walk all j up to their order.
-    The orders are built upward in a loop, each once, so no call recurses.
+    Built once per (n, j) and memoized, by _exact_coefficients at
+    (N, c, a, b) = (n+1, 1, 0, j): with u = -(k+1), C(u, n) / u**j is
+    (-1)**(n+j) C(n+k, k) / (k+1)**j; C(k, i) = (-1)**i C(u+i, i), whose
+    sum over u >= 1 against x**u is pow_ratio(i+1), and
+    1 / (k+1)**s = (-1)**s / u**s, whose sum is Li_s(x).
     """
     require_ints(n=n, j=j)
     if n < 1:
         raise InvalidParams("n must be >= 1")
     if j < 2:
         raise InvalidParams("j must be >= 2")
-    for i in range(2, j + 1):
-        combo = _combo_step(n, i)
-    return combo
-
-
-@lru_cache(maxsize=None)
-def _combo_step(n: int, j: int) -> SymbolicCombo:
-    """f_{n,j}'s combo: the seed at j = 2, else T of the memoized order j - 1."""
-    terms = _seed(n) if j == 2 else _apply_t(_combo_step(n, j - 1).terms)
-    return SymbolicCombo(n=n, j=j, terms=terms)
+    bern, neg, den = _exact_coefficients(n + 1, 1, 0, j, 0.0)
+    terms = {pow_ratio(i + 1): (-1) ** i * g for i, g in enumerate(bern) if g}
+    if neg[0]:
+        terms[LOG_TERM] = neg[0]  # log(1-x) = -Li_1(x)
+    terms.update((poly(s), (-1) ** s * a) for s, a in enumerate(neg[1:], 2) if a)
+    sign = (-1) ** (n + j)
+    return SymbolicCombo(n=n, j=j, terms={b: Fraction(sign * v, den)
+                                          for b, v in terms.items()})
 
 
 def combo_eval(c: SymbolicCombo, x: float) -> float:

@@ -22,8 +22,8 @@ from .heun import (
 )
 from .hypergeom import HypergeomParams, hyp2f1_closed, hyp2f1_eval, hyp2f1_series
 from .mkz import (
-    GmkzParams, Monomial, _gmkz_series, gmkz_e1, gmkz_moment_abel, ln_moment_e2,
-    ln_moment_e2_direct, mkz_moment,
+    GmkzParams, Monomial, _closed_route, _gmkz_series, gmkz_e1, gmkz_moment_abel,
+    ln_moment_e2, ln_moment_e2_direct, mkz_moment,
 )
 from .numcore import DomainError, InvalidParams, NonFinite, NotConverged
 from .verify import SUITE_NAMES, _rel_err, run_suites
@@ -89,7 +89,14 @@ def cmd_moment(args) -> int:
     elif args.route == "series":
         doc = {"value": series()}
     else:
-        c = closed()
+        c = closed()  # first: it validates the arguments
+        if params is not None and r > 0 and not (args.operator == "gmkz" and r == 1):
+            # c came from gmkz_apply, which takes the series below x = 0.9
+            # or where its closed form is rejected: compare that form itself
+            res = _closed_route(params, r, x)
+            if res is None:
+                raise NotConverged("closed form not certified at this point")
+            c = res.value
         s = series()
         doc = {"closed": c, "series": s, "rel_err": _rel_err(c, s)}
     _emit(doc)
@@ -185,9 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gmkz only: the operator's own r parameter")
     p.add_argument("--route", choices=["closed", "series", "both"], default="closed",
                    help="both prints the closed value, the series summed to "
-                        "full precision and their relative error; below "
-                        "x = 0.9 the mkz and Abel-type gmkz closed side is "
-                        "itself the operator series")
+                        "full precision and their relative error")
     p.set_defaults(func=cmd_moment)
 
     p = sub.add_parser("fnj", help="moment kernels: exact combos and series values")

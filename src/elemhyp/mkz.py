@@ -33,6 +33,7 @@ from ._dd import (
     BoundedSum, certified, context, dd_div, dd_from_ratio,
     dd_mul, dd_neg, dd_to_float,
 )
+from .basis import _exact_coefficients
 from .hypergeom import HypergeomParams, hyp2f1_eval
 from .numcore import (
     _weight_series, DomainError, InvalidParams, SeriesResult, require_ints,
@@ -46,12 +47,13 @@ from .polylog import _polylog_dd
 # with them cached): the two cold costs cross at about 0.9.
 _APPLY_CLOSED_FROM = 0.9
 
-# The closed form is tried only where N**2 + c*(m+1), the step count of an
-# earlier coefficient build, is at most this (N <= 313 at c = N-1, m = 4).
-# _closed_coefficients takes (N+m) m steps: cold, 4-5 ms at (N, c, m) =
-# (300, 299, 4), 65-90 ms at N = 1000; a closed moment at N = 310 takes
-# 7-10 ms.  The series cannot stand in past the gate: its weights
-# (1-x)**N underflow from N = 310 at x = 0.9.
+# The closed form is tried only where N**2 + c*(m+1) is at most this
+# (N <= 313 at c = N-1, m = 4).  Its exact coefficients take (N+m) m
+# integer steps each way (basis._exact_coefficients), on integers of about
+# N log2 N bits: cold, 4-6 ms at (N, c, m) = (300, 299, 4) and 65-90 ms at
+# N = 1000; a closed moment at N = 310 takes 7-10 ms.  The bound is kept as
+# it was set, so no moment changes route.  The series cannot stand in past
+# the gate: its weights (1-x)**N underflow from N = 310 at x = 0.9.
 _CLOSED_MAX_STEPS = 100000
 
 
@@ -101,21 +103,29 @@ def gmkz_apply(params: GmkzParams, f, x: float) -> SeriesResult:
     that terms_used * abs_sum * 2**-53, a series result's rounding bound, is
     the closed form's running bound.  It is kept where _dd.certified accepts
     that bound and every coefficient is within float range, and is tried only
-    where N**2 + c*(m+1) <= _CLOSED_MAX_STEPS; its exact coefficients take
-    (N+m) m integer steps, ~7-10 ms cold with the rest of the form at the
-    gate's N = 310, m = 4.  Every other case is summed by _gmkz_series.
+    where N**2 + c*(m+1) <= _CLOSED_MAX_STEPS (_closed_route); its exact
+    coefficients take (N+m) m integer steps each way, and the whole form
+    ~7-10 ms cold at the gate's N = 310, m = 4.  Every other case is summed
+    by _gmkz_series.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("operator series requires 0 <= x < 1")
-    a = params.alpha
     if x >= _APPLY_CLOSED_FROM and isinstance(f, Monomial) \
-            and float(a).is_integer():
-        N, c, m = params.n + params.r, params.n + int(a), f.r
-        if N * N + c * (m + 1) <= _CLOSED_MAX_STEPS:
-            res = _gmkz_closed(N, c, params.beta, m, x)
-            if res is not None:
-                return res
+            and float(params.alpha).is_integer():
+        res = _closed_route(params, f.r, x)
+        if res is not None:
+            return res
     return _gmkz_series(params, f, x)
+
+
+def _closed_route(params: GmkzParams, m: int, x: float):
+    """_gmkz_closed for Monomial(m) and an integer alpha, behind the
+    _CLOSED_MAX_STEPS gate: its SeriesResult, or None where the gate or
+    _gmkz_closed rejects it."""
+    N, c = params.n + params.r, params.n + int(params.alpha)
+    if N * N + c * (m + 1) > _CLOSED_MAX_STEPS:
+        return None
+    return _gmkz_closed(N, c, params.beta, m, x)
 
 
 def _gmkz_series(params: GmkzParams, f, x: float) -> SeriesResult:
@@ -200,35 +210,17 @@ def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):
 def _closed_coefficients(N: int, c: int, m: int, beta: float):
     """The coefficients of _gmkz_closed, exact rationals each rounded once.
 
-    beta = bn / bd exactly (bd a power of two), and D = bd**m (N-1)!.  In the
-    basis C(k, i), (N-1)! C(N+k-1, k) = (N-1)! sum_i C(N-1, i) C(k, i) is
-    multiplied m times by bd k + bn, then divided m times by k + c, reading
-    (k+c) C(k, i) = (i+1) C(k, i+1) + (i+c) C(k, i) from the top: each
-    remainder is the next D a_{-s}, s = m down to 1, and the quotient's
-    coefficients are D Delta**i p(0).  (N+m) m exact integer steps.  Returns,
-    each over D: Delta**i p(0), i = 0..N-1; a_{-s}, s = 1..m; and the cut-off
-    weights sum_s a_{-s} / u**s, u = 1..c-1 (none for m = 0).  Raises
-    OverflowError where a coefficient passes float range.
+    basis._exact_coefficients at (N, c, a, b) = (N, c, m, m), over its D:
+    Delta**i p(0), i = 0..N-1; a_{-s}, s = 1..m; and the cut-off weights
+    sum_s a_{-s} / u**s, u = 1..c-1 (none for m = 0).  Raises OverflowError
+    where a coefficient passes float range.
     """
-    bn, bd = float(beta).as_integer_ratio()
-    f = math.factorial(N - 1)
-    b = [f * math.comb(N - 1, i) for i in range(N)]
-    for _ in range(m):  # times bd k + bn
-        b = [bd * i * lo + (bd * i + bn) * hi
-             for i, (lo, hi) in enumerate(zip([0] + b, b + [0]))]
-    rem = []
-    for _ in range(m):  # divided by k + c: quotient in b[1:], remainder
-        q = 0
-        for i in range(len(b) - 1, 0, -1):
-            q = b[i] = (b[i] - (i + c) * q) // i
-        rem.append(b.pop(0) - c * q)
-    den = bd ** m * f
-    bern = tuple(dd_from_ratio(v, den) for v in b)
-    neg = tuple(dd_from_ratio(a, den) for a in reversed(rem))
-    # rem[j] = D a_{j-m}: sum_s a_{-s} / u**s = sum_{j<m} rem[j] u**j / u**m
-    head = tuple(dd_from_ratio(sum(a * u ** j for j, a in enumerate(rem)),
+    bern, neg, den = _exact_coefficients(N, c, m, m, beta)
+    # sum_s a_{-s} / u**s = sum_s D a_{-s} u**(m-s) / (D u**m)
+    head = tuple(dd_from_ratio(sum(a * u ** (m - s) for s, a in enumerate(neg, 1)),
                                den * u ** m) for u in range(1, c)) if m else ()
-    return bern, neg, head
+    return (tuple(dd_from_ratio(v, den) for v in bern),
+            tuple(dd_from_ratio(a, den) for a in neg), head)
 
 
 def mkz_moment_e2(n: int, x: float) -> float:

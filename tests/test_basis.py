@@ -101,6 +101,49 @@ def test_combo_at_a_high_order():
                                         poly(1099): Fraction(1, 3)}
 
 
+def _t_map_terms(n, j_max):
+    """Reference for fnj_combo by another route: the terms of orders
+    2..j_max, the j = 2 combo read off the closed form of f_{n,2} and each
+    next order the image under the linear map T induced by integrating the
+    basis functions against dt/t:
+
+        T(pow_ratio(i)) = sum_{w=1}^{i-1} pow_ratio(w)/w - log
+        T(log)          = -polylog(2)
+        T(polylog(k))   = polylog(k+1)
+
+    so pow_ratio(w) of the image takes (1/w) sum_{i>w} c_i, a running
+    suffix sum over the pow_ratio coefficients c_i."""
+    terms = {pow_ratio(i): Fraction((-1) ** (n - 1 + i) * math.comb(n - 1, i), n * i)
+             for i in range(1, n)}
+    terms[LOG_TERM] = Fraction(-((-1) ** (n - 1)), n)
+    for _ in range(2, j_max + 1):
+        yield terms
+        ratios = {b.index: c for b, c in terms.items() if b.kind == "pow_ratio"}
+        out, tail = {}, Fraction(0)
+        for w in range(max(ratios, default=1) - 1, 0, -1):
+            tail += ratios.get(w + 1, 0)
+            out[pow_ratio(w)] = tail / w
+        if ratios:
+            out[LOG_TERM] = -sum(ratios.values())
+        for b, c in terms.items():
+            if b.kind == "log":
+                out[poly(2)] = -c
+            elif b.kind == "polylog":
+                out[poly(b.index + 1)] = c
+        terms = {b: c for b, c in out.items() if c != 0}
+
+
+def test_combo_matches_the_t_map():
+    # the exact division build gives the same exact terms as the T-map
+    pairs = {(n, j) for n in range(1, 25) for j in range(2, 30)}
+    pairs |= {(3, 1100), (100, 100), (200, 40)}
+    for n in sorted({n for n, _ in pairs}):
+        orders = {j for m, j in pairs if m == n}
+        for j, terms in enumerate(_t_map_terms(n, max(orders)), 2):
+            if j in orders:
+                assert fnj_combo(n, j).terms == terms, (n, j)
+
+
 def test_combo_validation():
     with pytest.raises(InvalidParams):
         fnj_combo(2, 1)

@@ -16,7 +16,9 @@ import sys
 
 import pytest
 
-from elemhyp import HypergeomParams, cli, hyp2f1_closed
+from elemhyp import (
+    HypergeomParams, cli, gmkz_moment_abel, hyp2f1_closed, mkz, mkz_moment,
+)
 
 CMD = [sys.executable, "-m", "elemhyp"]
 
@@ -233,6 +235,34 @@ def test_moment_both_routes():
     assert json.loads(r.stdout)["rel_err"] < 1e-14
 
 
+def test_moment_both_routes_compare_the_closed_form_at_every_x():
+    # below x = 0.9 mkz_moment and gmkz_moment_abel are the operator series,
+    # so the closed side of --route both was that series and rel_err read
+    # 0.0 by construction; it is the closed form at every x
+    r = run("moment", "--operator", "mkz", "--n", "5", "--r", "3",
+            "--x", "0.05", "--route", "both")
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert doc["closed"] == mkz._gmkz_closed(6, 5, 0.0, 3, 0.05).value
+    assert doc["series"] == mkz_moment(5, 3, 0.05) != doc["closed"]
+    assert 0.0 < doc["rel_err"] < 1e-15
+    r = run("moment", "--operator", "gmkz", "--n", "3", "--rop", "3",
+            "--alpha", "2", "--beta", "1", "--r", "4", "--x", "0.3",
+            "--route", "both")
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert doc["closed"] == mkz._gmkz_closed(6, 5, 1.0, 4, 0.3).value
+    assert doc["series"] == gmkz_moment_abel(3, 2, 1.0, 4, 0.3)
+    # where the closed form's rounding bound rejects it, the command exits 1;
+    # --route closed keeps gmkz_apply's value, the series there
+    r = run("moment", "--operator", "mkz", "--n", "12", "--r", "10",
+            "--x", "0.02", "--route", "both")
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "error: closed form not certified at this point\n"
+    r = run("moment", "--operator", "mkz", "--n", "12", "--r", "10", "--x", "0.02")
+    assert r.stdout == json.dumps({"value": mkz_moment(12, 10, 0.02)}) + "\n"
+
+
 def test_moment_log_operator_supports_order_two_only():
     r = run("moment", "--operator", "ln", "--n", "2", "--r", "3", "--x", "0.5")
     assert r.returncode == 2
@@ -260,6 +290,24 @@ def test_fnj_symbolic_document_at_a_high_order():
     r = run("fnj", "--n", "3", "--j", "1100", "--emit-symbolic")
     assert r.returncode == 0
     assert [t["k"] for t in json.loads(r.stdout)["terms"]] == [1097, 1098, 1099]
+
+
+def test_fnj_symbolic_documents_are_pinned():
+    r = run("fnj", "--n", "5", "--j", "4", "--emit-symbolic")
+    assert r.returncode == 0
+    assert r.stdout == (
+        '{"n": 5, "j": 4, "terms": [{"basis": "pow_ratio", "i": 1, "num": "-11", '
+        '"den": "120"}, {"basis": "pow_ratio", "i": 2, "num": "1", "den": "120"}, '
+        '{"basis": "log", "num": "-7", "den": "24"}, {"basis": "polylog", "k": 2, '
+        '"num": "-5", "den": "12"}, {"basis": "polylog", "k": 3, "num": "1", '
+        '"den": "5"}]}\n')
+    r = run("fnj", "--n", "4", "--j", "9", "--emit-symbolic")
+    assert r.returncode == 0
+    assert r.stdout == (
+        '{"n": 4, "j": 9, "terms": [{"basis": "polylog", "k": 5, "num": "1", '
+        '"den": "24"}, {"basis": "polylog", "k": 6, "num": "-1", "den": "4"}, '
+        '{"basis": "polylog", "k": 7, "num": "11", "den": "24"}, {"basis": '
+        '"polylog", "k": 8, "num": "-1", "den": "4"}]}\n')
 
 
 def test_fnj_numeric_route():
