@@ -26,6 +26,7 @@ operator.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,7 +37,8 @@ from ._dd import (
 from .basis import _exact_coefficients
 from .hypergeom import HypergeomParams, hyp2f1_eval
 from .numcore import (
-    _weight_series, DomainError, InvalidParams, SeriesResult, require_ints,
+    _MAX_TERMS, _weight_series, DomainError, InvalidParams, SeriesResult,
+    require_ints,
 )
 from .polylog import _polylog_dd
 
@@ -47,14 +49,7 @@ from .polylog import _polylog_dd
 # with them cached): the two cold costs cross at about 0.9.
 _APPLY_CLOSED_FROM = 0.9
 
-# The closed form is tried only where N**2 + c*(m+1) is at most this
-# (N <= 313 at c = N-1, m = 4).  Its exact coefficients take (N+m) m
-# integer steps each way (basis._exact_coefficients), on integers of about
-# N log2 N bits: cold, 4-6 ms at (N, c, m) = (300, 299, 4) and 65-90 ms at
-# N = 1000; a closed moment at N = 310 takes 7-10 ms.  The bound is kept as
-# it was set, so no moment changes route.  The series cannot stand in past
-# the gate: its weights (1-x)**N underflow from N = 310 at x = 0.9.
-_CLOSED_MAX_STEPS = 100000
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -103,10 +98,10 @@ def gmkz_apply(params: GmkzParams, f, x: float) -> SeriesResult:
     that terms_used * abs_sum * 2**-53, a series result's rounding bound, is
     the closed form's running bound.  It is kept where _dd.certified accepts
     that bound and every coefficient is within float range, and is tried only
-    where N**2 + c*(m+1) <= _CLOSED_MAX_STEPS (_closed_route); its exact
+    where its coefficients can be (N <= 1030, _closed_route); its exact
     coefficients take (N+m) m integer steps each way, and the whole form
-    ~7-10 ms cold at the gate's N = 310, m = 4.  Every other case is summed
-    by _gmkz_series.
+    ~0.1-0.2 s cold at N = 1000, m = 4.  Every other case is summed by
+    _gmkz_series.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("operator series requires 0 <= x < 1")
@@ -119,11 +114,23 @@ def gmkz_apply(params: GmkzParams, f, x: float) -> SeriesResult:
 
 
 def _closed_route(params: GmkzParams, m: int, x: float):
-    """_gmkz_closed for Monomial(m) and an integer alpha, behind the
-    _CLOSED_MAX_STEPS gate: its SeriesResult, or None where the gate or
-    _gmkz_closed rejects it."""
+    """_gmkz_closed for Monomial(m) and an integer alpha, behind its gate:
+    its SeriesResult, or None where the gate or _gmkz_closed rejects it.
+
+    The gate is float range and the term cap.  At m = 0 the Bernstein
+    coefficients are C(N-1, i) (at m >= 1 and c = N-1 the largest is about
+    2**-m times the middle one), so past C(N-1, (N-1)//2) >
+    sys.float_info.max (N > 1030) they pass float range, and the exact
+    build (0.05-0.1 s at N = 1000, 4.8 s at N = 5000) is not tried; nor is
+    a form of more than numcore._MAX_TERMS terms, the series' own cap.  The
+    series cannot stand in past N = 1030 either: its weight (1-x)**N
+    underflows there for every x >= 1/2.
+    """
     N, c = params.n + params.r, params.n + int(params.alpha)
-    if N * N + c * (m + 1) > _CLOSED_MAX_STEPS:
+    # log C(N-1, h) by lgamma: at every N it is 0.2 or more off the limit
+    h = (N - 1) // 2
+    if N + m + c - 1 > _MAX_TERMS or (math.lgamma(N) - math.lgamma(h + 1)
+                                      - math.lgamma(N - h) > _LOG_FLOAT_MAX):
         return None
     return _gmkz_closed(N, c, params.beta, m, x)
 
@@ -178,7 +185,8 @@ def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):
     rounded once.
 
     Returns the SeriesResult gmkz_apply describes, or None where a
-    coefficient passes float range or the rounding bound is not certified.
+    coefficient passes float range, x**c underflows to 0 or the rounding
+    bound is not certified.
     """
     try:
         bern, neg, head = _closed_coefficients(N, c, m, beta)
@@ -196,7 +204,10 @@ def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):
             tail.add(dd_mul(a, dd_neg(ctx.log) if s == 1 else _polylog_dd(s, x)), 2)
         for u, h in enumerate(head, 1):
             tail.add(dd_neg(dd_mul(h, xp[u])), u + 1)
-        tail.mul(dd_div(op[N], xp[c]), N + c + 1)  # (1-x)**N x**(-c)
+        try:  # (1-x)**N x**(-c)
+            tail.mul(dd_div(op[N], xp[c]), N + c + 1)
+        except ZeroDivisionError:  # x**c underflows to 0
+            return None
         acc.add_sum(tail)
     value = dd_to_float(acc.total)
     if not certified(value, acc.bound):

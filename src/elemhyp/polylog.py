@@ -6,21 +6,23 @@ polylog rounds once (Li_1 = -log(1-x) is closed form).  The derivative
 base kernels for j <= 1, and for j >= 2 the exact combo from x = 1/2 up,
 basis.fnj_series below.
 
-The double-double core has two branches.  Below x = _LOG_SERIES_FROM it
-sums x**j / j**k, which needs about 76/|log x| terms for 1e-33.  From there
-up to 1 it sums the expansion around mu = log x (DLMF Sec. 25.12(ii);
-Crandall, "Note on fast polylogarithm computation", 2006),
+The double-double core has one rule.  From order k = _POWER_SERIES_FROM on
+it sums x**j / j**k at every 0 <= x <= 1: its terms fall at least as fast
+as j**-k, so seven or fewer meet 1e-33.  Below that order it takes zeta(k)
+at x = 1, the power series below x = _LOG_SERIES_FROM, which needs about
+76/|log x| terms for 1e-33, and from there up to 1 the expansion around
+mu = log x (DLMF Sec. 25.12(ii); Crandall, "Note on fast polylogarithm
+computation", 2006),
 
     Li_k(e**mu) = sum_{j != k-1} zeta(k-j) mu**j / j!
                   + mu**(k-1) / (k-1)! * (H_{k-1} - log(-mu)),   |mu| < 2 pi,
 
 whose terms fall like (|mu| / 2 pi)**j, so a few dozen terms suffice however
-close x is to 1.  It runs to j >= k, so from k = 168 on the power series,
-whose second term x**2 / 2**k is already negligible, takes every x.  The
-zeta values come from exact rationals rounded once to double-double:
-zeta(-n) = (-1)**n B_{n+1} / (n+1) from Bernoulli numbers, and zeta(s),
-s >= 2, from Borwein's alternating-series algorithm.  Both are filled
-lazily, up to the orders the series reaches.
+close x is to 1.  The zeta values are exact rationals rounded once to
+double-double, both from one table of Bernoulli numbers:
+zeta(-n) = (-1)**n B_{n+1} / (n+1), and zeta(s), s >= 2, by Euler-Maclaurin
+summation (DLMF 25.2.9).  Both are filled lazily, up to the orders the
+series reaches.
 
 The parts that depend on x alone (mu = log x, log(-mu), and the tables of
 x**j and mu**j, grown one dd_mul at a time) come from _dd.context(x), the
@@ -46,23 +48,28 @@ from .numcore import DomainError, InvalidParams, NotConverged, require_ints
 # where the series needs ~1/(1-x) terms to meet its tail bound.
 _COMBOS_FROM = 0.5
 
-# _polylog_dd sums the log series from here up: |log x| <= 0.511, so its
-# terms fall at least 12-fold per order, while the power series would still
-# need ~150 terms at this x and ~76/(1-x) closer to 1.
+# Below order _POWER_SERIES_FROM, _polylog_dd sums the log series from here
+# up: |log x| <= 0.511, so its terms fall at least 12-fold per order, while
+# the power series would still need ~150 terms at this x and ~76/(1-x)
+# closer to 1.
 _LOG_SERIES_FROM = 0.6
 
-# Borwein, "An efficient algorithm for the Riemann zeta function" (2000),
-# algorithm 2: truncation error below 3 / (3 + sqrt 8)**48 / (1 - 2**(1-s)),
-# about 1e-36, well under the double-double rounding of the result.
-_BORWEIN_N = 48
+# From this order on, _polylog_dd takes the power series at every x: it
+# needs at most seven terms (j**-40 < 1e-33 from j = 7), where the log
+# series runs past j = k.
+_POWER_SERIES_FROM = 40
+
+# zeta(s), s >= 2, by Euler-Maclaurin: the head sum to _ZETA_HEAD and
+# _ZETA_CORRECTIONS Bernoulli terms leave under 3e-39 (s = 2; less above).
+_ZETA_HEAD = 30
+_ZETA_CORRECTIONS = 15
 
 
 def polylog(k: int, x: float) -> float:
     """Li_k(x) for integer k >= 1 and -1 <= x <= 1 (x < 1 for k = 1).
 
     Li_1 is -log(1-x).  For k >= 2 it is the double-double core rounded
-    once: zeta(k) at x = 1 from the exact rational behind the core's zeta
-    table, _polylog_dd on [0, 1), and below 0 the duplication formula
+    once on [0, 1], and below 0 the duplication formula
     Li_k(x) = 2**(1-k) Li_k(x**2) - Li_k(-x) on the same core.
     """
     require_ints(k=k)
@@ -73,21 +80,13 @@ def polylog(k: int, x: float) -> float:
     if k == 1:
         return -math.log1p(-x)
     if x >= 0.0:
-        return dd_to_float(_unit_polylog_dd(k, x))
+        return dd_to_float(_polylog_dd(k, x))
     y, e = _two_prod(x, x)
-    square = _unit_polylog_dd(k, y)
+    square = _polylog_dd(k, y)
     if e:  # x**2 = y + e exactly: Li_k(x**2) to first order in e
         square = dd_add(square, dd(e * polylog(k - 1, y) / y))
     return dd_to_float(dd_sub(dd_mul(dd(2.0 ** (1 - k)), square),
-                              _unit_polylog_dd(k, -x)))
-
-
-def _unit_polylog_dd(k: int, x: float) -> DD:
-    """Li_k(x) in double-double for 0 <= x <= 1, k >= 2: zeta(k) at 1."""
-    if x == 1.0:
-        z = _zeta(k)
-        return dd_from_ratio(z.numerator, z.denominator)
-    return _polylog_dd(k, x)
+                              _polylog_dd(k, -x)))
 
 
 def polylog_derivative_series(j: int, d: int, x: float) -> float:
@@ -124,22 +123,22 @@ def polylog_derivative_series(j: int, d: int, x: float) -> float:
 
 @lru_cache(maxsize=4096)
 def _polylog_dd(k: int, x: float) -> DD:
-    """Li_k(x) in double-double, the package's one Li_k.  0 <= x < 1, k >= 2.
-
-    Below _LOG_SERIES_FROM: the power series x**j / j**k.  From there on:
-    the series in mu = log x with the double-double zeta table (see the
-    module docstring), for k <= 167: from k = 168 its j = k-1 term divides
-    by (k-1)!, past Dekker's split, while the power series stops after its
-    second term x**2 / 2**k < 1e-50 x at any x.  Either meets about 1e-31
-    relative.
-    """
-    if x >= _LOG_SERIES_FROM and k < 168:
-        return _polylog_log_series(k, x)
+    """Li_k(x) in double-double to about 1e-31 relative, the package's one
+    Li_k, for 0 <= x <= 1 and k >= 2, by the one rule of the module
+    docstring: from order _POWER_SERIES_FROM on the power series at every
+    x; below it zeta(k) at 1, the log series from _LOG_SERIES_FROM up and
+    the power series below."""
+    if k < _POWER_SERIES_FROM:
+        if x == 1.0:
+            z = _zeta(k)
+            return dd_from_ratio(z.numerator, z.denominator)
+        if x >= _LOG_SERIES_FROM:
+            return _polylog_log_series(k, x)
     return _polylog_power_series(k, x)
 
 
 def _polylog_power_series(k: int, x: float) -> DD:
-    """Li_k(x) from sum x**j / j**k; below _LOG_SERIES_FROM, ~150 terms or fewer.
+    """Li_k(x) from sum x**j / j**k; ~150 terms or fewer where it is taken.
 
     A j**k past 2**996, which Dekker's split cannot take, ends the sum: that
     term and every later one is below 2**-996 x, far under the stop rule.
@@ -195,25 +194,20 @@ def _log_series_coef(k: int, j: int) -> DD:
 
 @lru_cache(maxsize=None)
 def _zeta(s: int) -> Fraction:
-    """zeta(s) for integer s != 1: exact for s <= 0, within ~1e-36 for s >= 2."""
+    """zeta(s) for integer s != 1: exact for s <= 0, within 3e-39 for s >= 2.
+
+    For s >= 2, Euler-Maclaurin (DLMF 25.2.9) at n = _ZETA_HEAD:
+    sum_{j<n} j**-s + n**-s / 2 + n**(1-s) / (s-1)
+    + sum_{i=1}^{_ZETA_CORRECTIONS} C(s+2i-2, 2i-1) B_{2i} / (2i) n**(1-s-2i).
+    """
     if s <= 0:
         return (-1) ** -s * _bernoulli(1 - s) / (1 - s)
-    d = _borwein_d()
-    alt = sum(Fraction((-1) ** i * (d[i] - d[-1]), (i + 1) ** s)
-              for i in range(_BORWEIN_N))
-    return -alt * 2 ** (s - 1) / (d[-1] * (2 ** (s - 1) - 1))
-
-
-@lru_cache(maxsize=None)
-def _borwein_d() -> tuple:
-    """Borwein's partial sums d_0..d_N, N = _BORWEIN_N (all integers)."""
-    n = _BORWEIN_N
-    d, acc = [], 0
-    for i in range(n + 1):
-        acc += (n * math.factorial(n + i - 1) * 4 ** i
-                // (math.factorial(n - i) * math.factorial(2 * i)))
-        d.append(acc)
-    return tuple(d)
+    n = _ZETA_HEAD
+    return (sum(Fraction(1, j ** s) for j in range(1, n))
+            + Fraction(s - 1 + 2 * n, 2 * (s - 1) * n ** s)
+            + sum(math.comb(s + 2 * i - 2, 2 * i - 1) * _bernoulli(2 * i)
+                  / (2 * i * n ** (s + 2 * i - 1))
+                  for i in range(1, _ZETA_CORRECTIONS + 1)))
 
 
 @lru_cache(maxsize=None)

@@ -263,6 +263,15 @@ def test_moment_both_routes_compare_the_closed_form_at_every_x():
     assert r.stdout == json.dumps({"value": mkz_moment(12, 10, 0.02)}) + "\n"
 
 
+def test_moment_both_routes_where_x_to_the_c_underflows():
+    # x**5 underflows to 0 at x = 1e-200, so the closed form's x**(-c) is
+    # out of float range: a typed error, where a traceback was printed
+    r = run("moment", "--operator", "mkz", "--n", "5", "--r", "3",
+            "--x", "1e-200", "--route", "both")
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "error: closed form not certified at this point\n"
+
+
 def test_moment_log_operator_supports_order_two_only():
     r = run("moment", "--operator", "ln", "--n", "2", "--r", "3", "--x", "0.5")
     assert r.returncode == 2

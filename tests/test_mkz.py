@@ -4,6 +4,7 @@ import functools
 import math
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from elemhyp import _dd
 import elemhyp.mkz as mkz
 import elemhyp.verify as verify
 from elemhyp.mkz import _gmkz_series
+from elemhyp.polylog import _bernoulli, _log_series_coef, _polylog_dd, _zeta
 
 
 XGRID = [round(0.1 * i, 1) for i in range(1, 10)]
@@ -205,9 +207,17 @@ def test_higher_moments_next_to_one(n, r, x, want):
 
 
 def test_higher_moment_past_the_log_series_orders():
-    # the closed form asks for Li_s(0.95), s = 1..172; from s = 168 the log
-    # series' (s-1)! passed Dekker's split and the sum never stopped
+    # the closed form asks for Li_s(0.95), s = 1..172; once the log series
+    # took orders up to 167, and from s = 168 its (s-1)! passed Dekker's
+    # split and the sum never stopped.  From order 40 on, each Li_s is a few
+    # power-series terms: with the log series up to 167 this took 0.64 s
+    for cache in (_polylog_dd, _log_series_coef, _zeta, _bernoulli,
+                  mkz._closed_coefficients, _dd.context):
+        cache.cache_clear()
+    start = time.perf_counter()
     got = mkz_moment(5, 172, 0.95)
+    assert time.perf_counter() - start < 0.1
+    assert got == 0.0029777100374039174
     want = _gmkz_series(classical(5), Monomial(172), 0.95).value
     assert abs(got - want) <= 1e-12 * want
 
@@ -546,6 +556,60 @@ def test_closed_coefficients_at_large_n():
     bern, neg, head = mkz._closed_coefficients.__wrapped__(1000, 999, 4, 0.0)
     assert time.perf_counter() - start < 0.5
     assert (len(bern), len(neg), len(head)) == (1000, 4, 998)
+
+
+# mkz_moment(n, 4, x) at 40 digits: (1-x)**(n+1) sum_k C(n+k,k) x**k
+# (k/(n+k))**4 summed term by term by mpmath at 50 digits, past the mode
+# until a term is below 1e-45 of the sum
+_LARGE_N = [
+    (600, 0.9, "0.656172966357359817410167136934738441969"),
+    (600, 0.95, "0.8145277118956085366362493780197185915557"),
+    (600, 0.99, "0.9605969818432174942262153354820459000391"),
+    (1000, 0.9, "0.6561437638912109103243242975888087319971"),
+    (1000, 0.95, "0.814519120529171952862277011013094512343"),
+    (1000, 0.99, "0.9605965927349825371535442497478936824652"),
+]
+
+
+@pytest.mark.parametrize("n,x,want", _LARGE_N)
+def test_moments_at_large_n(n, x, want):
+    # the series' weight (1-x)**(n+1) underflows here, and a step gate
+    # (N**2 + c(m+1) <= 1e5) kept the closed form from N = 314 on: both
+    # routes raised NotConverged
+    with mp.workdps(40):
+        assert abs(mkz_moment(n, 4, x) - mp.mpf(want)) <= 1e-14 * mp.mpf(want)
+
+
+def test_closed_gate_is_the_float_range_of_the_bernstein_coefficients(monkeypatch):
+    # the closed form is tried while C(N-1, (N-1)//2), its middle Bernstein
+    # coefficient at m = 0, is within float range (N <= 1030), and while
+    # it has at most numcore._MAX_TERMS terms
+    tried = []
+    monkeypatch.setattr(mkz, "_gmkz_closed", lambda N, c, *rest: tried.append((N, c)))
+    for N in range(1, 2100):
+        mkz._closed_route(GmkzParams(N, 0, 0.0, 0.0), 4, 0.95)
+    assert [N for N, _ in tried] == [
+        N for N in range(1, 2100) if math.comb(N - 1, (N - 1) // 2) <= sys.float_info.max]
+    assert tried[-1] == (1030, 1030)
+    tried.clear()
+    for alpha in (99986.0, 99987.0):  # N + m + c - 1 = 14 + alpha
+        mkz._closed_route(GmkzParams(5, 1, alpha, 0.0), 4, 0.999)
+    assert tried == [(6, 99991)]
+
+
+def test_moment_past_the_gate_raises_at_once():
+    # with no gate, n = 5000 spent 4.8 s on a build whose coefficients pass
+    # float range; the series' weight 0.05**5001 underflows
+    start = time.perf_counter()
+    with pytest.raises(NotConverged):
+        mkz_moment(5000, 4, 0.95)
+    assert time.perf_counter() - start < 0.05
+
+
+def test_closed_moment_where_x_to_the_c_underflows():
+    # x**(-c) passes float range: not certified, where a bare
+    # ZeroDivisionError escaped
+    assert mkz._gmkz_closed(6, 5, 0.0, 3, 1e-200) is None
 
 
 def test_apply_route_guard(monkeypatch):

@@ -63,11 +63,17 @@ def test_polylog_at_the_unit_edge():
         assert math.isclose(polylog(5, 1.0), float(mp.zeta(5)), rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("k", range(2, 9))
+@pytest.mark.parametrize("k", [*range(2, 9), 40, 100, 168, 3000, 10 ** 4])
 def test_polylog_at_one_is_zeta_to_an_ulp(k):
+    # from order 40 on, zeta(k) is the power series at x = 1, seven terms or
+    # fewer: an exact zeta per order took 0.41 s at k = 3000
+    _polylog_dd.cache_clear()
+    start = time.perf_counter()
+    got = polylog(k, 1.0)
+    assert time.perf_counter() - start < 0.01
     with mp.workdps(40):
         want = float(mp.zeta(k))
-    assert abs(polylog(k, 1.0) - want) <= math.ulp(want)
+    assert abs(got - want) <= math.ulp(want)
 
 
 @pytest.mark.parametrize("k", [168, 171, 172, 996, 997, 1100])
@@ -85,9 +91,9 @@ def test_polylog_at_large_orders(k, x):
 
 
 def test_dd_polylog_on_both_sides_of_the_log_series_orders():
-    # k = 167 is the last order the log series takes from x = 0.6 up
-    for k in (167, 168):
-        for x in (0.6, 0.95, 1.0 - 1e-9):
+    # k = 39 is the last order the log series takes from x = 0.6 up
+    for k in (39, 40):
+        for x in (0.6, 0.95, 1.0 - 1e-9, 1.0):
             with mp.workdps(60):
                 want = mp.polylog(k, mp.mpf(x))
                 got = _polylog_dd(k, x)
@@ -209,6 +215,16 @@ def _dd_rel_err(got, want):
 def test_internal_dd_polylog_vs_mpmath(k, x):
     with mp.workdps(60):
         assert _dd_rel_err(_polylog_dd(k, x), mp.polylog(k, mp.mpf(x))) < 1e-30
+
+
+@pytest.mark.parametrize("k", [2, 12, 39, 40, 100, 167, 168, 1000])
+@pytest.mark.parametrize("x", [0.3, 0.6, 0.95, 1.0 - 1e-9, 1.0])
+def test_dd_polylog_one_rule_vs_mpmath(k, x):
+    # the three branches below order 40 and the power series from there on,
+    # x = 1 included
+    with mp.workdps(60):
+        want = mp.zeta(k) if x == 1.0 else mp.polylog(k, mp.mpf(x))
+        assert _dd_rel_err(_polylog_dd(k, x), want) < 1e-31
 
 
 @pytest.mark.parametrize("k", [2, 5, 13])

@@ -1,12 +1,15 @@
 """The public surface: its names, and the README's account of each evaluator."""
 
+import importlib
+import importlib.util
 import inspect
 import pathlib
 import re
 
 import elemhyp
 
-README = pathlib.Path(__file__).parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).parents[1]
+README = ROOT / "README.md"
 
 # Public names that evaluate nothing: types, errors, the exact symbolic
 # combos and the Heun family's parameter maps.
@@ -93,3 +96,16 @@ def test_readme_table_classifies_every_evaluator_once():
     rows = re.findall(r"^\| (`.+?`) \| (certified|judge|gap) \|", section, re.M)
     named = [name for cell, _ in rows for name in re.findall(r"`(\w+)`", cell)]
     assert sorted(named) == sorted(set(elemhyp.__all__) - NOT_EVALUATORS)
+
+
+def test_benchmark_tracer_boundaries_resolve():
+    # the traced benchmark rebinds each (module, function) of BOUNDARIES;
+    # one that names a deleted function breaks it, so it fails here first
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.BOUNDARIES
+    missing = [(module, name) for module, name in tracer.BOUNDARIES
+               if not callable(getattr(importlib.import_module(module), name, None))]
+    assert missing == []
