@@ -23,8 +23,8 @@ dd_expm1, dd_sqrt and BoundedSum.add write their hot operations out the
 same way.
 
 All per-x state lives here: context(x), a small memo, hands out the one
-ClosedFormContext for x, which forms log(1-x), log x, the power tables and
-the power integrals once and shares them between every caller at that x.
+ClosedFormContext for x, which forms log(1-x), log x and the power tables
+once and shares them between every caller at that x.
 So does the one test of a computed value: a BoundedSum keeps a dd total and
 the running bound sum |t_i| e_i on its error (Higham, "Accuracy and
 Stability of Numerical Algorithms", ch. 3-4), and certified(value, bound)
@@ -367,7 +367,8 @@ def power_integral_dd(shift: int, n: float, one_minus_x: DD, log_1mx: DD) -> DD:
     parts so that a non-dyadic n costs no precision.  Only an exactly
     integral w takes the polynomial form (the log at w = 0); any other w,
     however close to an integer, goes through expm1, which keeps full
-    relative accuracy for small w * log(1-x).
+    relative accuracy for small w * log(1-x).  No closed form calls it now
+    (hypergeom._eq_general sums all its integrals at once).
     """
     w = dd_add(dd_from_int(shift + 1), dd(-n))
     if w[1] == 0.0 and w[0].is_integer():
@@ -380,41 +381,21 @@ def power_integral_dd(shift: int, n: float, one_minus_x: DD, log_1mx: DD) -> DD:
     return dd_div(dd_neg(dd_expm1(arg)), w)
 
 
-# Below this |w * log(1-x)|, 1 - (1-x)**w cancels enough that the power
-# integral keeps power_integral_dd's expm1 form; from it up, 1 - (1-x)**w
-# loses at most a factor 1/(1 - e**-0.5) ~ 2.5 and the power comes from the
-# per-n base.
-_EXPM1_BELOW = 0.5
-
-# dd_mul's Dekker split overflows for a factor above ~1.3e300, and a power
-# table entry below 2**-916 has a subnormal lo part.  A base above 2**996 or
-# such an entry sends the shift to power_integral_dd, so the per-n base
-# reaches no value, and loses no digit, that the per-shift dd_exp did not.
-_BASE_LOG_MAX = 996 * math.log(2.0)
-_POW_MIN = 2.0 ** -916
-
-
 class ClosedFormContext:
     """The pieces the closed forms and Li_k at one x are built from, each
-    formed once per x: 1-x, log(1-x), mu = log x and log(-mu), the tables
-    of x**k, (1-x)**k and mu**k, and the power integrals.  context(x) hands
-    out one instance per x, shared by hypergeom's closed forms, mkz's closed
-    moments, basis.combo_eval and polylog's double-double series.
+    formed once per x: 1-x, log(1-x), mu = log x and log(-mu), and the
+    tables of x**k, (1-x)**k and mu**k.  context(x) hands out one instance
+    per x, shared by hypergeom's closed forms, mkz's closed moments,
+    basis.combo_eval and polylog's double-double series.
 
     The power tables grow by one dd_mul per power, which rounds differently
     from binary powering (dd_npow): callers that use dd_npow keep it.  A
-    power integral with a non-integral exponent w = shift+1-n and
-    |w log(1-x)| >= _EXPM1_BELOW takes (1-x)**w as one dd_exp per n,
-    (1-x)**(1-n), times (1-x)**shift from the power table, so the general
-    form pays one dd_exp per (x, n) where it paid one per shift.  A table
-    entry k is off by at most k units U, log and mu by one, and
-    power_integral returns its own error.
+    table entry k is off by at most k units U, log and mu by one.
 
     Threads share an instance, so a table grows under a lock: two unlocked
     growths could both append the same power.  An entry never changes once
-    appended, so reading one takes no lock; a race on a memoized value
-    forms the same value twice.  No value depends on what was asked for
-    before it.
+    appended, so reading one takes no lock; a race on a cached value forms
+    the same value twice.  No value depends on what was asked for before it.
     """
 
     def __init__(self, x: float):
@@ -423,8 +404,6 @@ class ClosedFormContext:
         self._xpows = [dd(1.0)]
         self._ompows = [dd(1.0)]
         self._mupows = [dd(1.0)]
-        self._integrals = {}
-        self._bases = {}
         self._lock = threading.Lock()
 
     @cached_property
@@ -459,47 +438,6 @@ class ClosedFormContext:
                 while len(pows) <= top:
                     pows.append(dd_mul(pows[-1], base))
         return pows
-
-    def _base(self, n: float):
-        """(1-x)**(1-n), memoized by n; None above 2**996."""
-        if n not in self._bases:
-            u = dd_mul(dd_add(dd(1.0), dd(-n)), self.log)
-            self._bases[n] = dd_exp(u) if u[0] <= _BASE_LOG_MAX else None
-        return self._bases[n]
-
-    def power_integral(self, shift: int, n: float):
-        """power_integral_dd(shift, n) at this x and its relative error in
-        units U, memoized by (shift, n).  Where the per-n base is used the
-        value agrees with power_integral_dd to ~1e-28, not bit for bit."""
-        key = (shift, n)
-        if key not in self._integrals:
-            self._integrals[key] = self._power_integral(shift, n)
-        return self._integrals[key]
-
-    def _power_integral(self, shift: int, n: float):
-        """Each form is (1 - P) / w: P = (1-x)**w is an integer power, or an
-        exp (1 + |u| units) whose argument u carries two more (log(1-x), the
-        product), so 1 + 3|u|.  1 - P scales P's error by |P| / |1 - P| and
-        rounds by U (1 + |P|); the division by the exact w adds one unit."""
-        w = dd_add(dd_from_int(shift + 1), dd(-n))
-        a = abs(w[0] * self.log[0])
-        integral = w[1] == 0.0 and w[0].is_integer()
-        value = None
-        if not integral and a >= _EXPM1_BELOW:
-            base = self._base(n)
-            omp = self.ompows(shift)[shift]
-            if base is not None and omp[0] >= _POW_MIN:
-                pw = dd_mul(base, omp)
-                value = dd_div(dd_sub(dd(1.0), pw), w)
-                p_err = 3.0 * abs((1.0 - n) * self.log[0]) + shift + 2.0  # base times table
-        if value is None:
-            value = power_integral_dd(shift, n, self.omx, self.log)
-            if integral and w[0] == 0.0:
-                return value, 1.0
-            # binary powering: a unit per unit of exponent, one to invert
-            p_err = abs(w[0]) + (w[0] < 0.0) if integral else 1.0 + 3.0 * a
-        d = w[0] * value[0]  # 1 - P, 0 where P rounds to 1: no relative bound
-        return value, ((p_err + 1.0) * abs(1.0 - d) + 1.0) / abs(d) + 1.0 if d else math.inf
 
 
 @lru_cache(maxsize=32)

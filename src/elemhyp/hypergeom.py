@@ -9,17 +9,16 @@ shape of the parameter triple (m, n; p):
   (1, m; m+l+1)   form A in the log basis (form B, a Taylor remainder in
                   x, is kept as verify's independent check of A; at m = 2
                   the two are the other (1, 2; n+2) arrangements)
-  anything else   one binomial sum over power integrals (any integer
-                  m >= 1, real n, integer p >= m+1; at m = 1 a single sum)
+  anything else   two sums with exact rational coefficients and one power
+                  (1-x)**(q+1-n), q = p-m-1 (any integer m >= 1, real n,
+                  integer p >= m+1; _eq_general)
 
 All closed forms assemble in double-double and round once at the end; the
-per-x _dd.context(x) forms 1-x, log(1-x), the x and 1-x power tables and
-the power integrals once per x, each power integral once per (shift, n).  A
-power integral whose exponent w = shift+1-n is not an integer and has
-|w log(1-x)| >= 1/2 takes (1-x)**w as (1-x)**(1-n), one dd_exp per n,
-times (1-x)**shift from the power table; the others keep one dd_expm1 (or
-an integer power) each.  Each form sums in a _dd.BoundedSum, whose bound
-counts term roundings, table depth and power-integral errors.
+per-x _dd.context(x) forms 1-x, log(1-x) and the x and 1-x power tables
+once per x.  The general form takes at most one dd_exp (non-integer n) and
+one dd_log (non-integer n, or the log term of an integer n in [1, p-1]).
+Each form sums in a _dd.BoundedSum, whose bound counts term roundings,
+table depth and the errors of the log and the power.
 
 The dispatcher hyp2f1_eval tries three routes in order; the first two are
 kept only where _dd.certified finds their rounding bound within 1e-13:
@@ -47,13 +46,11 @@ Where the part with (1-x)**s passes float range, the value does too, and
 NotConverged is raised.
 
 A short terminating polynomial (n a nonpositive integer >= -40) that route
-1 does not keep is summed exactly in integers and rounded once instead of
-routes 2 and 3.  Points whose a-priori digit loss (p-1)*log10(1/x) exceeds
-_MAX_DIGIT_LOSS skip route 2.  Where the closed form of route 2 overflows
-float range or comes out non-finite (large n next to x = 1), route 3 is not
-taken: the closed form of the Euler-transformed triple (p-m, p-n; p)
-(DLMF 15.8.1), if certified, times (1-x)**(p-m-n) answers instead, or
-NotConverged is raised.
+1 does not keep is summed exactly and rounded once.  Points whose digit
+loss (p-1)*log10(1/x) exceeds _MAX_DIGIT_LOSS skip route 2.  Where route
+2 passes float range (large n next to x = 1), the certified closed form of
+the Euler-transformed triple (p-m, p-n; p) (DLMF 15.8.1) times
+(1-x)**(p-m-n) answers instead of route 3, or NotConverged is raised.
 """
 
 from __future__ import annotations
@@ -62,12 +59,13 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, islice
 
 from ._dd import (
     _GUARD_REL, U, BoundedSum, ClosedFormContext,
-    certified, context, dd, dd_add, dd_div, dd_from_int, dd_from_ratio, dd_mul,
-    dd_neg, dd_npow, dd_to_float,
+    certified, context, dd, dd_add, dd_div, dd_exp, dd_from_int, dd_from_ratio,
+    dd_mul, dd_neg, dd_npow, dd_to_float,
 )
 from .numcore import (
     DomainError, InvalidParams, NonFinite, NotConverged, SeriesResult,
@@ -138,23 +136,103 @@ def _terms(a: float, b: float, ib: int, c: float, ic: int, z: float):
     return terms(), tail
 
 
-def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum:
-    """One sum over (k, i) of power integrals.
+@lru_cache(maxsize=4096)
+def _pole_part(M: int, k0: int):
+    """sum_(k != k0) (-1)**k C(M,k) / (k-k0) = (-1)**k0 C(M,k0)
+    (H_k0 - H_(M-k0)), the finite part of M! / (a)_(M+1) at a = -k0."""
+    h = sum(Fraction(1, j) for j in range(k0 - M, k0 + 1) if j) * math.comb(M, k0)
+    return (-h.numerator if k0 % 2 else h.numerator), h.denominator
 
-    The binomial sum over j of the triple form collapses by
-    sum_j C(q,j)(-1)**j x**(q-j) C(j,i)(-1)**i = C(q,i)(x-1)**(q-i), q = p-m-1,
-    so one BoundedSum sees every term and its bound covers all the
-    cancellation.  At m = 1 this is the single-sum form.
+
+def _beta_sums(M: int, num: int, den: int, count: int):
+    """sum_k (-1)**k C(M,k) / (a+k) = M! / (a)_(M+1), the Beta integral
+    B(a, M+1) (DLMF 5.12.1) with (1-t)**M expanded, at a = j+1-num/den for
+    j < count: exact integer pairs (numerator, denominator).  The product
+    of the M+1 integers a*den + t*den slides to the next j by one
+    multiplication and one exact division.  Where a is one of 0, -1, ...,
+    -M, the term k = -a is a pole, and that row is _pole_part."""
+    top = math.factorial(M) * den ** (M + 1)
+    prod = None
+    for j in range(count):
+        ad = (j + 1) * den - num  # a * den
+        if den == 1 and -M <= ad <= 0:
+            prod = None
+            yield _pole_part(M, -ad)
+        else:
+            if prod is None:
+                prod = math.prod(range(ad, ad + (M + 1) * den, den))
+            else:
+                prod = prod * (ad + M * den) // (ad - den)
+            yield top, prod
+
+
+def _general_coefficients(m: int, num: int, den: int, q: int):
+    """The exact coefficients of _eq_general at n = num/den, P = 1-x:
+    heads[i] = (-1)**(q-i) C(q,i) S_i of P**(q-i) and tails[k] =
+    (-1)**(k+q+1) C(m-1,k) T_k of P**(q+1-n+k), integer pairs
+    (numerator, denominator); logs, one (i, c) per pair i+k = n-1, c the
+    integer coefficient of P**(q-i) log P (none unless n is an integer
+    in [1, q+m])."""
+    heads = [(-math.comb(q, i) * a if (q - i) % 2 else math.comb(q, i) * a, b)
+             for i, (a, b) in enumerate(_beta_sums(m - 1, num, den, q + 1))]
+    tails = [(math.comb(m - 1, k) * a if (k + q) % 2 else -math.comb(m - 1, k) * a, b)
+             for k, (a, b) in enumerate(_beta_sums(q, num, den, m))]
+    sign = 1 if (num - 1 + q) % 2 else -1
+    logs = [(i, sign * math.comb(m - 1, num - 1 - i) * math.comb(q, i))
+            for i in range(max(0, num - m), min(q, num - 1) + 1)] if den == 1 else []
+    return heads, tails, logs
+
+
+def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum:
+    """Two sums with exact coefficients and one power, P = 1-x, q = p-m-1:
+
+        sum_i (-1)**(q-i) C(q,i) S_i P**(q-i)
+          - P**(q+1-n) sum_k (-1)**(k+q) C(m-1,k) T_k P**k  (+ L),
+
+    times C(p-1, m-1) (p-m) / x**(p-1).  It is the triple form's sum over
+    (k, i) of (-1)**(k+q-i) C(m-1,k) C(q,i) P**(q-i) times the integral of
+    t**(i+k-n) over [P, 1], (1 - P**w) / w with w = i+k+1-n: its 1/w parts
+    summed over k give S_i = (m-1)! / (i+1-n)_m, its P**w parts summed over
+    i give T_k = q! / (k+1-n)_(q+1) (_beta_sums, _general_coefficients).
+    For an integer n in [1, p-1], the pairs with w = 0 integrate to -log P:
+    S_i and T_k take their finite parts, and L is
+    -log P sum_(i+k=n-1) (-1)**(k+q-i) C(m-1,k) C(q,i) P**(q-i).
+
+    The scale P**(q+1-n) is a table entry or dd_npow for integer n, else
+    dd_exp(u), u = (q+1-n) log P with q+1-n an exact dd.  The BoundedSum
+    counts a term's table depth, 1 for its coefficient (and log P), 1 per
+    product, and the scale's depth or 1 + 3|u|; plus, as an absolute error
+    times what multiplies it, 16 units of 2**-1074 per dd_mul that forms or
+    takes a power or product in the subnormal range.
     """
     q = p - m - 1
-    ompows = ctx.ompows(q)
-    acc = BoundedSum()
-    for k in range(m):
-        ck = math.comb(m - 1, k) * (-1 if k % 2 else 1)
-        for i in range(q + 1):
-            c = ck * math.comb(q, i) * (-1 if (q - i) % 2 else 1)
-            integ, err = ctx.power_integral(i + k, n)
-            acc.add(dd_mul(dd_mul(dd_from_int(c), ompows[q - i]), integ), q - i + 2 + err)
+    num, den = n.as_integer_ratio()
+    heads, tails, logs = _general_coefficients(m, num, den, q)
+    ompows = ctx.ompows(max(q, m - 1))
+    acc, inner = BoundedSum(), BoundedSum()
+    tiny = tail_tiny = 0.0  # the subnormal errors, in units 16 * 2**-1074
+    for i, (a, b) in enumerate(heads):
+        c = dd_from_ratio(a, b)
+        acc.add(dd_mul(c, ompows[q - i]), q - i + 2)
+        tiny += abs(c[0]) * (q - i + 1) + 1.0
+    for k, (a, b) in enumerate(tails):
+        c = dd_from_ratio(a, b)
+        inner.add(dd_mul(c, ompows[k]), k + 2)
+        tail_tiny += abs(c[0]) * (k + 1) + 1.0
+    for i, c in logs:
+        acc.add(dd_mul(dd_from_int(c), dd_mul(ompows[q - i], ctx.log)), q - i + 4)
+        tiny += abs(c) * (abs(ctx.log[0]) + 1.0) * (q - i + 1) + 1.0
+    if den == 1:
+        e = q + 1 - num
+        scale, err = (ompows[e], float(e)) if 0 <= e < len(ompows) else \
+            (dd_npow(ctx.omx, e), abs(e) + (e < 0))
+    else:
+        u = dd_mul(dd_add(dd_from_int(q + 1), dd(-n)), ctx.log)
+        scale, err = dd_exp(u), 1.0 + 3.0 * abs(u[0])
+    tiny += tail_tiny * abs(scale[0]) + (abs(inner.total[0]) + inner.bound) * (err + 2.0)
+    inner.mul(scale, err)
+    acc.add_sum(inner)
+    acc.bound += 16.0 * 2.0 ** -1074 * tiny
     # (m)_(p-m) / (p-m-1)! is the integer C(p-1, m-1)*(p-m)
     pref_int = math.comb(p - 1, m - 1) * (p - m)
     acc.mul(dd_div(dd_from_int(pref_int), dd_npow(dd(ctx.x), p - 1)), p)
@@ -195,10 +273,7 @@ def _eq_1m_b(m: int, l: int, ctx: ClosedFormContext) -> BoundedSum:
     acc.add(dd_mul(dd_from_ratio(sgn.numerator, sgn.denominator),
                    dd_mul(dd_npow(ctx.omx, l), ctx.log)), l + 3)
     for j in range(1, l + 1):
-        cj = Fraction(0)
-        for i in range(j):
-            cj += Fraction((-1) ** i * math.comb(l, i), j - i)
-        cj *= sgn
+        cj = sgn * sum(Fraction((-1) ** i * math.comb(l, i), j - i) for i in range(j))
         acc.add(dd_mul(dd_from_ratio(cj.numerator, cj.denominator), xpows[j]), j + 1)
     for i in range(m - 1):
         poc = math.perm(i + 1 + l, l + 1)  # (i+1)_(l+1)
@@ -261,10 +336,8 @@ _X_NEAR = 0.8
 
 
 def _closed_route(m: int, n: float, p: int, x: float):
-    """The shape classifier: the most specific closed form for (m, n; p).
-
-    Returns the value, rounded once, and its double-double sum's bound.
-    """
+    """The shape classifier: the most specific closed form for (m, n; p),
+    as (value rounded once, the bound of its double-double sum)."""
     if n == 1.0 and m > 1:
         m, n = 1, float(m)  # symmetric in the upper pair
     if m == 1 and n == 2.0 and p >= 3:
@@ -275,13 +348,10 @@ def _closed_route(m: int, n: float, p: int, x: float):
 
 
 def hyp2f1_closed(params: HypergeomParams, x: float) -> float:
-    """The elementary closed form of 2F1(m, n; p; x), 0 < x < 1, certified.
-
-    The classifier picks the most specific form: (1, 2; p) its own form,
-    (1, k; p) with integer k >= 1 the log-basis form A, any other shape the
-    general sum.  The value is returned only where _dd.certified finds its
-    rounding bound within 1e-13 of it; otherwise, or where it passes float
-    range, this raises NotConverged.
+    """The elementary closed form of 2F1(m, n; p; x), 0 < x < 1, certified:
+    the classifier's form (_closed_route), returned only where _dd.certified
+    finds its rounding bound within 1e-13 of it; otherwise, or where it
+    passes float range, this raises NotConverged.
     """
     f, bound = _closed_route(params.m, params.n, params.p, x)
     if not certified(f, bound):
@@ -293,13 +363,12 @@ def hyp2f1_closed(params: HypergeomParams, x: float) -> float:
 def _euler_on_overflow(m: int, n: float, p: int, x: float) -> float:
     """2F1(m, n; p; x) = (1-x)**(p-m-n) 2F1(p-m, p-n; p; x) (DLMF 15.8.1).
 
-    For a direct closed form that overflowed: with large n next to x = 1 its
-    power integrals grow like (1-x)**(1-n), the transformed ones do not.  The
-    series is no fallback there, since its terms stop short of the sum.  The
-    near-1 route answers most such points first; this serves integer s =
-    p-m-n, and non-integer s where that route declines (say, where
-    (1-x)**s alone passes float range).  It can go once integer s has a
-    near-1 form (the log case, DLMF 15.8.10).
+    For a direct closed form that passed float range: with large n next to
+    x = 1 its scale (1-x)**s, s = p-m-n, does; the transformed form's,
+    (1-x)**(-s), does not.  The series stops short of the sum there.  The
+    near-1 route answers most such points first; this serves integer s and
+    the non-integer s where that route declines.  It can go once integer s
+    has a near-1 form (the log case, DLMF 15.8.10).
     """
     nn = p - n
     f, bound = _closed_route(p - m, nn, p, x)
@@ -429,24 +498,14 @@ def _short_poly_exact(m: int, K: int, p: int, x: float) -> float:
 
 
 def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
-    """Stability-aware dispatcher.
+    """Stability-aware dispatcher: the routes of the module docstring.
 
     Every series it sums, by numcore.sum_series, stops on a bound on its
-    tail within 1e-17 of its sum, at most 100000 terms.
-    Below _X_SWITCH = 1/2 the defining series is kept if _dd.certified finds
-    its rounding bound, terms_used * sum|term| * 2**-53, within 1e-13.  A
-    short terminating polynomial (n a nonpositive integer >= -40) is then
-    summed exactly and rounded once.  From _X_NEAR = 0.8 up, a non-integer
-    s = p-m-n tries the connection formula about x = 1 (_near_one), kept by
-    the same test on its BoundedSum bound; it raises NotConverged where its
-    (1-x)**s part passes float range.  Any other point, or one where it
-    declines, tries the most specific closed form, kept by the same test on
-    the running bound of its double-double sum, unless the digit-loss bound
-    (p-1)*log10(1/x) rules it out.  The fallback is the series, reusing the
-    sum made below _X_SWITCH, with no rounding check; at the term cap it
-    raises NotConverged.  A closed form that passes float range is replaced
-    by that of the Euler-transformed triple (p-m, p-n; p) times
-    (1-x)**(p-m-n), if certified, else NotConverged is raised: the series
+    tail within 1e-17 of its sum, at most 100000 terms.  The values of
+    routes 1 and 2 and of the near-1 route are kept only where
+    _dd.certified accepts their bound; the fallback series, with no
+    rounding check, raises NotConverged at the term cap.  A closed form that
+    passes float range hands over to _euler_on_overflow, since the series
     stops short there.
     """
     if not 0.0 <= x < 1.0:

@@ -50,6 +50,7 @@ from .polylog import _polylog_dd
 _APPLY_CLOSED_FROM = 0.9
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -185,9 +186,13 @@ def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):
     rounded once.
 
     Returns the SeriesResult gmkz_apply describes, or None where a
-    coefficient passes float range, x**c underflows to 0 or the rounding
+    coefficient passes float range, x**c leaves the normal float range
+    (tested by c log x before anything is built: the Li_s tail it scales
+    is then ~x**c and cancels past any certified bound) or the rounding
     bound is not certified.
     """
+    if m and c * math.log(x) < _LOG_FLOAT_MIN:
+        return None
     try:
         bern, neg, head = _closed_coefficients(N, c, m, beta)
     except OverflowError:
@@ -204,10 +209,7 @@ def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):
             tail.add(dd_mul(a, dd_neg(ctx.log) if s == 1 else _polylog_dd(s, x)), 2)
         for u, h in enumerate(head, 1):
             tail.add(dd_neg(dd_mul(h, xp[u])), u + 1)
-        try:  # (1-x)**N x**(-c)
-            tail.mul(dd_div(op[N], xp[c]), N + c + 1)
-        except ZeroDivisionError:  # x**c underflows to 0
-            return None
+        tail.mul(dd_div(op[N], xp[c]), N + c + 1)  # (1-x)**N x**(-c)
         acc.add_sum(tail)
     value = dd_to_float(acc.total)
     if not certified(value, acc.bound):

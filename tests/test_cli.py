@@ -164,9 +164,11 @@ def test_hyp2f1_closed_refuses_a_cancelled_value():
 
 
 @pytest.mark.parametrize("method,n,p", [
-    ("closed", "60.5", "70"),
-    # dd products past ~1.3e300 turn the value nan short of an OverflowError
-    ("closed", "34.8", "40"),
+    # the value, 1.87e358, lies beyond float range
+    ("closed", "60.5", "20"),
+    # the scale (1-x)**-33.6 ~ 1e302 turns the dd products nan short of an
+    # OverflowError (the value is 3.9e288; --method auto answers it)
+    ("closed", "52.6", "20"),
 ], ids=["closed", "closed-nan-band"])
 def test_hyp2f1_overflowing_closed_form_exits_1(method, n, p):
     r = run("hyp2f1", "--m", "1", "--n", n, "--p", p, "--x", "0.999999999",

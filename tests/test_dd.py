@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from elemhyp._dd import (
-    BoundedSum, ClosedFormContext, _two_prod, dd, dd_add, dd_div, dd_exp, dd_expm1,
+    BoundedSum, _two_prod, dd, dd_add, dd_div, dd_exp, dd_expm1,
     dd_from_int, dd_from_ratio, dd_log, dd_mul, dd_neg, dd_npow, dd_sqrt,
     dd_sub, dd_to_float, power_integral_dd,
 )
@@ -365,40 +365,3 @@ def test_power_integral_dd_snaps_near_integer_exponents():
     got = power_integral_dd(0, 1.0 + 5e-10, omx, L)
     want = -math.log1p(-x)
     assert abs(dd_to_float(got) - want) < 1e-9 * want
-
-
-def _power_integral_pairs(x, n, shifts):
-    """(shift, context value, power_integral_dd value) at one (x, n)."""
-    ctx = ClosedFormContext(x)
-    for shift in shifts:
-        try:
-            want = power_integral_dd(shift, n, ctx.omx, ctx.log)
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                ctx.power_integral(shift, n)
-            continue
-        yield shift, ctx.power_integral(shift, n)[0], want
-
-
-def test_context_power_integral_matches_power_integral_dd():
-    # one dd_exp per n times (1-x)**shift against one dd_exp per shift, on
-    # both sides of the |w log(1-x)| = 1/2 switch, at the edges of the band
-    # where the per-n base leaves dd_mul's range (m = 1, p = 40), and where
-    # (1-x)**shift has a subnormal lo part (off by 2.3e-27 at shift 51)
-    rng = random.Random(8102)
-    points = [(1 - 1e-9, n) for n in (34.35, 34.52, 35.25)] + [(1 - 1e-6, 50.5)]
-    for _ in range(60):
-        x = 1.0 - 10.0 ** rng.uniform(-9.0, math.log10(0.5))
-        n = rng.choice((float(rng.randint(-20, 40)), rng.randint(-20, 39) + 0.5,
-                        rng.uniform(-20.0, 40.0)))
-        points.append((x, n))
-    sides = set()
-    for x, n in points:
-        log_1mx = math.log1p(-x)
-        for shift, got, want in _power_integral_pairs(x, n, range(66)):
-            if not math.isfinite(want[0]):  # dd_div's split overflowed
-                assert not math.isfinite(got[0]), (x, n, shift)
-                continue
-            sides.add(abs((shift + 1 - n) * log_1mx) >= 0.5)
-            assert abs(dd_sub(got, want)[0]) <= 1e-27 * abs(want[0]), (x, n, shift)
-    assert sides == {False, True}

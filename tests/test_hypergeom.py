@@ -3,6 +3,7 @@
 import math
 import random
 import sys
+from fractions import Fraction
 
 import mpmath as mp
 import pytest
@@ -261,28 +262,93 @@ def test_eval_closed_path_is_bit_stable(m, n, p, x, want):
     assert hyp2f1_eval(HypergeomParams(m, n, p), x) == want
 
 
-def test_closed_route_forms_each_power_integral_once(monkeypatch):
-    # the general form at (3, 2.5; 8) sums 45 power integrals over 7 shifts,
-    # and every exponent there takes (1-x)**(1-n), one dd_exp, as its base
-    shifts = []
-    original = _dd.ClosedFormContext._power_integral
-
-    def counting(self, shift, n):
-        shifts.append(shift)
-        return original(self, shift, n)
-
-    monkeypatch.setattr(_dd.ClosedFormContext, "_power_integral", counting)
-    exps = []
-    for name in ("dd_exp", "dd_expm1"):
-        def counting_exp(u, _name=name, _original=getattr(_dd, name)):
-            exps.append(_name)
+@pytest.mark.parametrize("n,counts", [
+    (2.5, {"dd_log": 1, "dd_exp": 1}),  # log P and the scale P**(q+1-n)
+    (-45.0, {}),  # integer n with no pole: no log, and a power for the scale
+    (5.0, {"dd_log": 1}),  # integer n in [1, p-1]: the log term only
+], ids=["half-integer", "integer", "integer-pole"])
+def test_closed_route_transcendental_calls_on_a_cold_context(n, counts, monkeypatch):
+    # the general form at (3, n; 8) sums 7 + 3 terms with exact coefficients
+    # and forms at most one dd_exp and one dd_log; no dd_expm1 at all
+    calls = []
+    for name in ("dd_exp", "dd_expm1", "dd_log"):
+        def counting(u, _name=name, _original=getattr(_dd, name)):
+            calls.append(_name)
             return _original(u)
 
-        monkeypatch.setattr(_dd, name, counting_exp)
+        monkeypatch.setattr(_dd, name, counting)
+        if hasattr(hypergeom, name):
+            monkeypatch.setattr(hypergeom, name, counting)
     _dd.context.cache_clear()  # an earlier test may have filled x = 0.7
-    _closed_route(3, 2.5, 8, 0.7)
-    assert sorted(shifts) == list(range(7))
-    assert exps == ["dd_exp"]
+    f, bound = _closed_route(3, n, 8, 0.7)
+    assert {name: calls.count(name) for name in set(calls)} == counts
+    assert _dd.certified(f, bound)
+    assert rel_err(f, mp_ref(3, n, 8, 0.7, 50)) <= 1e-15
+
+
+def _triple_form_coefficients(m, n, q):
+    """The coefficients of _eq_general summed directly from the triple form
+    sum_(k,i) (-1)**(k+q-i) C(m-1,k) C(q,i) P**(q-i) (1 - P**w) / w,
+    w = i+k+1-n, in Fractions: the pairs with w = 0 give -log P instead."""
+    heads, tails, logs = [Fraction(0)] * (q + 1), [Fraction(0)] * m, {}
+    for k in range(m):
+        for i in range(q + 1):
+            c = (-1) ** (k + q - i) * math.comb(m - 1, k) * math.comb(q, i)
+            w = i + k + 1 - n
+            if w == 0:
+                logs[i] = logs.get(i, 0) - c
+            else:
+                heads[i] += c / w
+                tails[k] -= c / w
+    return heads, tails, logs
+
+
+def _coefficient_cases():
+    rng = random.Random(2801)
+    for m in range(1, 9):
+        for q in (0, 1, 2, 5, 20):
+            ns = [Fraction(k) for k in range(-2, m + q + 3)]  # every pole position
+            ns += [Fraction(2 * k + 1, 2) for k in range(-3, m + q + 2, 3)]
+            ns += [Fraction(rng.randint(-2 ** 20, 2 ** 26), 2 ** rng.randint(1, 20))
+                   for _ in range(3)]
+            for n in ns:
+                yield m, q, n
+
+
+def test_general_form_coefficients_are_the_triple_sums():
+    # S_i and T_k by the Beta integral, and their finite parts at the poles,
+    # must equal the triple form's own sums over the pairs with w != 0
+    cases = 0
+    for m, q, n in _coefficient_cases():
+        heads, tails, logs = hypergeom._general_coefficients(
+            m, n.numerator, n.denominator, q)
+        want_heads, want_tails, want_logs = _triple_form_coefficients(m, n, q)
+        assert [Fraction(a, b) for a, b in heads] == want_heads, (m, q, n)
+        assert [Fraction(a, b) for a, b in tails] == want_tails, (m, q, n)
+        assert dict(logs) == want_logs, (m, q, n)
+        cases += 1
+    assert cases == 938
+
+
+def test_general_form_next_to_integer_n_matches_mpmath():
+    # n within 1e-12 of an integer puts a near-pole in S_i and T_k; their
+    # large, cancelling terms must be caught by the bound, so every value
+    # the closed route certifies is within 1e-14
+    rng = random.Random(2802)
+    kept = 0
+    for _ in range(120):
+        m = rng.randint(2, 10)
+        p = rng.randint(m + 1, m + 60)
+        n = rng.randint(-20, 40) + rng.choice((1, -1)) * 10.0 ** rng.uniform(-15.0, -12.0)
+        x = 1.0 - 10.0 ** rng.uniform(-9.0, math.log10(0.95))
+        try:
+            f, bound = _closed_route(m, n, p, x)
+        except NotConverged:
+            continue
+        if _dd.certified(f, bound):
+            kept += 1
+            assert rel_err(f, mp_ref(m, n, p, x, 50)) <= 1e-14, (m, n, p, x)
+    assert kept >= 60
 
 
 def test_eval_domain_and_convergence():
@@ -290,11 +356,12 @@ def test_eval_domain_and_convergence():
         hyp2f1_eval(HypergeomParams(1, 2.0, 3), -0.1)
     with pytest.raises(DomainError):
         hyp2f1_eval(HypergeomParams(1, 2.0, 3), 1.0)
-    # s = p-m-n = -11 is an integer, so the near-1 route does not apply; the
-    # closed form's rounding bound is rejected, and the series fallback is
-    # still going at the 100000-term cap
+    # s = p-m-n = 10 is an integer, so the near-1 route does not apply; the
+    # digit loss (p-1)*log10(1/x) = 43 rules the closed form out, and the
+    # series, whose terms fall like x**k, is still going at the 100000-term
+    # cap
     with pytest.raises(NotConverged, match="series fallback did not converge"):
-        hyp2f1_eval(HypergeomParams(4, 40.0, 33), 0.9999994406533778)
+        hyp2f1_eval(HypergeomParams(2, 4999988.0, 5000000), 0.99998)
 
 
 @given(st.integers(min_value=1, max_value=4),
@@ -354,7 +421,7 @@ def test_eval_baseline_reproducers_below_half(m, n, p, x):
 
 
 @pytest.mark.parametrize("m,n,p,x", [
-    (6, 18.5, 24, 0.5033840330246482),  # 4.9e-13 off at tolerance 1e-12
+    (5, 22.5, 32, 0.5083782222261258),  # bound 2.9e-11 of the value
     (4, 19.04119012493857, 35, 0.596122670041623),  # 4.4e-13
     (2, 2.5, 50, 0.6183776528207239),  # 1.5e-13
 ])
@@ -691,13 +758,18 @@ def test_closed_route_rounding_bound_is_a_bound_on_a_large_sweep():
     (1, 34.8, 40, 1 - 1e-9),
     (2, 34.9, 45, 1 - 1e-9),
     (1, 45.5, 12, 1 - 1e-9),  # the Euler scale alone passes float range
+    (1, 53.3, 20, 1 - 1e-9),
+    (1, 52.6, 20, 1 - 1e-9),  # the direct form's dd products turn nan
+    (2, 53.5, 30, 1 - 1e-12),
 ])
 def test_eval_overflowing_power_integral_takes_euler(m, n, p, x, monkeypatch):
-    # the direct form's power integrals overflow float range, or turn the
-    # double-double products non-finite on their way there; the Euler form
-    # (p-m, p-n; p) does not, and the series, which stops short of the sum
-    # there, is never tried.  s = p-m-n is not an integer at these points,
-    # so the near-1 route answers first; with it off, the Euler form does.
+    # large n next to x = 1, with the near-1 route on and off.  s = p-m-n
+    # is not an integer here, so the near-1 route answers first.  With it
+    # off, the direct form answers the first five points; at the last four
+    # its scale (1-x)**s passes float range, or turns the double-double
+    # products non-finite on its way there, and the Euler form
+    # (p-m, p-n; p) answers: the series, which stops short of the sum
+    # there, is never tried.
     want = mp_ref(m, n, p, x, 50)
     assert rel_err(hyp2f1_eval(HypergeomParams(m, n, p), x), want) <= 1e-14
     monkeypatch.setattr(hypergeom, "_X_NEAR", 2.0)
@@ -705,12 +777,30 @@ def test_eval_overflowing_power_integral_takes_euler(m, n, p, x, monkeypatch):
 
 
 def test_public_closed_forms_raise_in_the_non_finite_band():
-    # dd products past ~1.3e300 turn these values nan before any
-    # OverflowError; the closed form raises instead of returning it
+    # the scale (1-x)**(q+1-n) past ~1.3e300 turns the dd products nan
+    # before any OverflowError (the values are 3.9e288 and 4.8e286); the
+    # closed form raises instead of returning it.  At (1, 60.5; 20) the
+    # value itself, 1.87e358, passes float range
     with pytest.raises(NotConverged, match="overflows float range"):
-        hyp2f1_closed(HypergeomParams(1, 34.8, 40), 1 - 1e-9)
+        hyp2f1_closed(HypergeomParams(1, 52.6, 20), 1 - 1e-9)
     with pytest.raises(NotConverged, match="overflows float range"):
-        hyp2f1_closed(HypergeomParams(2, 34.9, 45), 1 - 1e-9)
+        hyp2f1_closed(HypergeomParams(2, 61.6, 30), 1 - 1e-9)
+    with pytest.raises(NotConverged, match="overflows float range"):
+        hyp2f1_closed(HypergeomParams(1, 60.5, 20), 1 - 1e-9)
+
+
+@pytest.mark.parametrize("m,n,p,x", [
+    (1, 60.5, 70, 1 - 1e-9),
+    (2, 45.25, 60, 1 - 1e-12),
+    (1, 34.4, 40, 1 - 1e-9),
+    (1, 34.8, 40, 1 - 1e-9),
+    (2, 34.9, 45, 1 - 1e-9),
+])
+def test_closed_form_holds_for_large_n_next_to_one(m, n, p, x):
+    # the general form's one power is (1-x)**(q+1-n), q+1-n >= 4.2 here,
+    # though single terms (1-x)**(i+k+1-n) of its expansion reach 1e300
+    want = mp_ref(m, n, p, x, 50)
+    assert rel_err(hyp2f1_closed(HypergeomParams(m, n, p), x), want) <= 1e-16
 
 
 def test_closed_forms_raise_where_an_integer_power_underflows():
@@ -724,16 +814,16 @@ def test_closed_forms_raise_where_an_integer_power_underflows():
 
 
 def test_eval_overflow_band_never_returns_the_series(monkeypatch):
-    # from just below where the direct form turns non-finite (n ~ 34.52)
-    # to past where it overflows (n ~ 35.3), no point falls to the series,
-    # with the near-1 route on or off (the Euler form answers)
+    # from just below where the direct form turns non-finite (n ~ 52.35)
+    # to past where its scale overflows (n ~ 53.25), no point falls to the
+    # series, with the near-1 route on or off (the Euler form answers)
     calls = _count_calls(monkeypatch, "hyp2f1_series")
     for x_near in (hypergeom._X_NEAR, 2.0):
         monkeypatch.setattr(hypergeom, "_X_NEAR", x_near)
         for k in range(30):
-            n = 34.5 + 0.03 * k
-            got = hyp2f1_eval(HypergeomParams(1, n, 40), 1 - 1e-9)
-            assert rel_err(got, mp_ref(1, n, 40, 1 - 1e-9, 50)) <= 1e-14, (n, x_near)
+            n = 52.2 + 0.05 * k
+            got = hyp2f1_eval(HypergeomParams(1, n, 20), 1 - 1e-9)
+            assert rel_err(got, mp_ref(1, n, 20, 1 - 1e-9, 50)) <= 1e-14, (n, x_near)
     assert calls["hyp2f1_series"] == []
 
 
@@ -775,12 +865,11 @@ def _dispatcher_sweep(count, seed):
 
 @pytest.mark.sweep
 def test_eval_dispatcher_sweep():
-    # the typed errors are pinned: 5 values lie beyond float range, and the
-    # other 5 have an integer n (so an integer s, which the near-1 route does
-    # not take) within 3e-6 of x = 1.  The misses left, 2.2e-12 to 4.8e-11,
-    # all have m >= 8, n <= -29.5 and n not an integer (an integer n down
-    # to -40 is summed exactly), where the closed form's bound is rejected
-    # and the fallback series cancels in float64 with no rounding check
+    # the typed errors are pinned: they are the 5 points whose values lie
+    # beyond float range.  No point is off by more than 1e-12, though about
+    # 430 points still take the unchecked fallback series (route 3): the
+    # general closed form certifies those where that series cancels (m >= 8,
+    # non-integer n <= -29.5, x <= 0.79)
     typed, off = _dispatcher_sweep(12000, 1712)
-    assert typed == 10
-    assert len(off) <= 6, off
+    assert typed == 5
+    assert off == []

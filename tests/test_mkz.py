@@ -612,6 +612,35 @@ def test_closed_moment_where_x_to_the_c_underflows():
     assert mkz._gmkz_closed(6, 5, 0.0, 3, 1e-200) is None
 
 
+def test_closed_moment_underflow_gate_changes_no_verdict(monkeypatch):
+    # c log x is tested against the normal float range before anything is
+    # built.  Next to that edge, where x**c is subnormal but not 0, the full
+    # build with the test off rejects the same points: its Li_s tail is
+    # ~x**c and cancels past any certified bound
+    rng = random.Random(2804)
+    points = []
+    for _ in range(24):
+        x = rng.uniform(0.3, 0.7)
+        edge = math.log(sys.float_info.min) / math.log(x)  # c with x**c at the edge
+        points.append((rng.randint(1, 12), int(edge * rng.uniform(0.9, 1.04)),
+                       rng.choice((0.0, 0.5, 2.0)), rng.randint(1, 5), x))
+    gated = [mkz._gmkz_closed(*pt) for pt in points]
+    monkeypatch.setattr(mkz, "_LOG_FLOAT_MIN", -math.inf)
+    built = [mkz._gmkz_closed(*pt) for pt in points]
+    assert gated == built
+    assert gated.count(None) == len(points)
+
+
+def test_closed_moment_skips_the_build_where_x_to_the_c_underflows():
+    # c = 99010: 0.95**c underflows, so the closed form declines before
+    # building 99009 cut-off weights (0.7 s), and the series answers
+    mkz._closed_coefficients.cache_clear()
+    start = time.perf_counter()
+    res = gmkz_apply(GmkzParams(10, 1, 99000.0, 0.0), Monomial(4), 0.95)
+    assert time.perf_counter() - start < 0.05
+    assert res.value == 3.293237602572787e-11
+
+
 def test_apply_route_guard(monkeypatch):
     # a routing slip would turn a sub-millisecond closed call into a series
     # of ~(N+50)/(1-x) terms; at x = 0.999 only a monomial with integer
