@@ -189,8 +189,9 @@ def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum:
         sum_i (-1)**(q-i) C(q,i) S_i P**(q-i)
           - P**(q+1-n) sum_k (-1)**(k+q) C(m-1,k) T_k P**k  (+ L),
 
-    times C(p-1, m-1) (p-m) / x**(p-1).  It is the triple form's sum over
-    (k, i) of (-1)**(k+q-i) C(m-1,k) C(q,i) P**(q-i) times the integral of
+    times C(p-1, m-1) (p-m) / x**(p-1).  It is the triple form, its sum over
+    j collapsed to C(q,i) (x-1)**(q-i): a sum over (k, i) of
+    (-1)**(k+q-i) C(m-1,k) C(q,i) P**(q-i) times the integral of
     t**(i+k-n) over [P, 1], (1 - P**w) / w with w = i+k+1-n: its 1/w parts
     summed over k give S_i = (m-1)! / (i+1-n)_m, its P**w parts summed over
     i give T_k = q! / (k+1-n)_(q+1) (_beta_sums, _general_coefficients).
