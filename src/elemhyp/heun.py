@@ -171,7 +171,7 @@ def heun_series_oracle(spec: HeunSpec, x: float) -> float:
     value is the partial sum of the first 401 terms by definition, summed by
     _finite_sum: rounded once, and an inf or nan term raises NonFinite.
     """
-    if abs(x) >= min(1.0, abs(spec.a)):
+    if not abs(x) < min(1.0, abs(spec.a)):  # nan too
         raise DomainError("oracle trusted only for |x| < min(1, |a|)")
     g = spec.gamma
     if g <= 0.0 and abs(g - round(g)) < 1e-12:

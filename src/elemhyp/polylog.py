@@ -142,11 +142,15 @@ def _polylog_power_series(k: int, x: float) -> DD:
 
     A j**k past 2**996, which Dekker's split cannot take, ends the sum: that
     term and every later one is below 2**-996 x, far under the stop rule.
+    The exponent test k*(bit_length(j) - 1) > 996 ends it first where it
+    can, so a large k never forms a huge j**k only to drop it.
     """
     ctx = context(x)
     total = dd(0.0)
     j = 1
     while True:
+        if k * (j.bit_length() - 1) > 996:
+            return total
         d = j ** k
         if d > 2 ** 996:
             return total

@@ -21,7 +21,7 @@ from .heun import (
     heun_params_from, heun_series_oracle, heun_termination,
 )
 from .hypergeom import (
-    _assemble, _eq_12_1, _eq_1m_a, _eq_1m_b, _eq_general, hyp2f1_series,
+    _assemble, _eq_12_1, _eq_1m_b, _eq_general, hyp2f1_series,
 )
 from .mkz import (
     _APPLY_CLOSED_FROM, GmkzParams, Monomial, _gmkz_series, gmkz_apply, gmkz_e1,
@@ -68,9 +68,10 @@ def _entry(operation: str, inputs: dict, result: float, oracle: float,
 
 def suite_hypergeom() -> list:
     # Each closed-form entry names its form, so it calls that body directly:
-    # the classifier would send the general entries at (1, 2; p) and the
-    # family chain to another one.  The (1, 2; n+2) entries check its one
-    # form against forms A and B of (1, m; m+l+1) at m = 2, l = n-1.
+    # the classifier would send the general entries at (1, 2; p) to the
+    # (1, 2; p) form.  The log-variant entries check the general form at
+    # (1, m; m+l+1) against form B, the Taylor remainder in x; the
+    # (1, 2; n+2) entries check its one form against both at m = 2, l = n-1.
     tol = SUITE_TOLERANCES["hypergeom"]
     entries = []
     for m in range(1, 5):
@@ -86,7 +87,7 @@ def suite_hypergeom() -> list:
     for m in range(1, 7):
         for l in range(0, 7):
             for x in (0.1, 0.5, 0.9):
-                va = _assemble(_eq_1m_a, x, m, l)[0]
+                va = _assemble(_eq_general, x, 1, float(m), m + l + 1)[0]
                 vb = _assemble(_eq_1m_b, x, m, l)[0]
                 entries.append(_entry(
                     "hyp2f1_log_variants_ab",
@@ -95,7 +96,7 @@ def suite_hypergeom() -> list:
     for n in range(1, 13):
         for x in (0.1, 0.5, 0.9):
             v1 = _assemble(_eq_12_1, x, n)[0]
-            v2 = _assemble(_eq_1m_a, x, 2, n - 1)[0]
+            v2 = _assemble(_eq_general, x, 1, 2.0, n + 2)[0]
             v3 = _assemble(_eq_1m_b, x, 2, n - 1)[0]
             entries.append(_entry(
                 "hyp2f1_12_variants_12",
@@ -105,7 +106,7 @@ def suite_hypergeom() -> list:
                 {"n": n, "x": x}, v1, v3, tol))
     for n in range(1, 7):
         for x in (0.2, 0.7):
-            via3 = _assemble(_eq_1m_a, x, 2, n - 1)[0]
+            via3 = _assemble(_eq_general, x, 1, 2.0, n + 2)[0]
             via4 = _assemble(_eq_12_1, x, n)[0]
             entries.append(_entry(
                 "hyp2f1_family_chain",

@@ -8,6 +8,7 @@ against itself.
 """
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -25,7 +26,7 @@ from elemhyp import (
     ln_moment_e2, ln_moment_e2_direct, mkz_moment, mkz_moment_e2,
 )
 from elemhyp.basis import LOG_TERM, combo_eval, fnj_combo, fnj_series, poly, pow_ratio
-from elemhyp.hypergeom import _assemble, _eq_12_1, _eq_1m_a, _eq_1m_b, _eq_general
+from elemhyp.hypergeom import _assemble, _eq_12_1, _eq_1m_b, _eq_general
 from elemhyp.mkz import _gmkz_series
 from elemhyp.verify import _fnj3_direct
 
@@ -73,19 +74,21 @@ def test_criterion_2_rearranged_forms_agree_pairwise():
     for m in range(1, 7):
         for l in range(0, 7):
             for x in (0.1, 0.5, 0.9):
-                va = _assemble(_eq_1m_a, x, m, l)[0]
+                # the general form at (1, m; m+l+1) against form B
+                va = _assemble(_eq_general, x, 1, float(m), m + l + 1)[0]
                 vb = _assemble(_eq_1m_b, x, m, l)[0]
                 worst = max(worst, rel(va, vb))
     for n in range(1, 13):
         for x in (0.1, 0.5, 0.9):
-            # the (1, 2; n+2) form against forms A and B at m = 2, l = n-1
+            # the (1, 2; n+2) form against the general form and form B
+            # at m = 2, l = n-1
             v1 = _assemble(_eq_12_1, x, n)[0]
-            v2 = _assemble(_eq_1m_a, x, 2, n - 1)[0]
+            v2 = _assemble(_eq_general, x, 1, 2.0, n + 2)[0]
             v3 = _assemble(_eq_1m_b, x, 2, n - 1)[0]
             worst = max(worst, rel(v1, v2), rel(v1, v3), rel(v2, v3))
     for n in range(1, 7):
         for x in (0.2, 0.7):
-            worst = max(worst, rel(_assemble(_eq_1m_a, x, 2, n - 1)[0],
+            worst = max(worst, rel(_assemble(_eq_general, x, 1, 2.0, n + 2)[0],
                                    _assemble(_eq_12_1, x, n)[0]))
     ok = worst <= 1e-10
     report("rearranged closed forms pairwise", ok, f"worst rel {worst:.3e}")
@@ -303,6 +306,10 @@ def test_criterion_8_cli_verification_and_pinned_outputs(tmp_path):
         op = entry["operation"]
         if op.endswith(("_vs_series", "_vs_direct")) and op != "heun_vs_series_oracle":
             assert entry["rel_err"] <= 1e-14, entry
+    # the report is bit-stable: a change that moves it records why in
+    # CHANGES.md and pins the new digest here
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "f43bd65b5e0509c2639763c2cd7dac4a7e7c3c62ada963550de7db5158d25af6")
 
     pinned = [
         (["hyp2f1", "--m", "1", "--n", "2", "--p", "3", "--x", "0.5",

@@ -191,6 +191,17 @@ def test_hyp2f1_closed_rejects_the_origin():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("method", ["auto", "closed", "series"])
+def test_hyp2f1_nan_x_exits_2(method):
+    # a nan x is out of the domain on every route; the series route raised
+    # NonFinite and exited 1
+    r = run("hyp2f1", "--m", "1", "--n", "2", "--p", "3", "--x", "nan",
+            "--method", method)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ")
+
+
 def test_hyp2f1_series_cap_exits_1():
     # the tail bound |t_(k+1)| / (1 - x) is still ~1e-12 at the cap
     r = run("hyp2f1", "--m", "1", "--n", "2", "--p", "6", "--x", "0.999999",

@@ -159,6 +159,8 @@ def test_series_oracle_domain():
     spec = heun_params_from(HeunFamilyParams(1, 2.0, 3))
     with pytest.raises(DomainError):
         heun_series_oracle(spec, 0.6)  # outside the disc of convergence
+    with pytest.raises(DomainError):
+        heun_series_oracle(spec, math.nan)  # was NonFinite from the sum
     # gamma a nonpositive integer: the recurrence cannot start
     bad = heun_params_from(HeunFamilyParams(2, 4.0, 4))
     with pytest.raises(DomainError):

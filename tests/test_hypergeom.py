@@ -17,7 +17,7 @@ from elemhyp import (
 )
 from elemhyp import _dd, hypergeom, numcore
 from elemhyp.hypergeom import (
-    _assemble, _closed_route, _eq_12_1, _eq_1m_a, _eq_1m_b, _eq_general,
+    _assemble, _closed_route, _eq_12_1, _eq_1m_b, _eq_general,
 )
 
 
@@ -73,6 +73,13 @@ def test_series_domain():
     with pytest.raises(DomainError):
         hyp2f1_series(1.0, 2.0, -3.0, 0.5)
     hyp2f1_series(1.0, 2.0, 3.0, -0.5)  # negative x is fine for the series
+
+
+def test_series_rejects_nan_x():
+    # abs(nan) >= 1 is false: the domain test let nan through, and the
+    # sum raised NonFinite at its first term
+    with pytest.raises(DomainError, match="series requires"):
+        hyp2f1_series(1.0, 2.0, 3.0, math.nan)
 
 
 def test_series_error_within_its_reported_bounds():
@@ -135,19 +142,21 @@ def test_closed_single_sum_validation():
 @pytest.mark.parametrize("m,l", [(1, 0), (2, 1), (3, 0), (4, 3), (6, 6)])
 @pytest.mark.parametrize("x", [0.15, 0.6, 0.9])
 def test_closed_log_family_both_variants(m, l, x):
+    # the general form the classifier takes at (1, m; m+l+1), and form B
     ref = mp_ref(1, m, m + l + 1, x)
-    va = _assemble(_eq_1m_a, x, m, l)[0]
+    va = _assemble(_eq_general, x, 1, float(m), m + l + 1)[0]
     vb = _assemble(_eq_1m_b, x, m, l)[0]
     assert math.isclose(va, ref, rel_tol=1e-11)
     assert math.isclose(va, vb, rel_tol=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 4, 9, 12])
-@pytest.mark.parametrize("x", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 12])
+@pytest.mark.parametrize("x", [0.1, 0.2, 0.5, 0.7, 0.9])
 def test_closed_12_family_all_variants(n, x):
-    # the (1, 2; n+2) form and forms A and B of (1, m; m+l+1) at m = 2
+    # the (1, 2; n+2) form, the general form at that triple and form B of
+    # (1, m; m+l+1) at m = 2, l = n-1
     ref = mp_ref(1, 2, n + 2, x)
-    vals = [_assemble(_eq_12_1, x, n)[0], _assemble(_eq_1m_a, x, 2, n - 1)[0],
+    vals = [_assemble(_eq_12_1, x, n)[0], _assemble(_eq_general, x, 1, 2.0, n + 2)[0],
             _assemble(_eq_1m_b, x, 2, n - 1)[0]]
     for v in vals:
         assert math.isclose(v, ref, rel_tol=1e-11)
@@ -155,19 +164,48 @@ def test_closed_12_family_all_variants(n, x):
     assert math.isclose(vals[0], vals[2], rel_tol=1e-12)
 
 
-def test_closed_families_chain_together():
-    # the two-term general form at its lowest order reduces to the log family,
-    # which at its own lowest order reduces to the 12 family
-    for n in range(1, 7):
-        for x in (0.2, 0.7):
-            via_log = _assemble(_eq_1m_a, x, 2, n - 1)[0]
-            via_12 = _assemble(_eq_12_1, x, n)[0]
-            assert math.isclose(via_log, via_12, rel_tol=1e-12)
+def test_closed_route_keeps_the_12_form_where_the_general_form_cancels():
+    # why (1, 2; p) has its own form: at (1, 2; 60), x = 0.6, the general
+    # form's bound is 5.2e-9 of its value, and its value is off by 7e-12
+    want = 1.020614162308804
+    with mp.workdps(50):
+        assert float(mp.hyp2f1(1, 2, 60, mp.mpf(0.6))) == want
+    f, bound = _assemble(_eq_12_1, 0.6, 58)
+    assert _dd.certified(f, bound)
+    assert f == want
+    assert _closed_route(1, 2.0, 60, 0.6) == (f, bound)
+    g, gbound = _assemble(_eq_general, 0.6, 1, 2.0, 60)
+    assert not _dd.certified(g, gbound)
+    assert 5.1e-9 < gbound / g < 5.3e-9
+
+
+@pytest.mark.parametrize("k,p,x", [
+    (3, 5, 0.4), (4, 7, 0.9), (7, 30, 0.6), (2, 9, 0.3), (5, 6, 1 - 1e-9),
+])
+def test_closed_route_swaps_the_upper_pair(k, p, x):
+    assert _closed_route(k, 1.0, p, x) == _closed_route(1, float(k), p, x)
+
+
+def test_closed_route_1k_grid_vs_mpmath():
+    # (1, k; p), integer k, takes the (1, 2; p) form or the general form;
+    # every value it certifies is float64-accurate
+    rng = random.Random(3017)
+    certified = 0
+    for _ in range(200):
+        k = rng.randint(1, 30)
+        p = k + 1 + rng.randint(0, 40)
+        x = rng.choice((rng.uniform(0.01, 0.99), 1 - 10 ** rng.uniform(-12, -2)))
+        f, bound = _closed_route(1, float(k), p, x)
+        if _dd.certified(f, bound):
+            certified += 1
+            assert rel_err(f, mp_ref(1, k, p, x, 40)) <= 1e-15, (k, p, x)
+    assert certified == 148
 
 
 @pytest.mark.parametrize("x", [0.0, 1.0, -0.3])
 def test_closed_forms_require_open_unit_interval(x):
-    # one triple of each family: general, general at m = 1, (1, k; p), (1, 2; p)
+    # one triple of each form: general, general at m = 1 with real and integer
+    # n, (1, 2; p)
     for params in (HypergeomParams(2, 0.5, 4), HypergeomParams(1, 0.5, 3),
                    HypergeomParams(1, 3.0, 5), HypergeomParams(1, 2.0, 4)):
         with pytest.raises(DomainError):
@@ -256,7 +294,7 @@ def test_eval_skips_closed_forms_when_digit_loss_is_certain():
     (3, 2.5, 8, 0.7, 2.4152172053957432),
     (1, 2.5, 5, 0.6, 1.4756256176034062),
     (1, 3.0, 6, 0.5, 1.3553233343868742),
-    (4, 1.0, 7, 0.4, 1.3070003284664935),  # n = 1 swaps into the 1m family
+    (4, 1.0, 7, 0.4, 1.3070003284664935),  # n = 1 swaps to (1, 4; 7)
 ], ids=["12", "general", "m1", "1m", "swap-1m"])
 def test_eval_closed_path_is_bit_stable(m, n, p, x, want):
     assert hyp2f1_eval(HypergeomParams(m, n, p), x) == want
@@ -684,11 +722,11 @@ def test_closed_route_accepts_only_accurate_general_values():
 
 
 def _closed_points(count, seed):
-    """Every closed form: the classifier's pick for m <= 6, p <= m+40, forms
-    A and B of (1, k; k+l+1) and, for (1, 2; p), its own form and A and B at
-    k = 2; a third of x in each of [1e-3, 1/2], [1/2, 0.99] and
-    1 - [1e-9, 1e-2].  Each point is (m, n, p, x, form): form None takes
-    _closed_route, else it is the body and its arguments."""
+    """Every closed form: the classifier's pick for m <= 6, p <= m+40, the
+    general form and form B of (1, k; k+l+1) and, for (1, 2; p), its own
+    form and those two at k = 2; a third of x in each of [1e-3, 1/2],
+    [1/2, 0.99] and 1 - [1e-9, 1e-2].  Each point is (m, n, p, x, form):
+    form None takes _closed_route, else it is the body and its arguments."""
     rng = random.Random(seed)
     for _ in range(count):
         u = rng.random()
@@ -707,12 +745,17 @@ def _closed_points(count, seed):
         elif family == 1:  # (1, k; k+l+1), k != 2
             k = rng.choice((1, 3, 4, 5, 6))
             p = rng.randint(k + 1, k + 41)
-            body = rng.choice((_eq_1m_a, _eq_1m_b))
-            yield 1, float(k), p, x, (body, k, p - k - 1)
+            body = rng.choice((_eq_general, _eq_1m_b))
+            yield 1, float(k), p, x, _1k_form(body, k, p)
         else:
             p = rng.randint(3, 42)
-            body = rng.choice((_eq_12_1, _eq_1m_a, _eq_1m_b))
-            yield 1, 2.0, p, x, (body, p - 2) if body is _eq_12_1 else (body, 2, p - 3)
+            body = rng.choice((_eq_12_1, _eq_general, _eq_1m_b))
+            yield 1, 2.0, p, x, (body, p - 2) if body is _eq_12_1 else _1k_form(body, 2, p)
+
+
+def _1k_form(body, k, p):
+    """The general form or form B of (1, k; p) with its arguments."""
+    return (body, 1, float(k), p) if body is _eq_general else (body, k, p - k - 1)
 
 
 def _bound_misses(points):
@@ -742,7 +785,7 @@ def test_closed_route_rounding_bound_is_a_bound():
     points = list(_closed_points(200, 1601))
     points.append((4, 19.04119012493857, 35, 0.596122670041623, None))
     bodies, misses = _bound_misses(points)
-    assert bodies == {None, _eq_1m_a, _eq_1m_b, _eq_12_1}
+    assert bodies == {None, _eq_general, _eq_1m_b, _eq_12_1}
     assert misses == []
 
 

@@ -90,6 +90,16 @@ def test_polylog_at_large_orders(k, x):
     assert abs(got - want) <= math.ulp(float(want))
 
 
+def test_polylog_at_a_huge_order_stops_before_its_power():
+    # Li_k(1/2) = 1/2 + 2**-k + ... rounds to 1/2; the power series formed
+    # 2**k in full (0.6 s and 57 MB here) before it found it past 2**996
+    _polylog_dd.cache_clear()
+    start = time.perf_counter()
+    got = polylog(10**8, 0.5)
+    assert time.perf_counter() - start < 0.01
+    assert got == 0.5
+
+
 def test_dd_polylog_on_both_sides_of_the_log_series_orders():
     # k = 39 is the last order the log series takes from x = 0.6 up
     for k in (39, 40):
