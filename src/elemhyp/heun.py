@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from itertools import count, islice
 
-from .hypergeom import HypergeomParams, hyp2f1_eval
+from .hypergeom import HypergeomParams, _routes
 from .numcore import (
     DomainError, InvalidParams, NonFinite, SeriesResult, require_ints,
 )
@@ -126,13 +126,14 @@ def heun_termination(fp: HeunFamilyParams):
 def heun_eval(fp: HeunFamilyParams, x: float, K: int) -> SeriesResult:
     """Partial sum of the 2F1 expansion, K terms (fewer if it terminates).
 
-    Each leaf is hyp2f1_eval, at full precision.  A member that terminates
-    at r gives the exact finite sum for any K >= r, with converged True and
-    trunc_err_est 0.0.  Any other partial sum, K < r or a member that never
-    terminates, is returned as it is, with converged False and
-    trunc_err_est math.inf (no bound on the rest is known, as sum_series
-    reports it).  The terms c_k * leaf are summed by _finite_sum: rounded
-    once, and an inf or nan term raises NonFinite.
+    Each leaf is hyp2f1_eval of (m, n; p+2k), at full precision, past the
+    checks HeunFamilyParams and this function made (hypergeom._routes).  A
+    member that terminates at r gives the exact finite sum for any K >= r,
+    with converged True and trunc_err_est 0.0.  Any other partial sum,
+    K < r or a member that never terminates, is returned as it is, with
+    converged False and trunc_err_est math.inf (no bound on the rest is
+    known, as sum_series reports it).  The terms c_k * leaf are summed by
+    _finite_sum: rounded once, and an inf or nan term raises NonFinite.
     """
     require_ints(K=K)
     if K < 1:
@@ -141,7 +142,8 @@ def heun_eval(fp: HeunFamilyParams, x: float, K: int) -> SeriesResult:
         raise DomainError("expansion requires 0 <= x < 1")
     r = heun_termination(fp)
     kmax = min(K, r) if r is not None else K
-    total = _finite_sum([c * hyp2f1_eval(HypergeomParams(fp.m, float(fp.n), fp.p + 2 * k), x)
+    m, n, p = fp.m, float(fp.n), fp.p
+    total = _finite_sum([c * _routes(m, n, p + 2 * k, x)
                          for k, c in zip(range(kmax), _coeffs(fp))])
     terminated = r is not None and r <= K
     return SeriesResult(value=total, terms_used=kmax, converged=terminated,

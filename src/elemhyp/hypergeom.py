@@ -32,8 +32,11 @@ kept only where _dd.certified finds their rounding bound within 1e-13:
   3. the defining series, with no rounding check.
 
 Both series routes sum one series per call, to numcore's one precision;
-the series and the two tails of the near-1 route below share one term
-source and tail bound (_terms) and are summed by numcore.sum_series.
+the series and the two tails of the near-1 route below are summed by one
+flat loop, _series: numcore.sum_series with the term ratio and tail bound
+written inline, since in pure Python a generator step and a callback per
+term cost more than the float arithmetic of the term.  A Heun leaf enters
+the routes past hyp2f1_eval's checks (_routes).
 
 From _X_NEAR = 0.8 up, a point whose s = p-m-n is not an integer first
 tries the connection formula about x = 1 (DLMF 15.8.4, A&S 15.3.6,
@@ -62,16 +65,15 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count, islice
 
 from ._dd import (
-    _GUARD_REL, U, BoundedSum, ClosedFormContext,
+    _GUARD_REL, _SERIES_REL_TOL, U, BoundedSum, ClosedFormContext,
     certified, context, dd, dd_add, dd_div, dd_exp, dd_from_int, dd_from_ratio,
     dd_mul, dd_neg, dd_npow, dd_to_float,
 )
 from .numcore import (
-    DomainError, InvalidParams, NonFinite, NotConverged, SeriesResult,
-    require_ints, sum_series,
+    _MAX_TERMS, DomainError, InvalidParams, NonFinite, NotConverged,
+    SeriesResult, require_ints,
 )
 
 
@@ -95,7 +97,7 @@ class HypergeomParams:
 
 
 def hyp2f1_series(a: float, b: float, c: float, x: float) -> SeriesResult:
-    """Defining series, summed by the term ratio recurrence (_terms).
+    """Defining series, summed by the term ratio recurrence (_series).
 
     This is the oracle every closed form is tested against.  A terminating
     series (a or b a nonpositive integer) has tail 0 once its terms hit
@@ -105,37 +107,60 @@ def hyp2f1_series(a: float, b: float, c: float, x: float) -> SeriesResult:
         raise DomainError("series requires |x| < 1")
     if c <= 0 and float(c).is_integer():
         raise DomainError("lower parameter must not be zero or a negative integer")
-    terms, tail = _terms(a, b, 0, c, 0, x)
-    return sum_series(terms, tail)
+    return _series(a, b, 0, c, 0, x, 0)[0]
 
 
-def _terms(a: float, b: float, ib: int, c: float, ic: int, z: float):
-    """sum_series' term source and tail bound for the series with t_0 = 1
-    and term ratios (a+j)(b+(ib+j)) / ((c+(ic+j))(j+1)) z.
+def _series(a: float, b: float, ib: int, c: float, ic: int, z: float, first: int):
+    """The series with t_0 = 1 and term ratios
+    (a+j)(b+(ib+j)) / ((c+(ic+j))(j+1)) z, summed from term first by
+    sum_series' float operations in its order, with this term source and
+    tail bound inline: (SeriesResult, sum k |t_k|), the SeriesResult bit
+    for bit sum_series' (the tests keep that composition as the reference),
+    its sums Python floats, as sum_series' float(term) makes them for numpy
+    parameters.
 
-    The tail forms t_(k+1) from t_k with the source's float operations.
     Past term k, while c1 = c+(ic+k+1) > 0, the factors |(a+i)/(i+1)| and
     |(b+(ib+i))/(c+(ic+i))| of the later term ratios are monotone in i and
     tend to 1, so rho = |z| max(1, |(a+k+1)/(k+2)|) max(1, |(b+(ib+k+1))/c1|)
     bounds every one of them and |t_(k+1)| / (1 - rho) the tail: math.inf
     while c1 <= 0 or rho >= 1, 0 once the terms are exact zeros.
     """
-    def terms():
-        t = 1.0
-        for j in count():
-            yield t
-            t *= (a + j) * (b + (ib + j)) / ((c + (ic + j)) * (j + 1)) * z
-
-    def tail(k, t):
-        nxt = t * ((a + k) * (b + (ib + k)) / ((c + (ic + k)) * (k + 1)) * z)
-        if nxt == 0.0:
-            return 0.0
-        c1 = c + (ic + k + 1)
-        rho = abs(z) * max(1.0, abs((a + k + 1) / (k + 2))) \
-            * max(1.0, abs((b + (ib + k + 1)) / c1)) if c1 > 0 else math.inf
-        return abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
-
-    return terms(), tail
+    t = 1.0
+    for k in range(first):
+        t *= (a + k) * (b + (ib + k)) / ((c + (ic + k)) * (k + 1)) * z
+    s = comp = abs_sum = weighted = 0.0
+    inf = math.inf
+    # k, ib+k, ic+k as exact floats: float-int arithmetic is CPython's slow path
+    fk, fb, fc = float(first), float(ib + first), float(ic + first)
+    for k in range(first, first + _MAX_TERMS):
+        at = abs(t)
+        if not at < inf:  # an inf or nan term
+            raise NonFinite(f"non-finite term at index {k - first}")
+        y = t - comp
+        u = s + y
+        comp = (u - s) - y
+        s = u
+        abs_sum += at
+        weighted += fk * at
+        nxt = t * ((a + fk) * (b + fb) / ((c + fc) * (fk + 1.0)) * z)
+        lim = _SERIES_REL_TOL * abs(s)
+        if at <= lim:
+            if nxt == 0.0:
+                bound = 0.0
+            else:
+                c1 = c + (ic + k + 1)
+                rho = abs(z) * max(1.0, abs((a + k + 1) / (k + 2))) \
+                    * max(1.0, abs((b + (ib + k + 1)) / c1)) if c1 > 0 else math.inf
+                bound = abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
+            if bound <= lim:
+                return SeriesResult(float(s), k + 1 - first, True, bound,
+                                    float(abs_sum)), weighted
+        t = nxt
+        fk += 1.0
+        fb += 1.0
+        fc += 1.0
+    # still going at the cap
+    return SeriesResult(float(s), _MAX_TERMS, False, math.inf, float(abs_sum)), weighted
 
 
 @lru_cache(maxsize=4096)
@@ -376,7 +401,7 @@ def _euler_on_overflow(m: int, n: float, p: int, x: float) -> float:
 def _near_one_tail(a: int, nb: float, ib: int, ic: int, z: float):
     """The terms k >= 1 of the series with term ratios
     (a+j)(nb+(ib+j)) / ((nb+(ic+j))(j+1)) z, 0 < z <= 1/2, summed by
-    sum_series (_terms).
+    _series with its tail bound.
 
     Each factor nb+i is one rounding of nb plus an exact integer, and a
     ratio rounds 7 times, so term k is within 7k units 2**-53 of its exact
@@ -384,17 +409,8 @@ def _near_one_tail(a: int, nb: float, ib: int, ic: int, z: float):
     bound on its error and tail), or None where a term or the sum leaves
     float range or the terms run to numcore's cap.
     """
-    terms, tail = _terms(a, nb, ib, nb, ic, z)
-    weighted = 0.0
-
-    def weighed():  # t_1, t_2, ..., adding up sum k |t_k|
-        nonlocal weighted
-        for k, t in enumerate(islice(terms, 1, None), 1):
-            weighted += k * abs(t)
-            yield t
-
     try:
-        res = sum_series(weighed(), lambda i, t: tail(i + 1, t))
+        res, weighted = _series(a, nb, ib, nb, ic, z, 1)
     except NonFinite:
         return None
     if not res.converged or not math.isfinite(res.value):
@@ -488,19 +504,23 @@ def _short_poly_exact(m: int, K: int, p: int, x: float) -> float:
 def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
     """Stability-aware dispatcher: the routes of the module docstring.
 
-    Every series it sums, by numcore.sum_series, stops on a bound on its
-    tail within 1e-17 of its sum, at most 100000 terms.  The values of
-    routes 1 and 2 and of the near-1 route are kept only where
-    _dd.certified accepts their bound; the fallback series, with no
-    rounding check, raises NotConverged at the term cap.  A closed form that
-    passes float range hands over to _euler_on_overflow, since the series
-    stops short there.
+    Every series it sums, by _series, stops on a bound on its tail within
+    1e-17 of its sum, at most 100000 terms.  The values of routes 1 and 2
+    and of the near-1 route are kept only where _dd.certified accepts their
+    bound; the fallback series, with no rounding check, raises NotConverged
+    at the term cap.  A closed form that passes float range hands over to
+    _euler_on_overflow, since the series stops short there.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("dispatcher requires 0 <= x < 1")
+    return _routes(params.m, params.n, params.p, x)
+
+
+def _routes(m: int, n: float, p: int, x: float) -> float:
+    """hyp2f1_eval's routes for a triple HypergeomParams accepts and
+    0 <= x < 1, checked by the caller (heun_eval calls it per leaf)."""
     if x == 0.0:
         return 1.0
-    m, n, p = params.m, params.n, params.p
     if n == 0.0:
         return 1.0  # zero upper parameter terminates the series at its first term
     res = None

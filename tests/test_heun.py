@@ -1,15 +1,18 @@
 """The expanded equation family: parameters, termination, values, residuals."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from elemhyp import (
-    DomainError, HeunFamilyParams, HeunSpec, InvalidParams,
-    heun_coeff, heun_eval, heun_normalization, heun_ode_residual,
-    heun_params_from, heun_series_oracle, heun_termination,
+    DomainError, HeunFamilyParams, HeunSpec, HypergeomParams, InvalidParams,
+    NonFinite, NotConverged, heun_coeff, heun_eval, heun_normalization,
+    heun_ode_residual, heun_params_from, heun_series_oracle, heun_termination,
+    hyp2f1_eval,
 )
+from elemhyp import heun, hypergeom
 
 # family members whose expansion terminates, with the expected index
 TERMINATING = {
@@ -202,6 +205,8 @@ def test_eval_validation():
         heun_eval(fp, -0.1, 10)
     with pytest.raises(DomainError):
         heun_eval(fp, 1.0, 10)
+    with pytest.raises(DomainError):
+        heun_eval(fp, math.nan, 10)
 
 
 def test_eval_reports_honest_convergence_when_truncated():
@@ -221,3 +226,69 @@ def test_eval_converges_only_where_the_expansion_ends(mnp, K, converged):
     res = heun_eval(HeunFamilyParams(*mnp), 0.1, K)
     assert res.converged is converged
     assert res.trunc_err_est == (0.0 if converged else math.inf)
+
+
+def _leaf_sum(fp, x, K):
+    """heun_eval's sum from the public leaf: c_k times hyp2f1_eval of
+    (m, n; p+2k), summed by _finite_sum."""
+    r = heun_termination(fp)
+    kmax = min(K, r) if r is not None else K
+    return heun._finite_sum([
+        c * hyp2f1_eval(HypergeomParams(fp.m, float(fp.n), fp.p + 2 * k), x)
+        for k, c in zip(range(kmax), heun._coeffs(fp))])
+
+
+def _heun_leaf_points(count, seed):
+    """(member, x, K): terminating members with K past r, other members at
+    x = 0, below 1/2 and up to 1 - 1e-12, members whose leaves below 1/2
+    route 1 rejects, and large n next to 1, where leaves raise."""
+    rng = random.Random(seed)
+    for i in range(count):
+        m = rng.randint(1, 6)
+        p = m + rng.randint(1, 12)
+        x = rng.choice((0.0, rng.uniform(1e-6, 0.5), rng.uniform(0.5, 1.0),
+                        1.0 - 10.0 ** rng.uniform(-12.0, -1.0)))
+        K = rng.randint(1, 16)
+        kind = i % 4
+        if kind == 0:  # terminating at r: m+n = 3-2r or n-p = 2r-2
+            r = rng.randint(1, 5)
+            n = float(3 - 2 * r - m) if i % 8 else float(p + 2 * r - 2)
+            if n == 0.0:
+                n, r = -2.0, 2
+            K = r + rng.randint(1, 4)
+        elif kind == 1:
+            n = rng.choice((float(rng.randint(1, 20)), rng.randint(-20, 19) + 0.5,
+                            rng.uniform(-20.0, 20.0)))
+        elif kind == 2:  # cancelling sums: route 1 rejects leaves below 1/2
+            m = rng.randint(4, 6)
+            n, p, x = rng.uniform(-20.0, -8.0), m + rng.randint(1, 6), rng.uniform(0.35, 0.5)
+        else:  # large n next to x = 1: leaves pass float range
+            m, p = rng.randint(1, 2), rng.randint(20, 30)
+            n, x = rng.uniform(40.0, 65.0), 1.0 - 10.0 ** rng.uniform(-12.0, -6.0)
+        yield HeunFamilyParams(m, n, p), x, K
+
+
+def _value_or_error(f, *args):
+    try:
+        return repr(f(*args))
+    except (NonFinite, NotConverged) as exc:
+        return ("raises", type(exc).__name__)
+
+
+def test_eval_leaves_are_hyp2f1_eval(monkeypatch):
+    closed_below_half = []
+    closed_route = hypergeom._closed_route
+
+    def spy(m, n, p, x):
+        if x < 0.5:
+            closed_below_half.append((m, n, p, x))
+        return closed_route(m, n, p, x)
+
+    monkeypatch.setattr(hypergeom, "_closed_route", spy)
+    errors = 0
+    for fp, x, K in _heun_leaf_points(200, 3203):
+        got = _value_or_error(lambda: heun_eval(fp, x, K).value)
+        assert got == _value_or_error(_leaf_sum, fp, x, K), (fp, x, K)
+        errors += isinstance(got, tuple)
+    assert closed_below_half
+    assert errors

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import count, islice
 
 import mpmath as mp
 import pytest
@@ -111,6 +112,150 @@ def test_series_reports_cap_without_raising():
     assert not res.converged
     assert res.terms_used == numcore._MAX_TERMS
     assert res.trunc_err_est == math.inf
+
+
+# The composed form of hypergeom._series: a generator of the term ratio,
+# numcore.sum_series with the rho tail bound, and a wrapper that adds up
+# sum k |t_k| as the terms pass.  The flat loop must reproduce it bit for bit.
+def _composed_series(a, b, ib, c, ic, z, first):
+    def terms():
+        t = 1.0
+        for j in count():
+            yield t
+            t *= (a + j) * (b + (ib + j)) / ((c + (ic + j)) * (j + 1)) * z
+
+    def tail(k, t):
+        nxt = t * ((a + k) * (b + (ib + k)) / ((c + (ic + k)) * (k + 1)) * z)
+        if nxt == 0.0:
+            return 0.0
+        c1 = c + (ic + k + 1)
+        rho = abs(z) * max(1.0, abs((a + k + 1) / (k + 2))) \
+            * max(1.0, abs((b + (ib + k + 1)) / c1)) if c1 > 0 else math.inf
+        return abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
+
+    weighted = 0.0
+
+    def weighed():
+        nonlocal weighted
+        for k, t in enumerate(islice(terms(), first, None), first):
+            weighted += k * abs(t)
+            yield t
+
+    res = numcore.sum_series(weighed(), lambda i, t: tail(i + first, t))
+    return res, weighted
+
+
+def _composed_near_one_tail(a, nb, ib, ic, z):
+    try:
+        res, weighted = _composed_series(a, nb, ib, nb, ic, z, 1)
+    except NonFinite:
+        return None
+    if not res.converged or not math.isfinite(res.value):
+        return None
+    return res.value, ((7.0 * weighted + 3.0 * res.abs_sum) * 2.0 ** -53
+                       + res.trunc_err_est)
+
+
+def _outcome(f, *args):
+    """repr of f's result, which tells -0.0 and every float bit apart, or
+    the type and message of the error it raises."""
+    try:
+        return repr(f(*args))
+    except NonFinite as exc:
+        return type(exc).__name__, str(exc)
+
+
+# the SeriesResult of a series pair; sum k |t_k| is read by _near_one_tail
+# alone, whose (sum, bound) is compared on its own
+def _flat_result(*args):
+    return hypergeom._series(*args)[0]
+
+
+def _composed_result(*args):
+    return _composed_series(*args)[0]
+
+
+def _flat_series_points(count, seed):
+    """(a, b, ib, c, ic, z) over terminating b, c <= 0 (c1 <= 0 keeps the
+    tail at inf until the counter passes it), both signs of z, integer and
+    non-integer a, and terms that pass float range."""
+    rng = random.Random(seed)
+    for i in range(count):
+        a = rng.choice((float(rng.randint(1, 8)), rng.randint(1, 8),
+                        rng.uniform(-25.0, 25.0)))
+        b = rng.choice((-float(rng.randint(0, 30)), rng.uniform(-40.0, 40.0),
+                        float(rng.randint(1, 40))))
+        c = rng.choice((float(rng.randint(1, 60)), rng.uniform(0.01, 60.0),
+                        rng.uniform(-25.0, 0.0)))
+        ib, ic = rng.choice(((0, 0), (rng.randint(-10, 10), rng.randint(-10, 10))))
+        if float(c).is_integer():
+            ic = abs(ic)  # no zero factor c+(ic+j)
+        z = rng.choice((rng.uniform(-0.95, 0.95), rng.uniform(-0.05, 0.05),
+                        math.copysign(1.0 - 10.0 ** rng.uniform(-1.5, -1.0),
+                                      rng.uniform(-1.0, 1.0))))
+        if i % 50 == 0:  # the terms pass float range, at once or later
+            a, b = rng.choice(((1e200, 1e200), (1e100, 1e100), (1e30, -2.5e30)))
+        yield a, b, ib, c, ic, z
+
+
+def _near_one_tail_points(count, seed):
+    """The two tail calls of _near_one at (m, n; m+q), z = 1-x in (0, 1/2]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, q = rng.randint(1, 10), rng.randint(1, 60)
+        n = rng.choice((rng.uniform(-60.0, 60.0), rng.randint(-60, 60) + 0.5))
+        z = rng.choice((rng.uniform(1e-6, 0.5), 10.0 ** rng.uniform(-12.0, -0.31)))
+        yield m, n, 0, 1 - q, z
+        yield q, -n, m + q, q + 1, z
+
+
+def _flat_series_mismatches(count, seed):
+    bad = []
+    for a, b, ib, c, ic, z in _flat_series_points(count, seed):
+        for first in (0, 1):
+            args = (a, b, ib, c, ic, z, first)
+            if _outcome(_flat_result, *args) != _outcome(_composed_result, *args):
+                bad.append(args)
+        if ib == ic == 0 and _outcome(hyp2f1_series, a, b, c, z) \
+                != _outcome(_composed_result, a, b, 0, c, 0, z, 0):
+            bad.append((a, b, c, z))
+    for args in _near_one_tail_points(count // 2, seed):
+        if _outcome(hypergeom._near_one_tail, *args) != _outcome(_composed_near_one_tail, *args):
+            bad.append(args)
+    return bad
+
+
+def test_flat_series_matches_the_composed_form():
+    assert _flat_series_mismatches(500, 3201) == []
+
+
+@pytest.mark.sweep
+def test_flat_series_matches_the_composed_form_on_a_large_sweep():
+    assert _flat_series_mismatches(20000, 3202) == []
+
+
+def test_flat_series_sums_are_python_floats_for_numpy_parameters():
+    # sum_series made every term a float; numpy's float64 arithmetic is the
+    # same, but a numpy sum would reach hyp2f1_eval's value
+    np = pytest.importorskip("numpy")
+    for x in (0.3, 1.0 - 1e-6):  # converged, and at the term cap
+        got = hyp2f1_series(1.0, np.float64(2.5), 3.0, x)
+        want = hyp2f1_series(1.0, 2.5, 3.0, x)
+        assert type(got.value) is float and type(got.abs_sum) is float
+        assert got == want
+    assert type(hyp2f1_eval(HypergeomParams(1, np.float64(2.5), 3), 0.3)) is float
+
+
+@pytest.mark.parametrize("args", [
+    (1.0, 0.5, 0, 3.0, 0, 1.0 - 1e-6, 0),  # at the term cap
+    (1, 0.5, 0, 3.5, -5, 1.0 - 1e-6, 1),
+    (1.0, -7.0, 0, 3.0, 0, 0.9, 0),  # terminating: exact zero terms
+    (2.5, 3.0, 2, -7.5, 0, -0.9, 1),  # c1 <= 0 for the first terms
+    (1e100, 1e100, 0, 1.0, 0, 0.5, 0),  # NonFinite at index 2
+    (1e200, 1e200, 3, 1.0, 0, 0.5, 1),  # NonFinite at index 0
+])
+def test_flat_series_matches_the_composed_form_at_its_edges(args):
+    assert _outcome(_flat_result, *args) == _outcome(_composed_result, *args)
 
 
 @pytest.mark.parametrize("m,n,p", [
@@ -390,10 +535,9 @@ def test_general_form_next_to_integer_n_matches_mpmath():
 
 
 def test_eval_domain_and_convergence():
-    with pytest.raises(DomainError):
-        hyp2f1_eval(HypergeomParams(1, 2.0, 3), -0.1)
-    with pytest.raises(DomainError):
-        hyp2f1_eval(HypergeomParams(1, 2.0, 3), 1.0)
+    for x in (-0.1, -1e-300, 1.0, 1.5, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            hyp2f1_eval(HypergeomParams(1, 2.0, 3), x)
     # s = p-m-n = 10 is an integer, so the near-1 route does not apply; the
     # digit loss (p-1)*log10(1/x) = 43 rules the closed form out, and the
     # series, whose terms fall like x**k, is still going at the 100000-term
