@@ -18,9 +18,18 @@ Python a call costs more than the float arithmetic it wraps.  They do the
 float operations of the composed forms (Dekker, "A floating-point technique
 for extending the available precision", 1971), in the same order, so every
 value, and the sign of every zero, is the composed form's; the tests keep
-the composed forms as the reference.  The series of dd_log, dd_exp and
-dd_expm1, dd_sqrt and BoundedSum.add write their hot operations out the
-same way.
+the composed forms as the reference.  dd_log, dd_exp, dd_expm1, dd_sqrt
+and BoundedSum.add write their hot operations out the same way.
+
+The transcendentals follow Hida, Li and Bailey ("Algorithms for quad-double
+precision floating point arithmetic", ARITH 2001): argument reduction, then
+Horner's rule or a series on precomputed double-double constants, with no
+dd_div per term and no table of values.  dd_exp takes out m log 2 and then
+2**-j, j <= 9, sums an 11-term Horner polynomial for expm1 and undoes the
+2**-j by j doublings expm1(2r) = expm1(r) (expm1(r) + 2); dd_expm1 below
+0.2 is that core alone.  dd_log takes out the binary exponent, which leaves
+f in [1/sqrt2, sqrt2), and sums the atanh series of log f, its terms below
+1e-18 of the sum in float.
 
 All per-x state lives here: context(x), a small memo, hands out the one
 ClosedFormContext for x, which forms log(1-x), log x and the power tables
@@ -81,10 +90,12 @@ def dd_from_ratio(num: int, den: int) -> DD:
 # Errors count in units U, one per dd_add, dd_mul or dd_div (dd_add rounds by
 # at most 3/4 of one; the largest dd_mul and dd_div errors seen on random
 # operands are 0.71 and 0.59), which also covers a coefficient rounded to dd
-# (1/4), and one per value of dd_log, dd_expm1 or polylog._polylog_dd, or of
-# dd_exp(u) with |u| more: their largest errors seen are 3.9, 0.9, 1.8 and
-# 1 + |u| units, which the full unit counted for every operation absorbs, as
-# the tests' sweeps against mpmath check.  A value is kept only where its
+# (1/4), and one per value of dd_log, dd_expm1, dd_sqrt or
+# polylog._polylog_dd, or of dd_exp(u) with |u| more: against mpmath, on
+# 20000 seeded arguments each, their largest errors seen are 1.07, 1.22,
+# 0.63 and 2.96 units and 0.39 (1 + |u|) (a sweep test pins all but
+# _polylog_dd's), which the full unit counted for every operation absorbs,
+# as the tests' sweeps against mpmath check.  A value is kept only where its
 # error bound is within _GUARD_REL of it; a series meant to be exact to
 # float64 is summed to _SERIES_REL_TOL or tighter.
 U = 2.0 ** -104
@@ -216,14 +227,18 @@ def dd_sqrt(x: DD) -> DD:
     # one Newton step lifts the float64 root s to full dd precision:
     # s + (x - s*s)[0] / 2s, its dd_mul, dd_sub and dd_add written out.  The
     # terms with s's zero low part are +0.0 for every finite s.
-    s = math.sqrt(x[0])
+    a = x[0]
+    if 0.0 < a < 1e-200:
+        # x - s*s would go subnormal: the root of x * 2**700, scaled exactly
+        h, lo = dd_sqrt((a * 2.0 ** 700, x[1] * 2.0 ** 700))
+        return (h * 2.0 ** -350, lo * 2.0 ** -350)
+    s = math.sqrt(a)
     p = s * s
     t = _SPLIT * s
     shi = t - (t - s)
     slo = s - shi
     e = ((shi * shi - p) + shi * slo + slo * shi) + slo * slo + 0.0
     sq = p + e
-    a = x[0]
     b = -sq
     r = a + b
     bb = r - a
@@ -235,26 +250,44 @@ def dd_sqrt(x: DD) -> DD:
     return (hi, e - (hi - a))
 
 
+def _split_dd(c: DD):
+    """A dd constant as (hi, lo) and the two halves of hi's Dekker split."""
+    t = _SPLIT * c[0]
+    hi = t - (t - c[0])
+    return (c[0], c[1], hi, c[0] - hi)
+
+
+_LN2 = _split_dd((0.6931471805599453, 2.3190468138462996e-17))
+# the weights 1/(2m+1), m = 1..100, of dd_log's atanh series, and the
+# Horner coefficients 1/k!, k = 11 down to 1, of expm1(r)/r: floats down to
+# k = 6, then dd
+_INV_ODD = tuple(_split_dd(dd_from_ratio(1, 2 * m + 1)) for m in range(1, 101))
+_INV_FACT_FLOAT = tuple(1.0 / math.factorial(k) for k in range(11, 5, -1))
+_INV_FACT = tuple(dd_from_ratio(1, math.factorial(k)) for k in range(5, 0, -1))
+
+
 def dd_log(y: DD) -> DD:
-    """log(y) for y > 0; callers pass y = 1-x with x in (0,1)."""
+    """log(y) for y > 0: y = 2**k f with f in [1/sqrt2, sqrt2), so k = 0
+    near 1, and log y = k log 2 + log f, log f by the atanh series."""
     if y[0] <= 0.0:
         raise ValueError("dd_log: nonpositive argument")
-    halvings = 0
-    while abs(y[0] - 1.0) > 0.1716:
-        y = dd_sqrt(y)
-        halvings += 1
-    # atanh series: log y = 2*sum z^(2m+1)/(2m+1), z = (y-1)/(y+1), |z| <= 0.086
+    f, k = math.frexp(y[0])
+    if f < 0.7071067811865476:
+        k -= 1
+    if k:
+        y = (math.ldexp(y[0], -k), math.ldexp(y[1], -k))
+    # log f = 2*sum z^(2m+1)/(2m+1), z = (f-1)/(f+1), |z| <= 0.172
     z = dd_div(dd_sub(y, dd(1.0)), dd_add(y, dd(1.0)))
     z0, z1 = dd_mul(z, z)
     t = _SPLIT * z0
     zhi = t - (t - z0)
     zlo = z0 - zhi
-    a, a1 = z  # the power z^m
+    a, a1 = z  # the power z^(2m+1)
     s0, s1 = z  # the total
-    m = 1
-    while True:
-        # dd_mul of the power by z*z (split once) and dd_add of the
-        # increment, written out
+    weights = iter(_INV_ODD)
+    for c0, c1, chi, clo in weights:
+        # dd_mul of the power by z*z (split once), dd_mul of it by the
+        # weight and dd_add of the increment, written out
         p = a * z0
         t = _SPLIT * a
         ahi = t - (t - a)
@@ -262,65 +295,142 @@ def dd_log(y: DD) -> DD:
         e = ((ahi * zhi - p) + ahi * zlo + alo * zhi) + alo * zlo + (a * z1 + a1 * z0)
         a = p + e
         a1 = e - (a - p)
-        m += 2
-        i0, i1 = dd_div((a, a1), dd(float(m)))
+        p = a * c0
+        t = _SPLIT * a
+        ahi = t - (t - a)
+        alo = a - ahi
+        e = ((ahi * chi - p) + ahi * clo + alo * chi) + alo * clo + (a * c1 + a1 * c0)
+        i0 = p + e
+        i1 = e - (i0 - p)
         s = s0 + i0
         bb = s - s0
         e = (s0 - (s - bb)) + (i0 - bb) + (s1 + i1)
         s0 = s + e
         s1 = e - (s0 - s)
-        if abs(i0) <= 1e-35 * abs(s0) or m > 200:
+        if abs(i0) <= 1e-18 * abs(s0):
             break
-    total = dd_add((s0, s1), (s0, s1))
-    return (math.ldexp(total[0], halvings), math.ldexp(total[1], halvings))
+    # the later terms in float: their rounding stays below 1e-33 of s
+    tail = 0.0
+    for c0, _, _, _ in weights:
+        a *= z0
+        i0 = a * c0
+        tail += i0
+        if abs(i0) <= 1e-35 * abs(s0):
+            break
+    # the total plus the tail, doubled
+    s1 += tail
+    s = s0 + s1
+    s1 = 2.0 * (s1 - (s - s0))
+    s0 = 2.0 * s
+    if not k:
+        return (s0, s1)
+    # plus k log 2: dd_add(dd_mul(_LN2, dd(k)), total), written out
+    a, a1, ahi, alo = _LN2
+    b = float(k)
+    p = a * b
+    t = _SPLIT * b
+    bhi = t - (t - b)
+    blo = b - bhi
+    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo + a1 * b
+    a = p + e
+    a1 = e - (a - p)
+    s = a + s0
+    bb = s - a
+    e = (a - (s - bb)) + (s0 - bb) + (a1 + s1)
+    hi = s + e
+    return (hi, e - (hi - s))
 
 
-_LN2 = (0.6931471805599453, 2.3190468138462996e-17)
-
-
-def _exp_series(r: DD, total: DD) -> DD:
-    """total + sum_{k>=1} r**k / k!, each term the last times r over k, up
-    to the first term within 1e-35 of the total (1e-320 absolute, so r = 0
-    stops) or k = 61.  The dd_mul by r (split once) and the dd_add are
-    written out."""
-    r0, r1 = r
+def _expm1_reduced(r0: float, r1: float) -> DD:
+    """expm1(r) for |r| < 1/2: r scaled by 2**-j to below 2**-10 (j <= 9
+    for r != 0), expm1(r)/r by Horner's rule on 1/k!, k = 11 down to 1,
+    then j doublings em <- 2 em + em**2 = em (em + 2).  The Horner steps
+    down to k = 6 are float: their part of expm1(r)/r is below 1.2e-18, so
+    its float rounding stays below 1e-33 of it.  The dd steps and
+    doublings write dd_mul and dd_add out."""
+    j = math.frexp(r0)[1] + 10
+    if j > 0:
+        r0 = math.ldexp(r0, -j)
+        r1 = math.ldexp(r1, -j)
     t = _SPLIT * r0
     rhi = t - (t - r0)
     rlo = r0 - rhi
-    a, a1 = 1.0, 0.0  # the term
-    s0, s1 = total
-    k = 0
-    while True:
-        k += 1
-        p = a * r0
+    s0 = 0.0
+    for c in _INV_FACT_FLOAT:
+        s0 = s0 * r0 + c
+    s1 = 0.0
+    for c0, c1 in _INV_FACT:
+        # s <- s*r + c
+        p = s0 * r0
+        t = _SPLIT * s0
+        shi = t - (t - s0)
+        slo = s0 - shi
+        e = ((shi * rhi - p) + shi * rlo + slo * rhi) + slo * rlo + (s0 * r1 + s1 * r0)
+        a = p + e
+        a1 = e - (a - p)
+        s = a + c0
+        bb = s - a
+        e = (a - (s - bb)) + (c0 - bb) + (a1 + c1)
+        s0 = s + e
+        s1 = e - (s0 - s)
+    # em = s*r
+    p = s0 * r0
+    t = _SPLIT * s0
+    shi = t - (t - s0)
+    slo = s0 - shi
+    e = ((shi * rhi - p) + shi * rlo + slo * rhi) + slo * rlo + (s0 * r1 + s1 * r0)
+    a = p + e
+    a1 = e - (a - p)
+    for _ in range(j):
+        # em**2 (split once) plus 2 em
+        p = a * a
         t = _SPLIT * a
         ahi = t - (t - a)
         alo = a - ahi
-        e = ((ahi * rhi - p) + ahi * rlo + alo * rhi) + alo * rlo + (a * r1 + a1 * r0)
-        a = p + e
-        a, a1 = dd_div((a, e - (a - p)), dd(float(k)))
-        s = s0 + a
-        bb = s - s0
-        e = (s0 - (s - bb)) + (a - bb) + (s1 + a1)
-        s0 = s + e
-        s1 = e - (s0 - s)
-        if abs(a) <= 1e-35 * abs(s0) + 1e-320 or k > 60:
-            break
-    return (s0, s1)
+        e = ((ahi * ahi - p) + ahi * alo + alo * ahi) + alo * alo + (a * a1 + a1 * a)
+        b = p + e
+        b1 = e - (b - p)
+        a += a
+        a1 += a1
+        s = a + b
+        bb = s - a
+        e = (a - (s - bb)) + (b - bb) + (a1 + b1)
+        a = s + e
+        a1 = e - (a - s)
+    return (a, a1)
 
 
 def dd_exp(u: DD) -> DD:
-    # e**u = 2**m e**r, |r| <= log(2)/2; the floor of _exp_series's stop
-    # test is far below 1e-35 of its total, which stays above 0.6 here
+    # e**u = 2**m (1 + expm1(r)), r = u - m log 2, |r| <= log(2)/2 (Hida,
+    # Li and Bailey, ARITH 2001); dd_mul(_LN2, dd(m)), dd_sub and the final
+    # dd_add of 1 written out
     m = round(u[0] / 0.6931471805599453)
-    total = _exp_series(dd_sub(u, dd_mul(_LN2, dd(float(m)))), dd(1.0))
-    return (math.ldexp(total[0], m), math.ldexp(total[1], m))
+    a, a1, ahi, alo = _LN2
+    b = float(m)
+    p = a * b
+    t = _SPLIT * b
+    bhi = t - (t - b)
+    blo = b - bhi
+    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo + a1 * b
+    hi = p + e
+    a = u[0]
+    b = -hi
+    s = a + b
+    bb = s - a
+    e = (a - (s - bb)) + (b - bb) + (u[1] - (e - (hi - p)))
+    r0 = s + e
+    a, a1 = _expm1_reduced(r0, e - (r0 - s))
+    s = a + 1.0
+    bb = s - a
+    e = (a - (s - bb)) + (1.0 - bb) + a1
+    hi = s + e
+    return (math.ldexp(hi, m), math.ldexp(e - (hi - s), m))
 
 
 def dd_expm1(u: DD) -> DD:
     if abs(u[0]) < 0.2:
-        # direct Taylor keeps full relative accuracy through the cancellation
-        return _exp_series(u, dd(0.0))
+        # no log 2 step: full relative accuracy through the cancellation
+        return _expm1_reduced(u[0], u[1])
     return dd_sub(dd_exp(u), dd(1.0))
 
 

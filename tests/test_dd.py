@@ -92,58 +92,74 @@ def ref_npow(x, k):
 
 
 def ref_sqrt(x):
+    if 0.0 < x[0] < 1e-200:
+        h, lo = ref_sqrt((x[0] * 2.0 ** 700, x[1] * 2.0 ** 700))
+        return (h * 2.0 ** -350, lo * 2.0 ** -350)
     s = math.sqrt(x[0])
     r = ref_sub(x, ref_mul((s, 0.0), (s, 0.0)))
     return ref_add((s, 0.0), (r[0] / (2.0 * s), 0.0))
 
 
+_REF_LN2 = (0.6931471805599453, 2.3190468138462996e-17)
+
+
 def ref_log(y):
     if y[0] <= 0.0:
         raise ValueError("nonpositive argument")
-    halvings = 0
-    while abs(y[0] - 1.0) > 0.1716:
-        y = ref_sqrt(y)
-        halvings += 1
+    f, k = math.frexp(y[0])
+    if f < 0.7071067811865476:
+        k -= 1
+    if k:
+        y = (math.ldexp(y[0], -k), math.ldexp(y[1], -k))
     z = ref_div(ref_sub(y, (1.0, 0.0)), ref_add(y, (1.0, 0.0)))
     z2 = ref_mul(z, z)
     term = total = z
-    m = 1
-    while True:
+    for m in range(1, 101):
         term = ref_mul(term, z2)
-        m += 2
-        inc = ref_div(term, (float(m), 0.0))
+        inc = ref_mul(term, dd_from_ratio(1, 2 * m + 1))
         total = ref_add(total, inc)
-        if abs(inc[0]) <= 1e-35 * abs(total[0]) or m > 200:
+        if abs(inc[0]) <= 1e-18 * abs(total[0]):
             break
+    tail, power = 0.0, term[0]
+    for m in range(m + 1, 101):
+        power *= z2[0]
+        inc = power * dd_from_ratio(1, 2 * m + 1)[0]
+        tail += inc
+        if abs(inc) <= 1e-35 * abs(total[0]):
+            break
+    total = ref_quick_two_sum(total[0], total[1] + tail)
     total = ref_add(total, total)
-    return (math.ldexp(total[0], halvings), math.ldexp(total[1], halvings))
+    if k:
+        total = ref_add(ref_mul(_REF_LN2, (float(k), 0.0)), total)
+    return total
+
+
+def ref_expm1_reduced(r):
+    j = math.frexp(r[0])[1] + 10
+    if j > 0:
+        r = (math.ldexp(r[0], -j), math.ldexp(r[1], -j))
+    s = 0.0
+    for k in range(11, 5, -1):
+        s = s * r[0] + 1.0 / math.factorial(k)
+    s = (s, 0.0)
+    for k in range(5, 0, -1):
+        s = ref_add(ref_mul(s, r), dd_from_ratio(1, math.factorial(k)))
+    em = ref_mul(s, r)
+    for _ in range(j):
+        em = ref_add((2.0 * em[0], 2.0 * em[1]), ref_mul(em, em))
+    return em
 
 
 def ref_exp(u):
     m = round(u[0] / 0.6931471805599453)
-    r = ref_sub(u, ref_mul((0.6931471805599453, 2.3190468138462996e-17), (float(m), 0.0)))
-    term = total = (1.0, 0.0)
-    k = 0
-    while True:
-        k += 1
-        term = ref_div(ref_mul(term, r), (float(k), 0.0))
-        total = ref_add(total, term)
-        if abs(term[0]) <= 1e-35 * abs(total[0]) or k > 60:
-            break
+    r = ref_sub(u, ref_mul(_REF_LN2, (float(m), 0.0)))
+    total = ref_add(ref_expm1_reduced(r), (1.0, 0.0))
     return (math.ldexp(total[0], m), math.ldexp(total[1], m))
 
 
 def ref_expm1(u):
     if abs(u[0]) < 0.2:
-        term, total = (1.0, 0.0), (0.0, 0.0)
-        k = 0
-        while True:
-            k += 1
-            term = ref_div(ref_mul(term, u), (float(k), 0.0))
-            total = ref_add(total, term)
-            if abs(term[0]) <= 1e-35 * abs(total[0]) + 1e-320 or k > 60:
-                break
-        return total
+        return ref_expm1_reduced(u)
     return ref_sub(ref_exp(u), (1.0, 0.0))
 
 
@@ -233,9 +249,20 @@ def test_flat_transcendentals_match_the_composed_forms():
         assert outcome(dd_expm1, u) == outcome(ref_expm1, u), u
         v = (rng.uniform(-0.25, 0.25), 0.0)
         assert outcome(dd_expm1, v) == outcome(ref_expm1, v), v
-    for v in ((0.0, 0.0), (-0.0, 0.0), (700.0, 0.0), (-745.0, 0.0), (1e300, 0.0)):
+    for _ in range(600):
+        # where the log series hands its terms over to float
+        hi = rng.uniform(0.05, 3.0)
+        y = (hi, hi * rng.uniform(-0.5, 0.5) * 2.0 ** -53)
+        assert outcome(dd_log, y) == outcome(ref_log, y), y
+    for v in ((0.0, 0.0), (-0.0, 0.0), (700.0, 0.0), (-745.0, 0.0), (1e300, 0.0),
+              (5e-324, 0.0), (-1e-300, 0.0), (0.19999999999999998, 1e-17)):
         assert outcome(dd_exp, v) == outcome(ref_exp, v), v
         assert outcome(dd_expm1, v) == outcome(ref_expm1, v), v
+    for y in ((5e-324, 0.0), (1e-300, 1e-317), (1e-200, 0.0), (0.7071067811865476, 0.0),
+              (1.0, 0.0), (1.0, -1e-17), (1.4142135623730951, 0.0), (math.inf, 0.0),
+              (0.0, 0.0), (-1.0, 0.0)):
+        assert outcome(dd_log, y) == outcome(ref_log, y), y
+        assert outcome(dd_sqrt, y) == outcome(ref_sqrt, y), y
     for shift in range(0, 70, 3):
         x = rng.uniform(1e-6, 1.0 - 1e-9)
         omx = ref_sub((1.0, 0.0), (x, 0.0))
@@ -321,10 +348,20 @@ def test_dd_sqrt():
     assert abs(to_frac(dd_mul(s, s)) - 2) < Fraction(1, 2**100)
 
 
-@pytest.mark.parametrize("x", [0.03125, 0.1, 0.5, 0.9, 0.999, 1.5, 3.0])
+@pytest.mark.parametrize("x", [1e-300, 1.3956762564377993e-300, 1e-100, 1e-10,
+                               0.03125, 0.1, 0.5, 0.9, 0.999, 1.5, 3.0, 1e10,
+                               1e100, 1e300])
 def test_dd_log_vs_mpmath(x):
     with mp.workdps(60):
         assert rel_vs_mp(dd_log(dd(x)), mp.log(x)) < 1e-30
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-200, 2.0, 1e300])
+def test_dd_sqrt_vs_mpmath(x):
+    # below 1e-200 the Newton remainder x - s*s would go subnormal, which
+    # leaves the root of 1e-300 unscaled 1.8e-24 off
+    with mp.workdps(60):
+        assert rel_vs_mp(dd_sqrt(dd(x)), mp.sqrt(x)) < 1e-31
 
 
 @pytest.mark.parametrize("u", [-3.0, -0.7, -1e-8, 1e-9, 0.3, 2.0])
@@ -337,6 +374,41 @@ def test_dd_exp_vs_mpmath(u):
 def test_dd_expm1_small_arguments(u):
     with mp.workdps(60):
         assert rel_vs_mp(dd_expm1(dd(u)), mp.expm1(u)) < 1e-30
+
+
+@pytest.mark.sweep
+def test_transcendental_errors_on_a_large_sweep():
+    # the largest errors seen on 20000 seeded arguments each, in units
+    # U = 2**-104 of the value, dd_exp's per 1 + |u|: _dd's unit accounting
+    # and the general form's half-integer scale rest on them
+    rng = random.Random(2001)
+    cases = (
+        ("exp", dd_exp, mp.exp,
+         lambda s: s * 10.0 ** rng.uniform(-20.0, math.log10(600.0))),
+        ("expm1", dd_expm1, mp.expm1,
+         lambda s: s * 10.0 ** rng.uniform(-30.0, math.log10(0.25))),
+        ("log", dd_log, mp.log,
+         lambda s: 10.0 ** rng.uniform(-300.0, 300.0) if s > 0 else rng.uniform(1e-3, 3.0)),
+        ("sqrt", dd_sqrt, mp.sqrt, lambda s: 10.0 ** rng.uniform(-320.0, 300.0)),
+    )
+    worst = {}
+    with mp.workdps(60):
+        for _ in range(20000):
+            sign = rng.choice((1.0, -1.0))
+            for name, fn, ref, draw in cases:
+                hi = draw(sign)
+                lo = hi * rng.uniform(-1.0, 1.0) * 2.0 ** -53
+                v = (hi + lo, lo - ((hi + lo) - hi))
+                want = ref(mp.mpf(v[0]) + v[1])
+                got = fn(v)
+                err = float(abs(mp.mpf(got[0]) + got[1] - want) / abs(want)) / 2.0 ** -104
+                if name == "exp":
+                    err /= 1.0 + abs(v[0])
+                worst[name] = max(worst.get(name, 0.0), err)
+    assert worst["exp"] <= 0.45, worst
+    assert worst["expm1"] <= 1.35, worst
+    assert worst["log"] <= 1.2, worst
+    assert worst["sqrt"] <= 0.7, worst
 
 
 def test_dd_to_float_rounds_the_tie_to_even():
