@@ -26,10 +26,11 @@ precision floating point arithmetic", ARITH 2001): argument reduction, then
 Horner's rule or a series on precomputed double-double constants, with no
 dd_div per term and no table of values.  dd_exp takes out m log 2 and then
 2**-j, j <= 9, sums an 11-term Horner polynomial for expm1 and undoes the
-2**-j by j doublings expm1(2r) = expm1(r) (expm1(r) + 2); dd_expm1 below
-0.2 is that core alone.  dd_log takes out the binary exponent, which leaves
-f in [1/sqrt2, sqrt2), and sums the atanh series of log f, its terms below
-1e-18 of the sum in float.
+2**-j by j doublings expm1(2r) = expm1(r) (expm1(r) + 2), and multiplies
+by 2**m (_exp_parts returns e**r and m apart, for a caller whose 2**m may
+pass float range); dd_expm1 below 0.2 is that core alone.  dd_log takes
+out the binary exponent, which leaves f in [1/sqrt2, sqrt2), and sums the
+atanh series of log f, its terms below 1e-18 of the sum in float.
 
 All per-x state lives here: context(x), a small memo, hands out the one
 ClosedFormContext for x, which forms log(1-x), log x and the power tables
@@ -400,10 +401,10 @@ def _expm1_reduced(r0: float, r1: float) -> DD:
     return (a, a1)
 
 
-def dd_exp(u: DD) -> DD:
-    # e**u = 2**m (1 + expm1(r)), r = u - m log 2, |r| <= log(2)/2 (Hida,
-    # Li and Bailey, ARITH 2001); dd_mul(_LN2, dd(m)), dd_sub and the final
-    # dd_add of 1 written out
+def _exp_parts(u: DD):
+    """(e**r, m), e**u = 2**m e**r, r = u - m log 2, |r| <= log(2)/2:
+    dd_exp short of its ldexp.  dd_mul(_LN2, dd(m)), dd_sub and the final
+    dd_add of 1 written out."""
     m = round(u[0] / 0.6931471805599453)
     a, a1, ahi, alo = _LN2
     b = float(m)
@@ -424,7 +425,12 @@ def dd_exp(u: DD) -> DD:
     bb = s - a
     e = (a - (s - bb)) + (1.0 - bb) + a1
     hi = s + e
-    return (math.ldexp(hi, m), math.ldexp(e - (hi - s), m))
+    return (hi, e - (hi - s)), m
+
+
+def dd_exp(u: DD) -> DD:
+    (hi, lo), m = _exp_parts(u)
+    return (math.ldexp(hi, m), math.ldexp(lo, m))
 
 
 def dd_expm1(u: DD) -> DD:

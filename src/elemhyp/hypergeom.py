@@ -18,8 +18,9 @@ triples, and at m = 2 of the (1, 2; n+2) form.
 All closed forms assemble in double-double and round once at the end; the
 per-x _dd.context(x) forms 1-x, log(1-x) and the x and 1-x power tables
 once per x.  The general form takes at most one dd_exp and one dd_log
-(n neither an integer nor a half-integer; or the dd_log alone, for the log
-term of an integer n in [1, p-1]); a half-integer n takes one dd_sqrt.
+(n neither an integer nor a half-integer, or its power past the range a
+dd_mul takes; or the dd_log alone, for the log term of an integer n in
+[1, p-1]); a half-integer n takes one dd_sqrt.
 Each form sums in a _dd.BoundedSum, whose bound counts term roundings,
 table depth and the errors of the log and the power.
 
@@ -30,6 +31,8 @@ kept only where _dd.certified finds their rounding bound within 1e-13:
      and the x**(1-p) prefactor makes closed forms cancel; its bound is
      terms * sum|term| * 2**-53;
   2. the classifier's closed form for (m, n; p), with its BoundedSum bound;
+     where its value passes float range, NotConverged is raised, since the
+     series stops short of the sum there;
   3. the defining series, with no rounding check.
 
 Both series routes sum one series per call, to numcore's one precision;
@@ -53,10 +56,7 @@ NotConverged is raised.
 
 A short terminating polynomial (n a nonpositive integer >= -40) that route
 1 does not keep is summed exactly and rounded once.  Points whose digit
-loss (p-1)*log10(1/x) exceeds _MAX_DIGIT_LOSS skip route 2.  Where route
-2 passes float range (large n next to x = 1), the certified closed form of
-the Euler-transformed triple (p-m, p-n; p) (DLMF 15.8.1) times
-(1-x)**(p-m-n) answers instead of route 3, or NotConverged is raised.
+loss (p-1)*log10(1/x) exceeds _MAX_DIGIT_LOSS skip route 2.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ from functools import lru_cache
 
 from ._dd import (
     _GUARD_REL, _SERIES_REL_TOL, _SPLIT, U, BoundedSum, ClosedFormContext,
-    certified, context, dd, dd_add, dd_div, dd_exp, dd_from_int, dd_from_ratio,
-    dd_mul, dd_neg, dd_npow, dd_sqrt, dd_to_float,
+    _exp_parts, certified, context, dd, dd_add, dd_div, dd_exp, dd_from_int,
+    dd_from_ratio, dd_mul, dd_neg, dd_npow, dd_sqrt, dd_to_float,
 )
 from .numcore import (
     _MAX_TERMS, DomainError, InvalidParams, NonFinite, NotConverged,
@@ -162,6 +162,10 @@ def _series(a: float, b: float, ib: int, c: float, ic: int, z: float, first: int
         fc += 1.0
     # still going at the cap
     return SeriesResult(float(s), _MAX_TERMS, False, math.inf, float(abs_sum)), weighted
+
+
+# log of the largest float: a value whose log passes it passes float range
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @lru_cache(maxsize=4096)
@@ -264,13 +268,18 @@ def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum:
 
     The scale P**(q+1-n) is a table entry or dd_npow for integer n, that
     power times dd_sqrt(P) for half-integer n (no log, no exp), else
-    dd_exp(u), u = (q+1-n) log P with q+1-n an exact dd.  The BoundedSum
+    dd_exp(u), u = (q+1-n) log P with q+1-n an exact dd.  Where the scale
+    times the inner sum may pass the range a dd_mul takes (Dekker's split,
+    about 2**996), it is 2**E g, g = e**(u - E log 2) (_dd._exp_parts): the
+    heads, log terms and subnormal count are scaled by 2**-E, and 2**E goes
+    back onto the total and the bound at the end, exactly.  The BoundedSum
     counts a term's table depth, 1 for its coefficient (and log P), 1 per
     product, and the scale's depth, its depth + 2 (the root and the
-    product) or 1 + 3|u| (against mpmath, on 20000 seeded scales each, the
-    largest errors seen are 0.33 and 0.39 of these two counts); plus, as
-    an absolute error times what multiplies it, 16 units of 2**-1074 per
-    dd_mul that forms or takes a power or product in the subnormal range.
+    product) or 1 + 3|u| (+ |E| for E log 2 in dd; against mpmath, on 20000
+    seeded scales each, the largest errors seen are 0.33 and 0.39 of the
+    last two counts); plus, as an absolute error times what multiplies it,
+    16 units of 2**-1074 per dd_mul that forms or takes a power or product
+    in the subnormal range, or per part that 2**-E scales below it.
     """
     q = p - m - 1
     num, den = n.as_integer_ratio()
@@ -282,15 +291,29 @@ def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum:
     for i, c in logs:
         acc.add(dd_mul(dd_from_int(c), dd_mul(ompows[q - i], ctx.log)), q - i + 4)
         tiny += abs(c) * (abs(ctx.log[0]) + 1.0) * (q - i + 1) + 1.0
-    if den <= 2:
-        e = q + 1 + (-num) // den  # the integer part of q+1-n
+    e = q + 1 + (-num) // den  # the integer part of q+1-n
+    # Dekker's split takes operands below sys.float_info.max / _SPLIT
+    fits = e * math.log(ctx.omx[0]) + math.log(
+        2.0 * _SPLIT * max(1.0, abs(inner.total[0]))) <= _LOG_MAX
+    big = 0  # the scale is 2**big times the factor the inner sum takes
+    if fits and den <= 2:
         scale, err = (ompows[e], float(e)) if 0 <= e < len(ompows) else \
             (dd_npow(ctx.omx, e), abs(e) + (e < 0))
         if den == 2:  # P**(q+1-n) = P**e sqrt(P)
             scale, err = dd_mul(scale, dd_sqrt(ctx.omx)), err + 2.0
     else:
         u = dd_mul(dd_add(dd_from_int(q + 1), dd(-n)), ctx.log)
-        scale, err = dd_exp(u), 1.0 + 3.0 * abs(u[0])
+        err = 1.0 + 3.0 * abs(u[0])
+        if fits:
+            scale = dd_exp(u)
+        else:
+            scale, big = _exp_parts(u)
+            err += abs(big)  # E log 2 in dd is off by |E| units of e**r at most
+            parts = [math.ldexp(c, -big) for c in (*acc.total, acc.bound)]
+            acc.total, acc.bound = (parts[0], parts[1]), parts[2]
+            # a part scaled below the normal range is off by 2**-1075 at most
+            tiny = math.ldexp(tiny, -big) + sum(abs(c) < sys.float_info.min
+                                                for c in parts)
     tiny += tail_tiny * abs(scale[0]) + (abs(inner.total[0]) + inner.bound) * (err + 2.0)
     inner.mul(scale, err)
     acc.add_sum(inner)
@@ -298,6 +321,9 @@ def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum:
     # (m)_(p-m) / (p-m-1)! is the integer C(p-1, m-1)*(p-m)
     pref_int = math.comb(p - 1, m - 1) * (p - m)
     acc.mul(dd_div(dd_from_int(pref_int), dd_npow(dd(ctx.x), p - 1)), p)
+    if big:  # exact; an OverflowError here is the value passing float range
+        acc.total = (math.ldexp(acc.total[0], big), math.ldexp(acc.total[1], big))
+        acc.bound = math.ldexp(acc.bound, big)
     return acc
 
 
@@ -349,7 +375,7 @@ def _assemble(body, x: float, *args):
         raise DomainError("closed forms require 0 < x < 1")
     try:
         acc = body(*args, context(x))
-    except (OverflowError, ZeroDivisionError):  # dd_exp, or 1 / a power that is 0
+    except (OverflowError, ZeroDivisionError):  # a value, or 1 / x**k, past float range
         raise NotConverged("closed form overflows float range") from None
     value = dd_to_float(acc.total)
     if not math.isfinite(value):  # Dekker's split past ~1.3e300
@@ -407,31 +433,6 @@ def hyp2f1_closed(params: HypergeomParams, x: float) -> float:
     return f
 
 
-def _euler_on_overflow(m: int, n: float, p: int, x: float) -> float:
-    """2F1(m, n; p; x) = (1-x)**(p-m-n) 2F1(p-m, p-n; p; x) (DLMF 15.8.1).
-
-    For a direct closed form that passed float range: with large n next to
-    x = 1 its scale (1-x)**s, s = p-m-n, does; the transformed form's,
-    (1-x)**(-s), does not.  The series stops short of the sum there.  The
-    near-1 route answers most such points first; this serves integer s and
-    the non-integer s where that route declines.  It can go once integer s
-    has a near-1 form (the log case, DLMF 15.8.10).
-    """
-    nn = p - n
-    f, bound = _closed_route(p - m, nn, p, x)
-    if certified(f, bound):
-        # the scale as two half powers around f: the scale alone may pass
-        # float range where the value does not
-        try:
-            h = (1.0 - x) ** ((nn - m) / 2)
-            g = h * f * h
-        except OverflowError:  # the value itself passes float range
-            g = math.inf
-        if math.isfinite(g):
-            return g
-    raise NotConverged("closed form overflows float range")
-
-
 def _near_one_tail(a: int, nb: float, ib: int, ic: int, z: float):
     """The terms k >= 1 of the series with term ratios
     (a+j)(nb+(ib+j)) / ((nb+(ic+j))(j+1)) z, 0 < z <= 1/2, summed by
@@ -451,10 +452,6 @@ def _near_one_tail(a: int, nb: float, ib: int, ic: int, z: float):
         return None
     return res.value, ((7.0 * weighted + 3.0 * res.abs_sum) * 2.0 ** -53
                        + res.trunc_err_est)
-
-
-# log of the largest float: a value whose log passes it passes float range
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _near_one(m: int, n: float, p: int, x: float):
@@ -542,8 +539,8 @@ def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
     1e-17 of its sum, at most 100000 terms.  The values of routes 1 and 2
     and of the near-1 route are kept only where _dd.certified accepts their
     bound; the fallback series, with no rounding check, raises NotConverged
-    at the term cap.  A closed form that passes float range hands over to
-    _euler_on_overflow, since the series stops short there.
+    at the term cap.  Where the closed form's value passes float range,
+    NotConverged is raised: the series stops short of the sum there.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("dispatcher requires 0 <= x < 1")
@@ -574,10 +571,7 @@ def _routes(m: int, n: float, p: int, x: float) -> float:
         if near is not None and certified(*near):
             return near[0]
     if (p - 1) * math.log10(1.0 / x) <= _MAX_DIGIT_LOSS:
-        try:
-            f, bound = _closed_route(m, n, p, x)
-        except NotConverged:  # the closed form passes float range
-            return _euler_on_overflow(m, n, p, x)
+        f, bound = _closed_route(m, n, p, x)
         if certified(f, bound):
             return f
     if res is None:

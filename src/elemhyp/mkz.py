@@ -236,14 +236,20 @@ def _closed_coefficients(N: int, c: int, m: int, beta: float):
             tuple(dd_from_ratio(a, den) for a in neg), head)
 
 
-def mkz_moment_e2(n: int, x: float) -> float:
-    """Second moment of the classical operator: x**2 plus a 2F1 correction."""
+def _e2_at_zero(n: int, x: float) -> bool:
+    """The argument check of the second moments, n >= 1 an integer and
+    0 <= x < 1: whether x is 0, where each is 0."""
     require_ints(n=n)
     if n < 1:
         raise InvalidParams("n must be >= 1")
     if not 0.0 <= x < 1.0:
         raise DomainError("moment requires 0 <= x < 1")
-    if x == 0.0:
+    return x == 0.0
+
+
+def mkz_moment_e2(n: int, x: float) -> float:
+    """Second moment of the classical operator: x**2 plus a 2F1 correction."""
+    if _e2_at_zero(n, x):
         return 0.0
     f = hyp2f1_eval(HypergeomParams(1, 2.0, n + 2), x)
     return x * x + x * (1.0 - x) ** 2 / (n + 1) * f
@@ -271,12 +277,7 @@ def mkz_moment(n: int, r: int, x: float) -> float:
 
 def ln_moment_e2(n: int, x: float) -> float:
     """Second moment of the integral-type variant L_n, closed form."""
-    require_ints(n=n)
-    if n < 1:
-        raise InvalidParams("n must be >= 1")
-    if not 0.0 <= x < 1.0:
-        raise DomainError("moment requires 0 <= x < 1")
-    if x == 0.0:
+    if _e2_at_zero(n, x):
         return 0.0
     f = hyp2f1_eval(HypergeomParams(1, 3.0, n + 3), x)
     return x * x + 2.0 * x * (1.0 - x) ** 2 / (n + 2) * f
@@ -292,12 +293,7 @@ def ln_moment_e2_direct(n: int, x: float) -> float:
     whose bound G = 1 holds since the last factor is at most 1.  Raises
     NotConverged where (1-x)**(n+1) leaves the normal float range.
     """
-    require_ints(n=n)
-    if n < 1:
-        raise InvalidParams("n must be >= 1")
-    if not 0.0 <= x < 1.0:
-        raise DomainError("moment requires 0 <= x < 1")
-    if x == 0.0:
+    if _e2_at_zero(n, x):
         return 0.0
     return _weight_series(n + 1, x, (1.0 - x) ** (n + 1),
                           lambda k: k * (k + 1.0) / ((n + k) * (n + k + 1.0)),

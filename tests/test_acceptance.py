@@ -25,6 +25,7 @@ from elemhyp import (
     hyp2f1_series,
     ln_moment_e2, ln_moment_e2_direct, mkz_moment, mkz_moment_e2,
 )
+from elemhyp import verify
 from elemhyp.basis import LOG_TERM, combo_eval, fnj_combo, fnj_series, poly, pow_ratio
 from elemhyp.hypergeom import _assemble, _eq_12_1, _eq_1m_b, _eq_general
 from elemhyp.mkz import _gmkz_series
@@ -332,3 +333,16 @@ def test_criterion_8_cli_verification_and_pinned_outputs(tmp_path):
            f"report {summary['passed']}/{summary['total']} passed, "
            f"{len(pinned) - len(mismatches)}/{len(pinned)} outputs bit-exact")
     assert not mismatches
+
+
+def test_verify_fails_a_closed_form_off_by_1e_10(monkeypatch):
+    # the exact-arithmetic suites are judged at the certification threshold
+    # 1e-13, so a general form 1e-10 off fails its entries
+    def off(*args):
+        acc = _eq_general(*args)
+        acc.total = (acc.total[0] * (1.0 + 1e-10), acc.total[1])
+        return acc
+
+    monkeypatch.setattr(verify, "_eq_general", off)
+    summary = verify.run_suites(["hypergeom"])["summary"]
+    assert summary["passed"] < summary["total"]

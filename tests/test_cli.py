@@ -166,10 +166,7 @@ def test_hyp2f1_closed_refuses_a_cancelled_value():
 @pytest.mark.parametrize("method,n,p", [
     # the value, 1.87e358, lies beyond float range
     ("closed", "60.5", "20"),
-    # the scale (1-x)**-33.6 ~ 1e302 turns the dd products nan short of an
-    # OverflowError (the value is 3.9e288; --method auto answers it)
-    ("closed", "52.6", "20"),
-], ids=["closed", "closed-nan-band"])
+], ids=["closed"])
 def test_hyp2f1_overflowing_closed_form_exits_1(method, n, p):
     r = run("hyp2f1", "--m", "1", "--n", n, "--p", p, "--x", "0.999999999",
             "--method", method)
@@ -178,8 +175,17 @@ def test_hyp2f1_overflowing_closed_form_exits_1(method, n, p):
     assert r.stderr == "error: closed form overflows float range\n"
 
 
+def test_hyp2f1_closed_answers_where_its_scale_passes_dd_range():
+    # the scale (1-x)**-33.6 ~ 1e302 is past the range a dd_mul takes; the
+    # general form keeps it apart as 2**E g and answers (the value is 3.9e288)
+    r = run("hyp2f1", "--m", "1", "--n", "52.6", "--p", "20", "--x", "0.999999999",
+            "--method", "closed")
+    assert r.returncode == 0
+    assert r.stdout == json.dumps({"value": 3.940506602356998e+288}) + "\n"
+
+
 def test_hyp2f1_auto_takes_euler_on_overflow():
-    # --method auto answers the point --method closed cannot (mpmath value)
+    # large n next to x = 1: the near-1 route answers (mpmath value)
     r = run("hyp2f1", "--m", "1", "--n", "60.5", "--p", "70", "--x", "0.999999999")
     assert r.returncode == 0
     assert math.isclose(json.loads(r.stdout)["value"], 8.117646993341179, rel_tol=1e-14)

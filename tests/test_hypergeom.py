@@ -807,7 +807,8 @@ def test_near_one_route_raises_where_the_value_passes_float_range():
     with pytest.raises(NotConverged, match="passes float range"):
         hyp2f1_eval(HypergeomParams(1, 40.5, 3), x)
     # s = -34.5: (1-x)**s passes float range but the value, 3.5e300, does
-    # not; the route declines and the Euler form answers
+    # not; the route declines and the general form answers, its scale kept
+    # apart as a power of two
     x = 1 - 1e-9
     assert hypergeom._near_one(1, 45.5, 12, x) is None
     got = hyp2f1_eval(HypergeomParams(1, 45.5, 12), x)
@@ -1007,19 +1008,19 @@ def test_closed_route_rounding_bound_is_a_bound_on_a_large_sweep():
     (1, 34.4, 40, 1 - 1e-9),  # just below the band: the direct form holds
     (1, 34.8, 40, 1 - 1e-9),
     (2, 34.9, 45, 1 - 1e-9),
-    (1, 45.5, 12, 1 - 1e-9),  # the Euler scale alone passes float range
+    (1, 45.5, 12, 1 - 1e-9),  # the scale alone passes float range
     (1, 53.3, 20, 1 - 1e-9),
-    (1, 52.6, 20, 1 - 1e-9),  # the direct form's dd products turn nan
+    (1, 52.6, 20, 1 - 1e-9),  # the scale passes the range of a dd_mul
     (2, 53.5, 30, 1 - 1e-12),
 ])
 def test_eval_overflowing_power_integral_takes_euler(m, n, p, x, monkeypatch):
     # large n next to x = 1, with the near-1 route on and off.  s = p-m-n
     # is not an integer here, so the near-1 route answers first.  With it
-    # off, the direct form answers the first five points; at the last four
-    # its scale (1-x)**s passes float range, or turns the double-double
-    # products non-finite on its way there, and the Euler form
-    # (p-m, p-n; p) answers: the series, which stops short of the sum
-    # there, is never tried.
+    # off, the general form answers: at the first five points its scale
+    # (1-x)**(q+1-n) is a plain double-double, at the last four it passes
+    # the range a dd_mul takes, or float range, and is kept apart as
+    # 2**E g.  The series, which stops short of the sum there, is never
+    # tried.
     want = mp_ref(m, n, p, x, 50)
     assert rel_err(hyp2f1_eval(HypergeomParams(m, n, p), x), want) <= 1e-14
     monkeypatch.setattr(hypergeom, "_X_NEAR", 2.0)
@@ -1027,16 +1028,18 @@ def test_eval_overflowing_power_integral_takes_euler(m, n, p, x, monkeypatch):
 
 
 def test_public_closed_forms_raise_in_the_non_finite_band():
-    # the scale (1-x)**(q+1-n) past ~1.3e300 turns the dd products nan
-    # before any OverflowError (the values are 3.9e288 and 4.8e286); the
-    # closed form raises instead of returning it.  At (1, 60.5; 20) the
-    # value itself, 1.87e358, passes float range
+    # the scale (1-x)**(q+1-n) passes ~1.3e300, past which a dd_mul turns
+    # nan, at the first two points: the general form keeps it apart as
+    # 2**E g and answers.  At (1, 60.5; 20) the value itself, 1.87e358,
+    # passes float range, and the closed form raises
+    x = 1 - 1e-9
+    for (m, n, p), want in [((1, 52.6, 20), 3.940506602356998e+288),
+                            ((2, 61.6, 30), 4.8497893933356375e+286)]:
+        got = hyp2f1_closed(HypergeomParams(m, n, p), x)
+        assert got == want
+        assert rel_err(got, mp_ref(m, n, p, x, 50)) <= 1e-15
     with pytest.raises(NotConverged, match="overflows float range"):
-        hyp2f1_closed(HypergeomParams(1, 52.6, 20), 1 - 1e-9)
-    with pytest.raises(NotConverged, match="overflows float range"):
-        hyp2f1_closed(HypergeomParams(2, 61.6, 30), 1 - 1e-9)
-    with pytest.raises(NotConverged, match="overflows float range"):
-        hyp2f1_closed(HypergeomParams(1, 60.5, 20), 1 - 1e-9)
+        hyp2f1_closed(HypergeomParams(1, 60.5, 20), x)
 
 
 @pytest.mark.parametrize("m,n,p,x", [
@@ -1054,9 +1057,10 @@ def test_closed_form_holds_for_large_n_next_to_one(m, n, p, x):
 
 
 def test_closed_forms_raise_where_an_integer_power_underflows():
-    # (1-x)**-899 of an integer power integral and x**-2 of the prefactor
-    # divide by a power that underflows to 0; both are typed, not
-    # ZeroDivisionError
+    # the value at (5, 900; 6), with its scale (1-x)**-899 kept apart as
+    # 2**E g, passes float range as 2**E goes back on; x**-3 of the
+    # prefactor divides by a power that underflows to 0.  Both are typed,
+    # not OverflowError or ZeroDivisionError
     with pytest.raises(NotConverged, match="overflows float range"):
         hyp2f1_eval(HypergeomParams(5, 900.0, 6), 0.999)
     with pytest.raises(NotConverged, match="overflows float range"):
@@ -1064,9 +1068,10 @@ def test_closed_forms_raise_where_an_integer_power_underflows():
 
 
 def test_eval_overflow_band_never_returns_the_series(monkeypatch):
-    # from just below where the direct form turns non-finite (n ~ 52.35)
-    # to past where its scale overflows (n ~ 53.25), no point falls to the
-    # series, with the near-1 route on or off (the Euler form answers)
+    # from just below where the scale passes the range of a dd_mul
+    # (n ~ 52.35) to past where it passes float range (n ~ 53.25), no point
+    # falls to the series, with the near-1 route on or off (the general
+    # form answers, its scale kept apart as 2**E g)
     calls = _count_calls(monkeypatch, "hyp2f1_series")
     for x_near in (hypergeom._X_NEAR, 2.0):
         monkeypatch.setattr(hypergeom, "_X_NEAR", x_near)
@@ -1075,6 +1080,47 @@ def test_eval_overflow_band_never_returns_the_series(monkeypatch):
             got = hyp2f1_eval(HypergeomParams(1, n, 20), 1 - 1e-9)
             assert rel_err(got, mp_ref(1, n, 20, 1 - 1e-9, 50)) <= 1e-14, (n, x_near)
     assert calls["hyp2f1_series"] == []
+
+
+def _large_n_points(count, seed):
+    """Large n next to x = 1: m <= 10, p <= m+40, n an integer, a
+    half-integer or real in [20, 90], 1-x log-uniform in [1e-15, 1e-4]."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 10)
+        p = rng.randint(m + 1, m + 40)
+        n = rng.choice((float(rng.randint(20, 90)), rng.randint(20, 89) + 0.5,
+                        rng.uniform(20.0, 90.0)))
+        yield m, n, p, 1.0 - 10.0 ** rng.uniform(-15.0, -4.0)
+
+
+def test_general_form_bound_holds_where_its_scale_is_kept_apart(monkeypatch):
+    # where the scale passes the range of a dd_mul, the general form sums
+    # with it as 2**E g (_dd._exp_parts); every certified value, on either
+    # side of that switch, is within its bound plus half an ulp of mpmath.
+    # The rest raise: their values pass float range
+    split = []
+    original = hypergeom._exp_parts
+
+    def spy(u):
+        split.append(u)
+        return original(u)
+
+    monkeypatch.setattr(hypergeom, "_exp_parts", spy)
+    certified = raised = 0
+    for m, n, p, x in _large_n_points(800, 3401):
+        try:
+            f, bound = _closed_route(m, n, p, x)
+        except NotConverged:
+            raised += 1
+            continue
+        if not _dd.certified(f, bound):
+            continue
+        certified += 1
+        with mp.workdps(60):
+            err = abs(mp.mpf(f) - mp.hyp2f1(m, n, p, mp.mpf(x)))
+        assert err <= bound + math.ulp(f) / 2, (m, n, p, x, float(err), bound)
+    assert (certified, raised, len(split)) == (440, 360, 390)
 
 
 def _dispatcher_points(count, seed):
@@ -1111,6 +1157,19 @@ def _dispatcher_sweep(count, seed):
         if err > 1e-12:
             off.append((m, n, p, x, err))
     return typed, off
+
+
+@pytest.mark.sweep
+def test_eval_assembles_at_most_one_closed_form_on_the_dispatcher_sweep(monkeypatch):
+    # one closed form per call, also where its scale passes float range
+    calls = _count_calls(monkeypatch, "_closed_route")
+    for m, n, p, x in _dispatcher_points(12000, 1712):
+        calls["_closed_route"].clear()
+        try:
+            hyp2f1_eval(HypergeomParams(m, n, p), x)
+        except (NotConverged, NonFinite):
+            pass
+        assert len(calls["_closed_route"]) <= 1, (m, n, p, x)
 
 
 @pytest.mark.sweep
