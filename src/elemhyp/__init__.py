@@ -3,8 +3,8 @@ operator moments built on a symbolic polylogarithm basis, and 2F1
 expansions of a Heun-equation family."""
 
 from .basis import (
-    BasisFunction, SymbolicCombo, combo_eval, combo_json_dict, fnj_base,
-    fnj_combo, fnj_series,
+    BasisFunction, SymbolicCombo, combo_eval, combo_json_dict, fnj_combo,
+    fnj_series,
 )
 from .heun import (
     HeunFamilyParams, HeunSpec, heun_coeff, heun_eval, heun_normalization,
@@ -19,7 +19,7 @@ from .mkz import (
 )
 from .numcore import (
     DomainError, InvalidParams, NonFinite, NotConverged, SeriesResult,
-    gen_binomial, pochhammer, sum_series,
+    sum_series,
 )
 from .polylog import polylog, polylog_derivative_series
 
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisFunction", "SymbolicCombo", "combo_eval", "combo_json_dict",
-    "fnj_base", "fnj_combo", "fnj_series",
+    "fnj_combo", "fnj_series",
     "HeunFamilyParams", "HeunSpec", "heun_coeff", "heun_eval",
     "heun_normalization", "heun_ode_residual", "heun_params_from",
     "heun_series_oracle", "heun_termination",
@@ -35,7 +35,7 @@ __all__ = [
     "GmkzParams", "Monomial", "gmkz_apply", "gmkz_e1", "gmkz_moment_abel",
     "ln_moment_e2", "ln_moment_e2_direct", "mkz_moment", "mkz_moment_e2",
     "DomainError", "InvalidParams", "NonFinite", "NotConverged",
-    "SeriesResult", "gen_binomial", "pochhammer", "sum_series",
+    "SeriesResult", "sum_series",
     "polylog", "polylog_derivative_series",
     "__version__",
 ]

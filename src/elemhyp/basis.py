@@ -29,11 +29,10 @@ context, so every basis value at one x shares one set of tables.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict
+from typing import Dict
 
 from ._dd import (
     _GUARD_REL, BoundedSum, certified, context, dd, dd_from_ratio, dd_mul,
@@ -101,37 +100,6 @@ class SymbolicCombo:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
-
-def fnj_base(n: int, j: int) -> Callable[[float], float]:
-    """Closed-form evaluators for the two pre-recurrence kernels j = 0, 1,
-    f_{n,0} = (1-x)**-(n+1) and f_{n,1} = 1 / (n (1-x)**n), for x < 1.
-
-    The evaluator raises NotConverged where its value passes float range:
-    where the power overflows, or (j = 1) where (1-x)**n is below the
-    smallest normal float, so that its reciprocal is near or past float
-    range and has lost digits.
-    """
-    require_ints(n=n, j=j)
-    if n < 1:
-        raise InvalidParams("n must be >= 1")
-    if j not in (0, 1):
-        raise InvalidParams("closed base forms exist for j in {0, 1} only")
-
-    def base(x: float) -> float:
-        if not x < 1.0:
-            raise DomainError("closed base kernels require x < 1")
-        if j == 0:
-            try:
-                return (1.0 - x) ** (-(n + 1))
-            except OverflowError:
-                raise NotConverged(f"f_{{{n},0}} overflows float range") from None
-        pw = (1.0 - x) ** n
-        if pw < sys.float_info.min:
-            raise NotConverged(f"f_{{{n},1}} overflows float range")
-        return 1.0 / (n * pw)
-
-    return base
 
 
 def _exact_coefficients(N: int, c: int, a: int, b: int, beta: float):

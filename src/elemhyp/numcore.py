@@ -1,6 +1,6 @@
 """Shared numerical kernel.
 
-Pochhammer symbols, generalized binomials, the series summation engine
+The typed errors, the integer-argument check, the series summation engine
 and the one weight series of the operators and kernels (_weight_series).
 Every series in the package is summed to one precision: it stops once a
 bound on its tail is within _dd._SERIES_REL_TOL (1e-17, float64 accuracy) of
@@ -15,7 +15,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import count
 from typing import Callable, Iterable
 
@@ -61,54 +60,6 @@ class SeriesResult:
     converged: bool
     trunc_err_est: float
     abs_sum: float = 0.0  # sum of |term|: bounds the rounding of the sum
-
-
-def pochhammer(r: float, m: int) -> float:
-    """Rising factorial r(r+1)...(r+m-1); 1 for m == 0.
-
-    Raises NotConverged where the running product passes float range,
-    unless a factor is exactly zero (r a nonpositive integer above -m), where
-    the product is 0.
-    """
-    require_ints(m=m)
-    if m < 0:
-        raise InvalidParams("pochhammer order must be >= 0")
-    out = 1.0
-    for i in range(m):
-        out *= r + i
-    if not math.isfinite(out):
-        if float(r).is_integer() and -m < r <= 0:
-            return 0.0
-        raise NotConverged("pochhammer overflows float range")
-    return out
-
-
-def gen_binomial(a: float, k: int) -> float:
-    """Generalized binomial a(a-1)...(a-k+1)/k!, any real a.
-
-    Each factor a - i is rounded once from a: the rising product from
-    a - k + 1 would cancel in forming its base (0.0 for a = 1e-17, k = 1).
-    Where the float product or k! passes float range on the way, the
-    product is carried as a fraction and a power of two, divided by k!
-    exactly and rounded once.  Raises NotConverged where the value passes
-    float range.
-    """
-    require_ints(k=k)
-    if k < 0:
-        raise InvalidParams("gen_binomial order must be >= 0")
-    out = 1.0
-    for i in range(k):
-        out *= a - i
-    if k <= 170 and not math.isinf(out):  # 170! is the last within float range
-        return out / math.factorial(k)
-    frac, exp = 1.0, 0
-    for i in range(k):
-        frac, e = math.frexp(frac * (a - i))
-        exp += e
-    try:
-        return float(Fraction(frac) * Fraction(2) ** exp / math.factorial(k))
-    except OverflowError:
-        raise NotConverged("gen_binomial overflows float range") from None
 
 
 def sum_series(term_source: Iterable,

@@ -2,8 +2,8 @@
 
 There is one Li_k: the double-double core _polylog_dd, which the public
 polylog rounds once (Li_1 = -log(1-x) is closed form).  The derivative
-(Li_j)^(d) is d! times the moment kernel f_{d,j}, from basis: the closed
-base kernels for j <= 1, and for j >= 2 the exact combo from x = 1/2 up,
+(Li_j)^(d) is d! times the moment kernel f_{d,j}: the closed base
+kernels for j <= 1, and for j >= 2 basis's exact combo from x = 1/2 up,
 basis.fnj_series below.
 
 The double-double core has one rule.  From order k = _POWER_SERIES_FROM on
@@ -93,16 +93,17 @@ def polylog_derivative_series(j: int, d: int, x: float) -> float:
     """d-th derivative of Li_j at x: d! * f_{d,j}(x).
 
     Termwise, Li_j^(d)(x) = sum_k d! C(d+k,k) x**k / (d+k)**j, the kernel
-    series times d!.  j <= 1 takes the closed base kernels of
-    basis.fnj_base (Li_0(x) := x/(1-x), so j = 0 gives d!/(1-x)**(d+1), and
-    j = 1 gives (d-1)!/(1-x)**d), raising NotConverged where they pass float
-    range.  For j >= 2 the kernel is the exact combo from _COMBOS_FROM up,
-    where the series would need ~1/(1-x) terms, and the series below it,
-    where the combo's x**(-d) prefactor cancels.  Nothing in the package
-    calls it: the moments are mkz.gmkz_apply on a Monomial, which needs no
-    kernel f_{d,j}.
+    series times d!.  j <= 1 takes the closed base kernels (Li_0(x) :=
+    x/(1-x), so j = 0 gives d!/(1-x)**(d+1), and j = 1 gives
+    (d-1)!/(1-x)**d, refused where (1-x)**d is below the smallest normal
+    float and its reciprocal has lost digits).  For j >= 2 the kernel is
+    the exact combo from _COMBOS_FROM up, where the series would need
+    ~1/(1-x) terms, and the series below it, where the combo's x**(-d)
+    prefactor cancels.  At every j, NotConverged is raised where d! times
+    the kernel passes float range.  Nothing in the package calls it: the
+    moments are mkz.gmkz_apply on a Monomial, which needs no kernel f_{d,j}.
     """
-    from .basis import combo_eval, fnj_base, fnj_combo, fnj_series  # basis imports this module
+    from .basis import combo_eval, fnj_combo, fnj_series  # basis imports this module
 
     require_ints(j=j, d=d)
     if j < 0:
@@ -111,14 +112,22 @@ def polylog_derivative_series(j: int, d: int, x: float) -> float:
         raise InvalidParams("d must be >= 1")
     if not 0.0 <= x < 1.0:
         raise DomainError("derivative series requires 0 <= x < 1")
-    if j <= 1:
-        scale, value = math.factorial(d), fnj_base(d, j)(x)  # NotConverged past float range
-        if scale > sys.float_info.max or scale * value == math.inf:
-            raise NotConverged("derivative overflows float range")
-        return scale * value
-    if x >= _COMBOS_FROM:
-        return math.factorial(d) * combo_eval(fnj_combo(d, j), x)
-    return math.factorial(d) * fnj_series(d, j, x).value
+    try:  # OverflowError: a power, a combo coefficient or d! passes float range
+        if j == 0:
+            kernel = (1.0 - x) ** (-(d + 1))
+        elif j == 1:
+            pw = (1.0 - x) ** d
+            kernel = 1.0 / (d * pw) if pw >= sys.float_info.min else math.inf
+        elif x >= _COMBOS_FROM:
+            kernel = combo_eval(fnj_combo(d, j), x)
+        else:
+            kernel = fnj_series(d, j, x).value
+        value = math.factorial(d) * kernel
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise NotConverged("derivative overflows float range")
+    return value
 
 
 @lru_cache(maxsize=4096)

@@ -5,12 +5,12 @@ import math
 import random
 from fractions import Fraction
 
-import mpmath as mp
 import pytest
 
 from elemhyp import (
     BasisFunction, DomainError, InvalidParams, NotConverged,
-    SymbolicCombo, combo_eval, combo_json_dict, fnj_base, fnj_combo, fnj_series,
+    SymbolicCombo, combo_eval, combo_json_dict, fnj_combo, fnj_series,
+    polylog_derivative_series,
 )
 from elemhyp.basis import LOG_TERM, poly, pow_ratio
 
@@ -50,33 +50,22 @@ def test_basis_sort_order():
 
 
 def test_base_kernels():
+    # the kernels f_{n,0} = (1-x)**-(n+1) and f_{n,1} = 1/(n (1-x)**n) below
+    # the combos, times n! in polylog_derivative_series
     x = 0.4
-    assert fnj_base(3, 0)(x) == (1.0 - x) ** -4
-    assert fnj_base(3, 1)(x) == 1.0 / (3 * (1.0 - x) ** 3)
+    assert polylog_derivative_series(0, 3, x) == 6 * (1.0 - x) ** -4
+    assert polylog_derivative_series(1, 3, x) == 6 * (1.0 / (3 * (1.0 - x) ** 3))
     with pytest.raises(InvalidParams):
-        fnj_base(3, 2)
-    with pytest.raises(InvalidParams):
-        fnj_base(0, 1)
+        polylog_derivative_series(1, 0, x)
 
 
 @pytest.mark.parametrize("j", [0, 1])
 def test_base_kernels_raise_past_float_range(j):
-    # these raised a bare OverflowError (j = 0) and ZeroDivisionError (j = 1)
+    # (1-x)**-201 overflows (j = 0) and (1-x)**200 underflows (j = 1)
     with pytest.raises(NotConverged, match="overflows float range"):
-        fnj_base(200, j)(0.999)
+        polylog_derivative_series(j, 200, 0.999)
     with pytest.raises(DomainError):
-        fnj_base(3, j)(1.0)
-
-
-def test_base_kernel_next_to_the_smallest_normal_power():
-    # (1-x)**100 = 1e-300 is normal: 1/(100 (1-x)**100) keeps its digits;
-    # (1-x)**103 = 1e-309 is subnormal, and its reciprocal is refused
-    with mp.workdps(40):
-        want = 1 / (100 * (1 - mp.mpf(0.999)) ** 100)
-    got = fnj_base(100, 1)(0.999)
-    assert abs(got - want) <= 1e-15 * want
-    with pytest.raises(NotConverged):
-        fnj_base(103, 1)(0.999)
+        polylog_derivative_series(j, 3, 1.0)
 
 
 def test_combo_seed_coefficients():
@@ -278,7 +267,7 @@ def test_series_low_orders_have_closed_forms():
     got = fnj_series(1, 0, x).value
     assert math.isclose(got, (1.0 - x) ** -2, rel_tol=1e-12)
     got = fnj_series(3, 1, x).value
-    assert math.isclose(got, fnj_base(3, 1)(x), rel_tol=1e-12)
+    assert math.isclose(got, 1.0 / (3 * (1.0 - x) ** 3), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("n,j,x,want,terms", [

@@ -419,6 +419,20 @@ def test_eval_sums_short_polynomials_exactly():
             assert abs(got - mp.mpf(want)) <= 1e-15 * mp.mpf(want), (m, n, p, x)
 
 
+def test_short_polynomial_is_the_correctly_rounded_exact_sum():
+    # _short_poly_exact rounds once: it must equal float() of the exact
+    # Fraction sum of 2F1(m, -K; p; x) at the dyadic x
+    rng = random.Random(3601)
+    for _ in range(2000):
+        m, K = rng.randint(1, 12), rng.randint(1, 40)
+        p, x = rng.randint(m + 1, m + 60), rng.random()
+        X, term, exact = Fraction(x), Fraction(1), Fraction(1)
+        for k in range(K):
+            term *= Fraction((m + k) * (k - K), (p + k) * (k + 1)) * X
+            exact += term
+        assert hypergeom._short_poly_exact(m, K, p, x) == float(exact), (m, K, p, x)
+
+
 def test_eval_small_arguments_use_the_series_path():
     x = 0.01  # below the _X_SWITCH threshold: route 1 sums to 1e-17
     got = hyp2f1_eval(HypergeomParams(1, 2.0, 3), x)

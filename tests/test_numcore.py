@@ -1,7 +1,6 @@
-"""Shared kernel: integer checks, factorial helpers, summation engine."""
+"""Shared kernel: integer checks, summation engine, series oracles near 1."""
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +8,10 @@ from hypothesis import strategies as st
 
 from elemhyp import (
     GmkzParams, HeunFamilyParams, HypergeomParams, InvalidParams, Monomial,
-    NonFinite, NotConverged, fnj_base, fnj_combo, fnj_series, gen_binomial, gmkz_moment_abel,
+    NonFinite, NotConverged, fnj_combo, fnj_series, gmkz_moment_abel,
     heun_coeff, heun_eval, heun_ode_residual, hyp2f1_closed,
     hyp2f1_eval, hyp2f1_series, ln_moment_e2, ln_moment_e2_direct, mkz_moment,
-    mkz_moment_e2, pochhammer, polylog, polylog_derivative_series, sum_series,
+    mkz_moment_e2, polylog, polylog_derivative_series, sum_series,
 )
 from elemhyp.numcore import _MAX_TERMS
 
@@ -29,6 +28,7 @@ from elemhyp.numcore import _MAX_TERMS
     lambda: polylog(2.0, 0.3),
     lambda: gmkz_moment_abel(2, 1.5, 0.5, 2, 0.5),
     lambda: gmkz_moment_abel(2, 1, 0.5, 2.0, 0.5),
+    lambda: gmkz_moment_abel(2.0, 1, 0.5, 2, 0.5),
     lambda: HeunFamilyParams(1, 2.0, 3.0),
     lambda: GmkzParams(2, 1.0, 0.0, 0.0),
     lambda: GmkzParams(2.0, 1, 0.0, 0.0),
@@ -39,15 +39,14 @@ from elemhyp.numcore import _MAX_TERMS
     lambda: hyp2f1_closed(HypergeomParams(1, 2.5, 3.0), 0.5),
     lambda: hyp2f1_closed(HypergeomParams(1.0, 3.0, 6), 0.5),
     lambda: hyp2f1_closed(HypergeomParams(1, 2.0, 4.0), 0.5),
-    lambda: fnj_base(2.5, 0),
     lambda: fnj_series(2.5, 2, 0.3),
+    lambda: fnj_series(2, 2.0, 0.3),
     lambda: polylog_derivative_series(2.0, 2, 0.3),
+    lambda: polylog_derivative_series(2, 2.0, 0.3),
     lambda: ln_moment_e2_direct(2.5, 0.3),
     lambda: heun_eval(HeunFamilyParams(1, 2.0, 3), 0.3, 4.0),
     lambda: heun_coeff(HeunFamilyParams(1, 2.0, 3), 2.0),
     lambda: heun_ode_residual(HeunFamilyParams(1, 2.0, 3), 0.3, 4.0),
-    lambda: pochhammer(1.5, 2.0),
-    lambda: gen_binomial(1.5, 2.0),
     # at 0 these returned 0.0; elsewhere they named an internal p
     lambda: mkz_moment_e2(2.5, 0.0),
     lambda: mkz_moment_e2(2.5, 0.3),
@@ -57,66 +56,6 @@ from elemhyp.numcore import _MAX_TERMS
 def test_integer_arguments_reject_non_integers(call):
     with pytest.raises(InvalidParams, match="must be an integer"):
         call()
-
-
-def test_pochhammer_values():
-    assert pochhammer(3.0, 4) == 360.0
-    assert pochhammer(-2.5, 2) == 3.75
-    assert pochhammer(7.25, 0) == 1.0
-    with pytest.raises(InvalidParams):
-        pochhammer(1.0, -1)
-
-
-def test_pochhammer_raises_past_float_range():
-    # this returned inf
-    with pytest.raises(NotConverged, match="overflows float range"):
-        pochhammer(100.0, 200)
-    # a zero factor: the product is exactly 0, though 300! passed float
-    # range on the way (this returned nan)
-    assert pochhammer(-300.0, 400) == 0.0
-
-
-@given(st.floats(min_value=-50, max_value=50), st.integers(min_value=0, max_value=20))
-def test_pochhammer_recurrence(r, m):
-    assert pochhammer(r, m + 1) == pochhammer(r, m) * (r + m)
-
-
-def test_gen_binomial_values():
-    assert gen_binomial(5.0, 2) == 10.0
-    assert gen_binomial(-1.5, 3) == -2.1875
-    assert gen_binomial(3.0, 5) == 0.0  # integer upper index below the order
-    # the rising product from a - k + 1 cancelled in its factors: both were 0.0
-    assert gen_binomial(1e-17, 1) == 1e-17
-    assert math.isclose(gen_binomial(1e-17, 3), 1e-17 / 3, rel_tol=1e-15)
-    with pytest.raises(InvalidParams):
-        gen_binomial(1.0, -2)
-
-
-@pytest.mark.parametrize("a,k,value", [
-    # the float product divided by the float k!, as before
-    (0.5, 170, -0.0001275503254427896),
-    (1e102, 3, 1.6666666666666667e305),
-    (37.25, 60, 4.765260410790402e-19),
-    # k! past float range: these raised OverflowError
-    (0.5, 171, 1.2643146293890545e-4),
-    (-2.5, 200, 2147.666268418277),
-    (-1.0, 1000, 0.9999999999999989),  # 1000 exact factors, the product rounds
-    # the product past float range: this returned inf
-    (1e103, 3, 1.6666666666666668e308),
-])
-def test_gen_binomial_against_the_exact_product(a, k, value):
-    assert gen_binomial(a, k) == value
-    exact = Fraction(1)
-    for i in range(k):
-        exact *= Fraction(a) - i
-    exact /= math.factorial(k)
-    assert abs(Fraction(value) - exact) <= 2 * (k + 1) * Fraction(2) ** -53 * abs(exact)
-
-
-def test_gen_binomial_raises_past_float_range():
-    for a, k in ((1e200, 2), (1e103, 4), (-1e300, 5), (3000.5, 1500)):
-        with pytest.raises(NotConverged, match="overflows float range"):
-            gen_binomial(a, k)
 
 
 def no_bound(k, term):

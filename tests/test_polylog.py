@@ -204,6 +204,32 @@ def test_derivative_series_validation():
         polylog_derivative_series(2, 30, 1 - 1e-12)
 
 
+def test_derivative_series_raises_where_the_factorial_passes_float_range():
+    # d! times the kernel: at d = 170 this returned inf, and from d = 171,
+    # where d! itself is past float range, it raised a bare OverflowError
+    for j, d, x in ((2, 170, 0.3), (2, 171, 0.3), (2, 171, 0.95), (5, 200, 0.4)):
+        with pytest.raises(NotConverged, match="derivative overflows float range"):
+            polylog_derivative_series(j, d, x)
+    # within range the closed kernels (j <= 1), the series (x < 1/2) and the
+    # combo are bit for bit what they were when the guard was per kernel
+    for j, d, x, want in ((0, 3, 0.3, 24.98958767180342), (1, 3, 0.3, 5.830903790087465),
+                          (2, 5, 0.3, 21.088087358236294), (2, 5, 0.7, 680.9716359813051)):
+        assert polylog_derivative_series(j, d, x) == want
+
+
+def test_derivative_series_first_order_at_the_edge_of_float_range():
+    # (Li_1)^(d) = (d-1)!/(1-x)**d at the largest x below 1, 1-x = 2**-53:
+    # d = 18 is within float range, d = 19 past it.  At x = 0.999,
+    # (1-x)**103 is subnormal, and its reciprocal is refused
+    x = 1.0 - 2.0 ** -53
+    got = polylog_derivative_series(1, 18, x)
+    want = math.factorial(17) * Fraction(2) ** (53 * 18)
+    assert abs(Fraction(got) - want) <= 2.0 ** -52 * want
+    for d, x in ((19, x), (103, 0.999)):
+        with pytest.raises(NotConverged, match="overflows float range"):
+            polylog_derivative_series(1, d, x)
+
+
 def test_internal_dd_polylog_precision():
     with mp.workdps(60):
         want = mp.polylog(2, mp.mpf(0.5))
