@@ -37,16 +37,17 @@ kept only where _dd.certified finds their rounding bound within 1e-13:
 
 Both series routes sum one series per call, to numcore's one precision;
 the series and the two tails of the near-1 route below are summed by one
-flat loop, _series: numcore.sum_series with the term ratio and tail bound
-written inline, since in pure Python a generator step and a callback per
-term cost more than the float arithmetic of the term.  A Heun leaf enters
-the routes past hyp2f1_eval's checks (_routes).
+flat loop, _series, bit for bit numcore.sum_series' SeriesResult with the
+term ratio and tail bound written inline, since in pure Python a generator
+step and a callback per term cost more than the float arithmetic of the
+term.  A Heun leaf enters the routes past hyp2f1_eval's checks (_routes).
 
 From _X_NEAR = 0.8 up, a point whose s = p-m-n is not an integer first
 tries the connection formula about x = 1 (DLMF 15.8.4, A&S 15.3.6,
 _near_one): two short series in 1-x, whose Gamma-ratio coefficients are
 Pochhammer products, since m and p are integers, formed exactly and rounded
-once.  It is kept by the same test on its BoundedSum bound.  It declines
+once; each series' bound is (7 terms + 3) sum|term| 2**-53 plus its tail
+bound.  It is kept by the same test on its BoundedSum bound.  It declines
 where s is an integer (the log case, DLMF 15.8.10, is not taken), where its
 bound is rejected (s near an integer, where its two parts cancel), where
 (1-x)**s alone passes float range and where a 1-x series passes it or its
@@ -108,17 +109,16 @@ def hyp2f1_series(a: float, b: float, c: float, x: float) -> SeriesResult:
         raise DomainError("series requires |x| < 1")
     if c <= 0 and float(c).is_integer():
         raise DomainError("lower parameter must not be zero or a negative integer")
-    return _series(a, b, 0, c, 0, x, 0)[0]
+    return _series(a, b, 0, c, 0, x, 0)
 
 
 def _series(a: float, b: float, ib: int, c: float, ic: int, z: float, first: int):
     """The series with t_0 = 1 and term ratios
     (a+j)(b+(ib+j)) / ((c+(ic+j))(j+1)) z, summed from term first by
     sum_series' float operations in its order, with this term source and
-    tail bound inline: (SeriesResult, sum k |t_k|), the SeriesResult bit
-    for bit sum_series' (the tests keep that composition as the reference),
-    its sums Python floats, as sum_series' float(term) makes them for numpy
-    parameters.
+    tail bound inline: bit for bit sum_series' SeriesResult (the tests keep
+    that composition as the reference), its sums Python floats, as
+    sum_series' float(term) makes them for numpy parameters.
 
     Past term k, while c1 = c+(ic+k+1) > 0, the factors |(a+i)/(i+1)| and
     |(b+(ib+i))/(c+(ic+i))| of the later term ratios are monotone in i and
@@ -129,7 +129,7 @@ def _series(a: float, b: float, ib: int, c: float, ic: int, z: float, first: int
     t = 1.0
     for k in range(first):
         t *= (a + k) * (b + (ib + k)) / ((c + (ic + k)) * (k + 1)) * z
-    s = comp = abs_sum = weighted = 0.0
+    s = comp = abs_sum = 0.0
     inf = math.inf
     # k, ib+k, ic+k as exact floats: float-int arithmetic is CPython's slow path
     fk, fb, fc = float(first), float(ib + first), float(ic + first)
@@ -142,7 +142,6 @@ def _series(a: float, b: float, ib: int, c: float, ic: int, z: float, first: int
         comp = (u - s) - y
         s = u
         abs_sum += at
-        weighted += fk * at
         nxt = t * ((a + fk) * (b + fb) / ((c + fc) * (fk + 1.0)) * z)
         lim = _SERIES_REL_TOL * abs(s)
         if at <= lim:
@@ -154,14 +153,13 @@ def _series(a: float, b: float, ib: int, c: float, ic: int, z: float, first: int
                     * max(1.0, abs((b + (ib + k + 1)) / c1)) if c1 > 0 else math.inf
                 bound = abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
             if bound <= lim:
-                return SeriesResult(float(s), k + 1 - first, True, bound,
-                                    float(abs_sum)), weighted
+                return SeriesResult(float(s), k + 1 - first, True, bound, float(abs_sum))
         t = nxt
         fk += 1.0
         fb += 1.0
         fc += 1.0
     # still going at the cap
-    return SeriesResult(float(s), _MAX_TERMS, False, math.inf, float(abs_sum)), weighted
+    return SeriesResult(float(s), _MAX_TERMS, False, math.inf, float(abs_sum))
 
 
 # log of the largest float: a value whose log passes it passes float range
@@ -440,17 +438,18 @@ def _near_one_tail(a: int, nb: float, ib: int, ic: int, z: float):
 
     Each factor nb+i is one rounding of nb plus an exact integer, and a
     ratio rounds 7 times, so term k is within 7k units 2**-53 of its exact
-    value; Kahan's sum adds at most 3 units of sum |t_k|.  Returns (sum,
-    bound on its error and tail), or None where a term or the sum leaves
-    float range or the terms run to numcore's cap.
+    value, and k <= terms_used; Kahan's sum adds at most 3 units of sum |t_k|.
+    Returns (sum, bound on its error and tail: (7 terms_used + 3) abs_sum
+    2**-53 + trunc_err_est), or None where a term or the sum leaves float
+    range or the terms run to numcore's cap.
     """
     try:
-        res, weighted = _series(a, nb, ib, nb, ic, z, 1)
+        res = _series(a, nb, ib, nb, ic, z, 1)
     except NonFinite:
         return None
     if not res.converged or not math.isfinite(res.value):
         return None
-    return res.value, ((7.0 * weighted + 3.0 * res.abs_sum) * 2.0 ** -53
+    return res.value, ((7.0 * res.terms_used + 3.0) * res.abs_sum * 2.0 ** -53
                        + res.trunc_err_est)
 
 

@@ -34,7 +34,6 @@ j**k.  A value does not depend on which orders were asked for before it.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -95,8 +94,8 @@ def polylog_derivative_series(j: int, d: int, x: float) -> float:
     Termwise, Li_j^(d)(x) = sum_k d! C(d+k,k) x**k / (d+k)**j, the kernel
     series times d!.  j <= 1 takes the closed base kernels (Li_0(x) :=
     x/(1-x), so j = 0 gives d!/(1-x)**(d+1), and j = 1 gives
-    (d-1)!/(1-x)**d, refused where (1-x)**d is below the smallest normal
-    float and its reciprocal has lost digits).  For j >= 2 the kernel is
+    (d-1)!/(1-x)**d; a (1-x)**d below the smallest normal float needs
+    d >= 20, where that passes float range).  For j >= 2 the kernel is
     the exact combo from _COMBOS_FROM up, where the series would need
     ~1/(1-x) terms, and the series below it, where the combo's x**(-d)
     prefactor cancels.  At every j, NotConverged is raised where d! times
@@ -112,18 +111,17 @@ def polylog_derivative_series(j: int, d: int, x: float) -> float:
         raise InvalidParams("d must be >= 1")
     if not 0.0 <= x < 1.0:
         raise DomainError("derivative series requires 0 <= x < 1")
-    try:  # OverflowError: a power, a combo coefficient or d! passes float range
+    try:  # a power, a combo coefficient or d! passes float range, or (1-x)**d is 0
         if j == 0:
             kernel = (1.0 - x) ** (-(d + 1))
         elif j == 1:
-            pw = (1.0 - x) ** d
-            kernel = 1.0 / (d * pw) if pw >= sys.float_info.min else math.inf
+            kernel = 1.0 / (d * (1.0 - x) ** d)
         elif x >= _COMBOS_FROM:
             kernel = combo_eval(fnj_combo(d, j), x)
         else:
             kernel = fnj_series(d, j, x).value
         value = math.factorial(d) * kernel
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value):
         raise NotConverged("derivative overflows float range")

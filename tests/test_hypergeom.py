@@ -115,9 +115,9 @@ def test_series_reports_cap_without_raising():
     assert res.trunc_err_est == math.inf
 
 
-# The composed form of hypergeom._series: a generator of the term ratio,
-# numcore.sum_series with the rho tail bound, and a wrapper that adds up
-# sum k |t_k| as the terms pass.  The flat loop must reproduce it bit for bit.
+# The composed form of hypergeom._series: a generator of the term ratio and
+# numcore.sum_series with the rho tail bound.  The flat loop must reproduce
+# it bit for bit.
 def _composed_series(a, b, ib, c, ic, z, first):
     def terms():
         t = 1.0
@@ -134,26 +134,17 @@ def _composed_series(a, b, ib, c, ic, z, first):
             * max(1.0, abs((b + (ib + k + 1)) / c1)) if c1 > 0 else math.inf
         return abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
 
-    weighted = 0.0
-
-    def weighed():
-        nonlocal weighted
-        for k, t in enumerate(islice(terms(), first, None), first):
-            weighted += k * abs(t)
-            yield t
-
-    res = numcore.sum_series(weighed(), lambda i, t: tail(i + first, t))
-    return res, weighted
+    return numcore.sum_series(islice(terms(), first, None), lambda i, t: tail(i + first, t))
 
 
 def _composed_near_one_tail(a, nb, ib, ic, z):
     try:
-        res, weighted = _composed_series(a, nb, ib, nb, ic, z, 1)
+        res = _composed_series(a, nb, ib, nb, ic, z, 1)
     except NonFinite:
         return None
     if not res.converged or not math.isfinite(res.value):
         return None
-    return res.value, ((7.0 * weighted + 3.0 * res.abs_sum) * 2.0 ** -53
+    return res.value, ((7.0 * res.terms_used + 3.0) * res.abs_sum * 2.0 ** -53
                        + res.trunc_err_est)
 
 
@@ -164,16 +155,6 @@ def _outcome(f, *args):
         return repr(f(*args))
     except NonFinite as exc:
         return type(exc).__name__, str(exc)
-
-
-# the SeriesResult of a series pair; sum k |t_k| is read by _near_one_tail
-# alone, whose (sum, bound) is compared on its own
-def _flat_result(*args):
-    return hypergeom._series(*args)[0]
-
-
-def _composed_result(*args):
-    return _composed_series(*args)[0]
 
 
 def _flat_series_points(count, seed):
@@ -215,10 +196,10 @@ def _flat_series_mismatches(count, seed):
     for a, b, ib, c, ic, z in _flat_series_points(count, seed):
         for first in (0, 1):
             args = (a, b, ib, c, ic, z, first)
-            if _outcome(_flat_result, *args) != _outcome(_composed_result, *args):
+            if _outcome(hypergeom._series, *args) != _outcome(_composed_series, *args):
                 bad.append(args)
         if ib == ic == 0 and _outcome(hyp2f1_series, a, b, c, z) \
-                != _outcome(_composed_result, a, b, 0, c, 0, z, 0):
+                != _outcome(_composed_series, a, b, 0, c, 0, z, 0):
             bad.append((a, b, c, z))
     for args in _near_one_tail_points(count // 2, seed):
         if _outcome(hypergeom._near_one_tail, *args) != _outcome(_composed_near_one_tail, *args):
@@ -256,7 +237,7 @@ def test_flat_series_sums_are_python_floats_for_numpy_parameters():
     (1e200, 1e200, 3, 1.0, 0, 0.5, 1),  # NonFinite at index 0
 ])
 def test_flat_series_matches_the_composed_form_at_its_edges(args):
-    assert _outcome(_flat_result, *args) == _outcome(_composed_result, *args)
+    assert _outcome(hypergeom._series, *args) == _outcome(_composed_series, *args)
 
 
 @pytest.mark.parametrize("m,n,p", [
@@ -656,6 +637,36 @@ def test_eval_below_half_sweep_matches_mpmath():
     assert worst[0] <= 1e-12, worst
 
 
+def _route_one_points(count, seed):
+    """m <= 12, p <= m+60, n real, a half-integer or a positive integer with
+    |n| <= 60, x below 1/2: uniform for every other point, else log-uniform."""
+    rng = random.Random(seed)
+    for i in range(count):
+        m = rng.randint(1, 12)
+        p = rng.randint(m + 1, m + 60)
+        n = rng.choice((rng.uniform(-60.0, 60.0), rng.randint(-60, 59) + 0.5,
+                        float(rng.randint(1, 60))))
+        x = 0.5 * 10.0 ** rng.uniform(-6.0, 0.0) if i % 2 else rng.uniform(1e-6, 0.5)
+        yield m, n, p, min(x, 0.4999999)
+
+
+def test_route_one_bound_is_a_bound():
+    # route 1 keeps the series where terms * sum|t_k| * 2**-53 certifies it.
+    # That bound counts the sum's roundings, not the 7k units by which the
+    # term ratios put term k off; on this draw the worst error is 0.24 of it
+    certified = 0
+    for m, n, p, x in _route_one_points(2000, 3204):
+        res = hyp2f1_series(float(m), n, float(p), x)
+        bound = res.terms_used * res.abs_sum * 2.0 ** -53
+        if not _dd.certified(res.value, bound):
+            continue
+        certified += 1
+        with mp.workdps(40):
+            err = abs(mp.mpf(res.value) - mp.hyp2f1(m, n, p, mp.mpf(x)))
+        assert err <= bound, (m, n, p, x, float(err), bound)
+    assert certified >= 1500
+
+
 def test_eval_series_guard_covers_cancelling_sums():
     # negative n makes the first -n terms alternate; summed without the
     # rounding guard, dozens of these points lose more than 1e-12
@@ -863,6 +874,43 @@ def test_near_one_route_bound_covers_each_error_source():
               (5, 28.5, 28, 0.9999999999854942),
               (7, 11.479461183347638, 18, 0.9999867333361375)]
     assert _connection_check(points)[2] == []
+
+
+def test_near_one_tail_bound_is_a_bound():
+    # each returned (sum, bound) is within its bound of the series' exact sum
+    # 2F1(a, nb+ib; nb+ic; z) - 1, nb the float it is given
+    returned = 0
+    for a, nb, ib, ic, z in _near_one_tail_points(1000, 3203):
+        tail = hypergeom._near_one_tail(a, nb, ib, ic, z)
+        if tail is None:
+            continue
+        returned += 1
+        got, bound = tail
+        with mp.workdps(40):
+            want = mp.hyp2f1(a, mp.mpf(nb) + ib, mp.mpf(nb) + ic, mp.mpf(z)) - 1
+            err = abs(mp.mpf(got) - want)
+        assert err <= bound, (a, nb, ib, ic, z, float(err), bound)
+    assert returned >= 1900
+
+
+@pytest.mark.parametrize("m,n,p,x", [
+    (2, 11.5, 12, 0.856869271655717),
+    (1, 4.5, 8, 0.8230869013989461),
+    (3, 1.5, 6, 0.8302721165154864),
+    (5, 4.3770893346014565, 14, 0.9124011893303506),
+    (6, 12.162858579046086, 16, 0.9698264677229775),
+    (4, 11.5, 13, 0.9233762709411156),
+    (2, 3.5, 9, 0.8777004337647348),
+    (3, 2.5, 5, 0.8365551857993474),
+])
+def test_eval_near_one_route_yields_where_its_tails_lose_digits(m, n, p, x):
+    # hyp2f1-grid points where the near-1 route's float tails put its value
+    # 1.6 to 34 ulp off, within 1e-13; their (7 terms + 3) units of sum|t_k|
+    # reject it, and the general closed form answers correctly rounded
+    assert not _dd.certified(*hypergeom._near_one(m, n, p, x))
+    with mp.workdps(60):
+        want = float(mp.hyp2f1(m, n, p, mp.mpf(x)))
+    assert hyp2f1_eval(HypergeomParams(m, n, p), x) == want
 
 
 def test_near_one_route_on_the_large_p_slice():

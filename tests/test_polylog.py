@@ -206,8 +206,10 @@ def test_derivative_series_validation():
 
 def test_derivative_series_raises_where_the_factorial_passes_float_range():
     # d! times the kernel: at d = 170 this returned inf, and from d = 171,
-    # where d! itself is past float range, it raised a bare OverflowError
-    for j, d, x in ((2, 170, 0.3), (2, 171, 0.3), (2, 171, 0.95), (5, 200, 0.4)):
+    # where d! itself is past float range, it raised a bare OverflowError.
+    # At (1, 10000, 0.5), (1-x)**d is 0.0
+    for j, d, x in ((2, 170, 0.3), (2, 171, 0.3), (2, 171, 0.95), (5, 200, 0.4),
+                    (1, 10000, 0.5)):
         with pytest.raises(NotConverged, match="derivative overflows float range"):
             polylog_derivative_series(j, d, x)
     # within range the closed kernels (j <= 1), the series (x < 1/2) and the
@@ -220,7 +222,7 @@ def test_derivative_series_raises_where_the_factorial_passes_float_range():
 def test_derivative_series_first_order_at_the_edge_of_float_range():
     # (Li_1)^(d) = (d-1)!/(1-x)**d at the largest x below 1, 1-x = 2**-53:
     # d = 18 is within float range, d = 19 past it.  At x = 0.999,
-    # (1-x)**103 is subnormal, and its reciprocal is refused
+    # (1-x)**103 is subnormal, and 102! over it passes float range
     x = 1.0 - 2.0 ** -53
     got = polylog_derivative_series(1, 18, x)
     want = math.factorial(17) * Fraction(2) ** (53 * 18)
