@@ -11,15 +11,20 @@ Representation: a pair (hi, lo) of floats with hi = fl(hi + lo) and
 (Dekker, Knuth); products use Dekker splitting because math.fma arrived only
 in Python 3.13 and 3.10 is supported.
 
-The primitives are flat: dd_add, dd_sub, dd_mul and dd_div each write out
-the two-sum, the split two-product and the quick-two-sum renormalization in
-one function body, and dd_div its three quotient digits, because in pure
-Python a call costs more than the float arithmetic it wraps.  They do the
-float operations of the composed forms (Dekker, "A floating-point technique
-for extending the available precision", 1971), in the same order, so every
+dd_add and dd_mul are flat: each writes out the two-sum or the split
+two-product and the quick-two-sum renormalization in one function body,
+because in pure Python a call costs more than the float arithmetic it
+wraps, and they run many times per evaluation.  They do the float
+operations of the composed forms (Dekker, "A floating-point technique for
+extending the available precision", 1971), in the same order, so every
 value, and the sign of every zero, is the composed form's; the tests keep
-the composed forms as the reference.  dd_log, dd_exp, dd_expm1, dd_sqrt
-and BoundedSum.add write their hot operations out the same way.
+the composed forms as the reference.  dd_log, _exp_parts and
+_expm1_reduced write their operations out the same way, since they make
+the slowest general 2F1 forms (at large p), and so does BoundedSum.add,
+which sums every closed form.
+dd_sub, dd_div and dd_sqrt run less than once per evaluation on average
+(measured over the benchmark workloads: at most 0.9 dd_div, 0.6 dd_sub and
+0.08 dd_sqrt calls), so they are composed of dd_add and dd_mul calls.
 
 The transcendentals follow Hida, Li and Bailey ("Algorithms for quad-double
 precision floating point arithmetic", ARITH 2001): argument reduction, then
@@ -50,19 +55,6 @@ from functools import cached_property, lru_cache
 _SPLIT = 134217729.0  # 2**27 + 1
 
 DD = tuple  # (hi, lo)
-
-
-def _two_prod(a: float, b: float):
-    """a*b as p + err exactly (Dekker), for |a|, |b| below ~1.3e300."""
-    p = a * b
-    ta = _SPLIT * a
-    ahi = ta - (ta - a)
-    alo = a - ahi
-    tb = _SPLIT * b
-    bhi = tb - (tb - b)
-    blo = b - bhi
-    err = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-    return p, err
 
 
 def dd(x: float) -> DD:
@@ -130,14 +122,7 @@ def dd_neg(x: DD) -> DD:
 
 
 def dd_sub(x: DD, y: DD) -> DD:
-    # dd_add(x, dd_neg(y)), as a - b is a + (-b) in IEEE arithmetic
-    a = x[0]
-    b = -y[0]
-    s = a + b
-    bb = s - a
-    e = (a - (s - bb)) + (b - bb) + (x[1] - y[1])
-    hi = s + e
-    return (hi, e - (hi - s))
+    return dd_add(x, (-y[0], -y[1]))
 
 
 def dd_mul(x: DD, y: DD) -> DD:
@@ -158,56 +143,15 @@ def dd_mul(x: DD, y: DD) -> DD:
 
 
 def dd_div(x: DD, y: DD) -> DD:
-    """Three quotient digits, each the high part of the remainder over y[0]:
-    q1 = x/y, then r = x - y*q1 and q2 = r/y, then r = r - y*q2 and q3 = r/y,
-    each product and difference in dd, summed as (q1 + q2) + q3.  y is split
-    once.  The composed form also adds y[0] * 0.0 (the digit's zero low part
-    times y's high part) and lo + 0.0 (q3's zero low part): both are zeros
-    added to a two-product or two-sum error term, and in round-to-nearest no
-    such error term is -0.0, so a zero of either sign leaves it bit for bit
-    as it is.  ZeroDivisionError where y[0] is 0."""
-    y0 = y[0]
-    y1 = y[1]
-    r0 = x[0]
-    q1 = r0 / y0
-    t = _SPLIT * y0
-    yhi = t - (t - y0)
-    ylo = y0 - yhi
-    # r = x - y*q1
-    p = y0 * q1
-    t = _SPLIT * q1
-    qhi = t - (t - q1)
-    qlo = q1 - qhi
-    e = ((yhi * qhi - p) + yhi * qlo + ylo * qhi) + ylo * qlo + y1 * q1
-    mhi = p + e
-    mlo = e - (mhi - p)
-    b = -mhi
-    s = r0 + b
-    bb = s - r0
-    e = (r0 - (s - bb)) + (b - bb) + (x[1] - mlo)
-    r0 = s + e
-    r1 = e - (r0 - s)
-    q2 = r0 / y0
-    # r = r - y*q2, of which q3 needs only the high part
-    p = y0 * q2
-    t = _SPLIT * q2
-    qhi = t - (t - q2)
-    qlo = q2 - qhi
-    e = ((yhi * qhi - p) + yhi * qlo + ylo * qhi) + ylo * qlo + y1 * q2
-    mhi = p + e
-    mlo = e - (mhi - p)
-    b = -mhi
-    s = r0 + b
-    bb = s - r0
-    q3 = (s + ((r0 - (s - bb)) + (b - bb) + (r1 - mlo))) / y0
-    # (q1 + q2) by quick-two-sum, then q3 added by dd_add
+    """Three quotient digits, each the high part of the remainder over y[0],
+    summed as (q1 + q2) + q3.  ZeroDivisionError where y[0] is 0."""
+    q1 = x[0] / y[0]
+    r = dd_sub(x, dd_mul(y, (q1, 0.0)))
+    q2 = r[0] / y[0]
+    r = dd_sub(r, dd_mul(y, (q2, 0.0)))
+    q3 = r[0] / y[0]
     s = q1 + q2
-    lo = q2 - (s - q1)
-    a = s + q3
-    bb = a - s
-    e = (s - (a - bb)) + (q3 - bb) + lo
-    hi = a + e
-    return (hi, e - (hi - a))
+    return dd_add((s, q2 - (s - q1)), (q3, 0.0))
 
 
 def dd_npow(x: DD, k: int) -> DD:
@@ -225,30 +169,14 @@ def dd_npow(x: DD, k: int) -> DD:
 
 
 def dd_sqrt(x: DD) -> DD:
-    # one Newton step lifts the float64 root s to full dd precision:
-    # s + (x - s*s)[0] / 2s, its dd_mul, dd_sub and dd_add written out.  The
-    # terms with s's zero low part are +0.0 for every finite s.
-    a = x[0]
-    if 0.0 < a < 1e-200:
+    # one Newton step lifts the float64 root s to full dd precision
+    if 0.0 < x[0] < 1e-200:
         # x - s*s would go subnormal: the root of x * 2**700, scaled exactly
-        h, lo = dd_sqrt((a * 2.0 ** 700, x[1] * 2.0 ** 700))
+        h, lo = dd_sqrt((x[0] * 2.0 ** 700, x[1] * 2.0 ** 700))
         return (h * 2.0 ** -350, lo * 2.0 ** -350)
-    s = math.sqrt(a)
-    p = s * s
-    t = _SPLIT * s
-    shi = t - (t - s)
-    slo = s - shi
-    e = ((shi * shi - p) + shi * slo + slo * shi) + slo * slo + 0.0
-    sq = p + e
-    b = -sq
-    r = a + b
-    bb = r - a
-    q = (r + ((a - (r - bb)) + (b - bb) + (x[1] - (e - (sq - p))))) / (2.0 * s)
-    a = s + q
-    bb = a - s
-    e = (s - (a - bb)) + (q - bb) + 0.0
-    hi = a + e
-    return (hi, e - (hi - a))
+    s = math.sqrt(x[0])
+    r = dd_sub(x, dd_mul((s, 0.0), (s, 0.0)))
+    return dd_add((s, 0.0), (r[0] / (2.0 * s), 0.0))
 
 
 def _split_dd(c: DD):

@@ -74,8 +74,8 @@ from ._dd import (
     dd_from_ratio, dd_mul, dd_neg, dd_npow, dd_sqrt, dd_to_float,
 )
 from .numcore import (
-    _MAX_TERMS, DomainError, InvalidParams, NonFinite, NotConverged,
-    SeriesResult, require_ints,
+    _LOG_FLOAT_MAX, _MAX_TERMS, DomainError, InvalidParams, NonFinite,
+    NotConverged, SeriesResult, require_ints,
 )
 
 
@@ -160,10 +160,6 @@ def _series(a: float, b: float, ib: int, c: float, ic: int, z: float, first: int
         fc += 1.0
     # still going at the cap
     return SeriesResult(float(s), _MAX_TERMS, False, math.inf, float(abs_sum))
-
-
-# log of the largest float: a value whose log passes it passes float range
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 @lru_cache(maxsize=4096)
@@ -292,7 +288,7 @@ def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum:
     e = q + 1 + (-num) // den  # the integer part of q+1-n
     # Dekker's split takes operands below sys.float_info.max / _SPLIT
     fits = e * math.log(ctx.omx[0]) + math.log(
-        2.0 * _SPLIT * max(1.0, abs(inner.total[0]))) <= _LOG_MAX
+        2.0 * _SPLIT * max(1.0, abs(inner.total[0]))) <= _LOG_FLOAT_MAX
     big = 0  # the scale is 2**big times the factor the inner sum takes
     if fits and den <= 2:
         scale, err = (ompows[e], float(e)) if 0 <= e < len(ompows) else \
@@ -493,7 +489,7 @@ def _near_one(m: int, n: float, p: int, x: float):
         pw = z ** s
     except OverflowError:
         scaled = abs(coef_b[0] * (1.0 + t2))
-        if scaled and math.log(scaled) + s * math.log(z) > _LOG_MAX:
+        if scaled and math.log(scaled) + s * math.log(z) > _LOG_FLOAT_MAX:
             raise NotConverged("near-1 connection: (1-x)**s passes float range, "
                                "and so does the value") from None
         return None

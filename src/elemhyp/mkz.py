@@ -26,7 +26,6 @@ operator.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,8 +36,8 @@ from ._dd import (
 from .basis import _exact_coefficients
 from .hypergeom import HypergeomParams, hyp2f1_eval
 from .numcore import (
-    _MAX_TERMS, _weight_series, DomainError, InvalidParams, SeriesResult,
-    require_ints,
+    _LOG_FLOAT_MAX, _LOG_FLOAT_MIN, _MAX_TERMS, _weight_series, DomainError,
+    InvalidParams, SeriesResult, require_ints,
 )
 from .polylog import _polylog_dd
 
@@ -48,9 +47,6 @@ from .polylog import _polylog_dd
 # less than the closed form's ~0.6 ms with the polylogs at a new x (0.25 ms
 # with them cached): the two cold costs cross at about 0.9.
 _APPLY_CLOSED_FROM = 0.9
-
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-_LOG_FLOAT_MIN = math.log(sys.float_info.min)  # the smallest normal float
 
 
 @dataclass(frozen=True)

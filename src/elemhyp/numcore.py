@@ -52,6 +52,11 @@ def require_ints(**values) -> None:
 
 _MAX_TERMS = 100000
 
+# logs of the largest and of the smallest normal float: a value whose log
+# is above the first is past float range, below the second subnormal
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
+
 
 @dataclass
 class SeriesResult:

@@ -38,10 +38,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._dd import (
-    DD, _two_prod, context, dd, dd_add, dd_div, dd_from_int,
+    DD, context, dd, dd_add, dd_div, dd_from_int,
     dd_from_ratio, dd_mul, dd_sub, dd_to_float,
 )
-from .numcore import DomainError, InvalidParams, NotConverged, require_ints
+from .numcore import (
+    DomainError, InvalidParams, NonFinite, NotConverged, require_ints,
+)
 
 # polylog_derivative_series takes the kernel combos (j >= 2) from here up,
 # where the series needs ~1/(1-x) terms to meet its tail bound.
@@ -80,7 +82,7 @@ def polylog(k: int, x: float) -> float:
         return -math.log1p(-x)
     if x >= 0.0:
         return dd_to_float(_polylog_dd(k, x))
-    y, e = _two_prod(x, x)
+    y, e = dd_mul(dd(x), dd(x))  # x*x and its exact error
     square = _polylog_dd(k, y)
     if e:  # x**2 = y + e exactly: Li_k(x**2) to first order in e
         square = dd_add(square, dd(e * polylog(k - 1, y) / y))
@@ -111,7 +113,9 @@ def polylog_derivative_series(j: int, d: int, x: float) -> float:
         raise InvalidParams("d must be >= 1")
     if not 0.0 <= x < 1.0:
         raise DomainError("derivative series requires 0 <= x < 1")
-    try:  # a power, a combo coefficient or d! passes float range, or (1-x)**d is 0
+    # a power, a series weight, a combo coefficient or d! passes float range,
+    # or (1-x)**d is 0
+    try:
         if j == 0:
             kernel = (1.0 - x) ** (-(d + 1))
         elif j == 1:
@@ -121,7 +125,7 @@ def polylog_derivative_series(j: int, d: int, x: float) -> float:
         else:
             kernel = fnj_series(d, j, x).value
         value = math.factorial(d) * kernel
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, NonFinite):
         value = math.inf
     if not math.isfinite(value):
         raise NotConverged("derivative overflows float range")

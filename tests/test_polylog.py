@@ -56,6 +56,18 @@ def test_polylog_below_zero_carries_the_rounding_of_the_square(x):
         assert abs(polylog(2, x) - want) <= 1e-16 * abs(want)
 
 
+@pytest.mark.parametrize("k", [2, 3, 13])
+def test_polylog_below_zero_down_to_subnormal_squares(k):
+    # x*x and its exact error from dd_mul, also where x*x is subnormal
+    # (|x| < 1.5e-154) or rounds to 0 (|x| < 1.6e-162)
+    with mp.workdps(40):
+        for e in range(-323, 0, 3):
+            for m in (1.0, 3.3):
+                x = -m * 10.0 ** e
+                want = mp.polylog(k, mp.mpf(x))
+                assert abs(polylog(k, x) - want) <= 2.0 ** -52 * abs(want), x
+
+
 def test_polylog_at_the_unit_edge():
     with mp.workdps(40):
         assert math.isclose(polylog(2, 1.0), float(mp.zeta(2)), rel_tol=1e-9)
@@ -208,8 +220,10 @@ def test_derivative_series_raises_where_the_factorial_passes_float_range():
     # d! times the kernel: at d = 170 this returned inf, and from d = 171,
     # where d! itself is past float range, it raised a bare OverflowError.
     # At (1, 10000, 0.5), (1-x)**d is 0.0
+    # At (2, 3000, 0.3) and (3, 10000, 0.1) a series weight passes float
+    # range too, which the series reports as a non-finite term
     for j, d, x in ((2, 170, 0.3), (2, 171, 0.3), (2, 171, 0.95), (5, 200, 0.4),
-                    (1, 10000, 0.5)):
+                    (1, 10000, 0.5), (2, 3000, 0.3), (3, 10000, 0.1)):
         with pytest.raises(NotConverged, match="derivative overflows float range"):
             polylog_derivative_series(j, d, x)
     # within range the closed kernels (j <= 1), the series (x < 1/2) and the
