@@ -6,9 +6,9 @@ gmkz_apply applies the generalized operator
 
 with the classical operator at (r, a, b) = (1, 0, 0).  Two routes:
 
-  1. the series, summed by sum_series until a bound on its tail is within
-     1e-17 of the sum (_gmkz_series, also the direct-summation oracle of
-     the tests and of verify);
+  1. the series, summed by the flat loop of numcore._weight_series until
+     a bound on its tail is within 1e-17 of the sum (_gmkz_series, also
+     the direct-summation oracle of the tests and of verify);
   2. from x = _APPLY_CLOSED_FROM up, for a Monomial(m) with integer a, the
      exact combination of elementary functions and Li_s(x), s = 1..m, of
      _gmkz_closed: N + m + c - 1 double-double terms (N = n + r,
@@ -43,9 +43,10 @@ from .polylog import _polylog_dd
 
 # From this x up, gmkz_apply takes a Monomial with integer alpha through the
 # closed form of _gmkz_closed, whose cost does not grow with 1/(1-x).  Below
-# it the full-precision series, ~(N+50)/(1-x) terms at ~0.9 us each, costs
-# less than the closed form's ~0.6 ms with the polylogs at a new x (0.25 ms
-# with them cached): the two cold costs cross at about 0.9.
+# it the full-precision series, ~(N+50)/(1-x) terms at ~0.3 us each, costs
+# less than the closed form's 0.13-0.65 ms with nothing cached at a new x
+# (N + m from 8 to 55; 0.02-0.1 ms with the polylogs and coefficients
+# cached): the two cold costs cross between 0.87 and 0.92.
 _APPLY_CLOSED_FROM = 0.9
 
 
@@ -137,21 +138,21 @@ def _gmkz_series(params: GmkzParams, f, x: float) -> SeriesResult:
     N = n + r, and g(k) = f at the node (k+b)/(n+k+a) in [0, 1).
 
     Past term k the tail is at most F w_(k+1) / (1 - rho), F a bound on |f|
-    at the later nodes; sum_series stops once that is at most 1e-17 times
+    at the later nodes; the loop stops once that is at most 1e-17 times
     the partial sum, and returns it as trunc_err_est.  F = 1 for a
     Monomial.  For any other f, F is the largest |f| met so far: a bound
     only where |f| at the later nodes, which tend to 1, stays below it;
     until some f is nonzero there is no bound (math.inf), so an f that is
-    0 at every node sums until the weights underflow to 0.  Raises
-    NotConverged at sum_series' term cap, or where (1-x)**N leaves the
-    normal float range.
+    0 at every node sums until the weights underflow to 0; from x = 1/2 up
+    (N >= 2) they stop at the smallest subnormal, and it runs to the term
+    cap.  Raises NotConverged at the term cap, or where (1-x)**N leaves
+    the normal float range.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("operator series requires 0 <= x < 1")
     n, r, a, b = params.n, params.r, params.alpha, params.beta
-    if isinstance(f, Monomial):  # f(t) = t**m inline: a call per term costs ~25 %
-        m = f.r
-        g, G = (lambda k: ((k + b) / (n + k + a)) ** m), (lambda k: 1.0)
+    if isinstance(f, Monomial):  # t**m inline: a call per term costs ~50 %
+        g, G = (n, a, b, f.r), (lambda k: 1.0)
     else:
         largest = 0.0
 

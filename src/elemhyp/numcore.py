@@ -1,7 +1,9 @@
 """Shared numerical kernel.
 
 The typed errors, the integer-argument check, the series summation engine
-and the one weight series of the operators and kernels (_weight_series).
+(sum_series) and the one weight series of the operators and kernels
+(_weight_series), a flat loop that does sum_series' float operations, as
+hypergeom._series does for the 2F1 series.
 Every series in the package is summed to one precision: it stops once a
 bound on its tail is within _dd._SERIES_REL_TOL (1e-17, float64 accuracy) of
 its partial sum, and is cut, not converged, after _MAX_TERMS terms.
@@ -15,7 +17,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from itertools import count
 from typing import Callable, Iterable
 
 from ._dd import _SERIES_REL_TOL
@@ -112,36 +113,55 @@ def sum_series(term_source: Iterable,
                         trunc_err_est=bound, abs_sum=abs_sum)
 
 
-def _weight_series(N: int, x: float, w0: float, g: Callable[[int], float],
+def _weight_series(N: int, x: float, w0: float, g: Callable[[int], float] | tuple,
                    G: Callable[[int], float]) -> SeriesResult:
-    """sum_k w_k g(k), w_k = w0 C(N+k-1, k) x**k, 0 <= x < 1, by sum_series.
+    """sum_k w_k g(k), w_k = w0 C(N+k-1, k) x**k, 0 <= x < 1, in one loop.
 
     The weights of the MKZ operators and of the f_{n,j} kernels.  They step
     by w_(k+1) = w_k (N+k)/(k+1) x, whose factor falls with k; so once
     rho = x (N+k+1)/(k+2) < 1, everything after term k is at most
     G(k) w_(k+1) / (1 - rho), G(k) a bound on |g| past k (math.inf where
-    none is known), and 0 once the weights underflow to 0.  Raises
-    NotConverged where w0 is below the normal float range or at the term cap.
+    none is known), and 0 once the weights underflow to 0.
+
+    g is a callable, or for an operator's Monomial(m) the node parameters
+    (n, a, b, m) of g(k) = ((k+b)/(n+k+a))**m, which the loop evaluates
+    inline and in that order: (n+a)+k rounds apart from (n+k)+a for a real
+    a.  The loop does sum_series' float operations in its order, with this
+    term source and tail bound inline: bit for bit sum_series'
+    SeriesResult (the tests keep that composition as the reference), its
+    sums Python floats for numpy arguments.  Raises NotConverged where w0
+    is below the normal float range or at the term cap, NonFinite at an
+    inf or nan term.
     """
-    if w0 < sys.float_info.min:
+    x, w = float(x), float(w0)
+    if w < sys.float_info.min:
         raise NotConverged("series weights underflow float range")
-    w = w0
-
-    def terms():
-        nonlocal w
-        for k in count():
-            term = w * g(k)
-            w *= (N + k) / (k + 1.0) * x  # w_(k+1), which tail reads
-            yield term
-
-    def tail(k, term):
-        if w == 0.0:
-            return 0.0
-        rho = x * (N + k + 1) / (k + 2.0)
-        return G(k) * w / (1.0 - rho) if rho < 1.0 else math.inf
-
-    res = sum_series(terms(), tail)
-    if not res.converged:
-        raise NotConverged("series did not converge")
-    return res
-
+    node = not callable(g)
+    if node:
+        n, a, b, m = map(float, g)
+    s = comp = abs_sum = 0.0
+    inf, tol = math.inf, _SERIES_REL_TOL
+    # k and N+k as exact floats: float-int arithmetic is CPython's slow path
+    fk, fN = 0.0, float(N)
+    for k in range(_MAX_TERMS):
+        t = w * ((fk + b) / ((fk + n) + a)) ** m if node else w * float(g(k))
+        w *= (fN + fk) / (fk + 1.0) * x  # w_(k+1), which the tail bound reads
+        at = t if t >= 0.0 else -t
+        if not at < inf:  # an inf or nan term
+            raise NonFinite(f"non-finite term at index {k}")
+        y = t - comp
+        u = s + y
+        comp = (u - s) - y
+        s = u
+        abs_sum += at
+        lim = tol * (s if s >= 0.0 else -s)
+        if at <= lim:
+            if w == 0.0:
+                bound = 0.0
+            else:
+                rho = x * (fN + fk + 1.0) / (fk + 2.0)
+                bound = float(G(k)) * w / (1.0 - rho) if rho < 1.0 else inf
+            if bound <= lim:
+                return SeriesResult(s, k + 1, True, bound, abs_sum)
+        fk += 1.0
+    raise NotConverged("series did not converge")
