@@ -18,13 +18,15 @@ wraps, and they run many times per evaluation.  They do the float
 operations of the composed forms (Dekker, "A floating-point technique for
 extending the available precision", 1971), in the same order, so every
 value, and the sign of every zero, is the composed form's; the tests keep
-the composed forms as the reference.  dd_log, _exp_parts and
-_expm1_reduced write their operations out the same way, since they make
-the slowest general 2F1 forms (at large p), and so does BoundedSum.add,
-which sums every closed form.
-dd_sub, dd_div and dd_sqrt run less than once per evaluation on average
-(measured over the benchmark workloads: at most 0.9 dd_div, 0.6 dd_sub and
-0.08 dd_sqrt calls), so they are composed of dd_add and dd_mul calls.
+the composed forms as the reference.  BoundedSum.add, which sums every
+closed form, writes its dd_add out the same way.
+Everything else is composed of dd_add and dd_mul calls: dd_sub, dd_div,
+dd_sqrt, dd_log, _exp_parts (so dd_exp) and _expm1_reduced (so dd_expm1).
+Each runs less than once per evaluation on average (measured over the
+benchmark workloads, seed 1: at most 0.9 dd_div, 0.2 dd_log, 0.08 dd_exp
+and 0.08 dd_sqrt calls per operation), so the ~4 us that composing adds
+to a log or an exp (~12 and ~10 us per call on Python 3.11) costs under
+1 us per operation.
 
 The transcendentals follow Hida, Li and Bailey ("Algorithms for quad-double
 precision floating point arithmetic", ARITH 2001): argument reduction, then
@@ -179,18 +181,11 @@ def dd_sqrt(x: DD) -> DD:
     return dd_add((s, 0.0), (r[0] / (2.0 * s), 0.0))
 
 
-def _split_dd(c: DD):
-    """A dd constant as (hi, lo) and the two halves of hi's Dekker split."""
-    t = _SPLIT * c[0]
-    hi = t - (t - c[0])
-    return (c[0], c[1], hi, c[0] - hi)
-
-
-_LN2 = _split_dd((0.6931471805599453, 2.3190468138462996e-17))
+_LN2 = (0.6931471805599453, 2.3190468138462996e-17)
 # the weights 1/(2m+1), m = 1..100, of dd_log's atanh series, and the
 # Horner coefficients 1/k!, k = 11 down to 1, of expm1(r)/r: floats down to
 # k = 6, then dd
-_INV_ODD = tuple(_split_dd(dd_from_ratio(1, 2 * m + 1)) for m in range(1, 101))
+_INV_ODD = tuple(dd_from_ratio(1, 2 * m + 1) for m in range(1, 101))
 _INV_FACT_FLOAT = tuple(1.0 / math.factorial(k) for k in range(11, 5, -1))
 _INV_FACT = tuple(dd_from_ratio(1, math.factorial(k)) for k in range(5, 0, -1))
 
@@ -207,153 +202,60 @@ def dd_log(y: DD) -> DD:
         y = (math.ldexp(y[0], -k), math.ldexp(y[1], -k))
     # log f = 2*sum z^(2m+1)/(2m+1), z = (f-1)/(f+1), |z| <= 0.172
     z = dd_div(dd_sub(y, dd(1.0)), dd_add(y, dd(1.0)))
-    z0, z1 = dd_mul(z, z)
-    t = _SPLIT * z0
-    zhi = t - (t - z0)
-    zlo = z0 - zhi
-    a, a1 = z  # the power z^(2m+1)
-    s0, s1 = z  # the total
+    z2 = dd_mul(z, z)
+    power = total = z
     weights = iter(_INV_ODD)
-    for c0, c1, chi, clo in weights:
-        # dd_mul of the power by z*z (split once), dd_mul of it by the
-        # weight and dd_add of the increment, written out
-        p = a * z0
-        t = _SPLIT * a
-        ahi = t - (t - a)
-        alo = a - ahi
-        e = ((ahi * zhi - p) + ahi * zlo + alo * zhi) + alo * zlo + (a * z1 + a1 * z0)
-        a = p + e
-        a1 = e - (a - p)
-        p = a * c0
-        t = _SPLIT * a
-        ahi = t - (t - a)
-        alo = a - ahi
-        e = ((ahi * chi - p) + ahi * clo + alo * chi) + alo * clo + (a * c1 + a1 * c0)
-        i0 = p + e
-        i1 = e - (i0 - p)
-        s = s0 + i0
-        bb = s - s0
-        e = (s0 - (s - bb)) + (i0 - bb) + (s1 + i1)
-        s0 = s + e
-        s1 = e - (s0 - s)
-        if abs(i0) <= 1e-18 * abs(s0):
+    for c in weights:
+        power = dd_mul(power, z2)
+        inc = dd_mul(power, c)
+        total = dd_add(total, inc)
+        if abs(inc[0]) <= 1e-18 * abs(total[0]):
             break
-    # the later terms in float: their rounding stays below 1e-33 of s
-    tail = 0.0
-    for c0, _, _, _ in weights:
-        a *= z0
-        i0 = a * c0
-        tail += i0
-        if abs(i0) <= 1e-35 * abs(s0):
+    # the later terms in float: their rounding stays below 1e-33 of the total
+    tail, p = 0.0, power[0]
+    for c in weights:
+        p *= z2[0]
+        inc = p * c[0]
+        tail += inc
+        if abs(inc) <= 1e-35 * abs(total[0]):
             break
-    # the total plus the tail, doubled
-    s1 += tail
-    s = s0 + s1
-    s1 = 2.0 * (s1 - (s - s0))
-    s0 = 2.0 * s
-    if not k:
-        return (s0, s1)
-    # plus k log 2: dd_add(dd_mul(_LN2, dd(k)), total), written out
-    a, a1, ahi, alo = _LN2
-    b = float(k)
-    p = a * b
-    t = _SPLIT * b
-    bhi = t - (t - b)
-    blo = b - bhi
-    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo + a1 * b
-    a = p + e
-    a1 = e - (a - p)
-    s = a + s0
-    bb = s - a
-    e = (a - (s - bb)) + (s0 - bb) + (a1 + s1)
-    hi = s + e
-    return (hi, e - (hi - s))
+    # the total plus the tail (a quick two-sum), doubled
+    lo = total[1] + tail
+    hi = total[0] + lo
+    total = (hi, lo - (hi - total[0]))
+    total = dd_add(total, total)
+    if k:
+        total = dd_add(dd_mul(_LN2, dd(k)), total)
+    return total
 
 
-def _expm1_reduced(r0: float, r1: float) -> DD:
+def _expm1_reduced(r: DD) -> DD:
     """expm1(r) for |r| < 1/2: r scaled by 2**-j to below 2**-10 (j <= 9
     for r != 0), expm1(r)/r by Horner's rule on 1/k!, k = 11 down to 1,
-    then j doublings em <- 2 em + em**2 = em (em + 2).  The Horner steps
-    down to k = 6 are float: their part of expm1(r)/r is below 1.2e-18, so
-    its float rounding stays below 1e-33 of it.  The dd steps and
-    doublings write dd_mul and dd_add out."""
-    j = math.frexp(r0)[1] + 10
+    then j doublings em <- 2 em + em**2.  The Horner steps down to k = 6
+    are float: their part of expm1(r)/r is below 1.2e-18, so its float
+    rounding stays below 1e-33 of it."""
+    j = math.frexp(r[0])[1] + 10
     if j > 0:
-        r0 = math.ldexp(r0, -j)
-        r1 = math.ldexp(r1, -j)
-    t = _SPLIT * r0
-    rhi = t - (t - r0)
-    rlo = r0 - rhi
-    s0 = 0.0
+        r = (math.ldexp(r[0], -j), math.ldexp(r[1], -j))
+    s = 0.0
     for c in _INV_FACT_FLOAT:
-        s0 = s0 * r0 + c
-    s1 = 0.0
-    for c0, c1 in _INV_FACT:
-        # s <- s*r + c
-        p = s0 * r0
-        t = _SPLIT * s0
-        shi = t - (t - s0)
-        slo = s0 - shi
-        e = ((shi * rhi - p) + shi * rlo + slo * rhi) + slo * rlo + (s0 * r1 + s1 * r0)
-        a = p + e
-        a1 = e - (a - p)
-        s = a + c0
-        bb = s - a
-        e = (a - (s - bb)) + (c0 - bb) + (a1 + c1)
-        s0 = s + e
-        s1 = e - (s0 - s)
-    # em = s*r
-    p = s0 * r0
-    t = _SPLIT * s0
-    shi = t - (t - s0)
-    slo = s0 - shi
-    e = ((shi * rhi - p) + shi * rlo + slo * rhi) + slo * rlo + (s0 * r1 + s1 * r0)
-    a = p + e
-    a1 = e - (a - p)
+        s = s * r[0] + c
+    s = dd(s)
+    for c in _INV_FACT:
+        s = dd_add(dd_mul(s, r), c)
+    em = dd_mul(s, r)
     for _ in range(j):
-        # em**2 (split once) plus 2 em
-        p = a * a
-        t = _SPLIT * a
-        ahi = t - (t - a)
-        alo = a - ahi
-        e = ((ahi * ahi - p) + ahi * alo + alo * ahi) + alo * alo + (a * a1 + a1 * a)
-        b = p + e
-        b1 = e - (b - p)
-        a += a
-        a1 += a1
-        s = a + b
-        bb = s - a
-        e = (a - (s - bb)) + (b - bb) + (a1 + b1)
-        a = s + e
-        a1 = e - (a - s)
-    return (a, a1)
+        em = dd_add((2.0 * em[0], 2.0 * em[1]), dd_mul(em, em))
+    return em
 
 
 def _exp_parts(u: DD):
     """(e**r, m), e**u = 2**m e**r, r = u - m log 2, |r| <= log(2)/2:
-    dd_exp short of its ldexp.  dd_mul(_LN2, dd(m)), dd_sub and the final
-    dd_add of 1 written out."""
+    dd_exp short of its ldexp."""
     m = round(u[0] / 0.6931471805599453)
-    a, a1, ahi, alo = _LN2
-    b = float(m)
-    p = a * b
-    t = _SPLIT * b
-    bhi = t - (t - b)
-    blo = b - bhi
-    e = ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo + a1 * b
-    hi = p + e
-    a = u[0]
-    b = -hi
-    s = a + b
-    bb = s - a
-    e = (a - (s - bb)) + (b - bb) + (u[1] - (e - (hi - p)))
-    r0 = s + e
-    a, a1 = _expm1_reduced(r0, e - (r0 - s))
-    s = a + 1.0
-    bb = s - a
-    e = (a - (s - bb)) + (1.0 - bb) + a1
-    hi = s + e
-    return (hi, e - (hi - s)), m
+    r = dd_sub(u, dd_mul(_LN2, dd(m)))
+    return dd_add(_expm1_reduced(r), dd(1.0)), m
 
 
 def dd_exp(u: DD) -> DD:
@@ -364,7 +266,7 @@ def dd_exp(u: DD) -> DD:
 def dd_expm1(u: DD) -> DD:
     if abs(u[0]) < 0.2:
         # no log 2 step: full relative accuracy through the cancellation
-        return _expm1_reduced(u[0], u[1])
+        return _expm1_reduced(u)
     return dd_sub(dd_exp(u), dd(1.0))
 
 

@@ -36,7 +36,7 @@ from ._dd import (
 from .basis import _exact_coefficients
 from .hypergeom import HypergeomParams, hyp2f1_eval
 from .numcore import (
-    _LOG_FLOAT_MAX, _LOG_FLOAT_MIN, _MAX_TERMS, _weight_series, DomainError,
+    _LOG_FLOAT_MIN, _MAX_TERMS, _weight_series, DomainError,
     InvalidParams, SeriesResult, require_ints,
 )
 from .polylog import _polylog_dd
@@ -48,6 +48,10 @@ from .polylog import _polylog_dd
 # (N + m from 8 to 55; 0.02-0.1 ms with the polylogs and coefficients
 # cached): the two cold costs cross between 0.87 and 0.92.
 _APPLY_CLOSED_FROM = 0.9
+
+# The largest N with C(N-1, (N-1)//2) within sys.float_info.max: past it
+# the closed form's Bernstein coefficients at m = 0 leave float range.
+_CLOSED_MAX_N = 1030
 
 
 @dataclass(frozen=True)
@@ -96,9 +100,9 @@ def gmkz_apply(params: GmkzParams, f, x: float) -> SeriesResult:
     that terms_used * abs_sum * 2**-53, a series result's rounding bound, is
     the closed form's running bound.  It is kept where _dd.certified accepts
     that bound and every coefficient is within float range, and is tried only
-    where its coefficients can be (N <= 1030, _closed_route); its exact
-    coefficients take (N+m) m integer steps each way, and the whole form
-    ~0.1-0.2 s cold at N = 1000, m = 4.  Every other case is summed by
+    where its coefficients can be (N <= _CLOSED_MAX_N, _closed_route); its
+    exact coefficients take (N+m) m integer steps each way, and the whole
+    form ~0.1-0.2 s cold at N = 1000, m = 4.  Every other case is summed by
     _gmkz_series.
     """
     if not 0.0 <= x < 1.0:
@@ -117,18 +121,14 @@ def _closed_route(params: GmkzParams, m: int, x: float):
 
     The gate is float range and the term cap.  At m = 0 the Bernstein
     coefficients are C(N-1, i) (at m >= 1 and c = N-1 the largest is about
-    2**-m times the middle one), so past C(N-1, (N-1)//2) >
-    sys.float_info.max (N > 1030) they pass float range, and the exact
-    build (0.05-0.1 s at N = 1000, 4.8 s at N = 5000) is not tried; nor is
-    a form of more than numcore._MAX_TERMS terms, the series' own cap.  The
-    series cannot stand in past N = 1030 either: its weight (1-x)**N
-    underflows there for every x >= 1/2.
+    2**-m times the middle one), so past N = _CLOSED_MAX_N they pass float
+    range, and the exact build (0.05-0.1 s at N = 1000, 4.8 s at N = 5000)
+    is not tried; nor is a form of more than numcore._MAX_TERMS terms, the
+    series' own cap.  The series cannot stand in past _CLOSED_MAX_N either:
+    its weight (1-x)**N underflows there for every x >= 1/2.
     """
     N, c = params.n + params.r, params.n + int(params.alpha)
-    # log C(N-1, h) by lgamma: at every N it is 0.2 or more off the limit
-    h = (N - 1) // 2
-    if N + m + c - 1 > _MAX_TERMS or (math.lgamma(N) - math.lgamma(h + 1)
-                                      - math.lgamma(N - h) > _LOG_FLOAT_MAX):
+    if N > _CLOSED_MAX_N or N + m + c - 1 > _MAX_TERMS:
         return None
     return _gmkz_closed(N, c, params.beta, m, x)
 
@@ -143,10 +143,10 @@ def _gmkz_series(params: GmkzParams, f, x: float) -> SeriesResult:
     Monomial.  For any other f, F is the largest |f| met so far: a bound
     only where |f| at the later nodes, which tend to 1, stays below it;
     until some f is nonzero there is no bound (math.inf), so an f that is
-    0 at every node sums until the weights underflow to 0; from x = 1/2 up
-    (N >= 2) they stop at the smallest subnormal, and it runs to the term
-    cap.  Raises NotConverged at the term cap, or where (1-x)**N leaves
-    the normal float range.
+    0 at every node sums until the weights underflow (to 0, or from
+    x = 1/2 up to a subnormal they stop at: ~15000 terms at x = 0.95, past
+    the term cap at 0.999).  Raises NotConverged at the term cap, or where
+    (1-x)**N leaves the normal float range.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("operator series requires 0 <= x < 1")
@@ -203,7 +203,8 @@ def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):
     if m:
         tail = BoundedSum()
         for s, a in enumerate(neg, 1):
-            tail.add(dd_mul(a, dd_neg(ctx.log) if s == 1 else _polylog_dd(s, x)), 2)
+            if a[0]:  # a_{-m} is 0 where 1 <= c <= N-1: no Li_m for it
+                tail.add(dd_mul(a, dd_neg(ctx.log) if s == 1 else _polylog_dd(s, x)), 2)
         for u, h in enumerate(head, 1):
             tail.add(dd_neg(dd_mul(h, xp[u])), u + 1)
         tail.mul(dd_div(op[N], xp[c]), N + c + 1)  # (1-x)**N x**(-c)

@@ -121,7 +121,10 @@ def _weight_series(N: int, x: float, w0: float, g: Callable[[int], float] | tupl
     by w_(k+1) = w_k (N+k)/(k+1) x, whose factor falls with k; so once
     rho = x (N+k+1)/(k+2) < 1, everything after term k is at most
     G(k) w_(k+1) / (1 - rho), G(k) a bound on |g| past k (math.inf where
-    none is known), and 0 once the weights underflow to 0.
+    none is known), and 0 once the weights underflow: to 0, or, from
+    x = 1/2 up, where a factor above 1/2 rounds the smallest subnormal back
+    to itself and they never reach 0, to a subnormal w that the next step,
+    with rho < 1, leaves unchanged.
 
     g is a callable, or for an operator's Monomial(m) the node parameters
     (n, a, b, m) of g(k) = ((k+b)/(n+k+a))**m, which the loop evaluates
@@ -140,7 +143,7 @@ def _weight_series(N: int, x: float, w0: float, g: Callable[[int], float] | tupl
     if node:
         n, a, b, m = map(float, g)
     s = comp = abs_sum = 0.0
-    inf, tol = math.inf, _SERIES_REL_TOL
+    inf, tol, tiny = math.inf, _SERIES_REL_TOL, sys.float_info.min
     # k and N+k as exact floats: float-int arithmetic is CPython's slow path
     fk, fN = 0.0, float(N)
     for k in range(_MAX_TERMS):
@@ -156,10 +159,11 @@ def _weight_series(N: int, x: float, w0: float, g: Callable[[int], float] | tupl
         abs_sum += at
         lim = tol * (s if s >= 0.0 else -s)
         if at <= lim:
-            if w == 0.0:
-                bound = 0.0
+            rho = x * (fN + fk + 1.0) / (fk + 2.0)
+            if w == 0.0 or (w < tiny and x >= 0.5 and rho < 1.0
+                            and w * ((fN + fk + 1.0) / (fk + 2.0) * x) == w):
+                bound = 0.0  # underflowed, or stuck at a subnormal
             else:
-                rho = x * (fN + fk + 1.0) / (fk + 2.0)
                 bound = float(G(k)) * w / (1.0 - rho) if rho < 1.0 else inf
             if bound <= lim:
                 return SeriesResult(s, k + 1, True, bound, abs_sum)

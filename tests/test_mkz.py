@@ -19,6 +19,7 @@ from elemhyp import (
 from elemhyp import _dd
 import elemhyp.mkz as mkz
 import elemhyp.verify as verify
+from elemhyp.basis import _exact_coefficients
 from elemhyp.mkz import _gmkz_series
 from elemhyp.polylog import _bernoulli, _log_series_coef, _polylog_dd, _zeta
 
@@ -558,6 +559,38 @@ def test_closed_coefficients_at_large_n():
     assert (len(bern), len(neg), len(head)) == (1000, 4, 998)
 
 
+def test_exact_coefficients_lose_the_top_pole_order_where_c_is_a_root():
+    # (N-1)! C(N+k-1, k) = prod_{t<N} (k+t) has the factor k+c once where
+    # 1 <= c <= N-1, so a_{-m} is exactly 0 there and a_{-(m-1)} is not;
+    # elsewhere a_{-m} is not 0 (beta < c: no factor of (k+beta)**m cancels)
+    rng = random.Random(4001)
+    for _ in range(300):
+        N, c, m = rng.randint(1, 30), rng.randint(1, 40), rng.randint(1, 10)
+        beta = rng.choice((0.0, float(rng.randint(0, c - 1)),
+                           rng.randint(0, 16 * c - 1) / 16, rng.uniform(0.0, c - 1)))
+        _, neg, _ = _exact_coefficients(N, c, m, m, beta)
+        if c <= N - 1:
+            assert neg[-1] == 0 and (m == 1 or neg[-2] != 0), (N, c, m, beta)
+        else:
+            assert neg[-1] != 0, (N, c, m, beta)
+
+
+def test_closed_moment_forms_no_li_s_for_a_zero_coefficient(monkeypatch):
+    # mkz_moment(5, 3, 0.95): (N, c) = (6, 5), so a_{-3} = 0 and Li_3 is
+    # not formed only to be multiplied by 0
+    orders = []
+
+    def spy(s, x):
+        orders.append(s)
+        return _polylog_dd(s, x)
+
+    monkeypatch.setattr(mkz, "_polylog_dd", spy)
+    res = mkz._gmkz_closed(6, 5, 0.0, 3, 0.95)
+    assert orders == [2]
+    want = _gmkz_series(GmkzParams(5, 1, 0.0, 0.0), Monomial(3), 0.95).value
+    assert math.isclose(res.value, want, rel_tol=1e-13)
+
+
 # mkz_moment(n, 4, x) at 40 digits: (1-x)**(n+1) sum_k C(n+k,k) x**k
 # (k/(n+k))**4 summed term by term by mpmath at 50 digits, past the mode
 # until a term is below 1e-45 of the sum
@@ -591,6 +624,9 @@ def test_closed_gate_is_the_float_range_of_the_bernstein_coefficients(monkeypatc
     assert [N for N, _ in tried] == [
         N for N in range(1, 2100) if math.comb(N - 1, (N - 1) // 2) <= sys.float_info.max]
     assert tried[-1] == (1030, 1030)
+    top = mkz._CLOSED_MAX_N
+    assert math.comb(top - 1, (top - 1) // 2) <= sys.float_info.max \
+        < math.comb(top, top // 2)
     tried.clear()
     for alpha in (99986.0, 99987.0):  # N + m + c - 1 = 14 + alpha
         mkz._closed_route(GmkzParams(5, 1, alpha, 0.0), 4, 0.999)

@@ -174,9 +174,10 @@ def _composed_weight_series(N, x, w0, g, G):
             yield term
 
     def tail(k, term):
-        if w == 0.0:
-            return 0.0
         rho = x * (N + k + 1) / (k + 2.0)
+        if w == 0.0 or (w < sys.float_info.min and x >= 0.5 and rho < 1.0
+                        and w * ((N + k + 1) / (k + 2.0) * x) == w):
+            return 0.0  # underflowed, or stuck at a subnormal
         return G(k) * w / (1.0 - rho) if rho < 1.0 else math.inf
 
     res = sum_series(terms(), tail)
@@ -260,10 +261,6 @@ def _weight_series_points(count, seed):
             beta = rng.choice((0.0, float(rng.randint(0, int(alpha))),
                                rng.uniform(0.0, alpha)))
             f = Monomial(rng.randint(0, 8)) if kind == 0 else rng.choice(_GENERAL_F)
-            if f is _zero and x >= 0.5:
-                # from 1/2 up its sum runs to the term cap, 1e5 terms on
-                # each side (test_operator_series_of_zero_is_zero_past_one_half)
-                x /= 2.0
             yield _gmkz_series, _composed_gmkz_series, (GmkzParams(n, r, alpha, beta), f, x)
         elif kind == 2:
             yield fnj_series, _composed_fnj_series, (n, rng.randint(0, 8), x)
@@ -312,12 +309,21 @@ def test_flat_weight_series_matches_the_composed_form_at_its_edges(args, want):
         assert res.converged and res.trunc_err_est == want
 
 
-@pytest.mark.xfail(strict=True, raises=NotConverged,
-                   reason="from x = 1/2 up the weights stop at the smallest "
-                          "subnormal, so the tail bound never reaches 0")
-def test_operator_series_of_zero_is_zero_past_one_half():
-    res = _gmkz_series(GmkzParams(3, 1, 0.5, 0.5), _zero, 0.7)
-    assert res.converged and res.value == 0.0
+@pytest.mark.parametrize("x", [0.5, 0.7, 0.95])
+def test_operator_series_of_zero_is_zero_past_one_half(x):
+    # from x = 1/2 up the weights stop at a subnormal, which counts as
+    # underflowed: the tail bound is then 0.0
+    res = _gmkz_series(GmkzParams(3, 1, 0.5, 0.5), _zero, x)
+    assert res.converged and res.value == 0.0 and res.trunc_err_est == 0.0
+    assert _outcome(_gmkz_series, GmkzParams(3, 1, 0.5, 0.5), _zero, x) \
+        == _outcome(_composed_gmkz_series, GmkzParams(3, 1, 0.5, 0.5), _zero, x)
+
+
+def test_operator_series_of_zero_at_0_999_stops_at_the_term_cap():
+    # the weights are still ~6e-42, far from subnormal, after 1e5 terms:
+    # with no bound on f there is no tail bound before the cap
+    with pytest.raises(NotConverged, match="series did not converge"):
+        _gmkz_series(GmkzParams(3, 1, 0.5, 0.5), _zero, 0.999)
 
 
 def test_flat_weight_series_matches_the_composed_form_for_the_kernels():
