@@ -24,40 +24,34 @@ dd_mul takes; or the dd_log alone, for the log term of an integer n in
 Each form sums in a _dd.BoundedSum, whose bound counts term roundings,
 table depth and the errors of the log and the power.
 
-The dispatcher hyp2f1_eval tries three routes in order; the first two are
-kept only where _dd.certified finds their rounding bound within 1e-13:
+The dispatcher hyp2f1_eval answers x = 0 and n = 0 with 1.0.  Otherwise
+each route in turn gives its value and a bound on its error, or declines,
+and the first value whose bound _dd.certified finds within 1e-13 of it is
+returned (_routes over the pairs of _enclosures):
 
   1. below _X_SWITCH = 1/2, the defining series, where it needs few terms
      and the x**(1-p) prefactor makes closed forms cancel; its bound is
      terms * sum|term| * 2**-53;
-  2. the classifier's closed form for (m, n; p), with its BoundedSum bound;
+  2. a short terminating polynomial (n a nonpositive integer >= -40),
+     summed exactly and rounded once (_short_poly_exact): bound 0.0;
+  3. from _X_NEAR = 0.8 up, the connection formula about x = 1 (DLMF 15.8.4,
+     A&S 15.3.6, _near_one): two short series in 1-x with exact Pochhammer
+     ratios as coefficients, added in a BoundedSum.  It declines where
+     s = p-m-n is an integer or a part leaves float range (NotConverged
+     where the value does), and its bound rejects s near an integer;
+  4. unless its digit loss (p-1)*log10(1/x) exceeds _MAX_DIGIT_LOSS, the
+     classifier's closed form for (m, n; p), with its BoundedSum bound;
      where its value passes float range, NotConverged is raised, since the
      series stops short of the sum there;
-  3. the defining series, with no rounding check.
+  5. the defining series, with bound math.inf: returned with no rounding
+     check.
 
 Both series routes sum one series per call, to numcore's one precision;
-the series and the two tails of the near-1 route below are summed by one
-flat loop, _series, bit for bit numcore.sum_series' SeriesResult with the
-term ratio and tail bound written inline, since in pure Python a generator
-step and a callback per term cost more than the float arithmetic of the
-term.  A Heun leaf enters the routes past hyp2f1_eval's checks (_routes).
-
-From _X_NEAR = 0.8 up, a point whose s = p-m-n is not an integer first
-tries the connection formula about x = 1 (DLMF 15.8.4, A&S 15.3.6,
-_near_one): two short series in 1-x, whose Gamma-ratio coefficients are
-Pochhammer products, since m and p are integers, formed exactly and rounded
-once; each series' bound is (7 terms + 3) sum|term| 2**-53 plus its tail
-bound.  It is kept by the same test on its BoundedSum bound.  It declines
-where s is an integer (the log case, DLMF 15.8.10, is not taken), where its
-bound is rejected (s near an integer, where its two parts cancel), where
-(1-x)**s alone passes float range and where a 1-x series passes it or its
-term cap; then routes 2 and 3 follow as above.
-Where the part with (1-x)**s passes float range, the value does too, and
-NotConverged is raised.
-
-A short terminating polynomial (n a nonpositive integer >= -40) that route
-1 does not keep is summed exactly and rounded once.  Points whose digit
-loss (p-1)*log10(1/x) exceeds _MAX_DIGIT_LOSS skip route 2.
+the series and the two tails of route 3 are summed by one flat loop,
+_series, bit for bit numcore.sum_series' SeriesResult with the term ratio
+and tail bound written inline, since in pure Python a generator step and a
+callback per term cost more than the float arithmetic of the term.  A Heun
+leaf enters the routes past hyp2f1_eval's checks (_routes).
 """
 
 from __future__ import annotations
@@ -125,6 +119,10 @@ def _series(a: float, b: float, ib: int, c: float, ic: int, z: float, first: int
     tend to 1, so rho = |z| max(1, |(a+k+1)/(k+2)|) max(1, |(b+(ib+k+1))/c1|)
     bounds every one of them and |t_(k+1)| / (1 - rho) the tail: math.inf
     while c1 <= 0 or rho >= 1, 0 once the terms are exact zeros.
+
+    |t| and |s| come from a sign test, as in numcore._weight_series: abs's
+    floats, save that -0.0 stays -0.0, which adds, compares and scales as
+    0.0 does; inf and -inf give inf, and nan gives nan, as abs does.
     """
     t = 1.0
     for k in range(first):
@@ -134,7 +132,7 @@ def _series(a: float, b: float, ib: int, c: float, ic: int, z: float, first: int
     # k, ib+k, ic+k as exact floats: float-int arithmetic is CPython's slow path
     fk, fb, fc = float(first), float(ib + first), float(ic + first)
     for k in range(first, first + _MAX_TERMS):
-        at = abs(t)
+        at = t if t >= 0.0 else -t
         if not at < inf:  # an inf or nan term
             raise NonFinite(f"non-finite term at index {k - first}")
         y = t - comp
@@ -143,7 +141,7 @@ def _series(a: float, b: float, ib: int, c: float, ic: int, z: float, first: int
         s = u
         abs_sum += at
         nxt = t * ((a + fk) * (b + fb) / ((c + fc) * (fk + 1.0)) * z)
-        lim = _SERIES_REL_TOL * abs(s)
+        lim = _SERIES_REL_TOL * (s if s >= 0.0 else -s)
         if at <= lim:
             if nxt == 0.0:
                 bound = 0.0
@@ -528,14 +526,13 @@ def _short_poly_exact(m: int, K: int, p: int, x: float) -> float:
 
 
 def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
-    """Stability-aware dispatcher: the routes of the module docstring.
+    """Stability-aware dispatcher: the five routes of the module docstring,
+    each (value, bound) judged once by _dd.certified (_routes).
 
     Every series it sums, by _series, stops on a bound on its tail within
-    1e-17 of its sum, at most 100000 terms.  The values of routes 1 and 2
-    and of the near-1 route are kept only where _dd.certified accepts their
-    bound; the fallback series, with no rounding check, raises NotConverged
-    at the term cap.  Where the closed form's value passes float range,
-    NotConverged is raised: the series stops short of the sum there.
+    1e-17 of its sum, at most 100000 terms; the fallback, route 5, raises
+    NotConverged at the term cap.  Where the closed form's value passes
+    float range, NotConverged is raised: the series stops short of the sum there.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("dispatcher requires 0 <= x < 1")
@@ -544,33 +541,36 @@ def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
 
 def _routes(m: int, n: float, p: int, x: float) -> float:
     """hyp2f1_eval's routes for a triple HypergeomParams accepts and
-    0 <= x < 1, checked by the caller (heun_eval calls it per leaf)."""
-    if x == 0.0:
+    0 <= x < 1, checked by the caller (heun_eval calls it per leaf): the
+    first value of _enclosures that _dd.certified keeps, else the fallback's."""
+    if x == 0.0 or n == 0.0:  # n = 0 ends the series at its first term
         return 1.0
-    if n == 0.0:
-        return 1.0  # zero upper parameter terminates the series at its first term
-    res = None
+    for value, bound in _enclosures(m, n, p, x):
+        if certified(value, bound):
+            return value
+    return value
+
+
+def _enclosures(m: int, n: float, p: int, x: float):
+    """The routes of the module docstring in order, each as (value, bound),
+    formed only when the one before is not kept; the series below 1/2 is
+    summed once and is the fallback's value too."""
     if x < _X_SWITCH:
         res = hyp2f1_series(float(m), n, float(p), x)
         if not res.converged:
             raise NotConverged("series did not converge")
-        if certified(res.value, res.terms_used * res.abs_sum * 2.0 ** -53):
-            return res.value
-    # A nonpositive integer n makes the series a short polynomial; for small
-    # degree its exact sum beats any closed form (no log, no x**(1-p)
-    # prefactor), so only deeper polynomials go through the closed forms.
+        yield res.value, res.terms_used * res.abs_sum * 2.0 ** -53
+    # summed exactly: no log and no x**(1-p) prefactor, as a closed form has
     if n < 0.0 and float(n).is_integer() and -n <= 40:
-        return _short_poly_exact(m, -int(n), p, x)
+        yield _short_poly_exact(m, -int(n), p, x), 0.0
     if x >= _X_NEAR:
         near = _near_one(m, n, p, x)
-        if near is not None and certified(*near):
-            return near[0]
+        if near is not None:
+            yield near
     if (p - 1) * math.log10(1.0 / x) <= _MAX_DIGIT_LOSS:
-        f, bound = _closed_route(m, n, p, x)
-        if certified(f, bound):
-            return f
-    if res is None:
+        yield _closed_route(m, n, p, x)
+    if x >= _X_SWITCH:
         res = hyp2f1_series(float(m), n, float(p), x)
     if not res.converged:
         raise NotConverged("series fallback did not converge")
-    return res.value
+    yield res.value, math.inf

@@ -11,9 +11,9 @@ with the classical operator at (r, a, b) = (1, 0, 0).  Two routes:
      the direct-summation oracle of the tests and of verify);
   2. from x = _APPLY_CLOSED_FROM up, for a Monomial(m) with integer a, the
      exact combination of elementary functions and Li_s(x), s = 1..m, of
-     _gmkz_closed: N + m + c - 1 double-double terms (N = n + r,
-     c = n + a) where the series needs ~(N+50)/(1-x).  A closed value
-     whose rounding bound _dd.certified rejects goes to the series.
+     _gmkz_closed: N + m + c - 1 double-double terms, N at m = 0 (N = n + r,
+     c = n + a), where the series needs ~(N+50)/(1-x).  _closed_route
+     judges its (value, bound) once; a rejected value goes to the series.
 
 The higher moments of the classical operator (mkz_moment) and of
 M_{n,alpha+1}^{alpha,beta} (gmkz_moment_abel) are gmkz_apply on a
@@ -93,17 +93,17 @@ def gmkz_apply(params: GmkzParams, f, x: float) -> SeriesResult:
     """Apply the generalized operator to f at x.
 
     A Monomial(m) with integer alpha, from x = _APPLY_CLOSED_FROM up, takes
-    the closed form of _gmkz_closed: N + m + c - 1 double-double terms
-    (N = n + r, c = n + alpha) in place of the ~(N+50)/(1-x) terms of the
-    series.  Its SeriesResult has terms_used = that term count,
-    converged True, trunc_err_est 0.0 (the form is exact), and abs_sum such
-    that terms_used * abs_sum * 2**-53, a series result's rounding bound, is
-    the closed form's running bound.  It is kept where _dd.certified accepts
-    that bound and every coefficient is within float range, and is tried only
-    where its coefficients can be (N <= _CLOSED_MAX_N, _closed_route); its
-    exact coefficients take (N+m) m integer steps each way, and the whole
-    form ~0.1-0.2 s cold at N = 1000, m = 4.  Every other case is summed by
-    _gmkz_series.
+    the closed form of _gmkz_closed: N + m + c - 1 double-double terms at
+    m >= 1 and N at m = 0 (N = n + r, c = n + alpha), in place of the
+    ~(N+50)/(1-x) terms of the series.  Its SeriesResult has terms_used =
+    that term count, converged True, trunc_err_est 0.0 (the form is exact),
+    and abs_sum such that terms_used * abs_sum * 2**-53, a series result's
+    rounding bound, is the closed form's running bound.  _closed_route keeps
+    it where _dd.certified accepts that bound and every coefficient is within
+    float range, and tries it only where its coefficients can be
+    (N <= _CLOSED_MAX_N); its exact coefficients take (N+m) m integer steps
+    each way, and the whole form ~0.1-0.2 s cold at N = 1000, m = 4.  Every
+    other case is summed by _gmkz_series.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("operator series requires 0 <= x < 1")
@@ -116,8 +116,9 @@ def gmkz_apply(params: GmkzParams, f, x: float) -> SeriesResult:
 
 
 def _closed_route(params: GmkzParams, m: int, x: float):
-    """_gmkz_closed for Monomial(m) and an integer alpha, behind its gate:
-    its SeriesResult, or None where the gate or _gmkz_closed rejects it.
+    """_gmkz_closed for Monomial(m) and an integer alpha, behind its gate,
+    judged here, once, by _dd.certified: gmkz_apply's SeriesResult, or None
+    where the gate, _gmkz_closed or the judge rejects it.
 
     The gate is float range and the term cap.  At m = 0 the Bernstein
     coefficients are C(N-1, i) (at m >= 1 and c = N-1 the largest is about
@@ -128,9 +129,13 @@ def _closed_route(params: GmkzParams, m: int, x: float):
     its weight (1-x)**N underflows there for every x >= 1/2.
     """
     N, c = params.n + params.r, params.n + int(params.alpha)
-    if N > _CLOSED_MAX_N or N + m + c - 1 > _MAX_TERMS:
+    terms = N + m + c - 1 if m else N  # at m = 0 no Li_s part and no head
+    if N > _CLOSED_MAX_N or terms > _MAX_TERMS:
         return None
-    return _gmkz_closed(N, c, params.beta, m, x)
+    pair = _gmkz_closed(N, c, params.beta, m, x)
+    if pair is None or not certified(*pair):
+        return None
+    return SeriesResult(pair[0], terms, True, 0.0, pair[1] * 2.0 ** 53 / terms)
 
 
 def _gmkz_series(params: GmkzParams, f, x: float) -> SeriesResult:
@@ -182,11 +187,11 @@ def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):
     in a _dd.BoundedSum, whose bound counts table depth and Li_s, and
     rounded once.
 
-    Returns the SeriesResult gmkz_apply describes, or None where a
-    coefficient passes float range, x**c leaves the normal float range
-    (tested by c log x before anything is built: the Li_s tail it scales
-    is then ~x**c and cancels past any certified bound) or the rounding
-    bound is not certified.
+    Returns (value, bound), the bound for _closed_route to judge, or None
+    where the form cannot be built: a coefficient passes float range, or
+    x**c leaves the normal float range (tested by c log x before anything
+    is built: the Li_s tail it scales is then ~x**c and cancels past any
+    certified bound).
     """
     if m and c * math.log(x) < _LOG_FLOAT_MIN:
         return None
@@ -195,7 +200,7 @@ def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):
     except OverflowError:
         return None
     ctx = context(x)
-    xp = ctx.xpows(max(N, c))
+    xp = ctx.xpows(max(N, c) if m else N)
     op = ctx.ompows(N)
     acc = BoundedSum()
     for i, g in enumerate(bern):
@@ -209,12 +214,7 @@ def _gmkz_closed(N: int, c: int, beta: float, m: int, x: float):
             tail.add(dd_neg(dd_mul(h, xp[u])), u + 1)
         tail.mul(dd_div(op[N], xp[c]), N + c + 1)  # (1-x)**N x**(-c)
         acc.add_sum(tail)
-    value = dd_to_float(acc.total)
-    if not certified(value, acc.bound):
-        return None
-    terms = len(bern) + len(neg) + len(head)
-    return SeriesResult(value=value, terms_used=terms, converged=True,
-                        trunc_err_est=0.0, abs_sum=acc.bound * 2.0 ** 53 / terms)
+    return dd_to_float(acc.total), acc.bound
 
 
 @lru_cache(maxsize=1024)

@@ -262,7 +262,7 @@ def test_moment_both_routes_compare_the_closed_form_at_every_x():
             "--x", "0.05", "--route", "both")
     assert r.returncode == 0
     doc = json.loads(r.stdout)
-    assert doc["closed"] == mkz._gmkz_closed(6, 5, 0.0, 3, 0.05).value
+    assert doc["closed"] == mkz._gmkz_closed(6, 5, 0.0, 3, 0.05)[0]
     assert doc["series"] == mkz_moment(5, 3, 0.05) != doc["closed"]
     assert 0.0 < doc["rel_err"] < 1e-15
     r = run("moment", "--operator", "gmkz", "--n", "3", "--rop", "3",
@@ -270,7 +270,7 @@ def test_moment_both_routes_compare_the_closed_form_at_every_x():
             "--route", "both")
     assert r.returncode == 0
     doc = json.loads(r.stdout)
-    assert doc["closed"] == mkz._gmkz_closed(6, 5, 1.0, 4, 0.3).value
+    assert doc["closed"] == mkz._gmkz_closed(6, 5, 1.0, 4, 0.3)[0]
     assert doc["series"] == gmkz_moment_abel(3, 2, 1.0, 4, 0.3)
     # where the closed form's rounding bound rejects it, the command exits 1;
     # --route closed keeps gmkz_apply's value, the series there

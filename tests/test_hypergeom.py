@@ -926,7 +926,7 @@ def test_near_one_route_on_the_large_p_slice():
 def test_near_one_route_sweep():
     # every route value is within its bound of mpmath, and from the route's
     # start up the dispatcher answers every point within 1e-12 or raises
-    # where the value is past float range (below it, route 3 keeps the gap
+    # where the value is past float range (below it, route 5 keeps the gap
     # of test_eval_dispatcher_sweep)
     points = list(_connection_points(1500, 2201))
     certified, worst, misses = _connection_check(points)
@@ -1238,7 +1238,7 @@ def test_eval_assembles_at_most_one_closed_form_on_the_dispatcher_sweep(monkeypa
 def test_eval_dispatcher_sweep():
     # the typed errors are pinned: they are the 5 points whose values lie
     # beyond float range.  No point is off by more than 1e-12, though about
-    # 430 points still take the unchecked fallback series (route 3): the
+    # 430 points still take the unchecked fallback series (route 5): the
     # general closed form certifies those where that series cancels (m >= 8,
     # non-integer n <= -29.5, x <= 0.79)
     typed, off = _dispatcher_sweep(12000, 1712)

@@ -456,15 +456,19 @@ def test_apply_closed_route_rounding_bound():
     # (N, c, beta, m) = (12, 14, 1.5, 8), x = 0.05, sum |term| / |value| is
     # 9e32 and the unguarded value is off by a factor ~10; the bound rejects
     # it, and keeps (8, 5, 2.0, 8) at x = 0.1 (ratio 8e8)
-    assert mkz._gmkz_closed(12, 14, 1.5, 8, 0.05) is None
-    kept = mkz._gmkz_closed(8, 5, 2.0, 8, 0.1)
+    assert not _dd.certified(*mkz._gmkz_closed(12, 14, 1.5, 8, 0.05))
+    value, bound = mkz._gmkz_closed(8, 5, 2.0, 8, 0.1)
+    assert _dd.certified(value, bound)
     want = _moment_mp(8, 5, 2.0, 8, 0.1)
-    assert abs(kept.value - want) <= 1e-15 * want
+    assert abs(value - want) <= 1e-15 * want
 
 
 def test_apply_closed_rounding_bound_is_a_bound():
-    # every kept closed value is within its rounding bound,
-    # terms_used * abs_sum * 2**-53, plus half an ulp of the exact sum
+    # every kept closed value is within its rounding bound plus half an ulp
+    # of the exact sum; the SeriesResult that _closed_route (and gmkz_apply
+    # from 0.9 up) makes of it keeps that bound as
+    # terms_used * abs_sum * 2**-53, to the two roundings of abs_sum's
+    # division and that product
     rng = random.Random(7301)
     kept, misses = 0, []
     for _ in range(50):
@@ -477,15 +481,23 @@ def test_apply_closed_rounding_bound_is_a_bound():
             x = rng.uniform(0.9, 0.98)
         else:
             x = 1 - 10 ** rng.uniform(-6, -2)
-        res = mkz._gmkz_closed(N, c, beta, m, x)
-        if res is None:
+        pair = mkz._gmkz_closed(N, c, beta, m, x)
+        params = GmkzParams(1, N - 1, float(c - 1), beta)  # (N, c) = (n+r, n+alpha)
+        res = mkz._closed_route(params, m, x)
+        if pair is None or not _dd.certified(*pair):
+            assert res is None
             continue
         kept += 1
-        bound = res.terms_used * res.abs_sum * 2.0 ** -53
+        value, bound = pair
+        assert res.value == value and res.terms_used == (N + m + c - 1 if m else N)
+        assert math.isclose(res.terms_used * res.abs_sum * 2.0 ** -53, bound,
+                            rel_tol=2.0 ** -52)
+        if x >= mkz._APPLY_CLOSED_FROM:
+            assert gmkz_apply(params, Monomial(m), x) == res
         ref = _moment_direct if x < 0.98 else _moment_mp
         with mp.workdps(50):
-            err = abs(mp.mpf(res.value) - ref(N, c, beta, m, x))
-        if err > bound + math.ulp(res.value) / 2:
+            err = abs(mp.mpf(value) - ref(N, c, beta, m, x))
+        if err > bound + math.ulp(value) / 2:
             misses.append((N, c, beta, m, x, float(err), bound))
     assert kept >= 45 and misses == []
 
@@ -585,10 +597,11 @@ def test_closed_moment_forms_no_li_s_for_a_zero_coefficient(monkeypatch):
         return _polylog_dd(s, x)
 
     monkeypatch.setattr(mkz, "_polylog_dd", spy)
-    res = mkz._gmkz_closed(6, 5, 0.0, 3, 0.95)
+    value, bound = mkz._gmkz_closed(6, 5, 0.0, 3, 0.95)
     assert orders == [2]
+    assert _dd.certified(value, bound)
     want = _gmkz_series(GmkzParams(5, 1, 0.0, 0.0), Monomial(3), 0.95).value
-    assert math.isclose(res.value, want, rel_tol=1e-13)
+    assert math.isclose(value, want, rel_tol=1e-13)
 
 
 # mkz_moment(n, 4, x) at 40 digits: (1-x)**(n+1) sum_k C(n+k,k) x**k
@@ -633,6 +646,14 @@ def test_closed_gate_is_the_float_range_of_the_bernstein_coefficients(monkeypatc
     assert tried == [(6, 99991)]
 
 
+def test_closed_moment_of_order_zero_counts_its_n_terms():
+    # at m = 0 the form is its N Bernstein terms alone, with no Li_s part
+    # and no head: counted as N + m + c - 1 = 100002 terms, it was past the
+    # term cap here, and the series raised NotConverged at the cap
+    res = gmkz_apply(GmkzParams(1, 1, 100000.0, 0.0), Monomial(0), 0.99999)
+    assert (res.value, res.terms_used, res.converged) == (1.0, 2, True)
+
+
 def test_moment_past_the_gate_raises_at_once():
     # with no gate, n = 5000 spent 4.8 s on a build whose coefficients pass
     # float range; the series' weight 0.05**5001 underflows
@@ -650,9 +671,9 @@ def test_closed_moment_where_x_to_the_c_underflows():
 
 def test_closed_moment_underflow_gate_changes_no_verdict(monkeypatch):
     # c log x is tested against the normal float range before anything is
-    # built.  Next to that edge, where x**c is subnormal but not 0, the full
-    # build with the test off rejects the same points: its Li_s tail is
-    # ~x**c and cancels past any certified bound
+    # built, and the form declines.  Next to that edge, where x**c is
+    # subnormal but not 0, the full build with the test off gives the same
+    # verdicts: its Li_s tail is ~x**c and cancels past any certified bound
     rng = random.Random(2804)
     points = []
     for _ in range(24):
@@ -660,11 +681,13 @@ def test_closed_moment_underflow_gate_changes_no_verdict(monkeypatch):
         edge = math.log(sys.float_info.min) / math.log(x)  # c with x**c at the edge
         points.append((rng.randint(1, 12), int(edge * rng.uniform(0.9, 1.04)),
                        rng.choice((0.0, 0.5, 2.0)), rng.randint(1, 5), x))
+    def kept(pair):
+        return pair is not None and _dd.certified(*pair)
+
     gated = [mkz._gmkz_closed(*pt) for pt in points]
     monkeypatch.setattr(mkz, "_LOG_FLOAT_MIN", -math.inf)
     built = [mkz._gmkz_closed(*pt) for pt in points]
-    assert gated == built
-    assert gated.count(None) == len(points)
+    assert list(map(kept, gated)) == list(map(kept, built)) == [False] * len(points)
 
 
 def test_closed_moment_skips_the_build_where_x_to_the_c_underflows():

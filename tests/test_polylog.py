@@ -309,7 +309,9 @@ def _at_one_x(x, orders):
     and a closed 2F1: everything that reads the shared context(x)."""
     values = {}
     if x >= 0.9:
-        values["moment"] = _gmkz_closed(7, 5, 0.5, 4, x).value
+        value, bound = _gmkz_closed(7, 5, 0.5, 4, x)
+        assert _dd.certified(value, bound)
+        values["moment"] = value
         values["2f1"] = hyp2f1_eval(HypergeomParams(3, 2.5, 8), x)
     values.update((k, _polylog_dd.__wrapped__(k, x)) for k in orders)
     return values

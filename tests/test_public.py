@@ -137,3 +137,17 @@ def test_every_top_level_definition_is_public_or_referenced():
             if not any(name == top.name and id(node) not in inside for name, node in refs):
                 unreferenced.add(f"{module}.{top.name}")
     assert unreferenced == UNREFERENCED
+
+
+def test_each_dispatcher_judges_its_routes_once():
+    # a private route returns (value, bound), or None where it cannot form
+    # one; _dd.certified, the one test for keeping a value, is applied in a
+    # dispatcher alone, once, so every bound is judged in one place
+    sites = []
+    for path in sorted((ROOT / "src" / "elemhyp").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            sites += [f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                      for node in ast.walk(top)
+                      if "certified" in (getattr(node, "id", None), getattr(node, "attr", None))]
+    assert sorted(sites) == ["basis.combo_eval", "hypergeom._routes",
+                             "hypergeom.hyp2f1_closed", "mkz._closed_route"]
