@@ -134,7 +134,7 @@ def _exact_coefficients(N: int, c: int, a: int, b: int, beta: float):
 
 @lru_cache(maxsize=None, typed=True)  # typed: a float n or j misses, and is rejected
 def fnj_combo(n: int, j: int) -> SymbolicCombo:
-    """Exact combo for f_{n,j}, n >= 2, j >= 2 (n = 1 degenerates gracefully).
+    """Exact combo for f_{n,j}, n >= 1, j >= 2 (at n = 1, Li_(j-1)(x) / x).
 
     Built once per (n, j) and memoized, by _exact_coefficients at
     (N, c, a, b) = (n+1, 1, 0, j): with u = -(k+1), C(u, n) / u**j is

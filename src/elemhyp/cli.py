@@ -104,10 +104,6 @@ def cmd_moment(args) -> int:
 
 
 def cmd_fnj(args) -> int:
-    if args.n < 2:
-        raise InvalidParams("symbolic combos are defined for n >= 2")
-    if args.j < 2:
-        raise InvalidParams("symbolic combos are defined for j >= 2")
     if args.x is None and not args.emit_symbolic:
         raise InvalidParams("provide --x, --emit-symbolic, or both")
     combo = fnj_combo(args.n, args.j)

@@ -154,12 +154,13 @@ def heun_normalization(fp: HeunFamilyParams) -> float:
     """u(0) = sum_{k<r} c_k, the value the oracle comparisons normalize by.
 
     Defined only for a member that terminates at r: any other member raises
-    DomainError, since its expansion is not the Heun solution.
+    DomainError, since its expansion is not the Heun solution; a c_k past
+    float range raises NonFinite (_finite_sum), as in heun_eval.
     """
     r = heun_termination(fp)
     if r is None:
         raise DomainError("the expansion does not terminate: no value at 0")
-    return math.fsum(islice(_coeffs(fp), r))
+    return _finite_sum(list(islice(_coeffs(fp), r)))
 
 
 def heun_series_oracle(spec: HeunSpec, x: float) -> float:

@@ -24,10 +24,10 @@ dd_mul takes; or the dd_log alone, for the log term of an integer n in
 Each form sums in a _dd.BoundedSum, whose bound counts term roundings,
 table depth and the errors of the log and the power.
 
-The dispatcher hyp2f1_eval answers x = 0 and n = 0 with 1.0.  Otherwise
-each route in turn gives its value and a bound on its error, or declines,
-and the first value whose bound _dd.certified finds within 1e-13 of it is
-returned (_routes over the pairs of _enclosures):
+In the dispatcher hyp2f1_eval each route in turn gives its value and a
+bound on its error, or declines, and the first value whose bound
+_dd.certified finds within 1e-13 of it is returned (_routes over the pairs
+of _enclosures); x = 0 and n = 0 end route 1 or 2 at its first term, 1.0:
 
   1. below _X_SWITCH = 1/2, the defining series, where it needs few terms
      and the x**(1-p) prefactor makes closed forms cancel; its bound is
@@ -42,9 +42,10 @@ returned (_routes over the pairs of _enclosures):
   4. unless its digit loss (p-1)*log10(1/x) exceeds _MAX_DIGIT_LOSS, the
      classifier's closed form for (m, n; p), with its BoundedSum bound;
      where its value passes float range, NotConverged is raised, since the
-     series stops short of the sum there;
+     series stops short of the sum there; where only its coefficients do,
+     it declines;
   5. the defining series, with bound math.inf: returned with no rounding
-     check.
+     check, or NotConverged where it is not finite.
 
 Both series routes sum one series per call, to numcore's one precision;
 the series and the two tails of route 3 are summed by one flat loop,
@@ -242,7 +243,7 @@ def _coefficient_sum(coefs, pows, depths):
     return acc, tiny
 
 
-def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum:
+def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum | None:
     """Two sums with exact coefficients and one power, P = 1-x, q = p-m-1:
 
         sum_i (-1)**(q-i) C(q,i) S_i P**(q-i)
@@ -271,18 +272,25 @@ def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum:
     seeded scales each, the largest errors seen are 0.33 and 0.39 of the
     last two counts); plus, as an absolute error times what multiplies it,
     16 units of 2**-1074 per dd_mul that forms or takes a power or product
-    in the subnormal range, or per part that 2**-E scales below it.
+    in the subnormal range, or per part that 2**-E scales below it.  None
+    where a coefficient passes float range or Dekker's split: the value
+    need not, as at (1, 3; 2901; 0.999), whose series takes 8 terms.
     """
     q = p - m - 1
     num, den = n.as_integer_ratio()
     heads, tails, logs = _general_coefficients(m, num, den, q)
     ompows = ctx.ompows(max(q, m - 1))
     # tiny counts the subnormal errors, in units 16 * 2**-1074
-    acc, tiny = _coefficient_sum(heads, ompows, range(q, -1, -1))
-    inner, tail_tiny = _coefficient_sum(tails, ompows, range(m))
-    for i, c in logs:
-        acc.add(dd_mul(dd_from_int(c), dd_mul(ompows[q - i], ctx.log)), q - i + 4)
-        tiny += abs(c) * (abs(ctx.log[0]) + 1.0) * (q - i + 1) + 1.0
+    try:
+        acc, tiny = _coefficient_sum(heads, ompows, range(q, -1, -1))
+        inner, tail_tiny = _coefficient_sum(tails, ompows, range(m))
+        for i, c in logs:
+            acc.add(dd_mul(dd_from_int(c), dd_mul(ompows[q - i], ctx.log)), q - i + 4)
+            tiny += abs(c) * (abs(ctx.log[0]) + 1.0) * (q - i + 1) + 1.0
+    except OverflowError:  # a coefficient past float range
+        return None
+    if not math.isfinite(acc.total[0] + inner.total[0]):
+        return None  # a coefficient past Dekker's split, or the sums past float range
     e = q + 1 + (-num) // den  # the integer part of q+1-n
     # Dekker's split takes operands below sys.float_info.max / _SPLIT
     fits = e * math.log(ctx.omx[0]) + math.log(
@@ -358,7 +366,7 @@ def _eq_12_1(n: int, ctx: ClosedFormContext) -> BoundedSum:
 
 
 def _assemble(body, x: float, *args):
-    """body(*args) at x, rounded once; returns (value, rounding bound).
+    """(value, rounding bound) of body(*args) at x rounded once, or its None.
 
     Raises NotConverged where the assembly passes float range (large n next
     to x = 1), so no caller sees a non-finite closed value.
@@ -369,6 +377,8 @@ def _assemble(body, x: float, *args):
         acc = body(*args, context(x))
     except (OverflowError, ZeroDivisionError):  # a value, or 1 / x**k, past float range
         raise NotConverged("closed form overflows float range") from None
+    if acc is None:
+        return None
     value = dd_to_float(acc.total)
     if not math.isfinite(value):  # Dekker's split past ~1.3e300
         raise NotConverged("closed form overflows float range")
@@ -394,7 +404,7 @@ _X_NEAR = 0.8
 
 def _closed_route(m: int, n: float, p: int, x: float):
     """The shape classifier: the closed form for (m, n; p), as (value
-    rounded once, the bound of its double-double sum).
+    rounded once, its double-double sum's bound), or None (_eq_general).
 
     (k, 1; p) is swapped to (1, k; p), where the general form certifies
     more points: on k = 3..60 step 3, p-k-1 = 0..100 step 5 and
@@ -415,10 +425,13 @@ def _closed_route(m: int, n: float, p: int, x: float):
 def hyp2f1_closed(params: HypergeomParams, x: float) -> float:
     """The elementary closed form of 2F1(m, n; p; x), 0 < x < 1, certified:
     the classifier's form (_closed_route), returned only where _dd.certified
-    finds its rounding bound within 1e-13 of it; otherwise, or where it
-    passes float range, this raises NotConverged.
+    finds its rounding bound within 1e-13 of it; otherwise, or where it or
+    its coefficients pass float range, this raises NotConverged.
     """
-    f, bound = _closed_route(params.m, params.n, params.p, x)
+    pair = _closed_route(params.m, params.n, params.p, x)
+    if pair is None:
+        raise NotConverged("closed form's coefficients leave float range")
+    f, bound = pair
     if not certified(f, bound):
         raise NotConverged(f"closed form's rounding bound {bound:.3g} "
                            f"exceeds {_GUARD_REL:g} of its value")
@@ -506,7 +519,7 @@ def _near_one(m: int, n: float, p: int, x: float):
 
 
 def _short_poly_exact(m: int, K: int, p: int, x: float) -> float:
-    """2F1(m, -K; p; x) for integer K >= 1, summed exactly, rounded once.
+    """2F1(m, -K; p; x) for integer K >= 0, summed exactly, rounded once.
 
     The coefficients (m)_k (-K)_k / ((p)_k k!) share the integer denominator
     prod_{i<K} (p+i)(i+1); with x = a/b, b a power of two, the sum is one
@@ -531,8 +544,9 @@ def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
 
     Every series it sums, by _series, stops on a bound on its tail within
     1e-17 of its sum, at most 100000 terms; the fallback, route 5, raises
-    NotConverged at the term cap.  Where the closed form's value passes
-    float range, NotConverged is raised: the series stops short of the sum there.
+    NotConverged at the term cap and where its sum is not finite.  Where the
+    closed form's value passes float range, NotConverged is raised: the
+    series stops short of the sum there.
     """
     if not 0.0 <= x < 1.0:
         raise DomainError("dispatcher requires 0 <= x < 1")
@@ -542,12 +556,13 @@ def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
 def _routes(m: int, n: float, p: int, x: float) -> float:
     """hyp2f1_eval's routes for a triple HypergeomParams accepts and
     0 <= x < 1, checked by the caller (heun_eval calls it per leaf): the
-    first value of _enclosures that _dd.certified keeps, else the fallback's."""
-    if x == 0.0 or n == 0.0:  # n = 0 ends the series at its first term
-        return 1.0
+    first value of _enclosures that _dd.certified keeps, else the fallback's
+    if finite."""
     for value, bound in _enclosures(m, n, p, x):
         if certified(value, bound):
             return value
+    if not math.isfinite(value):
+        raise NotConverged("series fallback passes float range")
     return value
 
 
@@ -561,14 +576,16 @@ def _enclosures(m: int, n: float, p: int, x: float):
             raise NotConverged("series did not converge")
         yield res.value, res.terms_used * res.abs_sum * 2.0 ** -53
     # summed exactly: no log and no x**(1-p) prefactor, as a closed form has
-    if n < 0.0 and float(n).is_integer() and -n <= 40:
+    if n <= 0.0 and float(n).is_integer() and -n <= 40:
         yield _short_poly_exact(m, -int(n), p, x), 0.0
     if x >= _X_NEAR:
         near = _near_one(m, n, p, x)
         if near is not None:
             yield near
     if (p - 1) * math.log10(1.0 / x) <= _MAX_DIGIT_LOSS:
-        yield _closed_route(m, n, p, x)
+        closed = _closed_route(m, n, p, x)
+        if closed is not None:
+            yield closed
     if x >= _X_SWITCH:
         res = hyp2f1_series(float(m), n, float(p), x)
     if not res.converged:

@@ -15,12 +15,12 @@ with the classical operator at (r, a, b) = (1, 0, 0).  Two routes:
      c = n + a), where the series needs ~(N+50)/(1-x).  _closed_route
      judges its (value, bound) once; a rejected value goes to the series.
 
-The higher moments of the classical operator (mkz_moment) and of
-M_{n,alpha+1}^{alpha,beta} (gmkz_moment_abel) are gmkz_apply on a
-Monomial, so they take the same two routes.  The other moment formulas here
-are closed or semi-closed and tested against the series: second moments
-through the 2F1 dispatcher and the first moment of the generalized
-operator.
+The higher moments of M_{n,alpha+1}^{alpha,beta} (gmkz_moment_abel, and
+mkz_moment at alpha = beta = 0) are gmkz_apply on a Monomial, so they take
+the same two routes.  The other moment formulas here are closed or
+semi-closed and tested against the series: the second moments of M_n and
+L_n, one formula through the 2F1 dispatcher, and the first moment of the
+generalized operator.
 """
 
 from __future__ import annotations
@@ -234,51 +234,39 @@ def _closed_coefficients(N: int, c: int, m: int, beta: float):
             tuple(dd_from_ratio(a, den) for a in neg), head)
 
 
-def _e2_at_zero(n: int, x: float) -> bool:
-    """The argument check of the second moments, n >= 1 an integer and
-    0 <= x < 1: whether x is 0, where each is 0."""
+def _e2_args(n: int, x: float) -> None:
+    """The second moments' argument check: integer n >= 1, 0 <= x < 1."""
     require_ints(n=n)
     if n < 1:
         raise InvalidParams("n must be >= 1")
     if not 0.0 <= x < 1.0:
         raise DomainError("moment requires 0 <= x < 1")
-    return x == 0.0
+
+
+def _second_moment(n: int, k: int, x: float) -> float:
+    """x**2 + k x (1-x)**2 / (n+k) 2F1(1, k+1; n+k+1; x), the second moment
+    of M_n at k = 1 and of L_n at k = 2 (k x is exact for both); 0.0 at
+    x = 0, where the 2F1 is 1."""
+    _e2_args(n, x)
+    f = hyp2f1_eval(HypergeomParams(1, float(k + 1), n + k + 1), x)
+    return x * x + k * x * (1.0 - x) ** 2 / (n + k) * f
 
 
 def mkz_moment_e2(n: int, x: float) -> float:
     """Second moment of the classical operator: x**2 plus a 2F1 correction."""
-    if _e2_at_zero(n, x):
-        return 0.0
-    f = hyp2f1_eval(HypergeomParams(1, 2.0, n + 2), x)
-    return x * x + x * (1.0 - x) ** 2 / (n + 1) * f
+    return _second_moment(n, 1, x)
 
 
 def mkz_moment(n: int, r: int, x: float) -> float:
-    """r-th moment M_n e_r(x) of the classical operator, 0 < x < 1.
-
-    The operator at (r, alpha, beta) = (1, 0, 0), so this is
-    gmkz_apply(GmkzParams(n, 1, 0.0, 0.0), Monomial(r), x).value:
-    the closed form from x = _APPLY_CLOSED_FROM up, the full-precision
-    series below it.  Order 0 is exactly 1.0.
-    """
-    require_ints(n=n, r=r)
-    if n < 1:
-        raise InvalidParams("n must be >= 1")
-    if r < 0:
-        raise InvalidParams("moment order must be >= 0")
-    if not 0.0 < x < 1.0:
-        raise DomainError("moment requires 0 < x < 1")
-    if r == 0:
-        return 1.0
-    return gmkz_apply(GmkzParams(n, 1, 0.0, 0.0), Monomial(r), x).value
+    """r-th moment M_n e_r(x) of the classical operator, 0 < x < 1: the
+    case alpha = beta = 0 of gmkz_moment_abel, with its checks and routes."""
+    require_ints(n=n, r=r)  # names r, where gmkz_moment_abel says m
+    return gmkz_moment_abel(n, 0, 0.0, r, x)
 
 
 def ln_moment_e2(n: int, x: float) -> float:
     """Second moment of the integral-type variant L_n, closed form."""
-    if _e2_at_zero(n, x):
-        return 0.0
-    f = hyp2f1_eval(HypergeomParams(1, 3.0, n + 3), x)
-    return x * x + 2.0 * x * (1.0 - x) ** 2 / (n + 2) * f
+    return _second_moment(n, 2, x)
 
 
 def ln_moment_e2_direct(n: int, x: float) -> float:
@@ -288,11 +276,11 @@ def ln_moment_e2_direct(n: int, x: float) -> float:
     k(k+1)/((n+k)(n+k+1)) at order 2, so the oracle sums
     sum_k C(n+k,k) x**k (1-x)**(n+1) * k(k+1)/((n+k)(n+k+1))
     with no quadrature involved: numcore._weight_series with N = n + 1,
-    whose bound G = 1 holds since the last factor is at most 1.  Raises
-    NotConverged where (1-x)**(n+1) leaves the normal float range.
+    whose bound G = 1 holds since the last factor is at most 1 (at x = 0
+    its first term, 0, ends it).  Raises NotConverged where (1-x)**(n+1)
+    leaves the normal float range.
     """
-    if _e2_at_zero(n, x):
-        return 0.0
+    _e2_args(n, x)
     return _weight_series(n + 1, x, (1.0 - x) ** (n + 1),
                           lambda k: k * (k + 1.0) / ((n + k) * (n + k + 1.0)),
                           lambda k: 1.0).value
@@ -311,8 +299,6 @@ def gmkz_e1(params: GmkzParams, x: float) -> float:
     a = int(a)
     if not 0.0 <= x < 1.0:
         raise DomainError("moment requires 0 <= x < 1")
-    if x == 0.0:
-        return b / (n + a)
     f1 = hyp2f1_eval(HypergeomParams(1, float(a - r), n + 1 + a), x)
     f2 = hyp2f1_eval(HypergeomParams(1, float(a - r + 1), n + 2 + a), x)
     return b / (n + a) * f1 + (n + r - b) / (n + 1 + a) * x * f2
@@ -321,8 +307,8 @@ def gmkz_e1(params: GmkzParams, x: float) -> float:
 def gmkz_moment_abel(n: int, alpha: int, beta: float, m: int, x: float) -> float:
     """m-th moment of M_{n,alpha+1}^{alpha,beta}, integer alpha, 0 < x < 1.
 
-    gmkz_apply(GmkzParams(n, alpha+1, alpha, beta), Monomial(m), x).value,
-    so the same routes as mkz_moment.  Order 0 is exactly 1.0.
+    gmkz_apply(GmkzParams(n, alpha+1, alpha, beta), Monomial(m), x).value;
+    mkz_moment is its case alpha = beta = 0.  Order 0 is exactly 1.0.
     """
     require_ints(n=n, alpha=alpha, m=m)
     if n < 1:

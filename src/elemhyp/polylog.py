@@ -149,7 +149,8 @@ def _polylog_dd(k: int, x: float) -> DD:
 
 
 def _polylog_power_series(k: int, x: float) -> DD:
-    """Li_k(x) from sum x**j / j**k; ~150 terms or fewer where it is taken.
+    """Li_k(x) from sum x**j / j**k: where _polylog_dd takes it, 7 terms at
+    most from order 40 on and 131 below x = 0.6 (k = 2 just below 0.6).
 
     A j**k past 2**996, which Dekker's split cannot take, ends the sum: that
     term and every later one is below 2**-996 x, far under the stop rule.
@@ -170,8 +171,6 @@ def _polylog_power_series(k: int, x: float) -> DD:
         if abs(term[0]) <= 1e-33 * abs(total[0]):
             return total
         j += 1
-        if j > 2000000:
-            raise NotConverged("double-double polylog series stalled")
 
 
 def _polylog_log_series(k: int, x: float) -> DD:

@@ -369,7 +369,19 @@ def test_fnj_uncertified_combo_exits_1():
 
 
 def test_fnj_validation():
-    assert run("fnj", "--n", "1", "--j", "2", "--emit-symbolic").returncode == 2
+    # the library's domain, n >= 1 and j >= 2: f_{1,j} = Li_(j-1)(x) / x
+    r = run("fnj", "--n", "1", "--j", "2", "--emit-symbolic")
+    assert r.returncode == 0
+    assert r.stdout == ('{"n": 1, "j": 2, "terms": [{"basis": "log", '
+                        '"num": "-1", "den": "1"}]}\n')
+    r = run("fnj", "--n", "1", "--j", "3", "--x", "0.5")
+    assert r.returncode == 0
+    doc = json.loads(r.stdout)
+    assert doc["combo"] == doc["series"] == 1.164481052930025  # 2 Li_2(1/2)
+    for args, message in ((("--n", "0", "--j", "2"), "n must be >= 1"),
+                          (("--n", "3", "--j", "1"), "j must be >= 2")):
+        r = run("fnj", *args, "--emit-symbolic")
+        assert (r.returncode, r.stderr) == (2, f"error: {message}\n")
     assert run("fnj", "--n", "3", "--j", "4").returncode == 2
 
 

@@ -143,6 +143,17 @@ def test_normalization_exact_values(mnp):
     assert abs(heun_normalization(fp) - float(NORMS[mnp])) < 1e-15
 
 
+def test_normalization_past_float_range_is_typed():
+    # r = 600: c_154 passes float range, and fsum of +-inf raised a bare
+    # ValueError; heun_eval on the same member raises NonFinite
+    fp = HeunFamilyParams(1, -1198.0, 2)
+    assert heun_termination(fp) == 600
+    with pytest.raises(NonFinite, match="non-finite term at index 154"):
+        heun_normalization(fp)
+    with pytest.raises(NonFinite, match="non-finite term at index 154"):
+        heun_eval(fp, 0.3, 600)
+
+
 @pytest.mark.parametrize("mnp", NON_TERMINATING)
 def test_normalization_needs_termination(mnp):
     # the expansion is the Heun solution only where it ends: no u(0) else

@@ -373,8 +373,14 @@ def test_closed_returns_only_accurate_values():
 
 
 def test_eval_trivial_points():
-    assert hyp2f1_eval(HypergeomParams(2, 1.5, 4), 0.0) == 1.0
-    assert hyp2f1_eval(HypergeomParams(3, 0.0, 5), 0.7) == 1.0
+    # no route of their own: at x = 0 route 1's series stops after its
+    # first term, and n = 0 is route 1 below 1/2 and route 2's polynomial
+    # with no term past the first above it; exactly 1.0 at either zero
+    for z in (0.0, -0.0):
+        for m, n, p in ((2, 1.5, 4), (3, -7.0, 5), (1, z, 2)):
+            assert repr(hyp2f1_eval(HypergeomParams(m, n, p), z)) == "1.0"
+        for x in (0.3, 0.7, 0.999999):
+            assert repr(hyp2f1_eval(HypergeomParams(3, z, 5), x)) == "1.0"
 
 
 def test_eval_sums_short_polynomials_exactly():
@@ -1127,6 +1133,33 @@ def test_closed_forms_raise_where_an_integer_power_underflows():
         hyp2f1_eval(HypergeomParams(5, 900.0, 6), 0.999)
     with pytest.raises(NotConverged, match="overflows float range"):
         hyp2f1_closed(HypergeomParams(2, 1.5, 4), 1e-300)
+
+
+@pytest.mark.parametrize("m,n,p,x,want", [
+    (1, 3.0, 1040, 0.999, 1.002892845962787),  # a coefficient past Dekker's split
+    (2, 4.0, 1037, 0.98, 1.0076142110246977),  # the same
+    (1, 3.0, 1042, 0.999, 1.0028872720999864),  # a coefficient a/b past float range
+])
+def test_general_form_declines_where_only_its_coefficients_leave_range(m, n, p, x, want):
+    # the value is near 1 and the defining series takes a few terms, but
+    # the general form's heads C(q, i) S_i pass what its sums take; it
+    # declines, where it once raised as if the value passed float range
+    assert _closed_route(m, n, p, x) is None
+    with pytest.raises(NotConverged, match="coefficients leave float range"):
+        hyp2f1_closed(HypergeomParams(m, n, p), x)
+    got = hyp2f1_eval(HypergeomParams(m, n, p), x)
+    assert got == want
+    assert rel_err(got, mp_ref(m, n, p, x, 50)) <= 1.2e-16
+
+
+def test_eval_fallback_past_float_range_raises():
+    # (p-1) log10(1/x) = 23.8 skips the closed form, so the fallback series
+    # answers; its terms stay finite, but their sum, like the value
+    # (1.8e308), passes float range.  It was returned as inf
+    assert hyp2f1_series(1.0, 1462.0, 80.0, 0.5).value == 9.612487652386705e+307
+    assert hyp2f1_eval(HypergeomParams(1, 1462.0, 80), 0.5) == 9.612487652386705e+307
+    with pytest.raises(NotConverged, match="series fallback passes float range"):
+        hyp2f1_eval(HypergeomParams(1, 1463.0, 80), 0.5)
 
 
 def test_eval_overflow_band_never_returns_the_series(monkeypatch):

@@ -130,7 +130,20 @@ def test_log_operator_second_moment(n):
         closed = ln_moment_e2(n, x)
         direct = ln_moment_e2_direct(n, x)
         assert math.isclose(closed, direct, rel_tol=1e-10)
-    assert ln_moment_e2(n, 0.0) == 0.0
+    for z in (0.0, -0.0):  # the formulas and the series give +0.0 at either zero
+        for moment in (ln_moment_e2, ln_moment_e2_direct, mkz_moment_e2):
+            assert repr(moment(n, z)) == "0.0"
+
+
+def test_log_operator_second_moment_where_the_closed_form_declines():
+    # 2F1(1, 3; 1042; 0.999): a head coefficient of the general form passes
+    # float range, so the dispatcher takes the series, where it once raised
+    n, x = 1039, 0.999
+    with mp.workdps(50):
+        want = x * x + 2 * x * (1 - mp.mpf(x)) ** 2 / (n + 2) * mp.hyp2f1(1, 3, n + 3, x)
+    got = ln_moment_e2(n, x)
+    assert got == 0.99800100192485
+    assert abs(got - want) <= 1.2e-16 * want
 
 
 def test_first_moment_affine_form():
@@ -146,7 +159,12 @@ def test_first_moment_affine_form():
 
 def test_first_moment_at_zero_and_validation():
     params = GmkzParams(2, 3, 2.0, 1.0)
-    assert gmkz_e1(params, 0.0) == 1.0 / 4.0
+    for z in (0.0, -0.0):  # b/(n+a) from the formula, its 2F1s both 1.0
+        assert gmkz_e1(params, z) == 1.0 / 4.0
+        # the x term is a signed zero: -0.0 at x = 0.0 where n + r - b < 0,
+        # and at x = -0.0 where b = 0 it meets b/(n+a) = 0.0
+        assert repr(gmkz_e1(GmkzParams(1, 0, 5.0, 5.0), z)) == repr(5.0 / 6.0)
+        assert repr(gmkz_e1(GmkzParams(1, 1, 0.0, 0.0), z)) == "0.0"
     with pytest.raises(InvalidParams):
         gmkz_e1(GmkzParams(2, 3, 1.5, 1.0), 0.5)  # non-integer alpha
 
@@ -172,6 +190,7 @@ def test_abel_route_edges():
 
 
 _MOMENT_X = "moment requires 0 <= x < 1"
+_OPEN_X = "moment requires 0 < x < 1"
 _SERIES_X = "operator series requires 0 <= x < 1"
 
 
@@ -186,11 +205,17 @@ _SERIES_X = "operator series requires 0 <= x < 1"
     (lambda: gmkz_e1(GmkzParams(2, 3, 2.0, 1.0), 1.0), DomainError, _MOMENT_X),
     (lambda: gmkz_moment_abel(0, 1, 0.0, 2, 0.5), InvalidParams, "n must be >= 1"),
     (lambda: gmkz_moment_abel(2, -1, 0.0, 2, 0.5), InvalidParams, "alpha must be >= 0"),
+    (lambda: mkz_moment(0, 2, 0.5), InvalidParams, "n must be >= 1"),
+    (lambda: mkz_moment(3, -1, 0.5), InvalidParams, "moment order must be >= 0"),
+    (lambda: mkz_moment(3, 2.5, 0.5), InvalidParams, "r must be an integer, got 2.5"),
+    (lambda: mkz_moment(3, 2, 0.0), DomainError, _OPEN_X),
+    (lambda: mkz_moment(3, 2, 1.0), DomainError, _OPEN_X),
     (lambda: gmkz_apply(classical(3), Monomial(2), 1.0), DomainError, _SERIES_X),
     (lambda: gmkz_apply(classical(3), Monomial(2), -0.5), DomainError, _SERIES_X),
     (lambda: _gmkz_series(classical(3), Monomial(2), 1.0), DomainError, _SERIES_X),
 ], ids=["e2-n", "e2-x1", "e2-xneg", "ln-n", "ln-x", "ln-direct-n", "ln-direct-x",
-        "e1-x", "abel-n", "abel-alpha", "apply-x1", "apply-xneg", "series-x"])
+        "e1-x", "abel-n", "abel-alpha", "mkz-n", "mkz-r", "mkz-r-float", "mkz-x0",
+        "mkz-x1", "apply-x1", "apply-xneg", "series-x"])
 def test_moment_argument_checks(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

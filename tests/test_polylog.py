@@ -293,6 +293,22 @@ def _fresh_x():
     _dd.context.cache_clear()
 
 
+@pytest.mark.parametrize("k,x,terms", [
+    (2, math.nextafter(0.6, 0.0), 131),  # the worst case _polylog_dd gives it
+    (39, math.nextafter(0.6, 0.0), 7),
+    (40, 1.0, 7),  # from order 40 on at every x
+    (40, 0.999999, 7),
+    (1000, 1.0, 1),
+])
+def test_dd_polylog_power_series_term_counts(k, x, terms):
+    # the power series has no term cap: it is taken only where it ends
+    # within 131 terms, as its docstring states; the x table of a fresh
+    # context grows to the last term's power
+    _fresh_x()
+    _polylog_power_series(k, x)
+    assert len(_dd.context(x).xpows(0)) - 1 == terms
+
+
 @pytest.mark.parametrize("x", [0.4234567891, 0.8234567891])
 def test_dd_polylog_is_independent_of_the_order_of_orders(x):
     # every order k at one x reads the same per-x parts (log x, log(-log x),
