@@ -127,7 +127,9 @@ def heun_eval(fp: HeunFamilyParams, x: float, K: int) -> SeriesResult:
     """Partial sum of the 2F1 expansion, K terms (fewer if it terminates).
 
     Each leaf is hyp2f1_eval of (m, n; p+2k), at full precision, past the
-    checks HeunFamilyParams and this function made (hypergeom._routes).  A
+    checks HeunFamilyParams and this function made (hypergeom._routes).
+    The leaves share one list of the term-ratio factors of their defining
+    series, which depend on m and n alone (hypergeom._leaf_series).  A
     member that terminates at r gives the exact finite sum for any K >= r,
     with converged True and trunc_err_est 0.0.  Any other partial sum,
     K < r or a member that never terminates, is returned as it is, with
@@ -143,7 +145,8 @@ def heun_eval(fp: HeunFamilyParams, x: float, K: int) -> SeriesResult:
     r = heun_termination(fp)
     kmax = min(K, r) if r is not None else K
     m, n, p = fp.m, float(fp.n), fp.p
-    total = _finite_sum([c * _routes(m, n, p + 2 * k, x)
+    ratios = []  # the leaves' shared term-ratio factors (hypergeom._leaf_series)
+    total = _finite_sum([c * _routes(m, n, p + 2 * k, x, ratios)
                          for k, c in zip(range(kmax), _coeffs(fp))])
     terminated = r is not None and r <= K
     return SeriesResult(value=total, terms_used=kmax, converged=terminated,

@@ -47,12 +47,16 @@ of _enclosures); x = 0 and n = 0 end route 1 or 2 at its first term, 1.0:
   5. the defining series, with bound math.inf: returned with no rounding
      check, or NotConverged where it is not finite.
 
-Both series routes sum one series per call, to numcore's one precision;
-the series and the two tails of route 3 are summed by one flat loop,
-_series, bit for bit numcore.sum_series' SeriesResult with the term ratio
-and tail bound written inline, since in pure Python a generator step and a
-callback per term cost more than the float arithmetic of the term.  A Heun
-leaf enters the routes past hyp2f1_eval's checks (_routes).
+Both series routes sum to numcore's one precision.  The series and the
+two tails of route 3 are summed by one flat loop, _series, bit for bit
+numcore.sum_series' SeriesResult with the term ratio and tail bound written
+inline, since in pure Python a generator step and a callback per term cost
+more than the float arithmetic of the term.  A Heun leaf enters the routes
+past hyp2f1_eval's checks (_routes), with a ratios list that the leaves of
+its sum share: they differ only in c, so the factors (a+k)(b+k), k and k+1
+of the term ratio are formed once per sum, and its defining series is
+summed by _leaf_series, _series' float operations with those factors read
+from the list (bit for bit the same SeriesResult).
 """
 
 from __future__ import annotations
@@ -157,6 +161,52 @@ def _series(a: float, b: float, ib: int, c: float, ic: int, z: float, first: int
         fk += 1.0
         fb += 1.0
         fc += 1.0
+    # still going at the cap
+    return SeriesResult(float(s), _MAX_TERMS, False, math.inf, float(abs_sum))
+
+
+def _leaf_series(a: float, b: float, c: float, z: float, ratios: list):
+    """_series(a, b, 0, c, 0, z, 0) with the factors of its term ratio that
+    depend on neither c nor z read from ratios, one list that the callers
+    at one (a, b) share: entry k is ((a+k)(b+k), k, k+1) as _series forms
+    them, in floats.  A series that runs past the list appends each entry
+    it goes on to, up to numcore's cap, so that a later one reads it.  The
+    float operations of _series in its order: bit for bit its SeriesResult
+    (the tests keep that comparison).  A single series is faster in
+    _series; the table pays where the leaves of one sum share it
+    (heun_eval)."""
+    t = 1.0
+    s = comp = abs_sum = 0.0
+    inf = math.inf
+    if not ratios:
+        ratios.append(((a + 0.0) * (b + 0.0), 0.0, 1.0))  # entry 0, as _series forms it
+    end = float(len(ratios))  # the k+1 of the last entry
+    for ab, fk, fk1 in ratios:
+        at = t if t >= 0.0 else -t
+        if not at < inf:  # an inf or nan term
+            raise NonFinite(f"non-finite term at index {int(fk)}")
+        y = t - comp
+        u = s + y
+        comp = (u - s) - y
+        s = u
+        abs_sum += at
+        nxt = t * (ab / ((c + fk) * fk1) * z)
+        lim = _SERIES_REL_TOL * (s if s >= 0.0 else -s)
+        if at <= lim:
+            k = int(fk)
+            if nxt == 0.0:
+                bound = 0.0
+            else:
+                c1 = c + (k + 1)
+                rho = abs(z) * max(1.0, abs((a + k + 1) / (k + 2))) \
+                    * max(1.0, abs((b + (k + 1)) / c1)) if c1 > 0 else math.inf
+                bound = abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
+            if bound <= lim:
+                return SeriesResult(float(s), k + 1, True, bound, float(abs_sum))
+        t = nxt
+        if fk1 == end < _MAX_TERMS:  # the list iterator goes on to what is appended
+            ratios.append(((a + fk1) * (b + fk1), fk1, fk1 + 1.0))
+            end += 1.0
     # still going at the cap
     return SeriesResult(float(s), _MAX_TERMS, False, math.inf, float(abs_sum))
 
@@ -274,7 +324,8 @@ def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum 
     16 units of 2**-1074 per dd_mul that forms or takes a power or product
     in the subnormal range, or per part that 2**-E scales below it.  None
     where a coefficient passes float range or Dekker's split: the value
-    need not, as at (1, 3; 2901; 0.999), whose series takes 8 terms.
+    need not, as at (1, 3; 2901; 0.999), whose series takes 8 terms; and
+    None where u does (|n| past about 1.3e300), whose dd_mul turns nan.
     """
     q = p - m - 1
     num, den = n.as_integer_ratio()
@@ -303,6 +354,8 @@ def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum 
             scale, err = dd_mul(scale, dd_sqrt(ctx.omx)), err + 2.0
     else:
         u = dd_mul(dd_add(dd_from_int(q + 1), dd(-n)), ctx.log)
+        if not math.isfinite(u[0]):
+            return None  # q+1-n past Dekker's split
         err = 1.0 + 3.0 * abs(u[0])
         if fits:
             scale = dd_exp(u)
@@ -430,7 +483,7 @@ def hyp2f1_closed(params: HypergeomParams, x: float) -> float:
     """
     pair = _closed_route(params.m, params.n, params.p, x)
     if pair is None:
-        raise NotConverged("closed form's coefficients leave float range")
+        raise NotConverged("closed form's power or coefficients leave float range")
     f, bound = pair
     if not certified(f, bound):
         raise NotConverged(f"closed form's rounding bound {bound:.3g} "
@@ -553,12 +606,12 @@ def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
     return _routes(params.m, params.n, params.p, x)
 
 
-def _routes(m: int, n: float, p: int, x: float) -> float:
+def _routes(m: int, n: float, p: int, x: float, ratios: list | None = None) -> float:
     """hyp2f1_eval's routes for a triple HypergeomParams accepts and
-    0 <= x < 1, checked by the caller (heun_eval calls it per leaf): the
-    first value of _enclosures that _dd.certified keeps, else the fallback's
-    if finite."""
-    for value, bound in _enclosures(m, n, p, x):
+    0 <= x < 1, checked by the caller: the first value of _enclosures that
+    _dd.certified keeps, else the fallback's if finite.  heun_eval calls it
+    per leaf, with the one ratios list of its sum (_leaf_series)."""
+    for value, bound in _enclosures(m, n, p, x, ratios):
         if certified(value, bound):
             return value
     if not math.isfinite(value):
@@ -566,12 +619,15 @@ def _routes(m: int, n: float, p: int, x: float) -> float:
     return value
 
 
-def _enclosures(m: int, n: float, p: int, x: float):
+def _enclosures(m: int, n: float, p: int, x: float, ratios: list | None):
     """The routes of the module docstring in order, each as (value, bound),
     formed only when the one before is not kept; the series below 1/2 is
-    summed once and is the fallback's value too."""
+    summed once and is the fallback's value too.  The defining series is
+    hyp2f1_series, or _leaf_series where the caller passed a ratios list:
+    the same SeriesResult."""
     if x < _X_SWITCH:
-        res = hyp2f1_series(float(m), n, float(p), x)
+        res = hyp2f1_series(float(m), n, float(p), x) if ratios is None \
+            else _leaf_series(float(m), n, float(p), x, ratios)
         if not res.converged:
             raise NotConverged("series did not converge")
         yield res.value, res.terms_used * res.abs_sum * 2.0 ** -53
@@ -587,7 +643,8 @@ def _enclosures(m: int, n: float, p: int, x: float):
         if closed is not None:
             yield closed
     if x >= _X_SWITCH:
-        res = hyp2f1_series(float(m), n, float(p), x)
+        res = hyp2f1_series(float(m), n, float(p), x) if ratios is None \
+            else _leaf_series(float(m), n, float(p), x, ratios)
     if not res.converged:
         raise NotConverged("series fallback did not converge")
     yield res.value, math.inf

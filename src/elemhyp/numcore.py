@@ -3,7 +3,8 @@
 The typed errors, the integer-argument check, the series summation engine
 (sum_series) and the one weight series of the operators and kernels
 (_weight_series), a flat loop that does sum_series' float operations, as
-hypergeom._series does for the 2F1 series.
+hypergeom._series does for the 2F1 series (and hypergeom._leaf_series, the
+same operations, for the leaves of one Heun sum).
 Every series in the package is summed to one precision: it stops once a
 bound on its tail is within _dd._SERIES_REL_TOL (1e-17, float64 accuracy) of
 its partial sum, and is cut, not converged, after _MAX_TERMS terms.

@@ -252,7 +252,10 @@ def _leaf_sum(fp, x, K):
 def _heun_leaf_points(count, seed):
     """(member, x, K): terminating members with K past r, other members at
     x = 0, below 1/2 and up to 1 - 1e-12, members whose leaves below 1/2
-    route 1 rejects, and large n next to 1, where leaves raise."""
+    route 1 rejects, and large n next to 1, where leaves raise; then
+    count // 10 members with K >= 33 at x in [0.45, 1/2), whose leaf 0
+    takes 21 to 101 terms at this seed, so the leaves' shared ratios list
+    grows long."""
     rng = random.Random(seed)
     for i in range(count):
         m = rng.randint(1, 6)
@@ -277,6 +280,11 @@ def _heun_leaf_points(count, seed):
             m, p = rng.randint(1, 2), rng.randint(20, 30)
             n, x = rng.uniform(40.0, 65.0), 1.0 - 10.0 ** rng.uniform(-12.0, -6.0)
         yield HeunFamilyParams(m, n, p), x, K
+    for _ in range(count // 10):
+        m = rng.randint(1, 6)
+        n = rng.choice((rng.randint(-20, 19) + 0.5, rng.uniform(-20.0, 20.0)))
+        yield HeunFamilyParams(m, n, m + rng.randint(1, 12)), rng.uniform(0.45, 0.5), \
+            rng.randint(33, 48)
 
 
 def _value_or_error(f, *args):

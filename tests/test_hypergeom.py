@@ -191,6 +191,31 @@ def _near_one_tail_points(count, seed):
         yield q, -n, m + q, q + 1, z
 
 
+def _leaf_series_groups(count, seed):
+    """(a, b, z, cs): the leaves of one shared ratios list, the c's in
+    shuffled order, so that a later leaf often runs past the entries an
+    earlier one appended, by one entry or by many.  z reaches [0.45, 1/2),
+    where a leaf of small c takes 40 terms or more, both signs of 0,
+    5e-324 and both signs up to 0.95; b reaches +-1e308, whose terms pass
+    float range."""
+    rng = random.Random(seed)
+    for i in range(count):
+        a = rng.choice((float(rng.randint(1, 8)), rng.randint(1, 8),
+                        rng.uniform(-25.0, 25.0)))
+        b = rng.choice((-float(rng.randint(0, 30)), rng.uniform(-40.0, 40.0),
+                        float(rng.randint(1, 40)), rng.randint(-20, 19) + 0.5))
+        if i % 25 == 0:
+            b = rng.choice((1e308, -1e308))
+        z = rng.choice((rng.uniform(0.0, 0.5), rng.uniform(0.45, 0.5),
+                        rng.uniform(-0.95, 0.95), 0.0, -0.0, 5e-324))
+        p = rng.randint(2, 60)
+        cs = [float(p + 2 * k) for k in range(rng.randint(1, 12))]
+        if i % 3 == 0:
+            cs += [rng.uniform(0.01, 60.0), rng.uniform(-25.0, 0.0)]
+        rng.shuffle(cs)
+        yield a, b, z, cs
+
+
 def _flat_series_mismatches(count, seed):
     bad = []
     for a, b, ib, c, ic, z in _flat_series_points(count, seed):
@@ -204,6 +229,13 @@ def _flat_series_mismatches(count, seed):
     for args in _near_one_tail_points(count // 2, seed):
         if _outcome(hypergeom._near_one_tail, *args) != _outcome(_composed_near_one_tail, *args):
             bad.append(args)
+    # the shared-table loop against _series, the loop it mirrors
+    for a, b, z, cs in _leaf_series_groups(count // 4, seed):
+        ratios = []
+        for c in cs:
+            if _outcome(hypergeom._leaf_series, a, b, c, z, ratios) \
+                    != _outcome(hypergeom._series, a, b, 0, c, 0, z, 0):
+                bad.append((a, b, c, z, len(ratios)))
     return bad
 
 
@@ -214,6 +246,22 @@ def test_flat_series_matches_the_composed_form():
 @pytest.mark.sweep
 def test_flat_series_matches_the_composed_form_on_a_large_sweep():
     assert _flat_series_mismatches(20000, 3202) == []
+
+
+@pytest.mark.parametrize("a,b,z,cs", [
+    (1.0, 2.5, 0.49, [9.0, 7.0, 5.0, 3.0, 11.0]),  # 37, 41, 46, 53 and 34 terms
+    (2.0, -7.0, 0.3, [4.0, 6.0]),  # terminating: exact zero terms
+    (3.0, 1e308, 0.2, [4.0, 6.0]),  # (a+0)(b+0) = inf: NonFinite at index 1
+    (3.0, -1e308, 0.0, [4.0, 6.0]),  # -inf * 0.0: NonFinite at index 1
+    (1.0, 5.5, -0.0, [3.0]),
+    (1.0, 5.5, 5e-324, [3.0, 5.0]),
+    (2.5, 3.0, -0.9, [-7.5, 4.0]),  # c + k + 1 <= 0 for the first terms
+])
+def test_leaf_series_matches_the_flat_series_at_its_edges(a, b, z, cs):
+    ratios = []
+    for c in cs:
+        assert _outcome(hypergeom._leaf_series, a, b, c, z, ratios) \
+            == _outcome(hypergeom._series, a, b, 0, c, 0, z, 0), (c, len(ratios))
 
 
 def test_flat_series_sums_are_python_floats_for_numpy_parameters():
@@ -1145,11 +1193,24 @@ def test_general_form_declines_where_only_its_coefficients_leave_range(m, n, p, 
     # the general form's heads C(q, i) S_i pass what its sums take; it
     # declines, where it once raised as if the value passed float range
     assert _closed_route(m, n, p, x) is None
-    with pytest.raises(NotConverged, match="coefficients leave float range"):
+    with pytest.raises(NotConverged, match="power or coefficients leave float range"):
         hyp2f1_closed(HypergeomParams(m, n, p), x)
     got = hyp2f1_eval(HypergeomParams(m, n, p), x)
     assert got == want
     assert rel_err(got, mp_ref(m, n, p, x, 50)) <= 1.2e-16
+
+
+def test_general_form_declines_where_its_exponent_leaves_range():
+    # u = (q+1-n) log(1-x) passes Dekker's split at |n| past about 1.3e300:
+    # it was nan, and _dd._exp_parts' round(nan) raised a bare ValueError
+    x = 0.6467903893887852
+    assert _closed_route(2, 1e308, 40, x) is None
+    with pytest.raises(NotConverged, match="power or coefficients leave float range"):
+        hyp2f1_closed(HypergeomParams(2, 1e308, 40), x)
+    with pytest.raises(NonFinite):  # the fallback, route 5
+        hyp2f1_eval(HypergeomParams(2, 1e308, 40), x)
+    with pytest.raises(NonFinite):
+        heun_eval(HeunFamilyParams(2, 1e308, 40), x, 37)
 
 
 def test_eval_fallback_past_float_range_raises():
