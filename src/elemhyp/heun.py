@@ -87,11 +87,13 @@ def _coeffs(fp: HeunFamilyParams):
     ((m+n-1)/2+k) ((p-m)/2+k) ((p-n)/2+k) / ((k+1) (p/2+k) ((p+1)/2+k)),
     up to the last nonzero one: every later coefficient is zero too."""
     m, n, p = fp.m, fp.n, fp.p
+    # the shifts once per call, and k as an exact float: the same floats
+    a1, a2, a3 = (m + n - 1.0) / 2.0, (p - m) / 2.0, (p - n) / 2.0
+    b2, b3 = p / 2.0, (p + 1.0) / 2.0
     c = 1.0
-    for k in count():
+    for k in count(0.0):
         yield c
-        num = ((m + n - 1.0) / 2.0 + k) * ((p - m) / 2.0 + k) * ((p - n) / 2.0 + k)
-        c *= num / ((k + 1.0) * (p / 2.0 + k) * ((p + 1.0) / 2.0 + k))
+        c *= (a1 + k) * (a2 + k) * (a3 + k) / ((k + 1.0) * (b2 + k) * (b3 + k))
         if c == 0.0:
             return
 
@@ -128,8 +130,9 @@ def heun_eval(fp: HeunFamilyParams, x: float, K: int) -> SeriesResult:
 
     Each leaf is hyp2f1_eval of (m, n; p+2k), at full precision, past the
     checks HeunFamilyParams and this function made (hypergeom._routes).
-    The leaves share one list of the term-ratio factors of their defining
-    series, which depend on m and n alone (hypergeom._leaf_series).  A
+    Below x = 1/2 the leaves share one list of the term-ratio factors of
+    their defining series, which depend on m and n alone
+    (hypergeom._leaf_series).  A
     member that terminates at r gives the exact finite sum for any K >= r,
     with converged True and trunc_err_est 0.0.  Any other partial sum,
     K < r or a member that never terminates, is returned as it is, with

@@ -54,9 +54,10 @@ inline, since in pure Python a generator step and a callback per term cost
 more than the float arithmetic of the term.  A Heun leaf enters the routes
 past hyp2f1_eval's checks (_routes), with a ratios list that the leaves of
 its sum share: they differ only in c, so the factors (a+k)(b+k), k and k+1
-of the term ratio are formed once per sum, and its defining series is
-summed by _leaf_series, _series' float operations with those factors read
-from the list (bit for bit the same SeriesResult).
+of the term ratio are formed once per sum, and route 1 sums its defining
+series by _leaf_series, _series' float operations with those factors read
+from the list, returning route 1's pair (bit for bit the same value and
+bound).  The fallback above 1/2 sums the leaf by _series.
 """
 
 from __future__ import annotations
@@ -166,18 +167,24 @@ def _series(a: float, b: float, ib: int, c: float, ic: int, z: float, first: int
 
 
 def _leaf_series(a: float, b: float, c: float, z: float, ratios: list):
-    """_series(a, b, 0, c, 0, z, 0) with the factors of its term ratio that
-    depend on neither c nor z read from ratios, one list that the callers
-    at one (a, b) share: entry k is ((a+k)(b+k), k, k+1) as _series forms
-    them, in floats.  A series that runs past the list appends each entry
-    it goes on to, up to numcore's cap, so that a later one reads it.  The
-    float operations of _series in its order: bit for bit its SeriesResult
-    (the tests keep that comparison).  A single series is faster in
-    _series; the table pays where the leaves of one sum share it
-    (heun_eval)."""
+    """Route 1's pair for _series(a, b, 0, c, 0, z, 0), summed with the
+    factors of its term ratio that depend on neither c nor z read from
+    ratios, one list that the callers at one (a, b) share: entry k is
+    ((a+k)(b+k), k, k+1) as _series forms them, in floats.  A series that
+    runs past the list appends each entry it goes on to, so that a later
+    one reads it; a series that runs to numcore's cap leaves _MAX_TERMS
+    entries, about 12 MB, until the callers drop the list.
+
+    The float operations of _series in its order, with k, k+1 and k+2 of
+    its tail bound as the exact floats fk, fk1 and fk1+1: its value, and
+    the bound terms * sum|term| * 2**-53 that _enclosures forms from it (the
+    tests keep that comparison); None where _series' result is not
+    converged.  A single series is faster in _series; the table pays where
+    the leaves of one sum share it (heun_eval)."""
     t = 1.0
     s = comp = abs_sum = 0.0
     inf = math.inf
+    tol = _SERIES_REL_TOL
     if not ratios:
         ratios.append(((a + 0.0) * (b + 0.0), 0.0, 1.0))  # entry 0, as _series forms it
     end = float(len(ratios))  # the k+1 of the last entry
@@ -191,24 +198,23 @@ def _leaf_series(a: float, b: float, c: float, z: float, ratios: list):
         s = u
         abs_sum += at
         nxt = t * (ab / ((c + fk) * fk1) * z)
-        lim = _SERIES_REL_TOL * (s if s >= 0.0 else -s)
+        lim = tol * (s if s >= 0.0 else -s)
         if at <= lim:
-            k = int(fk)
             if nxt == 0.0:
                 bound = 0.0
             else:
-                c1 = c + (k + 1)
-                rho = abs(z) * max(1.0, abs((a + k + 1) / (k + 2))) \
-                    * max(1.0, abs((b + (k + 1)) / c1)) if c1 > 0 else math.inf
+                c1 = c + fk1
+                rho = abs(z) * max(1.0, abs((a + fk + 1.0) / (fk1 + 1.0))) \
+                    * max(1.0, abs((b + fk1) / c1)) if c1 > 0 else math.inf
                 bound = abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
             if bound <= lim:
-                return SeriesResult(float(s), k + 1, True, bound, float(abs_sum))
+                return float(s), fk1 * float(abs_sum) * 2.0 ** -53
         t = nxt
-        if fk1 == end < _MAX_TERMS:  # the list iterator goes on to what is appended
-            ratios.append(((a + fk1) * (b + fk1), fk1, fk1 + 1.0))
-            end += 1.0
-    # still going at the cap
-    return SeriesResult(float(s), _MAX_TERMS, False, math.inf, float(abs_sum))
+        if fk1 == end:  # the list iterator goes on to what is appended
+            if end < _MAX_TERMS:
+                ratios.append(((a + fk1) * (b + fk1), fk1, fk1 + 1.0))
+                end += 1.0
+    return None  # still going at the cap
 
 
 @lru_cache(maxsize=4096)
@@ -622,15 +628,20 @@ def _routes(m: int, n: float, p: int, x: float, ratios: list | None = None) -> f
 def _enclosures(m: int, n: float, p: int, x: float, ratios: list | None):
     """The routes of the module docstring in order, each as (value, bound),
     formed only when the one before is not kept; the series below 1/2 is
-    summed once and is the fallback's value too.  The defining series is
-    hyp2f1_series, or _leaf_series where the caller passed a ratios list:
-    the same SeriesResult."""
+    summed once and is the fallback's value too.  Route 1 sums it with
+    hyp2f1_series, or with _leaf_series where the caller passed a ratios
+    list: the same pair."""
     if x < _X_SWITCH:
-        res = hyp2f1_series(float(m), n, float(p), x) if ratios is None \
-            else _leaf_series(float(m), n, float(p), x, ratios)
-        if not res.converged:
+        if ratios is None:
+            res = hyp2f1_series(float(m), n, float(p), x)
+            pair = (res.value, res.terms_used * res.abs_sum * 2.0 ** -53) \
+                if res.converged else None
+        else:
+            pair = _leaf_series(float(m), n, float(p), x, ratios)
+        if pair is None:
             raise NotConverged("series did not converge")
-        yield res.value, res.terms_used * res.abs_sum * 2.0 ** -53
+        yield pair
+        value = pair[0]
     # summed exactly: no log and no x**(1-p) prefactor, as a closed form has
     if n <= 0.0 and float(n).is_integer() and -n <= 40:
         yield _short_poly_exact(m, -int(n), p, x), 0.0
@@ -643,8 +654,8 @@ def _enclosures(m: int, n: float, p: int, x: float, ratios: list | None):
         if closed is not None:
             yield closed
     if x >= _X_SWITCH:
-        res = hyp2f1_series(float(m), n, float(p), x) if ratios is None \
-            else _leaf_series(float(m), n, float(p), x, ratios)
-    if not res.converged:
-        raise NotConverged("series fallback did not converge")
-    yield res.value, math.inf
+        res = hyp2f1_series(float(m), n, float(p), x)
+        if not res.converged:
+            raise NotConverged("series fallback did not converge")
+        value = res.value
+    yield value, math.inf

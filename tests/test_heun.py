@@ -1,5 +1,6 @@
 """The expanded equation family: parameters, termination, values, residuals."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -86,6 +87,26 @@ def test_expansion_coefficients_on_the_reference_member():
     want = [1.0, 1.0 / 6.0, 1.0 / 15.0, 1.0 / 28.0]
     for k, w in enumerate(want):
         assert math.isclose(heun_coeff(fp, k), w, rel_tol=1e-14)
+
+
+def test_expansion_coefficients_are_the_ratio_formed_per_term():
+    # _coeffs forms the shifts of its ratio once per member, with k as a
+    # float: the floats of the ratio written out per k, bit for bit
+    rng = random.Random(4401)
+    for _ in range(400):
+        m = rng.randint(1, 6)
+        n = rng.choice((rng.uniform(-40.0, 40.0), rng.randint(-30, 30) + 0.5,
+                        float(rng.randint(-30, 30) or 1), rng.choice((1e308, -3e300, 1e-300))))
+        p = m + rng.randint(1, 60)
+        got = list(itertools.islice(heun._coeffs(HeunFamilyParams(m, n, p)), 60))
+        want, c = [], 1.0
+        for k in range(60):
+            want.append(c)
+            num = ((m + n - 1.0) / 2.0 + k) * ((p - m) / 2.0 + k) * ((p - n) / 2.0 + k)
+            c *= num / ((k + 1.0) * (p / 2.0 + k) * ((p + 1.0) / 2.0 + k))
+            if c == 0.0:
+                break
+        assert list(map(repr, got)) == list(map(repr, want)), (m, n, p)
 
 
 @pytest.mark.parametrize("mnp,r", sorted(TERMINATING.items()))
