@@ -186,10 +186,13 @@ def combo_eval(c: SymbolicCombo, x: float) -> float:
         acc.div(dd_npow(dd(x), c.n), c.n)
     except ZeroDivisionError:  # (1-x)**i or x**n underflows to 0
         raise NotConverged("combo evaluation: a power underflows float range") from None
+    except OverflowError:  # dd_from_ratio: a coefficient past float range
+        raise NotConverged("combo evaluation: a coefficient passes float range") from None
     value = dd_to_float(acc.total)
-    if not certified(value, acc.bound):
-        raise NotConverged(f"combo evaluation: rounding bound {acc.bound:.3g} "
-                           f"exceeds {_GUARD_REL:g} of its value")
+    if not certified(value, acc.bound):  # a finite bound has a finite value
+        raise NotConverged(f"combo evaluation: rounding bound {acc.bound:.3g} exceeds "
+                           f"{_GUARD_REL:g} of its value" if math.isfinite(acc.bound)
+                           else "combo evaluation: the rounding bound is not finite")
     return value
 
 

@@ -209,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalized", action="store_true",
                    help="divide by the value at 0")
     p.add_argument("--check-ode", action="store_true",
-                   help="append a finite-difference residual of the equation")
+                   help="append the equation's residual, from derivative leaves")
     p.set_defaults(func=cmd_heun)
 
     p = sub.add_parser("verify",

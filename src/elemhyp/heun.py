@@ -147,13 +147,19 @@ def heun_eval(fp: HeunFamilyParams, x: float, K: int) -> SeriesResult:
         raise DomainError("expansion requires 0 <= x < 1")
     r = heun_termination(fp)
     kmax = min(K, r) if r is not None else K
-    m, n, p = fp.m, float(fp.n), fp.p
-    ratios = []  # the leaves' shared term-ratio factors (hypergeom._leaf_series)
-    total = _finite_sum([c * _routes(m, n, p + 2 * k, x, ratios)
-                         for k, c in zip(range(kmax), _coeffs(fp))])
+    total = _finite_sum(_leaf_terms(fp, x, kmax, 0))
     terminated = r is not None and r <= K
     return SeriesResult(value=total, terms_used=kmax, converged=terminated,
                         trunc_err_est=0.0 if terminated else math.inf)
+
+
+def _leaf_terms(fp: HeunFamilyParams, x: float, kmax: int, s: int) -> list:
+    """c_k * 2F1(m+s, n+s; p+2k+s; x) for k < kmax, each leaf by _routes on
+    one list of term-ratio factors (hypergeom._leaf_series): s = 0 gives the
+    terms of the expansion, s = 1 those of its derivative (DLMF 15.5.1)."""
+    m, n, p, ratios = fp.m + s, float(fp.n) + s, fp.p + s, []
+    return [c * _routes(m, n, p + 2 * k, x, ratios)
+            for k, c in zip(range(kmax), _coeffs(fp))]
 
 
 def heun_normalization(fp: HeunFamilyParams) -> float:
@@ -210,24 +216,27 @@ def _finite_sum(terms: list) -> float:
 
 
 def heun_ode_residual(fp: HeunFamilyParams, x: float, K: int) -> float:
-    """Relative residual of the expansion in the equation, by 5-point stencils
-    of step h = 1e-3.
+    """Relative residual of the expansion in the equation, its derivatives
+    read from the leaves.
 
-    The residual is |u'' + c1 u' + c0 u| scaled by the sum of the three
-    magnitudes, so finite-difference noise of order h**2 (plus rounding of
-    order eps/h**2) is the accuracy floor, not the equation itself.
+    With q_k = p+2k and G_k = 2F1(m+1, n+1; q_k+1; x), DLMF 15.5.1 gives
+    u' = m n sum c_k G_k / q_k, and each leaf's own equation (DLMF 15.10.1)
+    gives x(1-x) u'' = (m+n+1) x u' - m n sum c_k G_k + m n u, over the
+    leaves heun_eval sums (_coeffs ends at the termination index).  The
+    equation is taken times x(x-1)(x-a), so that its three terms need no
+    division, and the residual is the magnitude of their sum over the sum
+    of their magnitudes: the rounding of the leaves and of the sums is its
+    floor.  x must lie in 0 < x < 1 away from the singular point 1/2.
     """
-    h = 1e-3
-    if not 2.0 * h < x < 0.5 - 2.0 * h:
-        raise DomainError("x must keep clear of the singular points 0 and 1/2")
-    u = [heun_eval(fp, x + i * h, K).value for i in (-2, -1, 0, 1, 2)]
-    d1 = (u[0] - 8.0 * u[1] + 8.0 * u[3] - u[4]) / (12.0 * h)
-    d2 = (-u[0] + 16.0 * u[1] - 30.0 * u[2] + 16.0 * u[3] - u[4]) / (12.0 * h * h)
+    if not (0.0 < x < 1.0 and x != 0.5):  # nan too
+        raise DomainError("x must lie in (0, 1) away from the singular point 1/2")
+    u, mn = heun_eval(fp, x, K).value, fp.m * float(fp.n)
+    g = _leaf_terms(fp, x, K, 1)
+    d1 = mn * _finite_sum([t / (fp.p + 2 * k) for k, t in enumerate(g)])
     s = heun_params_from(fp)
-    c1 = s.gamma / x + s.delta / (x - 1.0) + s.epsilon / (x - s.a)
-    c0 = (s.alpha * s.beta * x - s.q) / (x * (x - 1.0) * (x - s.a))
-    num = abs(d2 + c1 * d1 + c0 * u[2])
-    scale = abs(d2) + abs(c1 * d1) + abs(c0 * u[2])
-    if scale == 0.0:
-        return 0.0
-    return num / scale
+    t2 = (s.a - x) * ((fp.m + fp.n + 1.0) * x * d1 - mn * _finite_sum(g) + mn * u)
+    t1 = d1 * (s.gamma * (x - 1.0) * (x - s.a) + s.delta * x * (x - s.a)
+               + s.epsilon * x * (x - 1.0))
+    t0 = (s.alpha * s.beta * x - s.q) * u
+    scale = abs(t2) + abs(t1) + abs(t0)
+    return abs(t2 + t1 + t0) / scale if scale else 0.0

@@ -32,12 +32,13 @@ from .polylog import _polylog_dd
 SUITE_NAMES = ("hypergeom", "mkz", "basis", "heun")
 
 # The exact-arithmetic suites are judged at the one certification threshold;
-# heun's finite-difference ODE residual floors near 1e-10.
+# heun's float sums of c_k * leaf cancel, to 7.8e-13 against its oracle, and
+# its ODE residual, from the leaves' exact derivatives, reads up to 4.0e-14.
 SUITE_TOLERANCES = {
     "hypergeom": _GUARD_REL,
     "mkz": _GUARD_REL,
     "basis": _GUARD_REL,
-    "heun": 1e-3,
+    "heun": 1e-12,
 }
 
 _XGRID = [round(0.1 * i, 1) for i in range(1, 10)]

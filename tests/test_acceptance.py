@@ -238,7 +238,7 @@ def test_criterion_7_terminating_expansions_are_consistent():
             worst_oracle = max(worst_oracle, rel(got, want))
     elapsed = time.monotonic() - t0
     ok = (identities_exact and worst_drift <= 1e-14 and worst_oracle <= 1e-8
-          and worst_resid <= 1e-3 and elapsed < 20.0)
+          and worst_resid <= 1e-12 and elapsed < 20.0)
     report("terminating expansions", ok,
            f"identities {'exact' if identities_exact else 'BROKEN'}, "
            f"drift {worst_drift:.3e}, oracle {worst_oracle:.3e}, "
@@ -246,7 +246,7 @@ def test_criterion_7_terminating_expansions_are_consistent():
     assert identities_exact
     assert worst_drift <= 1e-14
     assert worst_oracle <= 1e-8
-    assert worst_resid <= 1e-3
+    assert worst_resid <= 1e-12
     assert elapsed < 20.0
 
 
@@ -273,9 +273,9 @@ def test_criterion_7_nonterminating_expansion_matches_oracle():
 
 @pytest.mark.xfail(strict=True, reason=(
     "the truncated expansion of non-terminating members does not satisfy the "
-    "defining equation: the relative finite-difference residual stays "
-    "between 0.74 and 0.99 on this grid regardless of truncation depth, far "
-    "above the 1e-3 target"))
+    "defining equation: the relative residual, with u' and u'' read from "
+    "the derivative leaves (DLMF 15.5.1), stays between 0.74 and 0.99 on "
+    "this grid regardless of truncation depth, far above the 1e-3 target"))
 def test_criterion_7_nonterminating_expansion_solves_the_equation():
     worst = 0.0
     for m, n, p in NON_TERMINATING:
@@ -310,7 +310,7 @@ def test_criterion_8_cli_verification_and_pinned_outputs(tmp_path):
     # the report is bit-stable: a change that moves it records why in
     # CHANGES.md and pins the new digest here
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "f43bd65b5e0509c2639763c2cd7dac4a7e7c3c62ada963550de7db5158d25af6")
+        "e50cbd8089e5ed571484a7e5326cc315cd0c39009515f8868b1926f9dc684e2e")
 
     pinned = [
         (["hyp2f1", "--m", "1", "--n", "2", "--p", "3", "--x", "0.5",

@@ -17,7 +17,8 @@ import sys
 import pytest
 
 from elemhyp import (
-    HypergeomParams, cli, gmkz_moment_abel, hyp2f1_closed, mkz, mkz_moment,
+    HypergeomParams, NotConverged, cli, combo_eval, fnj_combo, gmkz_moment_abel,
+    hyp2f1_closed, mkz, mkz_moment,
 )
 
 CMD = [sys.executable, "-m", "elemhyp"]
@@ -360,6 +361,21 @@ def test_fnj_underflowing_power_of_one_minus_x_exits_1():
     assert r.stderr == "error: combo evaluation: a power underflows float range\n"
 
 
+def test_fnj_coefficient_past_float_range_exits_1():
+    # f_{1060,2}'s combo has a coefficient past float range, and at n = 1000 a
+    # sum whose rounding bound is nan: both were a bare OverflowError or a
+    # message showing nan
+    for n, j, x, why in ((1060, 2, "0.5", "a coefficient passes float range"),
+                         (1060, 3, "0.1", "a coefficient passes float range"),
+                         (1000, 2, "0.5", "the rounding bound is not finite")):
+        with pytest.raises(NotConverged, match=f"^combo evaluation: {why}$"):
+            combo_eval(fnj_combo(n, j), float(x))
+        r = run("fnj", "--n", str(n), "--j", str(j), "--x", x)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert r.stderr == f"error: combo evaluation: {why}\n"
+
+
 def test_fnj_uncertified_combo_exits_1():
     # the combo cancels by ~1e139 at this x, and was 3.1e113 off
     r = run("fnj", "--n", "19", "--j", "8", "--x", "4.7e-8")
@@ -411,7 +427,7 @@ def test_heun_normalized_and_residual_routes():
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["termination"] == 2
-    assert doc["ode_residual"] < 1e-6
+    assert doc["ode_residual"] < 1e-12
     raw = run("heun", "--m", "2", "--n", "-3", "--p", "5", "--x", "0.3")
     assert json.loads(raw.stdout)["value"] == pytest.approx(
         doc["value"] * doc["normalization"], rel=1e-13)

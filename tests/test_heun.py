@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from elemhyp import (
@@ -214,19 +215,66 @@ def test_terminating_eval_matches_the_oracle(mnp):
         assert math.isclose(got, want, rel_tol=1e-10)
 
 
+# (1, -6; 3) is the member whose float sum cancels: heun_eval is 9.2e-14,
+# 6.0e-12 and 5.2e-13 off mpmath at 0.3, 0.7 and 0.99, and at 0.7 the
+# residual shows it (3.1e-12)
+RESIDUAL_SHOWS_VALUE_ERROR = {((1, -6.0, 3), 0.7)}
+
+
 @pytest.mark.parametrize("mnp,r", sorted(TERMINATING.items()))
 def test_terminating_eval_satisfies_the_equation(mnp, r):
     fp = HeunFamilyParams(*mnp)
-    for x in (0.15, 0.3):
-        assert heun_ode_residual(fp, x, r + 2) < 1e-6
+    for x in (0.01, 0.15, 0.3, 0.7, 0.99):
+        residual = heun_ode_residual(fp, x, r + 2)
+        shows_value_error = (mnp, x) in RESIDUAL_SHOWS_VALUE_ERROR
+        assert (residual > 1e-12) is shows_value_error, (x, residual)
 
 
 def test_residual_domain():
     fp = HeunFamilyParams(2, -1.0, 4)
-    with pytest.raises(DomainError):
-        heun_ode_residual(fp, 0.4995, 3)
-    with pytest.raises(DomainError):
-        heun_ode_residual(fp, 1e-3, 3)
+    for x in (0.0, 0.5, 1.0, -0.1, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            heun_ode_residual(fp, x, 3)
+    # the edges of the stencil it replaced, and the extremes of the domain
+    for x in (1e-3, 0.4995, 5e-324, 0.5000000000000001, 1.0 - 2.0 ** -53):
+        assert heun_ode_residual(fp, x, 3) <= 1e-12
+
+
+def _mp_leaf_sum(fp, x, r):
+    """sum_(k<r) c_k 2F1(m, n; p+2k; x) at 40 digits, the c_k from their
+    ratio in mpmath."""
+    m, n, p = fp.m, mp.mpf(fp.n), fp.p
+    with mp.workdps(40):
+        c, total = mp.mpf(1), mp.mpf(0)
+        for k in range(r):
+            total += c * mp.hyp2f1(m, n, p + 2 * k, x)
+            c *= ((m + n - 1) / 2 + k) * (mp.mpf(p - m) / 2 + k) * ((p - n) / 2 + k) \
+                / ((k + 1) * (mp.mpf(p) / 2 + k) * (mp.mpf(p + 1) / 2 + k))
+        return total
+
+
+@pytest.mark.sweep
+def test_residual_is_exact_where_the_sum_is_on_a_sweep():
+    """Terminating members of both branches (m <= 6, p <= m+40, r <= 10) at
+    x across (0, 1) but 1/2, two thirds of them 1e-8 to 0.1 from 0 or 1:
+    wherever heun_eval is within 1e-14 of the 40-digit sum, the residual is
+    within 1e-12.  The rest are the members whose float sum cancels; the
+    test pins their count, the worst off by 1.2e1 relative."""
+    rng = random.Random(4601)
+    exact, cancelling = [], []
+    for i in range(300):
+        m, branch_r = rng.randint(1, 6), rng.randint(1, 10)
+        p = m + rng.randint(1, 40)
+        n = float(3 - 2 * branch_r - m) if i % 2 else float(p + 2 * branch_r - 2)
+        fp = HeunFamilyParams(m, n or -2.0, p)  # n = 0 is no member
+        x = rng.choice((rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-8.0, -1.0),
+                        1.0 - 10.0 ** rng.uniform(-8.0, -1.0)))
+        r = heun_termination(fp)  # branch_r, or less where the other branch holds too
+        err = abs(mp.mpf(heun_eval(fp, x, r + 2).value) / _mp_leaf_sum(fp, x, r) - 1)
+        (exact if err <= 1e-14 else cancelling).append(
+            (fp, x, float(err), heun_ode_residual(fp, x, r + 2)))
+    assert all(row[3] <= 1e-12 for row in exact), [row for row in exact if row[3] > 1e-12]
+    assert (len(exact), len(cancelling)) == (136, 164)
 
 
 def test_eval_validation():
