@@ -9,7 +9,7 @@ significant digits) and rounds once at the very end.
 Representation: a pair (hi, lo) of floats with hi = fl(hi + lo) and
 |lo| <= ulp(hi)/2.  Algorithms are the classic error-free transformations
 (Dekker, Knuth); products use Dekker splitting because math.fma arrived only
-in Python 3.13 and 3.10 is supported.
+in Python 3.13 and 3.10 is supported.  An int i enters as dd_from_ratio(i, 1).
 
 dd_add and dd_mul are flat: each writes out the two-sum or the split
 two-product and the quick-two-sum renormalization in one function body,
@@ -62,13 +62,6 @@ DD = tuple  # (hi, lo)
 def dd(x: float) -> DD:
     """Exact embedding of a float."""
     return (float(x), 0.0)
-
-
-def dd_from_int(i: int) -> DD:
-    """Exact for |i| < 2**106; relative error ~1e-32 beyond."""
-    hi = float(i)
-    lo = float(i - int(hi))
-    return (hi, lo)
 
 
 def dd_from_ratio(num: int, den: int) -> DD:
@@ -316,13 +309,13 @@ def power_integral_dd(shift: int, n: float, one_minus_x: DD, log_1mx: DD) -> DD:
     relative accuracy for small w * log(1-x).  No closed form calls it now
     (hypergeom._eq_general sums all its integrals at once).
     """
-    w = dd_add(dd_from_int(shift + 1), dd(-n))
+    w = dd_add(dd_from_ratio(shift + 1, 1), dd(-n))
     if w[1] == 0.0 and w[0].is_integer():
         wi = int(w[0])
         if wi == 0:
             return dd_neg(log_1mx)
         pw = dd_npow(one_minus_x, wi)
-        return dd_div(dd_sub(dd(1.0), pw), dd_from_int(wi))
+        return dd_div(dd_sub(dd(1.0), pw), dd_from_ratio(wi, 1))
     arg = dd_mul(w, log_1mx)
     return dd_div(dd_neg(dd_expm1(arg)), w)
 

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict
 
 from ._dd import (
     _GUARD_REL, BoundedSum, certified, context, dd, dd_from_ratio, dd_mul,
@@ -90,7 +89,7 @@ class SymbolicCombo:
 
     n: int
     j: int
-    terms: Dict[BasisFunction, Fraction]
+    terms: dict[BasisFunction, Fraction]
 
     def __post_init__(self):
         if self.n < 1:

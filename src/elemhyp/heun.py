@@ -166,13 +166,13 @@ def heun_normalization(fp: HeunFamilyParams) -> float:
     """u(0) = sum_{k<r} c_k, the value the oracle comparisons normalize by.
 
     Defined only for a member that terminates at r: any other member raises
-    DomainError, since its expansion is not the Heun solution; a c_k past
-    float range raises NonFinite (_finite_sum), as in heun_eval.
+    DomainError, since its expansion is not the Heun solution; the first
+    c_k past float range raises NonFinite (_finite_sum), as in heun_eval.
     """
     r = heun_termination(fp)
     if r is None:
         raise DomainError("the expansion does not terminate: no value at 0")
-    return _finite_sum(list(islice(_coeffs(fp), r)))
+    return _finite_sum(c for _, c in zip(range(r), _coeffs(fp)))
 
 
 def heun_series_oracle(spec: HeunSpec, x: float) -> float:
@@ -206,13 +206,15 @@ def heun_series_oracle(spec: HeunSpec, x: float) -> float:
     return _finite_sum(terms)
 
 
-def _finite_sum(terms: list) -> float:
-    """math.fsum of a finite list of terms, correctly rounded; an inf or
+def _finite_sum(terms) -> float:
+    """math.fsum of finitely many terms, correctly rounded; the first inf or
     nan term raises NonFinite (fsum would return inf, nan or raise)."""
+    checked = []
     for i, t in enumerate(terms):
         if not math.isfinite(t):
             raise NonFinite(f"non-finite term at index {i}")
-    return math.fsum(terms)
+        checked.append(t)
+    return math.fsum(checked)
 
 
 def heun_ode_residual(fp: HeunFamilyParams, x: float, K: int) -> float:
@@ -227,6 +229,7 @@ def heun_ode_residual(fp: HeunFamilyParams, x: float, K: int) -> float:
     division, and the residual is the magnitude of their sum over the sum
     of their magnitudes: the rounding of the leaves and of the sums is its
     floor.  x must lie in 0 < x < 1 away from the singular point 1/2.
+    A term or their scale past float range (q of a huge n) raises NonFinite.
     """
     if not (0.0 < x < 1.0 and x != 0.5):  # nan too
         raise DomainError("x must lie in (0, 1) away from the singular point 1/2")
@@ -239,4 +242,6 @@ def heun_ode_residual(fp: HeunFamilyParams, x: float, K: int) -> float:
                + s.epsilon * x * (x - 1.0))
     t0 = (s.alpha * s.beta * x - s.q) * u
     scale = abs(t2) + abs(t1) + abs(t0)
+    if not math.isfinite(scale):  # an inf or nan term too
+        raise NonFinite("the equation's terms leave float range")
     return abs(t2 + t1 + t0) / scale if scale else 0.0

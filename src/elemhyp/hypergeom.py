@@ -47,17 +47,17 @@ of _enclosures); x = 0 and n = 0 end route 1 or 2 at its first term, 1.0:
   5. the defining series, with bound math.inf: returned with no rounding
      check, or NotConverged where it is not finite.
 
-Both series routes sum to numcore's one precision.  The series and the
-two tails of route 3 are summed by one flat loop, _series, bit for bit
-numcore.sum_series' SeriesResult with the term ratio and tail bound written
-inline, since in pure Python a generator step and a callback per term cost
-more than the float arithmetic of the term.  A Heun leaf enters the routes
-past hyp2f1_eval's checks (_routes), with a ratios list that the leaves of
-its sum share: they differ only in c, so the factors (a+k)(b+k), k and k+1
-of the term ratio are formed once per sum, and route 1 sums its defining
-series by _leaf_series, _series' float operations with those factors read
-from the list, returning route 1's pair (bit for bit the same value and
-bound).  The fallback above 1/2 sums the leaf by _series.
+Both series routes sum to numcore's one precision.  The series and the two
+tails of route 3 are summed by one flat loop, _series, bit for bit
+numcore.sum_series' SeriesResult with the term ratio inline and the tail
+bound by _tail_bound, since in pure Python a generator step and a callback
+per term cost more than the float arithmetic of the term.  A Heun leaf
+enters the routes past hyp2f1_eval's checks (_routes), with a ratios list
+that the leaves of its sum share: they differ only in c, so the factors
+(a+k)(b+k), k and k+1 of the term ratio are formed once per sum, and route
+1 sums its defining series by _leaf_series, _series' float operations with
+those factors read from the list, returning route 1's pair (bit for bit the
+same value and bound).  The fallback above 1/2 sums the leaf by _series.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ from functools import lru_cache
 
 from ._dd import (
     _GUARD_REL, _SERIES_REL_TOL, _SPLIT, U, BoundedSum, ClosedFormContext,
-    _exp_parts, certified, context, dd, dd_add, dd_div, dd_exp, dd_from_int,
-    dd_from_ratio, dd_mul, dd_neg, dd_npow, dd_sqrt, dd_to_float,
+    _exp_parts, certified, context, dd, dd_add, dd_div, dd_exp, dd_from_ratio,
+    dd_mul, dd_neg, dd_npow, dd_sqrt, dd_to_float,
 )
 from .numcore import (
     _LOG_FLOAT_MAX, _MAX_TERMS, DomainError, InvalidParams, NonFinite,
@@ -115,16 +115,10 @@ def hyp2f1_series(a: float, b: float, c: float, x: float) -> SeriesResult:
 def _series(a: float, b: float, ib: int, c: float, ic: int, z: float, first: int):
     """The series with t_0 = 1 and term ratios
     (a+j)(b+(ib+j)) / ((c+(ic+j))(j+1)) z, summed from term first by
-    sum_series' float operations in its order, with this term source and
-    tail bound inline: bit for bit sum_series' SeriesResult (the tests keep
-    that composition as the reference), its sums Python floats, as
-    sum_series' float(term) makes them for numpy parameters.
-
-    Past term k, while c1 = c+(ic+k+1) > 0, the factors |(a+i)/(i+1)| and
-    |(b+(ib+i))/(c+(ic+i))| of the later term ratios are monotone in i and
-    tend to 1, so rho = |z| max(1, |(a+k+1)/(k+2)|) max(1, |(b+(ib+k+1))/c1|)
-    bounds every one of them and |t_(k+1)| / (1 - rho) the tail: math.inf
-    while c1 <= 0 or rho >= 1, 0 once the terms are exact zeros.
+    sum_series' float operations in its order, with this term source inline
+    and the tail bound of _tail_bound: bit for bit sum_series' SeriesResult
+    (the tests keep that composition as the reference), its sums Python
+    floats, as sum_series' float(term) makes them for numpy parameters.
 
     |t| and |s| come from a sign test, as in numcore._weight_series: abs's
     floats, save that -0.0 stays -0.0, which adds, compares and scales as
@@ -149,13 +143,8 @@ def _series(a: float, b: float, ib: int, c: float, ic: int, z: float, first: int
         nxt = t * ((a + fk) * (b + fb) / ((c + fc) * (fk + 1.0)) * z)
         lim = _SERIES_REL_TOL * (s if s >= 0.0 else -s)
         if at <= lim:
-            if nxt == 0.0:
-                bound = 0.0
-            else:
-                c1 = c + (ic + k + 1)
-                rho = abs(z) * max(1.0, abs((a + k + 1) / (k + 2))) \
-                    * max(1.0, abs((b + (ib + k + 1)) / c1)) if c1 > 0 else math.inf
-                bound = abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
+            bound = _tail_bound(nxt, z, a + k + 1, k + 2,
+                                b + (ib + k + 1), c + (ic + k + 1))
             if bound <= lim:
                 return SeriesResult(float(s), k + 1 - first, True, bound, float(abs_sum))
         t = nxt
@@ -164,6 +153,20 @@ def _series(a: float, b: float, ib: int, c: float, ic: int, z: float, first: int
         fc += 1.0
     # still going at the cap
     return SeriesResult(float(s), _MAX_TERMS, False, math.inf, float(abs_sum))
+
+
+def _tail_bound(nxt, z, a1, k2, b1, c1):
+    """The tail bound of _series past term k, from nxt = t_(k+1) and the
+    shifted factors a1, k2, b1, c1 = a+k+1, k+2, b+(ib+k+1), c+(ic+k+1): while
+    c1 > 0, the factors |(a+i)/(i+1)| and |(b+(ib+i))/(c+(ic+i))| of the later
+    term ratios are monotone in i and tend to 1, so rho = |z| max(1, |a1/k2|)
+    max(1, |b1/c1|) bounds every one of them and |nxt| / (1 - rho) the tail:
+    math.inf while c1 <= 0 or rho >= 1, 0 once the terms are exact zeros."""
+    if nxt == 0.0:
+        return 0.0
+    rho = abs(z) * max(1.0, abs(a1 / k2)) * max(1.0, abs(b1 / c1)) \
+        if c1 > 0 else math.inf
+    return abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
 
 
 def _leaf_series(a: float, b: float, c: float, z: float, ratios: list):
@@ -200,13 +203,7 @@ def _leaf_series(a: float, b: float, c: float, z: float, ratios: list):
         nxt = t * (ab / ((c + fk) * fk1) * z)
         lim = tol * (s if s >= 0.0 else -s)
         if at <= lim:
-            if nxt == 0.0:
-                bound = 0.0
-            else:
-                c1 = c + fk1
-                rho = abs(z) * max(1.0, abs((a + fk + 1.0) / (fk1 + 1.0))) \
-                    * max(1.0, abs((b + fk1) / c1)) if c1 > 0 else math.inf
-                bound = abs(nxt) / (1.0 - rho) if rho < 1.0 else math.inf
+            bound = _tail_bound(nxt, z, a + fk + 1.0, fk1 + 1.0, b + fk1, c + fk1)
             if bound <= lim:
                 return float(s), fk1 * float(abs_sum) * 2.0 ** -53
         t = nxt
@@ -265,37 +262,14 @@ def _general_coefficients(m: int, num: int, den: int, q: int):
 
 
 def _coefficient_sum(coefs, pows, depths):
-    """The sum of c pows[d] over the pairs (a, b) of coefs, c = a/b, and d
-    of depths, as a BoundedSum that counts d + 2 units per term, and the
-    sum of |c| (d + 1) + 1 (the subnormal count of _eq_general).  Each term
-    is dd_from_ratio, dd_mul and BoundedSum.add written out: the same float
-    operations in the same order (the tests keep that composition as the
-    reference)."""
-    s0 = s1 = bound = tiny = 0.0
+    """The sum of c pows[d] over the pairs (a, b) of coefs, c = a/b rounded
+    once, and d of depths, as a BoundedSum that counts d + 2 units per term,
+    and the sum of |c| (d + 1) + 1 (the subnormal count of _eq_general)."""
+    acc, tiny = BoundedSum(), 0.0
     for (a, b), d in zip(coefs, depths):
-        c0 = a / b
-        hn, hd = c0.as_integer_ratio()
-        c1 = (a * hd - hn * b) / (b * hd)
-        x0, x1 = pows[d]
-        p = c0 * x0
-        t = _SPLIT * c0
-        chi = t - (t - c0)
-        clo = c0 - chi
-        t = _SPLIT * x0
-        xhi = t - (t - x0)
-        xlo = x0 - xhi
-        e = ((chi * xhi - p) + chi * xlo + clo * xhi) + clo * xlo + (c0 * x1 + c1 * x0)
-        t0 = p + e
-        t1 = e - (t0 - p)
-        bound += (d + 3.0) * abs(t0) * U
-        s = s0 + t0
-        bb = s - s0
-        e = (s0 - (s - bb)) + (t0 - bb) + (s1 + t1)
-        s0 = s + e
-        s1 = e - (s0 - s)
-        tiny += abs(c0) * (d + 1) + 1.0
-    acc = BoundedSum()
-    acc.total, acc.bound = (s0, s1), bound
+        c = dd_from_ratio(a, b)
+        acc.add(dd_mul(c, pows[d]), d + 2)
+        tiny += abs(c[0]) * (d + 1) + 1.0
     return acc, tiny
 
 
@@ -342,7 +316,8 @@ def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum 
         acc, tiny = _coefficient_sum(heads, ompows, range(q, -1, -1))
         inner, tail_tiny = _coefficient_sum(tails, ompows, range(m))
         for i, c in logs:
-            acc.add(dd_mul(dd_from_int(c), dd_mul(ompows[q - i], ctx.log)), q - i + 4)
+            acc.add(dd_mul(dd_from_ratio(c, 1), dd_mul(ompows[q - i], ctx.log)),
+                    q - i + 4)
             tiny += abs(c) * (abs(ctx.log[0]) + 1.0) * (q - i + 1) + 1.0
     except OverflowError:  # a coefficient past float range
         return None
@@ -359,7 +334,7 @@ def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum 
         if den == 2:  # P**(q+1-n) = P**e sqrt(P)
             scale, err = dd_mul(scale, dd_sqrt(ctx.omx)), err + 2.0
     else:
-        u = dd_mul(dd_add(dd_from_int(q + 1), dd(-n)), ctx.log)
+        u = dd_mul(dd_add(dd_from_ratio(q + 1, 1), dd(-n)), ctx.log)
         if not math.isfinite(u[0]):
             return None  # q+1-n past Dekker's split
         err = 1.0 + 3.0 * abs(u[0])
@@ -379,7 +354,7 @@ def _eq_general(m: int, n: float, p: int, ctx: ClosedFormContext) -> BoundedSum 
     acc.bound += 16.0 * 2.0 ** -1074 * tiny
     # (m)_(p-m) / (p-m-1)! is the integer C(p-1, m-1)*(p-m)
     pref_int = math.comb(p - 1, m - 1) * (p - m)
-    acc.mul(dd_div(dd_from_int(pref_int), dd_npow(dd(ctx.x), p - 1)), p)
+    acc.mul(dd_div(dd_from_ratio(pref_int, 1), dd_npow(dd(ctx.x), p - 1)), p)
     if big:  # exact; an OverflowError here is the value passing float range
         acc.total = (math.ldexp(acc.total[0], big), math.ldexp(acc.total[1], big))
         acc.bound = math.ldexp(acc.bound, big)
@@ -401,8 +376,8 @@ def _eq_1m_b(m: int, l: int, ctx: ClosedFormContext) -> BoundedSum:
         acc.add(dd_mul(dd_from_ratio(cj.numerator, cj.denominator), xpows[j]), j + 1)
     for i in range(m - 1):
         poc = math.perm(i + 1 + l, l + 1)  # (i+1)_(l+1)
-        acc.add(dd_neg(dd_div(xpows[l + i + 1], dd_from_int(poc))), l + i + 2)
-    acc.mul(dd_from_int(poch))
+        acc.add(dd_neg(dd_div(xpows[l + i + 1], dd_from_ratio(poc, 1))), l + i + 2)
+    acc.mul(dd_from_ratio(poch, 1))
     acc.div(dd_npow(dd(ctx.x), m + l), m + l)
     return acc
 
@@ -412,7 +387,7 @@ def _eq_12_1(n: int, ctx: ClosedFormContext) -> BoundedSum:
     sum of x**j (1-x)**(n-j-1), times (-1)**n (n+1) / x**(n+1)."""
     xpows = ctx.xpows(n)
     ompows = ctx.ompows(n - 1)
-    acc = BoundedSum((dd(ctx.x), 0.0), (dd_mul(dd_from_int(n), ctx.log), 2))
+    acc = BoundedSum((dd(ctx.x), 0.0), (dd_mul(dd_from_ratio(n, 1), ctx.log), 2))
     acc.mul(ompows[n - 1], n - 1)
     for j in range(1, n):
         c = Fraction((-1) ** j * (n - j), j)
@@ -420,7 +395,7 @@ def _eq_12_1(n: int, ctx: ClosedFormContext) -> BoundedSum:
                       dd_mul(xpows[j], ompows[n - j - 1]))
         acc.add(dd_neg(term), n + 1)
     scale = -(n + 1) if n % 2 else n + 1
-    acc.mul(dd_div(dd_from_int(scale), dd_npow(dd(ctx.x), n + 1)), n + 2)
+    acc.mul(dd_div(dd_from_ratio(scale, 1), dd_npow(dd(ctx.x), n + 1)), n + 2)
     return acc
 
 
@@ -439,7 +414,7 @@ def _assemble(body, x: float, *args):
     if acc is None:
         return None
     value = dd_to_float(acc.total)
-    if not math.isfinite(value):  # Dekker's split past ~1.3e300
+    if not math.isfinite(value):  # Dekker's split past ~1.3e300, or 1 / x**(p-1)
         raise NotConverged("closed form overflows float range")
     return value, acc.bound
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import Callable, Iterable
 
 from ._dd import _SERIES_REL_TOL
 

@@ -38,8 +38,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from ._dd import (
-    DD, context, dd, dd_add, dd_div, dd_from_int,
-    dd_from_ratio, dd_mul, dd_sub, dd_to_float,
+    DD, context, dd, dd_add, dd_div, dd_from_ratio, dd_mul, dd_sub,
+    dd_to_float,
 )
 from .numcore import (
     DomainError, InvalidParams, NonFinite, NotConverged, require_ints,
@@ -152,10 +152,11 @@ def _polylog_power_series(k: int, x: float) -> DD:
     """Li_k(x) from sum x**j / j**k: where _polylog_dd takes it, 7 terms at
     most from order 40 on and 131 below x = 0.6 (k = 2 just below 0.6).
 
-    A j**k past 2**996, which Dekker's split cannot take, ends the sum: that
-    term and every later one is below 2**-996 x, far under the stop rule.
-    The exponent test k*(bit_length(j) - 1) > 996 ends it first where it
-    can, so a large k never forms a huge j**k only to drop it.
+    The exponent test k*(bit_length(j) - 1) > 996 ends the sum before a
+    j**k past 2**996, which Dekker's split cannot take (that term and every
+    later one is below 2**-996 x, far under the stop rule): at j = 2 it
+    stops every k > 996, and the sum reaches j >= 3 only where term j-1
+    exceeded 1e-33 of it, so (j-1)**k < 1e33, k < 110 and j**k < 2**174.
     """
     ctx = context(x)
     total = dd(0.0)
@@ -163,10 +164,7 @@ def _polylog_power_series(k: int, x: float) -> DD:
     while True:
         if k * (j.bit_length() - 1) > 996:
             return total
-        d = j ** k
-        if d > 2 ** 996:
-            return total
-        term = dd_div(ctx.xpows(j)[j], dd_from_int(d))
+        term = dd_div(ctx.xpows(j)[j], dd_from_ratio(j ** k, 1))
         total = dd_add(total, term)
         if abs(term[0]) <= 1e-33 * abs(total[0]):
             return total
@@ -181,7 +179,7 @@ def _polylog_log_series(k: int, x: float) -> DD:
     while True:
         c = _log_series_coef(k, j)
         if j == k - 1:
-            c = dd_sub(c, dd_div(ctx.log_neg_mu, dd_from_int(math.factorial(j))))
+            c = dd_sub(c, dd_div(ctx.log_neg_mu, dd_from_ratio(math.factorial(j), 1)))
         if c[0] != 0.0:  # zeta(-n) vanishes for even n >= 2
             term = dd_mul(c, ctx.mupows(j)[j])
             total = dd_add(total, term)

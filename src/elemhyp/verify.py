@@ -12,8 +12,8 @@ import json
 import math
 
 from ._dd import (
-    _GUARD_REL, dd, dd_add, dd_div, dd_from_int, dd_from_ratio, dd_log, dd_mul,
-    dd_npow, dd_sub, dd_to_float,
+    _GUARD_REL, dd, dd_add, dd_div, dd_from_ratio, dd_log, dd_mul, dd_npow,
+    dd_sub, dd_to_float,
 )
 from .basis import combo_eval, fnj_combo, fnj_series, pow_ratio, poly, LOG_TERM
 from .heun import (
@@ -143,7 +143,7 @@ def _fnj3_direct(n: int, x: float) -> float:
         for l in range(i - 1):
             w = i - l - 1
             pr = dd_div(dd_sub(dd(1.0), ompows[w]), ompows[w])
-            inner = dd_add(inner, dd_div(pr, dd_from_int(w)))
+            inner = dd_add(inner, dd_div(pr, dd_from_ratio(w, 1)))
         inner = dd_sub(inner, big_l)
         coef = dd_from_ratio(math.comb(n - 1, i) * (-1) ** i, i)
         acc = dd_add(acc, dd_mul(coef, inner))

@@ -140,6 +140,10 @@ def test_combo_validation():
         fnj_combo(0, 2)
     with pytest.raises(InvalidParams):
         SymbolicCombo(n=1, j=1, terms={})
+    with pytest.raises(InvalidParams, match="^n must be >= 1$"):
+        SymbolicCombo(n=0, j=2, terms={})
+    with pytest.raises(InvalidParams, match="^j must be >= 0$"):
+        fnj_series(2, -1, 0.5)
 
 
 def test_combo_degenerate_n1():

@@ -17,8 +17,9 @@ import sys
 import pytest
 
 from elemhyp import (
-    HypergeomParams, NotConverged, cli, combo_eval, fnj_combo, gmkz_moment_abel,
-    hyp2f1_closed, mkz, mkz_moment,
+    GmkzParams, HeunFamilyParams, HypergeomParams, Monomial, NonFinite,
+    NotConverged, cli, combo_eval, fnj_combo, gmkz_moment_abel, heun_ode_residual,
+    hyp2f1_closed, hyp2f1_series, mkz, mkz_moment,
 )
 
 CMD = [sys.executable, "-m", "elemhyp"]
@@ -152,6 +153,22 @@ def test_hyp2f1_closed_prints_the_library_value(m, n, p, x):
     assert r.returncode == 0
     value = hyp2f1_closed(HypergeomParams(int(m), float(n), int(p)), float(x))
     assert r.stdout == json.dumps({"value": value}) + "\n"
+
+
+def test_series_routes_print_the_library_value():
+    r = run("hyp2f1", "--m", "2", "--n", "-2.5", "--p", "5", "--x", "0.7",
+            "--method", "series")
+    assert r.returncode == 0
+    value = hyp2f1_series(2.0, -2.5, 5.0, 0.7).value
+    assert r.stdout == json.dumps({"value": value}) + "\n"
+    for argv, params in (
+            (("--operator", "mkz", "--n", "3", "--r", "4"), GmkzParams(3, 1, 0.0, 0.0)),
+            (("--operator", "gmkz", "--n", "3", "--rop", "3", "--alpha", "2",
+              "--beta", "1", "--r", "4"), GmkzParams(3, 3, 2.0, 1.0))):
+        r = run("moment", *argv, "--x", "0.95", "--route", "series")
+        assert r.returncode == 0
+        value = mkz._gmkz_series(params, Monomial(4), 0.95).value
+        assert r.stdout == json.dumps({"value": value}) + "\n"
 
 
 def test_hyp2f1_closed_refuses_a_cancelled_value():
@@ -431,6 +448,20 @@ def test_heun_normalized_and_residual_routes():
     raw = run("heun", "--m", "2", "--n", "-3", "--p", "5", "--x", "0.3")
     assert json.loads(raw.stdout)["value"] == pytest.approx(
         doc["value"] * doc["normalization"], rel=1e-13)
+
+
+def test_heun_residual_past_float_range_exits_1():
+    # q of n = -3e300 passes float range, so two terms of the equation are
+    # infinite: the residual was nan, printed as NaN, which is not JSON.  At
+    # m = 5 the member terminates at r = 1.5e300, and its normalization,
+    # which raised a bare ValueError, ends at the infinite c_1 first
+    for m, p, why in ((4, 8, "the equation's terms leave float range"),
+                      (5, 12, "non-finite term at index 1")):
+        with pytest.raises(NonFinite, match="^the equation's terms leave float range$"):
+            heun_ode_residual(HeunFamilyParams(m, -3e300, p), 5e-324, 1)
+        r = run("heun", "--m", str(m), "--n=-3e300", "--p", str(p), "--x", "5e-324",
+                "--terms", "1", "--check-ode")
+        assert (r.returncode, r.stdout, r.stderr) == (1, "", f"error: {why}\n")
 
 
 def test_verify_csv_report():

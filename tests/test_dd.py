@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from elemhyp._dd import (
     BoundedSum, dd, dd_add, dd_div, dd_exp, dd_expm1,
-    dd_from_int, dd_from_ratio, dd_log, dd_mul, dd_neg, dd_npow, dd_sqrt,
+    dd_from_ratio, dd_log, dd_mul, dd_neg, dd_npow, dd_sqrt,
     dd_sub, dd_to_float, power_integral_dd,
 )
 
@@ -164,13 +164,13 @@ def ref_expm1(u):
 
 
 def ref_power_integral(shift, n, one_minus_x, log_1mx):
-    w = ref_add(dd_from_int(shift + 1), (float(-n), 0.0))
+    w = ref_add(dd_from_ratio(shift + 1, 1), (float(-n), 0.0))
     if w[1] == 0.0 and w[0].is_integer():
         wi = int(w[0])
         if wi == 0:
             return (-log_1mx[0], -log_1mx[1])
         pw = ref_npow(one_minus_x, wi)
-        return ref_div(ref_sub((1.0, 0.0), pw), dd_from_int(wi))
+        return ref_div(ref_sub((1.0, 0.0), pw), dd_from_ratio(wi, 1))
     e = ref_expm1(ref_mul(w, log_1mx))
     return ref_div((-e[0], -e[1]), w)
 
@@ -319,7 +319,7 @@ def test_dd_field_ops_match_fraction(p, q):
 
 def test_dd_embed_and_int():
     assert dd(0.6) == (0.6, 0.0)
-    assert to_frac(dd_from_int(3**40)) == 3**40
+    assert to_frac(dd_from_ratio(3**40, 1)) == 3**40
     assert dd_neg((1.5, -1e-20)) == (-1.5, 1e-20)
 
 

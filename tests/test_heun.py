@@ -88,6 +88,8 @@ def test_expansion_coefficients_on_the_reference_member():
     want = [1.0, 1.0 / 6.0, 1.0 / 15.0, 1.0 / 28.0]
     for k, w in enumerate(want):
         assert math.isclose(heun_coeff(fp, k), w, rel_tol=1e-14)
+    with pytest.raises(InvalidParams, match="^k must be >= 0$"):
+        heun_coeff(fp, -1)
 
 
 def test_expansion_coefficients_are_the_ratio_formed_per_term():
@@ -174,6 +176,26 @@ def test_normalization_past_float_range_is_typed():
         heun_normalization(fp)
     with pytest.raises(NonFinite, match="non-finite term at index 154"):
         heun_eval(fp, 0.3, 600)
+
+
+def test_normalization_stops_at_the_first_infinite_coefficient(monkeypatch):
+    # r = 5e14, and r = 1.5e300 past sys.maxsize (where islice raised a bare
+    # ValueError): c_12 and c_1 pass float range, and the sum ends there
+    # rather than list r coefficients; the wrapper fails a sum that reads on
+    original = heun._coeffs
+
+    def bounded(fp):
+        for k, c in enumerate(original(fp)):
+            assert k < 1000, "read past the first infinite coefficient"
+            yield c
+
+    monkeypatch.setattr(heun, "_coeffs", bounded)
+    for n, r, index in ((-1000000000000002.0, 5 * 10 ** 14, 12),
+                        (-3e300, int(-3e300) // -2 - 1, 1)):
+        fp = HeunFamilyParams(5, n, 12)
+        assert heun_termination(fp) == r
+        with pytest.raises(NonFinite, match=f"^non-finite term at index {index}$"):
+            heun_normalization(fp)
 
 
 @pytest.mark.parametrize("mnp", NON_TERMINATING)

@@ -17,7 +17,6 @@ from elemhyp import (
     hyp2f1_series,
 )
 from elemhyp import _dd, hypergeom, numcore
-from elemhyp._dd import BoundedSum, dd_from_ratio, dd_mul
 from elemhyp.hypergeom import (
     _assemble, _closed_route, _eq_12_1, _eq_1m_b, _eq_general,
 )
@@ -572,35 +571,6 @@ def test_general_form_coefficients_are_the_triple_sums():
     assert cases == 938
 
 
-def _composed_coefficient_sum(coefs, pows, depths):
-    """_coefficient_sum as the composition it writes out."""
-    acc, tiny = BoundedSum(), 0.0
-    for (a, b), d in zip(coefs, depths):
-        c = dd_from_ratio(a, b)
-        acc.add(dd_mul(c, pows[d]), d + 2)
-        tiny += abs(c[0]) * (d + 1) + 1.0
-    return acc, tiny
-
-
-def test_flat_coefficient_sum_matches_the_composed_form():
-    # every total, bound and subnormal count bit for bit, at x where the
-    # powers of 1-x run subnormal too
-    cases = 0
-    for x in (0.01, 0.37, 0.9, 1.0 - 2.0 ** -40):
-        ompows = _dd.ClosedFormContext(x).ompows(40)
-        for m, q, n in _coefficient_cases():
-            heads, tails, _ = hypergeom._general_coefficients(
-                m, n.numerator, n.denominator, q)
-            for coefs, depths in ((heads, range(q, -1, -1)), (tails, range(m))):
-                (flat, flat_tiny), (ref, ref_tiny) = (
-                    f(coefs, ompows, depths)
-                    for f in (hypergeom._coefficient_sum, _composed_coefficient_sum))
-                assert repr((flat.total, flat.bound, flat_tiny)) == \
-                    repr((ref.total, ref.bound, ref_tiny)), (x, m, q, n)
-                cases += 1
-    assert cases == 4 * 2 * 938
-
-
 def _half_integer_points(count, seed):
     """m <= 8, p <= m+40, half-integer |n| <= 40; 30 % of x with 1-x
     log-uniform in [1e-12, 1e-2], the rest uniform in [0.01, 0.99]."""
@@ -914,6 +884,32 @@ def test_near_one_route_declines_where_a_tail_term_passes_float_range():
     got = hyp2f1_eval(HypergeomParams(1, 0.5, 5000), x)
     assert got == 1.0000800192038404
     assert rel_err(got, mp_ref(1, 0.5, 5000, x, 50)) <= 1e-16
+    # at p = 10**300 the first term of the second series is already inf:
+    # _series raises NonFinite, the tail declines, and the series fallback
+    # answers 1 + 4.5e-301
+    p = 10 ** 300
+    with pytest.raises(NonFinite, match="at index 0"):
+        hypergeom._series(p - 1, -0.5, p, -0.5, p, 0.1, 1)
+    assert hypergeom._near_one_tail(p - 1, -0.5, p, p, 0.1) is None
+    assert hypergeom._near_one(1, 0.5, p, 0.9) is None
+    assert hyp2f1_eval(HypergeomParams(1, 0.5, p), 0.9) == 1.0
+
+
+def test_near_one_route_declines_where_a_coefficient_passes_float_range():
+    # B = (m)_(p-m) / (-s)_(p-m) at (208, 761.999999; 1261) is past float
+    # range while both 1-x series sum; the route declines and the closed
+    # form answers
+    m, n, p, x = 208, 761.999999, 1261, 0.99
+    q, z = p - m, 1.0 - x
+    assert hypergeom._near_one_tail(m, n, 0, 1 - q, z) is not None
+    assert hypergeom._near_one_tail(q, -n, p, q + 1, z) is not None
+    num, den = n.as_integer_ratio()
+    with pytest.raises(OverflowError):
+        _dd.dd_from_ratio(math.perm(p - 1, q) * den ** q,
+                          math.prod(i * den - (q * den - num) for i in range(q)))
+    assert hypergeom._near_one(m, n, p, x) is None
+    got = hyp2f1_eval(HypergeomParams(m, n, p), x)
+    assert rel_err(got, mp_ref(m, n, p, x, 50)) <= 1e-13
 
 
 @pytest.mark.parametrize("m,n,p", [
@@ -1229,6 +1225,26 @@ def test_eval_fallback_past_float_range_raises():
     assert hyp2f1_eval(HypergeomParams(1, 1462.0, 80), 0.5) == 9.612487652386705e+307
     with pytest.raises(NotConverged, match="series fallback passes float range"):
         hyp2f1_eval(HypergeomParams(1, 1463.0, 80), 0.5)
+
+
+def test_eval_series_below_one_half_at_its_term_cap_raises():
+    # n = p/x: the term ratio (n+k) x / (p+k) stays within ~1e-4 of 1 past
+    # the cap, so route 1 is not converged and the dispatcher raises
+    n, p, x = 2040816326.5306122, 10 ** 9, 0.49
+    assert not hyp2f1_series(1.0, n, float(p), x).converged
+    with pytest.raises(NotConverged, match="^series did not converge$"):
+        hyp2f1_eval(HypergeomParams(1, n, p), x)
+
+
+def test_closed_form_raises_where_its_prefactor_passes_float_range():
+    # x**(p-1) = 1e-318 is subnormal, so 1 / x**(p-1) passes float range and
+    # the general form's total turns nan, which _assemble reports as typed;
+    # route 1 answers the dispatcher
+    params, x = HypergeomParams(1, 0.5, 160), 0.01
+    assert math.isnan(_eq_general(1, 0.5, 160, _dd.context(x)).total[0])
+    with pytest.raises(NotConverged, match="^closed form overflows float range$"):
+        hyp2f1_closed(params, x)
+    assert rel_err(hyp2f1_eval(params, x), mp_ref(1, 0.5, 160, x)) <= 1e-15
 
 
 def test_eval_overflow_band_never_returns_the_series(monkeypatch):

@@ -694,6 +694,17 @@ def test_closed_moment_where_x_to_the_c_underflows():
     assert mkz._gmkz_closed(6, 5, 0.0, 3, 1e-200) is None
 
 
+def test_closed_moment_declines_where_a_coefficient_passes_float_range():
+    # the Laurent coefficients of (1 - c/u)**m, about C(m, s) c**s, pass
+    # float range at c = 1005, m = 110; the series answers gmkz_apply
+    with pytest.raises(OverflowError):
+        mkz._closed_coefficients(6, 1005, 110, 0.0)
+    assert mkz._gmkz_closed(6, 1005, 0.0, 110, 0.95) is None
+    params = GmkzParams(5, 1, 1000.0, 0.0)
+    assert gmkz_apply(params, Monomial(110), 0.95) == \
+        mkz._gmkz_series(params, Monomial(110), 0.95)
+
+
 def test_closed_moment_underflow_gate_changes_no_verdict(monkeypatch):
     # c log x is tested against the normal float range before anything is
     # built, and the form declines.  Next to that edge, where x**c is

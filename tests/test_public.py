@@ -4,8 +4,11 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import elemhyp
 
@@ -107,6 +110,21 @@ def test_benchmark_tracer_boundaries_resolve():
     missing = [(module, name) for module, name in tracer.BOUNDARIES
                if not callable(getattr(importlib.import_module(module), name, None))]
     assert missing == []
+    # perfbench/worker.py reads the hit ratios of these two from their
+    # lru_cache counters, and Tracer.cache_hit_ratio has none without them
+    for module, name in (("elemhyp.polylog", "_polylog_dd"), ("elemhyp.basis", "fnj_combo")):
+        assert (module, name) in tracer.BOUNDARIES
+        assert hasattr(getattr(importlib.import_module(module), name), "cache_info"), name
+
+
+def test_the_cli_does_not_import_typing():
+    # every annotation is a string under `from __future__ import annotations`,
+    # so nothing the CLI runs needs typing, which takes ~3 ms to import
+    code = "import sys, elemhyp.cli; print('typing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 # perfbench/tracer.py's BOUNDARIES still wraps _dd.power_integral_dd, which
