@@ -34,71 +34,56 @@ def _emit(doc: dict):
 
 def cmd_hyp2f1(args) -> int:
     params = HypergeomParams(args.m, args.n, args.p)
-    res = None
-    if args.method == "auto":
-        value = hyp2f1_eval(params, args.x)
-    elif args.method == "series":
+    doc = {}
+    if args.method != "series":
+        evaluate = hyp2f1_eval if args.method == "auto" else hyp2f1_closed
+        doc["value"] = evaluate(params, args.x)
+    if args.method == "series" or args.compare:
         res = hyp2f1_series(float(args.m), args.n, float(args.p), args.x)
         if not res.converged:
-            raise NotConverged("series did not converge within its term cap")
-        value = res.value
-    else:
-        value = hyp2f1_closed(params, args.x)
-    doc = {"value": value}
-    if args.compare:
-        if res is None:
-            res = hyp2f1_series(float(args.m), args.n, float(args.p), args.x)
-        doc["series"] = res.value
-        doc["rel_err"] = _rel_err(value, res.value)
+            raise NotConverged("series did not converge")
+        doc.setdefault("value", res.value)
+        if args.compare:
+            doc.update(series=res.value, rel_err=_rel_err(doc["value"], res.value))
     _emit(doc)
     return 0
 
 
 def cmd_moment(args) -> int:
-    n, r, x = args.n, args.r, args.x
-    if args.operator == "mkz":
-        params = GmkzParams(n, 1, 0.0, 0.0)
-
-        def closed():
-            return mkz_moment(n, r, x)
-    elif args.operator == "ln":
+    n, r, x, op = args.n, args.r, args.x, args.operator
+    if op == "ln":
         if r != 2:
             raise InvalidParams("the ln operator has a closed moment for r = 2 only")
-        params = None
-
-        def closed():
-            return ln_moment_e2(n, x)
     else:
-        params = GmkzParams(n, args.rop, args.alpha, args.beta)
-
-        def closed():
-            if r == 1:
-                return gmkz_e1(params, x)
-            if args.alpha == int(args.alpha) and args.rop == int(args.alpha) + 1:
-                return gmkz_moment_abel(n, int(args.alpha), args.beta, r, x)
+        params = GmkzParams(n, 1, 0.0, 0.0) if op == "mkz" else \
+            GmkzParams(n, args.rop, args.alpha, args.beta)
+    if args.route != "series":
+        if op == "ln":
+            closed = ln_moment_e2(n, x)
+        elif op == "mkz":
+            closed = mkz_moment(n, r, x)
+        elif r == 1:
+            closed = gmkz_e1(params, x)
+        elif args.alpha == int(args.alpha) and args.rop == int(args.alpha) + 1:
+            closed = gmkz_moment_abel(n, int(args.alpha), args.beta, r, x)
+        else:
             raise InvalidParams(
                 "gmkz closed moments need r = 1, or rop = alpha+1 with integer alpha")
-
-    def series():
-        if args.operator == "ln":
-            return ln_moment_e2_direct(n, x)
-        return _gmkz_series(params, Monomial(r), x).value
-
-    if args.route == "closed":
-        doc = {"value": closed()}
-    elif args.route == "series":
-        doc = {"value": series()}
-    else:
-        c = closed()  # first: it validates the arguments
-        if params is not None and r > 0 and not (args.operator == "gmkz" and r == 1):
-            # c came from gmkz_apply, which takes the series below x = 0.9
-            # or where its closed form is rejected: compare that form itself
+        if args.route == "both" and op != "ln" and r > (1 if op == "gmkz" else 0):
+            # mkz_moment and gmkz_moment_abel at r >= 1 (gmkz's r = 1 is
+            # gmkz_e1) are gmkz_apply's value, which takes the series below
+            # x = 0.9 or where its closed form is rejected: compare that form
             res = _closed_route(params, r, x)
             if res is None:
                 raise NotConverged("closed form not certified at this point")
-            c = res.value
-        s = series()
-        doc = {"closed": c, "series": s, "rel_err": _rel_err(c, s)}
+            closed = res.value
+    if args.route != "closed":
+        series = ln_moment_e2_direct(n, x) if op == "ln" else \
+            _gmkz_series(params, Monomial(r), x).value
+    if args.route == "both":
+        doc = {"closed": closed, "series": series, "rel_err": _rel_err(closed, series)}
+    else:
+        doc = {"value": closed if args.route == "closed" else series}
     _emit(doc)
     return 0
 

@@ -49,8 +49,9 @@ class HeunSpec:
         if self.a in (0.0, 1.0):
             raise InvalidParams("singular point a must avoid 0 and 1")
         fuchs = self.alpha + self.beta + 1.0 - (self.gamma + self.delta + self.epsilon)
-        if abs(fuchs) > 1e-9:
-            raise InvalidParams("parameters must satisfy alpha+beta+1 = gamma+delta+epsilon")
+        if not abs(fuchs) <= 1e-9:  # a nan or inf among them too
+            raise InvalidParams("parameters must be finite and satisfy "
+                                "alpha+beta+1 = gamma+delta+epsilon")
 
 
 @dataclass(frozen=True)
@@ -102,12 +103,16 @@ def heun_coeff(fp: HeunFamilyParams, k: int) -> float:
     """Coefficient c_k of the 2F1(m, n; p+2k; x) leaf; c_0 = 1.
 
     A zero Pochhammer base makes every later coefficient exactly zero, and
-    the float iteration preserves that exactly.
+    the float iteration preserves that exactly.  A c_k past float range
+    raises NonFinite, as the sums of heun_eval and heun_normalization do.
     """
     require_ints(k=k)
     if k < 0:
         raise InvalidParams("k must be >= 0")
-    return next(islice(_coeffs(fp), k, None), 0.0)
+    c = next(islice(_coeffs(fp), k, None), 0.0)
+    if not math.isfinite(c):
+        raise NonFinite(f"coefficient c_{k} passes float range")
+    return c
 
 
 def heun_termination(fp: HeunFamilyParams):
@@ -184,7 +189,8 @@ def heun_series_oracle(spec: HeunSpec, x: float) -> float:
     singular point.  gamma at 0 or a negative integer makes the recurrence
     division singular (the series solution is not unique there).  The
     value is the partial sum of the first 401 terms by definition, summed by
-    _finite_sum: rounded once, and an inf or nan term raises NonFinite.
+    _finite_sum: rounded once, and an inf or nan term, or a divisor
+    a (j+1) (j+gamma) that underflows to 0, raises NonFinite.
     """
     if not abs(x) < min(1.0, abs(spec.a)):  # nan too
         raise DomainError("oracle trusted only for |x| < min(1, |a|)")
@@ -200,7 +206,7 @@ def heun_series_oracle(spec: HeunSpec, x: float) -> float:
     for j in range(400):
         lhs = a * (j + 1.0) * (j + g)
         mid = (mid1 * j * (j - 1.0) + midj * j + q) * d_cur
-        d_next = (mid - (j - 1.0 + al) * (j - 1.0 + be) * d_prev) / lhs
+        d_next = (mid - (j - 1.0 + al) * (j - 1.0 + be) * d_prev) / lhs if lhs else math.inf
         terms.append(d_next * x ** (j + 1))
         d_prev, d_cur = d_cur, d_next
     return _finite_sum(terms)

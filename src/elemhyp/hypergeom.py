@@ -26,8 +26,8 @@ table depth and the errors of the log and the power.
 
 In the dispatcher hyp2f1_eval each route in turn gives its value and a
 bound on its error, or declines, and the first value whose bound
-_dd.certified finds within 1e-13 of it is returned (_routes over the pairs
-of _enclosures); x = 0 and n = 0 end route 1 or 2 at its first term, 1.0:
+_dd.certified finds within 1e-13 of it is returned (_routes); x = 0 and
+n = 0 end route 1 or 2 at its first term, 1.0:
 
   1. below _X_SWITCH = 1/2, the defining series, where it needs few terms
      and the x**(1-p) prefactor makes closed forms cancel; its bound is
@@ -44,8 +44,8 @@ of _enclosures); x = 0 and n = 0 end route 1 or 2 at its first term, 1.0:
      where its value passes float range, NotConverged is raised, since the
      series stops short of the sum there; where only its coefficients do,
      it declines;
-  5. the defining series, with bound math.inf: returned with no rounding
-     check, or NotConverged where it is not finite.
+  5. the defining series, route 1's below 1/2: returned with no rounding
+     check, or NotConverged where it is not finite or not converged.
 
 Both series routes sum to numcore's one precision.  The series and the two
 tails of route 3 are summed by one flat loop, _series, bit for bit
@@ -103,7 +103,7 @@ def hyp2f1_series(a: float, b: float, c: float, x: float) -> SeriesResult:
 
     This is the oracle every closed form is tested against.  A terminating
     series (a or b a nonpositive integer) has tail 0 once its terms hit
-    exact zero.
+    exact zero; one whose sum passes float range is not converged.
     """
     if not abs(x) < 1.0:  # nan too
         raise DomainError("series requires |x| < 1")
@@ -143,6 +143,8 @@ def _series(a: float, b: float, ib: int, c: float, ic: int, z: float, first: int
         nxt = t * ((a + fk) * (b + fb) / ((c + fc) * (fk + 1.0)) * z)
         lim = _SERIES_REL_TOL * (s if s >= 0.0 else -s)
         if at <= lim:
+            if lim == inf:  # the sum passed float range
+                break
             bound = _tail_bound(nxt, z, a + k + 1, k + 2,
                                 b + (ib + k + 1), c + (ic + k + 1))
             if bound <= lim:
@@ -151,8 +153,8 @@ def _series(a: float, b: float, ib: int, c: float, ic: int, z: float, first: int
         fk += 1.0
         fb += 1.0
         fc += 1.0
-    # still going at the cap
-    return SeriesResult(float(s), _MAX_TERMS, False, math.inf, float(abs_sum))
+    # past float range, or still going at the cap
+    return SeriesResult(float(s), k + 1 - first, False, inf, float(abs_sum))
 
 
 def _tail_bound(nxt, z, a1, k2, b1, c1):
@@ -180,7 +182,7 @@ def _leaf_series(a: float, b: float, c: float, z: float, ratios: list):
 
     The float operations of _series in its order, with k, k+1 and k+2 of
     its tail bound as the exact floats fk, fk1 and fk1+1: its value, and
-    the bound terms * sum|term| * 2**-53 that _enclosures forms from it (the
+    the bound terms * sum|term| * 2**-53 that _routes forms from it (the
     tests keep that comparison); None where _series' result is not
     converged.  A single series is faster in _series; the table pays where
     the leaves of one sum share it (heun_eval)."""
@@ -203,6 +205,8 @@ def _leaf_series(a: float, b: float, c: float, z: float, ratios: list):
         nxt = t * (ab / ((c + fk) * fk1) * z)
         lim = tol * (s if s >= 0.0 else -s)
         if at <= lim:
+            if lim == inf:  # the sum passed float range
+                return None
             bound = _tail_bound(nxt, z, a + fk + 1.0, fk1 + 1.0, b + fk1, c + fk1)
             if bound <= lim:
                 return float(s), fk1 * float(abs_sum) * 2.0 ** -53
@@ -466,9 +470,10 @@ def hyp2f1_closed(params: HypergeomParams, x: float) -> float:
     if pair is None:
         raise NotConverged("closed form's power or coefficients leave float range")
     f, bound = pair
-    if not certified(f, bound):
-        raise NotConverged(f"closed form's rounding bound {bound:.3g} "
-                           f"exceeds {_GUARD_REL:g} of its value")
+    if not certified(f, bound):  # a finite bound has a finite f (_assemble)
+        raise NotConverged(f"closed form's rounding bound {bound:.3g} exceeds "
+                           f"{_GUARD_REL:g} of its value" if math.isfinite(bound)
+                           else "closed form's rounding bound is not finite")
     return f
 
 
@@ -588,24 +593,14 @@ def hyp2f1_eval(params: HypergeomParams, x: float) -> float:
 
 
 def _routes(m: int, n: float, p: int, x: float, ratios: list | None = None) -> float:
-    """hyp2f1_eval's routes for a triple HypergeomParams accepts and
-    0 <= x < 1, checked by the caller: the first value of _enclosures that
-    _dd.certified keeps, else the fallback's if finite.  heun_eval calls it
-    per leaf, with the one ratios list of its sum (_leaf_series)."""
-    for value, bound in _enclosures(m, n, p, x, ratios):
-        if certified(value, bound):
-            return value
-    if not math.isfinite(value):
-        raise NotConverged("series fallback passes float range")
-    return value
+    """hyp2f1_eval's routes, in order, for a triple HypergeomParams accepts
+    and 0 <= x < 1, checked by the caller: each (value, bound) is formed only
+    where the one before is not kept, and judged at once by kept.  heun_eval
+    calls it per leaf, with the one ratios list of its sum (_leaf_series)."""
 
+    def kept(pair):
+        return pair is not None and certified(*pair)
 
-def _enclosures(m: int, n: float, p: int, x: float, ratios: list | None):
-    """The routes of the module docstring in order, each as (value, bound),
-    formed only when the one before is not kept; the series below 1/2 is
-    summed once and is the fallback's value too.  Route 1 sums it with
-    hyp2f1_series, or with _leaf_series where the caller passed a ratios
-    list: the same pair."""
     if x < _X_SWITCH:
         if ratios is None:
             res = hyp2f1_series(float(m), n, float(p), x)
@@ -615,22 +610,27 @@ def _enclosures(m: int, n: float, p: int, x: float, ratios: list | None):
             pair = _leaf_series(float(m), n, float(p), x, ratios)
         if pair is None:
             raise NotConverged("series did not converge")
-        yield pair
         value = pair[0]
+        if kept(pair):
+            return value
     # summed exactly: no log and no x**(1-p) prefactor, as a closed form has
     if n <= 0.0 and float(n).is_integer() and -n <= 40:
-        yield _short_poly_exact(m, -int(n), p, x), 0.0
+        pair = _short_poly_exact(m, -int(n), p, x), 0.0
+        if kept(pair):
+            return pair[0]
     if x >= _X_NEAR:
-        near = _near_one(m, n, p, x)
-        if near is not None:
-            yield near
+        pair = _near_one(m, n, p, x)
+        if kept(pair):
+            return pair[0]
     if (p - 1) * math.log10(1.0 / x) <= _MAX_DIGIT_LOSS:
-        closed = _closed_route(m, n, p, x)
-        if closed is not None:
-            yield closed
+        pair = _closed_route(m, n, p, x)
+        if kept(pair):
+            return pair[0]
     if x >= _X_SWITCH:
         res = hyp2f1_series(float(m), n, float(p), x)
-        if not res.converged:
-            raise NotConverged("series fallback did not converge")
         value = res.value
-    yield value, math.inf
+        if math.isfinite(value) and not res.converged:
+            raise NotConverged("series fallback did not converge")
+    if not math.isfinite(value):
+        raise NotConverged("series fallback passes float range")
+    return value

@@ -49,7 +49,9 @@ def require_ints(**values) -> None:
         try:
             operator.index(value)
         except TypeError:
-            raise InvalidParams(f"{name} must be an integer, got {value!r}") from None
+            got = "a non-finite float" if isinstance(value, float) \
+                and not math.isfinite(value) else repr(value)
+            raise InvalidParams(f"{name} must be an integer, got {got}") from None
 
 
 _MAX_TERMS = 100000
@@ -80,9 +82,9 @@ def sum_series(term_source: Iterable,
     tol * |partial sum|; trunc_err_est is that bound.  A source that runs
     out of terms, within _MAX_TERMS, is an exact finite sum (converged,
     trunc_err_est 0); one with a term left after _MAX_TERMS is not
-    converged, and its trunc_err_est is math.inf.  abs_sum, the sum
-    of the absolute values of the terms, bounds the rounding error of the
-    sum together with terms_used.
+    converged, and its trunc_err_est is math.inf, as is one whose partial
+    sum passes float range.  abs_sum, the sum of the absolute values of the
+    terms, bounds the rounding error of the sum together with terms_used.
     """
     s = 0.0
     c = 0.0
@@ -102,9 +104,13 @@ def sum_series(term_source: Iterable,
         s = t
         abs_sum += abs(term)
         terms_used += 1
-        if abs(term) <= _SERIES_REL_TOL * abs(s):
+        lim = _SERIES_REL_TOL * abs(s)
+        if abs(term) <= lim:
+            if lim == math.inf:  # the sum passed float range
+                bound = math.inf
+                break
             bound = tail(terms_used - 1, term)
-            if bound <= _SERIES_REL_TOL * abs(s):
+            if bound <= lim:
                 converged = True
                 break
     else:
@@ -134,8 +140,8 @@ def _weight_series(N: int, x: float, w0: float, g: Callable[[int], float] | tupl
     term source and tail bound inline: bit for bit sum_series'
     SeriesResult (the tests keep that composition as the reference), its
     sums Python floats for numpy arguments.  Raises NotConverged where w0
-    is below the normal float range or at the term cap, NonFinite at an
-    inf or nan term.
+    is below the normal float range, at the term cap or where the sum
+    passes float range, NonFinite at an inf or nan term.
     """
     x, w = float(x), float(w0)
     if w < sys.float_info.min:
@@ -160,6 +166,8 @@ def _weight_series(N: int, x: float, w0: float, g: Callable[[int], float] | tupl
         abs_sum += at
         lim = tol * (s if s >= 0.0 else -s)
         if at <= lim:
+            if lim == inf:  # the sum passed float range
+                break
             rho = x * (fN + fk + 1.0) / (fk + 2.0)
             if w == 0.0 or (w < tiny and x >= 0.5 and rho < 1.0
                             and w * ((fN + fk + 1.0) / (fk + 2.0) * x) == w):

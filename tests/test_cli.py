@@ -115,6 +115,19 @@ def test_hyp2f1_compare_route():
     assert doc["rel_err"] < 1e-10
 
 
+@pytest.mark.parametrize("argv", [
+    # the sum passes float range: {"value": Infinity} was printed, exit 0
+    ("--m", "8", "--n", "1000", "--p", "301", "--x", "0.8381881194660705",
+     "--method", "series"),
+    # the series stops at its term cap: it was printed beside the value,
+    # its rel_err 1.4e-8 blaming the correct one, exit 0
+    ("--m", "1", "--n", "0.5", "--p", "3", "--x", "0.999999", "--compare"),
+], ids=["series-past-float-range", "compare-at-the-term-cap"])
+def test_hyp2f1_series_not_converged_exits_1(argv):
+    r = run("hyp2f1", *argv)
+    assert (r.returncode, r.stdout, r.stderr) == (1, "", "error: series did not converge\n")
+
+
 def test_hyp2f1_parameter_error_exits_2():
     r = run("hyp2f1", "--m", "3", "--n", "2", "--p", "2", "--x", "0.5")
     assert r.returncode == 2

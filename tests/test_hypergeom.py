@@ -271,6 +271,17 @@ def test_leaf_series_matches_the_flat_series_at_its_edges(a, b, z, cs):
             == _outcome(_series_pair, a, b, c, z), (c, len(ratios))
 
 
+def test_flat_series_past_float_range_is_not_converged():
+    # every term is finite, but after 1984 of them the sum passes float
+    # range; it was returned as converged, its value inf
+    args = (8.0, 1000.0, 0, 301.0, 0, 0.8381881194660705, 0)
+    res = hyp2f1_series(8.0, 1000.0, 301.0, 0.8381881194660705)
+    assert (res.value, res.terms_used, res.converged, res.trunc_err_est) \
+        == (math.inf, 1984, False, math.inf)
+    assert _outcome(hypergeom._series, *args) == _outcome(_composed_series, *args)
+    assert hypergeom._leaf_series(8.0, 1000.0, 301.0, 0.8381881194660705, []) is None
+
+
 def test_flat_series_sums_are_python_floats_for_numpy_parameters():
     # sum_series made every term a float; numpy's float64 arithmetic is the
     # same, but a numpy sum would reach hyp2f1_eval's value

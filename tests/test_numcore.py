@@ -127,6 +127,14 @@ def test_sum_series_rejects_non_finite_terms():
         sum_series(iter([math.nan]), no_bound)
 
 
+def test_sum_series_past_float_range_is_not_converged():
+    # the terms are finite, their sum is not: the stop test compared the
+    # tail bound with tol * inf and took the sum as converged
+    res = sum_series(iter([1e308, 1e308, 1.0]), lambda k, t: 0.0)
+    assert (res.value, res.terms_used, res.converged, res.trunc_err_est) \
+        == (math.inf, 2, False, math.inf)
+
+
 def test_sum_series_compensation_recovers_the_exact_rounding():
     # naive left-to-right summation of ten 0.1 gives 0.9999999999999999
     res = sum_series(iter([0.1] * 10), no_bound)
@@ -333,6 +341,14 @@ def test_flat_weight_series_matches_the_composed_form_for_the_kernels():
     tiny = (5, 0.5, 1e-310, lambda k: 1.0, lambda k: 1.0)
     assert _outcome(_weight_series, *tiny) == _outcome(_composed_weight_series, *tiny) \
         == ("NotConverged", "series weights underflow float range")
+
+
+def test_flat_weight_series_past_float_range_raises():
+    # sum_k C(300+k, k) x**k = (1-x)**-301: the partial sum passes float
+    # range while every term is finite; it was returned as converged
+    assert _outcome(fnj_series, 300, 0, 0.999999) \
+        == _outcome(_composed_fnj_series, 300, 0, 0.999999) \
+        == ("NotConverged", "series did not converge")
 
 
 def test_weight_series_sums_are_python_floats_for_numpy_parameters():
